@@ -717,6 +717,127 @@ let float_bits_equal a b =
        a b
 
 (* ------------------------------------------------------------------ *)
+(* EXP-K2: bit-faithful dense kernels (GEMM, Van Loan discretisation)  *)
+(* ------------------------------------------------------------------ *)
+
+(* The i-k-j product loop [Mat.mul] replaced, kept here as the
+   reference: bounds-checked, one [c] row pass per nonzero [a.(i).(k)]. *)
+let reference_gemm a b =
+  let m = Mat.rows a and p = Mat.cols a and n = Mat.cols b in
+  let ad = Mat.data a and bd = Mat.data b in
+  let c = Array.make (m * n) 0.0 in
+  for i = 0 to m - 1 do
+    for k = 0 to p - 1 do
+      let aik = ad.((i * p) + k) in
+      if aik <> 0.0 then begin
+        let brow = k * n and crow = i * n in
+        for j = 0 to n - 1 do
+          c.(crow + j) <- c.(crow + j) +. (aik *. bd.(brow + j))
+        done
+      end
+    done
+  done;
+  c
+
+(* Returns whether the GEMM-SMOKE gate holds. *)
+let exp_gemm () =
+  header "EXP-K2  bit-faithful dense kernels: GEMM ns/flop, Van Loan ms and bytes";
+  let module Vanloan = Scnoise_linalg.Vanloan in
+  let rng = Random.State.make [| 0x6e_33 |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  (* the Van Loan layout [[-A, Q], [0, Aᵀ]] at total size n *)
+  let vanloan_shaped n =
+    let h = n / 2 in
+    let a = Mat.init h h (fun _ _ -> rnd ()) and q = Mat.init h h (fun _ _ -> rnd ()) in
+    Mat.init n n (fun i j ->
+        if i < h && j < h then -.Mat.get a i j
+        else if i < h then Mat.get q i (j - h)
+        else if j < h then 0.0
+        else Mat.get a (j - h) (i - h))
+  in
+  let t = Table.create [ "n"; "operand"; "ref_ns/flop"; "mul_ns/flop"; "speedup"; "bits" ] in
+  let bits_ok = ref true and ratio80 = ref nan in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (shape, a) ->
+          let flops = 2.0 *. (float_of_int n ** 3.0) in
+          let reps = max 1 (4_000_000 / (n * n * n)) in
+          let equal =
+            float_bits_equal (reference_gemm a a) (Mat.data (Mat.mul a a))
+          in
+          if not equal then bits_ok := false;
+          (* interleaved rounds, per-kernel minimum (see EXP-B1) *)
+          let best_ref = ref infinity and best_mul = ref infinity in
+          for _ = 1 to 7 do
+            let r =
+              wall_ms (fun () ->
+                  for _ = 1 to reps do
+                    ignore (reference_gemm a a)
+                  done)
+            in
+            let m =
+              wall_ms (fun () ->
+                  for _ = 1 to reps do
+                    ignore (Mat.mul a a)
+                  done)
+            in
+            best_ref := Float.min !best_ref r;
+            best_mul := Float.min !best_mul m
+          done;
+          let per_flop ms = ms *. 1e6 /. (float_of_int reps *. flops) in
+          let ratio = !best_ref /. !best_mul in
+          if n = 80 && shape = "dense" then ratio80 := ratio;
+          Table.add_row t
+            [
+              string_of_int n; shape;
+              Printf.sprintf "%.3f" (per_flop !best_ref);
+              Printf.sprintf "%.3f" (per_flop !best_mul);
+              Printf.sprintf "%.2fx" ratio;
+              (if equal then "equal" else "MISMATCH");
+            ])
+        [ ("dense", Mat.init n n (fun _ _ -> rnd ())); ("vanloan", vanloan_shaped n) ])
+    [ 40; 80; 200 ];
+  Table.print t;
+  Printf.printf
+    "(ns/flop over the nominal 2n^3 flops of an n x n product; the Van \
+     Loan operand's zero block is skipped by the kernel's support bounds)\n";
+  (* one augmented Van Loan discretisation: the 2n x 2n expm plus the
+     products around it *)
+  let tv = Table.create [ "n"; "discretize_ms"; "bytes" ] in
+  List.iter
+    (fun n ->
+      let a =
+        Mat.init n n (fun i j ->
+            if i = j then -.(float_of_int n +. 1.0) else 0.5 *. rnd ())
+      in
+      let b = Mat.init n 3 (fun _ _ -> rnd ()) in
+      let q = Mat.mul b (Mat.transpose b) in
+      (* ‖A‖τ ≈ 3 keeps the augmented (non-stiff) branch *)
+      let tau = 3.0 /. Mat.norm_inf a in
+      let run () = ignore (Vanloan.discretize ~a ~q ~tau) in
+      run ();
+      let best = ref infinity in
+      for _ = 1 to 5 do
+        best := Float.min !best (wall_ms run)
+      done;
+      let reps = 5 in
+      let a0 = Gc.allocated_bytes () in
+      for _ = 1 to reps do
+        run ()
+      done;
+      let bytes = (Gc.allocated_bytes () -. a0) /. float_of_int reps in
+      Table.add_row tv
+        [ string_of_int n; Printf.sprintf "%.2f" !best; Printf.sprintf "%.0f" bytes ])
+    [ 40; 100 ];
+  Table.print tv;
+  let ok = !ratio80 >= 2.0 && !bits_ok in
+  Printf.printf "GEMM-SMOKE: n80_speedup=%.2fx bits=%s ok=%s\n" !ratio80
+    (if !bits_ok then "equal" else "MISMATCH")
+    (if ok then "ok" else "FAIL");
+  ok
+
+(* ------------------------------------------------------------------ *)
 (* EXP-K1: complex-kernel microbenchmarks and hot-loop allocation      *)
 (* ------------------------------------------------------------------ *)
 
@@ -975,7 +1096,8 @@ let exp_kern () =
     !ms_b1 auto_b !ms_auto speedup
     (if !parity_all then "bit" else "MISMATCH")
     (if batch_ok then "ok" else "FAIL");
-  if demod_b >= 48_000.0 || not batch_ok then exit 1
+  let gemm_ok = exp_gemm () in
+  if demod_b >= 48_000.0 || not batch_ok || not gemm_ok then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* EXP-P1: domain pool — serial vs parallel wall time, bit parity      *)

@@ -161,10 +161,11 @@ type ws = {
   mutable w_p0 : Cvec.t;
   mutable w_hom : Cvec.t;
   mutable w_block : block_scratch option; (* blocked-path panels, lazy *)
+  mutable w_owner : int; (* id of the solver whose steppers [w_fb] holds *)
   w_fb : (int, Ctrapezoid.reusable) Hashtbl.t;
-      (* fallback steppers, keyed by (solver id, demod index); they
-         retune in place when the frequency moves, so a whole sweep
-         reuses their buffers *)
+      (* fallback steppers of solver [w_owner], keyed by demod index;
+         they retune in place when the frequency moves, so a whole
+         sweep reuses their buffers *)
 }
 
 let ws_key =
@@ -179,6 +180,7 @@ let ws_key =
         w_p0 = Cvec.create 0;
         w_hom = Cvec.create 0;
         w_block = None;
+        w_owner = -1;
         w_fb = Hashtbl.create 16;
       })
 
@@ -196,6 +198,14 @@ let workspace t =
   end;
   if Array.length ws.w_iters < Array.length t.demods then
     ws.w_iters <- Array.make (Array.length t.demods) 0;
+  (* The fallback steppers belong to one solver: drop them when another
+     solver takes the workspace, so a long-lived domain (a serving
+     daemon preparing solver after solver) holds one solver's set at
+     most instead of every solver it has ever run. *)
+  if ws.w_owner <> t.id then begin
+    Hashtbl.reset ws.w_fb;
+    ws.w_owner <- t.id
+  end;
   ws
 
 (* Blocked-path scratch, sized for the current (dimension, width) pair;
@@ -278,9 +288,8 @@ let particular_into t ~omega ~kl ~kr traj =
           ~p:traj.(i - 1) ~k0:(kl (i - 1)) ~k1:(kr (i - 1)) ~into:traj.(i)
       else begin
         Obs.incr c_fallback_steps;
-        let key = (t.id lsl 20) lor si in
         let st =
-          match Hashtbl.find ws.w_fb key with
+          match Hashtbl.find ws.w_fb si with
           | st ->
               Obs.incr c_cache_hits;
               st
@@ -290,7 +299,7 @@ let particular_into t ~omega ~kl ~kr traj =
               let st =
                 Ctrapezoid.make_reusable ~a:t.sys.Pwl.phases.(p).Pwl.a ~h
               in
-              Hashtbl.add ws.w_fb key st;
+              Hashtbl.add ws.w_fb si st;
               st
         in
         Ctrapezoid.retune st ~omega;

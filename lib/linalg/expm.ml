@@ -1,6 +1,10 @@
 (* Higham's scaling-and-squaring with the order-13 Padé approximant.  We
    always use the order-13 approximant (skipping the lower-order fast
-   paths); the matrices here are small, so simplicity wins. *)
+   paths).  The products and the solve run on the bit-faithful dense
+   kernels of [Mat] and [Lu]; the Van Loan matrices [[-A, Q], [0, Aᵀ]]
+   reach 2n = 200 here, and their zero block is skipped by [Mat.mul]'s
+   support bounds rather than by a block-structured Padé, which would
+   change the rounding of every covariance. *)
 
 let pade13_coeffs =
   [| 64764752532480000.0; 32382376266240000.0; 7771770303897600.0;

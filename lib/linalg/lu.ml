@@ -29,12 +29,7 @@ let factor m =
   Sanitize.check_mat "Lu.factor" m;
   Obs.incr c_factorizations;
   let n = Mat.rows m in
-  let lu = Array.make (n * n) 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      lu.((i * n) + j) <- Mat.get m i j
-    done
-  done;
+  let lu = Array.copy (Mat.data m) in
   let piv = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
@@ -64,10 +59,16 @@ let factor m =
     for i = k + 1 to n - 1 do
       let f = lu.((i * n) + k) /. pivot in
       lu.((i * n) + k) <- f;
-      if f <> 0.0 then
+      if f <> 0.0 then begin
+        (* rows [i] and [k] are in range, so the O(n^3) update skips
+           the bounds checks *)
+        let ri = i * n and rk = k * n in
         for j = k + 1 to n - 1 do
-          lu.((i * n) + j) <- lu.((i * n) + j) -. (f *. lu.((k * n) + j))
+          Array.unsafe_set lu (ri + j)
+            (Array.unsafe_get lu (ri + j)
+            -. (f *. Array.unsafe_get lu (rk + j)))
         done
+      end
     done
   done;
   let t = { n; lu; piv; sign = !sign } in
@@ -168,14 +169,56 @@ let solve_complex_into t ~b ~into =
 
 let c_block_solves = Obs.counter "lu_block_solves"
 
+(* Multi-RHS substitution over row-major [n × w] buffers: the permuted
+   gather of [b] into [x], then [row_i -= l_ij row_j] for ascending
+   [j], then the same with [U] and a division by [u_ii].  Each factor
+   element is loaded once per row of [w] right-hand sides and the inner
+   loops stream over adjacent floats, yet every float of a row sees
+   exactly the operation sequence of the single-RHS solve of its
+   column, so the results are bitwise those of one solve per column.
+   Callers have checked that [b] and [x] hold [n * w] floats and do not
+   alias, which pins every index inside the buffers; the inner loops
+   use unsafe accesses because bounds checks are a measurable fraction
+   of these 2-flop iterations. *)
+let solve_rows t ~w ~b ~x =
+  let n = t.n and lu = t.lu in
+  for i = 0 to n - 1 do
+    Array.blit b (t.piv.(i) * w) x (i * w) w
+  done;
+  for i = 1 to n - 1 do
+    let irow = i * w in
+    for j = 0 to i - 1 do
+      let l = Array.unsafe_get lu ((i * n) + j) in
+      let jrow = j * w in
+      for k = 0 to w - 1 do
+        Array.unsafe_set x (irow + k)
+          (Array.unsafe_get x (irow + k)
+          -. (l *. Array.unsafe_get x (jrow + k)))
+      done
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let irow = i * w in
+    for j = i + 1 to n - 1 do
+      let u = Array.unsafe_get lu ((i * n) + j) in
+      let jrow = j * w in
+      for k = 0 to w - 1 do
+        Array.unsafe_set x (irow + k)
+          (Array.unsafe_get x (irow + k)
+          -. (u *. Array.unsafe_get x (jrow + k)))
+      done
+    done;
+    let d = Array.unsafe_get lu ((i * n) + i) in
+    for k = 0 to w - 1 do
+      Array.unsafe_set x (irow + k) (Array.unsafe_get x (irow + k) /. d)
+    done
+  done
+
 (* Blocked multi-RHS variant of [solve_complex_into] over a
-   column-major panel (see Cvec): each factor element is loaded once
-   per [width] right-hand sides and the inner loops stream over the
-   [2 * width] adjacent floats of one state.  Per column the operation
-   sequence — permuted gather, forward elimination, back substitution
-   with a final real division — is exactly [solve_complex_into]'s, so
-   every column of the result is bitwise identical to the single-RHS
-   solve of that column. *)
+   column-major panel (see Cvec): state [i]'s [2 * width] interleaved
+   floats form row [i], and the real factors act on re and im parts
+   alike, so every column of the result is bitwise identical to the
+   single-RHS solve of that column. *)
 let solve_block_into t ~width ~b ~into =
   let n = t.n in
   if width < 1 then invalid_arg "Lu.solve_block_into: width < 1";
@@ -187,56 +230,19 @@ let solve_block_into t ~width ~b ~into =
   Sanitize.check_panel "Lu.solve_block" ~width b;
   Obs.add c_solves width;
   Obs.incr c_block_solves;
-  (* The dimension checks above pin every index below inside the
-     buffers, so the inner loops use unsafe accesses: bounds checks are
-     a measurable fraction of these 2-flop iterations.  The arithmetic
-     is unchanged — same values, same order. *)
-  let x = into in
-  let lu = t.lu in
-  let w2 = 2 * width in
-  for i = 0 to n - 1 do
-    Array.blit b (t.piv.(i) * w2) x (i * w2) w2
-  done;
-  for i = 1 to n - 1 do
-    let irow = i * w2 in
-    for j = 0 to i - 1 do
-      let l = Array.unsafe_get lu ((i * n) + j) in
-      let jrow = j * w2 in
-      for k = 0 to w2 - 1 do
-        Array.unsafe_set x (irow + k)
-          (Array.unsafe_get x (irow + k)
-          -. (l *. Array.unsafe_get x (jrow + k)))
-      done
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let irow = i * w2 in
-    for j = i + 1 to n - 1 do
-      let u = Array.unsafe_get lu ((i * n) + j) in
-      let jrow = j * w2 in
-      for k = 0 to w2 - 1 do
-        Array.unsafe_set x (irow + k)
-          (Array.unsafe_get x (irow + k)
-          -. (u *. Array.unsafe_get x (jrow + k)))
-      done
-    done;
-    let d = Array.unsafe_get lu ((i * n) + i) in
-    for k = 0 to w2 - 1 do
-      Array.unsafe_set x (irow + k) (Array.unsafe_get x (irow + k) /. d)
-    done
-  done;
+  solve_rows t ~w:(2 * width) ~b ~x:into;
   Sanitize.check_panel "Lu.solve_block (result)" ~width into
 
+(* All right-hand sides at once, row by row; the [lu_solves] counter
+   still counts one solve per column. *)
 let solve_mat t b =
   if Mat.rows b <> t.n then invalid_arg "Lu.solve_mat: dimension mismatch";
+  Sanitize.check_mat "Lu.solve" b;
   let nc = Mat.cols b in
+  Obs.add c_solves nc;
   let out = Mat.create t.n nc in
-  for j = 0 to nc - 1 do
-    let x = solve t (Mat.col b j) in
-    for i = 0 to t.n - 1 do
-      Mat.set out i j x.(i)
-    done
-  done;
+  solve_rows t ~w:nc ~b:(Mat.data b) ~x:(Mat.data out);
+  Sanitize.check_mat "Lu.solve (result)" out;
   out
 
 let det t =

@@ -38,7 +38,9 @@ val solve_block_into :
     column alone.  Allocation-free; [into] must not alias [b]. *)
 
 val solve_mat : t -> Mat.t -> Mat.t
-(** Solve [A X = B] column-wise. *)
+(** Solve [A X = B] for all columns of [B] in one row-wise pass.  Column
+    [c] of the result is bitwise {!solve} on column [c] of [B], and the
+    [lu_solves] counter advances by one per column. *)
 
 val det : t -> float
 (** Determinant of the factored matrix. *)

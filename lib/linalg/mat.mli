@@ -2,7 +2,13 @@
 
     Sizes are validated on every operation; mismatches raise
     [Invalid_argument].  The representation is exposed read-only through
-    accessors; construct with {!create}/{!init}/{!of_arrays}. *)
+    accessors; construct with {!create}/{!init}/{!of_arrays}.
+
+    The arithmetic kernels ({!mul}, {!add}, {!sub}, {!scale},
+    {!transpose}, {!symmetrize}) are bit-faithful: each output entry is
+    computed by the same floating-point operations, in the same order,
+    as the plain loop that defines it, whatever tiling or loop
+    structure computes it. *)
 
 type t
 
@@ -31,7 +37,9 @@ val get : t -> int -> int -> float
 
 val data : t -> float array
 (** The backing row-major buffer (element [(i, j)] at [i * cols + j]).
-    Read-only by convention: mutate only through {!set}/{!update}. *)
+    Read-only by convention: mutate only through {!set}/{!update}, except
+    to fill a matrix the caller has just created (the linear-algebra
+    kernels write their fresh results this way). *)
 
 val set : t -> int -> int -> float -> unit
 
@@ -50,7 +58,13 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 
 val mul : t -> t -> t
-(** Matrix product. *)
+(** Matrix product.  Entry [(i, j)] is the sum, from [0.0] and in
+    ascending [k], of [a.(i).(k) *. b.(k).(j)] over the [k] with
+    [a.(i).(k) <> 0] — bitwise, including non-finite operands.  Zero
+    leading and trailing stretches of the rows of [a] (and, for finite
+    [a], of the columns of [b]) are skipped, so block-triangular
+    operands such as the Van Loan matrix multiply at a fraction of the
+    dense cost. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 

@@ -9,17 +9,27 @@ let discretize_augmented ~a ~q ~tau =
   else begin
     (* M = [[-A, Q], [0, Aᵀ]] * tau ;  expm M = [[F11, F12], [0, F22]]
        with F22 = e^{Aᵀ tau} and Phi F12 = ∫ e^{As} Q e^{Aᵀs} ds. *)
-    let m =
-      Mat.init (2 * n) (2 * n) (fun i j ->
-          if i < n && j < n then -.tau *. Mat.get a i j
-          else if i < n then tau *. Mat.get q i (j - n)
-          else if j < n then 0.0
-          else tau *. Mat.get a (j - n) (i - n))
-    in
+    let n2 = 2 * n in
+    let m = Mat.create n2 n2 in
+    let md = Mat.data m and ad = Mat.data a and qs = Mat.data q in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        md.((i * n2) + j) <- -.tau *. ad.((i * n) + j);
+        md.((i * n2) + n + j) <- tau *. qs.((i * n) + j);
+        md.(((n + i) * n2) + n + j) <- tau *. ad.((j * n) + i)
+      done
+    done;
     let f = Expm.expm m in
-    let f12 = Mat.init n n (fun i j -> Mat.get f i (j + n)) in
-    let f22 = Mat.init n n (fun i j -> Mat.get f (i + n) (j + n)) in
-    let phi = Mat.transpose f22 in
+    let fd = Mat.data f in
+    let f12 = Mat.create n n and phi = Mat.create n n in
+    let f12d = Mat.data f12 and phid = Mat.data phi in
+    for i = 0 to n - 1 do
+      Array.blit fd ((i * n2) + n) f12d (i * n) n;
+      (* Phi = F22ᵀ *)
+      for j = 0 to n - 1 do
+        phid.((i * n) + j) <- fd.(((n + j) * n2) + n + i)
+      done
+    done;
     let qd = Mat.symmetrize (Mat.mul phi f12) in
     { phi; qd }
   end

@@ -76,6 +76,11 @@ let rpc_string t payload =
   | () -> read_reply t
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
+let recv t =
+  match read_reply t with
+  | r -> r
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
 let rpc t json =
   match rpc_string t (Json.to_string json) with
   | Error _ as e -> e

@@ -18,3 +18,7 @@ val rpc_string : t -> string -> (string, string) result
 
 val send_raw : t -> string -> unit
 (** Raw bytes, bypassing framing — for protocol-abuse tests. *)
+
+val recv : t -> (string, string) result
+(** Wait for one reply frame without sending anything — pairs with
+    {!send_raw} when the raw bytes already provoke a reply. *)

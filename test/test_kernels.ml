@@ -279,6 +279,41 @@ let test_gc_budget () =
        per_point (budget /. 1000.0))
     true (per_point < budget)
 
+(* A serving daemon prepares solver after solver on one domain.  The
+   complex-LU fallback steppers a solver builds above ~4 kHz live in
+   the domain's workspace; they must go when the next solver takes it,
+   or live heap grows with every solver ever run. *)
+let test_fallback_table_bounded () =
+  (* the table belongs to the demodulated backend *)
+  let prev = Bvp.reference_enabled () in
+  Bvp.set_reference false;
+  Fun.protect ~finally:(fun () -> Bvp.set_reference prev) @@ fun () ->
+  let b = LP.build LP.default in
+  let cov = Scnoise_core.Covariance.sample ~samples_per_phase:32 b.LP.sys in
+  let fresh_sweep () =
+    ignore (Psd.psd (Psd.of_sampled cov ~output:b.LP.output) ~f:8e3)
+  in
+  let fb = Scnoise_obs.Obs.counter_value "bvp_fallback_steps" in
+  for _ = 1 to 10 do
+    fresh_sweep ()
+  done;
+  Alcotest.(check bool)
+    "8 kHz takes the fallback steppers" true
+    (Scnoise_obs.Obs.counter_value "bvp_fallback_steps" > fb);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live0 = live () in
+  for _ = 1 to 200 do
+    fresh_sweep ()
+  done;
+  let grown = live () - live0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %d words over 200 solvers (bound 16384)"
+       grown)
+    true (grown < 16384)
+
 (* --- blocked multi-RHS kernels ---
 
    Every blocked kernel promises per-column bitwise identity with its
@@ -521,6 +556,8 @@ let () =
             (demod_parity "switched_rc" prep_switched_rc
                [ 10.0; 1e3; 2.5e4; 3e5 ]);
           Alcotest.test_case "hot loop allocation budget" `Slow test_gc_budget;
+          Alcotest.test_case "fallback steppers bounded across solvers" `Quick
+            test_fallback_table_bounded;
         ] );
       qsuite "blocked kernels" [ prop_lu_block; prop_clu_block; prop_step_block ];
       ( "batched sweeps",

@@ -597,6 +597,207 @@ let prop_eig_count =
   QCheck.Test.make ~count:50 ~name:"eigenvalue count = n" small_mat_arb
     (fun (n, d) -> Array.length (Eig.eigenvalues (mat_of_flat (n, d))) = n)
 
+(* --- bitwise kernel properties ---
+
+   The dense kernels promise the same floating-point result, bit for
+   bit, as the straightforward loops they replaced.  Those loops live
+   on here as test-local references; every comparison is on
+   [Int64.bits_of_float], so a reordered sum, a fused multiply-add or a
+   lost signed zero fails. *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let check_bits msg expected actual =
+  if not (bits_equal expected actual) then begin
+    let k = ref 0 in
+    while
+      !k < Array.length expected
+      && Int64.equal
+           (Int64.bits_of_float expected.(!k))
+           (Int64.bits_of_float actual.(!k))
+    do
+      incr k
+    done;
+    if !k < Array.length expected && !k < Array.length actual then
+      Alcotest.failf "%s: entry %d is %h, reference %h" msg !k actual.(!k)
+        expected.(!k)
+    else Alcotest.failf "%s: length %d, reference %d" msg
+        (Array.length actual) (Array.length expected)
+  end
+
+(* the i-k-j product loop: c += a_ik b_kj for ascending k, skipping
+   a_ik = 0 *)
+let reference_mul a b =
+  let m = Mat.rows a and p = Mat.cols a and n = Mat.cols b in
+  let c = Array.make (m * n) 0.0 in
+  for i = 0 to m - 1 do
+    for k = 0 to p - 1 do
+      let aik = Mat.get a i k in
+      if aik <> 0.0 then
+        for j = 0 to n - 1 do
+          c.((i * n) + j) <- c.((i * n) + j) +. (aik *. Mat.get b k j)
+        done
+    done
+  done;
+  c
+
+let bit_rng = Random.State.make [| 0x6b17 |]
+
+let bit_rand () = Random.State.float bit_rng 2.0 -. 1.0
+
+(* operand shapes the tiled kernel must get right: dense, scattered
+   zeros with whole zero rows and columns and signed zeros, block upper
+   triangular (the Van Loan layout), banded and identity *)
+let structured kind r c =
+  match kind with
+  | `Dense -> Mat.init r c (fun _ _ -> bit_rand ())
+  | `Holes ->
+      let zr = Array.init r (fun _ -> Random.State.int bit_rng 4 = 0)
+      and zc = Array.init c (fun _ -> Random.State.int bit_rng 4 = 0) in
+      Mat.init r c (fun i j ->
+          if zr.(i) || zc.(j) then 0.0
+          else
+            match Random.State.int bit_rng 5 with
+            | 0 -> 0.0
+            | 1 -> -0.0
+            | _ -> bit_rand ())
+  | `Block ->
+      let h = r / 2 and w = c / 2 in
+      Mat.init r c (fun i j -> if i >= h && j < w then 0.0 else bit_rand ())
+  | `Band ->
+      let w = Random.State.int bit_rng 3 in
+      Mat.init r c (fun i j -> if abs (i - j) <= w then bit_rand () else 0.0)
+  | `Identity -> Mat.init r c (fun i j -> if i = j then 1.0 else 0.0)
+
+let kinds = [ `Dense; `Holes; `Block; `Band; `Identity ]
+
+let test_mul_bitwise () =
+  let dims = [ (1, 1, 1); (37, 37, 37); (3, 5, 7); (33, 20, 35); (2, 9, 4) ] in
+  let random_dims =
+    List.init 40 (fun _ ->
+        let d () = 1 + Random.State.int bit_rng 37 in
+        (* odd heights and widths off a multiple of 4 exercise the tails *)
+        let odd x = if x mod 2 = 0 then x - 1 else x in
+        let off4 x = if x mod 4 = 0 then x + 1 else x in
+        (odd (d ()), d (), off4 (d ())))
+  in
+  List.iter
+    (fun (m, p, n) ->
+      List.iter
+        (fun ka ->
+          List.iter
+            (fun kb ->
+              let a = structured ka m p and b = structured kb p n in
+              check_bits
+                (Printf.sprintf "mul %dx%d * %dx%d" m p p n)
+                (reference_mul a b)
+                (Mat.data (Mat.mul a b)))
+            kinds)
+        kinds)
+    (dims @ random_dims)
+
+(* [inf * 0] is NaN, so a non-finite [a] must not let the kernel trim
+   the leading and trailing zero rows of [b] from its range of k *)
+let test_mul_nonfinite () =
+  List.iter
+    (fun x ->
+      let edge k = k = 0 || k = 5 in
+      let a =
+        Mat.init 5 6 (fun i j -> if i = 2 && edge j then x else bit_rand ())
+      in
+      let b = Mat.init 6 9 (fun k _ -> if edge k then 0.0 else bit_rand ()) in
+      check_bits "mul with non-finite a" (reference_mul a b)
+        (Mat.data (Mat.mul a b));
+      (* and a zero column of [a] still skips a non-finite row of [b] *)
+      let a' = Mat.transpose b and b' = Mat.transpose a in
+      check_bits "mul with non-finite b" (reference_mul a' b')
+        (Mat.data (Mat.mul a' b'));
+      (* scattered zeros of [a] against scattered non-finite [b] *)
+      let a'' = structured `Holes 7 9 in
+      let b'' =
+        Mat.init 9 6 (fun _ _ ->
+            if Random.State.int bit_rng 4 = 0 then x else bit_rand ())
+      in
+      check_bits "mul with scattered non-finite b" (reference_mul a'' b'')
+        (Mat.data (Mat.mul a'' b'')))
+    [ infinity; neg_infinity; Float.nan ]
+
+let test_solve_mat_bitwise () =
+  List.iter
+    (fun n ->
+      let a =
+        Mat.add (structured `Dense n n)
+          (Mat.scale (float_of_int n) (Mat.identity n))
+      in
+      let lu = Lu.factor a in
+      List.iter
+        (fun nc ->
+          let b = structured `Holes n nc in
+          let x = Lu.solve_mat lu b in
+          let reference = Array.make (n * nc) 0.0 in
+          for c = 0 to nc - 1 do
+            let xc = Lu.solve lu (Mat.col b c) in
+            for i = 0 to n - 1 do
+              reference.((i * nc) + c) <- xc.(i)
+            done
+          done;
+          check_bits
+            (Printf.sprintf "solve_mat n=%d nc=%d" n nc)
+            reference (Mat.data x))
+        [ 1; 3; 8; 41 ])
+    [ 1; 2; 7; 24; 40 ]
+
+let test_elementwise_bitwise () =
+  List.iter
+    (fun (r, c) ->
+      let a = structured `Holes r c and b = structured `Dense r c in
+      let ad = Mat.data a and bd = Mat.data b in
+      let len = r * c in
+      check_bits "add" (Array.init len (fun k -> ad.(k) +. bd.(k)))
+        (Mat.data (Mat.add a b));
+      check_bits "sub" (Array.init len (fun k -> ad.(k) -. bd.(k)))
+        (Mat.data (Mat.sub a b));
+      check_bits "scale" (Array.init len (fun k -> -0.37 *. ad.(k)))
+        (Mat.data (Mat.scale (-0.37) a));
+      let t = Mat.transpose a in
+      Alcotest.(check (pair int int)) "transpose dims" (c, r)
+        (Mat.rows t, Mat.cols t);
+      check_bits "transpose"
+        (Array.init len (fun k -> ad.(((k mod r) * c) + (k / r))))
+        (Mat.data t);
+      let s = structured `Dense r r in
+      let sd = Mat.data s in
+      check_bits "symmetrize"
+        (Array.init (r * r) (fun k ->
+             let i = k / r and j = k mod r in
+             0.5 *. (sd.((i * r) + j) +. sd.((j * r) + i))))
+        (Mat.data (Mat.symmetrize s)))
+    [ (1, 1); (1, 7); (6, 1); (5, 5); (13, 8); (40, 40) ]
+
+(* End to end: the 40-state ladder's whole covariance trace — every
+   Van Loan step, product and solve above — is bitwise the same at
+   1 and 4 jobs. *)
+let test_ladder_trace_jobs () =
+  let module Cov = Scnoise_core.Covariance in
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let module Pool = Scnoise_par.Pool in
+  let b = Ladder.build (Ladder.with_parasitics (Ladder.with_stages 20)) in
+  let trace jobs =
+    let pool = Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    let s = Cov.sample ~samples_per_phase:48 ~pool b.Ladder.sys in
+    Array.concat
+      (List.map Mat.data
+         (Cov.k_mat s.Cov.k0 :: s.Cov.phi_period
+          :: (Array.to_list (Array.map Cov.k_mat s.Cov.ks)
+             @ Array.to_list s.Cov.phis)))
+  in
+  check_bits "ladder n=40 covariance trace, jobs 1 vs 4" (trace 1) (trace 4)
+
 let () =
   Alcotest.run "linalg"
     [
@@ -678,6 +879,18 @@ let () =
           Alcotest.test_case "continuous residual" `Quick test_lyap_continuous_residual;
           Alcotest.test_case "kron vs doubling" `Quick test_lyap_discrete_kron_vs_doubling;
           Alcotest.test_case "unstable raises" `Quick test_lyap_discrete_unstable;
+        ] );
+      ( "bitwise",
+        [
+          Alcotest.test_case "mul == i-k-j loop" `Quick test_mul_bitwise;
+          Alcotest.test_case "mul with non-finite operands" `Quick
+            test_mul_nonfinite;
+          Alcotest.test_case "solve_mat == per-column solve" `Quick
+            test_solve_mat_bitwise;
+          Alcotest.test_case "element-wise == Array.init" `Quick
+            test_elementwise_bitwise;
+          Alcotest.test_case "ladder n=40 trace, jobs 1 vs 4" `Quick
+            test_ladder_trace_jobs;
         ] );
       ( "vanloan",
         [
