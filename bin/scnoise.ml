@@ -239,8 +239,8 @@ let setup_term =
       "Block width for batched frequency sweeps: $(docv) frequencies \
        advance in lockstep through blocked multi-RHS kernels.  Results \
        are bit-identical at any width; $(b,--batch 1) disables blocking. \
-       Defaults to $(b,SCNOISE_BATCH) when set, else to an automatic \
-       width from the circuit size.  Must be at least 1."
+       Defaults to an automatic width from the circuit size.  Must be at \
+       least 1."
     in
     let width_conv =
       let parse s =
@@ -253,34 +253,6 @@ let setup_term =
     in
     Arg.(value & opt (some width_conv) None & info [ "batch" ] ~doc ~docv:"B")
   in
-  let cov_backend_arg =
-    let doc =
-      "Covariance engine: $(b,dense) materialises every covariance matrix, \
-       $(b,lowrank) propagates a factored low-rank representation through \
-       memoised and matrix-free Krylov interval operators (the same \
-       answers to truncation tolerance, much faster past a few dozen \
-       states), $(b,auto) picks by state count.  Defaults to \
-       $(b,SCNOISE_COV_BACKEND) when set, else $(b,auto)."
-    in
-    let backend_conv =
-      let parse s =
-        match Covariance.backend_of_name (String.lowercase_ascii s) with
-        | b -> Ok (`Named b)
-        | exception Invalid_argument _ ->
-            Error (`Msg "expected auto, dense or lowrank")
-      in
-      let pp ppf = function
-        | `Named (Some b) ->
-            Format.pp_print_string ppf (Covariance.backend_name b)
-        | `Named None -> Format.pp_print_string ppf "auto"
-      in
-      Arg.conv ~docv:"BACKEND" (parse, pp)
-    in
-    Arg.(
-      value
-      & opt (some backend_conv) None
-      & info [ "cov-backend" ] ~doc ~docv:"BACKEND")
-  in
   let env_level () =
     match Option.map String.lowercase_ascii (Sys.getenv_opt "SCNOISE_LOG") with
     | Some "debug" -> Some Logs.Debug
@@ -290,7 +262,7 @@ let setup_term =
     | Some "quiet" -> None
     | Some _ | None -> Some Logs.Warning
   in
-  let setup quiet verbose jobs batch cov_backend =
+  let setup quiet verbose jobs batch =
     Fmt_tty.setup_std_outputs ();
     Logs.set_reporter (Logs_fmt.reporter ());
     let level =
@@ -303,14 +275,9 @@ let setup_term =
     in
     Logs.set_level level;
     Option.iter Pool.set_default_jobs jobs;
-    Option.iter Psd.set_default_batch batch;
-    Option.iter
-      (fun (`Named b) -> Covariance.set_default_backend b)
-      cov_backend
+    Option.iter Psd.set_default_batch batch
   in
-  Term.(
-    const setup $ quiet_arg $ verbose_arg $ jobs_arg $ batch_arg
-    $ cov_backend_arg)
+  Term.(const setup $ quiet_arg $ verbose_arg $ jobs_arg $ batch_arg)
 
 let metrics_arg =
   let doc =

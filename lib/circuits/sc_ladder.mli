@@ -5,8 +5,8 @@
     chain connects to ground through a switch that conducts during
     phase 0.  Optionally each stage node carries a parasitic branch
     ([r_par] into [c_par] to ground), doubling the state count — the
-    hundred-state configurations exercising the low-rank covariance
-    backend are ladders with parasitics.  Without parasitics the state
+    hundred-state configurations that size the covariance engine are
+    ladders with parasitics.  Without parasitics the state
     count equals [stages]; with them it is [2 * stages].  The papers
     note the N(N+1)/2 covariance unknowns as the method's practical
     size limit, which this family is built to probe. *)

@@ -2,11 +2,6 @@ module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
 module Vanloan = Scnoise_linalg.Vanloan
 module Lyapunov = Scnoise_linalg.Lyapunov
-module Expm = Scnoise_linalg.Expm
-module Linop = Scnoise_linalg.Linop
-module Kexpm = Scnoise_linalg.Kexpm
-module Lowrank = Scnoise_linalg.Lowrank
-module Symeig = Scnoise_linalg.Symeig
 module Pwl = Scnoise_circuit.Pwl
 module Obs = Scnoise_obs.Obs
 module Pool = Scnoise_par.Pool
@@ -17,150 +12,68 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let c_samples = Obs.counter "covariance_samples"
 
-let c_lowrank_samples = Obs.counter "covariance.lowrank_samples"
-
-(* Doubling iterations of the factored steady-state solve share the
-   dense solver's counter, so [lyapunov.doubling_steps] reports the
-   total across backends. *)
-let c_doubling_steps = Obs.counter "lyapunov.doubling_steps"
-
-let h_peak_rank =
-  Obs.histogram ~mode:Scnoise_obs.Hist.Counts "lowrank.peak_rank"
-
-let t_build = Obs.timer "cov.lowrank.build_ops"
-
-let t_scan = Obs.timer "cov.lowrank.scan"
-
-let t_steady = Obs.timer "cov.lowrank.steady"
-
-let t_sweep = Obs.timer "cov.lowrank.sweep"
-
-let timed t f =
-  let t0 = Scnoise_obs.Clock.now () in
-  let r = f () in
-  Obs.timer_record t (Scnoise_obs.Clock.elapsed t0);
-  r
-
 type solver = [ `Auto | `Kron | `Doubling | `Iterate of int ]
 
 type grid_kind = [ `Stretched | `Uniform ]
-
-type backend = Dense | Lowrank
-
-type krep = Kdense of Mat.t | Kfact of Lowrank.t
 
 type sampled = {
   sys : Pwl.t;
   times : float array;
   interval_phase : int array;
-  ks : krep array;
+  ks : Mat.t array;
   phis : Mat.t array;
-  k0 : krep;
+  k0 : Mat.t;
   phi_period : Mat.t;
   q_period : Mat.t;
-  backend : backend;
   peak_rank : int;
 }
 
-(* --- covariance representation accessors --- *)
+let ks_bytes s =
+  Array.fold_left (fun acc k -> acc + (8 * Mat.rows k * Mat.cols k)) 0 s.ks
 
-let k_mat = function Kdense m -> m | Kfact z -> Lowrank.to_dense z
+(* --- the discretised grid ---
 
-let k_apply k v =
-  match k with Kdense m -> Mat.mul_vec m v | Kfact z -> Lowrank.apply z v
-
-let k_quad k v =
-  match k with
-  | Kdense m -> Vec.dot v (Mat.mul_vec m v)
-  | Kfact z -> Lowrank.quad z v
-
-let k_rank = function Kdense m -> Mat.rows m | Kfact z -> Lowrank.rank z
-
-let k_bytes = function
-  | Kdense m -> 8 * Mat.rows m * Mat.cols m
-  | Kfact z -> Lowrank.bytes z
-
-let ks_bytes s = Array.fold_left (fun acc k -> acc + k_bytes k) 0 s.ks
-
-(* --- backend selection ---
-
-   Resolution order mirrors the sweep batch width: explicit [?backend]
-   argument, then [set_default_backend] (the [--cov-backend] flag),
-   then [SCNOISE_COV_BACKEND], then auto by state count.  The auto
-   crossover is where the factored engine's memoised discretisations
-   reliably beat the dense per-interval Van Loan (see the [cov] bench
-   scaling table). *)
-
-let auto_state_threshold = 48
-
-let backend_override : backend option ref = ref None
-
-let set_default_backend b = backend_override := b
-
-let env_backend =
-  lazy
-    (match Sys.getenv_opt "SCNOISE_COV_BACKEND" with
-    | None | Some "" | Some "auto" -> None
-    | Some "dense" -> Some Dense
-    | Some "lowrank" -> Some Lowrank
-    | Some s ->
-        invalid_arg
-          (Printf.sprintf
-             "SCNOISE_COV_BACKEND: expected auto|dense|lowrank, got %S" s))
-
-let configured_backend () =
-  match !backend_override with
-  | Some _ as b -> b
-  | None -> Lazy.force env_backend
-
-let resolve_backend ?backend ~nstates () =
-  match backend with
-  | Some b -> b
-  | None -> (
-      match configured_backend () with
-      | Some b -> b
-      | None -> if nstates >= auto_state_threshold then Lowrank else Dense)
-
-let backend_name = function Dense -> "dense" | Lowrank -> "lowrank"
-
-let backend_of_name = function
-  | "dense" -> Some Dense
-  | "lowrank" -> Some Lowrank
-  | "auto" -> None
-  | s ->
-      invalid_arg
-        (Printf.sprintf "covariance backend: expected auto|dense|lowrank, got %S" s)
-
-(* Cache-key component for result caches (the serve tier): empty while
-   the configuration cannot change results beyond numeric tolerance —
-   at the default truncation tolerance both backends agree to well
-   under any reported digit — and a discriminating tag once the user
-   loosens SCNOISE_LOWRANK_RTOL enough that factored results may
-   legitimately drift from dense ones. *)
-let cache_tag () =
-  let rtol = Lowrank.default_rtol () in
-  if rtol <= 1e-12 then ""
-  else
-    match configured_backend () with
-    | Some Dense -> ""
-    | Some Lowrank -> Printf.sprintf "lowrank:%g" rtol
-    | None -> Printf.sprintf "auto-lowrank:%g" rtol
-
-(* --- grid layout ---
-
-   Absolute times, owning phase and step size of every interval of one
-   period; shared verbatim between the dense and factored engines so
-   both discretise the identical grid. *)
-type layout = {
-  l_times : float array;
-  l_phase : int array;
-  l_steps : float array;
+   Flattened grid over one period: absolute times, the phase owning
+   each interval, and one Van Loan discretisation per DISTINCT
+   (phase, step) pair.  The stretched grid repeats a handful of step
+   sizes across ~2x96 intervals, so memoising the interval operators
+   replaces one 2n x 2n augmented exponential per interval by one per
+   distinct step. *)
+type discretized_grid = {
+  g_times : float array;
+  g_phase : int array;
+  g_ops : Vanloan.t array;
+  g_op : int array;
+  g_disc : Vanloan.t array;
 }
 
-let grid_layout ?(samples_per_phase = 96) ?(grid = `Stretched) (sys : Pwl.t) =
-  let times = ref [ 0.0 ] in
-  let phases = ref [] in
-  let steps = ref [] in
+(* Memo key of an interval's step.  Consecutive differences of the
+   grid's uniform section jitter in the last few mantissa bits, so the
+   key quantises the step to ~1e-12 relative (rounding the low 12
+   mantissa bits away) and steps that close share the first-seen
+   step's operator.  The transition's sensitivity to a step
+   perturbation scales with norm(A)·h, so the merge only applies to
+   non-stiff intervals; stiff intervals use exact step bits. *)
+let merge_stiffness_cap = 16.0
+
+let step_key ~norm_a h =
+  if norm_a *. h <= merge_stiffness_cap then
+    Int64.logand
+      (Int64.add (Int64.bits_of_float h) 0x800L)
+      (Int64.lognot 0xFFFL)
+  else Int64.bits_of_float h
+
+let discretized_grid ?(samples_per_phase = 96) ?(grid = `Stretched) ?pool
+    (sys : Pwl.t) =
+  (* The layout and the memo are cheap and stay serial, assigning
+     operators in first-occurrence order; the distinct discretisations
+     (a matrix exponential each) are independent, so they fan out
+     across the pool and land by index, making the parallel grid
+     bit-identical to the serial one. *)
+  let pool = match pool with Some p -> p | None -> Pool.global () in
+  let times = ref [ 0.0 ] and phases = ref [] and ops = ref [] in
+  let distinct = ref [] and count = ref 0 in
+  let memo = Hashtbl.create 32 in
   let offset = ref 0.0 in
   Array.iteri
     (fun p (ph : Pwl.phase) ->
@@ -170,58 +83,104 @@ let grid_layout ?(samples_per_phase = 96) ?(grid = `Stretched) (sys : Pwl.t) =
             Phase_grid.make ~a:ph.Pwl.a ~tau:ph.Pwl.tau ~n:samples_per_phase
         | `Uniform -> Phase_grid.uniform ~tau:ph.Pwl.tau ~n:samples_per_phase
       in
+      let norm_a = Mat.norm_inf ph.Pwl.a in
       for j = 1 to Array.length local - 1 do
         let h = local.(j) -. local.(j - 1) in
+        let key = (p, step_key ~norm_a h) in
+        let op =
+          match Hashtbl.find_opt memo key with
+          | Some op -> op
+          | None ->
+              let op = !count in
+              Hashtbl.add memo key op;
+              distinct := (p, h) :: !distinct;
+              incr count;
+              op
+        in
         times := (!offset +. local.(j)) :: !times;
         phases := p :: !phases;
-        steps := h :: !steps
+        ops := op :: !ops
       done;
       offset := !offset +. ph.Pwl.tau)
     sys.Pwl.phases;
+  let g_ops =
+    Pool.map pool
+      (fun _ (p, h) ->
+        let ph = sys.Pwl.phases.(p) in
+        Vanloan.discretize ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:h)
+      (Array.of_list (List.rev !distinct))
+  in
+  let g_op = Array.of_list (List.rev !ops) in
+  Log.debug (fun m ->
+      m "grid: %d intervals share %d distinct step operators"
+        (Array.length g_op) (Array.length g_ops));
   {
-    l_times = Array.of_list (List.rev !times);
-    l_phase = Array.of_list (List.rev !phases);
-    l_steps = Array.of_list (List.rev !steps);
+    g_times = Array.of_list (List.rev !times);
+    g_phase = Array.of_list (List.rev !phases);
+    g_ops;
+    g_op;
+    g_disc = Array.map (fun op -> g_ops.(op)) g_op;
   }
 
-(* Flattened grid over one period: absolute times, the phase owning each
-   interval, and the per-interval Van Loan discretisations. *)
-type discretized_grid = {
-  g_times : float array;
-  g_phase : int array;
-  g_disc : Vanloan.t array;
-}
-
-let discretized_grid ?samples_per_phase ?(grid = `Stretched) ?pool
-    (sys : Pwl.t) =
-  (* Grid layout is cheap and stays serial; the per-interval Van Loan
-     discretisations (a matrix exponential each) are independent, so
-     they fan out across the pool — each interval's result depends only
-     on its own (phase, step) pair, making the parallel grid
-     bit-identical to the serial one. *)
-  let pool = match pool with Some p -> p | None -> Pool.global () in
-  let l = grid_layout ?samples_per_phase ~grid sys in
-  let g_disc =
-    Pool.map pool
-      (fun i h ->
-        let ph = sys.Pwl.phases.(l.l_phase.(i)) in
-        Vanloan.discretize ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:h)
-      l.l_steps
+(* [run_map d len] is [len] applications of the affine map
+   X ↦ Phi X Phiᵀ + Qd, composed by binary doubling in O(log len)
+   products, exactly like the steady-state solver's iteration. *)
+let run_map (d : Vanloan.t) len =
+  let after (b : Vanloan.t) (a : Vanloan.t) =
+    { Vanloan.phi = Mat.mul b.Vanloan.phi a.Vanloan.phi;
+      qd = Vanloan.propagate b a.Vanloan.qd }
   in
-  { g_times = l.l_times; g_phase = l.l_phase; g_disc }
+  let n = Mat.rows d.Vanloan.phi in
+  let acc = ref None and base = ref d and len = ref len in
+  while !len > 0 do
+    if !len land 1 = 1 then
+      acc := Some (match !acc with None -> !base | Some a -> after !base a);
+    len := !len asr 1;
+    if !len > 0 then base := after !base !base
+  done;
+  match !acc with
+  | None -> { Vanloan.phi = Mat.identity n; qd = Mat.create n n }
+  | Some a -> a
 
-let map_of_grid n g =
-  let phi = ref (Mat.identity n) and q = ref (Mat.create n n) in
-  Array.iter
-    (fun (d : Vanloan.t) ->
-      phi := Mat.mul d.Vanloan.phi !phi;
-      q := Vanloan.propagate d !q)
+(* Runs shorter than this step one interval at a time: doubling saves
+   no products on them. *)
+let run_min = 5
+
+(* Transition chain Phi(t_i, 0) at every grid time. *)
+let transitions g n =
+  let phis = Array.make (Array.length g.g_disc + 1) (Mat.identity n) in
+  Array.iteri
+    (fun i (d : Vanloan.t) -> phis.(i + 1) <- Mat.mul d.Vanloan.phi phis.(i))
     g.g_disc;
-  (!phi, !q)
+  phis
+
+(* Process noise accumulated over one period from K = 0, one maximal
+   run of a shared operator at a time. *)
+let period_noise g n =
+  let q = ref (Mat.create n n) in
+  let nint = Array.length g.g_op in
+  let i = ref 0 in
+  while !i < nint do
+    let op = g.g_op.(!i) in
+    let len = ref 1 in
+    while !i + !len < nint && g.g_op.(!i + !len) = op do
+      incr len
+    done;
+    let d = g.g_ops.(op) in
+    if !len >= run_min then q := Vanloan.propagate (run_map d !len) !q
+    else
+      for _ = 1 to !len do
+        q := Vanloan.propagate d !q
+      done;
+    i := !i + !len
+  done;
+  !q
 
 let period_map ?samples_per_phase ?grid ?pool sys =
   let g = discretized_grid ?samples_per_phase ?grid ?pool sys in
-  map_of_grid sys.Pwl.nstates g
+  let n = sys.Pwl.nstates in
+  let phis = transitions g n in
+  (phis.(Array.length phis - 1), period_noise g n)
 
 (* State count below which the O(n^6) Kron solve is still instant and
    serves as the exact reference; above it the O(n^3 log) doubling
@@ -253,384 +212,45 @@ let periodic_initial ?(solver = `Auto) ?samples_per_phase ?pool sys =
   let phi, q = period_map ?samples_per_phase ?pool sys in
   solve_steady solver phi q
 
-(* --- dense backend --- *)
-
-let sample_dense ~solver ?samples_per_phase ?grid ~pool sys =
-  let g = discretized_grid ?samples_per_phase ?grid ~pool sys in
-  let n = sys.Pwl.nstates in
-  let phi_period, q_period = map_of_grid n g in
-  let k0 = solve_steady solver phi_period q_period in
-  let npts = Array.length g.g_times in
-  let ks = Array.make npts (Kdense k0) in
-  let phis = Array.make npts (Mat.identity n) in
-  let k = ref k0 and phi = ref (Mat.identity n) in
-  for i = 1 to npts - 1 do
-    let d = g.g_disc.(i - 1) in
-    k := Vanloan.propagate d !k;
-    phi := Mat.mul d.Vanloan.phi !phi;
-    ks.(i) <- Kdense !k;
-    phis.(i) <- !phi
-  done;
-  Log.debug (fun m ->
-      m "sampling done: %d states, %d grid points over one period" n npts);
-  {
-    sys;
-    times = g.g_times;
-    interval_phase = g.g_phase;
-    ks;
-    phis;
-    k0 = Kdense k0;
-    phi_period;
-    q_period;
-    backend = Dense;
-    peak_rank = n;
-  }
-
-(* --- low-rank backend ---
-
-   Same grid, same per-interval map semantics, different economics:
-
-   - per DISTINCT (phase, step) pair — the stretched grid repeats a
-     handful of step sizes across ~2x96 intervals — one interval
-     operator is built and memoised, instead of one dense 2n x 2n
-     augmented exponential per interval (that exponential dominates the
-     dense backend at a hundred states);
-   - the covariance traverses the grid as a factored K = Z Zᵀ
-     ({!Lowrank.vanloan_step}) while its numerical rank r stays low,
-     so each interval costs O(n² r) against the dense backend's O(n³);
-   - the representation is rank-adaptive: once r saturates towards n
-     (thermal equilibrium excites every state), the factored update's
-     Gram + pivoted-Cholesky recompression costs more than the two
-     dense products of {!Vanloan.propagate}, so the accumulator drops
-     to the dense representation — against memoised operators that is
-     still a small fraction of the dense backend's per-interval cost;
-   - phases whose noise intensity has few columns skip the dense Van
-     Loan entirely: the process-noise factor comes from the Krylov
-     Gauss quadrature ({!Kexpm.gramian_factor}) and the factor columns
-     are pushed through e^{A delta} by the matrix-free Arnoldi
-     propagator, sub-stepping to keep norm(A) delta ≤ 2 — these
-     intervals never materialise a transition, and their covariance
-     stays factored;
-   - the periodic steady state is solved by the doubling iteration —
-     in factored form when the accumulated process noise is, never
-     materialising the n² x n² Kron system. *)
-
-type step_op = {
-  s_phi : Mat.t; (* full-interval transition, for the phis trace *)
-  s_advance : Lowrank.t -> Lowrank.t;
-  s_dense : Vanloan.t option;
-      (* the materialised discretisation, absent on matrix-free
-         intervals; enables the dense Van Loan update and run
-         compression *)
-}
-
-let mf_nsub_cap = 32
-
-let build_step (ph : Pwl.phase) h ~n ~rtol =
-  let stiffness = Mat.norm_inf ph.Pwl.a *. h in
-  let m = Mat.cols ph.Pwl.b in
-  let nsub = max 1 (int_of_float (ceil (stiffness /. 2.0))) in
-  let matrix_free = nsub <= mf_nsub_cap && 10 * m <= max 8 n in
-  if matrix_free then begin
-    let aop = Linop.auto ph.Pwl.a in
-    let delta = h /. float_of_int nsub in
-    let ws = Kexpm.workspace () in
-    let lq = Kexpm.gramian_factor ~ws aop ~b:ph.Pwl.b ~tau:delta in
-    let phi_step =
-      Linop.of_fun ~rows:n ~cols:n (fun ~src ~dst ->
-          Kexpm.expmv_into ~ws aop ~tau:delta src ~dst)
-    in
-    let advance z =
-      let z = ref z in
-      for _ = 1 to nsub do
-        z := Lowrank.vanloan_step ~rtol ~phi:phi_step ~lq !z
-      done;
-      !z
-    in
-    { s_phi = Expm.expm_scaled ph.Pwl.a h; s_advance = advance; s_dense = None }
-  end
-  else begin
-    let d = Vanloan.discretize ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:h in
-    let lq = lazy (Symeig.psd_factor ~rtol:1e-15 d.Vanloan.qd) in
-    {
-      s_phi = d.Vanloan.phi;
-      s_advance =
-        (fun z ->
-          Lowrank.vanloan_step_mat ~rtol ~phi:d.Vanloan.phi ~lq:(Lazy.force lq)
-            z);
-      s_dense = Some d;
-    }
-  end
-
-(* Rank-adaptive covariance accumulator.  Factored updates win while
-   the rank r is well below n; past [sat_rank] the per-interval Gram +
-   pivoted Cholesky of recompression exceeds the two dense n³ products,
-   so the accumulator switches to the dense representation (exact — no
-   truncation is involved in the conversion). *)
-
-let sat_rank n = 3 * n / 4
-
-type acc = Afact of Lowrank.t | Adense of Mat.t
-
-let acc_step op acc =
-  match acc with
-  | Adense k -> (
-      match op.s_dense with
-      | Some d -> Adense (Vanloan.propagate d k)
-      | None ->
-          (* matrix-free interval: no materialised transition — return
-             to the factored form for this step *)
-          Afact (op.s_advance (Lowrank.of_dense k)))
-  | Afact z ->
-      let z = op.s_advance z in
-      if op.s_dense <> None && Lowrank.rank z > sat_rank (Lowrank.nstates z)
-      then Adense (Lowrank.to_dense z)
-      else Afact z
-
-let acc_dense = function Adense k -> k | Afact z -> Lowrank.to_dense z
-
-let acc_krep = function Adense k -> Kdense k | Afact z -> Kfact z
-
-let acc_rank n = function Adense _ -> n | Afact z -> Lowrank.rank z
-
-(* The scan only needs the process noise accumulated over the whole
-   period, not at every grid point, so a run of [len] consecutive
-   intervals sharing one operator collapses to O(log len) work: the
-   affine map X ↦ Phi X Phiᵀ + Qd composes with itself by binary
-   doubling exactly like the steady-state solver's iteration. *)
-let run_map (d : Vanloan.t) len =
-  let square (p, q) = (Mat.mul p p, Mat.symmetrize (Mat.add (Mat.mul p (Mat.mul q (Mat.transpose p))) q)) in
-  let compose (p2, q2) (p1, q1) =
-    (Mat.mul p2 p1, Mat.symmetrize (Mat.add (Mat.mul p2 (Mat.mul q1 (Mat.transpose p2))) q2))
-  in
-  let n = Mat.rows d.Vanloan.phi in
-  let acc = ref None in
-  let base = ref (d.Vanloan.phi, d.Vanloan.qd) in
-  let len = ref len in
-  while !len > 0 do
-    if !len land 1 = 1 then
-      acc := Some (match !acc with None -> !base | Some a -> compose !base a);
-    len := !len asr 1;
-    if !len > 0 then base := square !base
-  done;
-  match !acc with None -> (Mat.identity n, Mat.create n n) | Some a -> a
-
-let steady_lowrank ~solver ~rtol ~phi_period ~zq ~q_period n =
-  match solver with
-  | `Kron ->
-      Lowrank.of_dense (Lyapunov.solve_discrete_kron phi_period q_period)
-  | `Iterate iters ->
-      let zqf = Lowrank.factor zq in
-      let z = ref (Lowrank.zero n) in
-      for _ = 1 to iters do
-        z :=
-          Lowrank.compress ~rtol
-            (Lowrank.append (Lowrank.propagate_mat phi_period !z) zqf)
-      done;
-      !z
-  | `Auto | `Doubling ->
-      (* Doubling in factored form: X_{k+1} = X_k + P_k X_k P_kᵀ with
-         P_{k+1} = P_k², converging to the fixed point of the period
-         map.  The P X Pᵀ increment appends as factor columns; the
-         convergence and divergence tests mirror the dense solver
-         (largest increment entry against the running solution — for a
-         PSD increment that largest entry sits on the diagonal). *)
-      let tol = 1e-14 and max_iter = 200 in
-      let guard = Float.max 1.0 (Mat.max_abs q_period) in
-      let x = ref zq and p = ref (Mat.copy phi_period) in
-      let finished = ref false in
-      let iter = ref 0 in
-      while not !finished do
-        incr iter;
-        if !iter > max_iter then
-          raise (Lyapunov.Not_stable "doubling iteration did not converge");
-        Obs.incr c_doubling_steps;
-        let f = Mat.mul !p (Lowrank.factor !x) in
-        let delta =
-          let fd = Mat.data f in
-          let r = Mat.cols f in
-          let best = ref 0.0 in
-          for i = 0 to n - 1 do
-            let s = ref 0.0 in
-            for l = 0 to r - 1 do
-              s := !s +. (fd.((i * r) + l) *. fd.((i * r) + l))
-            done;
-            if !s > !best then best := !s
-          done;
-          !best
-        in
-        x := Lowrank.compress ~rtol (Lowrank.append !x f);
-        if Mat.max_abs !p > 1e154 then
-          raise
-            (Lyapunov.Not_stable "monodromy powers diverge: spectral radius >= 1");
-        if delta > guard *. 1e8 then
-          raise
-            (Lyapunov.Not_stable "doubling iteration diverges: spectral radius >= 1");
-        if delta <= tol *. Lowrank.max_diag !x then finished := true
-        else p := Mat.mul !p !p
-      done;
-      !x
-
-let sample_lowrank ~solver ~rtol ?samples_per_phase ?grid ~pool sys =
-  Obs.incr c_lowrank_samples;
-  let n = sys.Pwl.nstates in
-  let l = grid_layout ?samples_per_phase ?grid sys in
-  let nint = Array.length l.l_steps in
-  (* memoise interval operators per distinct (phase, step) pair, in
-     first-occurrence order so the build is deterministic.  Consecutive
-     differences of the grid's uniform section jitter in the last few
-     mantissa bits, so the key quantises the step to ~1e-12 relative
-     (rounding the low 12 mantissa bits away) — steps that close share
-     the first-seen step's operator.  The transition's sensitivity to a
-     step perturbation scales with norm(A)·h, so the merge only applies
-     to non-stiff intervals, keeping the induced error orders of
-     magnitude below the backend parity tolerance; stiff intervals use
-     exact step bits. *)
-  let quantize h =
-    Int64.logand
-      (Int64.add (Int64.bits_of_float h) 0x800L)
-      (Int64.lognot 0xFFFL)
-  in
-  let merge_stiffness_cap = 16.0 in
-  let phase_norms =
-    Array.map (fun (ph : Pwl.phase) -> Mat.norm_inf ph.Pwl.a) sys.Pwl.phases
-  in
-  let tbl = Hashtbl.create 32 in
-  let rev_distinct = ref [] in
-  let count = ref 0 in
-  let idx_of = Array.make nint 0 in
-  for i = 0 to nint - 1 do
-    let h = l.l_steps.(i) in
-    let key_bits =
-      if phase_norms.(l.l_phase.(i)) *. h <= merge_stiffness_cap then
-        quantize h
-      else Int64.bits_of_float h
-    in
-    let key = (l.l_phase.(i), key_bits) in
-    match Hashtbl.find_opt tbl key with
-    | Some d -> idx_of.(i) <- d
-    | None ->
-        Hashtbl.add tbl key !count;
-        idx_of.(i) <- !count;
-        rev_distinct := (l.l_phase.(i), l.l_steps.(i)) :: !rev_distinct;
-        incr count
-  done;
-  let distinct = Array.of_list (List.rev !rev_distinct) in
-  Log.debug (fun m ->
-      m "lowrank backend: %d intervals share %d distinct step operators"
-        nint (Array.length distinct));
-  let ops =
-    timed t_build (fun () ->
-        Pool.map pool
-          (fun _ (p, h) -> build_step sys.Pwl.phases.(p) h ~n ~rtol)
-          distinct)
-  in
-  (* scan: one period from K = 0 accumulates the process noise of the
-     whole period (rank-adaptively), and the transitions compose
-     densely into Phi(t_i, 0) *)
-  let npts = nint + 1 in
-  let peak = ref 0 in
-  let phis = Array.make npts (Mat.identity n) in
-  let zq = ref (Afact (Lowrank.zero n)) and phi = ref (Mat.identity n) in
-  timed t_scan (fun () ->
-      (* transition chain — consumed pointwise by the PSD engine *)
-      for i = 0 to nint - 1 do
-        phi := Mat.mul (ops.(idx_of.(i))).s_phi !phi;
-        phis.(i + 1) <- !phi
-      done;
-      (* period process noise, one maximal operator run at a time;
-         once the accumulator is dense a run collapses to O(log len)
-         via {!run_map} *)
-      let i = ref 0 in
-      while !i < nint do
-        let j = idx_of.(!i) in
-        let len = ref 1 in
-        while !i + !len < nint && idx_of.(!i + !len) = j do
-          incr len
-        done;
-        let op = ops.(j) in
-        let remaining = ref !len in
-        let collapsed () =
-          match (!zq, op.s_dense) with
-          | Adense q, Some d when !remaining >= 5 ->
-              let p, qr = run_map d !remaining in
-              zq :=
-                Adense
-                  (Mat.symmetrize
-                     (Mat.add (Mat.mul p (Mat.mul q (Mat.transpose p))) qr));
-              remaining := 0;
-              true
-          | _ -> false
-        in
-        while !remaining > 0 do
-          if not (collapsed ()) then begin
-            zq := acc_step op !zq;
-            peak := max !peak (acc_rank n !zq);
-            decr remaining
-          end
-        done;
-        i := !i + !len
-      done);
-  let phi_period = phis.(nint) in
-  let q_period = acc_dense !zq in
-  let k0 =
-    timed t_steady (fun () ->
-        match !zq with
-        | Adense q -> Adense (solve_steady solver phi_period q)
-        | Afact z ->
-            Afact (steady_lowrank ~solver ~rtol ~phi_period ~zq:z ~q_period n))
-  in
-  (* sweep: unroll K(t_{i+1}) = Phi_i K(t_i) Phi_iᵀ + Qd_i from the
-     steady state — the same recurrence as the dense backend, but over
-     the memoised operators and in whichever representation is cheapest
-     at the current rank *)
-  let ks = Array.make npts (acc_krep k0) in
-  peak := max !peak (acc_rank n k0);
-  let k = ref k0 in
-  timed t_sweep (fun () ->
-      for i = 0 to nint - 1 do
-        k := acc_step ops.(idx_of.(i)) !k;
-        peak := max !peak (acc_rank n !k);
-        ks.(i + 1) <- acc_krep !k
-      done);
-  let peak = !peak in
-  Obs.hist_record_int h_peak_rank peak;
-  Log.debug (fun m ->
-      m "lowrank sampling done: %d states, %d grid points, peak rank %d" n
-        npts peak);
-  {
-    sys;
-    times = l.l_times;
-    interval_phase = l.l_phase;
-    ks;
-    phis;
-    k0 = acc_krep k0;
-    phi_period;
-    q_period;
-    backend = Lowrank;
-    peak_rank = peak;
-  }
-
-let sample ?(solver = `Auto) ?backend ?rtol ?samples_per_phase ?grid ?pool sys =
+(* One period of the recurrence: chain the transitions, fold the
+   period's process noise run by run, solve the discrete Lyapunov
+   fixed point, then unroll K(t_{i+1}) = Phi_i K(t_i) Phi_iᵀ + Qd_i
+   from the steady state over the memoised operators. *)
+let sample ?(solver = `Auto) ?samples_per_phase ?grid ?pool sys =
   Obs.with_span ~src "covariance.sample" (fun () ->
       Obs.incr c_samples;
-      let pool = match pool with Some p -> p | None -> Pool.global () in
-      match resolve_backend ?backend ~nstates:sys.Pwl.nstates () with
-      | Dense -> sample_dense ~solver ?samples_per_phase ?grid ~pool sys
-      | Lowrank ->
-          let rtol =
-            match rtol with Some r -> r | None -> Lowrank.default_rtol ()
-          in
-          sample_lowrank ~solver ~rtol ?samples_per_phase ?grid ~pool sys)
+      let n = sys.Pwl.nstates in
+      let g = discretized_grid ?samples_per_phase ?grid ?pool sys in
+      let phis = transitions g n in
+      let phi_period = phis.(Array.length phis - 1) in
+      let q_period = period_noise g n in
+      let k0 = solve_steady solver phi_period q_period in
+      let ks = Array.make (Array.length phis) k0 in
+      Array.iteri (fun i d -> ks.(i + 1) <- Vanloan.propagate d ks.(i)) g.g_disc;
+      Log.debug (fun m ->
+          m "sampling done: %d states, %d grid points over one period" n
+            (Array.length ks));
+      {
+        sys;
+        times = g.g_times;
+        interval_phase = g.g_phase;
+        ks;
+        phis;
+        k0;
+        phi_period;
+        q_period;
+        peak_rank = n;
+      })
 
-let variance_trace s c = Array.map (fun k -> k_quad k c) s.ks
+let quad k c = Vec.dot c (Mat.mul_vec k c)
 
-let variance_at_boundary s c = k_quad s.k0 c
+let variance_trace s c = Array.map (fun k -> quad k c) s.ks
+
+let variance_at_boundary s c = quad s.k0 c
 
 let average_variance s c =
   let tr = variance_trace s c in
   let period = s.times.(Array.length s.times - 1) in
   Scnoise_util.Grid.trapezoid s.times tr /. period
 
-let closure_error s =
-  Mat.max_abs_diff (k_mat s.ks.(Array.length s.ks - 1)) (k_mat s.k0)
+let closure_error s = Mat.max_abs_diff s.ks.(Array.length s.ks - 1) s.k0

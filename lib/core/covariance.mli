@@ -9,17 +9,12 @@
     that map — a discrete Lyapunov equation solved directly, which is the
     covariance half of the mixed-frequency-time method.
 
-    Two engines compute the same quantities:
-
-    - the {e dense} backend materialises every [K(t_i)] as an [n×n]
-      matrix (the historical path, exact reference);
-    - the {e low-rank} backend propagates a factored [K ≈ Z Zᵀ]
-      ({!Scnoise_linalg.Lowrank}), memoises one interval operator per
-      distinct (phase, step) pair of the stretched grid, uses
-      matrix-free Krylov propagators for phases with few noise columns,
-      and solves the steady state by a factored doubling iteration —
-      the same answers to truncation tolerance, at a fraction of the
-      dense cost for hundred-state circuits. *)
+    Every interval of the sampling grid is discretised by one Van Loan
+    augmented exponential, memoised per distinct (phase, step) pair, so
+    a stretched grid of ~2x96 intervals builds a dozen or so operators.
+    The period's process noise folds each run of one operator by binary
+    doubling ({!run_map}), and the trace [K(t_i)] is unrolled from the
+    steady state as dense [n×n] matrices. *)
 
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
@@ -35,92 +30,50 @@ type solver = [ `Auto | `Kron | `Doubling | `Iterate of int ]
 
 type grid_kind = [ `Stretched | `Uniform ]
 
-type backend = Dense | Lowrank
-
-type krep = Kdense of Mat.t | Kfact of Scnoise_linalg.Lowrank.t
-(** A covariance matrix in whichever representation the backend that
-    produced it uses.  Use the [k_*] accessors rather than matching
-    where possible. *)
-
 type sampled = {
   sys : Pwl.t;
   times : float array;  (** grid over one period, [0 .. T], length N+1 *)
   interval_phase : int array;  (** phase index of each of the N intervals *)
-  ks : krep array;  (** K at each grid time *)
+  ks : Mat.t array;  (** K at each grid time *)
   phis : Mat.t array;  (** state-transition Phi(t_i, 0) at each grid time *)
-  k0 : krep;  (** periodic steady-state covariance at t = 0 *)
+  k0 : Mat.t;  (** periodic steady-state covariance at t = 0 *)
   phi_period : Mat.t;  (** monodromy Phi(T, 0) *)
   q_period : Mat.t;  (** accumulated process noise over one period *)
-  backend : backend;  (** engine that produced this trace *)
-  peak_rank : int;  (** largest factor rank seen (dense: [n]) *)
+  peak_rank : int;  (** rank of the stored covariances: always [nstates] *)
 }
-
-(** {2 Covariance representation accessors} *)
-
-val k_mat : krep -> Mat.t
-(** Materialise as a dense matrix (identity for [Kdense]). *)
-
-val k_apply : krep -> Vec.t -> Vec.t
-(** [K v] without densifying a factored representation. *)
-
-val k_quad : krep -> Vec.t -> float
-(** [vᵀ K v]. *)
-
-val k_rank : krep -> int
-
-val k_bytes : krep -> int
-(** Payload bytes of the stored representation. *)
 
 val ks_bytes : sampled -> int
 (** Total bytes held by the [ks] trace (the dominant storage term). *)
 
-(** {2 Backend selection} *)
-
-val auto_state_threshold : int
-(** State count at and above which the auto policy picks [Lowrank]. *)
-
 val auto_solver_threshold : int
 (** State count above which [`Auto] switches from Kron to doubling. *)
-
-val set_default_backend : backend option -> unit
-(** Process-wide default (the [--cov-backend] flag); [None] restores
-    auto resolution. *)
-
-val configured_backend : unit -> backend option
-(** The configured default: [set_default_backend] if set, else the
-    [SCNOISE_COV_BACKEND] environment variable ([auto|dense|lowrank]),
-    else [None] (auto by state count). *)
-
-val resolve_backend : ?backend:backend -> nstates:int -> unit -> backend
-(** Full resolution: explicit argument, then {!configured_backend},
-    then auto by state count. *)
-
-val backend_name : backend -> string
-
-val backend_of_name : string -> backend option
-(** ["auto"] maps to [None]; raises [Invalid_argument] on anything
-    other than [auto|dense|lowrank]. *)
-
-val cache_tag : unit -> string
-(** Component for result-cache keys: [""] while the configured backend
-    cannot change results beyond numeric tolerance (so dense and
-    low-rank runs share cache entries), a discriminating tag once
-    [SCNOISE_LOWRANK_RTOL] is loosened past [1e-12]. *)
 
 type discretized_grid = {
   g_times : float array;  (** grid over one period, [0 .. T] *)
   g_phase : int array;  (** phase owning each interval *)
-  g_disc : Scnoise_linalg.Vanloan.t array;  (** per-interval (Phi, Qd) *)
+  g_ops : Scnoise_linalg.Vanloan.t array;
+      (** one (Phi, Qd) per distinct (phase, step) pair, in order of
+          first occurrence *)
+  g_op : int array;  (** index into [g_ops] of each interval's operator *)
+  g_disc : Scnoise_linalg.Vanloan.t array;
+      (** per-interval (Phi, Qd): [g_ops.(g_op.(i))], shared physically *)
 }
 
 val discretized_grid :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> discretized_grid
 (** The per-substep Van Loan discretisation of one clock period; shared
-    with the brute-force and Monte-Carlo baseline engines.  The
-    per-interval discretisations are independent and run across [pool]
-    (default: the shared pool) with bit-identical results at any job
-    count. *)
+    with the transient and Monte-Carlo engines.  Intervals are keyed by
+    phase and step, the step quantised to ~1e-12 relative where
+    [norm(A)·h <= 16] (exact bits on stiffer intervals), and one
+    discretisation is built per distinct key.  The distinct
+    discretisations are independent and run across [pool] (default:
+    the shared pool) with bit-identical results at any job count. *)
+
+val run_map : Scnoise_linalg.Vanloan.t -> int -> Scnoise_linalg.Vanloan.t
+(** [run_map d len] is [len] consecutive applications of the affine map
+    [K ↦ Phi K Phiᵀ + Qd], composed by binary doubling in [O(log len)]
+    products; [len = 0] gives the identity map. *)
 
 val period_map :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
@@ -135,14 +88,10 @@ val periodic_initial :
 (** Steady-state covariance at the period boundary. *)
 
 val sample :
-  ?solver:solver -> ?backend:backend -> ?rtol:float ->
-  ?samples_per_phase:int -> ?grid:grid_kind ->
+  ?solver:solver -> ?samples_per_phase:int -> ?grid:grid_kind ->
   ?pool:Scnoise_par.Pool.t -> Pwl.t -> sampled
 (** Full sampled trace of the periodic covariance over one period,
-    together with the transition matrices needed by the PSD engine.
-    [backend] overrides the resolution chain; [rtol] is the low-rank
-    truncation tolerance (default {!Scnoise_linalg.Lowrank.default_rtol},
-    ignored by the dense backend). *)
+    together with the transition matrices needed by the PSD engine. *)
 
 val variance_trace : sampled -> Vec.t -> float array
 (** [variance_trace s c] is [cᵀ K(t_i) c] on the grid. *)

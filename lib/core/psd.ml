@@ -31,17 +31,14 @@ let of_sampled cov ~output =
     invalid_arg "Psd.of_sampled: output row has wrong length";
   let forcing =
     Array.map
-      (fun k -> Cvec.of_real (Covariance.k_apply k output))
+      (fun k -> Cvec.of_real (Scnoise_linalg.Mat.mul_vec k output))
       cov.Covariance.ks
   in
   { cov; bvp = Periodic_bvp.of_sampled cov; out_row = output; forcing }
 
-let prepare ?solver ?cov_backend ?samples_per_phase ?grid ?pool sys ~output =
+let prepare ?solver ?samples_per_phase ?grid ?pool sys ~output =
   Obs.with_span "psd.prepare" (fun () ->
-      let cov =
-        Covariance.sample ?solver ?backend:cov_backend ?samples_per_phase
-          ?grid ?pool sys
-      in
+      let cov = Covariance.sample ?solver ?samples_per_phase ?grid ?pool sys in
       of_sampled cov ~output)
 
 let output e = Vec.copy e.out_row
@@ -148,23 +145,14 @@ let psd_db e ~f = Scnoise_util.Db.of_power (psd e ~f)
    ([Periodic_bvp.solve_block_into]).  [B = 1] is exactly the scalar
    path; larger widths amortise each factor traversal over B
    right-hand sides.  Resolution order: explicit [?batch] argument,
-   then [set_default_batch], then [SCNOISE_BATCH], then an auto width
-   from the state count and a cache budget. *)
+   then [set_default_batch], then an auto width from the state count
+   and a cache budget. *)
 
 let batch_override = ref 0 (* 0 = unset *)
 
 let set_default_batch b =
   if b < 1 then invalid_arg "Psd.set_default_batch: batch < 1";
   batch_override := b
-
-let env_batch =
-  lazy
-    (match Sys.getenv_opt "SCNOISE_BATCH" with
-    | None | Some "" -> 0
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some b when b >= 1 -> b
-        | _ -> invalid_arg "SCNOISE_BATCH: expected a positive integer"))
 
 (* Keep the blocked working set — three stepper panels plus the two
    trajectory panels touched per interval, ~80 n bytes per column —
@@ -177,13 +165,10 @@ let auto_batch ~nstates =
     let budget = (131072 - (16 * nstates * nstates)) / (80 * nstates) in
     max 1 (min 16 budget)
 
-(* The process-wide width when one was pinned ([set_default_batch] or
-   SCNOISE_BATCH); [None] means sweeps auto-tune per engine. *)
+(* The process-wide width when one was pinned ([set_default_batch]);
+   [None] means sweeps auto-tune per engine. *)
 let configured_batch () =
-  if !batch_override > 0 then Some !batch_override
-  else
-    let envb = Lazy.force env_batch in
-    if envb > 0 then Some envb else None
+  if !batch_override > 0 then Some !batch_override else None
 
 let resolve_batch ?batch e ~npoints =
   let b =
@@ -191,13 +176,10 @@ let resolve_batch ?batch e ~npoints =
     | Some b ->
         if b < 1 then invalid_arg "Psd.sweep: batch < 1";
         b
-    | None ->
-        if !batch_override > 0 then !batch_override
-        else
-          let envb = Lazy.force env_batch in
-          if envb > 0 then envb
-          else
-            auto_batch ~nstates:(Array.length e.out_row)
+    | None -> (
+        match configured_batch () with
+        | Some b -> b
+        | None -> auto_batch ~nstates:(Array.length e.out_row))
   in
   max 1 (min b npoints)
 

@@ -30,12 +30,10 @@ val of_sampled : Covariance.sampled -> output:Vec.t -> engine
     sharing the covariance across several outputs). *)
 
 val prepare :
-  ?solver:Covariance.solver -> ?cov_backend:Covariance.backend ->
-  ?samples_per_phase:int -> ?grid:Covariance.grid_kind ->
-  ?pool:Scnoise_par.Pool.t -> Pwl.t -> output:Vec.t -> engine
-(** One-stop preparation: periodic covariance + grids + monodromy.
-    [cov_backend] overrides the covariance engine selection
-    ({!Covariance.resolve_backend}). *)
+  ?solver:Covariance.solver -> ?samples_per_phase:int ->
+  ?grid:Covariance.grid_kind -> ?pool:Scnoise_par.Pool.t -> Pwl.t ->
+  output:Vec.t -> engine
+(** One-stop preparation: periodic covariance + grids + monodromy. *)
 
 val output : engine -> Vec.t
 
@@ -63,8 +61,7 @@ val sweep :
     gate, complex-LU fallback frequencies) run the scalar path.
 
     [batch] resolves as: explicit argument, else {!set_default_batch},
-    else the [SCNOISE_BATCH] environment variable, else an auto width
-    from the state count; the result is clamped to the sweep length.
+    else an auto width from the state count; the result is clamped to the sweep length.
     Raises [Invalid_argument] on [batch < 1].  An empty sweep returns
     [[||]] without touching the pool; a single-point sweep never
     allocates a panel. *)
@@ -78,8 +75,8 @@ val set_default_batch : int -> unit
     sets).  Raises [Invalid_argument] on values below 1. *)
 
 val configured_batch : unit -> int option
-(** The pinned process-wide block width ({!set_default_batch} or
-    [SCNOISE_BATCH]), or [None] when sweeps auto-tune per engine. *)
+(** The pinned process-wide block width ({!set_default_batch}), or
+    [None] when sweeps auto-tune per engine. *)
 
 val batch_width : ?batch:int -> engine -> npoints:int -> int
 (** The block width {!sweep} would use for a sweep of [npoints] over

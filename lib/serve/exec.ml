@@ -186,17 +186,7 @@ let resolve cli directive default =
 
 let fstr x = Printf.sprintf "%.17g" x
 
-(* The covariance backend joins the key only when the configuration can
-   change results beyond numeric tolerance ([Covariance.cache_tag] is
-   [""] otherwise), so dense and low-rank runs at the default
-   truncation tolerance share cache entries. *)
-let result_key hash op params =
-  let params =
-    match Covariance.cache_tag () with
-    | "" -> params
-    | tag -> tag :: params
-  in
-  String.concat "\x00" (hash :: op :: params)
+let result_key hash op params = String.concat "\x00" (hash :: op :: params)
 
 let floats xs = Json.List (Array.to_list (Array.map (fun x -> Json.Num x) xs))
 
@@ -482,10 +472,6 @@ let stats_json t =
       ( "batch",
         match Psd.configured_batch () with
         | Some w -> Json.Num (float_of_int w)
-        | None -> Json.Str "auto" );
-      ( "cov_backend",
-        match Covariance.configured_backend () with
-        | Some b -> Json.Str (Covariance.backend_name b)
         | None -> Json.Str "auto" );
       ( "cache",
         Json.Obj

@@ -171,7 +171,6 @@ let test_ladder_thermal_equilibrium () =
   let ktc = Const.kt () /. b.LAD.params.LAD.c in
   Array.iter
     (fun k ->
-      let k = Covariance.k_mat k in
       for i = 0 to 4 do
         check_close ~eps:1e-6 "kT/C at every node" ktc (Mat.get k i i)
       done)

@@ -792,8 +792,8 @@ let test_ladder_trace_jobs () =
     let s = Cov.sample ~samples_per_phase:48 ~pool b.Ladder.sys in
     Array.concat
       (List.map Mat.data
-         (Cov.k_mat s.Cov.k0 :: s.Cov.phi_period
-          :: (Array.to_list (Array.map Cov.k_mat s.Cov.ks)
+         (s.Cov.k0 :: s.Cov.phi_period
+          :: (Array.to_list s.Cov.ks
              @ Array.to_list s.Cov.phis)))
   in
   check_bits "ladder n=40 covariance trace, jobs 1 vs 4" (trace 1) (trace 4)

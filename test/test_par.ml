@@ -217,17 +217,12 @@ let test_covariance_parity () =
         Covariance.sample ~samples_per_phase:48 ~pool:p b.INT.sys)
   in
   let s1 = run 1 and s4 = run 4 in
-  check_mat_bits "k0"
-    (Covariance.k_mat s1.Covariance.k0)
-    (Covariance.k_mat s4.Covariance.k0);
+  check_mat_bits "k0" s1.Covariance.k0 s4.Covariance.k0;
   check_mat_bits "phi_period" s1.Covariance.phi_period s4.Covariance.phi_period;
   check_mat_bits "q_period" s1.Covariance.q_period s4.Covariance.q_period;
   Array.iteri
     (fun i k ->
-      check_mat_bits
-        (Printf.sprintf "ks[%d]" i)
-        (Covariance.k_mat k)
-        (Covariance.k_mat s4.Covariance.ks.(i)))
+      check_mat_bits (Printf.sprintf "ks[%d]" i) k s4.Covariance.ks.(i))
     s1.Covariance.ks;
   (* and the raw per-interval discretisations *)
   let g1 =
@@ -240,6 +235,8 @@ let test_covariance_parity () =
   in
   Alcotest.(check int) "grid size" (Array.length g1.Covariance.g_disc)
     (Array.length g4.Covariance.g_disc);
+  Alcotest.(check (array int)) "operator index" g1.Covariance.g_op
+    g4.Covariance.g_op;
   Array.iteri
     (fun i d ->
       check_mat_bits

@@ -85,7 +85,7 @@ let prop_covariance_psd_matrix =
       let sys, _ = build spec in
       let s = Covariance.sample ~samples_per_phase:24 sys in
       Array.for_all
-        (fun k -> Chol.is_psd ~tol:1e-6 (Covariance.k_mat k))
+        (fun k -> Chol.is_psd ~tol:1e-6 k)
         s.Covariance.ks)
 
 let prop_solvers_agree =
@@ -101,7 +101,7 @@ let prop_closure =
       let sys, _ = build spec in
       let s = Covariance.sample ~samples_per_phase:24 sys in
       Covariance.closure_error s
-      <= 1e-9 *. (1.0 +. Mat.max_abs (Covariance.k_mat s.Covariance.k0)))
+      <= 1e-9 *. (1.0 +. Mat.max_abs s.Covariance.k0))
 
 let prop_psd_positive_even =
   QCheck.Test.make ~count:30 ~name:"PSD is positive and even in f" spec_arb
