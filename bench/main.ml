@@ -913,30 +913,44 @@ let exp_kern () =
         ])
     [ 1; 4; 9 ];
   Table.print t;
-  (* per-PSD-point allocation, demod default vs reference factorization.
-     [Gc.allocated_bytes] advances at GC boundaries, so only high rep
-     counts give a stable per-call figure. *)
+  (* per-PSD-point allocation: a default PSD point against one
+     reference periodic-BVP solve (complex LU on every interval) into a
+     preallocated trajectory.  [Gc.allocated_bytes] advances at GC
+     boundaries, so only high rep counts give a stable per-call
+     figure. *)
   let module Bvp = Scnoise_core.Periodic_bvp in
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
   let freqs = [| 100.0; 1e3; 4e3; 8e3; 16e3 |] in
-  let per_point reference =
-    let prev = Bvp.reference_enabled () in
-    Bvp.set_reference reference;
-    Fun.protect ~finally:(fun () -> Bvp.set_reference prev) @@ fun () ->
-    Array.iter (fun f -> ignore (Psd.psd eng ~f)) freqs;
+  let per_point point =
+    Array.iter point freqs;
     let reps = 400 in
     let a0 = Gc.allocated_bytes () in
     for _ = 1 to reps do
-      Array.iter (fun f -> ignore (Psd.psd eng ~f)) freqs
+      Array.iter point freqs
     done;
     (Gc.allocated_bytes () -. a0) /. float_of_int (reps * Array.length freqs)
   in
-  let demod_b = per_point false in
-  let ref_b = per_point true in
+  let demod_b = per_point (fun f -> ignore (Psd.psd eng ~f)) in
+  let ref_b =
+    let cov = Psd.covariance eng in
+    let forcing =
+      Array.map
+        (fun k -> Cvec.of_real (Mat.mul_vec k b.LP.output))
+        cov.Covariance.ks
+    in
+    let bvp = Bvp.of_sampled cov in
+    let traj = Bvp.alloc_traj bvp ~width:1 in
+    per_point (fun f ->
+        Bvp.solve_reference bvp
+          ~omegas:[| 2.0 *. Float.pi *. f |]
+          ~kl:(Array.get forcing)
+          ~kr:(fun i -> forcing.(i + 1))
+          traj)
+  in
   let t2 = Table.create [ "bvp_backend"; "bytes/point" ] in
   Table.add_row t2 [ "demod (default)"; Printf.sprintf "%.0f" demod_b ];
-  Table.add_row t2 [ "reference"; Printf.sprintf "%.0f" ref_b ];
+  Table.add_row t2 [ "reference solve"; Printf.sprintf "%.0f" ref_b ];
   Table.print t2;
   let solve_into_ns =
     let rng = Random.State.make [| 0x50_1e |] in
@@ -1024,12 +1038,13 @@ let exp_kern () =
     [ 4; 9 ];
   Table.print tk;
   let serial = Pool.create ~jobs:1 () in
-  (* Sweep the demodulated backend's operating band: above ~4 kHz the
-     sc_lowpass engine's refinement contraction needs more than
-     [demod_max_iters] passes and every tile hands its points back to
-     the complex-LU fallback — identical in both modes, so including
-     that band would only dilute the measurement of the blocked
-     kernels (the psd.unbatched_points counter tracks such points). *)
+  (* Sweep the demodulated operating band: above ~4 kHz the sc_lowpass
+     engine's refinement contraction needs more than [demod_max_iters]
+     passes on some steppers, whose columns then step on the per-column
+     complex-LU fallback — steps that cost the same at every width, so
+     including that band would only dilute the measurement of the
+     blocked kernels (the psd.unbatched_points counter tracks such
+     points). *)
   let freqs = Grid.linspace 100.0 4_000.0 192 in
   let npts = Array.length freqs in
   let sweep_at b = Psd.sweep ~pool:serial ~batch:b eng freqs in

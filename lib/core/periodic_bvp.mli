@@ -11,16 +11,20 @@
     engine uses it with [k = K(t) c]; the LPTV transfer-function engine
     with deterministic input columns.
 
-    Two stepper backends drive the transient.  The default demodulated
-    backend factors one *real* LU per distinct (phase, h) when the
-    solver is prepared and reuses it at every frequency, refining each
-    step to the exact shifted-trapezoid update (falling back to a
-    per-frequency complex LU for steppers whose refinement would not
-    converge fast enough).  Setting [SCNOISE_REFERENCE_BVP=1] (or
-    {!set_reference}) selects the reference backend, which factors the
-    complex LHS per (phase, h) at every frequency point.  Both backends
-    compute the same discretisation; the golden-parity tests assert
-    agreement to well below 1e-9 dB. *)
+    One solve serves every caller.  It takes a block of [width]
+    frequencies that advance in lockstep through the shared phase grid
+    as {!Cvec.panel} steps; a width-1 panel is exactly a {!Cvec.t}
+    buffer, and at that width the solve calls the single-RHS kernels.
+    The transient is demodulated: one *real* LU per distinct (phase, h)
+    is factored when the solver is prepared and reused at every
+    frequency, each step refined to the exact shifted-trapezoid update.
+    A (stepper, frequency) pair whose refinement would not converge fast
+    enough steps that column through its own complex-LU stepper
+    instead, retuned once per frequency.  An interval whose stepper
+    refines at every frequency of the block takes one panel step; on
+    the others each column steps alone, so the panel kernel never
+    solves a fallback column.  Column [b] of every result is bitwise
+    identical to a width-1 solve at [omegas.(b)]. *)
 
 module Cvec = Scnoise_linalg.Cvec
 
@@ -41,70 +45,37 @@ val n_points : t -> int
 
 val n_states : t -> int
 
-val set_reference : bool -> unit
-(** Programmatic override of the [SCNOISE_REFERENCE_BVP] environment
-    gate (used by tests and benchmarks to exercise both backends in
-    one process). *)
-
-val reference_enabled : unit -> bool
-
-val solve : t -> omega:float -> forcing:(int -> Cvec.t) -> Cvec.t array
-(** [solve t ~omega ~forcing] returns the periodic steady state
-    [P(t_i)] on the grid; [forcing i] is [k(t_i)].  The forcing must be
-    periodic ([forcing 0 = forcing (n_points - 1)] in intent; only grid
-    samples are consulted).  Raises [Clu.Singular] only if the circuit
-    has a Floquet multiplier of unit modulus. *)
-
-val solve_into :
-  t -> omega:float -> forcing:(int -> Cvec.t) -> Cvec.t array -> unit
-(** {!solve} into a caller-provided trajectory ([n_points] vectors of
-    dimension [n_states], each a distinct buffer — see {!alloc_traj}).
-    Beyond that buffer the solve allocates only transient bookkeeping
-    (and, on the reference backend, its per-frequency steppers). *)
-
-val alloc_traj : t -> Cvec.t array
-(** Fresh zero trajectory of the right shape for {!solve_into}. *)
-
-val particular : t -> omega:float -> forcing:(int -> Cvec.t) -> Cvec.t array
-(** The zero-initial-condition forced response alone (used by the
-    brute-force engine's tests and diagnostics). *)
-
-val solve_piecewise :
-  t -> omega:float -> forcing:(int -> Cvec.t * Cvec.t) -> Cvec.t array
-(** Like {!solve} but for forcings that jump at phase boundaries:
-    [forcing i] gives the values at the left and right endpoints of
-    interval [i] (for [i] in [0 .. n_points - 2]), both evaluated inside
-    that interval's phase.  Used by the LPTV transfer engine whose input
-    matrices switch with the clock. *)
-
 val interval_phase : t -> int array
 (** Phase index owning each grid interval. *)
 
-(** {1 Blocked multi-frequency solve}
+val alloc_traj : t -> width:int -> Cvec.panel array
+(** Fresh zero trajectory for {!solve}: [n_points] distinct panels sized
+    [(n_states, width)].  At width 1 each panel is a {!Cvec.t} buffer
+    ({!Cvec.of_data} adopts it without copying). *)
 
-    The batched sweep path: [width] frequencies advance in lockstep
-    through the shared phase grid as {!Cvec.panel} steps, so the
-    demodulated backend's real factors are traversed once per block
-    instead of once per frequency.  Column [b] of every panel is
-    bitwise identical to {!solve_into} at [omegas.(b)]. *)
+val solve :
+  t -> omegas:float array -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) ->
+  Cvec.panel array -> unit
+(** [solve t ~omegas ~kl ~kr traj] writes the periodic steady state
+    [P_b(t_i)] at every frequency [omegas.(b)] into column [b] of
+    [traj.(i)].  [kl i] and [kr i] are the forcing at the left and right
+    endpoints of interval [i] (for [i] in [0 .. n_points - 2]), shared by
+    every column; a continuous forcing passes [kr i = kl (i + 1)], a
+    forcing that switches with the clock evaluates both inside the
+    interval's phase.  Beyond [traj] the solve allocates only transient
+    bookkeeping once the domain's workspace is warm.  Raises
+    [Invalid_argument] on an empty block or a trajectory of the wrong
+    shape, and [Clu.Singular] only if the circuit has a Floquet
+    multiplier of unit modulus. *)
 
-val can_batch : t -> omegas:float array -> bool
-(** Whether the blocked path can take this frequency block: the
-    demodulated backend must be active (not the reference gate) and
-    every (phase, h) stepper must be refinable at every frequency of
-    the block — a block with any fallback frequency belongs on the
-    scalar path wholesale. *)
+val solve_reference :
+  t -> omegas:float array -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) ->
+  Cvec.panel array -> unit
+(** {!solve} with every interval on the complex-LU stepper, which factors
+    the complex LHS per (phase, h) at each frequency — the reference the
+    demodulated solve is tested against (agreement well below
+    1e-9 dB). *)
 
-val alloc_block_traj : t -> width:int -> Cvec.panel array
-(** Fresh zero panel trajectory ([n_points] panels sized
-    [(n_states, width)]) for {!solve_block_into}. *)
-
-val solve_block_into :
-  t -> omegas:float array -> forcing:(int -> Cvec.t) -> Cvec.panel array ->
-  unit
-(** Solve the periodic BVP at every frequency of the block into the
-    panel trajectory; [forcing i] is [k(t_i)], shared by all columns
-    (the MFT forcing is frequency-independent).  Raises
-    [Invalid_argument] when the block is empty, when the reference
-    backend is active, or when some frequency is not refinable —
-    callers gate on {!can_batch} first. *)
+val fallback_columns : t -> omegas:float array -> int
+(** How many of [omegas] have some (phase, h) stepper that {!solve}
+    steps on the complex-LU fallback. *)

@@ -7,17 +7,17 @@ module Pool = Scnoise_par.Pool
 
 let c_points = Obs.counter "psd_points"
 
-(* Sweep points a batched tile had to hand back to the scalar path
-   because some frequency in the tile needs the complex-LU fallback;
-   makes a silently-unbatched sweep visible next to psd.batch_width. *)
+(* Sweep points that took at least one complex-LU fallback step (some
+   (phase, h) stepper's refinement would not converge fast enough at
+   that frequency); shows how much of a sweep ran off the real-LU
+   kernels, next to psd.batch_width. *)
 let c_unbatched_points = Obs.counter "psd.unbatched_points"
 
-(* Wall time of one frequency point.  Recording is a single atomic add,
-   but the two extra clock reads are only worth paying when telemetry
-   has been asked for, so the hot path gates on [Obs.is_enabled]. *)
+(* Wall time per frequency point (a block of B points records B samples
+   of a B-th of its time).  Recording is a single atomic add, but the
+   two extra clock reads are only worth paying when telemetry has been
+   asked for, so the hot path gates on [Obs.is_enabled]. *)
 let h_point = Obs.histogram "psd.point_s"
-
-module Clock = Scnoise_obs.Clock
 
 type engine = {
   cov : Covariance.sampled;
@@ -45,9 +45,41 @@ let output e = Vec.copy e.out_row
 
 let covariance e = e.cov
 
+(* Per-domain panel trajectories, most recent first, keyed by shape;
+   each is overwritten wholesale by every solve, so reuse across points
+   is safe and the per-point minor-heap traffic collapses to
+   bookkeeping.  One circuit legitimately uses up to three widths — the
+   block width, a narrower tail block and width 1 for single points —
+   so the cache keeps enough shapes for a few circuits in rotation (a
+   serving daemon's mix) instead of reallocating whole trajectories on
+   every alternation. *)
+let traj_key : (int * int * Cvec.panel array) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let traj_max_cached = 12
+
+let traj_scratch bvp ~width =
+  let npts = Periodic_bvp.n_points bvp in
+  let len = 2 * Periodic_bvp.n_states bvp * width in
+  let _, _, tr =
+    Scnoise_util.Mru.find (Domain.DLS.get traj_key) ~cap:traj_max_cached
+      ~matches:(fun (w, l, tr) ->
+        w = width && l = len && Array.length tr = npts)
+      ~make:(fun () -> (width, len, Periodic_bvp.alloc_traj bvp ~width))
+  in
+  tr
+
+(* k(t) is continuous across grid points: interval [i] runs from
+   forcing.(i) to forcing.(i + 1). *)
+let solve_into e ~omegas traj =
+  Periodic_bvp.solve e.bvp ~omegas ~kl:(Array.get e.forcing)
+    ~kr:(fun i -> e.forcing.(i + 1))
+    traj
+
 let envelope e ~f =
-  let omega = 2.0 *. Float.pi *. f in
-  Periodic_bvp.solve e.bvp ~omega ~forcing:(fun i -> e.forcing.(i))
+  let traj = Periodic_bvp.alloc_traj e.bvp ~width:1 in
+  solve_into e ~omegas:[| 2.0 *. Float.pi *. f |] traj;
+  Array.map Cvec.of_data traj
 
 (* S_v(t_i, f) = 2 Re (cᵀ P(t_i)) from one envelope sample.  A plain
    counted loop: closing over the accumulator would force it onto the
@@ -77,74 +109,57 @@ let scratch n =
   if Array.length !cell < n then cell := Array.make n 0.0;
   !cell
 
-(* Likewise per-domain: the envelope trajectory of the current
-   frequency point.  [Periodic_bvp.solve_into] overwrites it wholesale
-   (the closing correction included), so reuse across points is safe
-   and the per-point minor-heap traffic collapses to bookkeeping. *)
-let traj_key : (Cvec.t array ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
+(* The PSD at every frequency of one block: one periodic-BVP solve for
+   the whole block, then each panel column reduced to
+   (1/T) Int 2 Re (cᵀ P(t)) dt.  The dot product of
+   [instantaneous_value] is inlined (a float returned across a function
+   boundary is boxed per grid point on non-flambda builds) and the
+   trapezoid keeps [Grid.trapezoid]'s accumulation order over the
+   (possibly longer) scratch buffer. *)
+let psd_block e ~omegas =
+  let len = Array.length omegas in
+  Obs.timed_parts h_point ~parts:len (fun () ->
+      Obs.add c_points len;
+      Obs.add c_unbatched_points (Periodic_bvp.fallback_columns e.bvp ~omegas);
+      let period = e.cov.Covariance.sys.Pwl.period in
+      let times = e.cov.Covariance.times in
+      let traj = traj_scratch e.bvp ~width:len in
+      solve_into e ~omegas traj;
+      let npts = Array.length traj in
+      let values = scratch npts in
+      let c = e.out_row in
+      let nst = Array.length c in
+      let out = Array.make len 0.0 in
+      for b = 0 to len - 1 do
+        for i = 0 to npts - 1 do
+          let d = traj.(i) in
+          let s = ref 0.0 in
+          for j = 0 to nst - 1 do
+            s := !s +. (c.(j) *. d.(2 * ((j * len) + b)))
+          done;
+          values.(i) <- 2.0 *. !s
+        done;
+        let acc = ref 0.0 in
+        for i = 0 to npts - 2 do
+          acc :=
+            !acc
+            +. (0.5 *. (values.(i) +. values.(i + 1))
+               *. (times.(i + 1) -. times.(i)))
+        done;
+        out.(b) <- !acc /. period
+      done;
+      out)
 
-let traj_scratch bvp =
-  let cell = Domain.DLS.get traj_key in
-  let npts = Periodic_bvp.n_points bvp in
-  let n = Periodic_bvp.n_states bvp in
-  if
-    Array.length !cell <> npts
-    || (npts > 0 && Cvec.dim (!cell).(0) <> n)
-  then cell := Periodic_bvp.alloc_traj bvp;
-  !cell
-
-let psd_point e ~f =
-  Obs.incr c_points;
-  let period = e.cov.Covariance.sys.Pwl.period in
-  let times = e.cov.Covariance.times in
-  let omega = 2.0 *. Float.pi *. f in
-  let env = traj_scratch e.bvp in
-  Periodic_bvp.solve_into e.bvp ~omega
-    ~forcing:(fun i -> e.forcing.(i))
-    env;
-  let npts = Array.length env in
-  let values = scratch npts in
-  (* the dot product of [instantaneous_value], inlined: a float
-     returned across a function boundary is boxed per grid point on
-     non-flambda builds *)
-  let c = e.out_row in
-  let nst = Array.length c in
-  for i = 0 to npts - 1 do
-    let d = Cvec.data env.(i) in
-    let s = ref 0.0 in
-    for j = 0 to nst - 1 do
-      s := !s +. (c.(j) *. d.(2 * j))
-    done;
-    values.(i) <- 2.0 *. !s
-  done;
-  (* trapezoid over the (possibly longer) scratch buffer, same
-     accumulation order as [Grid.trapezoid] *)
-  let acc = ref 0.0 in
-  for i = 0 to npts - 2 do
-    acc :=
-      !acc +. (0.5 *. (values.(i) +. values.(i + 1)) *. (times.(i + 1) -. times.(i)))
-  done;
-  !acc /. period
-
-let psd e ~f =
-  if Obs.is_enabled () then begin
-    let t0 = Clock.now () in
-    let r = psd_point e ~f in
-    Obs.hist_record h_point (Clock.elapsed t0);
-    r
-  end
-  else psd_point e ~f
+let psd e ~f = (psd_block e ~omegas:[| 2.0 *. Float.pi *. f |]).(0)
 
 let psd_db e ~f = Scnoise_util.Db.of_power (psd e ~f)
 
 (* --- batch-width selection ---
 
-   The blocked path tiles a sweep into width-B frequency blocks, each
-   advanced in lockstep through the phase grid by panel kernels
-   ([Periodic_bvp.solve_block_into]).  [B = 1] is exactly the scalar
-   path; larger widths amortise each factor traversal over B
-   right-hand sides.  Resolution order: explicit [?batch] argument,
+   A sweep is tiled into width-B frequency blocks, each advanced in
+   lockstep through the phase grid by one [Periodic_bvp.solve].  At
+   [B = 1] the solve runs the single-RHS kernels; larger widths
+   amortise each factor traversal over B right-hand sides.  Resolution order: explicit [?batch] argument,
    then [set_default_batch], then an auto width from the state count
    and a cache budget. *)
 
@@ -186,91 +201,12 @@ let resolve_batch ?batch e ~npoints =
 let batch_width ?batch e ~npoints =
   if npoints < 2 then 1 else resolve_batch ?batch e ~npoints
 
-(* Per-domain panel trajectories for the blocked path, most recent
-   first, keyed by shape (same lifecycle as [traj_scratch]); each is
-   overwritten wholesale by every block solve.  A few shapes are kept
-   because one sweep legitimately uses two widths — the tail tile is
-   narrower whenever the block width doesn't divide the point count —
-   and a single-shape cell would reallocate the whole trajectory on
-   every alternation. *)
-let block_traj_key : (int * int * Cvec.panel array) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let block_traj_max_cached = 4
-
-let block_traj_scratch bvp ~width =
-  let cell = Domain.DLS.get block_traj_key in
-  let npts = Periodic_bvp.n_points bvp in
-  let len = 2 * Periodic_bvp.n_states bvp * width in
-  let fits (w, l, tr) =
-    w = width && l = len && Array.length tr = npts
-    && (npts = 0 || Array.length tr.(0) = len)
-  in
-  match List.find_opt fits !cell with
-  | Some ((_, _, tr) as hit) ->
-      (* move-to-front so the cap evicts the least recent shape *)
-      cell := hit :: List.filter (fun e -> e != hit) !cell;
-      tr
-  | None ->
-      let tr = Periodic_bvp.alloc_block_traj bvp ~width in
-      cell :=
-        (width, len, tr)
-        :: List.filteri (fun i _ -> i < block_traj_max_cached - 1) !cell;
-      tr
-
-(* One blocked sweep tile: solve the BVP for all frequencies of the
-   block in lockstep, then reduce each panel column with the exact
-   per-point arithmetic of [psd_point] (the column contents are
-   bitwise the scalar envelopes, so the reduced values are too).
-   Blocks the blocked backend cannot take — reference gate, or some
-   frequency needing the complex-LU fallback — drop to the scalar
-   path wholesale, which keeps parity trivially. *)
-let psd_block e ~omegas ~freqs ~start len =
-  if len = 1 then [| psd e ~f:freqs.(start) |]
-  else if not (Periodic_bvp.can_batch e.bvp ~omegas) then begin
-    Obs.add c_unbatched_points len;
-    Array.init len (fun i -> psd e ~f:freqs.(start + i))
-  end
-  else begin
-    Obs.add c_points len;
-    let period = e.cov.Covariance.sys.Pwl.period in
-    let times = e.cov.Covariance.times in
-    let traj = block_traj_scratch e.bvp ~width:len in
-    Periodic_bvp.solve_block_into e.bvp ~omegas
-      ~forcing:(fun i -> e.forcing.(i))
-      traj;
-    let npts = Array.length traj in
-    let values = scratch npts in
-    let c = e.out_row in
-    let nst = Array.length c in
-    let out = Array.make len 0.0 in
-    for b = 0 to len - 1 do
-      for i = 0 to npts - 1 do
-        let d = traj.(i) in
-        let s = ref 0.0 in
-        for j = 0 to nst - 1 do
-          s := !s +. (c.(j) *. d.(2 * ((j * len) + b)))
-        done;
-        values.(i) <- 2.0 *. !s
-      done;
-      let acc = ref 0.0 in
-      for i = 0 to npts - 2 do
-        acc :=
-          !acc
-          +. (0.5 *. (values.(i) +. values.(i + 1))
-             *. (times.(i + 1) -. times.(i)))
-      done;
-      out.(b) <- !acc /. period
-    done;
-    out
-  end
-
 (* Each block of a sweep is an independent read-only BVP solve over the
    prepared engine, so fanning blocks out across the pool is safe and —
    because [Pool.map] places results by index — bit-identical to the
    serial sweep at any job count.  Edge cases stay off the heavy
    machinery: an empty sweep returns immediately without touching the
-   pool, and a single point runs the scalar path with no panel. *)
+   pool, and a single point runs at width 1 without it. *)
 let sweep ?pool ?batch e freqs =
   let nf = Array.length freqs in
   if nf = 0 then [||]
@@ -280,28 +216,22 @@ let sweep ?pool ?batch e freqs =
     let pool = match pool with Some p -> p | None -> Pool.global () in
     let width = resolve_batch ?batch e ~npoints:nf in
     Obs.with_span "psd.sweep" (fun () ->
-        if width <= 1 then Pool.map pool (fun _ f -> psd e ~f) freqs
-        else begin
-          let nblocks = (nf + width - 1) / width in
-          let starts = Array.init nblocks (fun k -> k * width) in
-          let chunks =
-            Pool.map pool
-              (fun _ start ->
-                let len = min width (nf - start) in
-                let omegas =
-                  Array.init len (fun i ->
-                      2.0 *. Float.pi *. freqs.(start + i))
-                in
-                psd_block e ~omegas ~freqs ~start len)
-              starts
-          in
-          let out = Array.make nf 0.0 in
-          Array.iteri
-            (fun k vals ->
-              Array.blit vals 0 out starts.(k) (Array.length vals))
-            chunks;
-          out
-        end)
+        let nblocks = (nf + width - 1) / width in
+        let starts = Array.init nblocks (fun k -> k * width) in
+        let chunks =
+          Pool.map pool
+            (fun _ start ->
+              let len = min width (nf - start) in
+              psd_block e
+                ~omegas:
+                  (Array.init len (fun i -> 2.0 *. Float.pi *. freqs.(start + i))))
+            starts
+        in
+        let out = Array.make nf 0.0 in
+        Array.iteri
+          (fun k vals -> Array.blit vals 0 out starts.(k) (Array.length vals))
+          chunks;
+        out)
   end
 
 let sweep_db ?pool ?batch e freqs =

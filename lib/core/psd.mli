@@ -51,14 +51,14 @@ val sweep :
   float array
 (** Frequency sweep, batched by default: frequencies are tiled into
     width-[batch] blocks, each advanced in lockstep through the phase
-    grid by the blocked demodulated kernels
-    ({!Periodic_bvp.solve_block_into}), and the blocks are fanned out
+    grid by one {!Periodic_bvp.solve}, and the blocks are fanned out
     across [pool] (default: the shared pool).  Every block column is
-    bitwise identical to the scalar per-frequency solve, solves are
-    read-only over the prepared engine, and results are placed by
+    bitwise identical to a width-1 solve at its frequency — a column
+    whose refinement would not converge on some stepper takes that
+    stepper's complex-LU fallback on its own, inside the block — solves
+    are read-only over the prepared engine, and results are placed by
     index, so the sweep is bit-identical to serial and to [batch:1] at
-    any job count.  Blocks the blocked backend cannot take (reference
-    gate, complex-LU fallback frequencies) run the scalar path.
+    any job count.
 
     [batch] resolves as: explicit argument, else {!set_default_batch},
     else an auto width from the state count; the result is clamped to the sweep length.

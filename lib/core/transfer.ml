@@ -40,14 +40,15 @@ let response e ~forcing ~f ~k_range =
   if k_range < 0 then invalid_arg "Transfer.response: k_range < 0";
   let omega = 2.0 *. Float.pi *. f in
   let cols = Array.map forcing (Array.init (Pwl.n_phases e.sys) (fun p -> p)) in
-  let forcing_interval i =
-    let col = cols.(e.interval_phase.(i)) in
-    (col, col)
-  in
-  let env = Periodic_bvp.solve_piecewise e.bvp ~omega ~forcing:forcing_interval in
+  (* the input column switches with the clock: both endpoints of an
+     interval take that interval's phase *)
+  let k i = cols.(e.interval_phase.(i)) in
+  let env = Periodic_bvp.alloc_traj e.bvp ~width:1 in
+  Periodic_bvp.solve e.bvp ~omegas:[| omega |] ~kl:k ~kr:k env;
   let y =
     Array.map
-      (fun p ->
+      (fun d ->
+        let p = Cvec.of_data d in
         let acc = ref Cx.zero in
         Array.iteri
           (fun i c -> acc := Cx.( +: ) !acc (Cx.scale c (Cvec.get p i)))

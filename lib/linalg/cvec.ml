@@ -196,7 +196,9 @@ let panel_check v p ~width ~col name =
   if Array.length p <> Array.length v * width then
     invalid_arg ("Cvec." ^ name ^ ": panel size mismatch")
 
-let panel_set_col v p ~width ~col =
+(* The annotations matter: left polymorphic, the element copies would
+   compile to generic array accesses that box every float they read. *)
+let panel_set_col (v : t) (p : panel) ~width ~col =
   panel_check v p ~width ~col "panel_set_col";
   for i = 0 to dim v - 1 do
     let k = 2 * ((i * width) + col) in
@@ -204,7 +206,7 @@ let panel_set_col v p ~width ~col =
     p.(k + 1) <- v.((2 * i) + 1)
   done
 
-let panel_get_col p ~width ~col ~into =
+let panel_get_col (p : panel) ~width ~col ~(into : t) =
   panel_check into p ~width ~col "panel_get_col";
   for i = 0 to dim into - 1 do
     let k = 2 * ((i * width) + col) in

@@ -211,6 +211,21 @@ let disable () = Atomic.set enabled false
 
 let is_enabled () = Atomic.get enabled
 
+(* The wall time of [f] split evenly over [parts] samples of [h] (one
+   per item of a blocked computation), recorded while telemetry is on;
+   otherwise [f] runs without the two clock reads. *)
+let timed_parts h ~parts f =
+  if not (is_enabled ()) then f ()
+  else begin
+    let t0 = Clock.now () in
+    let r = f () in
+    let dt = Clock.elapsed t0 /. float_of_int parts in
+    for _ = 1 to parts do
+      hist_record h dt
+    done;
+    r
+  end
+
 let with_span ?(src = obs_src) ?(args = []) name f =
   if not (Atomic.get enabled) then f ()
   else begin

@@ -89,28 +89,35 @@ let trajectory ~a ~shift ~forcing ~h ~steps p0 =
 
    The demodulated fallback needs a classic shifted stepper per
    (phase, h) at frequencies where the refinement contraction is too
-   slow.  Building one with [make] per frequency point allocates the
-   LHS/RHS matrices and a fresh factorisation each time; this variant
-   keeps all buffers and refactors in place only when the shift
-   actually changes.  The matrix fill replicates [make]'s arithmetic
-   term by term ([shifted_half] followed by [Cmat.sub]/[Cmat.add]
-   against the identity), so a retuned stepper is bit-identical to a
-   freshly made one. *)
+   slow — and, in a block of frequencies, one per column.  Building one
+   with [make] per frequency point allocates the LHS/RHS matrices and a
+   fresh factorisation each time; this variant keeps all buffers and
+   refactors a column in place only when its shift actually changes.
+   The columns share everything but their factorisation: the RHS
+   I + h/2 (A - jwI) depends on the column only through the imaginary
+   part of its diagonal, which a step patches in when the column
+   changes.  The matrix fill replicates [make]'s arithmetic term by
+   term ([shifted_half] followed by [Cmat.sub]/[Cmat.add] against the
+   identity), so every column is bit-identical to a freshly made
+   stepper at its shift. *)
 
 type reusable = {
-  xh : float;
+  mutable xh : float;
   xn : int;
-  xa : Mat.t; (* kept for refactorisation *)
-  xmat : Cmat.t; (* LHS build scratch *)
-  xlhs : Clu.t;
-  xrhs : Cmat.t;
-  mutable xomega : float; (* shift currently factored, s = j omega *)
-  mutable xfresh : bool;
+  mutable xa : Mat.t; (* kept for refactorisation *)
+  xrhs : Cmat.t; (* I + h/2 (A - jwI), diagonal of column [xrhs_col] *)
+  mutable xrhs_col : int;
+  mutable xlhs : Clu.t array; (* per column: I - h/2 (A - jwI), factored *)
+  mutable xomega : float array; (* per column: shift factored, s = j omega *)
+  mutable xfresh : bool array;
   xsb : Cvec.t;
   xsw : float array;
 }
 
 let c_retunes = Obs.counter "ode_stepper_retunes"
+
+(* placeholder for a column that has never been tuned *)
+let no_factor = Clu.create 0
 
 let make_reusable ~a ~h =
   if not (Mat.is_square a) then
@@ -122,59 +129,105 @@ let make_reusable ~a ~h =
     xh = h;
     xn = n;
     xa = a;
-    xmat = Cmat.create n n;
-    xlhs = Clu.create n;
     xrhs = Cmat.create n n;
-    xomega = 0.0;
-    xfresh = false;
+    xrhs_col = -1;
+    xlhs = [||];
+    xomega = [||];
+    xfresh = [||];
     xsb = Cvec.create n;
     xsw = Array.make (2 * n) 0.0;
   }
 
-let retune st ~omega =
-  if not (st.xfresh && st.xomega = omega) then begin
+let rebind st ~a ~h =
+  if not (st.xa == a && st.xh = h) then begin
+    if not (Mat.is_square a) || Mat.rows a <> st.xn then
+      invalid_arg "Ctrapezoid.rebind: dimension mismatch";
+    if h <= 0.0 then invalid_arg "Ctrapezoid.rebind: h <= 0";
+    Scnoise_linalg.Sanitize.check_mat "Ctrapezoid.rebind" a;
+    st.xa <- a;
+    st.xh <- h;
+    Array.fill st.xfresh 0 (Array.length st.xfresh) false
+  end
+
+let retune st ~col ~omega =
+  if col < 0 then invalid_arg "Ctrapezoid.retune: negative column";
+  if col >= Array.length st.xlhs then begin
+    let grow a fill =
+      Array.init (col + 1) (fun i -> if i < Array.length a then a.(i) else fill)
+    in
+    st.xlhs <- grow st.xlhs no_factor;
+    st.xomega <- grow st.xomega 0.0;
+    st.xfresh <- grow st.xfresh false
+  end;
+  if not (st.xfresh.(col) && st.xomega.(col) = omega) then begin
     Obs.incr c_retunes;
+    if st.xlhs.(col) == no_factor then st.xlhs.(col) <- Clu.create st.xn;
     let n = st.xn in
     let w = 0.5 *. st.xh in
     let swo = w *. omega in
-    let ld = Cmat.data st.xmat and rd = Cmat.data st.xrhs in
+    let d = Cmat.data st.xrhs in
     let ad = Mat.data st.xa in
+    (* half = (re, 0) - w * (0, omega) elementwise.  I - half passes
+       through the rhs buffer on its way into the factorisation (which
+       copies it), then the buffer takes I + half. *)
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         let re = w *. ad.((i * n) + j) in
         let k = 2 * ((i * n) + j) in
         if i = j then begin
-          (* half = (re, 0) - w * (0, omega) elementwise *)
-          ld.(k) <- 1.0 -. (re -. 0.0);
-          ld.(k + 1) <- 0.0 -. (0.0 -. swo);
-          rd.(k) <- 1.0 +. (re -. 0.0);
-          rd.(k + 1) <- 0.0 +. (0.0 -. swo)
+          d.(k) <- 1.0 -. (re -. 0.0);
+          d.(k + 1) <- 0.0 -. (0.0 -. swo)
         end
         else begin
-          ld.(k) <- 0.0 -. re;
-          ld.(k + 1) <- 0.0 -. 0.0;
-          rd.(k) <- 0.0 +. re;
-          rd.(k + 1) <- 0.0 +. 0.0
+          d.(k) <- 0.0 -. re;
+          d.(k + 1) <- 0.0 -. 0.0
         end
       done
     done;
-    Clu.factor_into st.xlhs st.xmat;
-    st.xomega <- omega;
-    st.xfresh <- true
+    Clu.factor_into st.xlhs.(col) st.xrhs;
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let re = w *. ad.((i * n) + j) in
+        let k = 2 * ((i * n) + j) in
+        if i = j then begin
+          d.(k) <- 1.0 +. (re -. 0.0);
+          d.(k + 1) <- 0.0 +. (0.0 -. swo)
+        end
+        else begin
+          d.(k) <- 0.0 +. re;
+          d.(k + 1) <- 0.0 +. 0.0
+        end
+      done
+    done;
+    st.xrhs_col <- col;
+    st.xomega.(col) <- omega;
+    st.xfresh.(col) <- true
   end
 
-let step_reusable_into st ~p ~k0 ~k1 ~into =
-  if not st.xfresh then invalid_arg "Ctrapezoid.step_reusable_into: not tuned";
+let step_reusable_into st ~col ~p ~k0 ~k1 ~into =
+  if col < 0 || col >= Array.length st.xfresh || not st.xfresh.(col) then
+    invalid_arg "Ctrapezoid.step_reusable_into: column not tuned";
   Obs.incr c_steps;
-  Cmat.mul_vec_into st.xrhs p ~into:st.xsb;
+  let n = st.xn in
   let w = 0.5 *. st.xh in
+  if st.xrhs_col <> col then begin
+    (* the one column-dependent part of the rhs, filled as [retune]
+       fills it *)
+    let swo = w *. st.xomega.(col) in
+    let d = Cmat.data st.xrhs in
+    for i = 0 to n - 1 do
+      d.((2 * ((i * n) + i)) + 1) <- 0.0 +. (0.0 -. swo)
+    done;
+    st.xrhs_col <- col
+  end;
+  Cmat.mul_vec_into st.xrhs p ~into:st.xsb;
   let bd = Cvec.data st.xsb
   and k0d = Cvec.data k0
   and k1d = Cvec.data k1 in
-  for k = 0 to (2 * st.xn) - 1 do
+  for k = 0 to (2 * n) - 1 do
     bd.(k) <- bd.(k) +. (w *. (k0d.(k) +. k1d.(k)))
   done;
-  Clu.solve_into st.xlhs ~work:st.xsw ~b:st.xsb ~into;
+  Clu.solve_into st.xlhs.(col) ~work:st.xsw ~b:st.xsb ~into;
   Scnoise_linalg.Sanitize.check_cvec "Ctrapezoid.step" into
 
 (* --- demodulated stepper ---

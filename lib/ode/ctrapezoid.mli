@@ -40,11 +40,13 @@ val trajectory :
 
 (** {1 Reusable shifted stepper}
 
-    A classic shifted stepper whose buffers and factorisation are
-    reused across frequencies: {!retune} refills and refactors in
-    place only when the shift changes, producing results bit-identical
-    to a stepper freshly built with {!make} at the same shift.  Used
-    as the allocation-free fallback of the demodulated backend.  Like
+    A classic shifted stepper for a block of frequency columns, whose
+    buffers and per-column factorisations are reused across
+    frequencies: {!retune} refills and refactors a column in place only
+    when its shift changes, and column [col] steps bit-identically to a
+    stepper freshly built with {!make} at that column's shift.  The
+    columns share everything but their factorisation.  Used as the
+    allocation-free fallback of the demodulated stepper.  Like
     {!stepper} it carries scratch and must not be shared across
     domains. *)
 
@@ -52,14 +54,22 @@ type reusable
 
 val make_reusable : a:Mat.t -> h:float -> reusable
 
-val retune : reusable -> omega:float -> unit
-(** Factor the LHS for shift [s = j omega] (no-op when already tuned
-    to this [omega]). *)
+val rebind : reusable -> a:Mat.t -> h:float -> unit
+(** Point the stepper at another [a] (same dimension) and [h], so a
+    workspace can recycle its buffers across prepared solvers; every
+    column must be retuned before its next step.  A no-op when [a] is
+    the bound matrix itself and [h] is unchanged. *)
+
+val retune : reusable -> col:int -> omega:float -> unit
+(** Factor column [col]'s LHS for shift [s = j omega] (a no-op when the
+    column is already tuned to this [omega]); columns are created on
+    first use. *)
 
 val step_reusable_into :
-  reusable -> p:Cvec.t -> k0:Cvec.t -> k1:Cvec.t -> into:Cvec.t -> unit
-(** As {!step_into}; raises [Invalid_argument] before the first
-    {!retune}. *)
+  reusable -> col:int -> p:Cvec.t -> k0:Cvec.t -> k1:Cvec.t -> into:Cvec.t ->
+  unit
+(** As {!step_into} at column [col]'s shift; raises [Invalid_argument]
+    before that column's first {!retune}. *)
 
 (** {1 Demodulated stepper}
 

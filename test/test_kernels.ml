@@ -188,20 +188,29 @@ let prop_reusable_retune =
     spec_arb (fun spec ->
       let rng = rng_of spec in
       let a = random_stable_a rng spec.n in
-      let h = 1e-7 in
-      let st = Ctrap.make_reusable ~a ~h in
+      let a' = random_stable_a rng spec.n in
+      let st = Ctrap.make_reusable ~a ~h:1e-7 in
       let p = random_cvec rng spec.n in
       let k0 = random_cvec rng spec.n and k1 = random_cvec rng spec.n in
       let out = Cvec.create spec.n in
-      List.for_all
-        (fun f ->
-          let omega = 2.0 *. Float.pi *. f in
-          Ctrap.retune st ~omega;
-          Ctrap.step_reusable_into st ~p ~k0 ~k1 ~into:out;
-          let fresh = Ctrap.make ~a ~shift:(Cx.make 0.0 omega) ~h in
-          cvec_equal_bits out (Ctrap.step fresh ~p ~k0 ~k1))
-        (* revisit a frequency to exercise the retune cache *)
-        [ 0.0; 1e3; 2.7e5; 1e3; 4.4e6 ])
+      let agrees a h steps =
+        Ctrap.rebind st ~a ~h;
+        List.for_all
+          (fun (col, f) ->
+            let omega = 2.0 *. Float.pi *. f in
+            Ctrap.retune st ~col ~omega;
+            Ctrap.step_reusable_into st ~col ~p ~k0 ~k1 ~into:out;
+            let fresh = Ctrap.make ~a ~shift:(Cx.make 0.0 omega) ~h in
+            cvec_equal_bits out (Ctrap.step fresh ~p ~k0 ~k1))
+          steps
+      in
+      (* revisit a frequency to exercise the retune cache, step columns
+         out of retune order to exercise the shared rhs, then rebind to
+         another system and revisit the same shifts *)
+      agrees a 1e-7
+        [ (0, 0.0); (0, 1e3); (2, 2.7e5); (0, 1e3); (1, 4.4e6); (2, 2.7e5);
+          (0, 1e3); (1, 4.4e6) ]
+      && agrees a' 2e-7 [ (2, 2.7e5); (0, 1e3); (2, 2.7e5) ])
 
 (* --- trajectory buffers are distinct --- *)
 
@@ -209,41 +218,74 @@ let test_traj_distinct () =
   let b = LP.build LP.default in
   let cov = Scnoise_core.Covariance.sample ~samples_per_phase:32 b.LP.sys in
   let bvp = Bvp.of_sampled cov in
-  let traj = Bvp.alloc_traj bvp in
-  let snapshot = Array.map Cvec.copy traj in
-  (* mutating one entry must leave every other entry untouched *)
-  Cvec.set traj.(0) 0 (Cx.make 42.0 (-42.0));
-  for i = 1 to Array.length traj - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "traj.(%d) unchanged" i)
-      true
-      (Cvec.max_abs_diff traj.(i) snapshot.(i) = 0.0)
-  done;
-  let p = Bvp.particular bvp ~omega:6e3 ~forcing:(fun _ ->
-      Cvec.init (Bvp.n_states bvp) (fun _ -> Cx.one))
-  in
-  Cvec.set p.(1) 0 (Cx.make 7.0 7.0);
-  Alcotest.(check bool) "particular entries distinct" true
-    (Cx.modulus (Cvec.get p.(2) 0) < 1e6)
-
-(* --- demod sweep vs reference factorization --- *)
-
-let demod_parity name prep freqs () =
-  let eng = prep () in
-  let with_reference flag f =
-    let prev = Bvp.reference_enabled () in
-    Bvp.set_reference flag;
-    Fun.protect ~finally:(fun () -> Bvp.set_reference prev) f
-  in
   List.iter
+    (fun width ->
+      let traj = Bvp.alloc_traj bvp ~width in
+      let snapshot = Array.map Array.copy traj in
+      (* mutating one entry must leave every other entry untouched *)
+      traj.(0).(0) <- 42.0;
+      for i = 1 to Array.length traj - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "width %d: traj.(%d) unchanged" width i)
+          true
+          (traj.(i) = snapshot.(i))
+      done)
+    [ 1; 3 ];
+  let one = Cvec.init (Bvp.n_states bvp) (fun _ -> Cx.one) in
+  let p = Bvp.alloc_traj bvp ~width:1 in
+  Bvp.solve bvp ~omegas:[| 6e3 |] ~kl:(fun _ -> one) ~kr:(fun _ -> one) p;
+  let before = Array.copy p.(2) in
+  p.(1).(0) <- 7.0;
+  Alcotest.(check bool) "solved entries distinct" true (p.(2) = before)
+
+(* --- demod sweep vs the reference solve --- *)
+
+(* PSD at each frequency from one width-1 reference solve (complex LU on
+   every interval), reduced here rather than by [Psd]: the oracle shares
+   only the prepared grid and covariance with the engine under test. *)
+let reference_psd eng freqs =
+  let cov = Psd.covariance eng and c = Psd.output eng in
+  let bvp = Bvp.of_sampled cov in
+  let forcing =
+    Array.map
+      (fun k -> Cvec.of_real (Mat.mul_vec k c))
+      cov.Scnoise_core.Covariance.ks
+  in
+  let traj = Bvp.alloc_traj bvp ~width:1 in
+  let period = cov.Scnoise_core.Covariance.sys.Scnoise_circuit.Pwl.period in
+  Array.map
     (fun f ->
-      let fast = with_reference false (fun () -> Psd.psd eng ~f) in
-      let slow = with_reference true (fun () -> Psd.psd eng ~f) in
-      let ddb = abs_float (Db.of_power fast -. Db.of_power slow) in
+      Bvp.solve_reference bvp
+        ~omegas:[| 2.0 *. Float.pi *. f |]
+        ~kl:(Array.get forcing)
+        ~kr:(fun i -> forcing.(i + 1))
+        traj;
+      let s =
+        Array.map
+          (fun d ->
+            let acc = ref 0.0 in
+            Array.iteri (fun j cj -> acc := !acc +. (cj *. d.(2 * j))) c;
+            2.0 *. !acc)
+          traj
+      in
+      Scnoise_util.Grid.trapezoid (Bvp.times bvp) s /. period)
+    freqs
+
+let check_db_close name freqs fast slow =
+  Array.iteri
+    (fun i f ->
+      let ddb = abs_float (Db.of_power fast.(i) -. Db.of_power slow.(i)) in
       Alcotest.(check bool)
         (Printf.sprintf "%s @ %g Hz within 1e-9 dB (got %.3e)" name f ddb)
         true (ddb <= 1e-9))
     freqs
+
+let demod_parity name prep freqs () =
+  let eng = prep () in
+  let freqs = Array.of_list freqs in
+  check_db_close name freqs
+    (Array.map (fun f -> Psd.psd eng ~f) freqs)
+    (reference_psd eng freqs)
 
 let prep_lowpass () =
   let b = LP.build LP.default in
@@ -269,25 +311,20 @@ let test_gc_budget () =
   let per_point =
     (Gc.allocated_bytes () -. a0) /. float_of_int (reps * Array.length freqs)
   in
-  (* measured ~2.4 KB/point demod, ~129 KB/point on the reference
-     backend (seed: ~1 MB); the budgets leave headroom for GC-boundary
-     accounting noise while still failing loudly if boxing returns to
-     the hot path *)
-  let budget = if Bvp.reference_enabled () then 400_000.0 else 48_000.0 in
+  (* measured ~2.4 KB/point (seed: ~1 MB); the budget leaves headroom
+     for GC-boundary accounting noise while still failing loudly if
+     boxing returns to the hot path *)
+  let budget = 48_000.0 in
   Alcotest.(check bool)
     (Printf.sprintf "per-point allocation %.0f B under %.0f KB budget"
        per_point (budget /. 1000.0))
     true (per_point < budget)
 
 (* A serving daemon prepares solver after solver on one domain.  The
-   complex-LU fallback steppers a solver builds above ~4 kHz live in
-   the domain's workspace; they must go when the next solver takes it,
-   or live heap grows with every solver ever run. *)
+   complex-LU fallback steppers a solver needs above ~4 kHz live in the
+   domain's workspace; the next solver must recycle them, or live heap
+   grows with every solver ever run. *)
 let test_fallback_table_bounded () =
-  (* the table belongs to the demodulated backend *)
-  let prev = Bvp.reference_enabled () in
-  Bvp.set_reference false;
-  Fun.protect ~finally:(fun () -> Bvp.set_reference prev) @@ fun () ->
   let b = LP.build LP.default in
   let cov = Scnoise_core.Covariance.sample ~samples_per_phase:32 b.LP.sys in
   let fresh_sweep () =
@@ -514,21 +551,70 @@ let test_sweep_batch_parity () =
 
 let batched_vs_reference name prep freqs () =
   let eng = prep () in
-  let with_reference flag f =
-    let prev = Bvp.reference_enabled () in
-    Bvp.set_reference flag;
-    Fun.protect ~finally:(fun () -> Bvp.set_reference prev) f
-  in
   let pool = Pool.create ~jobs:1 () in
-  let fast = with_reference false (fun () -> Psd.sweep ~pool ~batch:8 eng freqs) in
-  let slow = with_reference true (fun () -> Psd.sweep ~pool eng freqs) in
-  Array.iteri
-    (fun i f ->
-      let ddb = abs_float (Db.of_power fast.(i) -. Db.of_power slow.(i)) in
+  check_db_close name freqs
+    (Psd.sweep ~pool ~batch:8 eng freqs)
+    (reference_psd eng freqs)
+
+(* A 16-wide block straddling sc_lowpass's refinable edge (~4.1 kHz at
+   128 samples per phase): the frequencies past the edge step their
+   non-refinable (phase, h) pairs on per-column complex-LU steppers
+   while the block as a whole stays on the panel kernels. *)
+let test_mixed_fallback_block () =
+  let b = LP.build LP.default in
+  let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
+  let freqs = Scnoise_util.Grid.linspace 3_000.0 5_000.0 16 in
+  let serial = Pool.create ~jobs:1 () in
+  let par = Pool.create ~jobs:4 () in
+  let blocks0 = counter "bvp_block_solves" in
+  let fb0 = counter "bvp_fallback_steps" in
+  let u0 = counter "psd.unbatched_points" in
+  let blocked = Psd.sweep ~pool:serial ~batch:16 eng freqs in
+  Alcotest.(check int) "one block solve" (blocks0 + 1)
+    (counter "bvp_block_solves");
+  let unbatched = counter "psd.unbatched_points" - u0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "the block mixes fallback and refinable columns (%d)"
+       unbatched)
+    true
+    (unbatched > 0 && unbatched < Array.length freqs);
+  Alcotest.(check bool) "the block takes fallback steps" true
+    (counter "bvp_fallback_steps" > fb0);
+  check_db_close "mixed block" freqs blocked (reference_psd eng freqs);
+  List.iter
+    (fun (name, pool) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s @ %g Hz within 1e-9 dB (got %.3e)" name f ddb)
-        true (ddb <= 1e-9))
-    freqs
+        (Printf.sprintf "mixed block bit-identical to batch 1 (%s)" name)
+        true
+        (float_array_bits_equal blocked (Psd.sweep ~pool ~batch:1 eng freqs)))
+    [ ("jobs1", serial); ("jobs4", par) ]
+
+(* psd.unbatched_points counts the sweep points that took at least one
+   complex-LU fallback step: exactly the frequencies whose lone solve
+   advances bvp_fallback_steps. *)
+let test_unbatched_points () =
+  let b = LP.build LP.default in
+  let eng = Psd.prepare ~samples_per_phase:64 b.LP.sys ~output:b.LP.output in
+  let freqs = Scnoise_util.Grid.linspace 100.0 16_000.0 41 in
+  let expected =
+    Array.fold_left
+      (fun acc f ->
+        let fb0 = counter "bvp_fallback_steps" in
+        ignore (Psd.psd eng ~f);
+        if counter "bvp_fallback_steps" > fb0 then acc + 1 else acc)
+      0 freqs
+  in
+  Alcotest.(check bool) "the band crosses the refinable edge" true
+    (expected > 0 && expected < Array.length freqs);
+  List.iter
+    (fun batch ->
+      let u0 = counter "psd.unbatched_points" in
+      ignore (Psd.sweep ~pool:(Pool.create ~jobs:1 ()) ~batch eng freqs);
+      Alcotest.(check int)
+        (Printf.sprintf "unbatched points at batch %d" batch)
+        expected
+        (counter "psd.unbatched_points" - u0))
+    [ 1; 16 ]
 
 let prep_integrator () =
   let b = SI.build SI.default in
@@ -575,5 +661,9 @@ let () =
             `Quick
             (batched_vs_reference "sc_integrator" prep_integrator
                [| 10.0; 1e3; 3.3e3 |]);
+          Alcotest.test_case "mixed fallback block runs blocked" `Quick
+            test_mixed_fallback_block;
+          Alcotest.test_case "unbatched points count fallback frequencies"
+            `Quick test_unbatched_points;
         ] );
     ]
