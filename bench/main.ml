@@ -841,6 +841,23 @@ let exp_gemm () =
 (* EXP-K1: complex-kernel microbenchmarks and hot-loop allocation      *)
 (* ------------------------------------------------------------------ *)
 
+module Bvp = Scnoise_core.Periodic_bvp
+module LAD = Scnoise_circuits.Sc_ladder
+
+(* A periodic-BVP solver over [eng]'s covariance and output, with the
+   PSD forcing K(t_i) c, built apart from the engine so a benchmark can
+   drive the solve layer directly. *)
+let standalone_bvp eng =
+  let cov = Psd.covariance eng in
+  let forcing =
+    Array.map
+      (fun k -> Scnoise_linalg.Cvec.of_real (Mat.mul_vec k (Psd.output eng)))
+      cov.Covariance.ks
+  in
+  ( Bvp.of_sampled cov ~output:(Psd.output eng),
+    Array.get forcing,
+    fun i -> forcing.(i + 1) )
+
 let exp_kern () =
   header "EXP-K1  unboxed complex kernels: ns/op and per-point allocation";
   let module Cx = Scnoise_linalg.Cx in
@@ -915,10 +932,9 @@ let exp_kern () =
   Table.print t;
   (* per-PSD-point allocation: a default PSD point against one
      reference periodic-BVP solve (complex LU on every interval) into a
-     preallocated trajectory.  [Gc.allocated_bytes] advances at GC
+     preallocated output buffer.  [Gc.allocated_bytes] advances at GC
      boundaries, so only high rep counts give a stable per-call
      figure. *)
-  let module Bvp = Scnoise_core.Periodic_bvp in
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
   let freqs = [| 100.0; 1e3; 4e3; 8e3; 16e3 |] in
@@ -933,20 +949,10 @@ let exp_kern () =
   in
   let demod_b = per_point (fun f -> ignore (Psd.psd eng ~f)) in
   let ref_b =
-    let cov = Psd.covariance eng in
-    let forcing =
-      Array.map
-        (fun k -> Cvec.of_real (Mat.mul_vec k b.LP.output))
-        cov.Covariance.ks
-    in
-    let bvp = Bvp.of_sampled cov in
-    let traj = Bvp.alloc_traj bvp ~width:1 in
+    let bvp, kl, kr = standalone_bvp eng in
+    let y = Cvec.panel_create ~dim:(Bvp.n_points bvp) ~width:1 in
     per_point (fun f ->
-        Bvp.solve_reference bvp
-          ~omegas:[| 2.0 *. Float.pi *. f |]
-          ~kl:(Array.get forcing)
-          ~kr:(fun i -> forcing.(i + 1))
-          traj)
+        Bvp.solve_reference bvp ~omegas:[| 2.0 *. Float.pi *. f |] ~kl ~kr y)
   in
   let t2 = Table.create [ "bvp_backend"; "bytes/point" ] in
   Table.add_row t2 [ "demod (default)"; Printf.sprintf "%.0f" demod_b ];
@@ -1037,42 +1043,104 @@ let exp_kern () =
         ])
     [ 4; 9 ];
   Table.print tk;
-  let serial = Pool.create ~jobs:1 () in
+  (* Width table: one 16-wide block against its 16 width-1 solves at the
+     solve layer, per circuit size, over each circuit's workload band
+     (interleaved rounds, per-mode minimum).  [Psd.batch_width]'s rule
+     — blocks of 16 only where they measure faster — is read off this
+     table. *)
+  let ladder stages =
+    let b = LAD.build (LAD.with_parasitics (LAD.with_stages stages)) in
+    (b.LAD.sys, b.LAD.output)
+  in
+  let tw =
+    Table.create [ "circuit"; "n"; "b1_ms/pt"; "b16_ms/pt"; "b1/b16"; "auto_b" ]
+  in
+  List.iter
+    (fun (name, (sys, output), spp, freqs) ->
+      let e = Psd.prepare ~samples_per_phase:spp sys ~output in
+      let bvp, kl, kr = standalone_bvp e in
+      let omegas = Array.map (fun f -> 2.0 *. Float.pi *. f) freqs in
+      let npts = Bvp.n_points bvp and w = Array.length omegas in
+      let y1 = Cvec.panel_create ~dim:npts ~width:1 in
+      let yw = Cvec.panel_create ~dim:npts ~width:w in
+      let singles () =
+        Array.iter (fun o -> Bvp.solve bvp ~omegas:[| o |] ~kl ~kr y1) omegas
+      in
+      let block () = Bvp.solve bvp ~omegas ~kl ~kr yw in
+      singles ();
+      block ();
+      let b1 = ref infinity and bw = ref infinity in
+      for _ = 1 to 5 do
+        b1 := Float.min !b1 (wall_ms singles);
+        bw := Float.min !bw (wall_ms block)
+      done;
+      let per x = x /. float_of_int w in
+      Table.add_row tw
+        [
+          name; string_of_int sys.Pwl.nstates; Printf.sprintf "%.4f" (per !b1);
+          Printf.sprintf "%.4f" (per !bw); Printf.sprintf "%.2fx" (!b1 /. !bw);
+          string_of_int (Psd.batch_width e ~npoints:w);
+        ])
+    [
+      ( "switched_rc",
+        (let b = SRC.build SRC.default in
+         (b.SRC.sys, b.SRC.output)),
+        128, Grid.logspace 100.0 1e6 16 );
+      ( "sc_lowpass", (b.LP.sys, b.LP.output), 128,
+        Grid.linspace 100.0 16_000.0 16 );
+      ("ladder-8", ladder 4, 48, Grid.logspace 100.0 40_000.0 16);
+      ( "sc_bandpass",
+        (let b = BP.build BP.default in
+         (b.BP.sys, b.BP.output)),
+        96, Grid.linspace 100.0 20_000.0 16 );
+      ("ladder-12", ladder 6, 48, Grid.logspace 100.0 40_000.0 16);
+      ("ladder-16", ladder 8, 48, Grid.logspace 100.0 40_000.0 16);
+      ("ladder-20", ladder 10, 48, Grid.logspace 100.0 40_000.0 16);
+      ("ladder-40", ladder 20, 48, Grid.logspace 100.0 40_000.0 16);
+    ];
+  Table.print tw;
   (* Sweep the demodulated operating band: above ~4 kHz the sc_lowpass
      engine's refinement contraction needs more than [demod_max_iters]
      passes on some steppers, whose columns then step on the per-column
      complex-LU fallback — steps that cost the same at every width, so
      including that band would only dilute the measurement of the
      blocked kernels (the psd.unbatched_points counter tracks such
-     points). *)
+     points).  The auto-width sweep runs against the same points one
+     width-1 [Psd.psd] at a time, both serial. *)
+  let serial = Pool.create ~jobs:1 () in
   let freqs = Grid.linspace 100.0 4_000.0 192 in
   let npts = Array.length freqs in
-  let sweep_at b = Psd.sweep ~pool:serial ~batch:b eng freqs in
-  let reference_sweep = sweep_at 1 in
   let auto_b = Psd.batch_width eng ~npoints:npts in
-  let widths = Array.of_list (List.sort_uniq compare [ 1; 4; 8; 16; auto_b ]) in
-  let nw = Array.length widths in
+  let modes =
+    [|
+      ( "1 (psd)",
+        "kern.sweep_b1",
+        fun () -> Array.map (fun f -> Psd.psd eng ~f) freqs );
+      ( Printf.sprintf "%d (auto sweep)" auto_b,
+        "kern.sweep_auto",
+        fun () -> Psd.sweep ~pool:serial eng freqs );
+    |]
+  in
   (* Interleaved rounds: the container's wall clock sees multi-hundred-
      millisecond interference windows from neighbours, so measuring one
-     width's reps back-to-back lets a single window poison that width
+     mode's reps back-to-back lets a single window poison that mode
      alone (and with it the speedup ratio).  Each round times every
-     width once; the per-width minimum over rounds then samples every
-     width under the same conditions. *)
-  let best = Array.make nw infinity in
-  let results = Array.make nw [||] in
-  Array.iteri (fun k b -> results.(k) <- sweep_at b) widths;
+     mode once; the per-mode minimum over rounds then samples every
+     mode under the same conditions. *)
+  let nm = Array.length modes in
+  let best = Array.make nm infinity in
+  let results = Array.map (fun (_, _, run) -> run ()) modes in
   for _ = 1 to 7 do
     Array.iteri
-      (fun k b ->
-        let ms = wall_ms (fun () -> results.(k) <- sweep_at b) in
+      (fun k (_, _, run) ->
+        let ms = wall_ms (fun () -> results.(k) <- run ()) in
         if ms < best.(k) then best.(k) <- ms)
-      widths
+      modes
   done;
   let t3 = Table.create [ "B"; "ms/pt"; "bytes/pt"; "speedup"; "parity" ] in
-  let ms_b1 = ref nan and ms_auto = ref nan in
-  let parity_all = ref true in
+  let ms_pt k = best.(k) /. float_of_int npts in
   Array.iteri
-    (fun k b ->
+    (fun k (label, timer, run) ->
       (* averaged over many sweeps: [Gc.allocated_bytes] advances in
          minor-heap-sized quanta, so a single sweep reads as 0 or 2 MB
          depending on where the young pointer happens to sit *)
@@ -1080,36 +1148,28 @@ let exp_kern () =
         let reps = 20 in
         let a0 = Gc.allocated_bytes () in
         for _ = 1 to reps do
-          ignore (sweep_at b)
+          ignore (run ())
         done;
         (Gc.allocated_bytes () -. a0) /. float_of_int (reps * npts)
       in
-      let ms_pt = best.(k) /. float_of_int npts in
-      if b = 1 then ms_b1 := ms_pt;
-      if b = auto_b then ms_auto := ms_pt;
-      Obs.timer_record
-        (Obs.timer (Printf.sprintf "kern.sweep_b%d" b))
-        (ms_pt /. 1000.0);
-      let parity = float_bits_equal results.(k) reference_sweep in
-      if not parity then parity_all := false;
+      Obs.timer_record (Obs.timer timer) (ms_pt k /. 1000.0);
       Table.add_row t3
         [
-          (if b = auto_b then Printf.sprintf "%d (auto)" b
-           else string_of_int b);
-          Printf.sprintf "%.4f" ms_pt; Printf.sprintf "%.0f" bytes;
-          Printf.sprintf "%.2fx" (!ms_b1 /. ms_pt);
-          (if parity then "bit-identical" else "MISMATCH");
+          label; Printf.sprintf "%.4f" (ms_pt k); Printf.sprintf "%.0f" bytes;
+          Printf.sprintf "%.2fx" (ms_pt 0 /. ms_pt k);
+          (if float_bits_equal results.(k) results.(0) then "bit-identical"
+           else "MISMATCH");
         ])
-    widths;
+    modes;
   Table.print t3;
-  Obs.timer_record (Obs.timer "kern.sweep_auto") (!ms_auto /. 1000.0);
-  let speedup = !ms_b1 /. !ms_auto in
-  let batch_ok = speedup >= 1.5 && !parity_all in
+  let parity = float_bits_equal results.(1) results.(0) in
+  let speedup = ms_pt 0 /. ms_pt 1 in
+  let batch_ok = speedup >= 1.5 && parity in
   Printf.printf
     "BATCH-SMOKE: b1_ms_per_pt=%.4f auto_b=%d auto_ms_per_pt=%.4f \
      speedup=%.2fx parity=%s ok=%s\n"
-    !ms_b1 auto_b !ms_auto speedup
-    (if !parity_all then "bit" else "MISMATCH")
+    (ms_pt 0) auto_b (ms_pt 1) speedup
+    (if parity then "bit" else "MISMATCH")
     (if batch_ok then "ok" else "FAIL");
   let gemm_ok = exp_gemm () in
   if demod_b >= 48_000.0 || not batch_ok || not gemm_ok then exit 1
@@ -1460,21 +1520,13 @@ let () =
         | Some _ | None ->
             Printf.eprintf "invalid --jobs value %S\n" v;
             exit 2)
-    | "--batch" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some b when b >= 1 ->
-            Psd.set_default_batch b;
-            parse names rest
-        | Some _ | None ->
-            Printf.eprintf "invalid --batch value %S (width must be >= 1)\n" v;
-            exit 2)
     | "--trace" :: v :: rest ->
         trace := Some v;
         parse names rest
     | "--against" :: v :: rest ->
         against := Some v;
         parse names rest
-    | [ ("--jobs" | "-j" | "--batch" | "--trace" | "--against") ] ->
+    | [ ("--jobs" | "-j" | "--trace" | "--against") ] ->
         Printf.eprintf "%s needs a value\n" Sys.argv.(Array.length Sys.argv - 1);
         exit 2
     | name :: rest -> parse (name :: names) rest

@@ -234,25 +234,6 @@ let setup_term =
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
   in
-  let batch_arg =
-    let doc =
-      "Block width for batched frequency sweeps: $(docv) frequencies \
-       advance in lockstep through blocked multi-RHS kernels.  Results \
-       are bit-identical at any width; $(b,--batch 1) disables blocking. \
-       Defaults to an automatic width from the circuit size.  Must be at \
-       least 1."
-    in
-    let width_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some b when b >= 1 -> Ok b
-        | Some _ -> Error (`Msg "batch width must be at least 1")
-        | None -> Error (`Msg "expected an integer batch width")
-      in
-      Arg.conv ~docv:"B" (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt (some width_conv) None & info [ "batch" ] ~doc ~docv:"B")
-  in
   let env_level () =
     match Option.map String.lowercase_ascii (Sys.getenv_opt "SCNOISE_LOG") with
     | Some "debug" -> Some Logs.Debug
@@ -262,7 +243,7 @@ let setup_term =
     | Some "quiet" -> None
     | Some _ | None -> Some Logs.Warning
   in
-  let setup quiet verbose jobs batch =
+  let setup quiet verbose jobs =
     Fmt_tty.setup_std_outputs ();
     Logs.set_reporter (Logs_fmt.reporter ());
     let level =
@@ -274,10 +255,9 @@ let setup_term =
         | _ -> Some Logs.Debug
     in
     Logs.set_level level;
-    Option.iter Pool.set_default_jobs jobs;
-    Option.iter Psd.set_default_batch batch
+    Option.iter Pool.set_default_jobs jobs
   in
-  Term.(const setup $ quiet_arg $ verbose_arg $ jobs_arg $ batch_arg)
+  Term.(const setup $ quiet_arg $ verbose_arg $ jobs_arg)
 
 let metrics_arg =
   let doc =

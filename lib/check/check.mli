@@ -43,8 +43,8 @@
       [lu_ill_conditioned] / [clu_ill_conditioned] observability
       counters, see {!ill_conditioned}).
     - [ERC011-structural-singular] (error): a per-phase MNA block fails
-      magnitude-aware structural rank.  Entries below
-      [SCNOISE_ERC011_RTOL] times the block's magnitude scale are
+      magnitude-aware structural rank.  Entries below [1e-12] times
+      the block's magnitude scale are
       dropped and maximum bipartite matching is run on the surviving
       pattern; a deficient matching names the minimal (Hall-violator)
       node set whose rows the eventual LU would pivot to near-zero on.
@@ -62,7 +62,7 @@
       contradicts a slot's expected dimension — e.g. a farad-valued
       param used as a resistance ({!Units}).
     - [ERC015-band-capture] (warning, decks only): the [.psd] sweep band
-      captures less than [SCNOISE_ERC015_MIN_CAPTURE] (default 0.1) of
+      captures less than a tenth of
       the static kT/C noise power spread over the clock rate
       ({!Units}). *)
 

@@ -1,14 +1,6 @@
 module Sparsity = Scnoise_circuit.Sparsity
 
-let default_rtol = 1e-12
-
-let rtol () =
-  match Sys.getenv_opt "SCNOISE_ERC011_RTOL" with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some v when v > 0.0 && v < 1.0 -> v
-      | _ -> default_rtol)
-  | None -> default_rtol
+let rtol = 1e-12
 
 let rule = "ERC011-structural-singular"
 
@@ -61,7 +53,7 @@ let hall_violator n_rows adj match_of_col unmatched =
 (* [floating.(p).(i)] is ERC001's per-phase floating set: those defects
    are already reported exactly, so every analysis below skips them. *)
 let check ~node_name ~locate_node ~floating (sp : Sparsity.t) =
-  let tol = rtol () in
+  let tol = rtol in
   let n = sp.Sparsity.n_nodes + 1 in
   let nph = sp.Sparsity.n_phases in
   let classes = sp.Sparsity.classes in

@@ -15,13 +15,12 @@
       structural rank (Dulmage–Mendelsohn-style); the finding names the
       minimal deficient node set, the Hall violator of the matching.
 
-    The relative tolerance defaults to [1e-12] (the sanitizer's
-    ill-conditioning threshold) and can be overridden with
-    [SCNOISE_ERC011_RTOL].  Defects already diagnosed exactly by
+    The relative tolerance is {!rtol}, [1e-12] (the sanitizer's
+    ill-conditioning threshold).  Defects already diagnosed exactly by
     ERC001/ERC002 (floating nodes, ungrounded capacitor islands) are
     not re-reported. *)
 
-val rtol : unit -> float
+val rtol : float
 
 val check :
   node_name:(int -> string) ->

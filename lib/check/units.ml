@@ -197,18 +197,9 @@ let check_dims (e : Elab.t) =
 
 (* ---- ERC015: sweep-bandwidth capture ---- *)
 
-let default_min_capture = 0.1
-
-let min_capture () =
-  match Sys.getenv_opt "SCNOISE_ERC015_MIN_CAPTURE" with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some v when v >= 0.0 && v <= 1.0 -> v
-      | _ -> default_min_capture)
-  | None -> default_min_capture
+let min_capture = 0.1
 
 let check_bandwidth (sp : Sparsity.t) (e : Elab.t) =
-  let threshold = min_capture () in
   let has_ktc =
     sp.Sparsity.cap_edges <> [] && sp.Sparsity.injections <> []
   in
@@ -221,7 +212,7 @@ let check_bandwidth (sp : Sparsity.t) (e : Elab.t) =
            match a with
            | Elab.Psd { fmax = Some f; _ } ->
                let captured = Float.min 1.0 (2.0 *. f /. fs) in
-               if captured < threshold then
+               if captured < min_capture then
                  [
                    Finding.make ~loc
                      ~anchor:("analysis:" ^ string_of_int i)
@@ -230,9 +221,8 @@ let check_bandwidth (sp : Sparsity.t) (e : Elab.t) =
                      (Printf.sprintf
                         "the .psd sweep to fmax %g Hz captures only ~%.1f%% \
                          of the sampled kT/C noise power, which is spread \
-                         over 0..%g Hz (half the %g Hz clock); raise fmax or \
-                         lower SCNOISE_ERC015_MIN_CAPTURE (currently %g)"
-                        f (100.0 *. captured) (0.5 *. fs) fs threshold);
+                         over 0..%g Hz (half the %g Hz clock); raise fmax"
+                        f (100.0 *. captured) (0.5 *. fs) fs);
                  ]
                else []
            | _ -> [])

@@ -12,13 +12,12 @@
     incompatible dimensions, or a dimensioned argument to [exp]/[log] —
     is an error with a caret at the offending expression.
 
-    ERC015 warns when a [.psd] sweep's bandwidth captures less than a
-    configurable fraction (default 0.1, [SCNOISE_ERC015_MIN_CAPTURE]) of
-    the static kT/C noise total: sampled kT/C power is spread nearly
-    uniformly over [0, f_clock/2], so a sweep to [fmax] sees only about
-    [min(1, 2 fmax / f_clock)] of it. *)
+    ERC015 warns when a [.psd] sweep's bandwidth captures less than
+    {!min_capture} ([0.1]) of the static kT/C noise total: sampled kT/C
+    power is spread nearly uniformly over [0, f_clock/2], so a sweep to
+    [fmax] sees only about [min(1, 2 fmax / f_clock)] of it. *)
 
-val min_capture : unit -> float
+val min_capture : float
 
 val check_dims : Scnoise_lang.Elab.t -> Finding.t list
 (** ERC014 over [param_exprs] and [value_slots]. *)

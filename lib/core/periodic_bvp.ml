@@ -31,21 +31,23 @@ type t = {
   nstates : int;
   times : float array;
   interval_phase : int array;
-  cphis : Cmat.t array; (* transitions Phi(t_i, 0), complexified once *)
+  out_row : float array; (* c *)
+  rows : float array array; (* r_i = cᵀ Phi(t_i, 0) *)
   phi_period : Mat.t;
   demods : Ctrapezoid.demod array; (* one per distinct (phase, h) *)
   interval_demod : int array; (* interval i -> index into [demods] *)
   demod_key : (int * float) array; (* demod index -> (phase, h) *)
 }
 
-(* The homogeneous correction in [close_periodic] needs the transitions
-   as complex matrices; materialising them here, once per prepared
-   solver, keeps the per-frequency path free of the O(N n^2)
-   re-complexification it used to pay on every point.  The demodulated
-   steppers (one real LU per distinct (phase, h)) are likewise hoisted:
-   they are frequency-independent, so a whole sweep reuses them. *)
-let of_sampled (cov : Covariance.sampled) =
+(* The homogeneous correction only ever reaches the output through
+   cᵀ Phi(t_i, 0), so one real row per grid point is all of the
+   transitions a solver keeps.  The demodulated steppers (one real LU
+   per distinct (phase, h)) are hoisted here too: they are
+   frequency-independent, so a whole sweep reuses them. *)
+let of_sampled (cov : Covariance.sampled) ~output =
   let sys = cov.Covariance.sys in
+  if Array.length output <> sys.Pwl.nstates then
+    invalid_arg "Periodic_bvp.of_sampled: output row has wrong length";
   let times = cov.Covariance.times in
   let interval_phase = cov.Covariance.interval_phase in
   let nintervals = Array.length times - 1 in
@@ -73,7 +75,11 @@ let of_sampled (cov : Covariance.sampled) =
     nstates = sys.Pwl.nstates;
     times;
     interval_phase;
-    cphis = Array.map Cmat.of_real cov.Covariance.phis;
+    out_row = Array.copy output;
+    rows =
+      Array.map
+        (fun phi -> Mat.mul_transpose_vec phi output)
+        cov.Covariance.phis;
     phi_period = cov.Covariance.phi_period;
     demods = Array.of_list (List.rev !demods);
     interval_demod;
@@ -84,13 +90,11 @@ let times t = Array.copy t.times
 
 let n_points t = Array.length t.times
 
-let n_states t = t.nstates
-
 let interval_phase t = Array.copy t.interval_phase
 
 (* --- per-domain workspace ---
 
-   Everything a solve needs beyond the caller's trajectory lives in
+   Everything a solve needs beyond the caller's output buffer lives in
    domain-local records (same pattern as [Psd]'s scratch): pooled
    sweeps get their own per worker, so prepared solvers stay read-only.
    A workspace serves one state dimension, and a domain keeps those of
@@ -108,10 +112,9 @@ type lanes = {
       (* per demod stepper, per column: refinement count, or -1 for the
          complex-LU fallback *)
   mutable l_nfb : int array; (* per demod stepper: fallback columns *)
+  l_pa : Cvec.panel; (* the particular pass alternates between *)
+  l_pb : Cvec.panel; (* these two panels, P_b(t_{i-1}) -> P_b(t_i) *)
   l_p0 : Cvec.panel; (* boundary values P_b(0) *)
-  l_hom : Cvec.panel; (* homogeneous-correction scratch *)
-  l_cr : float array; (* per-column cos(-w_b t_i) *)
-  l_ci : float array; (* per-column sin(-w_b t_i) *)
 }
 
 type ws = {
@@ -164,10 +167,9 @@ let workspace t ~width =
           l_block = Ctrapezoid.block_work ~dim:n ~width;
           l_iters = [||];
           l_nfb = [||];
+          l_pa = Cvec.panel_create ~dim:n ~width;
+          l_pb = Cvec.panel_create ~dim:n ~width;
           l_p0 = Cvec.panel_create ~dim:n ~width;
-          l_hom = Cvec.panel_create ~dim:n ~width;
-          l_cr = Array.make width 0.0;
-          l_ci = Array.make width 0.0;
         })
   in
   (* the per-stepper tables grow with the richest solver seen here *)
@@ -177,20 +179,6 @@ let workspace t ~width =
     lanes.l_nfb <- Array.make nsteppers 0
   end;
   (ws, lanes)
-
-let alloc_traj t ~width =
-  Array.init (Array.length t.times) (fun _ ->
-      Cvec.panel_create ~dim:t.nstates ~width)
-
-let check_traj t ~width traj =
-  if Array.length traj <> Array.length t.times then
-    invalid_arg "Periodic_bvp: trajectory has wrong length";
-  let len = 2 * t.nstates * width in
-  Array.iter
-    (fun p ->
-      if Array.length p <> len then
-        invalid_arg "Periodic_bvp: trajectory has wrong panel size")
-    traj
 
 (* The complex-LU fallback stepper of demod stepper [si], with column
    [col] tuned to [omega].  It refactors in place only when the
@@ -250,46 +238,70 @@ let step_column t ws ~si ~col ~m ~omega ~p ~k0 ~k1 ~into =
       ~into
   end
 
-(* Forced transient from a zero initial condition, written over [traj]
-   in place.  At width 1 the panel is the column itself and every step
-   takes the single-column kernels.  Above it, an interval whose
-   stepper refines at every frequency of the block takes one panel
-   step; otherwise each column steps alone, gathered out of the panel
-   and scattered back — the panel kernel would solve the fallback
-   columns along with the refining ones at every refinement pass. *)
-let particular_into t ws lanes ~omegas ~omega0 ~kl ~kr traj =
+(* y_b(t_i) <- cᵀ P_b(t_i) for every column of one panel; per column the
+   terms are added in state order onto a zero, as a plain dot product
+   would. *)
+let reduce_into t ~width p y ~i =
+  let c = t.out_row in
+  let base = 2 * i * width in
+  Array.fill y base (2 * width) 0.0;
+  for j = 0 to t.nstates - 1 do
+    let cj = c.(j) and pbase = 2 * j * width in
+    for b = 0 to width - 1 do
+      let k = base + (2 * b) and q = pbase + (2 * b) in
+      y.(k) <- y.(k) +. (cj *. p.(q));
+      y.(k + 1) <- y.(k + 1) +. (cj *. p.(q + 1))
+    done
+  done
+
+(* Forced transient from a zero initial condition, reduced to the output
+   at every grid point as it goes; returns the panel holding P_b(T).  At
+   width 1 the panels are the columns themselves and every step takes
+   the single-column kernels.  Above it, an interval whose stepper
+   refines at every frequency of the block takes one panel step;
+   otherwise each column steps alone, gathered out of the panel and
+   scattered back — the panel kernel would solve the fallback columns
+   along with the refining ones at every refinement pass. *)
+let particular_into t ws lanes ~omegas ~omega0 ~kl ~kr y =
   let width = lanes.l_width in
   let npts = Array.length t.times in
-  Cvec.panel_fill_zero traj.(0);
+  let p = ref lanes.l_pa and into = ref lanes.l_pb in
+  Cvec.panel_fill_zero !p;
+  reduce_into t ~width !p y ~i:0;
   for i = 1 to npts - 1 do
     let si = t.interval_demod.(i - 1) in
     let iters = lanes.l_iters.(si) in
-    let p = traj.(i - 1) and into = traj.(i) in
     let k0 = kl (i - 1) and k1 = kr (i - 1) in
     if width = 1 then
       step_column t ws ~si ~col:0 ~m:iters.(0) ~omega:omega0
-        ~p:(Cvec.of_data p) ~k0 ~k1 ~into:(Cvec.of_data into)
+        ~p:(Cvec.of_data !p) ~k0 ~k1 ~into:(Cvec.of_data !into)
     else if lanes.l_nfb.(si) = 0 then
       Ctrapezoid.step_block_into t.demods.(si) ~work:lanes.l_block ~omegas
-        ~iters ~p ~k0 ~k1 ~into
+        ~iters ~p:!p ~k0 ~k1 ~into:!into
     else
       for b = 0 to width - 1 do
-        Cvec.panel_get_col p ~width ~col:b ~into:ws.w_col;
+        Cvec.panel_get_col !p ~width ~col:b ~into:ws.w_col;
         step_column t ws ~si ~col:b ~m:iters.(b) ~omega:omegas.(b)
           ~p:ws.w_col ~k0 ~k1 ~into:ws.w_out;
-        Cvec.panel_set_col ws.w_out into ~width ~col:b
-      done
-  done
+        Cvec.panel_set_col ws.w_out !into ~width ~col:b
+      done;
+    reduce_into t ~width !into y ~i;
+    let last = !p in
+    p := !into;
+    into := last
+  done;
+  !p
 
-(* Close the periodic boundary in place: solve every column for P_b(0)
-   against its rotated monodromy I - e^{-jw_bT} Phi (which genuinely
-   differs per frequency), then add the homogeneous correction
-   e^{-jw_bt_i} Phi(t_i) P_b(0) at every grid point. *)
-let close_periodic_into t ws lanes ~omegas traj =
+(* Close the periodic boundary: solve every column for P_b(0) against
+   its rotated monodromy I - e^{-jw_bT} Phi (which genuinely differs per
+   frequency), then add the homogeneous term
+   e^{-jw_bt_i} cᵀ Phi(t_i, 0) P_b(0) = e^{-jw_bt_i} (r_i · P_b(0)) to
+   every output sample — O(n) per point and column. *)
+let close_periodic_into t ws lanes ~omegas ~part_end y =
   let n = t.nstates in
   let width = lanes.l_width in
   let period = t.sys.Pwl.period in
-  let npts = Array.length traj in
+  let npts = Array.length t.times in
   let ld = Cmat.data ws.w_lhs in
   for b = 0 to width - 1 do
     let rot_t = Cx.cis (-.omegas.(b) *. period) in
@@ -309,33 +321,35 @@ let close_periodic_into t ws lanes ~omegas traj =
       done
     done;
     Clu.factor_into ws.w_lu ws.w_lhs;
-    Cvec.panel_get_col traj.(npts - 1) ~width ~col:b ~into:ws.w_col;
+    Cvec.panel_get_col part_end ~width ~col:b ~into:ws.w_col;
     Clu.solve_into ws.w_lu ~work:ws.w_solve ~b:ws.w_col ~into:ws.w_out;
     Cvec.panel_set_col ws.w_out lanes.l_p0 ~width ~col:b
   done;
   Log.debug (fun m ->
       m "BVP closed: %d points, %d frequencies" npts width);
-  (* one matvec per grid point (blocked above width 1), then a
-     per-column rotation axpy ({!Cvec.axpy_ri_into}'s arithmetic) *)
+  let p0 = lanes.l_p0 in
   for i = 0 to npts - 1 do
+    let r = t.rows.(i) in
     for b = 0 to width - 1 do
+      let hr = ref 0.0 and hi = ref 0.0 in
+      for j = 0 to n - 1 do
+        let q = 2 * ((j * width) + b) in
+        hr := !hr +. (r.(j) *. p0.(q));
+        hi := !hi +. (r.(j) *. p0.(q + 1))
+      done;
       let theta = -.omegas.(b) *. t.times.(i) in
-      lanes.l_cr.(b) <- cos theta;
-      lanes.l_ci.(b) <- sin theta
-    done;
-    if width = 1 then
-      Cmat.mul_vec_into t.cphis.(i) (Cvec.of_data lanes.l_p0)
-        ~into:(Cvec.of_data lanes.l_hom)
-    else
-      Cmat.mul_block_into t.cphis.(i) ~width ~x:lanes.l_p0 ~into:lanes.l_hom;
-    Cvec.axpy_block_into ~width ~sre:lanes.l_cr ~sim:lanes.l_ci
-      ~x:lanes.l_hom ~into:traj.(i)
+      let cr = cos theta and ci = sin theta in
+      let k = 2 * ((i * width) + b) in
+      y.(k) <- ((cr *. !hr) -. (ci *. !hi)) +. y.(k);
+      y.(k + 1) <- ((cr *. !hi) +. (ci *. !hr)) +. y.(k + 1)
+    done
   done
 
-let run t ~reference ~omegas ~kl ~kr traj =
+let run t ~reference ~omegas ~kl ~kr y =
   let width = Array.length omegas in
   if width < 1 then invalid_arg "Periodic_bvp.solve: empty block";
-  check_traj t ~width traj;
+  if Array.length y <> 2 * Array.length t.times * width then
+    invalid_arg "Periodic_bvp.solve: output buffer has wrong size";
   Obs.with_span ~src "periodic_bvp.solve" (fun () ->
       Obs.timed_parts h_solve ~parts:width (fun () ->
           Obs.add c_solves width;
@@ -344,13 +358,15 @@ let run t ~reference ~omegas ~kl ~kr traj =
           plan t ws lanes ~reference ~omegas;
           (* [omega0] arrives boxed once: a float read out of [omegas]
              inside the interval loop would be boxed at every call *)
-          particular_into t ws lanes ~omegas ~omega0:omegas.(0) ~kl ~kr traj;
-          close_periodic_into t ws lanes ~omegas traj))
+          let part_end =
+            particular_into t ws lanes ~omegas ~omega0:omegas.(0) ~kl ~kr y
+          in
+          close_periodic_into t ws lanes ~omegas ~part_end y))
 
-let solve t ~omegas ~kl ~kr traj = run t ~reference:false ~omegas ~kl ~kr traj
+let solve t ~omegas ~kl ~kr y = run t ~reference:false ~omegas ~kl ~kr y
 
-let solve_reference t ~omegas ~kl ~kr traj =
-  run t ~reference:true ~omegas ~kl ~kr traj
+let solve_reference t ~omegas ~kl ~kr y =
+  run t ~reference:true ~omegas ~kl ~kr y
 
 let fallback_columns t ~omegas =
   let rec refinable s omega =

@@ -7,9 +7,19 @@
 
     by one forced trapezoidal transient (particular solution), a complex
     boundary solve against the frequency-rotated real monodromy
-    [(I - e^{-jwT} Phi) P(0) = P_part(T)], and superposition.  The PSD
-    engine uses it with [k = K(t) c]; the LPTV transfer-function engine
-    with deterministic input columns.
+    [(I - e^{-jwT} Phi) P(0) = P_part(T)], and superposition — and
+    returns only the output samples [y(t_i) = cᵀ P(t_i)] for the output
+    row [c] the solver was prepared with.  The PSD engine uses it with
+    [k = K(t) c]; the LPTV transfer-function engine with deterministic
+    input columns.
+
+    The particular pass alternates between two state panels and reduces
+    each grid point to [cᵀ P_part(t_i)] as it goes; the homogeneous term
+    is [e^{-jwt_i} (r_i · P(0))] with the real rows
+    [r_i = cᵀ Phi(t_i, 0)] kept at preparation, so no per-state
+    trajectory is ever stored.  For a unit output row — every
+    observable a compiled circuit produces — the samples round exactly
+    like [cᵀ] applied to the full superposed state.
 
     One solve serves every caller.  It takes a block of [width]
     frequencies that advance in lockstep through the shared phase grid
@@ -29,48 +39,45 @@
 module Cvec = Scnoise_linalg.Cvec
 
 type t
-(** Prepared solver: grids, phase matrices, transition matrices and
-    frequency-independent stepper factorisations are shared across
-    frequencies and forcings (the per-domain solve workspace is
-    domain-local, so a prepared solver may be used from a pool). *)
+(** Prepared solver: grids, phase matrices, the output rows
+    [cᵀ Phi(t_i, 0)], the monodromy and frequency-independent stepper
+    factorisations are shared across frequencies and forcings (the
+    per-domain solve workspace is domain-local, so a prepared solver may
+    be used from a pool). *)
 
-val of_sampled : Covariance.sampled -> t
+val of_sampled : Covariance.sampled -> output:Scnoise_linalg.Vec.t -> t
 (** Build from a sampled periodic covariance (which already carries the
-    grid and the transition matrices). *)
+    grid and the transition matrices) for the output row [output].
+    Raises [Invalid_argument] if the row's length is not the state
+    count. *)
 
 val times : t -> float array
 (** The grid over one period ([0 .. T]). *)
 
 val n_points : t -> int
 
-val n_states : t -> int
-
 val interval_phase : t -> int array
 (** Phase index owning each grid interval. *)
 
-val alloc_traj : t -> width:int -> Cvec.panel array
-(** Fresh zero trajectory for {!solve}: [n_points] distinct panels sized
-    [(n_states, width)].  At width 1 each panel is a {!Cvec.t} buffer
-    ({!Cvec.of_data} adopts it without copying). *)
-
 val solve :
   t -> omegas:float array -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) ->
-  Cvec.panel array -> unit
-(** [solve t ~omegas ~kl ~kr traj] writes the periodic steady state
-    [P_b(t_i)] at every frequency [omegas.(b)] into column [b] of
-    [traj.(i)].  [kl i] and [kr i] are the forcing at the left and right
-    endpoints of interval [i] (for [i] in [0 .. n_points - 2]), shared by
-    every column; a continuous forcing passes [kr i = kl (i + 1)], a
-    forcing that switches with the clock evaluates both inside the
-    interval's phase.  Beyond [traj] the solve allocates only transient
-    bookkeeping once the domain's workspace is warm.  Raises
-    [Invalid_argument] on an empty block or a trajectory of the wrong
-    shape, and [Clu.Singular] only if the circuit has a Floquet
-    multiplier of unit modulus. *)
+  Cvec.panel -> unit
+(** [solve t ~omegas ~kl ~kr y] writes the periodic steady-state output
+    [y_b(t_i) = cᵀ P_b(t_i)] at every frequency [omegas.(b)] into entry
+    [(i, b)] of [y], a panel of [n_points] entries by [width] columns
+    ({!Cvec.panel_create}[ ~dim:(n_points t) ~width]).  [kl i] and
+    [kr i] are the forcing at the left and right endpoints of interval
+    [i] (for [i] in [0 .. n_points - 2]), shared by every column; a
+    continuous forcing passes [kr i = kl (i + 1)], a forcing that
+    switches with the clock evaluates both inside the interval's phase.
+    Beyond [y] the solve allocates only transient bookkeeping once the
+    domain's workspace is warm.  Raises [Invalid_argument] on an empty
+    block or an output buffer of the wrong size, and [Clu.Singular]
+    only if the circuit has a Floquet multiplier of unit modulus. *)
 
 val solve_reference :
   t -> omegas:float array -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) ->
-  Cvec.panel array -> unit
+  Cvec.panel -> unit
 (** {!solve} with every interval on the complex-LU stepper, which factors
     the complex LHS per (phase, h) at each frequency — the reference the
     demodulated solve is tested against (agreement well below

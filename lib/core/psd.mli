@@ -17,10 +17,14 @@
     formulation grows at exactly this rate in steady state, so the value
     agrees with the brute-force time-domain engine in the noise library
     (within discretisation error) while costing one clock period of
-    integration per frequency instead of tens or hundreds. *)
+    integration per frequency instead of tens or hundreds.
+
+    The PSD reads only the output samples [cᵀ P(t_i)], so that is all a
+    solve returns ({!Periodic_bvp.solve}): a prepared engine keeps the
+    forcing [K(t_i) c] and one real row [cᵀ Phi(t_i, 0)] per grid point,
+    never a per-state trajectory. *)
 
 module Vec = Scnoise_linalg.Vec
-module Cvec = Scnoise_linalg.Cvec
 module Pwl = Scnoise_circuit.Pwl
 
 type engine
@@ -46,46 +50,27 @@ val psd : engine -> f:float -> float
 val psd_db : engine -> f:float -> float
 (** [10 log10 (psd)] as plotted in the papers. *)
 
-val sweep :
-  ?pool:Scnoise_par.Pool.t -> ?batch:int -> engine -> float array ->
-  float array
-(** Frequency sweep, batched by default: frequencies are tiled into
-    width-[batch] blocks, each advanced in lockstep through the phase
-    grid by one {!Periodic_bvp.solve}, and the blocks are fanned out
-    across [pool] (default: the shared pool).  Every block column is
-    bitwise identical to a width-1 solve at its frequency — a column
-    whose refinement would not converge on some stepper takes that
-    stepper's complex-LU fallback on its own, inside the block — solves
-    are read-only over the prepared engine, and results are placed by
-    index, so the sweep is bit-identical to serial and to [batch:1] at
-    any job count.
-
-    [batch] resolves as: explicit argument, else {!set_default_batch},
-    else an auto width from the state count; the result is clamped to the sweep length.
-    Raises [Invalid_argument] on [batch < 1].  An empty sweep returns
-    [[||]] without touching the pool; a single-point sweep never
-    allocates a panel. *)
+val sweep : ?pool:Scnoise_par.Pool.t -> engine -> float array -> float array
+(** Frequency sweep, batched by circuit size: frequencies are tiled into
+    blocks of {!batch_width} points, each advanced in lockstep through
+    the phase grid by one {!Periodic_bvp.solve}, and the blocks are
+    fanned out across [pool] (default: the shared pool).  Every block
+    column is bitwise identical to a width-1 solve at its frequency — a
+    column whose refinement would not converge on some stepper takes
+    that stepper's complex-LU fallback on its own, inside the block —
+    solves are read-only over the prepared engine, and results are
+    placed by index, so the sweep is bit-identical to [Array.map psd]
+    at any job count.  An empty sweep returns [[||]] without touching
+    the pool; a single-point sweep never allocates a panel. *)
 
 val sweep_db :
-  ?pool:Scnoise_par.Pool.t -> ?batch:int -> engine -> float array ->
-  float array
+  ?pool:Scnoise_par.Pool.t -> engine -> float array -> float array
 
-val set_default_batch : int -> unit
-(** Process-wide default block width for {!sweep} (what [--batch]
-    sets).  Raises [Invalid_argument] on values below 1. *)
-
-val configured_batch : unit -> int option
-(** The pinned process-wide block width ({!set_default_batch}), or
-    [None] when sweeps auto-tune per engine. *)
-
-val batch_width : ?batch:int -> engine -> npoints:int -> int
-(** The block width {!sweep} would use for a sweep of [npoints] over
-    this engine, after resolution and clamping — exposed for status
-    reporting and benchmarks. *)
-
-val envelope : engine -> f:float -> Cvec.t array
-(** The periodic envelope [P(t_i)] on the covariance grid — exposed for
-    diagnostics and tests. *)
+val batch_width : engine -> npoints:int -> int
+(** The block width {!sweep} uses for a sweep of [npoints] over this
+    engine: 16 on circuits of at most 9 states, where blocks measure
+    faster (EXP-B1), else 1; clamped to the sweep length.  Exposed for
+    status reporting and benchmarks. *)
 
 val instantaneous : engine -> f:float -> float array * float array
 (** [(times, s)] — the instantaneous power spectral density
@@ -97,7 +82,7 @@ val average_variance : engine -> float
 (** Time-averaged output variance (from the covariance trace). *)
 
 val integrated_noise :
-  ?points:int -> ?pool:Scnoise_par.Pool.t -> ?batch:int -> engine ->
+  ?points:int -> ?pool:Scnoise_par.Pool.t -> engine ->
   fmin:float -> fmax:float -> float
 (** Output noise power (V^2) in the band [[fmin, fmax]] (plus the
     mirrored negative band — the PSD is double-sided), by trapezoidal

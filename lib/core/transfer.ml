@@ -8,7 +8,6 @@ module Grid = Scnoise_util.Grid
 type engine = {
   sys : Pwl.t;
   bvp : Periodic_bvp.t;
-  out_row : Vec.t;
   times : float array;
   interval_phase : int array;
 }
@@ -17,11 +16,10 @@ let of_sampled cov ~output =
   let sys = cov.Covariance.sys in
   if Array.length output <> sys.Pwl.nstates then
     invalid_arg "Transfer.of_sampled: output row has wrong length";
-  let bvp = Periodic_bvp.of_sampled cov in
+  let bvp = Periodic_bvp.of_sampled cov ~output in
   {
     sys;
     bvp;
-    out_row = output;
     times = Periodic_bvp.times bvp;
     interval_phase = Periodic_bvp.interval_phase bvp;
   }
@@ -43,19 +41,9 @@ let response e ~forcing ~f ~k_range =
   (* the input column switches with the clock: both endpoints of an
      interval take that interval's phase *)
   let k i = cols.(e.interval_phase.(i)) in
-  let env = Periodic_bvp.alloc_traj e.bvp ~width:1 in
-  Periodic_bvp.solve e.bvp ~omegas:[| omega |] ~kl:k ~kr:k env;
-  let y =
-    Array.map
-      (fun d ->
-        let p = Cvec.of_data d in
-        let acc = ref Cx.zero in
-        Array.iteri
-          (fun i c -> acc := Cx.( +: ) !acc (Cx.scale c (Cvec.get p i)))
-          e.out_row;
-        !acc)
-      env
-  in
+  let y = Cvec.create (Array.length e.times) in
+  Periodic_bvp.solve e.bvp ~omegas:[| omega |] ~kl:k ~kr:k (Cvec.data y);
+  let y = Cvec.to_array y in
   let period = e.sys.Pwl.period in
   let wc = 2.0 *. Float.pi /. period in
   Array.init

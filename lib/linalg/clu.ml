@@ -180,83 +180,6 @@ let solve t b =
   Sanitize.check_cvec "Clu.solve (result)" out;
   out
 
-let c_block_solves = Obs.counter "clu_block_solves"
-
-(* Blocked multi-RHS solve over a column-major panel (see Cvec): one
-   traversal of the complex factors serves all [width] right-hand
-   sides, with the inner loops streaming over the adjacent columns of
-   one state.  Per column the arithmetic — permuted gather, forward
-   elimination, back substitution with the scaled complex division —
-   is exactly [substitute_in_place]'s, so every column is bitwise
-   identical to [solve_into] on that column alone (the division branch
-   depends only on the factor diagonal, shared by all columns). *)
-let solve_block_into t ~width ~b ~into =
-  let n = t.n in
-  if width < 1 then invalid_arg "Clu.solve_block_into: width < 1";
-  if Array.length b <> 2 * n * width then
-    invalid_arg "Clu.solve_block_into: dimension mismatch";
-  if Array.length into <> 2 * n * width then
-    invalid_arg "Clu.solve_block_into: output dimension mismatch";
-  if b == into then
-    invalid_arg "Clu.solve_block_into: output must not alias b";
-  Sanitize.check_panel "Clu.solve_block" ~width b;
-  Obs.add c_solves width;
-  Obs.incr c_block_solves;
-  let lu = t.lu in
-  let x = into in
-  let w2 = 2 * width in
-  for i = 0 to n - 1 do
-    Array.blit b (t.piv.(i) * w2) x (i * w2) w2
-  done;
-  for i = 1 to n - 1 do
-    let irow = i * w2 in
-    for j = 0 to i - 1 do
-      let lr = lu.(2 * ((i * n) + j)) and li = lu.((2 * ((i * n) + j)) + 1) in
-      let jrow = j * w2 in
-      for bcol = 0 to width - 1 do
-        let ik = irow + (2 * bcol) and jk = jrow + (2 * bcol) in
-        let xr = x.(jk) and xi = x.(jk + 1) in
-        x.(ik) <- x.(ik) -. ((lr *. xr) -. (li *. xi));
-        x.(ik + 1) <- x.(ik + 1) -. ((lr *. xi) +. (li *. xr))
-      done
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let irow = i * w2 in
-    for j = i + 1 to n - 1 do
-      let ur = lu.(2 * ((i * n) + j)) and ui = lu.((2 * ((i * n) + j)) + 1) in
-      let jrow = j * w2 in
-      for bcol = 0 to width - 1 do
-        let ik = irow + (2 * bcol) and jk = jrow + (2 * bcol) in
-        let xr = x.(jk) and xi = x.(jk + 1) in
-        x.(ik) <- x.(ik) -. ((ur *. xr) -. (ui *. xi));
-        x.(ik + 1) <- x.(ik + 1) -. ((ur *. xi) +. (ui *. xr))
-      done
-    done;
-    let dr = lu.(2 * ((i * n) + i)) and di = lu.((2 * ((i * n) + i)) + 1) in
-    if abs_float dr >= abs_float di then begin
-      let r = di /. dr in
-      let d = dr +. (r *. di) in
-      for bcol = 0 to width - 1 do
-        let ik = irow + (2 * bcol) in
-        let ar = x.(ik) and ai = x.(ik + 1) in
-        x.(ik) <- (ar +. (r *. ai)) /. d;
-        x.(ik + 1) <- (ai -. (r *. ar)) /. d
-      done
-    end
-    else begin
-      let r = dr /. di in
-      let d = di +. (r *. dr) in
-      for bcol = 0 to width - 1 do
-        let ik = irow + (2 * bcol) in
-        let ar = x.(ik) and ai = x.(ik + 1) in
-        x.(ik) <- ((r *. ar) +. ai) /. d;
-        x.(ik + 1) <- ((r *. ai) -. ar) /. d
-      done
-    end
-  done;
-  Sanitize.check_panel "Clu.solve_block (result)" ~width into
-
 let det t =
   let acc = ref (Cx.re t.sign) in
   for i = 0 to t.n - 1 do

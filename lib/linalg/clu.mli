@@ -26,14 +26,6 @@ val solve_into : t -> work:float array -> b:Cvec.t -> into:Cvec.t -> unit
 (** Allocation-free {!solve}.  [work] needs at least [2 n] floats;
     [into] may alias [b] (the permuted gather goes through [work]). *)
 
-val solve_block_into :
-  t -> width:int -> b:Cvec.panel -> into:Cvec.panel -> unit
-(** Blocked multi-RHS {!solve_into} over column-major panels
-    ({!Cvec.panel}): one traversal of the factors solves all [width]
-    columns, each factor element loaded once per block.  Column [b] of
-    the result is bitwise identical to {!solve_into} on that column
-    alone.  Allocation-free; [into] must not alias [b]. *)
-
 val det : t -> Cx.t
 
 val inverse : t -> Cmat.t

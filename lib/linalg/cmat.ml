@@ -125,42 +125,6 @@ let mul_vec m v =
   mul_vec_into m v ~into:out;
   out
 
-(* Blocked multi-RHS matvec over a column-major panel (see Cvec's panel
-   layout): each matrix element is loaded once per [width] columns and
-   the inner loop streams over the [2 * width] adjacent floats of one
-   state.  The per-column accumulation order is exactly
-   [mul_vec_into]'s (zero, then add the j-terms in order), so column b
-   of the result is bitwise identical to [mul_vec_into] on column b. *)
-let mul_block_into m ~width ~x ~into =
-  if width < 1 then invalid_arg "Cmat.mul_block_into: width < 1";
-  if Array.length x <> 2 * m.nc * width then
-    invalid_arg "Cmat.mul_block_into: dimension mismatch";
-  if Array.length into <> 2 * m.nr * width then
-    invalid_arg "Cmat.mul_block_into: output dimension mismatch";
-  if x == into && m.nr > 0 && m.nc > 0 then
-    invalid_arg "Cmat.mul_block_into: output must not alias the input";
-  (* entry checks pin all indices below; unsafe accesses only drop the
-     bounds checks, the arithmetic and its order are unchanged *)
-  let d = m.d in
-  for i = 0 to m.nr - 1 do
-    let obase = 2 * i * width in
-    Array.fill into obase (2 * width) 0.0;
-    let mbase = 2 * i * m.nc in
-    for j = 0 to m.nc - 1 do
-      let ar = Array.unsafe_get d (mbase + (2 * j))
-      and ai = Array.unsafe_get d (mbase + (2 * j) + 1) in
-      let xbase = 2 * j * width in
-      for b = 0 to width - 1 do
-        let xk = xbase + (2 * b) and ok = obase + (2 * b) in
-        let br = Array.unsafe_get x xk and bi = Array.unsafe_get x (xk + 1) in
-        Array.unsafe_set into ok
-          (Array.unsafe_get into ok +. ((ar *. br) -. (ai *. bi)));
-        Array.unsafe_set into (ok + 1)
-          (Array.unsafe_get into (ok + 1) +. ((ar *. bi) +. (ai *. br)))
-      done
-    done
-  done
-
 let transpose m = init m.nc m.nr (fun i j -> get m j i)
 
 let adjoint m = init m.nc m.nr (fun i j -> Cx.conj (get m j i))

@@ -39,14 +39,6 @@ val mul_vec_into : t -> Cvec.t -> into:Cvec.t -> unit
 (** Allocation-free {!mul_vec}.  [into] must not alias the input
     vector (the product is accumulated row by row). *)
 
-val mul_block_into :
-  t -> width:int -> x:Cvec.panel -> into:Cvec.panel -> unit
-(** Blocked multi-RHS {!mul_vec_into} over column-major panels
-    ({!Cvec.panel}): [into_b = m x_b] for every column [b], each
-    matrix element loaded once per [width] columns.  Column [b] of the
-    result is bitwise identical to {!mul_vec_into} applied to column
-    [b] alone.  [into] must not alias [x]; allocation-free. *)
-
 val transpose : t -> t
 
 val adjoint : t -> t

@@ -215,28 +215,3 @@ let panel_get_col (p : panel) ~width ~col ~(into : t) =
   done
 
 let panel_fill_zero p = Array.fill p 0 (Array.length p) 0.0
-
-(* Per-column complex axpy with one (sre, sim) scalar per column; the
-   arithmetic per column is exactly {!axpy_ri_into}'s, so a panel
-   column stays bitwise identical to the corresponding scalar call. *)
-let axpy_block_into ~width ~sre ~sim ~x ~into =
-  if width < 1 then invalid_arg "Cvec.axpy_block_into: width < 1";
-  if Array.length sre < width || Array.length sim < width then
-    invalid_arg "Cvec.axpy_block_into: scalar arrays shorter than width";
-  if Array.length x <> Array.length into then
-    invalid_arg "Cvec.axpy_block_into: panel size mismatch";
-  (* entry checks pin all indices below; unsafe accesses only drop the
-     bounds checks, the arithmetic and its order are unchanged *)
-  let n = Array.length x / (2 * width) in
-  for i = 0 to n - 1 do
-    let base = 2 * i * width in
-    for b = 0 to width - 1 do
-      let k = base + (2 * b) in
-      let re = Array.unsafe_get x k and im = Array.unsafe_get x (k + 1) in
-      let sr = Array.unsafe_get sre b and si = Array.unsafe_get sim b in
-      Array.unsafe_set into k
-        (((sr *. re) -. (si *. im)) +. Array.unsafe_get into k);
-      Array.unsafe_set into (k + 1)
-        (((sr *. im) +. (si *. re)) +. Array.unsafe_get into (k + 1))
-    done
-  done

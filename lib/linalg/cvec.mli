@@ -80,7 +80,7 @@ val axpy_ri_into : sre:float -> sim:float -> x:t -> into:t -> unit
     column-major over the block: entry (state [i], column [b]) lives at
     [2 * (i * width + b)] (re) / [2 * (i * width + b) + 1] (im).  All
     [width] columns of one state are adjacent, so blocked kernels
-    ({!Lu.solve_block_into}, {!Cmat.mul_block_into}, ...) load each
+    ({!Lu.solve_block_into}, [Ctrapezoid.step_block_into]) load each
     factor element once per [width] right-hand sides and stream over
     contiguous memory in their inner loops.  Each column of a blocked
     kernel's result is bitwise identical to the corresponding
@@ -102,14 +102,6 @@ val panel_get_col : panel -> width:int -> col:int -> into:t -> unit
 (** Gather column [col] of the panel into a vector. *)
 
 val panel_fill_zero : panel -> unit
-
-val axpy_block_into :
-  width:int -> sre:float array -> sim:float array -> x:panel -> into:panel ->
-  unit
-(** Per-column complex axpy: column [b] of [into] accumulates
-    [(sre.(b) + i sim.(b)) * x_b], with {!axpy_ri_into}'s arithmetic
-    per column.  [into] may alias [x] only if they are the same panel
-    elementwise (the update is elementwise). *)
 
 (** {1 Raw storage} *)
 

@@ -138,8 +138,10 @@ val step_block_into :
   p:Cvec.panel -> k0:Cvec.t -> k1:Cvec.t -> into:Cvec.panel -> unit
 (** One blocked step: column [b] advances the envelope at
     [omegas.(b)] with [iters.(b)] refinement iterations (each from
-    {!demod_iters} at that frequency; all must be non-negative —
-    unbatchable frequencies belong on the scalar path).  [omegas] and
+    {!demod_iters} at that frequency; all must be non-negative — a
+    column whose stepper falls back to complex LU at its frequency
+    steps on its own, so the caller takes the whole interval column by
+    column, as [Periodic_bvp.solve] does).  [omegas] and
     [iters] must have length [block_width work], and the panels must
     be sized for (demod dimension, that width).  [into] must not alias
     [p] or the scratch panels.  The forcing [k0]/[k1] is shared by all

@@ -469,10 +469,6 @@ let stats_json t =
       ("served", Json.Num (float_of_int t.served));
       ("errors", Json.Num (float_of_int t.failed));
       ("jobs", Json.Num (float_of_int (Pool.default_jobs ())));
-      ( "batch",
-        match Psd.configured_batch () with
-        | Some w -> Json.Num (float_of_int w)
-        | None -> Json.Str "auto" );
       ( "cache",
         Json.Obj
           [

@@ -1,0 +1,46 @@
+(* A periodic-BVP solver over a PSD engine's covariance and output row,
+   driven by the PSD forcing K(t_i) c but built apart from the engine,
+   so tests reach the solve layer's complex output samples and its
+   reference solve directly. *)
+
+module Mat = Scnoise_linalg.Mat
+module Cvec = Scnoise_linalg.Cvec
+module Bvp = Scnoise_core.Periodic_bvp
+module Psd = Scnoise_core.Psd
+module Covariance = Scnoise_core.Covariance
+
+type t = { bvp : Bvp.t; forcing : Cvec.t array }
+
+let of_engine eng =
+  let cov = Psd.covariance eng and c = Psd.output eng in
+  {
+    bvp = Bvp.of_sampled cov ~output:c;
+    forcing =
+      Array.map (fun k -> Cvec.of_real (Mat.mul_vec k c)) cov.Covariance.ks;
+  }
+
+(* [y] is a panel of [n_points] entries by [Array.length omegas]
+   columns *)
+let solve ?(reference = false) fx ~omegas y =
+  (if reference then Bvp.solve_reference else Bvp.solve)
+    fx.bvp ~omegas ~kl:(Array.get fx.forcing)
+    ~kr:(fun i -> fx.forcing.(i + 1))
+    y
+
+(* The output samples y(t_i) = cᵀ P(t_i) of one width-1 solve at [f]. *)
+let samples ?reference fx ~f =
+  let y = Cvec.create (Bvp.n_points fx.bvp) in
+  solve ?reference fx ~omegas:[| 2.0 *. Float.pi *. f |] (Cvec.data y);
+  y
+
+(* The PSD from width-1 reference solves (complex LU on every interval),
+   reduced here rather than by [Psd]: the oracle shares only the
+   prepared grid and covariance with the engine under test. *)
+let reference_psd fx ~period freqs =
+  let times = Bvp.times fx.bvp in
+  Array.map
+    (fun f ->
+      let y = Cvec.data (samples ~reference:true fx ~f) in
+      let s = Array.init (Array.length times) (fun i -> 2.0 *. y.(2 * i)) in
+      Scnoise_util.Grid.trapezoid times s /. period)
+    freqs

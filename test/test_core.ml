@@ -14,6 +14,8 @@ module Contrib = Scnoise_core.Contrib
 module Lti = Scnoise_analytic.Lti
 module A_src = Scnoise_analytic.Switched_rc
 module C_src = Scnoise_circuits.Switched_rc
+module Cx = Scnoise_linalg.Cx
+module Cvec = Scnoise_linalg.Cvec
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > eps *. (1.0 +. abs_float expected) then
@@ -192,12 +194,31 @@ let test_psd_positive () =
 let test_psd_envelope_periodicity () =
   let b = switched_rc () in
   let eng = Psd.prepare b.C_src.sys ~output:b.C_src.output in
-  let env = Psd.envelope eng ~f:5e4 in
-  let n = Array.length env in
-  let d = Scnoise_linalg.Cvec.max_abs_diff env.(0) env.(n - 1) in
-  let scale = Scnoise_linalg.Cvec.norm_inf env.(0) in
+  let y = Bvp_fixture.samples (Bvp_fixture.of_engine eng) ~f:5e4 in
+  let n = Cvec.dim y in
+  let d = Cx.modulus (Cx.( -: ) (Cvec.get y 0) (Cvec.get y (n - 1))) in
+  let scale = Cx.modulus (Cvec.get y 0) in
   if d > 1e-9 *. (1.0 +. scale) then
-    Alcotest.failf "envelope not periodic: %g" d
+    Alcotest.failf "output envelope not periodic: %g" d
+
+(* A prepared engine keeps what the output reads — the forcing K(t_i) c,
+   one real row cᵀ Phi(t_i, 0) per grid point and the per-(phase, h)
+   stepper factors — not an n x n matrix per grid point. *)
+let test_engine_footprint () =
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let b = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
+  let eng = Psd.prepare ~samples_per_phase:48 b.LAD.sys ~output:b.LAD.output in
+  let cov = Psd.covariance eng in
+  let n = b.LAD.sys.Pwl.nstates in
+  let npts = Array.length cov.Covariance.times in
+  let own =
+    Obj.reachable_words (Obj.repr eng) - Obj.reachable_words (Obj.repr cov)
+  in
+  let bound = npts * n * n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d-state engine holds %d words of its own (< %d)" n own
+       bound)
+    true (own < bound)
 
 let test_psd_white_input_independence () =
   (* a plain RC PSD at DC must be 2kTR regardless of grid resolution *)
@@ -304,6 +325,8 @@ let () =
           Alcotest.test_case "sweep" `Quick test_psd_sweep_consistency;
           Alcotest.test_case "positive" `Quick test_psd_positive;
           Alcotest.test_case "envelope periodic" `Quick test_psd_envelope_periodicity;
+          Alcotest.test_case "engine keeps no per-point matrices" `Quick
+            test_engine_footprint;
           Alcotest.test_case "grid independence" `Quick test_psd_white_input_independence;
           Alcotest.test_case "parseval" `Slow test_psd_parseval;
         ] );

@@ -212,64 +212,68 @@ let prop_reusable_retune =
           (0, 1e3); (1, 4.4e6) ]
       && agrees a' 2e-7 [ (2, 2.7e5); (0, 1e3); (2, 2.7e5) ])
 
-(* --- trajectory buffers are distinct --- *)
+(* --- block columns are width-1 solves --- *)
 
-let test_traj_distinct () =
+(* Column b of a width-w block solve is bitwise the width-1 solve at
+   omegas.(b), at every output sample.  The low-pass block straddles its
+   refinable edge (~4.1 kHz at 128 samples per phase), so fallback
+   columns sit inside the blocks. *)
+let test_block_width_parity () =
   let b = LP.build LP.default in
-  let cov = Scnoise_core.Covariance.sample ~samples_per_phase:32 b.LP.sys in
-  let bvp = Bvp.of_sampled cov in
+  let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
+  let fx = Bvp_fixture.of_engine eng in
+  let npts = Bvp.n_points fx.Bvp_fixture.bvp in
+  let omegas =
+    Array.map
+      (fun f -> 2.0 *. Float.pi *. f)
+      (Scnoise_util.Grid.linspace 3_000.0 5_000.0 16)
+  in
+  let nfb = Bvp.fallback_columns fx.Bvp_fixture.bvp ~omegas in
+  Alcotest.(check bool)
+    (Printf.sprintf "fallback columns inside the band (%d of 16)" nfb)
+    true
+    (nfb > 0 && nfb < 16);
+  let single =
+    Array.map
+      (fun o ->
+        let y = Cvec.panel_create ~dim:npts ~width:1 in
+        Bvp_fixture.solve fx ~omegas:[| o |] y;
+        y)
+      omegas
+  in
   List.iter
     (fun width ->
-      let traj = Bvp.alloc_traj bvp ~width in
-      let snapshot = Array.map Array.copy traj in
-      (* mutating one entry must leave every other entry untouched *)
-      traj.(0).(0) <- 42.0;
-      for i = 1 to Array.length traj - 1 do
-        Alcotest.(check bool)
-          (Printf.sprintf "width %d: traj.(%d) unchanged" width i)
-          true
-          (traj.(i) = snapshot.(i))
+      let start = ref 0 in
+      while !start < Array.length omegas do
+        let len = min width (Array.length omegas - !start) in
+        let y = Cvec.panel_create ~dim:npts ~width:len in
+        Bvp_fixture.solve fx ~omegas:(Array.sub omegas !start len) y;
+        for col = 0 to len - 1 do
+          let want = single.(!start + col) in
+          let same = ref true in
+          for i = 0 to npts - 1 do
+            let k = 2 * ((i * len) + col) in
+            if
+              Int64.bits_of_float y.(k) <> Int64.bits_of_float want.(2 * i)
+              || Int64.bits_of_float y.(k + 1)
+                 <> Int64.bits_of_float want.((2 * i) + 1)
+            then same := false
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "width %d: column %d bitwise width-1" width
+               (!start + col))
+            true !same
+        done;
+        start := !start + len
       done)
-    [ 1; 3 ];
-  let one = Cvec.init (Bvp.n_states bvp) (fun _ -> Cx.one) in
-  let p = Bvp.alloc_traj bvp ~width:1 in
-  Bvp.solve bvp ~omegas:[| 6e3 |] ~kl:(fun _ -> one) ~kr:(fun _ -> one) p;
-  let before = Array.copy p.(2) in
-  p.(1).(0) <- 7.0;
-  Alcotest.(check bool) "solved entries distinct" true (p.(2) = before)
+    [ 3; 16 ]
 
 (* --- demod sweep vs the reference solve --- *)
 
-(* PSD at each frequency from one width-1 reference solve (complex LU on
-   every interval), reduced here rather than by [Psd]: the oracle shares
-   only the prepared grid and covariance with the engine under test. *)
 let reference_psd eng freqs =
-  let cov = Psd.covariance eng and c = Psd.output eng in
-  let bvp = Bvp.of_sampled cov in
-  let forcing =
-    Array.map
-      (fun k -> Cvec.of_real (Mat.mul_vec k c))
-      cov.Scnoise_core.Covariance.ks
-  in
-  let traj = Bvp.alloc_traj bvp ~width:1 in
-  let period = cov.Scnoise_core.Covariance.sys.Scnoise_circuit.Pwl.period in
-  Array.map
-    (fun f ->
-      Bvp.solve_reference bvp
-        ~omegas:[| 2.0 *. Float.pi *. f |]
-        ~kl:(Array.get forcing)
-        ~kr:(fun i -> forcing.(i + 1))
-        traj;
-      let s =
-        Array.map
-          (fun d ->
-            let acc = ref 0.0 in
-            Array.iteri (fun j cj -> acc := !acc +. (cj *. d.(2 * j))) c;
-            2.0 *. !acc)
-          traj
-      in
-      Scnoise_util.Grid.trapezoid (Bvp.times bvp) s /. period)
-    freqs
+  let cov = Psd.covariance eng in
+  Bvp_fixture.reference_psd (Bvp_fixture.of_engine eng)
+    ~period:cov.Scnoise_core.Covariance.sys.Scnoise_circuit.Pwl.period freqs
 
 let check_db_close name freqs fast slow =
   Array.iteri
@@ -405,26 +409,6 @@ let prop_lu_block =
         cols;
       !ok)
 
-let prop_clu_block =
-  QCheck.Test.make ~count:120
-    ~name:"Clu.solve_block_into == per-column solve_into (bitwise)" bspec_arb
-    (fun s ->
-      let rng = brng s in
-      let lu = Clu.factor (random_dd_cmat rng s.bn) in
-      let p, cols = random_panel rng ~dim:s.bn ~width:s.bw in
-      let out = Cvec.panel_create ~dim:s.bn ~width:s.bw in
-      Clu.solve_block_into lu ~width:s.bw ~b:p ~into:out;
-      let work = Array.make (2 * s.bn) 0.0 in
-      let scalar = Cvec.create s.bn and got = Cvec.create s.bn in
-      let ok = ref true in
-      Array.iteri
-        (fun b v ->
-          Clu.solve_into lu ~work ~b:v ~into:scalar;
-          Cvec.panel_get_col out ~width:s.bw ~col:b ~into:got;
-          if not (cvec_equal_bits got scalar) then ok := false)
-        cols;
-      !ok)
-
 let prop_step_block =
   QCheck.Test.make ~count:80
     ~name:"step_block_into == per-column step_demod_into (bitwise)" bspec_arb
@@ -478,11 +462,6 @@ let test_block_aliasing () =
   let lu = Lu.factor (random_dd_mat rng n) in
   rejects "Lu.solve_block_into" (fun () ->
       Lu.solve_block_into lu ~width ~b:p ~into:p);
-  let clu = Clu.factor (random_dd_cmat rng n) in
-  rejects "Clu.solve_block_into" (fun () ->
-      Clu.solve_block_into clu ~width ~b:p ~into:p);
-  rejects "Cmat.mul_block_into" (fun () ->
-      Cmat.mul_block_into (random_cmat rng n) ~width ~x:p ~into:p);
   let st = Ctrap.make_demod ~a:(random_stable_a rng n) ~h:1e-7 in
   let omegas = Array.make width 1e3 in
   let iters = Array.map (fun omega -> Ctrap.demod_iters st ~omega) omegas in
@@ -511,17 +490,7 @@ let test_sweep_edges () =
     (counter "bvp_block_solves");
   Alcotest.(check bool) "single-point sweep matches psd" true
     (Int64.bits_of_float single.(0)
-    = Int64.bits_of_float (Psd.psd eng ~f:1234.5));
-  let rejects f =
-    try
-      f ();
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "sweep rejects batch < 1" true
-    (rejects (fun () -> ignore (Psd.sweep ~pool ~batch:0 eng [| 1e3; 2e3 |])));
-  Alcotest.(check bool) "set_default_batch rejects 0" true
-    (rejects (fun () -> Psd.set_default_batch 0))
+    = Int64.bits_of_float (Psd.psd eng ~f:1234.5))
 
 let float_array_bits_equal a b =
   Array.length a = Array.length b
@@ -529,31 +498,31 @@ let float_array_bits_equal a b =
        (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
        a b
 
+(* Block columns are width-1 solves (test_block_width_parity), so the
+   auto-width sweep is bitwise the pointwise PSD at any job count. *)
 let test_sweep_batch_parity () =
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:64 b.LP.sys ~output:b.LP.output in
-  (* crosses the refinable band's edge (~4 kHz at this deck), so both
-     batched tiles and scalar-fallback tiles are exercised *)
+  (* crosses the refinable band's edge (~4 kHz at this deck), so blocks
+     with and without fallback columns are exercised *)
   let freqs = Scnoise_util.Grid.linspace 100.0 16_000.0 41 in
-  let serial = Pool.create ~jobs:1 () in
-  let par = Pool.create ~jobs:4 () in
-  let reference = Psd.sweep ~pool:serial ~batch:1 eng freqs in
+  Alcotest.(check bool) "the sweep runs blocked" true
+    (Psd.batch_width eng ~npoints:(Array.length freqs) > 1);
+  let pointwise = Array.map (fun f -> Psd.psd eng ~f) freqs in
   List.iter
-    (fun (name, pool, batch) ->
+    (fun jobs ->
       Alcotest.(check bool)
-        (Printf.sprintf "batched sweep (%s) bit-identical to scalar" name)
+        (Printf.sprintf "auto-width sweep (jobs %d) bit-identical to psd" jobs)
         true
-        (float_array_bits_equal (Psd.sweep ~pool ~batch eng freqs) reference))
-    [
-      ("b8 jobs1", serial, 8); ("b8 jobs4", par, 8); ("b3 jobs4", par, 3);
-      ("b16 jobs4", par, 16);
-    ]
+        (float_array_bits_equal
+           (Psd.sweep ~pool:(Pool.create ~jobs ()) eng freqs)
+           pointwise))
+    [ 1; 4 ]
 
 let batched_vs_reference name prep freqs () =
   let eng = prep () in
   let pool = Pool.create ~jobs:1 () in
-  check_db_close name freqs
-    (Psd.sweep ~pool ~batch:8 eng freqs)
+  check_db_close name freqs (Psd.sweep ~pool eng freqs)
     (reference_psd eng freqs)
 
 (* A 16-wide block straddling sc_lowpass's refinable edge (~4.1 kHz at
@@ -569,7 +538,9 @@ let test_mixed_fallback_block () =
   let blocks0 = counter "bvp_block_solves" in
   let fb0 = counter "bvp_fallback_steps" in
   let u0 = counter "psd.unbatched_points" in
-  let blocked = Psd.sweep ~pool:serial ~batch:16 eng freqs in
+  Alcotest.(check int) "auto width spans the band" 16
+    (Psd.batch_width eng ~npoints:16);
+  let blocked = Psd.sweep ~pool:serial eng freqs in
   Alcotest.(check int) "one block solve" (blocks0 + 1)
     (counter "bvp_block_solves");
   let unbatched = counter "psd.unbatched_points" - u0 in
@@ -581,13 +552,11 @@ let test_mixed_fallback_block () =
   Alcotest.(check bool) "the block takes fallback steps" true
     (counter "bvp_fallback_steps" > fb0);
   check_db_close "mixed block" freqs blocked (reference_psd eng freqs);
-  List.iter
-    (fun (name, pool) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "mixed block bit-identical to batch 1 (%s)" name)
-        true
-        (float_array_bits_equal blocked (Psd.sweep ~pool ~batch:1 eng freqs)))
-    [ ("jobs1", serial); ("jobs4", par) ]
+  let pointwise = Array.map (fun f -> Psd.psd eng ~f) freqs in
+  Alcotest.(check bool) "mixed block bit-identical to psd (jobs1)" true
+    (float_array_bits_equal blocked pointwise);
+  Alcotest.(check bool) "mixed block bit-identical to psd (jobs4)" true
+    (float_array_bits_equal (Psd.sweep ~pool:par eng freqs) pointwise)
 
 (* psd.unbatched_points counts the sweep points that took at least one
    complex-LU fallback step: exactly the frequencies whose lone solve
@@ -606,15 +575,10 @@ let test_unbatched_points () =
   in
   Alcotest.(check bool) "the band crosses the refinable edge" true
     (expected > 0 && expected < Array.length freqs);
-  List.iter
-    (fun batch ->
-      let u0 = counter "psd.unbatched_points" in
-      ignore (Psd.sweep ~pool:(Pool.create ~jobs:1 ()) ~batch eng freqs);
-      Alcotest.(check int)
-        (Printf.sprintf "unbatched points at batch %d" batch)
-        expected
-        (counter "psd.unbatched_points" - u0))
-    [ 1; 16 ]
+  let u0 = counter "psd.unbatched_points" in
+  ignore (Psd.sweep ~pool:(Pool.create ~jobs:1 ()) eng freqs);
+  Alcotest.(check int) "unbatched points of the blocked sweep" expected
+    (counter "psd.unbatched_points" - u0)
 
 let prep_integrator () =
   let b = SI.build SI.default in
@@ -633,8 +597,8 @@ let () =
       qsuite "steppers" [ prop_step_into; prop_reusable_retune ];
       ( "bvp",
         [
-          Alcotest.test_case "trajectory buffers distinct" `Quick
-            test_traj_distinct;
+          Alcotest.test_case "block columns == width-1 solves (bitwise)" `Quick
+            test_block_width_parity;
           Alcotest.test_case "demod parity lowpass" `Quick
             (demod_parity "lowpass" prep_lowpass
                [ 10.0; 320.0; 1e3; 3.3e3; 7.7e3; 1.6e4 ]);
@@ -645,7 +609,7 @@ let () =
           Alcotest.test_case "fallback steppers bounded across solvers" `Quick
             test_fallback_table_bounded;
         ] );
-      qsuite "blocked kernels" [ prop_lu_block; prop_clu_block; prop_step_block ];
+      qsuite "blocked kernels" [ prop_lu_block; prop_step_block ];
       ( "batched sweeps",
         [
           Alcotest.test_case "panel kernels reject aliasing" `Quick

@@ -11,6 +11,8 @@ module Grid = Scnoise_util.Grid
 module Pwl = Scnoise_circuit.Pwl
 module Covariance = Scnoise_core.Covariance
 module Psd = Scnoise_core.Psd
+module Cx = Scnoise_linalg.Cx
+module Cvec = Scnoise_linalg.Cvec
 module Esd = Scnoise_noise.Esd_transient
 
 (* --- random system generator --- *)
@@ -161,31 +163,41 @@ let prop_floquet_inside_unit_disc =
       Eig.spectral_radius (Pwl.monodromy sys) < 1.0)
 
 let prop_envelope_conjugate_symmetry =
-  (* the PSD integrand is built from P(f); P(-f) must be the conjugate
-     of P(f), making the PSD even and real *)
+  (* the PSD integrand is built from the output envelope y(t) = cᵀ P(t);
+     y at -f must be the conjugate of y at f, making the PSD even and
+     real *)
   QCheck.Test.make ~count:20 ~name:"envelope conjugate symmetry" spec_arb
     (fun spec ->
       let sys, output = build spec in
       let eng = Psd.prepare ~samples_per_phase:32 sys ~output in
+      let fx = Bvp_fixture.of_engine eng in
       let f = 0.61 /. sys.Pwl.period in
-      let p_pos = Psd.envelope eng ~f in
-      let p_neg = Psd.envelope eng ~f:(-.f) in
-      let module Cvec = Scnoise_linalg.Cvec in
+      let y_pos = Bvp_fixture.samples fx ~f in
+      let y_neg = Bvp_fixture.samples fx ~f:(-.f) in
       let ok = ref true in
-      Array.iteri
-        (fun i pp ->
-          for j = 0 to Cvec.dim pp - 1 do
-            let z = Cvec.get pp j in
-            let w = Cvec.get p_neg.(i) j in
-            let d =
-              Scnoise_linalg.Cx.modulus
-                (Scnoise_linalg.Cx.( -: ) (Scnoise_linalg.Cx.conj z) w)
-            in
-            let scale = 1e-9 *. (1.0 +. Scnoise_linalg.Cx.modulus z) in
-            if d > scale then ok := false
-          done)
-        p_pos;
+      for i = 0 to Cvec.dim y_pos - 1 do
+        let z = Cvec.get y_pos i in
+        let d = Cx.modulus (Cx.( -: ) (Cx.conj z) (Cvec.get y_neg i)) in
+        if d > 1e-9 *. (1.0 +. Cx.modulus z) then ok := false
+      done;
       !ok)
+
+(* The output row here is not a unit row, so the solve's split
+   cᵀ P_part + r_i · P(0) rounds differently from cᵀ applied to the
+   superposed state; it must still agree with the reference solve. *)
+let prop_general_row_vs_reference =
+  QCheck.Test.make ~count:20 ~name:"general output row vs reference solve"
+    spec_arb (fun spec ->
+      let sys, output = build spec in
+      let eng = Psd.prepare ~samples_per_phase:32 sys ~output in
+      let fx = Bvp_fixture.of_engine eng in
+      let period = sys.Pwl.period in
+      let freqs = Array.map (fun k -> k /. period) [| 0.0; 0.37; 2.9 |] in
+      let reference = Bvp_fixture.reference_psd fx ~period freqs in
+      Array.for_all2
+        (fun f r ->
+          abs_float (Db.of_power (Psd.psd eng ~f) -. Db.of_power r) <= 1e-9)
+        freqs reference)
 
 let () =
   Alcotest.run "property"
@@ -202,5 +214,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_parseval;
           QCheck_alcotest.to_alcotest prop_floquet_inside_unit_disc;
           QCheck_alcotest.to_alcotest prop_envelope_conjugate_symmetry;
+          QCheck_alcotest.to_alcotest prop_general_row_vs_reference;
         ] );
     ]
