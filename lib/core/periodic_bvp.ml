@@ -3,6 +3,7 @@ module Cx = Scnoise_linalg.Cx
 module Cvec = Scnoise_linalg.Cvec
 module Cmat = Scnoise_linalg.Cmat
 module Clu = Scnoise_linalg.Clu
+module Eig = Scnoise_linalg.Eig
 module Ctrapezoid = Scnoise_ode.Ctrapezoid
 module Pwl = Scnoise_circuit.Pwl
 module Obs = Scnoise_obs.Obs
@@ -10,10 +11,6 @@ module Obs = Scnoise_obs.Obs
 let src = Logs.Src.create "scnoise.bvp" ~doc:"periodic boundary-value solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-
-let c_cache_hits = Obs.counter "stepper_cache_hits"
-
-let c_cache_misses = Obs.counter "stepper_cache_misses"
 
 let c_solves = Obs.counter "bvp_solves"
 
@@ -24,26 +21,42 @@ let h_solve = Obs.histogram "periodic_bvp.solve_s"
 
 let c_block_solves = Obs.counter "bvp_block_solves"
 
-let c_fallback_steps = Obs.counter "bvp_fallback_steps"
-
 type t = {
   sys : Pwl.t;
   nstates : int;
   times : float array;
   interval_phase : int array;
+  (* the reference solve's view: original coordinates *)
   out_row : float array; (* c *)
   rows : float array array; (* r_i = cᵀ Phi(t_i, 0) *)
   phi_period : Mat.t;
-  demods : Ctrapezoid.demod array; (* one per distinct (phase, h) *)
-  interval_demod : int array; (* interval i -> index into [demods] *)
-  demod_key : (int * float) array; (* demod index -> (phase, h) *)
+  step_h : float array; (* interval i -> the step its factors are built for *)
+  refactor : bool array; (* interval i starts a new run of equal steps *)
+  (* the Hessenberg basis: A_p = U_p H_p U_pᵀ, Phi = V H_Phi Vᵀ *)
+  basis : Mat.t array; (* per phase: U_p *)
+  hess : Mat.t array; (* per phase: H_p *)
+  out_rows : float array array; (* per phase: U_pᵀ c *)
+  crossing : Mat.t option array;
+      (* per interval i: U_{p(i)}ᵀ U_{p(i-1)} where the phase changes *)
+  h_phi : Mat.t;
+  close_in : Mat.t; (* Vᵀ U_p of the last interval's phase *)
+  hrows : float array array; (* Vᵀ r_i *)
 }
 
-(* The homogeneous correction only ever reaches the output through
-   cᵀ Phi(t_i, 0), so one real row per grid point is all of the
-   transitions a solver keeps.  The demodulated steppers (one real LU
-   per distinct (phase, h)) are hoisted here too: they are
-   frequency-independent, so a whole sweep reuses them. *)
+(* Steps within this relative distance share one factorisation: a
+   phase's uniform steps differ only by the rounding of the grid times
+   they are differences of, and the trapezoid map moves by that much
+   when one stands in for the other. *)
+let step_tol = 1e-12
+
+(* Everything frequency-independent is prepared here: the runs of
+   consecutive intervals that share a phase and a step — each run is
+   factored once per frequency, so a solve holds one factorisation per
+   column at a time — one Hessenberg reduction per phase and of the
+   monodromy, the basis changes at phase boundaries, and the output and
+   homogeneous rows in those bases.  The homogeneous correction only
+   ever reaches the output through cᵀ Phi(t_i, 0), so one real row per
+   grid point is all of the transitions a solver keeps. *)
 let of_sampled (cov : Covariance.sampled) ~output =
   let sys = cov.Covariance.sys in
   if Array.length output <> sys.Pwl.nstates then
@@ -51,24 +64,36 @@ let of_sampled (cov : Covariance.sampled) ~output =
   let times = cov.Covariance.times in
   let interval_phase = cov.Covariance.interval_phase in
   let nintervals = Array.length times - 1 in
-  let table : (int * float, int) Hashtbl.t = Hashtbl.create 32 in
-  let demods = ref [] in
-  let keys = ref [] in
-  let count = ref 0 in
-  let interval_demod =
+  let step_h = Array.init nintervals (fun i -> times.(i + 1) -. times.(i)) in
+  let refactor = Array.make nintervals true in
+  for i = 1 to nintervals - 1 do
+    if
+      interval_phase.(i) = interval_phase.(i - 1)
+      && abs_float (step_h.(i) -. step_h.(i - 1)) <= step_tol *. step_h.(i - 1)
+    then begin
+      refactor.(i) <- false;
+      step_h.(i) <- step_h.(i - 1)
+    end
+  done;
+  let reduced = Array.map (fun ph -> Eig.hessenberg ph.Pwl.a) sys.Pwl.phases in
+  let basis = Array.map snd reduced in
+  let crossings : (int * int, Mat.t) Hashtbl.t = Hashtbl.create 4 in
+  let crossing =
     Array.init nintervals (fun i ->
-        let p = interval_phase.(i) in
-        let h = times.(i + 1) -. times.(i) in
-        match Hashtbl.find_opt table (p, h) with
-        | Some idx -> idx
-        | None ->
-            let st = Ctrapezoid.make_demod ~a:sys.Pwl.phases.(p).Pwl.a ~h in
-            let idx = !count in
-            incr count;
-            demods := st :: !demods;
-            keys := (p, h) :: !keys;
-            Hashtbl.add table (p, h) idx;
-            idx)
+        let p = if i = 0 then interval_phase.(0) else interval_phase.(i - 1) in
+        let q = interval_phase.(i) in
+        if p = q then None
+        else
+          match Hashtbl.find_opt crossings (p, q) with
+          | Some m -> Some m
+          | None ->
+              let m = Mat.mul (Mat.transpose basis.(q)) basis.(p) in
+              Hashtbl.add crossings (p, q) m;
+              Some m)
+  in
+  let h_phi, v = Eig.hessenberg cov.Covariance.phi_period in
+  let rows =
+    Array.map (fun phi -> Mat.mul_transpose_vec phi output) cov.Covariance.phis
   in
   {
     sys;
@@ -76,14 +101,18 @@ let of_sampled (cov : Covariance.sampled) ~output =
     times;
     interval_phase;
     out_row = Array.copy output;
-    rows =
-      Array.map
-        (fun phi -> Mat.mul_transpose_vec phi output)
-        cov.Covariance.phis;
+    rows;
     phi_period = cov.Covariance.phi_period;
-    demods = Array.of_list (List.rev !demods);
-    interval_demod;
-    demod_key = Array.of_list (List.rev !keys);
+    step_h;
+    refactor;
+    basis;
+    hess = Array.map fst reduced;
+    out_rows = Array.map (fun u -> Mat.mul_transpose_vec u output) basis;
+    crossing;
+    h_phi;
+    close_in =
+      Mat.mul (Mat.transpose v) basis.(interval_phase.(nintervals - 1));
+    hrows = Array.map (Mat.mul_transpose_vec v) rows;
   }
 
 let times t = Array.copy t.times
@@ -92,160 +121,108 @@ let n_points t = Array.length t.times
 
 let interval_phase t = Array.copy t.interval_phase
 
+(* --- forcing ---
+
+   The trapezoid step only sees its interval's forcing as
+   h/2 (k0 + k1), so that is what is kept, rotated into the interval's
+   phase basis once per forcing rather than once per step. *)
+
+type forcing = Cvec.t array
+
+let forcing t ~kl ~kr =
+  let n = t.nstates in
+  Array.init (Array.length t.times - 1) (fun i ->
+      let k0 = kl i and k1 = kr i in
+      if Cvec.dim k0 <> n || Cvec.dim k1 <> n then
+        invalid_arg "Periodic_bvp.forcing: wrong dimension";
+      let k0 = Cvec.data k0 and k1 = Cvec.data k1 in
+      let u = Mat.data t.basis.(t.interval_phase.(i)) in
+      let w = 0.5 *. (t.times.(i + 1) -. t.times.(i)) in
+      let g = Cvec.create n in
+      let gd = Cvec.data g in
+      for r = 0 to n - 1 do
+        let re = ref 0.0 and im = ref 0.0 in
+        for j = 0 to n - 1 do
+          let a = u.((j * n) + r) in
+          re := !re +. (a *. (k0.(2 * j) +. k1.(2 * j)));
+          im := !im +. (a *. (k0.((2 * j) + 1) +. k1.((2 * j) + 1)))
+        done;
+        gd.(2 * r) <- w *. !re;
+        gd.((2 * r) + 1) <- w *. !im
+      done;
+      g)
+
 (* --- per-domain workspace ---
 
    Everything a solve needs beyond the caller's output buffer lives in
    domain-local records (same pattern as [Psd]'s scratch): pooled
    sweeps get their own per worker, so prepared solvers stay read-only.
-   A workspace serves one state dimension, and a domain keeps those of
-   the few most recent dimensions, so a daemon alternating between a
-   handful of circuits keeps their fallback steppers warm.  Within one,
-   the width-dependent part ([lanes]) is kept for the few most recent
-   widths, because one sweep legitimately uses two — the tail block is
-   narrower whenever the width doesn't divide the point count — and
-   single points run at width 1. *)
-
-type lanes = {
-  l_width : int;
-  l_block : Ctrapezoid.block_work; (* panel-kernel scratch, width > 1 *)
-  mutable l_iters : int array array;
-      (* per demod stepper, per column: refinement count, or -1 for the
-         complex-LU fallback *)
-  mutable l_nfb : int array; (* per demod stepper: fallback columns *)
-  l_pa : Cvec.panel; (* the particular pass alternates between *)
-  l_pb : Cvec.panel; (* these two panels, P_b(t_{i-1}) -> P_b(t_i) *)
-  l_p0 : Cvec.panel; (* boundary values P_b(0) *)
-}
+   A workspace is sized by its (dimension, width) pair alone — it holds
+   one run's factors per column, refactored as the pass goes — so every
+   solver of that shape reuses it.
+   A domain keeps the few most recent pairs: one sweep legitimately
+   uses two widths — the tail block is narrower whenever the width
+   doesn't divide the point count — single points run at width 1, and
+   a daemon alternates between a handful of circuits. *)
 
 type ws = {
   w_dim : int;
-  w_lanes : lanes list ref; (* most recent first *)
-  w_dw : Ctrapezoid.demod_work; (* single-column demod scratch *)
-  w_lhs : Cmat.t; (* boundary matrix I - e^{-jwT} Phi *)
-  w_lu : Clu.t;
-  w_solve : float array; (* Clu.solve_into workspace, 2n *)
-  w_col : Cvec.t; (* one panel column, gathered *)
-  w_out : Cvec.t; (* one column's result, before scattering *)
-  w_fb : (int, Ctrapezoid.reusable) Hashtbl.t;
-      (* fallback steppers keyed by demod stepper, one factorisation per
-         block column; they rebind to the solver at hand and retune a
-         column in place when its frequency moves, so sweeps — and the
-         solvers a long-lived domain prepares one after another — reuse
-         their buffers *)
+  w_width : int;
+  w_step : Ctrapezoid.hess; (* the current run's factors, per column *)
+  w_close : Ctrapezoid.hess; (* I - e^{-jwT} H_Phi per column *)
+  w_pa : Cvec.panel; (* the particular pass alternates between *)
+  w_pb : Cvec.panel; (* these two panels, P_b(t_{i-1}) -> P_b(t_i) *)
+  w_pc : Cvec.panel; (* a state carried across a phase boundary *)
+  w_p0 : Cvec.panel; (* boundary values, in the monodromy's basis *)
 }
 
 let ws_key : ws list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-let max_cached_dims = 4
-
-let max_cached_lanes = 4
+let max_cached = 16
 
 let workspace t ~width =
   let n = t.nstates in
-  let ws =
-    Scnoise_util.Mru.find (Domain.DLS.get ws_key) ~cap:max_cached_dims
-      ~matches:(fun ws -> ws.w_dim = n)
-      ~make:(fun () ->
-        {
-          w_dim = n;
-          w_lanes = ref [];
-          w_dw = Ctrapezoid.demod_work n;
-          w_lhs = Cmat.create n n;
-          w_lu = Clu.create n;
-          w_solve = Array.make (2 * n) 0.0;
-          w_col = Cvec.create n;
-          w_out = Cvec.create n;
-          w_fb = Hashtbl.create 16;
-        })
-  in
-  let lanes =
-    Scnoise_util.Mru.find ws.w_lanes ~cap:max_cached_lanes
-      ~matches:(fun l -> l.l_width = width)
-      ~make:(fun () ->
-        {
-          l_width = width;
-          l_block = Ctrapezoid.block_work ~dim:n ~width;
-          l_iters = [||];
-          l_nfb = [||];
-          l_pa = Cvec.panel_create ~dim:n ~width;
-          l_pb = Cvec.panel_create ~dim:n ~width;
-          l_p0 = Cvec.panel_create ~dim:n ~width;
-        })
-  in
-  (* the per-stepper tables grow with the richest solver seen here *)
-  let nsteppers = Array.length t.demods in
-  if Array.length lanes.l_iters < nsteppers then begin
-    lanes.l_iters <- Array.init nsteppers (fun _ -> Array.make width 0);
-    lanes.l_nfb <- Array.make nsteppers 0
-  end;
-  (ws, lanes)
+  Scnoise_util.Mru.find (Domain.DLS.get ws_key) ~cap:max_cached
+    ~matches:(fun ws -> ws.w_dim = n && ws.w_width = width)
+    ~make:(fun () ->
+      let hess () = Ctrapezoid.hess_create ~dim:n ~width in
+      let panel () = Cvec.panel_create ~dim:n ~width in
+      {
+        w_dim = n;
+        w_width = width;
+        w_step = hess ();
+        w_close = hess ();
+        w_pa = panel ();
+        w_pb = panel ();
+        w_pc = panel ();
+        w_p0 = panel ();
+      })
 
-(* The complex-LU fallback stepper of demod stepper [si], with column
-   [col] tuned to [omega].  It refactors in place only when the
-   column's frequency or the solver moves, so even fallback-heavy
-   sweeps allocate nothing per point after warm-up.  The table holds
-   the steppers of the richest solver seen at this dimension, each
-   with as many column factorisations as the widest block. *)
-let tune_fallback t ws ~si ~col ~omega =
-  let p, h = t.demod_key.(si) in
-  let a = t.sys.Pwl.phases.(p).Pwl.a in
-  let st =
-    match Hashtbl.find ws.w_fb si with
-    | st ->
-        Obs.incr c_cache_hits;
-        Ctrapezoid.rebind st ~a ~h;
-        st
-    | exception Not_found ->
-        Obs.incr c_cache_misses;
-        let st = Ctrapezoid.make_reusable ~a ~h in
-        Hashtbl.add ws.w_fb si st;
-        st
-  in
-  Ctrapezoid.retune st ~col ~omega
-
-(* Refinement count of every (demod stepper, column) pair at this
-   block's frequencies, with the fallback stepper of each pair that
-   has none tuned up front; the reference solve puts every pair on the
-   fallback. *)
-let plan t ws lanes ~reference ~omegas =
-  for s = 0 to Array.length t.demods - 1 do
-    let row = lanes.l_iters.(s) in
-    let nfb = ref 0 in
-    for b = 0 to lanes.l_width - 1 do
-      let omega = omegas.(b) in
-      let m =
-        if reference then -1 else Ctrapezoid.demod_iters t.demods.(s) ~omega
-      in
-      if m < 0 then begin
-        incr nfb;
-        tune_fallback t ws ~si:s ~col:b ~omega
-      end;
-      row.(b) <- m
-    done;
-    lanes.l_nfb.(s) <- !nfb
+(* dst_b <- m src_b for every column of a panel (real dense [m]) *)
+let apply_into m ~width src dst =
+  let n = Mat.rows m and md = Mat.data m in
+  let w2 = 2 * width in
+  for r = 0 to n - 1 do
+    for b = 0 to width - 1 do
+      let re = ref 0.0 and im = ref 0.0 in
+      for j = 0 to n - 1 do
+        let a = md.((r * n) + j) in
+        let q = (j * w2) + (2 * b) in
+        re := !re +. (a *. src.(q));
+        im := !im +. (a *. src.(q + 1))
+      done;
+      dst.((r * w2) + (2 * b)) <- !re;
+      dst.((r * w2) + (2 * b) + 1) <- !im
+    done
   done
 
-(* One column's step over one interval: the demodulated kernel when its
-   stepper refines at the column's frequency ([m >= 0]), the column's
-   complex-LU fallback otherwise. *)
-let step_column t ws ~si ~col ~m ~omega ~p ~k0 ~k1 ~into =
-  if m >= 0 then
-    Ctrapezoid.step_demod_into t.demods.(si) ~work:ws.w_dw ~omega ~iters:m ~p
-      ~k0 ~k1 ~into
-  else begin
-    Obs.incr c_fallback_steps;
-    Ctrapezoid.step_reusable_into (Hashtbl.find ws.w_fb si) ~col ~p ~k0 ~k1
-      ~into
-  end
-
-(* y_b(t_i) <- cᵀ P_b(t_i) for every column of one panel; per column the
+(* y_b(t_i) <- c · P_b(t_i) for every column of one panel; per column the
    terms are added in state order onto a zero, as a plain dot product
    would. *)
-let reduce_into t ~width p y ~i =
-  let c = t.out_row in
+let reduce_into c ~width p y ~i =
   let base = 2 * i * width in
   Array.fill y base (2 * width) 0.0;
-  for j = 0 to t.nstates - 1 do
+  for j = 0 to Array.length c - 1 do
     let cj = c.(j) and pbase = 2 * j * width in
     for b = 0 to width - 1 do
       let k = base + (2 * b) and q = pbase + (2 * b) in
@@ -254,82 +231,60 @@ let reduce_into t ~width p y ~i =
     done
   done
 
-(* Forced transient from a zero initial condition, reduced to the output
-   at every grid point as it goes; returns the panel holding P_b(T).  At
-   width 1 the panels are the columns themselves and every step takes
-   the single-column kernels.  Above it, an interval whose stepper
-   refines at every frequency of the block takes one panel step;
-   otherwise each column steps alone, gathered out of the panel and
-   scattered back — the panel kernel would solve the fallback columns
-   along with the refining ones at every refinement pass. *)
-let particular_into t ws lanes ~omegas ~omega0 ~kl ~kr y =
-  let width = lanes.l_width in
+(* Forced transient from a zero initial condition in the phase bases,
+   reduced to the output at every grid point as it goes; returns the
+   panel holding P_b(T) in the last phase's basis.  Each run of equal
+   steps is factored as it starts, and a state entering a new phase
+   crosses into its basis first. *)
+let particular_into t ws ~omegas ~forcing y =
+  let width = ws.w_width in
   let npts = Array.length t.times in
-  let p = ref lanes.l_pa and into = ref lanes.l_pb in
+  let p = ref ws.w_pa and into = ref ws.w_pb in
   Cvec.panel_fill_zero !p;
-  reduce_into t ~width !p y ~i:0;
+  Array.fill y 0 (2 * width) 0.0;
   for i = 1 to npts - 1 do
-    let si = t.interval_demod.(i - 1) in
-    let iters = lanes.l_iters.(si) in
-    let k0 = kl (i - 1) and k1 = kr (i - 1) in
-    if width = 1 then
-      step_column t ws ~si ~col:0 ~m:iters.(0) ~omega:omega0
-        ~p:(Cvec.of_data !p) ~k0 ~k1 ~into:(Cvec.of_data !into)
-    else if lanes.l_nfb.(si) = 0 then
-      Ctrapezoid.step_block_into t.demods.(si) ~work:lanes.l_block ~omegas
-        ~iters ~p:!p ~k0 ~k1 ~into:!into
-    else
+    let phase = t.interval_phase.(i - 1) in
+    if t.refactor.(i - 1) then
       for b = 0 to width - 1 do
-        Cvec.panel_get_col !p ~width ~col:b ~into:ws.w_col;
-        step_column t ws ~si ~col:b ~m:iters.(b) ~omega:omegas.(b)
-          ~p:ws.w_col ~k0 ~k1 ~into:ws.w_out;
-        Cvec.panel_set_col ws.w_out !into ~width ~col:b
+        Ctrapezoid.hess_factor_shifted ws.w_step ~hmat:t.hess.(phase)
+          ~h:t.step_h.(i - 1) ~col:b ~omega:omegas.(b)
       done;
-    reduce_into t ~width !into y ~i;
+    let from =
+      match t.crossing.(i - 1) with
+      | None -> !p
+      | Some m ->
+          apply_into m ~width !p ws.w_pc;
+          ws.w_pc
+    in
+    Ctrapezoid.step_hess_into ws.w_step ~g:forcing.(i - 1) ~p:from ~into:!into;
+    reduce_into t.out_rows.(phase) ~width !into y ~i;
     let last = !p in
     p := !into;
     into := last
   done;
   !p
 
-(* Close the periodic boundary: solve every column for P_b(0) against
-   its rotated monodromy I - e^{-jw_bT} Phi (which genuinely differs per
-   frequency), then add the homogeneous term
-   e^{-jw_bt_i} cᵀ Phi(t_i, 0) P_b(0) = e^{-jw_bt_i} (r_i · P_b(0)) to
+(* Close the periodic boundary in the monodromy's basis: with
+   z_b = Vᵀ P_b(0), solve (I - e^{-jw_bT} H_Phi) z_b = Vᵀ P_part,b(T),
+   O(n^2) per column, then add the homogeneous term
+   e^{-jw_bt_i} cᵀ Phi(t_i, 0) P_b(0) = e^{-jw_bt_i} ((Vᵀ r_i) · z_b) to
    every output sample — O(n) per point and column. *)
-let close_periodic_into t ws lanes ~omegas ~part_end y =
+let close_periodic_into t ws ~omegas ~part_end y =
   let n = t.nstates in
-  let width = lanes.l_width in
+  let width = ws.w_width in
   let period = t.sys.Pwl.period in
   let npts = Array.length t.times in
-  let ld = Cmat.data ws.w_lhs in
+  apply_into t.close_in ~width part_end ws.w_p0;
   for b = 0 to width - 1 do
-    let rot_t = Cx.cis (-.omegas.(b) *. period) in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let phi = Mat.get t.phi_period i j in
-        let pre = phi *. rot_t.Cx.re and pim = phi *. rot_t.Cx.im in
-        let k = 2 * ((i * n) + j) in
-        if i = j then begin
-          ld.(k) <- 1.0 -. pre;
-          ld.(k + 1) <- 0.0 -. pim
-        end
-        else begin
-          ld.(k) <- -.pre;
-          ld.(k + 1) <- -.pim
-        end
-      done
-    done;
-    Clu.factor_into ws.w_lu ws.w_lhs;
-    Cvec.panel_get_col part_end ~width ~col:b ~into:ws.w_col;
-    Clu.solve_into ws.w_lu ~work:ws.w_solve ~b:ws.w_col ~into:ws.w_out;
-    Cvec.panel_set_col ws.w_out lanes.l_p0 ~width ~col:b
+    Ctrapezoid.hess_factor ws.w_close ~hmat:t.h_phi ~col:b ~d:Cx.one
+      ~alpha:(Cx.cis (-.omegas.(b) *. period))
   done;
+  Ctrapezoid.hess_solve_in_place ws.w_close ws.w_p0;
   Log.debug (fun m ->
       m "BVP closed: %d points, %d frequencies" npts width);
-  let p0 = lanes.l_p0 in
+  let p0 = ws.w_p0 in
   for i = 0 to npts - 1 do
-    let r = t.rows.(i) in
+    let r = t.hrows.(i) in
     for b = 0 to width - 1 do
       let hr = ref 0.0 and hi = ref 0.0 in
       for j = 0 to n - 1 do
@@ -345,36 +300,83 @@ let close_periodic_into t ws lanes ~omegas ~part_end y =
     done
   done
 
-let run t ~reference ~omegas ~kl ~kr y =
+let check_block t ~omegas y =
   let width = Array.length omegas in
   if width < 1 then invalid_arg "Periodic_bvp.solve: empty block";
   if Array.length y <> 2 * Array.length t.times * width then
     invalid_arg "Periodic_bvp.solve: output buffer has wrong size";
+  width
+
+let solve t ~omegas ~forcing y =
+  let width = check_block t ~omegas y in
+  if Array.length forcing <> Array.length t.times - 1 then
+    invalid_arg "Periodic_bvp.solve: forcing from another solver";
   Obs.with_span ~src "periodic_bvp.solve" (fun () ->
       Obs.timed_parts h_solve ~parts:width (fun () ->
           Obs.add c_solves width;
           if width > 1 then Obs.incr c_block_solves;
-          let ws, lanes = workspace t ~width in
-          plan t ws lanes ~reference ~omegas;
-          (* [omega0] arrives boxed once: a float read out of [omegas]
-             inside the interval loop would be boxed at every call *)
-          let part_end =
-            particular_into t ws lanes ~omegas ~omega0:omegas.(0) ~kl ~kr y
-          in
-          close_periodic_into t ws lanes ~omegas ~part_end y))
+          let ws = workspace t ~width in
+          let part_end = particular_into t ws ~omegas ~forcing y in
+          close_periodic_into t ws ~omegas ~part_end y))
 
-let solve t ~omegas ~kl ~kr y = run t ~reference:false ~omegas ~kl ~kr y
-
+(* The oracle shares only the grid and the covariance's transitions
+   with [solve]: original coordinates, a dense complex LU per distinct
+   (phase, h) and frequency, a dense complex LU for the closure, one
+   column at a time. *)
 let solve_reference t ~omegas ~kl ~kr y =
-  run t ~reference:true ~omegas ~kl ~kr y
-
-let fallback_columns t ~omegas =
-  let rec refinable s omega =
-    s = Array.length t.demods
-    || (Ctrapezoid.demod_refinable t.demods.(s) ~omega && refinable (s + 1) omega)
+  let width = check_block t ~omegas y in
+  let n = t.nstates in
+  let npts = Array.length t.times in
+  let period = t.sys.Pwl.period in
+  let dot (r : float array) p =
+    let re = ref 0.0 and im = ref 0.0 in
+    for j = 0 to n - 1 do
+      let z = Cvec.get p j in
+      re := !re +. (r.(j) *. z.Cx.re);
+      im := !im +. (r.(j) *. z.Cx.im)
+    done;
+    Cx.make !re !im
   in
-  let count = ref 0 in
-  for b = 0 to Array.length omegas - 1 do
-    if not (refinable 0 omegas.(b)) then incr count
-  done;
-  !count
+  let put i b (z : Cx.t) =
+    y.(2 * ((i * width) + b)) <- z.Cx.re;
+    y.((2 * ((i * width) + b)) + 1) <- z.Cx.im
+  in
+  for b = 0 to width - 1 do
+    let omega = omegas.(b) in
+    let steppers = Hashtbl.create 32 in
+    let stepper i =
+      let key = (t.interval_phase.(i), t.times.(i + 1) -. t.times.(i)) in
+      match Hashtbl.find_opt steppers key with
+      | Some st -> st
+      | None ->
+          let p, h = key in
+          let st =
+            Ctrapezoid.make ~a:t.sys.Pwl.phases.(p).Pwl.a
+              ~shift:(Cx.make 0.0 omega) ~h
+          in
+          Hashtbl.add steppers key st;
+          st
+    in
+    let p = ref (Cvec.create n) in
+    put 0 b Cx.zero;
+    for i = 1 to npts - 1 do
+      p :=
+        Ctrapezoid.step (stepper (i - 1)) ~p:!p ~k0:(kl (i - 1))
+          ~k1:(kr (i - 1));
+      put i b (dot t.out_row !p)
+    done;
+    let rot = Cx.cis (-.omega *. period) in
+    let lhs =
+      Cmat.init n n (fun i j ->
+          let z = Cx.scale (Mat.get t.phi_period i j) rot in
+          if i = j then Cx.( -: ) Cx.one z else Cx.neg z)
+    in
+    let p0 = Clu.solve (Clu.factor lhs) !p in
+    for i = 0 to npts - 1 do
+      let k = 2 * ((i * width) + b) in
+      let hom =
+        Cx.( *: ) (Cx.cis (-.omega *. t.times.(i))) (dot t.rows.(i) p0)
+      in
+      put i b (Cx.( +: ) hom (Cx.make y.(k) y.(k + 1)))
+    done
+  done

@@ -23,18 +23,18 @@
 
     One solve serves every caller.  It takes a block of [width]
     frequencies that advance in lockstep through the shared phase grid
-    as {!Cvec.panel} steps; a width-1 panel is exactly a {!Cvec.t}
-    buffer, and at that width the solve calls the single-RHS kernels.
-    The transient is demodulated: one *real* LU per distinct (phase, h)
-    is factored when the solver is prepared and reused at every
-    frequency, each step refined to the exact shifted-trapezoid update.
-    A (stepper, frequency) pair whose refinement would not converge fast
-    enough steps that column through its own complex-LU stepper
-    instead, retuned once per frequency.  An interval whose stepper
-    refines at every frequency of the block takes one panel step; on
-    the others each column steps alone, so the panel kernel never
-    solves a fallback column.  Column [b] of every result is bitwise
-    identical to a width-1 solve at [omegas.(b)]. *)
+    as {!Cvec.panel} steps (a width-1 panel is exactly a {!Cvec.t}
+    buffer).  The transient runs in Hessenberg form: each phase matrix
+    is reduced once, [A_p = U_p H_p U_pᵀ], so the shifted trapezoid LHS
+    [I - h/2 (H_p - jwI)] is complex upper Hessenberg and factors and
+    solves exactly in O(n^2) at any frequency (one factorisation per
+    distinct (phase, h) and column).  The forcing is rotated into the
+    phase bases once ({!forcing}); a state entering a new phase crosses
+    through the precomputed [U_qᵀ U_p], and the output rows are
+    [cᵀ U_p].  The closure is solved in the monodromy's Hessenberg basis
+    [Phi = V H_Phi Vᵀ], again O(n^2) per frequency.  Column [b] of
+    every result is bitwise identical to a width-1 solve at
+    [omegas.(b)]. *)
 
 module Cvec = Scnoise_linalg.Cvec
 
@@ -59,30 +59,33 @@ val n_points : t -> int
 val interval_phase : t -> int array
 (** Phase index owning each grid interval. *)
 
-val solve :
-  t -> omegas:float array -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) ->
-  Cvec.panel -> unit
-(** [solve t ~omegas ~kl ~kr y] writes the periodic steady-state output
+type forcing
+(** A forcing prepared for one solver: per grid interval, the trapezoid
+    term [h/2 (k0 + k1)] in the interval's phase basis. *)
+
+val forcing : t -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) -> forcing
+(** [kl i] and [kr i] are the forcing at the left and right endpoints
+    of interval [i] (for [i] in [0 .. n_points - 2]); a continuous
+    forcing passes [kr i = kl (i + 1)], a forcing that switches with
+    the clock evaluates both inside the interval's phase.  Raises
+    [Invalid_argument] on a vector of the wrong dimension. *)
+
+val solve : t -> omegas:float array -> forcing:forcing -> Cvec.panel -> unit
+(** [solve t ~omegas ~forcing y] writes the periodic steady-state output
     [y_b(t_i) = cᵀ P_b(t_i)] at every frequency [omegas.(b)] into entry
     [(i, b)] of [y], a panel of [n_points] entries by [width] columns
-    ({!Cvec.panel_create}[ ~dim:(n_points t) ~width]).  [kl i] and
-    [kr i] are the forcing at the left and right endpoints of interval
-    [i] (for [i] in [0 .. n_points - 2]), shared by every column; a
-    continuous forcing passes [kr i = kl (i + 1)], a forcing that
-    switches with the clock evaluates both inside the interval's phase.
-    Beyond [y] the solve allocates only transient bookkeeping once the
-    domain's workspace is warm.  Raises [Invalid_argument] on an empty
-    block or an output buffer of the wrong size, and [Clu.Singular]
+    ({!Cvec.panel_create}[ ~dim:(n_points t) ~width]), for a forcing
+    shared by every column.  Beyond [y] the solve allocates only
+    transient bookkeeping once the domain's workspace is warm.  Raises
+    [Invalid_argument] on an empty block, an output buffer of the wrong
+    size or a forcing prepared for another grid, and [Clu.Singular]
     only if the circuit has a Floquet multiplier of unit modulus. *)
 
 val solve_reference :
   t -> omegas:float array -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) ->
   Cvec.panel -> unit
-(** {!solve} with every interval on the complex-LU stepper, which factors
-    the complex LHS per (phase, h) at each frequency — the reference the
-    demodulated solve is tested against (agreement well below
-    1e-9 dB). *)
-
-val fallback_columns : t -> omegas:float array -> int
-(** How many of [omegas] have some (phase, h) stepper that {!solve}
-    steps on the complex-LU fallback. *)
+(** {!solve} in original coordinates on the dense complex-LU
+    {!Scnoise_ode.Ctrapezoid.make} stepper, factored per (phase, h) at
+    each frequency, with a dense complex-LU closure, one column at a
+    time — the oracle the Hessenberg solve is tested against
+    (agreement well below 1e-9 dB).  [kl]/[kr] as for {!forcing}. *)

@@ -7,38 +7,41 @@ module Pool = Scnoise_par.Pool
 
 let c_points = Obs.counter "psd_points"
 
-(* Sweep points that took at least one complex-LU fallback step (some
-   (phase, h) stepper's refinement would not converge fast enough at
-   that frequency); shows how much of a sweep ran off the real-LU
-   kernels, next to psd.batch_width. *)
-let c_unbatched_points = Obs.counter "psd.unbatched_points"
-
 (* Wall time per frequency point (a block of B points records B samples
    of a B-th of its time).  Recording is a single atomic add, but the
    two extra clock reads are only worth paying when telemetry has been
    asked for, so the hot path gates on [Obs.is_enabled]. *)
 let h_point = Obs.histogram "psd.point_s"
 
+(* Columns per block solve (exact integer buckets): tail blocks
+   narrower than the sweep's width show up as sub-width entries. *)
+let h_batch_width =
+  Obs.histogram ~mode:Scnoise_obs.Hist.Counts "psd.batch_width"
+
 type engine = {
   cov : Covariance.sampled;
   bvp : Periodic_bvp.t;
   out_row : Vec.t;
-  forcing : Cvec.t array; (* k(t_i) = K(t_i) c, as complex vectors *)
+  forcing : Periodic_bvp.forcing; (* k(t_i) = K(t_i) c *)
 }
 
 let of_sampled cov ~output =
   if Array.length output <> cov.Covariance.sys.Pwl.nstates then
     invalid_arg "Psd.of_sampled: output row has wrong length";
-  let forcing =
+  let k =
     Array.map
       (fun k -> Cvec.of_real (Scnoise_linalg.Mat.mul_vec k output))
       cov.Covariance.ks
   in
+  let bvp = Periodic_bvp.of_sampled cov ~output in
+  (* k(t) is continuous across grid points: interval [i] runs from
+     k.(i) to k.(i + 1) *)
   {
     cov;
-    bvp = Periodic_bvp.of_sampled cov ~output;
+    bvp;
     out_row = output;
-    forcing;
+    forcing =
+      Periodic_bvp.forcing bvp ~kl:(Array.get k) ~kr:(fun i -> k.(i + 1));
   }
 
 let prepare ?solver ?samples_per_phase ?grid ?pool sys ~output =
@@ -50,13 +53,9 @@ let output e = Vec.copy e.out_row
 
 let covariance e = e.cov
 
-(* Output samples y_b(t_i) = cᵀ P_b(t_i) of one width-[width] solve.
-   k(t) is continuous across grid points: interval [i] runs from
-   forcing.(i) to forcing.(i + 1). *)
+(* Output samples y_b(t_i) = cᵀ P_b(t_i) of one width-[width] solve. *)
 let solve_into e ~omegas y =
-  Periodic_bvp.solve e.bvp ~omegas ~kl:(Array.get e.forcing)
-    ~kr:(fun i -> e.forcing.(i + 1))
-    y
+  Periodic_bvp.solve e.bvp ~omegas ~forcing:e.forcing y
 
 let instantaneous e ~f =
   (* S_v(t, f) = d(ESD)/dt = 2 Re (cᵀ P(t)): the instantaneous spectral
@@ -82,7 +81,7 @@ let psd_block e ~omegas =
   let len = Array.length omegas in
   Obs.timed_parts h_point ~parts:len (fun () ->
       Obs.add c_points len;
-      Obs.add c_unbatched_points (Periodic_bvp.fallback_columns e.bvp ~omegas);
+      Obs.hist_record_int h_batch_width len;
       let period = e.cov.Covariance.sys.Pwl.period in
       let times = e.cov.Covariance.times in
       let npts = Array.length times in
@@ -108,11 +107,11 @@ let psd_db e ~f = Scnoise_util.Db.of_power (psd e ~f)
 
    A sweep is tiled into width-B frequency blocks, each advanced in
    lockstep through the phase grid by one [Periodic_bvp.solve].  At
-   [B = 1] the solve runs the single-RHS kernels; larger widths
-   amortise each factor traversal over B right-hand sides.  EXP-B1's
-   width table measures 16-wide blocks ahead up to the 9-state
-   band-pass and behind from 12 states on, so blocks run on circuits of
-   at most 9 states. *)
+   [B = 1] the solve runs the single-column loops; larger widths
+   amortise each traversal of the phase's Hessenberg matrix over B
+   columns.  EXP-H1's width table measures 16-wide blocks ahead up to
+   the 9-state band-pass and behind from 12 states on, so blocks run on
+   circuits of at most 9 states. *)
 let auto_batch ~nstates = if nstates <= 9 then 16 else 1
 
 let batch_width e ~npoints =

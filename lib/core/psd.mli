@@ -55,9 +55,7 @@ val sweep : ?pool:Scnoise_par.Pool.t -> engine -> float array -> float array
     blocks of {!batch_width} points, each advanced in lockstep through
     the phase grid by one {!Periodic_bvp.solve}, and the blocks are
     fanned out across [pool] (default: the shared pool).  Every block
-    column is bitwise identical to a width-1 solve at its frequency — a
-    column whose refinement would not converge on some stepper takes
-    that stepper's complex-LU fallback on its own, inside the block —
+    column is bitwise identical to a width-1 solve at its frequency,
     solves are read-only over the prepared engine, and results are
     placed by index, so the sweep is bit-identical to [Array.map psd]
     at any job count.  An empty sweep returns [[||]] without touching
@@ -69,7 +67,7 @@ val sweep_db :
 val batch_width : engine -> npoints:int -> int
 (** The block width {!sweep} uses for a sweep of [npoints] over this
     engine: 16 on circuits of at most 9 states, where blocks measure
-    faster (EXP-B1), else 1; clamped to the sweep length.  Exposed for
+    faster (EXP-H1), else 1; clamped to the sweep length.  Exposed for
     status reporting and benchmarks. *)
 
 val instantaneous : engine -> f:float -> float array * float array

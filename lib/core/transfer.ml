@@ -42,7 +42,9 @@ let response e ~forcing ~f ~k_range =
      interval take that interval's phase *)
   let k i = cols.(e.interval_phase.(i)) in
   let y = Cvec.create (Array.length e.times) in
-  Periodic_bvp.solve e.bvp ~omegas:[| omega |] ~kl:k ~kr:k (Cvec.data y);
+  Periodic_bvp.solve e.bvp ~omegas:[| omega |]
+    ~forcing:(Periodic_bvp.forcing e.bvp ~kl:k ~kr:k)
+    (Cvec.data y);
   let y = Cvec.to_array y in
   let period = e.sys.Pwl.period in
   let wc = 2.0 *. Float.pi /. period in

@@ -1,10 +1,11 @@
 exception No_convergence of int
 
-(* Householder similarity reduction to upper Hessenberg form. *)
-let hessenberg m =
-  if not (Mat.is_square m) then invalid_arg "Eig.hessenberg: not square";
-  let n = Mat.rows m in
-  let a = Array.init n (fun i -> Array.init n (fun j -> Mat.get m i j)) in
+(* Householder similarity reduction to upper Hessenberg form, in place
+   on [a].  With [u] (the identity on entry) each reflector
+   P_k = I - beta v vᵀ is also accumulated as u <- u P_k, so that on
+   exit A = u H uᵀ; the reduction's own arithmetic does not depend on
+   it. *)
+let reduce ?u a n =
   for k = 0 to n - 3 do
     (* Householder vector annihilating a.(k+2..n-1).(k). *)
     let alpha = ref 0.0 in
@@ -46,15 +47,35 @@ let hessenberg m =
           for j = k + 1 to n - 1 do
             a.(i).(j) <- a.(i).(j) -. (s *. v.(j))
           done
-        done
+        done;
+        match u with
+        | None -> ()
+        | Some u ->
+            for i = 0 to n - 1 do
+              let s = ref 0.0 in
+              for j = k + 1 to n - 1 do
+                s := !s +. (u.(i).(j) *. v.(j))
+              done;
+              let s = beta *. !s in
+              for j = k + 1 to n - 1 do
+                u.(i).(j) <- u.(i).(j) -. (s *. v.(j))
+              done
+            done
       end
     end;
     (* Clean below the first subdiagonal in column k. *)
     for i = k + 2 to n - 1 do
       a.(i).(k) <- 0.0
     done
-  done;
-  Mat.of_arrays a
+  done
+
+let hessenberg m =
+  if not (Mat.is_square m) then invalid_arg "Eig.hessenberg: not square";
+  let n = Mat.rows m in
+  let a = Mat.to_arrays m in
+  let u = Mat.to_arrays (Mat.identity n) in
+  reduce ~u a n;
+  (Mat.of_arrays a, Mat.of_arrays u)
 
 let sign_with magnitude reference =
   if reference >= 0.0 then abs_float magnitude else -.abs_float magnitude
@@ -251,8 +272,8 @@ let eigenvalues m =
   if n = 0 then [||]
   else if n = 1 then [| Cx.re (Mat.get m 0 0) |]
   else begin
-    let h = hessenberg m in
-    let a = Mat.to_arrays h in
+    let a = Mat.to_arrays m in
+    reduce a n;
     hqr a n
   end
 

@@ -9,9 +9,11 @@ exception No_convergence of int
 (** Raised with the stuck eigenvalue index if the QR iteration exceeds
     its iteration budget. *)
 
-val hessenberg : Mat.t -> Mat.t
-(** Orthogonal similarity reduction to upper Hessenberg form (returns a
-    fresh matrix; the input is not modified). *)
+val hessenberg : Mat.t -> Mat.t * Mat.t
+(** [hessenberg a] is [(h, u)]: the orthogonal similarity reduction
+    [a = u h uᵀ] with [h] upper Hessenberg (zero below the first
+    subdiagonal) and [u] orthogonal, both fresh; the input is not
+    modified. *)
 
 val eigenvalues : Mat.t -> Cx.t array
 (** All eigenvalues (with multiplicity), in no particular order. *)

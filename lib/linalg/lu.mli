@@ -21,10 +21,7 @@ val solve_into : t -> b:Vec.t -> into:Vec.t -> unit
 val solve_complex_into : t -> b:Cvec.t -> into:Cvec.t -> unit
 (** Solve [A x = b] for a complex right-hand side against the real
     factorisation (the re/im parts are solved in one interleaved
-    pass).  Allocation-free; [into] must not alias [b].  This is the
-    inner primitive of the demodulated trapezoid stepper, where the
-    frequency-independent LHS is factored once and reused across the
-    whole sweep. *)
+    pass).  Allocation-free; [into] must not alias [b]. *)
 
 val solve_block_into :
   t -> width:int -> b:Cvec.panel -> into:Cvec.panel -> unit

@@ -9,8 +9,7 @@
    of its bucket and can be off by up to a factor of 10^0.25 (~1.78x).
    That is exactly the granularity the bench gate needs — it flags
    order-of-magnitude drifts, not nanosecond jitter — and [Counts] mode
-   (small non-negative integers, e.g. refinement iteration counts) is
-   exact.
+   (small non-negative integers, e.g. block widths) is exact.
 
    [Log] covers [1e-10, 1e4): seconds from well under a nanosecond up
    to hours, and equally well dimensionless ratios such as LU rcond

@@ -61,8 +61,8 @@ let counter_value name =
 
 (* Latency/value distributions; see {!Hist} for the bucket scheme.
    Like counters they are always-on (recording is one atomic add), so
-   numeric-health histograms — rcond estimates, refinement iteration
-   counts — accumulate even without [enable]. *)
+   numeric-health histograms — rcond estimates, pivot growth —
+   accumulate even without [enable]. *)
 let hists : (string, Hist.t) Hashtbl.t = Hashtbl.create 16
 
 let histogram ?(mode = Hist.Log) name =

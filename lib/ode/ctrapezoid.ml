@@ -1,7 +1,6 @@
 module Cvec = Scnoise_linalg.Cvec
 module Cmat = Scnoise_linalg.Cmat
 module Clu = Scnoise_linalg.Clu
-module Lu = Scnoise_linalg.Lu
 module Mat = Scnoise_linalg.Mat
 module Cx = Scnoise_linalg.Cx
 
@@ -17,10 +16,6 @@ type stepper = {
 }
 
 let c_steps = Obs.counter "ode_steps"
-
-let c_demod_steps = Obs.counter "ode_demod_steps"
-
-let c_demod_refines = Obs.counter "ode_demod_refines"
 
 let shifted_half a shift h =
   (* h/2 (A - shift I) as a complex matrix *)
@@ -85,441 +80,326 @@ let trajectory ~a ~shift ~forcing ~h ~steps p0 =
   done;
   out
 
-(* --- reusable shifted stepper ---
+(* --- shifted-Hessenberg stepper ---
 
-   The demodulated fallback needs a classic shifted stepper per
-   (phase, h) at frequencies where the refinement contraction is too
-   slow — and, in a block of frequencies, one per column.  Building one
-   with [make] per frequency point allocates the LHS/RHS matrices and a
-   fresh factorisation each time; this variant keeps all buffers and
-   refactors a column in place only when its shift actually changes.
-   The columns share everything but their factorisation: the RHS
-   I + h/2 (A - jwI) depends on the column only through the imaginary
-   part of its diagonal, which a step patches in when the column
-   changes.  The matrix fill replicates [make]'s arithmetic term by
-   term ([shifted_half] followed by [Cmat.sub]/[Cmat.add] against the
-   identity), so every column is bit-identical to a freshly made
-   stepper at its shift. *)
+   In the orthogonal basis of a Hessenberg reduction A = U H Uᵀ the
+   shifted trapezoid LHS is I - h/2 (H - jwI) = d I - alpha H with
+   d = 1 + j wh/2 and alpha = h/2: complex upper Hessenberg at every
+   frequency, so it factors exactly in O(n^2).  Gaussian elimination
+   only ever has one row below the pivot, so partial pivoting reduces
+   to comparing two adjacent rows; L is unit lower bidiagonal, one
+   multiplier and one swap flag per step, and U is upper triangular.
+   The factorisation takes any complex d and alpha, which also serves
+   the rotated monodromy I - e^{-jwT} H_Phi of the periodic closure.
 
-type reusable = {
-  mutable xh : float;
-  xn : int;
-  mutable xa : Mat.t; (* kept for refactorisation *)
-  xrhs : Cmat.t; (* I + h/2 (A - jwI), diagonal of column [xrhs_col] *)
-  mutable xrhs_col : int;
-  mutable xlhs : Clu.t array; (* per column: I - h/2 (A - jwI), factored *)
-  mutable xomega : float array; (* per column: shift factored, s = j omega *)
-  mutable xfresh : bool array;
-  xsb : Cvec.t;
-  xsw : float array;
+   [width] matrices sharing one H are kept column-interleaved with the
+   block column innermost (entry (i, j) of column b at
+   2 ((off i + j - i) width + b), U packed by rows), so a panel step
+   traverses H once for the whole block.  Each column's operations
+   happen in the same order at every width, so a panel column is
+   bitwise the width-1 solve. *)
+
+type hess = {
+  hn : int;
+  hw : int;
+  mutable hm : Mat.t; (* the shared real upper-Hessenberg H *)
+  coef : float array; (* per column: d re, d im, alpha re, alpha im *)
+  u : float array; (* packed upper triangle, interleaved *)
+  rdiag : float array; (* per (row, column): 1 / u_ii *)
+  mult : float array; (* per (step k, column): multiplier l_k *)
+  swap : bool array; (* per (step k, column): rows k, k+1 swapped *)
+  carry : float array; (* factorisation scratch: the row being reduced *)
 }
 
-let c_retunes = Obs.counter "ode_stepper_retunes"
+let c_hess_factorizations = Obs.counter "bvp_hess_factorizations"
 
-(* placeholder for a column that has never been tuned *)
-let no_factor = Clu.create 0
-
-let make_reusable ~a ~h =
-  if not (Mat.is_square a) then
-    invalid_arg "Ctrapezoid.make_reusable: not square";
-  if h <= 0.0 then invalid_arg "Ctrapezoid.make_reusable: h <= 0";
-  Scnoise_linalg.Sanitize.check_mat "Ctrapezoid.make_reusable" a;
-  let n = Mat.rows a in
-  {
-    xh = h;
-    xn = n;
-    xa = a;
-    xrhs = Cmat.create n n;
-    xrhs_col = -1;
-    xlhs = [||];
-    xomega = [||];
-    xfresh = [||];
-    xsb = Cvec.create n;
-    xsw = Array.make (2 * n) 0.0;
-  }
-
-let rebind st ~a ~h =
-  if not (st.xa == a && st.xh = h) then begin
-    if not (Mat.is_square a) || Mat.rows a <> st.xn then
-      invalid_arg "Ctrapezoid.rebind: dimension mismatch";
-    if h <= 0.0 then invalid_arg "Ctrapezoid.rebind: h <= 0";
-    Scnoise_linalg.Sanitize.check_mat "Ctrapezoid.rebind" a;
-    st.xa <- a;
-    st.xh <- h;
-    Array.fill st.xfresh 0 (Array.length st.xfresh) false
-  end
-
-let retune st ~col ~omega =
-  if col < 0 then invalid_arg "Ctrapezoid.retune: negative column";
-  if col >= Array.length st.xlhs then begin
-    let grow a fill =
-      Array.init (col + 1) (fun i -> if i < Array.length a then a.(i) else fill)
-    in
-    st.xlhs <- grow st.xlhs no_factor;
-    st.xomega <- grow st.xomega 0.0;
-    st.xfresh <- grow st.xfresh false
-  end;
-  if not (st.xfresh.(col) && st.xomega.(col) = omega) then begin
-    Obs.incr c_retunes;
-    if st.xlhs.(col) == no_factor then st.xlhs.(col) <- Clu.create st.xn;
-    let n = st.xn in
-    let w = 0.5 *. st.xh in
-    let swo = w *. omega in
-    let d = Cmat.data st.xrhs in
-    let ad = Mat.data st.xa in
-    (* half = (re, 0) - w * (0, omega) elementwise.  I - half passes
-       through the rhs buffer on its way into the factorisation (which
-       copies it), then the buffer takes I + half. *)
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let re = w *. ad.((i * n) + j) in
-        let k = 2 * ((i * n) + j) in
-        if i = j then begin
-          d.(k) <- 1.0 -. (re -. 0.0);
-          d.(k + 1) <- 0.0 -. (0.0 -. swo)
-        end
-        else begin
-          d.(k) <- 0.0 -. re;
-          d.(k + 1) <- 0.0 -. 0.0
-        end
-      done
-    done;
-    Clu.factor_into st.xlhs.(col) st.xrhs;
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let re = w *. ad.((i * n) + j) in
-        let k = 2 * ((i * n) + j) in
-        if i = j then begin
-          d.(k) <- 1.0 +. (re -. 0.0);
-          d.(k + 1) <- 0.0 +. (0.0 -. swo)
-        end
-        else begin
-          d.(k) <- 0.0 +. re;
-          d.(k + 1) <- 0.0 +. 0.0
-        end
-      done
-    done;
-    st.xrhs_col <- col;
-    st.xomega.(col) <- omega;
-    st.xfresh.(col) <- true
-  end
-
-let step_reusable_into st ~col ~p ~k0 ~k1 ~into =
-  if col < 0 || col >= Array.length st.xfresh || not st.xfresh.(col) then
-    invalid_arg "Ctrapezoid.step_reusable_into: column not tuned";
-  Obs.incr c_steps;
-  let n = st.xn in
-  let w = 0.5 *. st.xh in
-  if st.xrhs_col <> col then begin
-    (* the one column-dependent part of the rhs, filled as [retune]
-       fills it *)
-    let swo = w *. st.xomega.(col) in
-    let d = Cmat.data st.xrhs in
-    for i = 0 to n - 1 do
-      d.((2 * ((i * n) + i)) + 1) <- 0.0 +. (0.0 -. swo)
-    done;
-    st.xrhs_col <- col
-  end;
-  Cmat.mul_vec_into st.xrhs p ~into:st.xsb;
-  let bd = Cvec.data st.xsb
-  and k0d = Cvec.data k0
-  and k1d = Cvec.data k1 in
-  for k = 0 to (2 * n) - 1 do
-    bd.(k) <- bd.(k) +. (w *. (k0d.(k) +. k1d.(k)))
-  done;
-  Clu.solve_into st.xlhs.(col) ~work:st.xsw ~b:st.xsb ~into;
-  Scnoise_linalg.Sanitize.check_cvec "Ctrapezoid.step" into
-
-(* --- demodulated stepper ---
-
-   For the shifted system dP/dt = (A - jw I) P + k the trapezoid LHS is
-   (I - h/2 A) + j (wh/2) I = C + j beta I with C real and frequency
-   independent.  We factor C once (real LU) and recover the *exact*
-   shifted-trapezoid update by the contraction
-
-     x_{m+1} = C^{-1} b - j beta C^{-1} x_m,
-
-   whose fixed point solves (C + j beta I) x = b and whose error decays
-   by rho = |beta| ||C^{-1}|| per iteration.  [demod_iters] turns rho
-   into a deterministic iteration count (frequency only — no
-   data-dependent convergence test, keeping sweeps bit-reproducible at
-   any job count), or rejects the frequency when the contraction is too
-   slow to beat a complex refactorisation. *)
-
-type demod = {
-  dh : float;
-  dn : int;
-  dlhs : Lu.t; (* C = I - h/2 A, real *)
-  drhs : float array; (* D = I + h/2 A, row-major n^2 *)
-  dinv_norm1 : float; (* ||C^{-1}||_1, exact *)
-}
-
-type demod_work = { wb : Cvec.t; wy : Cvec.t; wz : Cvec.t }
-
-let demod_work n = { wb = Cvec.create n; wy = Cvec.create n; wz = Cvec.create n }
-
-let demod_dim st = st.dn
-
-let make_demod ~a ~h =
-  if not (Mat.is_square a) then invalid_arg "Ctrapezoid.make_demod: not square";
-  if h <= 0.0 then invalid_arg "Ctrapezoid.make_demod: h <= 0";
-  Scnoise_linalg.Sanitize.check_mat "Ctrapezoid.make_demod" a;
-  let n = Mat.rows a in
-  let w = 0.5 *. h in
-  let c =
-    Mat.init n n (fun i j ->
-        let d = if i = j then 1.0 else 0.0 in
-        d -. (w *. Mat.get a i j))
-  in
-  let drhs = Array.make (n * n) 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let d = if i = j then 1.0 else 0.0 in
-      drhs.((i * n) + j) <- d +. (w *. Mat.get a i j)
-    done
-  done;
-  let dlhs = Lu.factor c in
-  (* exact ||C^{-1}||_1 = max over columns of sum |C^{-1} e_j| *)
-  let e = Array.make n 0.0 and x = Array.make n 0.0 in
-  let best = ref 0.0 in
-  for j = 0 to n - 1 do
-    e.(j) <- 1.0;
-    Lu.solve_into dlhs ~b:e ~into:x;
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      s := !s +. abs_float x.(i)
-    done;
-    if !s > !best then best := !s;
-    e.(j) <- 0.0
-  done;
-  { dh = h; dn = n; dlhs; drhs; dinv_norm1 = !best }
-
-(* Per-iteration contraction rho^m must push the refinement error below
-   [demod_tol] relative; past [demod_max_iters] iterations the refined
-   solve is no cheaper than a complex refactorisation amortised over a
-   cached stepper, so the caller should fall back. *)
-let demod_tol = 1e-13
-
-let demod_max_iters = 12
-
-(* Distribution of refinement iteration counts chosen per frequency
-   point (exact integer buckets); a fallback rejection records as the
-   overflow bucket's predecessor via [demod_max_iters + 1].  Always-on
-   numeric-health telemetry, one atomic add per query. *)
-let h_demod_iters = Obs.histogram ~mode:Scnoise_obs.Hist.Counts "ode.demod_iters"
-
-let demod_iters_quiet st ~omega =
-  let beta = 0.5 *. st.dh *. abs_float omega in
-  let rho = beta *. st.dinv_norm1 in
-  if rho = 0.0 then 0
-  else if rho >= 0.25 then -1
-  else
-    let m = max 1 (int_of_float (ceil (log demod_tol /. log rho))) in
-    if m > demod_max_iters then -1 else m
-
-let demod_iters st ~omega =
-  let m = demod_iters_quiet st ~omega in
-  Obs.hist_record_int h_demod_iters (if m < 0 then demod_max_iters + 1 else m);
-  m
-
-let demod_refinable st ~omega = demod_iters_quiet st ~omega >= 0
-
-(* --- blocked demodulated stepper ---
-
-   One panel solve advances [width] frequencies' envelopes through the
-   same interval: the real factors of C are traversed once per block
-   instead of once per frequency, which is where the batched sweep's
-   memory-bandwidth win comes from.  Column [b] replicates
-   [step_demod_into]'s operation sequence exactly — same rhs
-   accumulation order, same anchor/refinement updates — so each column
-   is bitwise identical to the scalar step at its frequency.  Columns
-   whose deterministic iteration count is exhausted are masked out of
-   the refinement updates (their entries stay fixed while the panel
-   keeps solving), never recomputed. *)
-
-type block_work = {
-  bw_width : int;
-  bw_b : Cvec.panel; (* rhs panel *)
-  bw_y : Cvec.panel; (* anchor C^{-1} b *)
-  bw_z : Cvec.panel; (* refinement scratch *)
-  bw_beta : float array; (* per-column beta = h/2 omega_b *)
-}
-
-let block_work ~dim ~width =
-  if width < 1 then invalid_arg "Ctrapezoid.block_work: width < 1";
-  {
-    bw_width = width;
-    bw_b = Cvec.panel_create ~dim ~width;
-    bw_y = Cvec.panel_create ~dim ~width;
-    bw_z = Cvec.panel_create ~dim ~width;
-    bw_beta = Array.make width 0.0;
-  }
-
-let block_width w = w.bw_width
+(* max |u_ij| / max |m_ij| of each factorisation (|z| = |re| + |im|):
+   adjacent-row pivoting bounds it by n, so a large value flags an
+   ill-conditioned shifted system.  Always on, one atomic add. *)
+let h_pivot_growth = Obs.histogram "bvp.hess_pivot_growth"
 
 let c_block_steps = Obs.counter "ode_block_steps"
 
-(* Panel solves issued by the blocked stepper (anchor + refinement
-   passes); together with [lu_block_solves] this exposes how much of a
-   sweep ran through the batched path. *)
-let c_block_solves = Obs.counter "ode.block_solves"
+(* what a [hess] points at until its first factorisation *)
+let unbound = Mat.create 0 0
 
-(* Active columns per panel solve (exact integer buckets): the anchor
-   solve records the full block width, each refinement pass the number
-   of columns still refining — early-converged frequencies show up as
-   sub-width entries.  Shared with the Psd layer by name. *)
-let h_batch_width = Obs.histogram ~mode:Scnoise_obs.Hist.Counts "psd.batch_width"
+let hess_create ~dim ~width =
+  if dim < 0 then invalid_arg "Ctrapezoid.hess_create: negative dimension";
+  if width < 1 then invalid_arg "Ctrapezoid.hess_create: width < 1";
+  {
+    hn = dim;
+    hw = width;
+    hm = unbound;
+    coef = Array.make (4 * width) 0.0;
+    u = Array.make (dim * (dim + 1) * width) 0.0;
+    rdiag = Array.make (2 * dim * width) 0.0;
+    mult = Array.make (2 * dim * width) 0.0;
+    swap = Array.make (dim * width) false;
+    carry = Array.make (2 * dim) 0.0;
+  }
 
-let step_block_into st ~work ~omegas ~iters ~p ~k0 ~k1 ~into =
-  let n = st.dn in
-  let width = work.bw_width in
-  if Array.length omegas <> width || Array.length iters <> width then
-    invalid_arg "Ctrapezoid.step_block_into: width mismatch";
-  if Array.length p <> 2 * n * width || Array.length into <> 2 * n * width
-  then invalid_arg "Ctrapezoid.step_block_into: panel dimension mismatch";
-  if Cvec.dim k0 <> n || Cvec.dim k1 <> n then
-    invalid_arg "Ctrapezoid.step_block_into: forcing dimension mismatch";
-  if p == into then
-    invalid_arg "Ctrapezoid.step_block_into: output must not alias p";
-  Obs.add c_steps width;
-  Obs.add c_demod_steps width;
-  Obs.incr c_block_steps;
-  let max_m = ref 0 in
-  let min_m = ref max_int in
-  let refines = ref 0 in
-  for b = 0 to width - 1 do
-    let m = iters.(b) in
-    if m < 0 then
-      invalid_arg "Ctrapezoid.step_block_into: unrefinable column";
-    if m > !max_m then max_m := m;
-    if m < !min_m then min_m := m;
-    refines := !refines + m;
-    work.bw_beta.(b) <- 0.5 *. st.dh *. omegas.(b)
+let hess_swaps t ~col =
+  let c = ref 0 in
+  for k = 0 to t.hn - 2 do
+    if t.swap.((k * t.hw) + col) then incr c
   done;
-  if !refines > 0 then Obs.add c_demod_refines !refines;
-  let w = 0.5 *. st.dh in
-  let betas = work.bw_beta in
-  let bb = work.bw_b
-  and k0d = Cvec.data k0
-  and k1d = Cvec.data k1 in
-  let w2 = 2 * width in
-  (* b = (D - j beta_b I) p + h/2 (k0 + k1) per column, with real D:
-     each column accumulates its row sum in registers over j and closes
-     with the same three-term sums as [step_demod_into], term for term
-     and in the same order.  (D is tiny and L1-resident, so reloading
-     it per column costs nothing; keeping the partial sums out of
-     memory is what matters.)  The entry checks pin every index, so the
-     inner loops use unsafe accesses (same values, same order — only
-     the bounds checks go). *)
-  let drhs = st.drhs in
+  !c
+
+(* start of packed row i: rows 0 .. i-1 hold n, n-1, ... entries *)
+let row_off n i = (i * n) - (i * (i - 1) / 2)
+
+let mag re im = abs_float re +. abs_float im
+
+(* No closures, tuples or stdlib float calls inside the loops: in a
+   non-flambda build each would box a float per entry. *)
+let hess_factor t ~hmat ~col ~d ~alpha =
+  let n = t.hn and w = t.hw in
+  if col < 0 || col >= w then invalid_arg "Ctrapezoid.hess_factor: bad column";
+  if Mat.rows hmat <> n || Mat.cols hmat <> n then
+    invalid_arg "Ctrapezoid.hess_factor: dimension mismatch";
+  Obs.incr c_hess_factorizations;
+  t.hm <- hmat;
+  let hd = Mat.data hmat in
+  let dr = d.Cx.re and di = d.Cx.im and ar = alpha.Cx.re and ai = alpha.Cx.im in
+  t.coef.(4 * col) <- dr;
+  t.coef.((4 * col) + 1) <- di;
+  t.coef.((4 * col) + 2) <- ar;
+  t.coef.((4 * col) + 3) <- ai;
+  let u = t.u and c = t.carry in
+  let mmax = ref 0.0 and umax = ref 0.0 in
+  (* the carry starts as row 0 of M = d I - alpha H *)
+  for j = 0 to n - 1 do
+    let h = hd.(j) in
+    let re = (if j = 0 then dr else 0.0) -. (ar *. h)
+    and im = (if j = 0 then di else 0.0) -. (ai *. h) in
+    c.(2 * j) <- re;
+    c.((2 * j) + 1) <- im;
+    let m = mag re im in
+    if m > !mmax then mmax := m
+  done;
+  for k = 0 to n - 2 do
+    (* row k + 1 of M is still untouched, zero left of column k; the
+       larger of its column-k entry and the carry's is the pivot *)
+    let r1 = (k + 1) * n in
+    let nr = -.(ar *. hd.(r1 + k)) and ni = -.(ai *. hd.(r1 + k)) in
+    let cr = c.(2 * k) and ci = c.((2 * k) + 1) in
+    let m = mag nr ni in
+    if m > !mmax then mmax := m;
+    let swapped = Cx.modulus_ri nr ni > Cx.modulus_ri cr ci in
+    t.swap.((k * w) + col) <- swapped;
+    let pr = if swapped then nr else cr and pi = if swapped then ni else ci in
+    let er = if swapped then cr else nr and ei = if swapped then ci else ni in
+    if pr = 0.0 && pi = 0.0 then raise (Scnoise_linalg.Clu.Singular k);
+    (* l = e / p, Complex.div's branch-on-magnitude algorithm *)
+    let lr = ref 0.0 and li = ref 0.0 in
+    if abs_float pr >= abs_float pi then begin
+      let r = pi /. pr in
+      let dd = pr +. (r *. pi) in
+      lr := (er +. (r *. ei)) /. dd;
+      li := (ei -. (r *. er)) /. dd
+    end
+    else begin
+      let r = pr /. pi in
+      let dd = pi +. (r *. pr) in
+      lr := ((r *. er) +. ei) /. dd;
+      li := ((r *. ei) -. er) /. dd
+    end;
+    let lr = !lr and li = !li in
+    t.mult.(2 * ((k * w) + col)) <- lr;
+    t.mult.((2 * ((k * w) + col)) + 1) <- li;
+    (* the pivot row becomes row k of U; the other row minus l times
+       it becomes the carry *)
+    let uk = row_off n k - k in
+    for j = k to n - 1 do
+      let diag = j = k + 1 in
+      let xr =
+        if j = k then nr else (if diag then dr else 0.0) -. (ar *. hd.(r1 + j))
+      and xi =
+        if j = k then ni else (if diag then di else 0.0) -. (ai *. hd.(r1 + j))
+      in
+      if j > k then begin
+        let m = mag xr xi in
+        if m > !mmax then mmax := m
+      end;
+      let cr = c.(2 * j) and ci = c.((2 * j) + 1) in
+      let pr = if swapped then xr else cr and pi = if swapped then xi else ci in
+      let er = if swapped then cr else xr and ei = if swapped then ci else xi in
+      let q = 2 * (((uk + j) * w) + col) in
+      u.(q) <- pr;
+      u.(q + 1) <- pi;
+      let m = mag pr pi in
+      if m > !umax then umax := m;
+      c.(2 * j) <- er -. ((lr *. pr) -. (li *. pi));
+      c.((2 * j) + 1) <- ei -. ((lr *. pi) +. (li *. pr))
+    done
+  done;
+  if n > 0 then begin
+    let last = n - 1 in
+    let q = 2 * ((row_off n last * w) + col) in
+    u.(q) <- c.(2 * last);
+    u.(q + 1) <- c.((2 * last) + 1);
+    let m = mag u.(q) u.(q + 1) in
+    if m > !umax then umax := m;
+    Obs.hist_record h_pivot_growth (if !mmax > 0.0 then !umax /. !mmax else 1.0)
+  end;
+  (* reciprocal pivots, so the solves multiply *)
   for i = 0 to n - 1 do
-    let base = i * n in
-    let irow = i * w2 in
-    let fre = w *. (k0d.(2 * i) +. k1d.(2 * i)) in
-    let fim = w *. (k0d.((2 * i) + 1) +. k1d.((2 * i) + 1)) in
-    for b = 0 to width - 1 do
-      let k = irow + (2 * b) in
-      let b2 = 2 * b in
-      let re = ref 0.0 and im = ref 0.0 in
-      for j = 0 to n - 1 do
-        let a = Array.unsafe_get drhs (base + j) in
-        let pk = (j * w2) + b2 in
-        re := !re +. (a *. Array.unsafe_get p pk);
-        im := !im +. (a *. Array.unsafe_get p (pk + 1))
+    let k = 2 * ((row_off n i * w) + col) in
+    let pr = u.(k) and pi = u.(k + 1) in
+    if pr = 0.0 && pi = 0.0 then raise (Scnoise_linalg.Clu.Singular i);
+    let q = 2 * ((i * w) + col) in
+    if abs_float pr >= abs_float pi then begin
+      let r = pi /. pr in
+      let dd = pr +. (r *. pi) in
+      t.rdiag.(q) <- 1.0 /. dd;
+      t.rdiag.(q + 1) <- -.r /. dd
+    end
+    else begin
+      let r = pr /. pi in
+      let dd = pi +. (r *. pr) in
+      t.rdiag.(q) <- r /. dd;
+      t.rdiag.(q + 1) <- -1.0 /. dd
+    end
+  done
+
+let hess_factor_shifted t ~hmat ~h ~col ~omega =
+  if h <= 0.0 then invalid_arg "Ctrapezoid.hess_factor_shifted: h <= 0";
+  let w = 0.5 *. h in
+  hess_factor t ~hmat ~col ~d:(Cx.make 1.0 (w *. omega)) ~alpha:(Cx.re w)
+
+(* Forward pass over L (swap, then eliminate one row) and back
+   substitution over U, per column in the same order at every width. *)
+let hess_solve_in_place t x =
+  let n = t.hn and w = t.hw in
+  if Array.length x <> 2 * n * w then
+    invalid_arg "Ctrapezoid.hess_solve_in_place: panel dimension mismatch";
+  let w2 = 2 * w in
+  let u = t.u and rd = t.rdiag and mult = t.mult and swap = t.swap in
+  for k = 0 to n - 2 do
+    for b = 0 to w - 1 do
+      let q = (k * w) + b in
+      let i0 = (k * w2) + (2 * b) in
+      let i1 = i0 + w2 in
+      if Array.unsafe_get swap q then begin
+        let tr = Array.unsafe_get x i0 and ti = Array.unsafe_get x (i0 + 1) in
+        Array.unsafe_set x i0 (Array.unsafe_get x i1);
+        Array.unsafe_set x (i0 + 1) (Array.unsafe_get x (i1 + 1));
+        Array.unsafe_set x i1 tr;
+        Array.unsafe_set x (i1 + 1) ti
+      end;
+      let lr = Array.unsafe_get mult (2 * q)
+      and li = Array.unsafe_get mult ((2 * q) + 1) in
+      let xr = Array.unsafe_get x i0 and xi = Array.unsafe_get x (i0 + 1) in
+      Array.unsafe_set x i1
+        (Array.unsafe_get x i1 -. ((lr *. xr) -. (li *. xi)));
+      Array.unsafe_set x (i1 + 1)
+        (Array.unsafe_get x (i1 + 1) -. ((lr *. xi) +. (li *. xr)))
+    done
+  done;
+  (* back substitution: a single column accumulates in registers; a
+     panel keeps the block column innermost and accumulates each
+     column's entry in place, in the same order *)
+  if w = 1 then
+    for i = n - 1 downto 0 do
+      let q0 = 2 * (row_off n i - i) in
+      let ar = ref (Array.unsafe_get x (2 * i))
+      and ai = ref (Array.unsafe_get x ((2 * i) + 1)) in
+      for j = i + 1 to n - 1 do
+        let q = q0 + (2 * j) in
+        let ur = Array.unsafe_get u q and ui = Array.unsafe_get u (q + 1) in
+        let xr = Array.unsafe_get x (2 * j)
+        and xi = Array.unsafe_get x ((2 * j) + 1) in
+        ar := !ar -. ((ur *. xr) -. (ui *. xi));
+        ai := !ai -. ((ur *. xi) +. (ui *. xr))
       done;
-      let beta = Array.unsafe_get betas b in
-      Array.unsafe_set bb k
-        (!re +. (beta *. Array.unsafe_get p (k + 1)) +. fre);
-      Array.unsafe_set bb (k + 1)
-        (!im -. (beta *. Array.unsafe_get p k) +. fim)
+      let rr = Array.unsafe_get rd (2 * i)
+      and ri = Array.unsafe_get rd ((2 * i) + 1) in
+      Array.unsafe_set x (2 * i) ((!ar *. rr) -. (!ai *. ri));
+      Array.unsafe_set x ((2 * i) + 1) ((!ar *. ri) +. (!ai *. rr))
     done
-  done;
-  (* y = C^{-1} b: anchor and first iterate for every column *)
-  Obs.incr c_block_solves;
-  Obs.hist_record_int h_batch_width width;
-  Lu.solve_block_into st.dlhs ~width ~b:work.bw_b ~into:work.bw_y;
-  Array.blit work.bw_y 0 into 0 (2 * n * width);
-  let yd = work.bw_y and zd = work.bw_z in
-  for m = 1 to !max_m do
-    Obs.incr c_block_solves;
-    (let active = ref 0 in
-     for b = 0 to width - 1 do
-       if iters.(b) >= m then incr active
-     done;
-     Obs.hist_record_int h_batch_width !active);
-    Lu.solve_block_into st.dlhs ~width ~b:into ~into:work.bw_z;
-    if m <= !min_m then
-      (* every column is still refining: the mask below would pass
-         everywhere, so skip the per-column test (same updates, same
-         order) *)
-      for i = 0 to n - 1 do
-        let irow = i * w2 in
-        for b = 0 to width - 1 do
-          let k = irow + (2 * b) in
-          let beta = Array.unsafe_get betas b in
-          Array.unsafe_set into k
-            (Array.unsafe_get yd k +. (beta *. Array.unsafe_get zd (k + 1)));
-          Array.unsafe_set into (k + 1)
-            (Array.unsafe_get yd (k + 1) -. (beta *. Array.unsafe_get zd k))
-        done
-      done
-    else
-      for i = 0 to n - 1 do
-        let irow = i * w2 in
-        for b = 0 to width - 1 do
-          if Array.unsafe_get iters b >= m then begin
-            let k = irow + (2 * b) in
-            let beta = Array.unsafe_get betas b in
-            Array.unsafe_set into k
-              (Array.unsafe_get yd k +. (beta *. Array.unsafe_get zd (k + 1)));
-            Array.unsafe_set into (k + 1)
-              (Array.unsafe_get yd (k + 1) -. (beta *. Array.unsafe_get zd k))
-          end
-        done
-      done
-  done;
-  Scnoise_linalg.Sanitize.check_panel "Ctrapezoid.step_block" ~width into
-
-let step_demod_into st ~work ~omega ~iters ~p ~k0 ~k1 ~into =
-  Obs.incr c_steps;
-  Obs.incr c_demod_steps;
-  if iters > 0 then Obs.add c_demod_refines iters;
-  let n = st.dn in
-  if Cvec.dim p <> n || Cvec.dim k0 <> n || Cvec.dim k1 <> n || Cvec.dim into <> n
-  then invalid_arg "Ctrapezoid.step_demod_into: dimension mismatch";
-  let beta = 0.5 *. st.dh *. omega in
-  let w = 0.5 *. st.dh in
-  let pd = Cvec.data p
-  and k0d = Cvec.data k0
-  and k1d = Cvec.data k1
-  and bd = Cvec.data work.wb in
-  (* b = (D - j beta I) p + h/2 (k0 + k1), with real D *)
-  for i = 0 to n - 1 do
-    let base = i * n in
-    let re = ref 0.0 and im = ref 0.0 in
-    for j = 0 to n - 1 do
-      let a = st.drhs.(base + j) in
-      re := !re +. (a *. pd.(2 * j));
-      im := !im +. (a *. pd.((2 * j) + 1))
+  else
+  for i = n - 1 downto 0 do
+    let xi0 = i * w2 in
+    let q = ref (2 * (row_off n i + 1) * w) in
+    for j = i + 1 to n - 1 do
+      let xj0 = j * w2 in
+      let q0 = !q in
+      for b = 0 to w - 1 do
+        let k = xi0 + (2 * b) and p = xj0 + (2 * b) and q = q0 + (2 * b) in
+        let ur = Array.unsafe_get u q and ui = Array.unsafe_get u (q + 1) in
+        let xr = Array.unsafe_get x p and xi = Array.unsafe_get x (p + 1) in
+        Array.unsafe_set x k
+          (Array.unsafe_get x k -. ((ur *. xr) -. (ui *. xi)));
+        Array.unsafe_set x (k + 1)
+          (Array.unsafe_get x (k + 1) -. ((ur *. xi) +. (ui *. xr)))
+      done;
+      q := q0 + w2
     done;
-    bd.(2 * i) <-
-      !re +. (beta *. pd.((2 * i) + 1))
-      +. (w *. (k0d.(2 * i) +. k1d.(2 * i)));
-    bd.((2 * i) + 1) <-
-      !im -. (beta *. pd.(2 * i))
-      +. (w *. (k0d.((2 * i) + 1) +. k1d.((2 * i) + 1)))
-  done;
-  (* y = C^{-1} b is both the first iterate and the refinement anchor *)
-  Lu.solve_complex_into st.dlhs ~b:work.wb ~into:work.wy;
-  Cvec.copy_into work.wy ~into;
-  let yd = Cvec.data work.wy
-  and zd = Cvec.data work.wz
-  and od = Cvec.data into in
-  for _ = 1 to iters do
-    Lu.solve_complex_into st.dlhs ~b:into ~into:work.wz;
-    for i = 0 to n - 1 do
-      od.(2 * i) <- yd.(2 * i) +. (beta *. zd.((2 * i) + 1));
-      od.((2 * i) + 1) <- yd.((2 * i) + 1) -. (beta *. zd.(2 * i))
+    for b = 0 to w - 1 do
+      let k = xi0 + (2 * b) and q = 2 * ((i * w) + b) in
+      let rr = Array.unsafe_get rd q and ri = Array.unsafe_get rd (q + 1) in
+      let ar = Array.unsafe_get x k and ai = Array.unsafe_get x (k + 1) in
+      Array.unsafe_set x k ((ar *. rr) -. (ai *. ri));
+      Array.unsafe_set x (k + 1) ((ar *. ri) +. (ai *. rr))
+    done
+  done
+
+(* One trapezoid step of every column: into = (2 - d) p + alpha H p + g,
+   then the factored solve in place.  With the shifted factors
+   (d = 1 + j beta, alpha = h/2) the rhs is I + h/2 (H - jwI) applied to
+   p. *)
+let step_hess_into t ~g ~p ~into =
+  let n = t.hn and w = t.hw in
+  if Array.length p <> 2 * n * w || Array.length into <> 2 * n * w then
+    invalid_arg "Ctrapezoid.step_hess_into: panel dimension mismatch";
+  if Cvec.dim g <> n then
+    invalid_arg "Ctrapezoid.step_hess_into: forcing dimension mismatch";
+  if p == into then
+    invalid_arg "Ctrapezoid.step_hess_into: output must not alias p";
+  Obs.add c_steps w;
+  if w > 1 then Obs.incr c_block_steps;
+  let hd = Mat.data t.hm and gd = Cvec.data g and coef = t.coef in
+  let w2 = 2 * w in
+  for i = 0 to n - 1 do
+    let base = i * n and xi0 = i * w2 in
+    let j0 = if i = 0 then 0 else i - 1 in
+    (* row i of H p: in registers for a single column, in place with the
+       block innermost for a panel — the same sums in the same order *)
+    if w = 1 then begin
+      let re = ref 0.0 and im = ref 0.0 in
+      for j = j0 to n - 1 do
+        let a = Array.unsafe_get hd (base + j) in
+        re := !re +. (a *. Array.unsafe_get p (2 * j));
+        im := !im +. (a *. Array.unsafe_get p ((2 * j) + 1))
+      done;
+      Array.unsafe_set into xi0 !re;
+      Array.unsafe_set into (xi0 + 1) !im
+    end
+    else begin
+      Array.fill into xi0 w2 0.0;
+      for j = j0 to n - 1 do
+        let a = Array.unsafe_get hd (base + j) and xj0 = j * w2 in
+        for b = 0 to w2 - 1 do
+          Array.unsafe_set into (xi0 + b)
+            (Array.unsafe_get into (xi0 + b)
+            +. (a *. Array.unsafe_get p (xj0 + b)))
+        done
+      done
+    end;
+    let gr = gd.(2 * i) and gi = gd.((2 * i) + 1) in
+    for b = 0 to w - 1 do
+      let er = 2.0 -. Array.unsafe_get coef (4 * b)
+      and ei = -.Array.unsafe_get coef ((4 * b) + 1)
+      and ar = Array.unsafe_get coef ((4 * b) + 2)
+      and ai = Array.unsafe_get coef ((4 * b) + 3) in
+      let k = xi0 + (2 * b) in
+      let xr = Array.unsafe_get p k and xi = Array.unsafe_get p (k + 1) in
+      let sr = Array.unsafe_get into k and si = Array.unsafe_get into (k + 1) in
+      Array.unsafe_set into k
+        (((er *. xr) -. (ei *. xi)) +. ((ar *. sr) -. (ai *. si)) +. gr);
+      Array.unsafe_set into (k + 1)
+        (((er *. xi) +. (ei *. xr)) +. ((ar *. si) +. (ai *. sr)) +. gi)
     done
   done;
-  Scnoise_linalg.Sanitize.check_cvec "Ctrapezoid.step_demod" into
+  hess_solve_in_place t into;
+  Scnoise_linalg.Sanitize.check_panel "Ctrapezoid.step_hess" ~width:w into

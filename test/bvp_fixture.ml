@@ -9,23 +9,29 @@ module Bvp = Scnoise_core.Periodic_bvp
 module Psd = Scnoise_core.Psd
 module Covariance = Scnoise_core.Covariance
 
-type t = { bvp : Bvp.t; forcing : Cvec.t array }
+type t = { bvp : Bvp.t; forcing : Cvec.t array; prepared : Bvp.forcing }
 
 let of_engine eng =
   let cov = Psd.covariance eng and c = Psd.output eng in
+  let bvp = Bvp.of_sampled cov ~output:c in
+  let forcing =
+    Array.map (fun k -> Cvec.of_real (Mat.mul_vec k c)) cov.Covariance.ks
+  in
   {
-    bvp = Bvp.of_sampled cov ~output:c;
-    forcing =
-      Array.map (fun k -> Cvec.of_real (Mat.mul_vec k c)) cov.Covariance.ks;
+    bvp;
+    forcing;
+    prepared =
+      Bvp.forcing bvp ~kl:(Array.get forcing) ~kr:(fun i -> forcing.(i + 1));
   }
 
 (* [y] is a panel of [n_points] entries by [Array.length omegas]
    columns *)
 let solve ?(reference = false) fx ~omegas y =
-  (if reference then Bvp.solve_reference else Bvp.solve)
-    fx.bvp ~omegas ~kl:(Array.get fx.forcing)
-    ~kr:(fun i -> fx.forcing.(i + 1))
-    y
+  if reference then
+    Bvp.solve_reference fx.bvp ~omegas ~kl:(Array.get fx.forcing)
+      ~kr:(fun i -> fx.forcing.(i + 1))
+      y
+  else Bvp.solve fx.bvp ~omegas ~forcing:fx.prepared y
 
 (* The output samples y(t_i) = cᵀ P(t_i) of one width-1 solve at [f]. *)
 let samples ?reference fx ~f =

@@ -1,8 +1,8 @@
 (* Property tests for the flat complex kernels and their in-place
    variants: the unboxed representation and the allocation-free hot
    path must be bit-compatible with straightforward reference
-   implementations on random inputs, and the demodulated sweep backend
-   must agree with the classic per-frequency factorization on the
+   implementations on random inputs, and the Hessenberg-form sweep
+   must agree with the dense per-frequency factorization on the
    bundled circuits. *)
 
 module Cx = Scnoise_linalg.Cx
@@ -183,41 +183,11 @@ let prop_step_into =
       Ctrap.step_into st ~p:aliased ~k0 ~k1 ~into:aliased;
       cvec_equal_bits out expect && cvec_equal_bits aliased expect)
 
-let prop_reusable_retune =
-  QCheck.Test.make ~count:60 ~name:"retuned reusable == fresh make (bitwise)"
-    spec_arb (fun spec ->
-      let rng = rng_of spec in
-      let a = random_stable_a rng spec.n in
-      let a' = random_stable_a rng spec.n in
-      let st = Ctrap.make_reusable ~a ~h:1e-7 in
-      let p = random_cvec rng spec.n in
-      let k0 = random_cvec rng spec.n and k1 = random_cvec rng spec.n in
-      let out = Cvec.create spec.n in
-      let agrees a h steps =
-        Ctrap.rebind st ~a ~h;
-        List.for_all
-          (fun (col, f) ->
-            let omega = 2.0 *. Float.pi *. f in
-            Ctrap.retune st ~col ~omega;
-            Ctrap.step_reusable_into st ~col ~p ~k0 ~k1 ~into:out;
-            let fresh = Ctrap.make ~a ~shift:(Cx.make 0.0 omega) ~h in
-            cvec_equal_bits out (Ctrap.step fresh ~p ~k0 ~k1))
-          steps
-      in
-      (* revisit a frequency to exercise the retune cache, step columns
-         out of retune order to exercise the shared rhs, then rebind to
-         another system and revisit the same shifts *)
-      agrees a 1e-7
-        [ (0, 0.0); (0, 1e3); (2, 2.7e5); (0, 1e3); (1, 4.4e6); (2, 2.7e5);
-          (0, 1e3); (1, 4.4e6) ]
-      && agrees a' 2e-7 [ (2, 2.7e5); (0, 1e3); (2, 2.7e5) ])
-
 (* --- block columns are width-1 solves --- *)
 
 (* Column b of a width-w block solve is bitwise the width-1 solve at
-   omegas.(b), at every output sample.  The low-pass block straddles its
-   refinable edge (~4.1 kHz at 128 samples per phase), so fallback
-   columns sit inside the blocks. *)
+   omegas.(b), at every output sample, from DC through the band above
+   ~4 kHz where the low-pass once needed per-column fallback steppers. *)
 let test_block_width_parity () =
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
@@ -226,13 +196,8 @@ let test_block_width_parity () =
   let omegas =
     Array.map
       (fun f -> 2.0 *. Float.pi *. f)
-      (Scnoise_util.Grid.linspace 3_000.0 5_000.0 16)
+      (Scnoise_util.Grid.linspace 0.0 16_000.0 16)
   in
-  let nfb = Bvp.fallback_columns fx.Bvp_fixture.bvp ~omegas in
-  Alcotest.(check bool)
-    (Printf.sprintf "fallback columns inside the band (%d of 16)" nfb)
-    true
-    (nfb > 0 && nfb < 16);
   let single =
     Array.map
       (fun o ->
@@ -268,7 +233,7 @@ let test_block_width_parity () =
       done)
     [ 3; 16 ]
 
-(* --- demod sweep vs the reference solve --- *)
+(* --- Hessenberg sweep vs the reference solve --- *)
 
 let reference_psd eng freqs =
   let cov = Psd.covariance eng in
@@ -325,22 +290,18 @@ let test_gc_budget () =
     true (per_point < budget)
 
 (* A serving daemon prepares solver after solver on one domain.  The
-   complex-LU fallback steppers a solver needs above ~4 kHz live in the
-   domain's workspace; the next solver must recycle them, or live heap
-   grows with every solver ever run. *)
-let test_fallback_table_bounded () =
+   Hessenberg factors a solve needs live in the domain's workspace; the
+   next solver must recycle them, or live heap grows with every solver
+   ever run. *)
+let test_workspace_bounded () =
   let b = LP.build LP.default in
   let cov = Scnoise_core.Covariance.sample ~samples_per_phase:32 b.LP.sys in
   let fresh_sweep () =
     ignore (Psd.psd (Psd.of_sampled cov ~output:b.LP.output) ~f:8e3)
   in
-  let fb = Scnoise_obs.Obs.counter_value "bvp_fallback_steps" in
   for _ = 1 to 10 do
     fresh_sweep ()
   done;
-  Alcotest.(check bool)
-    "8 kHz takes the fallback steppers" true
-    (Scnoise_obs.Obs.counter_value "bvp_fallback_steps" > fb);
   let live () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
@@ -354,6 +315,35 @@ let test_fallback_table_bounded () =
     (Printf.sprintf "live heap grew %d words over 200 solvers (bound 16384)"
        grown)
     true (grown < 16384)
+
+(* The 100-state parasitic ladder the e2e benchmark runs (48 samples
+   per phase), on its 33-point log sweep plus DC and 50 kHz: the
+   Hessenberg solve against the dense reference at the size the engine
+   actually runs. *)
+let test_ladder100_oracle () =
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let b = LAD.build (LAD.with_parasitics (LAD.with_stages 50)) in
+  let eng = Psd.prepare ~samples_per_phase:48 b.LAD.sys ~output:b.LAD.output in
+  let freqs =
+    Array.concat
+      [
+        [| 0.0 |];
+        Scnoise_util.Grid.logspace 100.0 40_000.0 33;
+        [| 50_000.0 |];
+      ]
+  in
+  let fast = Psd.sweep ~pool:(Scnoise_par.Pool.create ~jobs:1 ()) eng freqs in
+  let slow = reference_psd eng freqs in
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun i _ ->
+      worst :=
+        Float.max !worst
+          (abs_float (Db.of_power fast.(i) -. Db.of_power slow.(i))))
+    freqs;
+  Printf.printf "ladder-100 Hessenberg vs reference: max |dPSD| = %.3e dB\n"
+    !worst;
+  check_db_close "ladder-100" freqs fast slow
 
 (* --- blocked multi-RHS kernels ---
 
@@ -409,34 +399,36 @@ let prop_lu_block =
         cols;
       !ok)
 
-let prop_step_block =
+(* A Hessenberg panel step at per-column frequencies == the width-1
+   step of each column with its own factors. *)
+let prop_step_hess_panel =
   QCheck.Test.make ~count:80
-    ~name:"step_block_into == per-column step_demod_into (bitwise)" bspec_arb
+    ~name:"step_hess_into panel == per-column width-1 (bitwise)" bspec_arb
     (fun s ->
       let rng = brng s in
-      let a = random_stable_a rng s.bn in
-      let st = Ctrap.make_demod ~a ~h:1e-7 in
-      (* random per-column frequencies so the refinement counts genuinely
-         differ within the block (exercising the convergence mask); skip
-         draws where some column needs the complex-LU fallback *)
+      let hmat, _ = Scnoise_linalg.Eig.hessenberg (random_stable_a rng s.bn) in
       let omegas =
         Array.init s.bw (fun _ ->
-            2.0 *. Float.pi *. (10.0 ** (1.0 +. Random.State.float rng 4.0)))
+            2.0 *. Float.pi *. (10.0 ** (1.0 +. Random.State.float rng 6.0)))
       in
-      let iters = Array.map (fun omega -> Ctrap.demod_iters st ~omega) omegas in
-      QCheck.assume (Array.for_all (fun m -> m >= 0) iters);
       let p, cols = random_panel rng ~dim:s.bn ~width:s.bw in
-      let k0 = random_cvec rng s.bn and k1 = random_cvec rng s.bn in
-      let work = Ctrap.block_work ~dim:s.bn ~width:s.bw in
+      let g = random_cvec rng s.bn in
+      let panel = Ctrap.hess_create ~dim:s.bn ~width:s.bw in
+      Array.iteri
+        (fun col omega ->
+          Ctrap.hess_factor_shifted panel ~hmat ~h:1e-7 ~col ~omega)
+        omegas;
       let out = Cvec.panel_create ~dim:s.bn ~width:s.bw in
-      Ctrap.step_block_into st ~work ~omegas ~iters ~p ~k0 ~k1 ~into:out;
-      let dwork = Ctrap.demod_work s.bn in
+      Ctrap.step_hess_into panel ~g ~p ~into:out;
+      let single = Ctrap.hess_create ~dim:s.bn ~width:1 in
       let scalar = Cvec.create s.bn and got = Cvec.create s.bn in
       let ok = ref true in
       Array.iteri
         (fun b v ->
-          Ctrap.step_demod_into st ~work:dwork ~omega:omegas.(b)
-            ~iters:iters.(b) ~p:v ~k0 ~k1 ~into:scalar;
+          Ctrap.hess_factor_shifted single ~hmat ~h:1e-7 ~col:0
+            ~omega:omegas.(b);
+          Ctrap.step_hess_into single ~g ~p:(Cvec.data v)
+            ~into:(Cvec.data scalar);
           Cvec.panel_get_col out ~width:s.bw ~col:b ~into:got;
           if not (cvec_equal_bits got scalar) then ok := false)
         cols;
@@ -462,13 +454,14 @@ let test_block_aliasing () =
   let lu = Lu.factor (random_dd_mat rng n) in
   rejects "Lu.solve_block_into" (fun () ->
       Lu.solve_block_into lu ~width ~b:p ~into:p);
-  let st = Ctrap.make_demod ~a:(random_stable_a rng n) ~h:1e-7 in
-  let omegas = Array.make width 1e3 in
-  let iters = Array.map (fun omega -> Ctrap.demod_iters st ~omega) omegas in
-  let work = Ctrap.block_work ~dim:n ~width in
-  let k0 = random_cvec rng n in
-  rejects "Ctrapezoid.step_block_into" (fun () ->
-      Ctrap.step_block_into st ~work ~omegas ~iters ~p ~k0 ~k1:k0 ~into:p)
+  let hmat, _ = Scnoise_linalg.Eig.hessenberg (random_stable_a rng n) in
+  let st = Ctrap.hess_create ~dim:n ~width in
+  for col = 0 to width - 1 do
+    Ctrap.hess_factor_shifted st ~hmat ~h:1e-7 ~col ~omega:1e3
+  done;
+  let g = random_cvec rng n in
+  rejects "Ctrapezoid.step_hess_into" (fun () ->
+      Ctrap.step_hess_into st ~g ~p ~into:p)
 
 (* --- batched sweeps --- *)
 
@@ -503,8 +496,6 @@ let float_array_bits_equal a b =
 let test_sweep_batch_parity () =
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:64 b.LP.sys ~output:b.LP.output in
-  (* crosses the refinable band's edge (~4 kHz at this deck), so blocks
-     with and without fallback columns are exercised *)
   let freqs = Scnoise_util.Grid.linspace 100.0 16_000.0 41 in
   Alcotest.(check bool) "the sweep runs blocked" true
     (Psd.batch_width eng ~npoints:(Array.length freqs) > 1);
@@ -525,60 +516,33 @@ let batched_vs_reference name prep freqs () =
   check_db_close name freqs (Psd.sweep ~pool eng freqs)
     (reference_psd eng freqs)
 
-(* A 16-wide block straddling sc_lowpass's refinable edge (~4.1 kHz at
-   128 samples per phase): the frequencies past the edge step their
-   non-refinable (phase, h) pairs on per-column complex-LU steppers
-   while the block as a whole stays on the panel kernels. *)
-let test_mixed_fallback_block () =
-  let b = LP.build LP.default in
-  let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
-  let freqs = Scnoise_util.Grid.linspace 3_000.0 5_000.0 16 in
-  let serial = Pool.create ~jobs:1 () in
-  let par = Pool.create ~jobs:4 () in
-  let blocks0 = counter "bvp_block_solves" in
-  let fb0 = counter "bvp_fallback_steps" in
-  let u0 = counter "psd.unbatched_points" in
-  Alcotest.(check int) "auto width spans the band" 16
-    (Psd.batch_width eng ~npoints:16);
-  let blocked = Psd.sweep ~pool:serial eng freqs in
-  Alcotest.(check int) "one block solve" (blocks0 + 1)
-    (counter "bvp_block_solves");
-  let unbatched = counter "psd.unbatched_points" - u0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "the block mixes fallback and refinable columns (%d)"
-       unbatched)
-    true
-    (unbatched > 0 && unbatched < Array.length freqs);
-  Alcotest.(check bool) "the block takes fallback steps" true
-    (counter "bvp_fallback_steps" > fb0);
-  check_db_close "mixed block" freqs blocked (reference_psd eng freqs);
-  let pointwise = Array.map (fun f -> Psd.psd eng ~f) freqs in
-  Alcotest.(check bool) "mixed block bit-identical to psd (jobs1)" true
-    (float_array_bits_equal blocked pointwise);
-  Alcotest.(check bool) "mixed block bit-identical to psd (jobs4)" true
-    (float_array_bits_equal (Psd.sweep ~pool:par eng freqs) pointwise)
-
-(* psd.unbatched_points counts the sweep points that took at least one
-   complex-LU fallback step: exactly the frequencies whose lone solve
-   advances bvp_fallback_steps. *)
-let test_unbatched_points () =
+(* Every solve factors each distinct (phase, h) stepper and the closure
+   once per column, and each factorisation records its pivot growth:
+   a 16-wide block costs exactly sixteen single points. *)
+let test_hess_factorizations () =
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:64 b.LP.sys ~output:b.LP.output in
-  let freqs = Scnoise_util.Grid.linspace 100.0 16_000.0 41 in
-  let expected =
-    Array.fold_left
-      (fun acc f ->
-        let fb0 = counter "bvp_fallback_steps" in
-        ignore (Psd.psd eng ~f);
-        if counter "bvp_fallback_steps" > fb0 then acc + 1 else acc)
-      0 freqs
+  let growth () =
+    let hists = (Obs.snapshot ()).Obs.snap_hists in
+    match List.assoc_opt "bvp.hess_pivot_growth" hists with
+    | Some h -> Scnoise_obs.Hist.total h
+    | None -> 0
   in
-  Alcotest.(check bool) "the band crosses the refinable edge" true
-    (expected > 0 && expected < Array.length freqs);
-  let u0 = counter "psd.unbatched_points" in
-  ignore (Psd.sweep ~pool:(Pool.create ~jobs:1 ()) eng freqs);
-  Alcotest.(check int) "unbatched points of the blocked sweep" expected
-    (counter "psd.unbatched_points" - u0)
+  let f0 = counter "bvp_hess_factorizations" and g0 = growth () in
+  ignore (Psd.psd eng ~f:1e3);
+  let single = counter "bvp_hess_factorizations" - f0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a point factors its steppers and closure (%d)" single)
+    true (single >= 2);
+  Alcotest.(check int) "one pivot-growth sample per factorisation" single
+    (growth () - g0);
+  let f1 = counter "bvp_hess_factorizations" in
+  ignore
+    (Psd.sweep ~pool:(Pool.create ~jobs:1 ()) eng
+       (Scnoise_util.Grid.linspace 100.0 16_000.0 16));
+  Alcotest.(check int) "a 16-wide block factors 16 points' worth"
+    (16 * single)
+    (counter "bvp_hess_factorizations" - f1)
 
 let prep_integrator () =
   let b = SI.build SI.default in
@@ -594,22 +558,24 @@ let () =
         [ prop_add_into; prop_scale_into; prop_axpy_into; prop_mul_vec_into ];
       qsuite "clu"
         [ prop_lu_solve; prop_factor_into_parity; prop_solve_into_aliasing ];
-      qsuite "steppers" [ prop_step_into; prop_reusable_retune ];
+      qsuite "steppers" [ prop_step_into ];
       ( "bvp",
         [
           Alcotest.test_case "block columns == width-1 solves (bitwise)" `Quick
             test_block_width_parity;
           Alcotest.test_case "demod parity lowpass" `Quick
             (demod_parity "lowpass" prep_lowpass
-               [ 10.0; 320.0; 1e3; 3.3e3; 7.7e3; 1.6e4 ]);
+               [ 0.0; 10.0; 320.0; 1e3; 3.3e3; 4.1e3; 5e3; 7.7e3; 1.2e4;
+                 1.6e4 ]);
           Alcotest.test_case "demod parity switched_rc" `Quick
             (demod_parity "switched_rc" prep_switched_rc
-               [ 10.0; 1e3; 2.5e4; 3e5 ]);
+               [ 0.0; 10.0; 1e3; 4.1e3; 1.6e4; 2.5e4; 3e5 ]);
           Alcotest.test_case "hot loop allocation budget" `Slow test_gc_budget;
-          Alcotest.test_case "fallback steppers bounded across solvers" `Quick
-            test_fallback_table_bounded;
+          Alcotest.test_case "workspace bounded across solvers" `Quick
+            test_workspace_bounded;
+          Alcotest.test_case "ladder-100 oracle" `Slow test_ladder100_oracle;
         ] );
-      qsuite "blocked kernels" [ prop_lu_block; prop_step_block ];
+      qsuite "blocked kernels" [ prop_lu_block; prop_step_hess_panel ];
       ( "batched sweeps",
         [
           Alcotest.test_case "panel kernels reject aliasing" `Quick
@@ -625,9 +591,7 @@ let () =
             `Quick
             (batched_vs_reference "sc_integrator" prep_integrator
                [| 10.0; 1e3; 3.3e3 |]);
-          Alcotest.test_case "mixed fallback block runs blocked" `Quick
-            test_mixed_fallback_block;
-          Alcotest.test_case "unbatched points count fallback frequencies"
-            `Quick test_unbatched_points;
+          Alcotest.test_case "hessenberg factorizations counted" `Quick
+            test_hess_factorizations;
         ] );
     ]

@@ -357,7 +357,7 @@ let test_eig_spectral_radius () =
 
 let test_hessenberg_structure_and_spectrum () =
   let a = random_mat 6 in
-  let h = Eig.hessenberg a in
+  let h, _ = Eig.hessenberg a in
   (* zero below the first subdiagonal *)
   for i = 0 to 5 do
     for j = 0 to 5 do
@@ -368,6 +368,64 @@ let test_hessenberg_structure_and_spectrum () =
   (* similarity: same spectrum *)
   check_spectrum ~eps:1e-7 "hessenberg similarity" (Eig.eigenvalues a)
     (Eig.eigenvalues h)
+
+(* A = U H Uᵀ with U orthogonal, to rounding, from 1 to 100 states —
+   and again on the H of each reduction, an input that is already
+   Hessenberg (whose reflectors at most flip signs). *)
+let test_hessenberg_factor () =
+  let check name a =
+    let n = Mat.rows a in
+    let h, u = Eig.hessenberg a in
+    for i = 0 to n - 1 do
+      for j = 0 to i - 2 do
+        if Mat.get h i j <> 0.0 then
+          Alcotest.failf "%s: H(%d,%d) = %g below the subdiagonal" name i j
+            (Mat.get h i j)
+      done
+    done;
+    let resid =
+      Mat.norm_fro (Mat.sub a (Mat.mul u (Mat.mul h (Mat.transpose u))))
+    in
+    let orth =
+      Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose u) u) (Mat.identity n))
+    in
+    if resid > 1e-13 *. Mat.norm_fro a then
+      Alcotest.failf "%s: ||A - U H Uᵀ|| = %.3e (||A|| = %.3e)" name resid
+        (Mat.norm_fro a);
+    if orth > 1e-14 *. float_of_int n then
+      Alcotest.failf "%s: ||UᵀU - I|| = %.3e" name orth;
+    h
+  in
+  List.iter
+    (fun n ->
+      let h = check (Printf.sprintf "random n=%d" n) (random_mat n) in
+      ignore (check (Printf.sprintf "hessenberg n=%d" n) h))
+    [ 1; 2; 3; 9; 40; 100 ]
+
+(* Accumulating U leaves the reduction's arithmetic alone: the
+   eigenvalues keep the bits they had before the factor was
+   returned. *)
+let test_eigenvalues_bits () =
+  let a =
+    Mat.init 9 9 (fun i j -> sin (float_of_int (((i + 1) * (j + 2)) + (i * i))))
+  in
+  let golden =
+    [|
+      (0x3ffba416530f8080L, 0x3ff005763b676ca5L);
+      (0x3ffba416530f8080L, 0xbff005763b676ca5L);
+      (0x3ff01799bcce3f15L, 0x3ffcdc47a3d35314L);
+      (0x3ff01799bcce3f15L, 0xbffcdc47a3d35314L);
+      (0x3fde417c50ec7c7bL, 0x0L);
+      (0xbff1e25169c6472eL, 0x3ff54a23e759c787L);
+      (0xbff1e25169c6472eL, 0xbff54a23e759c787L);
+      (0xbffb294ee9eb8bc6L, 0x0L);
+      (0xbff30174b723b6c6L, 0x0L);
+    |]
+  in
+  let bits (z : Cx.t) = (Int64.bits_of_float z.re, Int64.bits_of_float z.im) in
+  let got = Array.map bits (Eig.eigenvalues a) in
+  Alcotest.(check bool) "eigenvalues bit-identical to the golden" true
+    (got = golden)
 
 let test_eig_companion () =
   (* companion of p(x) = x³ - 6x² + 11x - 6 = (x-1)(x-2)(x-3) *)
@@ -862,6 +920,8 @@ let () =
           Alcotest.test_case "spectral radius" `Quick test_eig_spectral_radius;
           Alcotest.test_case "companion" `Quick test_eig_companion;
           Alcotest.test_case "hessenberg" `Quick test_hessenberg_structure_and_spectrum;
+          Alcotest.test_case "hessenberg factor" `Quick test_hessenberg_factor;
+          Alcotest.test_case "eigenvalue bits" `Quick test_eigenvalues_bits;
           QCheck_alcotest.to_alcotest prop_eig_count;
         ] );
       ( "chol",

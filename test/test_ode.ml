@@ -198,6 +198,130 @@ let test_ctrapezoid_trajectory_steady_state () =
   if Cx.modulus (Cx.( -: ) last expected) > 1e-5 then
     Alcotest.fail "complex steady state wrong"
 
+(* --- shifted-Hessenberg stepper --- *)
+
+module Cmat = Scnoise_linalg.Cmat
+module Clu = Scnoise_linalg.Clu
+module Eig = Scnoise_linalg.Eig
+
+(* A non-stiff 9-state system stepped far past its time constants
+   (h |A| ~ 10), so the Hessenberg subdiagonal competes with the
+   diagonal and adjacent-row pivoting has work to do. *)
+let hess_case () =
+  let rng = Random.State.make [| 0x4e55 |] in
+  let n = 9 in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let a = Mat.init n n (fun _ _ -> 1e6 *. rnd ()) in
+  let b = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
+  (a, b)
+
+let rel_err x y = Cvec.max_abs_diff x y /. Cvec.norm_inf y
+
+(* The shifted factor/solve in the Hessenberg basis against the dense
+   complex LU of I - h/2 (A - jwI) in the original one, at DC, at a low
+   frequency and at 100 kHz, where wh/2 ~ 6 rivals the subdiagonal and
+   most steps swap rows. *)
+let test_hess_matches_clu () =
+  let a, b = hess_case () in
+  let n = Mat.rows a in
+  let hmat, u = Eig.hessenberg a in
+  let h = 2e-5 in
+  let swaps = ref [] in
+  List.iter
+    (fun (label, omega) ->
+      let st = Ctrapezoid.hess_create ~dim:n ~width:1 in
+      Ctrapezoid.hess_factor_shifted st ~hmat ~h ~col:0 ~omega;
+      swaps := (label, Ctrapezoid.hess_swaps st ~col:0) :: !swaps;
+      (* x = U M_H^{-1} Uᵀ b *)
+      let apply m v =
+        Cvec.init n (fun r ->
+            let acc = ref Cx.zero in
+            for j = 0 to n - 1 do
+              acc := Cx.( +: ) !acc (Cx.scale (Mat.get m r j) (Cvec.get v j))
+            done;
+            !acc)
+      in
+      let y = Cvec.data (apply (Mat.transpose u) b) in
+      Ctrapezoid.hess_solve_in_place st y;
+      let x = apply u (Cvec.of_data y) in
+      let w = 0.5 *. h in
+      let dense =
+        Cmat.init n n (fun i j ->
+            let re = (if i = j then 1.0 else 0.0) -. (w *. Mat.get a i j) in
+            Cx.make re (if i = j then w *. omega else 0.0))
+      in
+      let want = Clu.solve (Clu.factor dense) b in
+      let err = rel_err x want in
+      if err > 1e-12 then
+        Alcotest.failf "%s: relative error %.3e vs dense LU" label err)
+    [
+      ("DC", 0.0);
+      ("1 kHz", 2.0 *. Float.pi *. 1e3);
+      ("100 kHz", 2.0 *. Float.pi *. 1e5);
+    ];
+  let high = List.assoc "100 kHz" !swaps in
+  Alcotest.(check bool)
+    (Printf.sprintf "rows swap at 100 kHz (%d of %d steps)" high (n - 1))
+    true (high > 0)
+
+(* The closure's rotated monodromy d I - alpha H with |alpha| = 1,
+   against the dense complex LU of the same matrix. *)
+let test_hess_general () =
+  let a, b = hess_case () in
+  let n = Mat.rows a in
+  let hmat, _ = Eig.hessenberg (Mat.scale 1e-6 a) in
+  List.iter
+    (fun theta ->
+      let alpha = Cx.cis theta in
+      let st = Ctrapezoid.hess_create ~dim:n ~width:1 in
+      Ctrapezoid.hess_factor st ~hmat ~col:0 ~d:Cx.one ~alpha;
+      let x = Cvec.copy b in
+      Ctrapezoid.hess_solve_in_place st (Cvec.data x);
+      let dense =
+        Cmat.init n n (fun i j ->
+            let z = Cx.scale (Mat.get hmat i j) alpha in
+            if i = j then Cx.( -: ) Cx.one z else Cx.neg z)
+      in
+      let err = rel_err x (Clu.solve (Clu.factor dense) b) in
+      if err > 1e-12 then
+        Alcotest.failf "theta %g: relative error %.3e vs dense LU" theta err)
+    [ 0.0; 0.3; 2.0; -2.9 ]
+
+(* A width-4 panel of per-column frequencies — with and without row
+   swaps — solves every column bitwise like its width-1 factor. *)
+let test_hess_panel_bitwise () =
+  let a, _ = hess_case () in
+  let n = Mat.rows a in
+  let hmat, _ = Eig.hessenberg a in
+  let omegas = [| 0.0; 2e3; 6.3e7; 6.3e5 |] in
+  let width = Array.length omegas in
+  let rng = Random.State.make [| 0xb17 |] in
+  let panel =
+    Array.init (2 * n * width) (fun _ -> Random.State.float rng 2.0 -. 1.0)
+  in
+  (* float k of column b's interleaved vector, inside the panel *)
+  let at b k = (2 * (((k / 2) * width) + b)) + (k mod 2) in
+  let st = Ctrapezoid.hess_create ~dim:n ~width in
+  Array.iteri
+    (fun col omega ->
+      Ctrapezoid.hess_factor_shifted st ~hmat ~h:2e-5 ~col ~omega)
+    omegas;
+  let cols =
+    Array.init width (fun b -> Array.init (2 * n) (fun k -> panel.(at b k)))
+  in
+  Ctrapezoid.hess_solve_in_place st panel;
+  Array.iteri
+    (fun b col ->
+      let one = Ctrapezoid.hess_create ~dim:n ~width:1 in
+      Ctrapezoid.hess_factor_shifted one ~hmat ~h:2e-5 ~col:0 ~omega:omegas.(b);
+      Ctrapezoid.hess_solve_in_place one col;
+      for k = 0 to (2 * n) - 1 do
+        let got = panel.(at b k) in
+        if Int64.bits_of_float got <> Int64.bits_of_float col.(k) then
+          Alcotest.failf "column %d entry %d: %h vs %h" b k got col.(k)
+      done)
+    cols
+
 let prop_trapezoid_linear_in_ic =
   QCheck.Test.make ~count:50 ~name:"trapezoid step linear in the state"
     QCheck.(pair (float_range (-5.0) 5.0) (float_range (-5.0) 5.0))
@@ -247,5 +371,12 @@ let () =
           Alcotest.test_case "matches real" `Quick test_ctrapezoid_matches_real;
           Alcotest.test_case "shifted decay" `Quick test_ctrapezoid_shift_analytic;
           Alcotest.test_case "steady state" `Quick test_ctrapezoid_trajectory_steady_state;
+        ] );
+      ( "hessenberg",
+        [
+          Alcotest.test_case "shifted == dense LU" `Quick test_hess_matches_clu;
+          Alcotest.test_case "rotated == dense LU" `Quick test_hess_general;
+          Alcotest.test_case "panel column == width 1" `Quick
+            test_hess_panel_bitwise;
         ] );
     ]
