@@ -739,22 +739,24 @@ let reference_gemm a b =
   done;
   c
 
+(* A random matrix in the Van Loan layout [[-A, Q], [0, Aᵀ]] at total
+   size n. *)
+let vanloan_shaped rnd n =
+  let h = n / 2 in
+  let a = Mat.init h h (fun _ _ -> rnd ()) and q = Mat.init h h (fun _ _ -> rnd ()) in
+  Mat.init n n (fun i j ->
+      if i < h && j < h then -.Mat.get a i j
+      else if i < h then Mat.get q i (j - h)
+      else if j < h then 0.0
+      else Mat.get a (j - h) (i - h))
+
 (* Returns whether the GEMM-SMOKE gate holds. *)
 let exp_gemm () =
   header "EXP-K2  bit-faithful dense kernels: GEMM ns/flop, Van Loan ms and bytes";
   let module Vanloan = Scnoise_linalg.Vanloan in
   let rng = Random.State.make [| 0x6e_33 |] in
   let rnd () = Random.State.float rng 2.0 -. 1.0 in
-  (* the Van Loan layout [[-A, Q], [0, Aᵀ]] at total size n *)
-  let vanloan_shaped n =
-    let h = n / 2 in
-    let a = Mat.init h h (fun _ _ -> rnd ()) and q = Mat.init h h (fun _ _ -> rnd ()) in
-    Mat.init n n (fun i j ->
-        if i < h && j < h then -.Mat.get a i j
-        else if i < h then Mat.get q i (j - h)
-        else if j < h then 0.0
-        else Mat.get a (j - h) (i - h))
-  in
+  let vanloan_shaped = vanloan_shaped rnd in
   let t = Table.create [ "n"; "operand"; "ref_ns/flop"; "mul_ns/flop"; "speedup"; "bits" ] in
   let bits_ok = ref true and ratio80 = ref nan in
   List.iter
@@ -1450,6 +1452,116 @@ let cov_oracle ~samples_per_phase (sys : Pwl.t) =
     peak_rank = n;
   }
 
+(* The multi-RHS substitution [Lu.solve_mat] ran before it skipped
+   zero terms, kept here as the reference: every term of the row loop,
+   in the same order, over the packed factors of [Lu.packed]. *)
+let reference_solve_rows (f, piv) b =
+  let n = Mat.rows f and w = Mat.cols b in
+  let lu = Mat.data f and bd = Mat.data b in
+  let x = Array.make (n * w) 0.0 in
+  for i = 0 to n - 1 do
+    Array.blit bd (piv.(i) * w) x (i * w) w
+  done;
+  for i = 1 to n - 1 do
+    let irow = i * w in
+    for j = 0 to i - 1 do
+      let l = Array.unsafe_get lu ((i * n) + j) in
+      let jrow = j * w in
+      for k = 0 to w - 1 do
+        Array.unsafe_set x (irow + k)
+          (Array.unsafe_get x (irow + k)
+          -. (l *. Array.unsafe_get x (jrow + k)))
+      done
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let irow = i * w in
+    for j = i + 1 to n - 1 do
+      let u = Array.unsafe_get lu ((i * n) + j) in
+      let jrow = j * w in
+      for k = 0 to w - 1 do
+        Array.unsafe_set x (irow + k)
+          (Array.unsafe_get x (irow + k)
+          -. (u *. Array.unsafe_get x (jrow + k)))
+      done
+    done;
+    let d = Array.unsafe_get lu ((i * n) + i) in
+    for k = 0 to w - 1 do
+      Array.unsafe_set x (irow + k) (Array.unsafe_get x (irow + k) /. d)
+    done
+  done;
+  x
+
+(* The Padé solve (V − U)⁻¹(V + U) of one Van Loan exponential: the
+   reference row loop against [Lu.solve_mat] on the ladder's systems
+   and on a random Van Loan-shaped one.  Returns whether every result
+   is bitwise equal. *)
+let solve_table () =
+  let module Lu = Scnoise_linalg.Lu in
+  let module Expm = Scnoise_linalg.Expm in
+  let module Vanloan = Scnoise_linalg.Vanloan in
+  let rng = Random.State.make [| 0x50_1e |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let ladder stages phase =
+    let sys =
+      (LAD.build (LAD.with_parasitics (LAD.with_stages stages))).LAD.sys
+    in
+    let ph = sys.Pwl.phases.(phase) in
+    ( Printf.sprintf "ladder-%d phase %d" sys.Pwl.nstates phase,
+      Expm.pade13
+        (Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:(ph.Pwl.tau /. 48.0)) )
+  in
+  let systems =
+    [ ladder 20 0; ladder 50 0; ladder 50 1;
+      ("random van-loan-shaped", Expm.pade13 (vanloan_shaped rnd 200)) ]
+  in
+  let t =
+    Table.create
+      [ "system"; "2n"; "ref_ms"; "solve_ms"; "speedup"; "ref_madds";
+        "madds"; "bits" ]
+  in
+  let madds_c = Obs.counter "lu_solve_madds" in
+  let bits_ok = ref true in
+  List.iter
+    (fun (name, (p : Expm.pade)) ->
+      let lu = Lu.factor p.Expm.lhs in
+      let packed = Lu.packed lu in
+      let n = Mat.rows p.Expm.lhs and w = Mat.cols p.Expm.rhs in
+      let m0 = Obs.value madds_c in
+      let x = Lu.solve_mat lu p.Expm.rhs in
+      let madds = Obs.value madds_c - m0 in
+      let equal =
+        float_bits_equal (reference_solve_rows packed p.Expm.rhs) (Mat.data x)
+      in
+      if not equal then bits_ok := false;
+      (* interleaved rounds, per-kernel minimum (see EXP-B1) *)
+      let best_ref = ref infinity and best_new = ref infinity in
+      for _ = 1 to 5 do
+        let r =
+          wall_ms (fun () -> ignore (reference_solve_rows packed p.Expm.rhs))
+        in
+        let m = wall_ms (fun () -> ignore (Lu.solve_mat lu p.Expm.rhs)) in
+        best_ref := Float.min !best_ref r;
+        best_new := Float.min !best_new m
+      done;
+      Table.add_row t
+        [
+          name; string_of_int n;
+          Printf.sprintf "%.2f" !best_ref;
+          Printf.sprintf "%.2f" !best_new;
+          Printf.sprintf "%.1fx" (!best_ref /. !best_new);
+          string_of_int (n * (n - 1) * w);
+          string_of_int madds;
+          (if equal then "equal" else "MISMATCH");
+        ])
+    systems;
+  Table.print t;
+  Printf.printf
+    "(Padé system of one Van Loan step tau/48 of the phase; ref_madds = \
+     n(n-1)w, the row loop's count;\n the kernel skips zero factor \
+     entries and the zero span of each source row)\n";
+  !bits_ok
+
 let exp_cov () =
   header "EXP-C2  covariance engine: memoised Van Loan grid (ladder with parasitics)";
   let module LAD = Scnoise_circuits.Sc_ladder in
@@ -1469,9 +1581,11 @@ let exp_cov () =
   in
   let t =
     Table.create
-      [ "states"; "ms"; "expm_calls"; "distinct_ops"; "doubling_steps"; "ks_KiB" ]
+      [ "states"; "ms"; "expm_calls"; "distinct_ops"; "doubling_steps";
+        "solve_madds"; "dense_madds"; "ks_KiB" ]
   in
   let counts_ok = ref true and expm_at_100 = ref 0 and ops_at_100 = ref 0 in
+  let madds_at_100 = ref 0 and dense_at_100 = ref 0 in
   List.iter
     (fun stages ->
       let b = build stages in
@@ -1482,28 +1596,35 @@ let exp_cov () =
             .Covariance.g_ops
       in
       let expm = Obs.counter "expm_calls"
-      and dbl = Obs.counter "lyapunov.doubling_steps" in
+      and dbl = Obs.counter "lyapunov.doubling_steps"
+      and madds_c = Obs.counter "lu_solve_madds" in
       (* min over repeats: wall clock on a shared box is one-sided noise
          (other tenants only ever slow us down), so the minimum is the
          honest estimate of the actual cost; the counters are per run *)
       let best = ref infinity and cell = ref None in
-      let expm_calls = ref 0 and steps = ref 0 in
+      let expm_calls = ref 0 and steps = ref 0 and madds = ref 0 in
       for _ = 1 to 3 do
-        let e0 = Obs.value expm and d0 = Obs.value dbl in
+        let e0 = Obs.value expm and d0 = Obs.value dbl
+        and m0 = Obs.value madds_c in
         let ms =
           wall_ms (fun () ->
               cell := Some (Covariance.sample ~samples_per_phase:spp b.LAD.sys))
         in
         expm_calls := Obs.value expm - e0;
         steps := Obs.value dbl - d0;
+        madds := Obs.value madds_c - m0;
         if ms < !best then best := ms
       done;
+      (* each exponential solves its 2n x 2n Padé system, 2n columns *)
+      let dense = !expm_calls * (2 * n) * ((2 * n) - 1) * (2 * n) in
       let s = Option.get !cell in
       Obs.timer_record (Obs.timer (Printf.sprintf "cov.n%d" n)) (!best /. 1000.0);
       if !expm_calls <> distinct then counts_ok := false;
       if n >= 100 then begin
         expm_at_100 := !expm_calls;
-        ops_at_100 := distinct
+        ops_at_100 := distinct;
+        madds_at_100 := !madds;
+        dense_at_100 := dense
       end;
       Table.add_row t
         [
@@ -1512,19 +1633,28 @@ let exp_cov () =
           string_of_int !expm_calls;
           string_of_int distinct;
           string_of_int !steps;
+          string_of_int !madds;
+          string_of_int dense;
           Printf.sprintf "%.0f" (float_of_int (Covariance.ks_bytes s) /. 1024.);
         ])
     [ 10; 20; 50 ];
   Table.print t;
   Printf.printf
     "(one Van Loan exponential per distinct (phase, step) pair of the \
-     stretched grid;\n runs of one operator fold by binary doubling)\n";
+     stretched grid;\n runs of one operator fold by binary doubling; \
+     solve_madds = lu_solve_madds of one sample, dense_madds = the row \
+     loop's count)\n";
+  let solve_bits = solve_table () in
   let ok = parity_db <= 1e-9 && !counts_ok in
   Printf.printf
     "COV-SMOKE: n100_expm_calls=%d n100_distinct_ops=%d parity_db=%.3e status=%s\n"
     !expm_at_100 !ops_at_100 parity_db
     (if ok then "ok" else "FAIL");
-  if not ok then exit 1
+  Printf.printf "SOLVE-SMOKE: n100_madds=%d dense_madds=%d bits=%s ok=%s\n"
+    !madds_at_100 !dense_at_100
+    (if solve_bits then "equal" else "MISMATCH")
+    (if solve_bits then "ok" else "FAIL");
+  if not (ok && solve_bits) then exit 1
 
 let experiments =
   [

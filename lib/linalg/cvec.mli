@@ -79,12 +79,11 @@ val axpy_ri_into : sre:float -> sim:float -> x:t -> into:t -> unit
     A panel is [width] complex vectors of a common dimension packed
     column-major over the block: entry (state [i], column [b]) lives at
     [2 * (i * width + b)] (re) / [2 * (i * width + b) + 1] (im).  All
-    [width] columns of one state are adjacent, so blocked kernels
-    ({!Lu.solve_block_into}, [Ctrapezoid.step_hess_into]) load each
-    factor element once per [width] right-hand sides and stream over
-    contiguous memory in their inner loops.  Each column of a blocked
-    kernel's result is bitwise identical to the corresponding
-    single-RHS call. *)
+    [width] columns of one state are adjacent, so a blocked kernel
+    ([Ctrapezoid.step_hess_into]) loads each factor element once per
+    [width] right-hand sides and streams over contiguous memory in its
+    inner loops.  Each column of a blocked kernel's result is bitwise
+    identical to the corresponding single-RHS call. *)
 
 type panel = float array
 (** Raw interleaved storage, length [2 * dim * width]. *)

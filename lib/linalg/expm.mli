@@ -10,5 +10,18 @@ val expm : Mat.t -> Mat.t
 (** [expm a] is [e^a] for a square matrix.  Raises [Invalid_argument] if
     [a] is not square. *)
 
+type pade = {
+  lhs : Mat.t;  (** [V − U] *)
+  rhs : Mat.t;  (** [V + U] *)
+  squarings : int;  (** [s] *)
+}
+(** The order-13 Padé system behind {!expm}: with [a] scaled by
+    [2^−s], [expm a] is [(lhs⁻¹ rhs)^(2^s)]. *)
+
+val pade13 : Mat.t -> pade
+(** The system {!expm} solves for a nonempty square matrix, bit for bit
+    (for kernel tests and benchmarks on real operands).  Raises
+    [Invalid_argument] if [a] is not square or is empty. *)
+
 val expm_scaled : Mat.t -> float -> Mat.t
 (** [expm_scaled a t] is [e^(a t)]. *)

@@ -125,113 +125,195 @@ let solve_into t ~b ~into =
   solve_in_place t into;
   Sanitize.check_vec "Lu.solve (result)" into
 
-(* Complex right-hand side against the real factorisation: the real
-   multipliers act on the re/im parts independently, so one pass over
-   the interleaved buffer solves both at once.  Allocation-free; [b]
-   must not alias [into] (the permuted gather writes [into] first). *)
-let solve_complex_into t ~b ~into =
-  let n = t.n in
-  if Cvec.dim b <> n then
-    invalid_arg "Lu.solve_complex_into: dimension mismatch";
-  if Cvec.dim into <> n then
-    invalid_arg "Lu.solve_complex_into: output dimension mismatch";
-  let bd = Cvec.data b and x = Cvec.data into in
-  if bd == x then invalid_arg "Lu.solve_complex_into: output must not alias b";
-  Sanitize.check_cvec "Lu.solve_complex" b;
-  Obs.incr c_solves;
-  for i = 0 to n - 1 do
-    let p = t.piv.(i) in
-    x.(2 * i) <- bd.(2 * p);
-    x.((2 * i) + 1) <- bd.((2 * p) + 1)
-  done;
-  for i = 1 to n - 1 do
-    let ar = ref x.(2 * i) and ai = ref x.((2 * i) + 1) in
-    for j = 0 to i - 1 do
-      let l = t.lu.((i * n) + j) in
-      ar := !ar -. (l *. x.(2 * j));
-      ai := !ai -. (l *. x.((2 * j) + 1))
-    done;
-    x.(2 * i) <- !ar;
-    x.((2 * i) + 1) <- !ai
-  done;
-  for i = n - 1 downto 0 do
-    let ar = ref x.(2 * i) and ai = ref x.((2 * i) + 1) in
-    for j = i + 1 to n - 1 do
-      let u = t.lu.((i * n) + j) in
-      ar := !ar -. (u *. x.(2 * j));
-      ai := !ai -. (u *. x.((2 * j) + 1))
-    done;
-    let d = t.lu.((i * n) + i) in
-    x.(2 * i) <- !ar /. d;
-    x.((2 * i) + 1) <- !ai /. d
-  done;
-  Sanitize.check_cvec "Lu.solve_complex (result)" into
+(* --- multi-RHS substitution ---
 
-let c_block_solves = Obs.counter "lu_block_solves"
+   [solve_rows] solves [A X = B] for the [w] columns of a row-major
+   [n × w] buffer: the permuted gather of [b] into [x], then
+   [x_i -= l_ij x_j] for ascending [j], then the same with [U] and a
+   division by [u_ii].  Every float [x_ik] sees, in order, the terms
+   [x_ik -. l_ij *. x_jk] of the single-RHS solve of column [k] and
+   nothing else, so column [k] is bitwise [solve] of that column.  Each
+   factor element is loaded once per row of [w] right-hand sides, and
+   a target row takes four source rows per pass over [k], so [x_ik] is
+   loaded and stored once per four multiply-adds.
 
-(* Multi-RHS substitution over row-major [n × w] buffers: the permuted
-   gather of [b] into [x], then [row_i -= l_ij row_j] for ascending
-   [j], then the same with [U] and a division by [u_ii].  Each factor
-   element is loaded once per row of [w] right-hand sides and the inner
-   loops stream over adjacent floats, yet every float of a row sees
-   exactly the operation sequence of the single-RHS solve of its
-   column, so the results are bitwise those of one solve per column.
-   Callers have checked that [b] and [x] hold [n * w] floats and do not
-   alias, which pins every index inside the buffers; the inner loops
-   use unsafe accesses because bounds checks are a measurable fraction
-   of these 2-flop iterations. *)
+   The kernel skips the terms whose factor [l_ij] (or [u_ij]) is
+   exactly zero, and runs [k] only over the nonzero span [lo.(j),
+   hi.(j)] of each source row, recorded when the row is final: after
+   its forward update, and again after its division.  A skipped term
+   is [x -. p] with [p = ±0], which leaves [x] unchanged unless [x] is
+   [-0.0] (then [-0 -. +0] is [-0] but [-0 -. -0] is [+0]).  So the
+   skips are exact when
+   - the factors are finite ([0 *. y] is [±0] for finite [y] and
+     [l *. 0] for finite [l]);
+   - every final source row is finite — a finite [b] does not ensure
+     it, since a row may overflow part-way; and
+   - no target holds [-0.0].  A difference [x -. p] is [-0] only when
+     [x] is [-0] and [p] is [+0], so a target that starts off [-0]
+     never becomes [-0]; the division that could make one runs on a
+     row only once it is final and no longer a target.
+   An infinite or NaN target is left as it is by [-. ±0], as the
+   reference leaves it.  The kernel checks on entry that the factors
+   are finite and that [b] holds no [-0.0], in O(n² + n w), and checks
+   each row's finiteness as it records its span.  When a check fails it
+   runs the same loop with every span at full width and no term
+   skipped — from the start, or from the first non-finite row
+   (everything before it was exact).  The Padé factors of the Van Loan
+   matrix [[-A, Q], [0, Aᵀ]] are block upper triangular and, for a
+   ladder, banded; on them the skips drop about three quarters of the
+   multiply-adds.
+
+   The pass helpers take buffers and indices only, never a float, so
+   no float crosses a call.  Callers have checked that [b] and [x] hold
+   [n * w] floats, and the spans lie in [0, w - 1], which pins every
+   index inside the buffers; the inner loops use unsafe accesses
+   because bounds checks are a measurable fraction of these 2-flop
+   iterations. *)
+
+(* Row [i] of [x] from the four source rows [src.(g)] .. [src.(g + 3)],
+   ascending, over [k] in [k0, k1]. *)
+let pass4 lu x src ~n ~w i g k0 k1 =
+  let j0 = src.(g) and j1 = src.(g + 1) and j2 = src.(g + 2)
+  and j3 = src.(g + 3) in
+  let l0 = lu.((i * n) + j0) and l1 = lu.((i * n) + j1)
+  and l2 = lu.((i * n) + j2) and l3 = lu.((i * n) + j3) in
+  let irow = i * w and r0 = j0 * w and r1 = j1 * w and r2 = j2 * w
+  and r3 = j3 * w in
+  for k = k0 to k1 do
+    let o = irow + k in
+    Array.unsafe_set x o
+      (Array.unsafe_get x o
+      -. (l0 *. Array.unsafe_get x (r0 + k))
+      -. (l1 *. Array.unsafe_get x (r1 + k))
+      -. (l2 *. Array.unsafe_get x (r2 + k))
+      -. (l3 *. Array.unsafe_get x (r3 + k)))
+  done
+
+(* Row [i] of [x] from the one source row [j], over [k] in [k0, k1]. *)
+let pass1 lu x ~n ~w i j k0 k1 =
+  let l = lu.((i * n) + j) in
+  let irow = i * w and jrow = j * w in
+  for k = k0 to k1 do
+    let o = irow + k in
+    Array.unsafe_set x o
+      (Array.unsafe_get x o -. (l *. Array.unsafe_get x (jrow + k)))
+  done
+
+(* Records the nonzero span of the final row [i] (empty as [w, -1])
+   and returns whether the row is finite. *)
+let record_span x ~w ~lo ~hi i =
+  let r = i * w in
+  let first = ref w and last = ref (-1) and finite = ref true in
+  for k = 0 to w - 1 do
+    let v = Array.unsafe_get x (r + k) in
+    if v <> 0.0 then begin
+      if !last < 0 then first := k;
+      last := k;
+      if not (Float.is_finite v) then finite := false
+    end
+  done;
+  lo.(i) <- !first;
+  hi.(i) <- !last;
+  !finite
+
+(* Per-domain scratch of [solve_rows], grown to the largest [n] seen:
+   the source rows' spans [lo], [hi], one target's source list [src],
+   and whether the skips are still exact.  A solve allocates nothing, so
+   it leaves the collector's pacing of its callers as it was. *)
+type scratch = {
+  mutable lo : int array;
+  mutable hi : int array;
+  mutable src : int array;
+  mutable skips : bool;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { lo = [||]; hi = [||]; src = [||]; skips = true })
+
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.lo < n then begin
+    s.lo <- Array.make n 0;
+    s.hi <- Array.make n 0;
+    s.src <- Array.make n 0
+  end;
+  s
+
+(* Row [i] is final: record its span, or leave the skips for good if it
+   is not finite. *)
+let finish x s ~n ~w i =
+  if s.skips && not (record_span x ~w ~lo:s.lo ~hi:s.hi i) then begin
+    s.skips <- false;
+    Array.fill s.lo 0 n 0;
+    Array.fill s.hi 0 n (w - 1)
+  end
+
+(* Row [i] from the source rows [first .. last]; returns the
+   multiply-adds run. *)
+let update lu x s ~n ~w i first last =
+  let lo = s.lo and hi = s.hi and src = s.src in
+  let m = ref 0 in
+  for j = first to last do
+    if
+      (not s.skips)
+      || (Array.unsafe_get lu ((i * n) + j) <> 0.0 && lo.(j) <= hi.(j))
+    then begin
+      src.(!m) <- j;
+      incr m
+    end
+  done;
+  let madds = ref 0 and g = ref 0 in
+  while !g + 4 <= !m do
+    let j0 = src.(!g) and j1 = src.(!g + 1) and j2 = src.(!g + 2)
+    and j3 = src.(!g + 3) in
+    let k0 = Int.min (Int.min lo.(j0) lo.(j1)) (Int.min lo.(j2) lo.(j3))
+    and k1 = Int.max (Int.max hi.(j0) hi.(j1)) (Int.max hi.(j2) hi.(j3)) in
+    pass4 lu x src ~n ~w i !g k0 k1;
+    madds := !madds + (4 * (k1 - k0 + 1));
+    g := !g + 4
+  done;
+  for g = !g to !m - 1 do
+    let j = src.(g) in
+    pass1 lu x ~n ~w i j lo.(j) hi.(j);
+    madds := !madds + (hi.(j) - lo.(j) + 1)
+  done;
+  !madds
+
+(* Returns the number of multiply-adds run. *)
 let solve_rows t ~w ~b ~x =
   let n = t.n and lu = t.lu in
   for i = 0 to n - 1 do
     Array.blit b (t.piv.(i) * w) x (i * w) w
   done;
-  for i = 1 to n - 1 do
-    let irow = i * w in
-    for j = 0 to i - 1 do
-      let l = Array.unsafe_get lu ((i * n) + j) in
-      let jrow = j * w in
-      for k = 0 to w - 1 do
-        Array.unsafe_set x (irow + k)
-          (Array.unsafe_get x (irow + k)
-          -. (l *. Array.unsafe_get x (jrow + k)))
-      done
-    done
+  let s = scratch n in
+  s.skips <- true;
+  for k = 0 to Array.length lu - 1 do
+    if not (Float.is_finite (Array.unsafe_get lu k)) then s.skips <- false
+  done;
+  for k = 0 to (n * w) - 1 do
+    let v = Array.unsafe_get b k in
+    if v = 0.0 && Float.sign_bit v then s.skips <- false
+  done;
+  Array.fill s.lo 0 n 0;
+  Array.fill s.hi 0 n (w - 1);
+  let madds = ref 0 in
+  for i = 0 to n - 1 do
+    madds := !madds + update lu x s ~n ~w i 0 (i - 1);
+    finish x s ~n ~w i
   done;
   for i = n - 1 downto 0 do
-    let irow = i * w in
-    for j = i + 1 to n - 1 do
-      let u = Array.unsafe_get lu ((i * n) + j) in
-      let jrow = j * w in
-      for k = 0 to w - 1 do
-        Array.unsafe_set x (irow + k)
-          (Array.unsafe_get x (irow + k)
-          -. (u *. Array.unsafe_get x (jrow + k)))
-      done
-    done;
-    let d = Array.unsafe_get lu ((i * n) + i) in
+    madds := !madds + update lu x s ~n ~w i (i + 1) (n - 1);
+    let d = Array.unsafe_get lu ((i * n) + i) and irow = i * w in
     for k = 0 to w - 1 do
       Array.unsafe_set x (irow + k) (Array.unsafe_get x (irow + k) /. d)
-    done
-  done
+    done;
+    finish x s ~n ~w i
+  done;
+  !madds
 
-(* Blocked multi-RHS variant of [solve_complex_into] over a
-   column-major panel (see Cvec): state [i]'s [2 * width] interleaved
-   floats form row [i], and the real factors act on re and im parts
-   alike, so every column of the result is bitwise identical to the
-   single-RHS solve of that column. *)
-let solve_block_into t ~width ~b ~into =
-  let n = t.n in
-  if width < 1 then invalid_arg "Lu.solve_block_into: width < 1";
-  if Array.length b <> 2 * n * width then
-    invalid_arg "Lu.solve_block_into: dimension mismatch";
-  if Array.length into <> 2 * n * width then
-    invalid_arg "Lu.solve_block_into: output dimension mismatch";
-  if b == into then invalid_arg "Lu.solve_block_into: output must not alias b";
-  Sanitize.check_panel "Lu.solve_block" ~width b;
-  Obs.add c_solves width;
-  Obs.incr c_block_solves;
-  solve_rows t ~w:(2 * width) ~b ~x:into;
-  Sanitize.check_panel "Lu.solve_block (result)" ~width into
+(* Multiply-adds run by [solve_mat]; the dense count is [n (n − 1)] per
+   right-hand side. *)
+let c_solve_madds = Obs.counter "lu_solve_madds"
 
 (* All right-hand sides at once, row by row; the [lu_solves] counter
    still counts one solve per column. *)
@@ -241,9 +323,12 @@ let solve_mat t b =
   let nc = Mat.cols b in
   Obs.add c_solves nc;
   let out = Mat.create t.n nc in
-  solve_rows t ~w:nc ~b:(Mat.data b) ~x:(Mat.data out);
+  Obs.add c_solve_madds (solve_rows t ~w:nc ~b:(Mat.data b) ~x:(Mat.data out));
   Sanitize.check_mat "Lu.solve (result)" out;
   out
+
+let packed t =
+  (Mat.init t.n t.n (fun i j -> t.lu.((i * t.n) + j)), Array.copy t.piv)
 
 let det t =
   let acc = ref t.sign in

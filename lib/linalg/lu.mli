@@ -18,26 +18,21 @@ val solve : t -> Vec.t -> Vec.t
 val solve_into : t -> b:Vec.t -> into:Vec.t -> unit
 (** Allocation-free {!solve}; [into] must not alias [b]. *)
 
-val solve_complex_into : t -> b:Cvec.t -> into:Cvec.t -> unit
-(** Solve [A x = b] for a complex right-hand side against the real
-    factorisation (the re/im parts are solved in one interleaved
-    pass).  Allocation-free; [into] must not alias [b]. *)
-
-val solve_block_into :
-  t -> width:int -> b:Cvec.panel -> into:Cvec.panel -> unit
-(** Blocked multi-RHS {!solve_complex_into} over column-major panels
-    ({!Cvec.panel}): solves [A x_b = b_b] for all [width] complex
-    columns in one traversal of the real factors — each factor element
-    is loaded once per block and the inner loops stream over the
-    [2 * width] adjacent floats of one state, which is what makes a
-    batched frequency sweep cache- and SIMD-friendly.  Column [b] of
-    the result is bitwise identical to {!solve_complex_into} on that
-    column alone.  Allocation-free; [into] must not alias [b]. *)
-
 val solve_mat : t -> Mat.t -> Mat.t
 (** Solve [A X = B] for all columns of [B] in one row-wise pass.  Column
     [c] of the result is bitwise {!solve} on column [c] of [B], and the
-    [lu_solves] counter advances by one per column. *)
+    [lu_solves] counter advances by one per column.  The pass skips the
+    multiply-adds whose factor entry is exactly zero, and those of a
+    source row outside its nonzero column span; the skipped terms are
+    [±0], so the skips are exact while the factors and the finished
+    rows are finite and [B] holds no [-0.0], and the pass runs every
+    term once that fails.  The [lu_solve_madds] counter advances by the
+    multiply-adds run, at most [n (n − 1)] per column. *)
+
+val packed : t -> Mat.t * int array
+(** Copies of the packed factors (unit [L] below the diagonal, [U] on
+    and above it) and of the row permutation: row [i] of [P A] is row
+    [piv.(i)] of [A].  For reference kernels in tests and benchmarks. *)
 
 val det : t -> float
 (** Determinant of the factored matrix. *)

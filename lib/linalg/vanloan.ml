@@ -1,5 +1,21 @@
 type t = { phi : Mat.t; qd : Mat.t }
 
+(* M = [[-A, Q], [0, Aᵀ]] * tau ;  expm M = [[F11, F12], [0, F22]]
+   with F22 = e^{Aᵀ tau} and Phi F12 = ∫ e^{As} Q e^{Aᵀs} ds. *)
+let augmented ~a ~q ~tau =
+  let n = Mat.rows a in
+  let n2 = 2 * n in
+  let m = Mat.create n2 n2 in
+  let md = Mat.data m and ad = Mat.data a and qs = Mat.data q in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      md.((i * n2) + j) <- -.tau *. ad.((i * n) + j);
+      md.((i * n2) + n + j) <- tau *. qs.((i * n) + j);
+      md.(((n + i) * n2) + n + j) <- tau *. ad.((j * n) + i)
+    done
+  done;
+  m
+
 (* Augmented-exponential construction.  Only safe when [norm(A) tau] is
    moderate: the top-left block holds [e^{-A tau}], which overflows for
    strongly stable stiff [A] over a long interval. *)
@@ -7,18 +23,8 @@ let discretize_augmented ~a ~q ~tau =
   let n = Mat.rows a in
   if tau = 0.0 then { phi = Mat.identity n; qd = Mat.create n n }
   else begin
-    (* M = [[-A, Q], [0, Aᵀ]] * tau ;  expm M = [[F11, F12], [0, F22]]
-       with F22 = e^{Aᵀ tau} and Phi F12 = ∫ e^{As} Q e^{Aᵀs} ds. *)
     let n2 = 2 * n in
-    let m = Mat.create n2 n2 in
-    let md = Mat.data m and ad = Mat.data a and qs = Mat.data q in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        md.((i * n2) + j) <- -.tau *. ad.((i * n) + j);
-        md.((i * n2) + n + j) <- tau *. qs.((i * n) + j);
-        md.(((n + i) * n2) + n + j) <- tau *. ad.((j * n) + i)
-      done
-    done;
+    let m = augmented ~a ~q ~tau in
     let f = Expm.expm m in
     let fd = Mat.data f in
     let f12 = Mat.create n n and phi = Mat.create n n in

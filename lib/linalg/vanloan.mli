@@ -23,6 +23,10 @@ val discretize : a:Mat.t -> q:Mat.t -> tau:float -> t
     [qd = Kinf - phi Kinf phiᵀ] (continuous Lyapunov solve), with a
     chunked-composition fallback for marginally stable [a]. *)
 
+val augmented : a:Mat.t -> q:Mat.t -> tau:float -> Mat.t
+(** The augmented matrix [[-A, Q; 0, Aᵀ] tau] whose exponential the
+    non-stiff branch of {!discretize} takes. *)
+
 val stiff_threshold : float
 (** The [norm(a) * tau] value above which {!discretize} leaves the
     augmented-exponential path (20). *)

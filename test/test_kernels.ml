@@ -352,7 +352,6 @@ let test_ladder100_oracle () =
    sizes, widths and seeds, including widths that don't divide
    anything nicely. *)
 
-module Lu = Scnoise_linalg.Lu
 module Pool = Scnoise_par.Pool
 module Obs = Scnoise_obs.Obs
 module SI = Scnoise_circuits.Sc_integrator
@@ -375,29 +374,6 @@ let random_panel rng ~dim ~width =
   let p = Cvec.panel_create ~dim ~width in
   Array.iteri (fun b v -> Cvec.panel_set_col v p ~width ~col:b) cols;
   (p, cols)
-
-let random_dd_mat rng n =
-  Mat.init n n (fun i j ->
-      if i = j then float_of_int n +. 2.0 +. rnd rng else 0.3 *. rnd rng)
-
-let prop_lu_block =
-  QCheck.Test.make ~count:120
-    ~name:"Lu.solve_block_into == per-column solve_complex_into (bitwise)"
-    bspec_arb (fun s ->
-      let rng = brng s in
-      let lu = Lu.factor (random_dd_mat rng s.bn) in
-      let p, cols = random_panel rng ~dim:s.bn ~width:s.bw in
-      let out = Cvec.panel_create ~dim:s.bn ~width:s.bw in
-      Lu.solve_block_into lu ~width:s.bw ~b:p ~into:out;
-      let scalar = Cvec.create s.bn and got = Cvec.create s.bn in
-      let ok = ref true in
-      Array.iteri
-        (fun b v ->
-          Lu.solve_complex_into lu ~b:v ~into:scalar;
-          Cvec.panel_get_col out ~width:s.bw ~col:b ~into:got;
-          if not (cvec_equal_bits got scalar) then ok := false)
-        cols;
-      !ok)
 
 (* A Hessenberg panel step at per-column frequencies == the width-1
    step of each column with its own factors. *)
@@ -451,9 +427,6 @@ let test_block_aliasing () =
   in
   let p = Cvec.panel_create ~dim:n ~width in
   Array.iteri (fun k _ -> p.(k) <- rnd ()) p;
-  let lu = Lu.factor (random_dd_mat rng n) in
-  rejects "Lu.solve_block_into" (fun () ->
-      Lu.solve_block_into lu ~width ~b:p ~into:p);
   let hmat, _ = Scnoise_linalg.Eig.hessenberg (random_stable_a rng n) in
   let st = Ctrap.hess_create ~dim:n ~width in
   for col = 0 to width - 1 do
@@ -575,7 +548,7 @@ let () =
             test_workspace_bounded;
           Alcotest.test_case "ladder-100 oracle" `Slow test_ladder100_oracle;
         ] );
-      qsuite "blocked kernels" [ prop_lu_block; prop_step_hess_panel ];
+      qsuite "blocked kernels" [ prop_step_hess_panel ];
       ( "batched sweeps",
         [
           Alcotest.test_case "panel kernels reject aliasing" `Quick

@@ -148,6 +148,34 @@ let test_lu_solve_mat () =
   let x = Lu.solve_mat (Lu.factor a) b in
   check_mat_close ~eps:1e-9 "A X = B" b (Mat.mul a x)
 
+(* Runs [f] with the sanitizer (on in the SCNOISE_SANITIZE=1 leg)
+   off: for tests whose operands are non-finite on purpose, or that
+   count allocations, which the sanitizer's scans add to. *)
+let without_sanitizer f =
+  let module Sanitize = Scnoise_linalg.Sanitize in
+  let before = Sanitize.enabled () in
+  Sanitize.set_enabled false;
+  Fun.protect ~finally:(fun () -> Sanitize.set_enabled before) f
+
+(* Past its first call on a domain at a size, [solve_mat] allocates
+   nothing but its result: an extra allocation per solve shifts the
+   collector's pacing, and with it the peak heap, of every caller. *)
+let test_lu_solve_mat_alloc () =
+  without_sanitizer @@ fun () ->
+  let n = 40 in
+  let a = Mat.add (random_mat n) (Mat.scale 5.0 (Mat.identity n)) in
+  let b = random_mat n in
+  let lu = Lu.factor a in
+  ignore (Lu.solve_mat lu b);
+  let w0 = Gc.minor_words () in
+  let x = Lu.solve_mat lu b in
+  let words = Gc.minor_words () -. w0 in
+  (* the result's record; its n * n floats go to the major heap *)
+  if words > 8.0 then
+    Alcotest.failf "solve_mat allocated %.0f minor words besides its result"
+      words;
+  check_mat_close ~eps:1e-9 "A X = B" b (Mat.mul a x)
+
 let test_lu_rcond () =
   let good = Mat.identity 3 in
   if Lu.rcond_estimate (Lu.factor good) < 0.9 then Alcotest.fail "I rcond";
@@ -784,30 +812,118 @@ let test_mul_nonfinite () =
         (Mat.data (Mat.mul a'' b'')))
     [ infinity; neg_infinity; Float.nan ]
 
+(* [Lu.solve_mat] against one [Lu.solve] per column.  The factors and
+   right-hand sides cover what the kernel's skips must get right: zero
+   factor entries and empty or narrow row spans (block, band, holes,
+   and the real Padé system of a ladder Van Loan step), signed zeros,
+   an all-zero [b], non-finite [b], a finite [b] whose solve overflows
+   part-way, after which a zero factor must still meet an infinite row
+   (0 * inf is NaN), and an infinite factor, which must still meet a
+   zero. *)
+let check_solve_mat msg lu b =
+  let n = Mat.rows b and nc = Mat.cols b in
+  let reference = Array.make (n * nc) 0.0 in
+  for c = 0 to nc - 1 do
+    let xc = Lu.solve lu (Mat.col b c) in
+    for i = 0 to n - 1 do
+      reference.((i * nc) + c) <- xc.(i)
+    done
+  done;
+  check_bits msg reference (Mat.data (Lu.solve_mat lu b))
+
+let kind_name = function
+  | `Dense -> "dense"
+  | `Holes -> "holes"
+  | `Block -> "block"
+  | `Band -> "band"
+  | `Identity -> "identity"
+
+(* labelled right-hand sides: every structured kind, all zeros, a
+   dense one with a single -0.0 (which must run at full width right
+   after the empty spans of the zero one), and scattered infinities and
+   NaNs *)
+let solve_rhs n nc =
+  List.map (fun k -> (kind_name k, structured k n nc)) kinds
+  @ [
+      ("zero", Mat.create n nc);
+      ( "dense with one -0.0",
+        Mat.init n nc (fun i j -> if i = 0 && j = 0 then -0.0 else bit_rand ())
+      );
+    ]
+  @ List.map
+      (fun x ->
+        ( Printf.sprintf "scattered %g" x,
+          Mat.init n nc (fun _ _ ->
+              if Random.State.int bit_rng 4 = 0 then x else bit_rand ()) ))
+      [ infinity; neg_infinity; Float.nan ]
+
 let test_solve_mat_bitwise () =
+  without_sanitizer @@ fun () ->
   List.iter
     (fun n ->
-      let a =
-        Mat.add (structured `Dense n n)
-          (Mat.scale (float_of_int n) (Mat.identity n))
-      in
-      let lu = Lu.factor a in
       List.iter
-        (fun nc ->
-          let b = structured `Holes n nc in
-          let x = Lu.solve_mat lu b in
-          let reference = Array.make (n * nc) 0.0 in
-          for c = 0 to nc - 1 do
-            let xc = Lu.solve lu (Mat.col b c) in
-            for i = 0 to n - 1 do
-              reference.((i * nc) + c) <- xc.(i)
-            done
-          done;
-          check_bits
-            (Printf.sprintf "solve_mat n=%d nc=%d" n nc)
-            reference (Mat.data x))
-        [ 1; 3; 8; 41 ])
-    [ 1; 2; 7; 24; 40 ]
+        (fun ka ->
+          let a =
+            Mat.add (structured ka n n)
+              (Mat.scale (float_of_int n) (Mat.identity n))
+          in
+          let lu = Lu.factor a in
+          List.iter
+            (fun nc ->
+              List.iter
+                (fun (kb, b) ->
+                  check_solve_mat
+                    (Printf.sprintf "solve_mat %s n=%d, %s b nc=%d"
+                       (kind_name ka) n kb nc)
+                    lu b)
+                (solve_rhs n nc))
+            [ 1; 3; 8; 41 ])
+        [ `Dense; `Block; `Band; `Holes ])
+    [ 1; 2; 7; 24; 40; 80 ];
+  (* the Padé system of one 8-state ladder Van Loan step, as the
+     exponential solves it, and against the structured right-hand
+     sides *)
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let module Pwl = Scnoise_circuit.Pwl in
+  let sys =
+    (Ladder.build (Ladder.with_parasitics (Ladder.with_stages 4))).Ladder.sys
+  in
+  let ph = sys.Pwl.phases.(0) in
+  let pade =
+    Expm.pade13
+      (Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:(ph.Pwl.tau /. 48.0))
+  in
+  let lu = Lu.factor pade.Expm.lhs in
+  check_solve_mat "solve_mat ladder Padé system" lu pade.Expm.rhs;
+  List.iter
+    (fun nc ->
+      List.iter
+        (fun (kb, b) ->
+          check_solve_mat
+            (Printf.sprintf "solve_mat ladder Padé lhs, %s b nc=%d" kb nc)
+            lu b)
+        (solve_rhs 16 nc))
+    [ 1; 3; 8; 41 ];
+  (* row 1 overflows (x1 = b1 + x0), and row 3 reaches it through
+     l31 = 0 *)
+  let a =
+    Mat.of_arrays
+      [|
+        [| 1.0; 0.0; 0.0; 0.0 |];
+        [| -1.0; 1.0; 0.0; 0.0 |];
+        [| 0.0; 0.0; 1.0; 0.0 |];
+        [| 0.5; 0.0; 0.0; 1.0 |];
+      |]
+  in
+  let b =
+    Mat.of_arrays
+      [| [| 1.5e308; 1.0 |]; [| 1.5e308; 1.0 |]; [| 1.0; 0.0 |]; [| 1.0; 1.0 |] |]
+  in
+  check_solve_mat "solve_mat overflow part-way" (Lu.factor a) b;
+  (* u01 = inf meets x1 = 0 in column 0: inf * 0 is NaN *)
+  let a = Mat.of_arrays [| [| 1.0; infinity |]; [| 0.0; 1.0 |] |] in
+  let b = Mat.of_arrays [| [| 1.0; 1.0 |]; [| 0.0; 1.0 |] |] in
+  check_solve_mat "solve_mat non-finite factor" (Lu.factor a) b
 
 let test_elementwise_bitwise () =
   List.iter
@@ -882,6 +998,8 @@ let () =
           Alcotest.test_case "singular" `Quick test_lu_singular;
           Alcotest.test_case "random roundtrip" `Quick test_lu_random_roundtrip;
           Alcotest.test_case "solve_mat" `Quick test_lu_solve_mat;
+          Alcotest.test_case "solve_mat allocation" `Quick
+            test_lu_solve_mat_alloc;
           Alcotest.test_case "rcond" `Quick test_lu_rcond;
           QCheck_alcotest.to_alcotest prop_lu_solve;
         ] );

@@ -602,7 +602,75 @@ let test_psd_bumps_counters () =
   Alcotest.(check bool) "expm_calls > 0" true
     (Obs.counter_value "expm_calls" > 0);
   Alcotest.(check bool) "psd_points > 0" true
-    (Obs.counter_value "psd_points" > 0)
+    (Obs.counter_value "psd_points" > 0);
+  Alcotest.(check bool) "lu_solve_madds > 0" true
+    (Obs.counter_value "lu_solve_madds" > 0)
+
+(* [lu_solve_madds] counts the multiply-adds [Lu.solve_mat] ran: all
+   [n (n − 1)] per column on a dense system, at most that on any. *)
+let test_solve_madds_bound () =
+  let module Mat = Scnoise_linalg.Mat in
+  let module Lu = Scnoise_linalg.Lu in
+  let rng = Random.State.make [| 0x3add |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let madds lu b =
+    let before = Obs.counter_value "lu_solve_madds" in
+    ignore (Lu.solve_mat lu b);
+    Obs.counter_value "lu_solve_madds" - before
+  in
+  List.iter
+    (fun (n, w) ->
+      let dense =
+        Mat.init n n (fun i j -> if i = j then float_of_int n +. 1.0 else rnd ())
+      in
+      let band =
+        Mat.init n n (fun i j ->
+            if i = j then 2.0 else if abs (i - j) = 1 then rnd () else 0.0)
+      in
+      let bound = n * (n - 1) * w in
+      Alcotest.(check int)
+        (Printf.sprintf "dense n=%d w=%d counts every term" n w)
+        bound
+        (madds (Lu.factor dense) (Mat.init n w (fun _ _ -> rnd ())));
+      List.iter
+        (fun (name, b) ->
+          let m = madds (Lu.factor band) b in
+          if m < 0 || m > bound then
+            Alcotest.failf "band n=%d w=%d %s b: %d madds > n(n-1)w = %d" n
+              w name m bound)
+        [
+          ("dense", Mat.init n w (fun _ _ -> rnd ()));
+          ("identity", Mat.init n w (fun i j -> if i = j then 1.0 else 0.0));
+          ("zero", Mat.create n w);
+        ])
+    [ (1, 1); (2, 3); (9, 5); (30, 30) ]
+
+(* One serial ladder covariance sample: the Van Loan exponentials' Padé
+   solves skip at least half of the dense multiply-adds at 40 states and
+   at least 70 % at 100.  The count is deterministic. *)
+let test_ladder_solve_madds () =
+  let module Cov = Scnoise_core.Covariance in
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let pool = Pool.create ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (stages, max_share) ->
+      let b =
+        Ladder.build (Ladder.with_parasitics (Ladder.with_stages stages))
+      in
+      let e0 = Obs.counter_value "expm_calls"
+      and m0 = Obs.counter_value "lu_solve_madds" in
+      ignore (Cov.sample ~samples_per_phase:48 ~pool b.Ladder.sys);
+      let calls = Obs.counter_value "expm_calls" - e0
+      and madds = Obs.counter_value "lu_solve_madds" - m0 in
+      (* each exponential solves its 2n x 2n Padé system, 2n columns *)
+      let n2 = 2 * b.Ladder.sys.Scnoise_circuit.Pwl.nstates in
+      let dense = calls * n2 * (n2 - 1) * n2 in
+      Alcotest.(check bool) "exponentials ran" true (calls > 0);
+      if float_of_int madds > max_share *. float_of_int dense then
+        Alcotest.failf "%d-state sample: %d madds > %.0f%% of dense %d"
+          (n2 / 2) madds (100.0 *. max_share) dense)
+    [ (20, 0.5); (50, 0.3) ]
 
 let test_instrumentation_does_not_perturb () =
   (* the acceptance bar: sweeps with spans on and off are bit-identical *)
@@ -698,6 +766,10 @@ let () =
         [
           Alcotest.test_case "psd bumps counters" `Quick
             test_psd_bumps_counters;
+          Alcotest.test_case "solve_mat madds bounded" `Quick
+            test_solve_madds_bound;
+          Alcotest.test_case "ladder solve madds" `Quick
+            test_ladder_solve_madds;
           Alcotest.test_case "numerics unperturbed" `Quick
             test_instrumentation_does_not_perturb;
         ] );
