@@ -4,7 +4,7 @@
      scnoise list
      scnoise info    -c bandpass
      scnoise psd     -c lowpass --fmin 100 --fmax 16e3 -n 40
-     scnoise psd     -c switched-rc --engine bruteforce --compare
+     scnoise psd     -c switched-rc --engine bruteforce
      scnoise psd     examples/decks/switched_rc.scn
      scnoise variance -c integrator
      scnoise contrib -c bandpass -f 8e3
@@ -16,17 +16,14 @@
    defaults that explicit command-line flags override. *)
 
 module Pwl = Scnoise_circuit.Pwl
-module Compile = Scnoise_circuit.Compile
 module Deck = Scnoise_lang.Deck
 module Elab = Scnoise_lang.Elab
-module Diag = Scnoise_lang.Diag
 module Psd = Scnoise_core.Psd
 module Covariance = Scnoise_core.Covariance
 module Contrib = Scnoise_core.Contrib
 module Esd = Scnoise_noise.Esd_transient
 module Mc = Scnoise_noise.Monte_carlo
 module Table = Scnoise_util.Table
-module Grid = Scnoise_util.Grid
 module Db = Scnoise_util.Db
 module Cx = Scnoise_linalg.Cx
 module SRC = Scnoise_circuits.Switched_rc
@@ -45,6 +42,7 @@ module Pool = Scnoise_par.Pool
 module Check = Scnoise_check.Check
 module Finding = Scnoise_check.Finding
 module Canon = Scnoise_lang.Canon
+module Front = Scnoise_serve.Front
 module Sp = Scnoise_serve.Protocol
 module Sx = Scnoise_serve.Exec
 module Sv = Scnoise_serve.Server
@@ -65,54 +63,28 @@ let circuits_doc =
   "switched-rc | lowpass | lowpass-single-stage | bandpass | integrator | \
    ladder | delta-sigma | a path to a .scn netlist deck"
 
-(* Load, elaborate and compile a `.scn` deck into the same [picked]
-   shape as the registry circuits.  All front-end failures arrive as
-   rendered file:line:col diagnostics. *)
-(* ERC errors abort before any matrix is assembled; warnings stay quiet
-   on the analysis path (run `scnoise check` to see them). *)
-let erc_errors findings =
-  List.filter (fun f -> f.Finding.severity = Finding.Error) findings
-
+(* A `.scn` deck passes the front door's gate (load, errors-only ERC,
+   compile, observable output) into the same [picked] shape as the
+   registry circuits; every failure arrives as the text the daemon
+   would reply with. *)
 let pick_deck path =
-  match Deck.load_file path with
-  | Error msg -> Error msg
-  | Ok loaded -> (
-      let e = loaded.Deck.elab in
-      match erc_errors (Check.check_elab e) with
-      | _ :: _ as errs ->
-          Error
-            (String.concat "\n"
-               (List.map (Finding.render ~source:loaded.Deck.source) errs))
-      | [] -> (
-      match
-        Compile.compile ?temperature:e.Elab.temperature e.Elab.netlist
-          e.Elab.clock
-      with
-      | exception Compile.Error msg -> Error (path ^ ": " ^ msg)
-      | sys -> (
-          match Pwl.observable sys e.Elab.output_node with
-          | exception Not_found ->
-              Error
-                (Diag.render loaded.Deck.source e.Elab.output_loc
-                   (Printf.sprintf
-                      "output node %S is not an observable state (it is \
-                       resistive or source-driven)"
-                      e.Elab.output_node))
-          | output ->
-              Ok
-                {
-                  label = Printf.sprintf "deck %s" path;
-                  sys;
-                  output;
-                  closed_form = None;
-                  directives = List.map fst e.Elab.analyses;
-                })))
+  match Result.bind (Front.load_file path) (Front.gate ~name:path) with
+  | Error e -> Error (Front.message e)
+  | Ok c ->
+      Ok
+        {
+          label = Printf.sprintf "deck %s" path;
+          sys = c.Front.sys;
+          output = c.Front.output;
+          closed_form = None;
+          directives = c.Front.directives;
+        }
 
 (* Registry circuits run through the same errors-only ERC gate as
    decks; the builders keep them clean, so this only fires if a future
    circuit (or parameter set) regresses. *)
 let guard ~netlist ~clock ~output_node picked =
-  match erc_errors (Check.check ~output:output_node netlist clock) with
+  match Front.fatal (Check.check ~output:output_node netlist clock) with
   | [] -> Ok picked
   | errs -> Error (String.concat "\n" (List.map Finding.to_string errs))
 
@@ -314,10 +286,6 @@ let target_arg =
   in
   Arg.(value & pos 0 (some string) None & info [] ~doc ~docv:"CIRCUIT|DECK")
 
-(* an explicit CLI flag beats a deck directive beats the builtin default *)
-let resolve cli directive default =
-  match cli with Some v -> v | None -> Option.value directive ~default
-
 let duty_arg =
   let doc = "Switch duty cycle (switched-rc)." in
   Arg.(value & opt float 0.5 & info [ "duty" ] ~doc)
@@ -335,8 +303,11 @@ let q_arg =
   Arg.(value & opt float 2.0 & info [ "q" ] ~doc)
 
 let spp_arg =
-  let doc = "Integration samples per clock phase." in
-  Arg.(value & opt int 96 & info [ "spp"; "samples-per-phase" ] ~doc)
+  let doc =
+    Printf.sprintf "Integration samples per clock phase (default %d)."
+      (Front.spp None)
+  in
+  Arg.(value & opt (some int) None & info [ "spp"; "samples-per-phase" ] ~doc)
 
 let stages_arg =
   let doc = "Number of stages (ladder)." in
@@ -444,26 +415,15 @@ let check_cmd =
             let compile_code =
               if nerr > 0 then 1
               else
-                match
-                  Compile.compile ?temperature:e.Elab.temperature
-                    e.Elab.netlist e.Elab.clock
-                with
-                | exception Compile.Error msg ->
+                match Front.compile ~name:path loaded with
+                | Ok _ -> 0
+                | Error err ->
+                    (* a caret diagnostic carries its own location *)
                     if not json then
-                      Printf.eprintf "scnoise: %s: %s\n" path msg;
+                      Printf.eprintf "%s%s\n"
+                        (match err with Front.Output _ -> "" | _ -> "scnoise: ")
+                        (Front.message err);
                     1
-                | sys -> (
-                    match Pwl.observable sys e.Elab.output_node with
-                    | exception Not_found ->
-                        if not json then
-                          Printf.eprintf "%s\n"
-                            (Diag.render loaded.Deck.source e.Elab.output_loc
-                               (Printf.sprintf
-                                  "output node %S is not an observable \
-                                   state (it is resistive or source-driven)"
-                                  e.Elab.output_node));
-                        1
-                    | _ -> 0)
             in
             if compile_code <> 0 then 1
             else if strict && nwarn > 0 then 1
@@ -536,37 +496,21 @@ let info_cmd =
 (* ---- psd ---- *)
 
 let psd_cmd =
-  let run engine fmin fmax points log compare spp seed csv plot picked =
+  let run engine fmin fmax points log spp seed csv plot picked =
     (* a .psd directive in the deck supplies the defaults *)
-    let dfmin, dfmax, dpoints, dlog, dengine =
-      match
-        List.find_map
-          (function
-            | Elab.Psd { fmin; fmax; points; log; engine } ->
-                Some (fmin, fmax, points, log, engine)
-            | _ -> None)
-          picked.directives
-      with
-      | Some d -> d
-      | None -> (None, None, None, false, None)
+    let r =
+      Front.psd ?engine ?fmin ?fmax ?points ~log ?spp picked.directives
     in
-    let engine = resolve engine dengine "mft" in
-    let fmin = resolve fmin dfmin 0.0 in
-    let fmax = resolve fmax dfmax 16e3 in
-    let points = resolve points dpoints 33 in
-    let log = log || dlog in
+    let spp = r.Front.spp in
     if not (Pwl.is_stable picked.sys) then begin
       Printf.eprintf "scnoise: circuit is not stable; no steady-state noise\n";
       2
     end
     else begin
-      let freqs =
-        if log then Grid.logspace (max fmin 1e-3) fmax points
-        else Grid.linspace fmin fmax points
-      in
-      Printf.printf "# %s, engine = %s\n" picked.label engine;
+      let freqs = Front.psd_freqs r in
+      Printf.printf "# %s, engine = %s\n" picked.label r.Front.engine;
       let values =
-        match engine with
+        match r.Front.engine with
         | "mft" ->
             let eng =
               Psd.prepare ~samples_per_phase:spp picked.sys
@@ -616,47 +560,43 @@ let psd_cmd =
           | None -> ());
           if plot then begin
             let dbs = Array.map Db.of_power values in
-            Scnoise_util.Ascii_plot.print ~x_log:log ~x_label:"f_Hz"
+            Scnoise_util.Ascii_plot.print ~x_log:r.Front.log ~x_label:"f_Hz"
               ~y_label:"psd_dB" freqs dbs
           end;
-          ignore compare;
           0
     end
   in
+  let d = Front.psd_defaults in
   let engine_arg =
     let doc =
-      "PSD engine: mft (default), bruteforce, or montecarlo.  Unset options \
-       fall back to the deck's .psd directive, when one is present."
+      Printf.sprintf
+        "PSD engine: mft, bruteforce, or montecarlo (default %s).  Unset \
+         options fall back to the deck's .psd directive, when one is \
+         present."
+        d.Front.engine
     in
     Arg.(value & opt (some string) None & info [ "e"; "engine" ] ~doc)
   in
   let fmin_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "fmin" ] ~doc:"Lowest frequency, Hz (default 0).")
+    let doc =
+      Printf.sprintf "Lowest frequency, Hz (default %g)." d.Front.fmin
+    in
+    Arg.(value & opt (some float) None & info [ "fmin" ] ~doc)
   in
   let fmax_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "fmax" ] ~doc:"Highest frequency, Hz (default 16e3).")
+    let doc =
+      Printf.sprintf "Highest frequency, Hz (default %g)." d.Front.fmax
+    in
+    Arg.(value & opt (some float) None & info [ "fmax" ] ~doc)
   in
   let points_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n"; "points" ] ~doc:"Number of points (default 33).")
+    let doc =
+      Printf.sprintf "Number of points (default %d)." d.Front.points
+    in
+    Arg.(value & opt (some int) None & info [ "n"; "points" ] ~doc)
   in
   let log_arg =
     Arg.(value & flag & info [ "log" ] ~doc:"Logarithmic frequency grid.")
-  in
-  let compare_arg =
-    Arg.(
-      value & flag
-      & info [ "compare" ]
-          ~doc:"(kept for compatibility; closed form is always shown when \
-                available)")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Monte-Carlo seed.")
@@ -675,16 +615,15 @@ let psd_cmd =
     (Cmd.info "psd" ~doc)
     Term.(
       const
-        (fun () metrics trace engine fmin fmax points log compare spp seed csv
-             plot name target duty r f0 q stages ->
+        (fun () metrics trace engine fmin fmax points log spp seed csv plot name
+             target duty r f0 q stages ->
           with_obs metrics trace (fun () ->
               with_circuit
                 (fun picked ->
-                  run engine fmin fmax points log compare spp seed csv plot
-                    picked)
+                  run engine fmin fmax points log spp seed csv plot picked)
                 name target duty r f0 q stages))
       $ setup_term $ metrics_arg $ trace_arg $ engine_arg $ fmin_arg
-      $ fmax_arg $ points_arg $ log_arg $ compare_arg $ spp_arg $ seed_arg
+      $ fmax_arg $ points_arg $ log_arg $ spp_arg $ seed_arg
       $ csv_arg $ plot_arg $ circuit_arg $ target_arg $ duty_arg $ ratio_arg
       $ f0_arg $ q_arg $ stages_arg)
 
@@ -697,7 +636,9 @@ let variance_cmd =
       2
     end
     else begin
-      let cov = Covariance.sample ~samples_per_phase:spp picked.sys in
+      let cov =
+        Covariance.sample ~samples_per_phase:(Front.spp spp) picked.sys
+      in
       let vb = Covariance.variance_at_boundary cov picked.output in
       let va = Covariance.average_variance cov picked.output in
       Printf.printf "%s\n" picked.label;
@@ -725,12 +666,8 @@ let variance_cmd =
 
 let contrib_cmd =
   let run f spp picked =
-    let df =
-      List.find_map
-        (function Elab.Contrib { f } -> f | _ -> None)
-        picked.directives
-    in
-    let f = resolve f df 1e3 in
+    let r = Front.contrib ?f ?spp picked.directives in
+    let f = r.Front.f in
     if not (Pwl.is_stable picked.sys) then begin
       Printf.eprintf "scnoise: circuit is not stable\n";
       2
@@ -738,7 +675,7 @@ let contrib_cmd =
     else begin
       Printf.printf "%s, f = %g Hz\n" picked.label f;
       let parts =
-        Contrib.per_source_psd ~samples_per_phase:spp picked.sys
+        Contrib.per_source_psd ~samples_per_phase:r.Front.spp picked.sys
           ~output:picked.output ~f
       in
       let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 parts in
@@ -754,13 +691,13 @@ let contrib_cmd =
     end
   in
   let f_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "f"; "freq" ]
-          ~doc:
-            "Analysis frequency, Hz (default 1e3, or the deck's .contrib \
-             directive).")
+    let doc =
+      Printf.sprintf
+        "Analysis frequency, Hz (default %g, or the deck's .contrib \
+         directive)."
+        Front.contrib_defaults.Front.f
+    in
+    Arg.(value & opt (some float) None & info [ "f"; "freq" ] ~doc)
   in
   let doc = "Per-source decomposition of the output noise PSD." in
   Cmd.v
@@ -776,23 +713,9 @@ let contrib_cmd =
 (* ---- transfer ---- *)
 
 let transfer_cmd =
-  let run fmin fmax points spp k_range picked =
-    let dfmin, dfmax, dpoints, dk =
-      match
-        List.find_map
-          (function
-            | Elab.Transfer { fmin; fmax; points; k } ->
-                Some (fmin, fmax, points, k)
-            | _ -> None)
-          picked.directives
-      with
-      | Some d -> d
-      | None -> (None, None, None, None)
-    in
-    let fmin = resolve fmin dfmin 1.0 in
-    let fmax = resolve fmax dfmax 2e3 in
-    let points = resolve points dpoints 21 in
-    let k_range = resolve k_range dk 0 in
+  let run fmin fmax points spp k picked =
+    let r = Front.transfer ?fmin ?fmax ?points ?k ?spp picked.directives in
+    let k_range = r.Front.k in
     if Array.length picked.sys.Pwl.inputs = 0 then begin
       Printf.eprintf "scnoise: circuit has no signal inputs\n";
       2
@@ -800,12 +723,12 @@ let transfer_cmd =
     else begin
       let module Transfer = Scnoise_core.Transfer in
       let tr =
-        Transfer.prepare ~samples_per_phase:spp picked.sys
+        Transfer.prepare ~samples_per_phase:r.Front.spp picked.sys
           ~output:picked.output
       in
       Printf.printf "# %s, baseband LPTV transfer function H0(f)\n"
         picked.label;
-      let freqs = Grid.linspace fmin fmax points in
+      let freqs = Front.transfer_freqs r in
       let headers =
         [ "f_Hz"; "mag"; "mag_dB"; "phase_deg" ]
         @ List.concat_map
@@ -833,23 +756,24 @@ let transfer_cmd =
       0
     end
   in
+  let d = Front.transfer_defaults in
   let fmin_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "fmin" ] ~doc:"Lowest frequency, Hz (default 1).")
+    let doc =
+      Printf.sprintf "Lowest frequency, Hz (default %g)." d.Front.fmin
+    in
+    Arg.(value & opt (some float) None & info [ "fmin" ] ~doc)
   in
   let fmax_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "fmax" ] ~doc:"Highest frequency, Hz (default 2e3).")
+    let doc =
+      Printf.sprintf "Highest frequency, Hz (default %g)." d.Front.fmax
+    in
+    Arg.(value & opt (some float) None & info [ "fmax" ] ~doc)
   in
   let points_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n"; "points" ] ~doc:"Number of points (default 21).")
+    let doc =
+      Printf.sprintf "Number of points (default %d)." d.Front.points
+    in
+    Arg.(value & opt (some int) None & info [ "n"; "points" ] ~doc)
   in
   let krange_arg =
     Arg.(
@@ -880,7 +804,7 @@ let report_cmd =
     let module Report = Scnoise_core.Report in
     let band = if fmax > fmin && fmax > 0.0 then Some (fmin, fmax) else None in
     let r =
-      Report.analyze ~samples_per_phase:spp ?band ~title:picked.label
+      Report.analyze ?samples_per_phase:spp ?band ~title:picked.label
         picked.sys ~output:picked.output
     in
     Report.print r;
@@ -1039,8 +963,10 @@ let bench_serve_cmd =
       | Some "-" -> In_channel.input_all In_channel.stdin
       | Some path -> In_channel.with_open_text path In_channel.input_all
     in
-    (* two frequency ranges, exercised singly and as a batch envelope *)
-    let ranges = [| (0.0, 16e3, 33); (100.0, 8e3, 25) |] in
+    (* two frequency ranges, exercised singly and as a batch envelope:
+       the resolved default (the deck's .psd directive, else the builtin
+       sweep) and an explicit one *)
+    let ranges = [| (None, None, None); (Some 100.0, Some 8e3, Some 25) |] in
     let psd_req ?id (fmin, fmax, points) =
       {
         Sp.rq_id = id;
@@ -1049,11 +975,11 @@ let bench_serve_cmd =
         rq_op =
           Sp.Psd
             {
-              p_fmin = Some fmin;
-              p_fmax = Some fmax;
-              p_points = Some points;
+              p_fmin = fmin;
+              p_fmax = fmax;
+              p_points = points;
               p_log = None;
-              p_spp = Some spp;
+              p_spp = spp;
               p_engine = None;
             };
       }
@@ -1105,35 +1031,32 @@ let bench_serve_cmd =
         in
         (* direct sweeps at jobs 1 and 4 — the parity reference *)
         let direct =
-          match Deck.load_string ~name:"<bench>" deck with
-          | Error msg -> Error msg
-          | Ok loaded -> (
-              let e = loaded.Deck.elab in
-              match
-                Compile.compile ?temperature:e.Elab.temperature e.Elab.netlist
-                  e.Elab.clock
-              with
-              | exception Compile.Error msg -> Error msg
-              | sys -> (
-                  match Pwl.observable sys e.Elab.output_node with
-                  | exception Not_found -> Error "output not observable"
-                  | output ->
-                      Ok
-                        (Array.map
-                           (fun (fmin, fmax, points) ->
-                             let freqs = Grid.linspace fmin fmax points in
-                             Array.map
-                               (fun jobs ->
-                                 let pool = Pool.create ~jobs () in
-                                 let eng =
-                                   Psd.prepare ~samples_per_phase:spp ~pool
-                                     sys ~output
-                                 in
-                                 let v = Psd.sweep ~pool eng freqs in
-                                 Pool.shutdown pool;
-                                 v)
-                               [| 1; 4 |])
-                           ranges)))
+          match
+            Result.bind
+              (Front.load ~name:"<bench>" deck)
+              (Front.gate ~name:"<bench>")
+          with
+          | Error e -> Error (Front.message e)
+          | Ok c ->
+              Ok
+                (Array.map
+                   (fun (fmin, fmax, points) ->
+                     let r =
+                       Front.psd ?fmin ?fmax ?points ?spp c.Front.directives
+                     in
+                     let freqs = Front.psd_freqs r in
+                     Array.map
+                       (fun jobs ->
+                         let pool = Pool.create ~jobs () in
+                         let eng =
+                           Psd.prepare ~samples_per_phase:r.Front.spp ~pool
+                             c.Front.sys ~output:c.Front.output
+                         in
+                         let v = Psd.sweep ~pool eng freqs in
+                         Pool.shutdown pool;
+                         v)
+                       [| 1; 4 |])
+                   ranges)
         in
         match direct with
         | Error msg -> fail "%s" msg

@@ -47,18 +47,16 @@ let restrict (sys : Pwl.t) ~keep =
   in
   { sys with Pwl.phases }
 
-let per_source_psd ?solver ?samples_per_phase sys ~output ~f =
+let per_source_psd ?samples_per_phase sys ~output ~f =
   List.map
     (fun label ->
       let restricted = restrict sys ~keep:(fun l -> l = label) in
-      let engine = Psd.prepare ?solver ?samples_per_phase restricted ~output in
+      let engine = Psd.prepare ?samples_per_phase restricted ~output in
       (label, Psd.psd engine ~f))
     (source_labels sys)
 
-let check_additivity ?solver ?samples_per_phase sys ~output ~f =
-  let total =
-    Psd.psd (Psd.prepare ?solver ?samples_per_phase sys ~output) ~f
-  in
-  let parts = per_source_psd ?solver ?samples_per_phase sys ~output ~f in
+let check_additivity ?samples_per_phase sys ~output ~f =
+  let total = Psd.psd (Psd.prepare ?samples_per_phase sys ~output) ~f in
+  let parts = per_source_psd ?samples_per_phase sys ~output ~f in
   let sum = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 parts in
   if total = 0.0 then abs_float sum else abs_float (sum -. total) /. total

@@ -18,12 +18,11 @@ val restrict : Pwl.t -> keep:(string -> bool) -> Pwl.t
     whose label satisfies [keep]. *)
 
 val per_source_psd :
-  ?solver:Covariance.solver -> ?samples_per_phase:int -> Pwl.t ->
-  output:Vec.t -> f:float -> (string * float) list
+  ?samples_per_phase:int -> Pwl.t -> output:Vec.t -> f:float ->
+  (string * float) list
 (** PSD contribution of every source at frequency [f], in label order. *)
 
 val check_additivity :
-  ?solver:Covariance.solver -> ?samples_per_phase:int -> Pwl.t ->
-  output:Vec.t -> f:float -> float
+  ?samples_per_phase:int -> Pwl.t -> output:Vec.t -> f:float -> float
 (** Relative gap [|sum of contributions - total| / total] — a
     consistency diagnostic (small up to discretisation error). *)

@@ -63,8 +63,10 @@ let step_key ~norm_a h =
       (Int64.lognot 0xFFFL)
   else Int64.bits_of_float h
 
-let discretized_grid ?(samples_per_phase = 96) ?(grid = `Stretched) ?pool
-    (sys : Pwl.t) =
+let default_samples_per_phase = 96
+
+let discretized_grid ?(samples_per_phase = default_samples_per_phase)
+    ?(grid = `Stretched) ?pool (sys : Pwl.t) =
   (* The layout and the memo are cheap and stay serial, assigning
      operators in first-occurrence order; the distinct discretisations
      (a matrix exponential each) are independent, so they fan out

@@ -59,6 +59,11 @@ type discretized_grid = {
       (** per-interval (Phi, Qd): [g_ops.(g_op.(i))], shared physically *)
 }
 
+val default_samples_per_phase : int
+(** Grid samples per clock phase when a caller gives none (96): the
+    default of every engine built on {!discretized_grid} and of the CLI
+    and served requests. *)
+
 val discretized_grid :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> discretized_grid

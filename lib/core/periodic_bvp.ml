@@ -119,8 +119,6 @@ let times t = Array.copy t.times
 
 let n_points t = Array.length t.times
 
-let interval_phase t = Array.copy t.interval_phase
-
 (* --- forcing ---
 
    The trapezoid step only sees its interval's forcing as

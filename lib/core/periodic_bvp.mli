@@ -56,9 +56,6 @@ val times : t -> float array
 
 val n_points : t -> int
 
-val interval_phase : t -> int array
-(** Phase index owning each grid interval. *)
-
 type forcing
 (** A forcing prepared for one solver: per grid interval, the trapezoid
     term [h/2 (k0 + k1)] in the interval's phase basis. *)

@@ -44,14 +44,16 @@ let of_sampled cov ~output =
       Periodic_bvp.forcing bvp ~kl:(Array.get k) ~kr:(fun i -> k.(i + 1));
   }
 
-let prepare ?solver ?samples_per_phase ?grid ?pool sys ~output =
+let prepare ?samples_per_phase ?grid ?pool sys ~output =
   Obs.with_span "psd.prepare" (fun () ->
-      let cov = Covariance.sample ?solver ?samples_per_phase ?grid ?pool sys in
+      let cov = Covariance.sample ?samples_per_phase ?grid ?pool sys in
       of_sampled cov ~output)
 
 let output e = Vec.copy e.out_row
 
 let covariance e = e.cov
+
+let bvp e = e.bvp
 
 (* Output samples y_b(t_i) = cᵀ P_b(t_i) of one width-[width] solve. *)
 let solve_into e ~omegas y =

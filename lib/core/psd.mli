@@ -34,14 +34,17 @@ val of_sampled : Covariance.sampled -> output:Vec.t -> engine
     sharing the covariance across several outputs). *)
 
 val prepare :
-  ?solver:Covariance.solver -> ?samples_per_phase:int ->
-  ?grid:Covariance.grid_kind -> ?pool:Scnoise_par.Pool.t -> Pwl.t ->
-  output:Vec.t -> engine
+  ?samples_per_phase:int -> ?grid:Covariance.grid_kind ->
+  ?pool:Scnoise_par.Pool.t -> Pwl.t -> output:Vec.t -> engine
 (** One-stop preparation: periodic covariance + grids + monodromy. *)
 
 val output : engine -> Vec.t
 
 val covariance : engine -> Covariance.sampled
+
+val bvp : engine -> Periodic_bvp.t
+(** The prepared periodic-BVP solver for the engine's output row; it
+    serves any other forcing too ({!Transfer.of_psd}). *)
 
 val psd : engine -> f:float -> float
 (** Double-sided output PSD (V^2/Hz) at frequency [f] (Hz).  [f] may be

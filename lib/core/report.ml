@@ -21,8 +21,8 @@ type t = {
   reference_freq : float;
 }
 
-let analyze ?(samples_per_phase = 96) ?freqs ?band ?reference_freq
-    ?(title = "circuit") sys ~output =
+let analyze ?(samples_per_phase = Covariance.default_samples_per_phase) ?freqs
+    ?band ?reference_freq ?(title = "circuit") sys ~output =
   let radius = Eig.spectral_radius (Pwl.monodromy sys) in
   let stable = radius < 1.0 in
   let freqs =

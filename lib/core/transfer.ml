@@ -12,21 +12,20 @@ type engine = {
   interval_phase : int array;
 }
 
-let of_sampled cov ~output =
-  let sys = cov.Covariance.sys in
-  if Array.length output <> sys.Pwl.nstates then
-    invalid_arg "Transfer.of_sampled: output row has wrong length";
-  let bvp = Periodic_bvp.of_sampled cov ~output in
+(* The noise engine's solver was prepared from the same sampled grid
+   and output row, and a solve takes any forcing, so transfer functions
+   share it rather than sampling the covariance again. *)
+let of_psd psd =
+  let cov = Psd.covariance psd in
   {
-    sys;
-    bvp;
-    times = Periodic_bvp.times bvp;
-    interval_phase = Periodic_bvp.interval_phase bvp;
+    sys = cov.Covariance.sys;
+    bvp = Psd.bvp psd;
+    times = cov.Covariance.times;
+    interval_phase = cov.Covariance.interval_phase;
   }
 
-let prepare ?solver ?samples_per_phase ?grid sys ~output =
-  let cov = Covariance.sample ?solver ?samples_per_phase ?grid sys in
-  of_sampled cov ~output
+let prepare ?samples_per_phase ?grid sys ~output =
+  of_psd (Psd.prepare ?samples_per_phase ?grid sys ~output)
 
 let n_inputs e = Array.length e.sys.Pwl.inputs
 
@@ -86,5 +85,3 @@ let harmonics e ~input ~f ~k_range =
 
 let gain e ~input ~f =
   (harmonics e ~input ~f ~k_range:0).(0)
-
-let gain_db e ~input ~f = Scnoise_util.Db.of_amplitude (Cx.modulus (gain e ~input ~f))

@@ -18,13 +18,17 @@ module Pwl = Scnoise_circuit.Pwl
 
 type engine
 
-val prepare :
-  ?solver:Covariance.solver -> ?samples_per_phase:int ->
-  ?grid:Covariance.grid_kind -> Pwl.t -> output:Vec.t -> engine
-(** The preparation shares everything frequency-independent; [output]
-    extracts the observed combination of states. *)
+val of_psd : Psd.engine -> engine
+(** The transfer view of a prepared noise engine: it solves on the
+    engine's periodic-BVP solver (grid, transitions, monodromy and
+    output row), so one preparation serves the PSD and every transfer
+    function of a circuit. *)
 
-val of_sampled : Covariance.sampled -> output:Vec.t -> engine
+val prepare :
+  ?samples_per_phase:int -> ?grid:Covariance.grid_kind -> Pwl.t ->
+  output:Vec.t -> engine
+(** [of_psd (Psd.prepare ...)]; [output] extracts the observed
+    combination of states. *)
 
 val n_inputs : engine -> int
 (** Number of deterministic inputs of the circuit (voltage sources then
@@ -45,6 +49,3 @@ val harmonics : engine -> input:int -> f:float -> k_range:int -> Cx.t array
 
 val gain : engine -> input:int -> f:float -> Cx.t
 (** The baseband transfer function [H_0(f)]. *)
-
-val gain_db : engine -> input:int -> f:float -> float
-(** [20 log10 |H_0(f)|]. *)

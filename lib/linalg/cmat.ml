@@ -32,10 +32,6 @@ let of_real m =
   done;
   c
 
-let real m = Mat.init m.nr m.nc (fun i j -> m.d.(2 * ((i * m.nc) + j)))
-
-let imag m = Mat.init m.nr m.nc (fun i j -> m.d.((2 * ((i * m.nc) + j)) + 1))
-
 let rows m = m.nr
 
 let cols m = m.nc
@@ -55,8 +51,6 @@ let set m i j (z : Cx.t) =
   m.d.(k) <- z.Cx.re;
   m.d.(k + 1) <- z.Cx.im
 
-let copy m = { m with d = Array.copy m.d }
-
 let same_dims a b name =
   if a.nr <> b.nr || a.nc <> b.nc then
     invalid_arg ("Cmat." ^ name ^ ": dimension mismatch")
@@ -68,15 +62,6 @@ let add a b =
 let sub a b =
   same_dims a b "sub";
   { a with d = Array.init (Array.length a.d) (fun k -> a.d.(k) -. b.d.(k)) }
-
-let scale (s : Cx.t) m =
-  let out = { m with d = Array.make (Array.length m.d) 0.0 } in
-  for k = 0 to (Array.length m.d / 2) - 1 do
-    let re = m.d.(2 * k) and im = m.d.((2 * k) + 1) in
-    out.d.(2 * k) <- (s.Cx.re *. re) -. (s.Cx.im *. im);
-    out.d.((2 * k) + 1) <- (s.Cx.re *. im) +. (s.Cx.im *. re)
-  done;
-  out
 
 let mul a b =
   if a.nc <> b.nr then invalid_arg "Cmat.mul: inner dimension mismatch";
@@ -125,17 +110,6 @@ let mul_vec m v =
   mul_vec_into m v ~into:out;
   out
 
-let transpose m = init m.nc m.nr (fun i j -> get m j i)
-
-let adjoint m = init m.nc m.nr (fun i j -> Cx.conj (get m j i))
-
-let max_abs m =
-  let best = ref 0.0 in
-  for k = 0 to (Array.length m.d / 2) - 1 do
-    best := max !best (Cx.modulus_ri m.d.(2 * k) m.d.((2 * k) + 1))
-  done;
-  !best
-
 let max_abs_diff a b =
   same_dims a b "max_abs_diff";
   let best = ref 0.0 in
@@ -149,6 +123,7 @@ let max_abs_diff a b =
   !best
 
 let is_hermitian ?(tol = 1e-12) m =
-  m.nr = m.nc && max_abs_diff m (adjoint m) <= tol
+  m.nr = m.nc
+  && max_abs_diff m (init m.nc m.nr (fun i j -> Cx.conj (get m j i))) <= tol
 
 let data m = m.d

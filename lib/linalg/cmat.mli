@@ -11,10 +11,6 @@ val identity : int -> t
 
 val of_real : Mat.t -> t
 
-val real : t -> Mat.t
-
-val imag : t -> Mat.t
-
 val rows : t -> int
 
 val cols : t -> int
@@ -23,13 +19,9 @@ val get : t -> int -> int -> Cx.t
 
 val set : t -> int -> int -> Cx.t -> unit
 
-val copy : t -> t
-
 val add : t -> t -> t
 
 val sub : t -> t -> t
-
-val scale : Cx.t -> t -> t
 
 val mul : t -> t -> t
 
@@ -38,13 +30,6 @@ val mul_vec : t -> Cvec.t -> Cvec.t
 val mul_vec_into : t -> Cvec.t -> into:Cvec.t -> unit
 (** Allocation-free {!mul_vec}.  [into] must not alias the input
     vector (the product is accumulated row by row). *)
-
-val transpose : t -> t
-
-val adjoint : t -> t
-(** Conjugate transpose. *)
-
-val max_abs : t -> float
 
 val max_abs_diff : t -> t -> float
 

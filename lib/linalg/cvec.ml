@@ -63,10 +63,6 @@ let add a b =
   check_len a b "add";
   Array.init (Array.length a) (fun k -> a.(k) +. b.(k))
 
-let sub a b =
-  check_len a b "sub";
-  Array.init (Array.length a) (fun k -> a.(k) -. b.(k))
-
 let scale (s : Cx.t) a =
   let n = dim a in
   let d = Array.make (2 * n) 0.0 in
@@ -78,17 +74,6 @@ let scale (s : Cx.t) a =
   d
 
 let scale_re s a = Array.map (fun x -> s *. x) a
-
-let dot_conj a b =
-  check_len a b "dot_conj";
-  let re = ref 0.0 and im = ref 0.0 in
-  for i = 0 to dim a - 1 do
-    let ar = a.(2 * i) and ai = -.a.((2 * i) + 1) in
-    let br = b.(2 * i) and bi = b.((2 * i) + 1) in
-    re := !re +. ((ar *. br) -. (ai *. bi));
-    im := !im +. ((ar *. bi) +. (ai *. br))
-  done;
-  Cx.make !re !im
 
 let norm2 a =
   let acc = ref 0.0 in
@@ -117,24 +102,11 @@ let max_abs_diff a b =
 
 (* --- in-place kernels --- *)
 
-let fill_zero v = Array.fill v 0 (Array.length v) 0.0
-
-let copy_into v ~into =
-  check_len v into "copy_into";
-  Array.blit v 0 into 0 (Array.length v)
-
 let add_into a b ~into =
   check_len a b "add_into";
   check_len a into "add_into";
   for k = 0 to Array.length a - 1 do
     into.(k) <- a.(k) +. b.(k)
-  done
-
-let sub_into a b ~into =
-  check_len a b "sub_into";
-  check_len a into "sub_into";
-  for k = 0 to Array.length a - 1 do
-    into.(k) <- a.(k) -. b.(k)
   done
 
 let scale_into (s : Cx.t) a ~into =
@@ -145,21 +117,14 @@ let scale_into (s : Cx.t) a ~into =
     into.((2 * i) + 1) <- (s.Cx.re *. im) +. (s.Cx.im *. re)
   done
 
-let scale_re_into s a ~into =
-  check_len a into "scale_re_into";
-  for k = 0 to Array.length a - 1 do
-    into.(k) <- s *. a.(k)
-  done
-
-let axpy_ri_into ~sre ~sim ~x ~into =
+let axpy_into ~s:(s : Cx.t) ~x ~into =
   check_len x into "axpy_into";
+  let sre = s.Cx.re and sim = s.Cx.im in
   for i = 0 to dim x - 1 do
     let re = x.(2 * i) and im = x.((2 * i) + 1) in
     into.(2 * i) <- ((sre *. re) -. (sim *. im)) +. into.(2 * i);
     into.((2 * i) + 1) <- ((sre *. im) +. (sim *. re)) +. into.((2 * i) + 1)
   done
-
-let axpy_into ~s:(s : Cx.t) ~x ~into = axpy_ri_into ~sre:s.Cx.re ~sim:s.Cx.im ~x ~into
 
 let data v = v
 

@@ -35,14 +35,9 @@ val set : t -> int -> Cx.t -> unit
 
 val add : t -> t -> t
 
-val sub : t -> t -> t
-
 val scale : Cx.t -> t -> t
 
 val scale_re : float -> t -> t
-
-val dot_conj : t -> t -> Cx.t
-(** [dot_conj a b] is [sum (conj a_i * b_i)]. *)
 
 val norm2 : t -> float
 
@@ -56,23 +51,12 @@ val max_abs_diff : t -> t -> float
     vector and allocate nothing.  Unless stated otherwise the output
     may alias an input (every kernel below is element-wise). *)
 
-val fill_zero : t -> unit
-
-val copy_into : t -> into:t -> unit
-
 val add_into : t -> t -> into:t -> unit
-
-val sub_into : t -> t -> into:t -> unit
 
 val scale_into : Cx.t -> t -> into:t -> unit
 
-val scale_re_into : float -> t -> into:t -> unit
-
 val axpy_into : s:Cx.t -> x:t -> into:t -> unit
 (** [axpy_into ~s ~x ~into] accumulates [into += s * x]. *)
-
-val axpy_ri_into : sre:float -> sim:float -> x:t -> into:t -> unit
-(** {!axpy_into} with the scalar passed as two floats (no box). *)
 
 (** {1 Panels — blocked multi-RHS storage}
 

@@ -57,11 +57,9 @@ let solve_discrete_doubling ?(tol = 1e-14) ?(max_iter = 200) phi q =
   in
   loop 0
 
-let solve_discrete ?(prefer_doubling = true) phi q =
-  if prefer_doubling then
-    try solve_discrete_doubling phi q with Not_stable _ ->
-      solve_discrete_kron phi q
-  else solve_discrete_kron phi q
+let solve_discrete phi q =
+  try solve_discrete_doubling phi q with Not_stable _ ->
+    solve_discrete_kron phi q
 
 let residual_discrete phi q x =
   let rhs = Mat.add (Mat.mul phi (Mat.mul x (Mat.transpose phi))) q in

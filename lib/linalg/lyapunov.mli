@@ -25,9 +25,8 @@ val solve_discrete_doubling :
     spectral radius of [phi] to be < 1 and raises {!Not_stable}
     otherwise.  O(n³ log(1/tol)). *)
 
-val solve_discrete : ?prefer_doubling:bool -> Mat.t -> Mat.t -> Mat.t
-(** Dispatcher: doubling when requested and possible, Kronecker
-    fallback. *)
+val solve_discrete : Mat.t -> Mat.t -> Mat.t
+(** Dispatcher: doubling when possible, Kronecker fallback. *)
 
 val residual_discrete : Mat.t -> Mat.t -> Mat.t -> float
 (** [residual_discrete phi q x] is [max_abs (x - phi x phiᵀ - q)]; used by

@@ -40,8 +40,8 @@ let discretize_augmented ~a ~q ~tau =
     { phi; qd }
   end
 
-let propagate_with phi qd k =
-  Mat.symmetrize (Mat.add (Mat.mul phi (Mat.mul k (Mat.transpose phi))) qd)
+let propagate d k =
+  Mat.symmetrize (Mat.add (Mat.mul d.phi (Mat.mul k (Mat.transpose d.phi))) d.qd)
 
 (* Stiffness threshold on [norm(A) tau] below which the augmented form is
    numerically safe. *)
@@ -78,7 +78,7 @@ let discretize ~a ~q ~tau =
         let phi = ref (Mat.identity n) and qd = ref (Mat.create n n) in
         for _ = 1 to chunks do
           phi := Mat.mul step.phi !phi;
-          qd := propagate_with step.phi step.qd !qd
+          qd := propagate step !qd
         done;
         { phi = !phi; qd = !qd }
   end
@@ -86,6 +86,3 @@ let discretize ~a ~q ~tau =
 let discretize_b ~a ~b ~tau =
   let q = Mat.mul b (Mat.transpose b) in
   discretize ~a ~q ~tau
-
-let propagate d k =
-  Mat.symmetrize (Mat.add (Mat.mul d.phi (Mat.mul k (Mat.transpose d.phi))) d.qd)

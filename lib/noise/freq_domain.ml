@@ -15,8 +15,8 @@ type engine = {
   columns : (string * Vec.t array) list;
 }
 
-let prepare ?solver ?samples_per_phase sys ~output =
-  let transfer = Transfer.prepare ?solver ?samples_per_phase sys ~output in
+let prepare ?samples_per_phase sys ~output =
+  let transfer = Transfer.prepare ?samples_per_phase sys ~output in
   let labels = Contrib.source_labels sys in
   let n = sys.Pwl.nstates in
   let column_of_phase label (ph : Pwl.phase) =

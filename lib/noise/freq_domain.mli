@@ -22,9 +22,7 @@ module Vec = Scnoise_linalg.Vec
 
 type engine
 
-val prepare :
-  ?solver:Scnoise_core.Covariance.solver -> ?samples_per_phase:int ->
-  Pwl.t -> output:Vec.t -> engine
+val prepare : ?samples_per_phase:int -> Pwl.t -> output:Vec.t -> engine
 
 val psd : engine -> f:float -> k_max:int -> float
 (** Double-sided output PSD at [f] with the aliasing sum truncated at

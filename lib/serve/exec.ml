@@ -6,16 +6,17 @@
 
    Tier 2 maps the deck hash to the prepared solver state: the compiled
    PWL system, the observability vector, and — per samples-per-phase
-   setting — the prepared PSD / transfer engines (sampled periodic
-   covariance, monodromy, per-phase discretisations).  A warm request
+   setting — one prepared engine (sampled periodic covariance,
+   monodromy, per-phase discretisations, periodic-BVP solver) that
+   serves psd, variance and transfer requests alike.  A warm request
    that misses tier 1 skips straight to the frequency loop, which is
-   the part that the PR-4 domain pool parallelises.
+   the part that the domain pool parallelises.
 
-   Every numeric path calls exactly the library entry points the CLI
-   calls, with the same argument resolution (request parameter beats
-   deck directive beats builtin default), so served values are
-   bit-identical to direct `scnoise` runs — the parity property the
-   tests and `scnoise bench serve` assert.
+   Decks pass {!Front}'s gate and parameters resolve through {!Front},
+   exactly as in the CLI, and every numeric path calls the library
+   entry points the CLI calls, so served values are bit-identical to
+   direct `scnoise` runs — the parity property the tests and
+   `scnoise bench serve` assert.
 
    Replies never raise: failures become structured error replies with
    the stable codes documented in {!Protocol}. *)
@@ -24,18 +25,14 @@ module Json = Scnoise_obs.Json
 module Obs = Scnoise_obs.Obs
 module Clock = Scnoise_obs.Clock
 module Deck = Scnoise_lang.Deck
-module Elab = Scnoise_lang.Elab
 module Canon = Scnoise_lang.Canon
-module Diag = Scnoise_lang.Diag
 module Check = Scnoise_check.Check
 module Finding = Scnoise_check.Finding
 module Pwl = Scnoise_circuit.Pwl
-module Compile = Scnoise_circuit.Compile
 module Psd = Scnoise_core.Psd
 module Covariance = Scnoise_core.Covariance
 module Contrib = Scnoise_core.Contrib
 module Transfer = Scnoise_core.Transfer
-module Grid = Scnoise_util.Grid
 module Pool = Scnoise_par.Pool
 module P = Protocol
 
@@ -52,15 +49,12 @@ exception Err of string * string
 let err code fmt = Printf.ksprintf (fun m -> raise (Err (code, m))) fmt
 
 (* Tier-2 entry: everything frequency-independent about one circuit.
-   The engine alists are tiny (one entry per distinct spp seen) and are
+   The engine alist is tiny (one entry per distinct spp seen) and is
    only mutated under the executor mutex. *)
 type prepared = {
-  pr_sys : Pwl.t;
-  pr_output : Scnoise_linalg.Vec.t;
-  pr_directives : Elab.analysis list;
+  pr_circuit : Front.circuit;
   pr_stable : bool;
-  mutable pr_psd : (int * Psd.engine) list;
-  mutable pr_transfer : (int * Transfer.engine) list;
+  mutable pr_engines : (int * Psd.engine) list;
 }
 
 type t = {
@@ -90,99 +84,49 @@ let stopping t = Atomic.get t.stop
 
 let request_stop t = Atomic.set t.stop true
 
-(* ---- deck pipeline (mirrors the CLI's pick_deck) ---- *)
+(* ---- deck pipeline ---- *)
 
-let load_deck ~name text =
-  match Deck.load_string ~name text with
-  | Error msg -> raise (Err ("deck", msg))
-  | Ok loaded -> loaded
-
-let erc_gate (loaded : Deck.loaded) =
-  let errs =
-    List.filter
-      (fun f -> f.Finding.severity = Finding.Error)
-      (Check.check_elab loaded.Deck.elab)
-  in
-  match errs with
-  | [] -> ()
-  | errs ->
-      raise
-        (Err
-           ( "erc",
-             String.concat "\n"
-               (List.map (Finding.render ~source:loaded.Deck.source) errs) ))
+(* a gate failure replies with its stage as the error code *)
+let gated = function
+  | Ok v -> v
+  | Error e -> raise (Err (Front.code e, Front.message e))
 
 (* Compile (or fetch) the tier-2 entry.  The ERC gate runs on every
    request — it is structural and cheap — so a cached circuit never
    bypasses the checks a direct CLI run would perform. *)
 let prepared_entry t ~name (loaded : Deck.loaded) hash =
-  erc_gate loaded;
+  gated (Front.erc loaded);
   match Cache.find t.solvers hash with
   | Some p -> p
   | None ->
-      let e = loaded.Deck.elab in
-      let sys =
-        match
-          Compile.compile ?temperature:e.Elab.temperature e.Elab.netlist
-            e.Elab.clock
-        with
-        | exception Compile.Error msg -> err "compile" "%s: %s" name msg
-        | sys -> sys
-      in
-      let output =
-        match Pwl.observable sys e.Elab.output_node with
-        | exception Not_found ->
-            raise
-              (Err
-                 ( "output",
-                   Diag.render loaded.Deck.source e.Elab.output_loc
-                     (Printf.sprintf
-                        "output node %S is not an observable state (it is \
-                         resistive or source-driven)"
-                        e.Elab.output_node) ))
-        | v -> v
-      in
+      let c = gated (Front.compile ~name loaded) in
       let p =
         {
-          pr_sys = sys;
-          pr_output = output;
-          pr_directives = List.map fst e.Elab.analyses;
-          pr_stable = Pwl.is_stable sys;
-          pr_psd = [];
-          pr_transfer = [];
+          pr_circuit = c;
+          pr_stable = Pwl.is_stable c.Front.sys;
+          pr_engines = [];
         }
       in
       Cache.put t.solvers hash p;
       p
 
-(* [true] when the engine already existed (the request skipped straight
-   to the frequency loop). *)
-let psd_engine p spp =
-  match List.assoc_opt spp p.pr_psd with
+(* The circuit's one prepared engine at [spp], and [true] when it
+   already existed (the request skipped straight to the frequency
+   loop). *)
+let engine p spp =
+  match List.assoc_opt spp p.pr_engines with
   | Some e -> (e, true)
   | None ->
-      let e = Psd.prepare ~samples_per_phase:spp p.pr_sys ~output:p.pr_output in
-      p.pr_psd <- (spp, e) :: p.pr_psd;
-      (e, false)
-
-let transfer_engine p spp =
-  match List.assoc_opt spp p.pr_transfer with
-  | Some e -> (e, true)
-  | None ->
+      let c = p.pr_circuit in
       let e =
-        Transfer.prepare ~samples_per_phase:spp p.pr_sys ~output:p.pr_output
+        Psd.prepare ~samples_per_phase:spp c.Front.sys ~output:c.Front.output
       in
-      p.pr_transfer <- (spp, e) :: p.pr_transfer;
+      p.pr_engines <- (spp, e) :: p.pr_engines;
       (e, false)
 
 let require_stable p =
   if not p.pr_stable then
     err "unstable" "circuit is not stable; no steady-state noise"
-
-(* request parameter beats deck directive beats builtin default — the
-   CLI's resolution rule, verbatim *)
-let resolve cli directive default =
-  match cli with Some v -> v | None -> Option.value directive ~default
 
 let fstr x = Printf.sprintf "%.17g" x
 
@@ -207,28 +151,15 @@ let cached t key compute =
       (r, lvl)
 
 let run_psd t p hash (q : P.psd_params) =
-  let dfmin, dfmax, dpoints, dlog, dengine =
-    match
-      List.find_map
-        (function
-          | Elab.Psd { fmin; fmax; points; log; engine } ->
-              Some (fmin, fmax, points, log, engine)
-          | _ -> None)
-        p.pr_directives
-    with
-    | Some d -> d
-    | None -> (None, None, None, false, None)
+  let r =
+    Front.psd ?engine:q.P.p_engine ?fmin:q.P.p_fmin ?fmax:q.P.p_fmax
+      ?points:q.P.p_points ?log:q.P.p_log ?spp:q.P.p_spp
+      p.pr_circuit.Front.directives
   in
-  let engine = resolve q.P.p_engine dengine "mft" in
-  if engine <> "mft" then
+  let { Front.engine = name; fmin; fmax; points; log; spp } = r in
+  if name <> "mft" then
     err "engine" "engine %S is not served (the daemon caches prepared MFT \
-                  solvers; run `scnoise psd --engine %s` directly)" engine
-      engine;
-  let fmin = resolve q.P.p_fmin dfmin 0.0 in
-  let fmax = resolve q.P.p_fmax dfmax 16e3 in
-  let points = resolve q.P.p_points dpoints 33 in
-  let log = Option.value q.P.p_log ~default:false || dlog in
-  let spp = Option.value q.P.p_spp ~default:96 in
+                  solvers; run `scnoise psd --engine %s` directly)" name name;
   let key =
     result_key hash "psd"
       [ fstr fmin; fstr fmax; string_of_int points; string_of_bool log;
@@ -236,29 +167,26 @@ let run_psd t p hash (q : P.psd_params) =
   in
   cached t key (fun () ->
       require_stable p;
-      let freqs =
-        if log then Grid.logspace (max fmin 1e-3) fmax points
-        else Grid.linspace fmin fmax points
-      in
-      let eng, prepared = psd_engine p spp in
+      let freqs = Front.psd_freqs r in
+      let eng, prepared = engine p spp in
       let values = Psd.sweep eng freqs in
       ( Json.Obj
           [ ("freqs", floats freqs); ("psd_V2_per_Hz", floats values) ],
         level ~prepared ))
 
 let run_variance t p hash spp =
-  let spp = Option.value spp ~default:96 in
+  let spp = Front.spp spp in
   let key = result_key hash "variance" [ string_of_int spp ] in
   cached t key (fun () ->
       require_stable p;
-      (* the PSD engine's sampled covariance IS the CLI's
+      (* the engine's sampled covariance IS the CLI's
          [Covariance.sample ~samples_per_phase:spp sys] — same call,
-         same defaults — so reusing it keeps variance bit-identical
-         while sharing tier-2 state with psd requests *)
-      let eng, prepared = psd_engine p spp in
+         same defaults — so reusing it keeps variance bit-identical *)
+      let eng, prepared = engine p spp in
       let cov = Psd.covariance eng in
-      let vb = Covariance.variance_at_boundary cov p.pr_output in
-      let va = Covariance.average_variance cov p.pr_output in
+      let output = p.pr_circuit.Front.output in
+      let vb = Covariance.variance_at_boundary cov output in
+      let va = Covariance.average_variance cov output in
       ( Json.Obj
           [
             ("boundary_V2", Json.Num vb);
@@ -267,22 +195,17 @@ let run_variance t p hash spp =
           ],
         level ~prepared ))
 
-let run_contrib t p hash (f : float option) spp =
-  let df =
-    List.find_map
-      (function Elab.Contrib { f } -> f | _ -> None)
-      p.pr_directives
-  in
-  let f = resolve f df 1e3 in
-  let spp = Option.value spp ~default:96 in
+let run_contrib t p hash f spp =
+  let c = p.pr_circuit in
+  let { Front.f; spp } = Front.contrib ?f ?spp c.Front.directives in
   let key = result_key hash "contrib" [ fstr f; string_of_int spp ] in
   cached t key (fun () ->
       require_stable p;
       (* per-source PSDs restrict the noise inputs, so there is no
          shared solver to reuse: contrib is cold unless tier 1 hits *)
       let parts =
-        Contrib.per_source_psd ~samples_per_phase:spp p.pr_sys
-          ~output:p.pr_output ~f
+        Contrib.per_source_psd ~samples_per_phase:spp c.Front.sys
+          ~output:c.Front.output ~f
       in
       let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 parts in
       ( Json.Obj
@@ -303,24 +226,12 @@ let run_contrib t p hash (f : float option) spp =
         "cold" ))
 
 let run_transfer t p hash (q : P.transfer_params) =
-  let dfmin, dfmax, dpoints, dk =
-    match
-      List.find_map
-        (function
-          | Elab.Transfer { fmin; fmax; points; k } ->
-              Some (fmin, fmax, points, k)
-          | _ -> None)
-        p.pr_directives
-    with
-    | Some d -> d
-    | None -> (None, None, None, None)
+  let r =
+    Front.transfer ?fmin:q.P.t_fmin ?fmax:q.P.t_fmax ?points:q.P.t_points
+      ?k:q.P.t_k ?spp:q.P.t_spp p.pr_circuit.Front.directives
   in
-  let fmin = resolve q.P.t_fmin dfmin 1.0 in
-  let fmax = resolve q.P.t_fmax dfmax 2e3 in
-  let points = resolve q.P.t_points dpoints 21 in
-  let k_range = resolve q.P.t_k dk 0 in
-  let spp = Option.value q.P.t_spp ~default:96 in
-  if Array.length p.pr_sys.Pwl.inputs = 0 then
+  let { Front.fmin; fmax; points; k = k_range; spp } = r in
+  if Array.length p.pr_circuit.Front.sys.Pwl.inputs = 0 then
     err "inputs" "circuit has no signal inputs";
   let key =
     result_key hash "transfer"
@@ -328,10 +239,11 @@ let run_transfer t p hash (q : P.transfer_params) =
         string_of_int spp ]
   in
   cached t key (fun () ->
-      let eng, prepared = transfer_engine p spp in
-      let freqs = Grid.linspace fmin fmax points in
+      let eng, prepared = engine p spp in
+      let tr = Transfer.of_psd eng in
+      let freqs = Front.transfer_freqs r in
       let hs =
-        Array.map (fun f -> Transfer.harmonics eng ~input:0 ~f ~k_range) freqs
+        Array.map (fun f -> Transfer.harmonics tr ~input:0 ~f ~k_range) freqs
       in
       let h0_re = Array.map (fun h -> h.(k_range).Scnoise_linalg.Cx.re) hs in
       let h0_im = Array.map (fun h -> h.(k_range).Scnoise_linalg.Cx.im) hs in
@@ -370,48 +282,34 @@ let run_transfer t p hash (q : P.transfer_params) =
    ({!Check.resolve_anchor}).  Cold and warm replies are therefore
    byte-identical, and a warm hit from a differently-laid-out deck with
    the same canonical hash still carets the right cards. *)
-let check_verdict t (loaded : Deck.loaded) hash =
+let check_verdict t ~name (loaded : Deck.loaded) hash =
   let key = result_key hash "check" [] in
   cached t key (fun () ->
       let e = loaded.Deck.elab in
       let findings = Check.check_elab e in
       let compile_error =
-        if Finding.errors findings > 0 then None
+        if Finding.errors findings > 0 then []
         else
-          match
-            Compile.compile ?temperature:e.Elab.temperature e.Elab.netlist
-              e.Elab.clock
-          with
-          | exception Compile.Error msg -> Some ("compile", msg)
-          | sys -> (
-              match Pwl.observable sys e.Elab.output_node with
-              | exception Not_found ->
-                  Some
-                    ( "output",
-                      Printf.sprintf
-                        "output node %S is not an observable state (it is \
-                         resistive or source-driven)"
-                        e.Elab.output_node )
-              | _ -> None)
+          match Front.compile ~name loaded with
+          | Ok _ -> []
+          | Error (Front.Compile { message; _ } as err) ->
+              [
+                ("compile_error_kind", Json.Str (Front.code err));
+                ("compile_error", Json.Str message);
+              ]
+          | Error err -> [ ("compile_error_kind", Json.Str (Front.code err)) ]
       in
       ( Json.Obj
           (( "findings",
              Json.List (List.map Finding.to_json_positionless findings) )
-          ::
-          (match compile_error with
-          | None -> []
-          | Some (kind, msg) ->
-              [
-                ("compile_error_kind", Json.Str kind);
-                ("compile_error", Json.Str msg);
-              ])),
+          :: compile_error),
         "cold" ))
 
 let run_check t ~name text =
-  let loaded = load_deck ~name text in
+  let loaded = gated (Front.load ~name text) in
   let e = loaded.Deck.elab in
   let hash = Canon.hash_loaded loaded in
-  let verdict, lvl = check_verdict t loaded hash in
+  let verdict, lvl = check_verdict t ~name loaded hash in
   let fields = match verdict with Json.Obj fs -> fs | _ -> [] in
   let findings =
     (match List.assoc_opt "findings" fields with
@@ -430,9 +328,9 @@ let run_check t ~name text =
       ( List.assoc_opt "compile_error_kind" fields,
         List.assoc_opt "compile_error" fields )
     with
-    | Some (Json.Str "output"), Some (Json.Str msg) ->
-        Some (Diag.render loaded.Deck.source e.Elab.output_loc msg)
-    | _, Some (Json.Str msg) -> Some (name ^ ": " ^ msg)
+    | Some (Json.Str "output"), _ -> Some (Front.message (Front.Output loaded))
+    | _, Some (Json.Str message) ->
+        Some (Front.message (Front.Compile { deck = name; message }))
     | _ -> None
   in
   ( Json.Obj
@@ -497,7 +395,7 @@ let run_request t rq =
       (result, Some lvl)
   | P.Psd _ | P.Variance _ | P.Contrib _ | P.Transfer _ ->
       let name = rq.P.rq_deck_name in
-      let loaded = load_deck ~name (deck_of rq) in
+      let loaded = gated (Front.load ~name (deck_of rq)) in
       let hash = Canon.hash_loaded loaded in
       let p = prepared_entry t ~name loaded hash in
       let result, lvl =

@@ -2,12 +2,12 @@
 
     Tier 1 (results) is keyed by (canonical deck hash, op, resolved
     parameters); tier 2 (prepared) retains per-circuit solver state —
-    compiled system, observability vector and the prepared PSD/transfer
-    engines per samples-per-phase — so warm requests skip straight to
-    the frequency loop.  Parameter resolution follows the CLI rule
-    (request beats deck directive beats builtin default) and the numeric
-    paths call the same library entry points, making served results
-    bit-identical to direct `scnoise` runs.
+    compiled system, observability vector and one prepared engine per
+    samples-per-phase, which psd, variance and transfer requests share
+    — so warm requests skip straight to the frequency loop.  Decks pass
+    the CLI's gate and parameters resolve as in the CLI (both through
+    {!Front}), and the numeric paths call the same library entry points,
+    making served results bit-identical to direct `scnoise` runs.
 
     Executors never raise out of {!handle}: failures become structured
     error replies with the stable codes documented in {!Protocol}. *)

@@ -2,8 +2,6 @@ module Vec = Scnoise_linalg.Vec
 module Mat = Scnoise_linalg.Mat
 module Cx = Scnoise_linalg.Cx
 module Cvec = Scnoise_linalg.Cvec
-module Rk4 = Scnoise_ode.Rk4
-module Rkf45 = Scnoise_ode.Rkf45
 module Trapezoid = Scnoise_ode.Trapezoid
 module Ctrapezoid = Scnoise_ode.Ctrapezoid
 
@@ -12,77 +10,6 @@ let check_close ?(eps = 1e-9) msg expected actual =
     Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
 
 let mat_of rows = Mat.of_arrays (Array.of_list (List.map Array.of_list rows))
-
-(* --- RK4 --- *)
-
-let test_rk4_exponential () =
-  let f _ x = [| -2.0 *. x.(0) |] in
-  let x = Rk4.integrate f ~t0:0.0 ~t1:1.0 ~steps:200 [| 1.0 |] in
-  check_close ~eps:1e-8 "e^{-2}" (exp (-2.0)) x.(0)
-
-let test_rk4_harmonic_oscillator () =
-  let w = 3.0 in
-  let f _ x = [| x.(1); -.w *. w *. x.(0) |] in
-  let x = Rk4.integrate f ~t0:0.0 ~t1:2.0 ~steps:2000 [| 1.0; 0.0 |] in
-  check_close ~eps:1e-7 "cos(wt)" (cos (w *. 2.0)) x.(0);
-  check_close ~eps:1e-7 "-w sin(wt)" (-.w *. sin (w *. 2.0)) x.(1)
-
-let test_rk4_forced () =
-  (* dx/dt = t: x(1) = 1/2, exact for polynomial order <= 3 *)
-  let f t _ = [| t |] in
-  let x = Rk4.integrate f ~t0:0.0 ~t1:1.0 ~steps:3 [| 0.0 |] in
-  check_close ~eps:1e-12 "t integral" 0.5 x.(0)
-
-let test_rk4_trajectory () =
-  let f _ x = [| -.x.(0) |] in
-  let tr = Rk4.trajectory f ~t0:0.0 ~t1:1.0 ~steps:10 [| 1.0 |] in
-  Alcotest.(check int) "samples" 11 (Array.length tr);
-  let t5, x5 = tr.(5) in
-  check_close ~eps:1e-6 "midpoint time" 0.5 t5;
-  check_close ~eps:1e-6 "midpoint value" (exp (-0.5)) x5.(0)
-
-let test_rk4_order () =
-  (* halving the step should reduce error by ~16x (4th order) *)
-  let f _ x = [| -.x.(0) |] in
-  let err steps =
-    let x = Rk4.integrate f ~t0:0.0 ~t1:1.0 ~steps [| 1.0 |] in
-    abs_float (x.(0) -. exp (-1.0))
-  in
-  let e1 = err 10 and e2 = err 20 in
-  let ratio = e1 /. e2 in
-  if ratio < 12.0 || ratio > 20.0 then
-    Alcotest.failf "expected ~16x error reduction, got %g" ratio
-
-(* --- RKF45 --- *)
-
-let test_rkf45_exponential () =
-  let f _ x = [| -2.0 *. x.(0) |] in
-  let x, stats = Rkf45.integrate f ~t0:0.0 ~t1:1.0 [| 1.0 |] in
-  check_close ~eps:1e-7 "e^{-2}" (exp (-2.0)) x.(0);
-  if stats.Rkf45.steps_accepted <= 0 then Alcotest.fail "no steps?"
-
-let test_rkf45_tolerance_effect () =
-  let f _ x = [| x.(1); -25.0 *. x.(0) |] in
-  let solve rtol =
-    let x, _ = Rkf45.integrate ~rtol f ~t0:0.0 ~t1:1.0 [| 1.0; 0.0 |] in
-    abs_float (x.(0) -. cos 5.0)
-  in
-  let loose = solve 1e-4 and tight = solve 1e-10 in
-  if tight > loose then Alcotest.fail "tighter tolerance should not be worse"
-
-let test_rkf45_zero_span () =
-  let f _ x = [| -.x.(0) |] in
-  let x, stats = Rkf45.integrate f ~t0:1.0 ~t1:1.0 [| 5.0 |] in
-  check_close "no-op" 5.0 x.(0);
-  Alcotest.(check int) "no steps" 0 stats.Rkf45.steps_accepted
-
-let test_rkf45_sample () =
-  let f _ x = [| -.x.(0) |] in
-  let tr = Rkf45.sample f ~t0:0.0 ~t1:2.0 ~n:4 [| 1.0 |] in
-  Alcotest.(check int) "samples" 5 (Array.length tr);
-  let t, x = tr.(4) in
-  check_close "last time" 2.0 t;
-  check_close ~eps:1e-7 "last value" (exp (-2.0)) x.(0)
 
 (* --- Trapezoid --- *)
 
@@ -341,21 +268,6 @@ let prop_trapezoid_linear_in_ic =
 let () =
   Alcotest.run "ode"
     [
-      ( "rk4",
-        [
-          Alcotest.test_case "exponential" `Quick test_rk4_exponential;
-          Alcotest.test_case "harmonic" `Quick test_rk4_harmonic_oscillator;
-          Alcotest.test_case "forced" `Quick test_rk4_forced;
-          Alcotest.test_case "trajectory" `Quick test_rk4_trajectory;
-          Alcotest.test_case "order" `Quick test_rk4_order;
-        ] );
-      ( "rkf45",
-        [
-          Alcotest.test_case "exponential" `Quick test_rkf45_exponential;
-          Alcotest.test_case "tolerance" `Quick test_rkf45_tolerance_effect;
-          Alcotest.test_case "zero span" `Quick test_rkf45_zero_span;
-          Alcotest.test_case "sample" `Quick test_rkf45_sample;
-        ] );
       ( "trapezoid",
         [
           Alcotest.test_case "homogeneous" `Quick test_trapezoid_homogeneous_accuracy;

@@ -7,6 +7,7 @@
 
 module Sp = Scnoise_serve.Protocol
 module Sx = Scnoise_serve.Exec
+module Front = Scnoise_serve.Front
 module Sv = Scnoise_serve.Server
 module Scl = Scnoise_serve.Client
 module Json = Scnoise_obs.Json
@@ -20,6 +21,7 @@ module Contrib = Scnoise_core.Contrib
 module Transfer = Scnoise_core.Transfer
 module Grid = Scnoise_util.Grid
 module Pool = Scnoise_par.Pool
+module Obs = Scnoise_obs.Obs
 
 (* --- fixtures --- *)
 
@@ -63,10 +65,16 @@ let with_pool jobs f =
   let pool = Pool.create ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
+(* the builtin defaults, as a request without parameters resolves them
+   on a deck without directives *)
+let default_spp = Front.spp None
+
+let default_freqs = Front.psd_freqs (Front.psd [])
+
 let direct_psd ~jobs deck freqs =
   let sys, output = compiled_of deck in
   with_pool jobs (fun pool ->
-      let eng = Psd.prepare ~samples_per_phase:96 ~pool sys ~output in
+      let eng = Psd.prepare ~samples_per_phase:default_spp ~pool sys ~output in
       Psd.sweep ~pool eng freqs)
 
 let bits_equal a b =
@@ -186,13 +194,13 @@ let test_psd_parity_and_cache_levels () =
       let r3 = send ~fmax:8e3 () in
       Alcotest.(check (option string)) "new range hits prepared tier"
         (Some "prepared") (Sp.reply_cache r3);
-      (* bit parity at the CLI defaults (fmin 0, fmax 16e3, 33 points) *)
-      let freqs = Grid.linspace 0.0 16e3 33 in
+      (* bit parity at the CLI defaults *)
+      let freqs = default_freqs in
       let served = psd_values "psd" r1 in
       check_bits "jobs=1" served (direct_psd ~jobs:1 deck_a freqs);
       check_bits "jobs=4" served (direct_psd ~jobs:4 deck_a freqs);
       check_bits "result-tier replay" served (psd_values "psd2" r2);
-      let freqs8 = Grid.linspace 0.0 8e3 33 in
+      let freqs8 = Front.psd_freqs (Front.psd ~fmax:8e3 []) in
       check_bits "prepared-tier range" (psd_values "psd3" r3)
         (direct_psd ~jobs:1 deck_a freqs8);
       Scl.close conn)
@@ -214,7 +222,7 @@ let test_variance_contrib_parity () =
                   rq_op = Sp.Variance { v_spp = None };
                 }))
       in
-      let cov = Covariance.sample ~samples_per_phase:96 sys in
+      let cov = Covariance.sample ~samples_per_phase:default_spp sys in
       check_bits "variance"
         [|
           num_of "variance" vr "boundary_V2";
@@ -239,7 +247,8 @@ let test_variance_contrib_parity () =
                 }))
       in
       let direct =
-        Contrib.per_source_psd ~samples_per_phase:96 sys ~output ~f:2e3
+        Contrib.per_source_psd ~samples_per_phase:default_spp sys ~output
+          ~f:2e3
       in
       let served =
         match Json.member "sources" cr with
@@ -320,6 +329,39 @@ let test_transfer_parity_and_inputs_error () =
       check_bits "H0 im" (get "h0_im")
         (Array.map (fun h -> h.(0).Scnoise_linalg.Cx.im) h);
       Scl.close conn)
+
+(* One prepared engine per (circuit, spp): psd, variance and transfer
+   at the default spp sample the periodic covariance once between them,
+   and the transfer reply reuses the engine the psd request prepared. *)
+let test_one_engine_per_circuit () =
+  let exec = Sx.create () in
+  let deck = read_file (Filename.concat deck_dir "sc_integrator.scn") in
+  let send op =
+    Sx.handle exec
+      (Sp.Single
+         { Sp.rq_id = None; rq_deck = Some deck; rq_deck_name = "<test>";
+           rq_op = op })
+  in
+  let samples () = Obs.counter_value "covariance_samples" in
+  let before = samples () in
+  let psd =
+    send
+      (Sp.Psd
+         { p_fmin = None; p_fmax = None; p_points = None; p_log = None;
+           p_spp = None; p_engine = None })
+  in
+  ignore (result_of "psd" psd);
+  ignore (result_of "variance" (send (Sp.Variance { v_spp = None })));
+  let tr =
+    send
+      (Sp.Transfer
+         { t_fmin = None; t_fmax = None; t_points = None; t_k = None;
+           t_spp = None })
+  in
+  ignore (result_of "transfer" tr);
+  Alcotest.(check int) "one covariance sample" 1 (samples () - before);
+  Alcotest.(check (option string)) "transfer reuses the psd engine"
+    (Some "prepared") (Sp.reply_cache tr)
 
 (* deck with one warning finding (ERC007), so the check reply carries a
    located finding whose caret must be re-derived per request *)
@@ -411,7 +453,7 @@ let test_batch_order_and_partial_failure () =
           (match (Json.member "id" r1, Json.member "id" r3) with
           | Some (Json.Str "one"), Some (Json.Str "two") -> ()
           | _ -> Alcotest.fail "sub-request ids not echoed in order");
-          let freqs = Grid.linspace 0.0 16e3 33 in
+          let freqs = default_freqs in
           check_bits "batch deck_b" (psd_values "batch[2]" r3)
             (direct_psd ~jobs:1 deck_b freqs)
       | _ -> Alcotest.fail "batch reply shape")
@@ -471,14 +513,14 @@ let test_eviction_under_small_cache () =
       Alcotest.(check bool) "capacity respected" true (entries <= 2);
       Alcotest.(check bool) "evictions happened" true (evictions >= 1);
       (* evicted work recomputes correctly *)
-      let freqs = Grid.linspace 0.0 16e3 33 in
+      let freqs = default_freqs in
       check_bits "deck_a after eviction" (psd_values "a2" (sweep deck_a))
         (direct_psd ~jobs:1 deck_a freqs);
       Scl.close conn)
 
 let test_concurrent_clients_bit_identical () =
   with_server (fun addr _ ->
-      let freqs = Grid.linspace 0.0 16e3 33 in
+      let freqs = default_freqs in
       let expect_a = direct_psd ~jobs:4 deck_a freqs in
       let expect_b = direct_psd ~jobs:1 deck_b freqs in
       (* a mix of requests that will be cold, prepared and result-tier
@@ -552,6 +594,8 @@ let () =
             test_check_verdict_cache;
           Alcotest.test_case "transfer" `Quick
             test_transfer_parity_and_inputs_error;
+          Alcotest.test_case "one engine per circuit" `Quick
+            test_one_engine_per_circuit;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients_bit_identical;
         ] );
