@@ -710,34 +710,9 @@ let exp_t7 () =
  time-domain engines need no such      assumption)
 "
 
-let float_bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
-
 (* ------------------------------------------------------------------ *)
 (* EXP-K2: bit-faithful dense kernels (GEMM, Van Loan discretisation)  *)
 (* ------------------------------------------------------------------ *)
-
-(* The i-k-j product loop [Mat.mul] replaced, kept here as the
-   reference: bounds-checked, one [c] row pass per nonzero [a.(i).(k)]. *)
-let reference_gemm a b =
-  let m = Mat.rows a and p = Mat.cols a and n = Mat.cols b in
-  let ad = Mat.data a and bd = Mat.data b in
-  let c = Array.make (m * n) 0.0 in
-  for i = 0 to m - 1 do
-    for k = 0 to p - 1 do
-      let aik = ad.((i * p) + k) in
-      if aik <> 0.0 then begin
-        let brow = k * n and crow = i * n in
-        for j = 0 to n - 1 do
-          c.(crow + j) <- c.(crow + j) +. (aik *. bd.(brow + j))
-        done
-      end
-    done
-  done;
-  c
 
 (* A random matrix in the Van Loan layout [[-A, Q], [0, Aᵀ]] at total
    size n. *)
@@ -766,7 +741,7 @@ let exp_gemm () =
           let flops = 2.0 *. (float_of_int n ** 3.0) in
           let reps = max 1 (4_000_000 / (n * n * n)) in
           let equal =
-            float_bits_equal (reference_gemm a a) (Mat.data (Mat.mul a a))
+            Oracle.bits_equal (Oracle.gemm a a) (Mat.data (Mat.mul a a))
           in
           if not equal then bits_ok := false;
           (* interleaved rounds, per-kernel minimum (see EXP-B1) *)
@@ -775,7 +750,7 @@ let exp_gemm () =
             let r =
               wall_ms (fun () ->
                   for _ = 1 to reps do
-                    ignore (reference_gemm a a)
+                    ignore (Oracle.gemm a a)
                   done)
             in
             let m =
@@ -846,20 +821,6 @@ let exp_gemm () =
 module Bvp = Scnoise_core.Periodic_bvp
 module LAD = Scnoise_circuits.Sc_ladder
 
-(* A periodic-BVP solver over [eng]'s covariance and output, with the
-   PSD forcing K(t_i) c, built apart from the engine so a benchmark can
-   drive the solve layer directly. *)
-let standalone_bvp eng =
-  let cov = Psd.covariance eng in
-  let forcing =
-    Array.map
-      (fun k -> Scnoise_linalg.Cvec.of_real (Mat.mul_vec k (Psd.output eng)))
-      cov.Covariance.ks
-  in
-  let bvp = Bvp.of_sampled cov ~output:(Psd.output eng) in
-  let kl = Array.get forcing and kr i = forcing.(i + 1) in
-  (bvp, kl, kr, Bvp.forcing bvp ~kl ~kr)
-
 (* Set by a failing kern smoke line: the run still writes its metrics
    record, then exits 1. *)
 let smoke_failed = ref false
@@ -884,7 +845,9 @@ let stage_split cases =
   List.iter
     (fun (name, (sys, output), spp) ->
       let e = Psd.prepare ~samples_per_phase:spp sys ~output in
-      let bvp, _, _, forcing = standalone_bvp e in
+      let { Bvp_fixture.bvp; prepared = forcing; _ } =
+        Bvp_fixture.of_engine e
+      in
       let n = sys.Pwl.nstates in
       let omegas =
         Array.map
@@ -1033,7 +996,7 @@ let exp_kern () =
   in
   let hess_b = per_point (fun f -> ignore (Psd.psd eng ~f)) in
   let ref_b =
-    let bvp, kl, kr, _ = standalone_bvp eng in
+    let { Bvp_fixture.bvp; kl; kr; _ } = Bvp_fixture.of_engine eng in
     let y = Cvec.panel_create ~dim:(Bvp.n_points bvp) ~width:1 in
     per_point (fun f ->
         Bvp.solve_reference bvp ~omegas:[| 2.0 *. Float.pi *. f |] ~kl ~kr y)
@@ -1145,7 +1108,9 @@ let exp_kern () =
   List.iter
     (fun (name, (sys, output), spp, freqs) ->
       let e = Psd.prepare ~samples_per_phase:spp sys ~output in
-      let bvp, _, _, forcing = standalone_bvp e in
+      let { Bvp_fixture.bvp; prepared = forcing; _ } =
+        Bvp_fixture.of_engine e
+      in
       let omegas = Array.map (fun f -> 2.0 *. Float.pi *. f) freqs in
       let npts = Bvp.n_points bvp and w = Array.length omegas in
       let y1 = Cvec.panel_create ~dim:npts ~width:1 in
@@ -1246,12 +1211,12 @@ let exp_kern () =
         [
           label; Printf.sprintf "%.4f" (ms_pt k); Printf.sprintf "%.0f" bytes;
           Printf.sprintf "%.2fx" (ms_pt 0 /. ms_pt k);
-          (if float_bits_equal results.(k) results.(0) then "bit-identical"
+          (if Oracle.bits_equal results.(k) results.(0) then "bit-identical"
            else "MISMATCH");
         ])
     modes;
   Table.print t3;
-  let parity = float_bits_equal results.(1) results.(0) in
+  let parity = Oracle.bits_equal results.(1) results.(0) in
   let speedup = ms_pt 0 /. ms_pt 1 in
   let batch_ok = speedup >= 1.5 && parity in
   Printf.printf
@@ -1298,7 +1263,7 @@ let exp_par () =
     t1 /. tn
   in
   let sweep_speedup =
-    row "psd_sweep" (fun pool -> Psd.sweep ~pool eng freqs) float_bits_equal
+    row "psd_sweep" (fun pool -> Psd.sweep ~pool eng freqs) Oracle.bits_equal
   in
   let bs = SRC.build SRC.default in
   let (_ : float) =
@@ -1309,7 +1274,7 @@ let exp_par () =
             ~output:bs.SRC.output ~freqs:(Grid.linspace 1e3 1e5 4)
         in
         Array.append e.Mc.psd [| e.Mc.variance |])
-      float_bits_equal
+      Oracle.bits_equal
   in
   let (_ : float) =
     row "discretize"
@@ -1403,55 +1368,6 @@ let exp_obs () =
 (* EXP-C2: the covariance engine on the parasitic ladder               *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-interval reference: one Van Loan discretisation per grid
-   interval with exact step bits, stepped one interval at a time — no
-   operator memo, no run doubling — and the steady state by doubling. *)
-let cov_oracle ~samples_per_phase (sys : Pwl.t) =
-  let module Vanloan = Scnoise_linalg.Vanloan in
-  let n = sys.Pwl.nstates in
-  let times = ref [ 0.0 ] and disc = ref [] and phases = ref [] in
-  let offset = ref 0.0 in
-  Array.iteri
-    (fun p (ph : Pwl.phase) ->
-      let local =
-        Scnoise_core.Phase_grid.make ~a:ph.Pwl.a ~tau:ph.Pwl.tau
-          ~n:samples_per_phase
-      in
-      for j = 1 to Array.length local - 1 do
-        times := (!offset +. local.(j)) :: !times;
-        phases := p :: !phases;
-        disc :=
-          Vanloan.discretize ~a:ph.Pwl.a ~q:ph.Pwl.q
-            ~tau:(local.(j) -. local.(j - 1))
-          :: !disc
-      done;
-      offset := !offset +. ph.Pwl.tau)
-    sys.Pwl.phases;
-  let disc = Array.of_list (List.rev !disc) in
-  let npts = Array.length disc + 1 in
-  let phis = Array.make npts (Mat.identity n) and q = ref (Mat.create n n) in
-  Array.iteri
-    (fun i (d : Vanloan.t) ->
-      phis.(i + 1) <- Mat.mul d.Vanloan.phi phis.(i);
-      q := Vanloan.propagate d !q)
-    disc;
-  let k0 =
-    Scnoise_linalg.Lyapunov.solve_discrete_doubling phis.(npts - 1) !q
-  in
-  let ks = Array.make npts k0 in
-  Array.iteri (fun i d -> ks.(i + 1) <- Vanloan.propagate d ks.(i)) disc;
-  {
-    Covariance.sys;
-    times = Array.of_list (List.rev !times);
-    interval_phase = Array.of_list (List.rev !phases);
-    ks;
-    phis;
-    k0;
-    phi_period = phis.(npts - 1);
-    q_period = !q;
-    peak_rank = n;
-  }
-
 (* The multi-RHS substitution [Lu.solve_mat] ran before it skipped
    zero terms, kept here as the reference: every term of the row loop,
    in the same order, over the packed factors of [Lu.packed]. *)
@@ -1531,7 +1447,7 @@ let solve_table () =
       let x = Lu.solve_mat lu p.Expm.rhs in
       let madds = Obs.value madds_c - m0 in
       let equal =
-        float_bits_equal (reference_solve_rows packed p.Expm.rhs) (Mat.data x)
+        Oracle.bits_equal (reference_solve_rows packed p.Expm.rhs) (Mat.data x)
       in
       if not equal then bits_ok := false;
       (* interleaved rounds, per-kernel minimum (see EXP-B1) *)
@@ -1574,7 +1490,13 @@ let exp_cov () =
     let freqs = Grid.logspace 100.0 40e3 9 in
     let db cov = Psd.sweep_db (Psd.of_sampled cov ~output:b.LAD.output) freqs in
     let e = db (Covariance.sample ~samples_per_phase:spp b.LAD.sys)
-    and o = db (cov_oracle ~samples_per_phase:spp b.LAD.sys) in
+    and o =
+      db
+        (Oracle.covariance
+           ~steady:(fun phi q ->
+             Scnoise_linalg.Lyapunov.solve_discrete_doubling phi q)
+           ~samples_per_phase:spp b.LAD.sys)
+    in
     let m = ref 0.0 in
     Array.iteri (fun i x -> m := Float.max !m (abs_float (x -. o.(i)))) e;
     !m

@@ -46,7 +46,6 @@ module Front = Scnoise_serve.Front
 module Sp = Scnoise_serve.Protocol
 module Sx = Scnoise_serve.Exec
 module Sv = Scnoise_serve.Server
-module Scl = Scnoise_serve.Client
 
 open Cmdliner
 
@@ -68,16 +67,19 @@ let circuits_doc =
    registry circuits; every failure arrives as the text the daemon
    would reply with. *)
 let pick_deck path =
-  match Result.bind (Front.load_file path) (Front.gate ~name:path) with
+  match
+    Result.bind (Front.load_file path) (fun l ->
+        Result.map (fun c -> (l, c)) (Front.gate ~name:path l))
+  with
   | Error e -> Error (Front.message e)
-  | Ok c ->
+  | Ok (l, c) ->
       Ok
         {
           label = Printf.sprintf "deck %s" path;
           sys = c.Front.sys;
           output = c.Front.output;
           closed_form = None;
-          directives = c.Front.directives;
+          directives = Front.directives l;
         }
 
 (* Registry circuits run through the same errors-only ERC gate as
@@ -945,386 +947,13 @@ let bench_prune_cmd =
     (Cmd.info "prune" ~doc)
     Term.(const (fun () i o -> run i o) $ setup_term $ in_arg $ out_arg)
 
-(* ---- bench serve: load generator against a forked daemon ---- *)
-
-(* The default workload deck (the bundled switched-RC testbench,
-   embedded so the bench runs from any directory). *)
-let bench_serve_deck =
-  ".param rs = 1k\n.param c  = 1n\n.param T  = {5 * rs * c}\n\n\
-   S1 vout 0 {rs} closed=0\nC1 vout 0 {c}\n\n\
-   .clock duty period={T} duty=0.5\n.output vout\n\
-   .psd fmin=0 fmax=16k points=33\n.end\n"
-
-let bench_serve_cmd =
-  let run clients requests spp cache_entries deck_path json_path =
-    let deck =
-      match deck_path with
-      | None -> bench_serve_deck
-      | Some "-" -> In_channel.input_all In_channel.stdin
-      | Some path -> In_channel.with_open_text path In_channel.input_all
-    in
-    (* two frequency ranges, exercised singly and as a batch envelope:
-       the resolved default (the deck's .psd directive, else the builtin
-       sweep) and an explicit one *)
-    let ranges = [| (None, None, None); (Some 100.0, Some 8e3, Some 25) |] in
-    let psd_req ?id (fmin, fmax, points) =
-      {
-        Sp.rq_id = id;
-        rq_deck = Some deck;
-        rq_deck_name = "<bench>";
-        rq_op =
-          Sp.Psd
-            {
-              p_fmin = fmin;
-              p_fmax = fmax;
-              p_points = points;
-              p_log = None;
-              p_spp = spp;
-              p_engine = None;
-            };
-      }
-    in
-    let sock =
-      let f = Filename.temp_file "scnoise-serve" ".sock" in
-      Sys.remove f;
-      f
-    in
-    (* Fork the daemon BEFORE any pool domain exists in this process:
-       fork only carries the calling thread into the child, so forking
-       after Domain.spawn would leave dead domains' locks behind. *)
-    match Unix.fork () with
-    | 0 ->
-        Logs.set_level None;
-        (try
-           Sv.run
-             (Sv.create
-                ~exec:(Sx.create ~cache_entries ())
-                (Sv.config ~queue_limit:(max 64 (clients * 4))
-                   (Sv.Unix_path sock)))
-         with _ -> ());
-        Stdlib.exit 0
-    | daemon_pid -> (
-        let fail fmt =
-          Printf.ksprintf
-            (fun msg ->
-              (try Unix.kill daemon_pid Sys.sigterm with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] daemon_pid);
-              Printf.eprintf "scnoise: bench serve: %s\n" msg;
-              1)
-            fmt
-        in
-        (* cold baseline: everything a one-shot CLI run does (parse,
-           elaborate, compile, prepare, sweep) on a fresh executor;
-           median of three *)
-        let cold_s =
-          let one () =
-            let t0 = Scnoise_obs.Clock.now () in
-            let reply =
-              Sx.handle (Sx.create ()) (Sp.Single (psd_req ranges.(0)))
-            in
-            if not (Sp.reply_ok reply) then
-              failwith ("cold run failed: " ^ Json.to_string reply);
-            Scnoise_obs.Clock.elapsed t0
-          in
-          let samples = List.sort compare [ one (); one (); one () ] in
-          List.nth samples 1
-        in
-        (* direct sweeps at jobs 1 and 4 — the parity reference *)
-        let direct =
-          match
-            Result.bind
-              (Front.load ~name:"<bench>" deck)
-              (Front.gate ~name:"<bench>")
-          with
-          | Error e -> Error (Front.message e)
-          | Ok c ->
-              Ok
-                (Array.map
-                   (fun (fmin, fmax, points) ->
-                     let r =
-                       Front.psd ?fmin ?fmax ?points ?spp c.Front.directives
-                     in
-                     let freqs = Front.psd_freqs r in
-                     Array.map
-                       (fun jobs ->
-                         let pool = Pool.create ~jobs () in
-                         let eng =
-                           Psd.prepare ~samples_per_phase:r.Front.spp ~pool
-                             c.Front.sys ~output:c.Front.output
-                         in
-                         let v = Psd.sweep ~pool eng freqs in
-                         Pool.shutdown pool;
-                         v)
-                       [| 1; 4 |])
-                   ranges)
-        in
-        match direct with
-        | Error msg -> fail "%s" msg
-        | Ok direct -> (
-            match Scl.connect (Sv.Unix_path sock) with
-            | Error msg -> fail "cannot connect to daemon: %s" msg
-            | Ok warm_conn -> (
-                (* warm the cache: one pass over both ranges *)
-                Array.iter
-                  (fun r -> ignore (Scl.rpc warm_conn (Sp.request_to_json (psd_req r))))
-                  ranges;
-                (* concurrent load phase: [clients] domains, each issuing
-                   [requests] single sweeps (alternating ranges) with a
-                   batch envelope every 8th iteration *)
-                let client_loop k () =
-                  match Scl.connect (Sv.Unix_path sock) with
-                  | Error msg -> Error msg
-                  | Ok conn ->
-                      let lats = ref [] in
-                      let ok = ref true in
-                      for i = 0 to requests - 1 do
-                        let r = ranges.((k + i) mod Array.length ranges) in
-                        let t0 = Scnoise_obs.Clock.now () in
-                        let reply =
-                          if i mod 8 = 7 then
-                            Scl.rpc conn
-                              (Sp.batch_to_json
-                                 (Array.to_list
-                                    (Array.map (fun r -> psd_req r) ranges)))
-                          else Scl.rpc conn (Sp.request_to_json (psd_req r))
-                        in
-                        (match reply with
-                        | Ok j when Sp.reply_ok j ->
-                            lats := Scnoise_obs.Clock.elapsed t0 :: !lats
-                        | Ok _ | Error _ -> ok := false)
-                      done;
-                      Scl.close conn;
-                      if !ok then Ok !lats else Error "request failed"
-                in
-                let domains =
-                  List.init clients (fun k -> Domain.spawn (client_loop k))
-                in
-                let results = List.map Domain.join domains in
-                match
-                  List.find_map
-                    (function Error m -> Some m | Ok _ -> None)
-                    results
-                with
-                | Some msg -> fail "client failed: %s" msg
-                | None -> (
-                    let lats =
-                      List.concat_map
-                        (function Ok l -> l | Error _ -> [])
-                        results
-                      |> Array.of_list
-                    in
-                    (* latency probe: one client, all warm. Under the
-                       concurrent load phase a request's latency is
-                       dominated by queue wait behind the other
-                       clients (admission is serial by design), so the
-                       p50/p99 that stand against the cold one-shot
-                       are measured closed-loop from a single client
-                       afterwards; the load-phase samples only feed
-                       the aggregate throughput figure. *)
-                    let probe_lats =
-                      Array.init
-                        (max 32 requests)
-                        (fun i ->
-                          let r = ranges.(i mod Array.length ranges) in
-                          let t0 = Scnoise_obs.Clock.now () in
-                          match
-                            Scl.rpc warm_conn (Sp.request_to_json (psd_req r))
-                          with
-                          | Ok j when Sp.reply_ok j ->
-                              Scnoise_obs.Clock.elapsed t0
-                          | Ok _ | Error _ -> infinity)
-                    in
-                    Array.sort compare probe_lats;
-                    let pct q =
-                      probe_lats.(min
-                                    (Array.length probe_lats - 1)
-                                    (int_of_float
-                                       (q
-                                       *. float_of_int
-                                            (Array.length probe_lats))))
-                    in
-                    (* parity: one served reply per range vs both direct
-                       job counts, compared bit for bit *)
-                    let parity_ok = ref true in
-                    Array.iteri
-                      (fun ri r ->
-                        match Scl.rpc warm_conn (Sp.request_to_json (psd_req r)) with
-                        | Error _ -> parity_ok := false
-                        | Ok reply -> (
-                            match
-                              Option.bind (Sp.reply_result reply)
-                                (fun res ->
-                                  Sp.float_array_field res "psd_V2_per_Hz")
-                            with
-                            | None -> parity_ok := false
-                            | Some served ->
-                                Array.iter
-                                  (fun dir ->
-                                    if
-                                      Array.length served <> Array.length dir
-                                      || not
-                                           (Array.for_all2
-                                              (fun a b ->
-                                                Int64.bits_of_float a
-                                                = Int64.bits_of_float b)
-                                              served dir)
-                                    then parity_ok := false)
-                                  direct.(ri)))
-                      ranges;
-                    (* daemon-side cache counters *)
-                    let hits, misses =
-                      match
-                        Scl.rpc warm_conn
-                          (Sp.request_to_json
-                             {
-                               Sp.rq_id = None;
-                               rq_deck = None;
-                               rq_deck_name = "<request>";
-                               rq_op = Sp.Stats;
-                             })
-                      with
-                      | Ok reply -> (
-                          match Sp.reply_result reply with
-                          | Some res -> (
-                              match
-                                Option.bind (Json.member "cache" res)
-                                  (Json.member "results")
-                              with
-                              | Some rc ->
-                                  let n k =
-                                    match Json.member k rc with
-                                    | Some (Json.Num x) -> int_of_float x
-                                    | _ -> 0
-                                  in
-                                  (n "hits", n "misses")
-                              | None -> (0, 0))
-                          | None -> (0, 0))
-                      | Error _ -> (0, 0)
-                    in
-                    (* graceful remote stop *)
-                    ignore
-                      (Scl.rpc warm_conn
-                         (Sp.request_to_json
-                            {
-                              Sp.rq_id = None;
-                              rq_deck = None;
-                              rq_deck_name = "<request>";
-                              rq_op = Sp.Shutdown;
-                            }));
-                    Scl.close warm_conn;
-                    ignore (Unix.waitpid [] daemon_pid);
-                    let total = Array.length lats in
-                    let sum = Array.fold_left ( +. ) 0.0 lats in
-                    let p50 = pct 0.50 and p99 = pct 0.99 in
-                    let hit_ratio =
-                      if hits + misses = 0 then 0.0
-                      else float_of_int hits /. float_of_int (hits + misses)
-                    in
-                    let speedup = cold_s /. p50 in
-                    (* EXP-S1: service-mode latency table *)
-                    let t = Table.create [ "metric"; "value" ] in
-                    List.iter
-                      (fun (k, v) -> Table.add_row t [ k; v ])
-                      [
-                        ("clients", string_of_int clients);
-                        ("requests (warm, per client)", string_of_int requests);
-                        ( "warm p50 latency, ms (1-client probe)",
-                          Printf.sprintf "%.3f" (1e3 *. p50) );
-                        ( "warm p99 latency, ms (1-client probe)",
-                          Printf.sprintf "%.3f" (1e3 *. p99) );
-                        ( "warm sweeps/s (aggregate)",
-                          Printf.sprintf "%.0f"
-                            (float_of_int total /. (sum /. float_of_int clients)) );
-                        ("cold one-shot, ms", Printf.sprintf "%.1f" (1e3 *. cold_s));
-                        ("speedup cold/warm-p50", Printf.sprintf "%.1fx" speedup);
-                        ("result-cache hit ratio", Printf.sprintf "%.2f" hit_ratio);
-                        ("parity vs direct (jobs 1,4)",
-                         if !parity_ok then "ok" else "MISMATCH");
-                      ];
-                    Printf.printf "# EXP-S1: serve latency, %d clients x %d requests\n"
-                      clients requests;
-                    Table.print t;
-                    Printf.printf
-                      "SERVE-SMOKE: clients=%d requests=%d warm_p50_ms=%.3f \
-                       cold_ms=%.1f speedup=%.1f hit_ratio=%.2f parity=%s\n"
-                      clients total (1e3 *. p50) (1e3 *. cold_s) speedup
-                      hit_ratio
-                      (if !parity_ok then "ok" else "mismatch");
-                    (* machine-readable artifact next to the other bench
-                       metrics (BENCH_METRICS_DIR) or wherever --json says *)
-                    let artifact =
-                      match json_path with
-                      | Some p -> Some p
-                      | None ->
-                          Option.map
-                            (fun d -> Filename.concat d "BENCH_serve.json")
-                            (Sys.getenv_opt "BENCH_METRICS_DIR")
-                    in
-                    Option.iter
-                      (fun path ->
-                        let metrics =
-                          Bench_diff.
-                            [
-                              { m_name = "serve:warm p50_s"; m_value = p50; m_floor = floor_s };
-                              { m_name = "serve:warm p99_s"; m_value = p99; m_floor = floor_s };
-                              { m_name = "serve:cold_s"; m_value = cold_s; m_floor = floor_s };
-                            ]
-                        in
-                        Export.write_string_file path
-                          (Bench_diff.metrics_to_json_string metrics ^ "\n");
-                        Printf.printf "# wrote %s\n" path)
-                      artifact;
-                    if !parity_ok then 0 else 1))))
-  in
-  let clients_arg =
-    let doc = "Concurrent client connections." in
-    Arg.(value & opt int 4 & info [ "clients" ] ~doc)
-  in
-  let requests_arg =
-    let doc = "Warm requests per client." in
-    Arg.(value & opt int 32 & info [ "requests" ] ~doc)
-  in
-  let cache_arg =
-    let doc = "Daemon result-cache capacity." in
-    Arg.(value & opt int Sx.default_cache_entries & info [ "cache-entries" ] ~doc)
-  in
-  let deck_arg =
-    let doc =
-      "Workload deck ($(b,-) reads stdin; default: the bundled switched-RC \
-       testbench)."
-    in
-    Arg.(value & opt (some string) None & info [ "deck" ] ~doc ~docv:"DECK")
-  in
-  let json_arg =
-    let doc =
-      "Write the latency metrics as a scnoise.bench-metrics document to \
-       $(docv) (default: BENCH_serve.json under $(b,BENCH_METRICS_DIR) when \
-       set)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
-  in
-  let doc =
-    "Load-test a forked `scnoise serve` daemon: concurrent clients replay \
-     PSD sweeps (singles and batch envelopes), reporting warm p50/p99 \
-     latency, throughput, cache hit ratio, the cold/warm speedup and a \
-     bit-level parity check against direct in-process sweeps at 1 and 4 \
-     jobs (exit 1 on mismatch)."
-  in
-  Cmd.v
-    (Cmd.info "serve" ~doc)
-    Term.(
-      const (fun () clients requests spp cache deck json ->
-          run clients requests spp cache deck json)
-      $ setup_term $ clients_arg $ requests_arg $ spp_arg $ cache_arg
-      $ deck_arg $ json_arg)
-
 let bench_cmd =
   let doc =
     "Performance telemetry utilities (regression diff, trace checks, \
-     baseline pruning, daemon load generator)."
+     baseline pruning)."
   in
   Cmd.group (Cmd.info "bench" ~doc)
-    [ bench_diff_cmd; bench_check_trace_cmd; bench_prune_cmd; bench_serve_cmd ]
+    [ bench_diff_cmd; bench_check_trace_cmd; bench_prune_cmd ]
 
 (* ---- deck utilities ---- *)
 

@@ -47,9 +47,6 @@ let phase_at t time =
 
 let observable t name = List.assoc name t.observables
 
-let observable_diff t a b =
-  Vec.sub (observable t a) (observable t b)
-
 let state_index t name =
   let rec find i =
     if i >= t.nstates then raise Not_found

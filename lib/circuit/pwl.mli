@@ -46,18 +46,8 @@ val observable : t -> string -> Vec.t
     Raises [Not_found] for unknown or non-observable (purely resistive or
     source-driven) nodes. *)
 
-val observable_diff : t -> string -> string -> Vec.t
-(** [observable_diff t a b] extracts [v_a - v_b]. *)
-
 val state_index : t -> string -> int
 (** Index of a named state.  Raises [Not_found]. *)
-
-val input_vector : t -> float -> Vec.t
-(** Values of all inputs at a time. *)
-
-val input_derivative : t -> float -> Vec.t
-(** Centred finite-difference derivative of the inputs (step
-    [period * 1e-7]). *)
 
 val forcing : t -> int -> float -> Vec.t
 (** [forcing t p time] is [E_p u(time) + Edot_p du/dt] — the

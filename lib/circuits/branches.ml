@@ -21,12 +21,3 @@ let parasitic_insensitive_noninverting nl ~label ~src ~sum ~c ~cp ~r ?(p1 = 0)
   Netlist.switch ~name:(label ^ "b1") ~closed_in:[ p1 ] nl nb Netlist.ground r;
   Netlist.switch ~name:(label ^ "b2") ~closed_in:[ p2 ] nl nb sum r;
   Netlist.capacitor ~name:(label ^ "C") nl na nb c
-
-let parasitic_insensitive_inverting nl ~label ~src ~sum ~c ~cp ~r ?(p1 = 0)
-    ?(p2 = 1) () =
-  let na, nb = plates nl ~label ~cp in
-  Netlist.switch ~name:(label ^ "a1") ~closed_in:[ p1 ] nl na src r;
-  Netlist.switch ~name:(label ^ "a2") ~closed_in:[ p2 ] nl na sum r;
-  Netlist.switch ~name:(label ^ "b1") ~closed_in:[ p1 ] nl nb Netlist.ground r;
-  Netlist.switch ~name:(label ^ "b2") ~closed_in:[ p2 ] nl nb Netlist.ground r;
-  Netlist.capacitor ~name:(label ^ "C") nl na nb c

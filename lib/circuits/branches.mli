@@ -1,6 +1,6 @@
 (** Reusable switched-capacitor branch builders.
 
-    The evaluation circuits compose three standard two-phase branches;
+    The evaluation circuits compose two standard two-phase branches;
     centralising them keeps the topologies declarative and consistent.
     Phase conventions: phase index [p1] samples, [p2] delivers. *)
 
@@ -23,9 +23,3 @@ val parasitic_insensitive_noninverting :
     [+C v_src] per cycle into a virtual-ground [sum].  [cp] anchors both
     plates with explicit parasitics (the compiler rejects truly floating
     capacitor networks). *)
-
-val parasitic_insensitive_inverting :
-  Netlist.t -> label:string -> src:Netlist.node -> sum:Netlist.node ->
-  c:float -> cp:float -> r:float -> ?p1:int -> ?p2:int -> unit -> unit
-(** Same structure with the delivery plates exchanged, transferring
-    [-C v_src] per cycle. *)

@@ -12,7 +12,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let c_samples = Obs.counter "covariance_samples"
 
-type solver = [ `Auto | `Kron | `Doubling | `Iterate of int ]
 
 type grid_kind = [ `Stretched | `Uniform ]
 
@@ -186,39 +185,29 @@ let period_map ?samples_per_phase ?grid ?pool sys =
 
 (* State count below which the O(n^6) Kron solve is still instant and
    serves as the exact reference; above it the O(n^3 log) doubling
-   iteration is the default, with Kron kept as a fallback for marginal
+   iteration runs, with Kron kept as a fallback for marginal
    monodromies while it stays affordable. *)
 let auto_solver_threshold = 12
 
 let kron_fallback_cap = 64
 
-let solve_steady solver phi q =
-  match solver with
-  | `Auto ->
-      let n = Mat.rows q in
-      if n > auto_solver_threshold then (
-        try Lyapunov.solve_discrete_doubling phi q
-        with Lyapunov.Not_stable _ when n <= kron_fallback_cap ->
-          Lyapunov.solve_discrete_kron phi q)
-      else Lyapunov.solve_discrete_kron phi q
-  | `Kron -> Lyapunov.solve_discrete_kron phi q
-  | `Doubling -> Lyapunov.solve_discrete_doubling phi q
-  | `Iterate n ->
-      let k = ref (Mat.create (Mat.rows q) (Mat.cols q)) in
-      for _ = 1 to n do
-        k := Mat.symmetrize (Mat.add (Mat.mul phi (Mat.mul !k (Mat.transpose phi))) q)
-      done;
-      !k
+let solve_steady phi q =
+  let n = Mat.rows q in
+  if n > auto_solver_threshold then (
+    try Lyapunov.solve_discrete_doubling phi q
+    with Lyapunov.Not_stable _ when n <= kron_fallback_cap ->
+      Lyapunov.solve_discrete_kron phi q)
+  else Lyapunov.solve_discrete_kron phi q
 
-let periodic_initial ?(solver = `Auto) ?samples_per_phase ?pool sys =
+let periodic_initial ?samples_per_phase ?pool sys =
   let phi, q = period_map ?samples_per_phase ?pool sys in
-  solve_steady solver phi q
+  solve_steady phi q
 
 (* One period of the recurrence: chain the transitions, fold the
    period's process noise run by run, solve the discrete Lyapunov
    fixed point, then unroll K(t_{i+1}) = Phi_i K(t_i) Phi_iᵀ + Qd_i
    from the steady state over the memoised operators. *)
-let sample ?(solver = `Auto) ?samples_per_phase ?grid ?pool sys =
+let sample ?samples_per_phase ?grid ?pool sys =
   Obs.with_span ~src "covariance.sample" (fun () ->
       Obs.incr c_samples;
       let n = sys.Pwl.nstates in
@@ -226,7 +215,7 @@ let sample ?(solver = `Auto) ?samples_per_phase ?grid ?pool sys =
       let phis = transitions g n in
       let phi_period = phis.(Array.length phis - 1) in
       let q_period = period_noise g n in
-      let k0 = solve_steady solver phi_period q_period in
+      let k0 = solve_steady phi_period q_period in
       let ks = Array.make (Array.length phis) k0 in
       Array.iteri (fun i d -> ks.(i + 1) <- Vanloan.propagate d ks.(i)) g.g_disc;
       Log.debug (fun m ->

@@ -20,14 +20,6 @@ module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
 module Pwl = Scnoise_circuit.Pwl
 
-type solver = [ `Auto | `Kron | `Doubling | `Iterate of int ]
-(** [`Auto]: Kron for small systems, doubling (with a Kron fallback on
-    marginal monodromies) above {!auto_solver_threshold} states.
-    [`Kron]: exact vectorised solve ([O(n^6)]).  [`Doubling]: doubling
-    iteration (requires stability, [O(n^3 log)]).  [`Iterate n]:
-    propagate the affine map from [K = 0] for [n] periods (the naive
-    baseline, for ablation). *)
-
 type grid_kind = [ `Stretched | `Uniform ]
 
 type sampled = {
@@ -44,9 +36,6 @@ type sampled = {
 
 val ks_bytes : sampled -> int
 (** Total bytes held by the [ks] trace (the dominant storage term). *)
-
-val auto_solver_threshold : int
-(** State count above which [`Auto] switches from Kron to doubling. *)
 
 type discretized_grid = {
   g_times : float array;  (** grid over one period, [0 .. T] *)
@@ -88,13 +77,14 @@ val period_map :
     regardless, they are exposed for the ablation benches). *)
 
 val periodic_initial :
-  ?solver:solver -> ?samples_per_phase:int -> ?pool:Scnoise_par.Pool.t ->
-  Pwl.t -> Mat.t
-(** Steady-state covariance at the period boundary. *)
+  ?samples_per_phase:int -> ?pool:Scnoise_par.Pool.t -> Pwl.t -> Mat.t
+(** Steady-state covariance at the period boundary: the fixed point of
+    {!period_map}, by the exact Kron solve on small systems and by
+    doubling on larger ones. *)
 
 val sample :
-  ?solver:solver -> ?samples_per_phase:int -> ?grid:grid_kind ->
-  ?pool:Scnoise_par.Pool.t -> Pwl.t -> sampled
+  ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
+  Pwl.t -> sampled
 (** Full sampled trace of the periodic covariance over one period,
     together with the transition matrices needed by the PSD engine. *)
 

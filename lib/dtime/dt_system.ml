@@ -62,5 +62,3 @@ let spectrum_held ?(hold_fraction = 1.0) t ~f =
   let w = hold_fraction *. t.period in
   let s = sinc (Float.pi *. f *. w) in
   w *. w /. t.period *. s *. s *. sampled_density t theta
-
-let dc_gain_noise t = sampled_density t 0.0

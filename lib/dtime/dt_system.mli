@@ -31,9 +31,6 @@ val make : ad:Mat.t -> bd:Mat.t -> c:Vec.t -> period:float -> t
     variance/spectrum functions raise {!Scnoise_linalg.Lyapunov.Not_stable}
     or [Lu.Singular] when the system has no stationary state. *)
 
-val state_covariance : t -> Mat.t
-(** Stationary covariance of the sampled state. *)
-
 val variance : t -> float
 (** Stationary output-sample variance [cᵀ K c]. *)
 
@@ -50,7 +47,3 @@ val spectrum_held : ?hold_fraction:float -> t -> f:float -> float
     [ (W^2/T) sinc^2(pi f W) · S_x(e^{j 2 pi f T}) / T ] with
     [W = hold_fraction T] — the familiar sinc-shaped sampled-data
     spectrum. *)
-
-val dc_gain_noise : t -> float
-(** [cᵀ (I - Ad)^{-1} Bd] row norm squared — the zero-frequency density
-    of the sampled spectrum divided by [T]; diagnostic. *)

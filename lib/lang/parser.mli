@@ -35,6 +35,3 @@ value     := [-]NUMBER | "{" expr "}"
     syntax problem. *)
 
 val parse : Source.t -> Ast.deck
-
-val parse_tokens : Source.t -> Lexer.located list -> Ast.deck
-(** [parse] = [tokenize] + [parse_tokens]; split for tests. *)

@@ -148,12 +148,6 @@ let panel_create ~dim ~width =
   if width < 1 then invalid_arg "Cvec.panel_create: width < 1";
   Array.make (2 * dim * width) 0.0
 
-let panel_dim p ~width =
-  if width < 1 then invalid_arg "Cvec.panel_dim: width < 1";
-  if Array.length p mod (2 * width) <> 0 then
-    invalid_arg "Cvec.panel_dim: length is not a multiple of the width";
-  Array.length p / (2 * width)
-
 let panel_check v p ~width ~col name =
   if width < 1 then invalid_arg ("Cvec." ^ name ^ ": width < 1");
   if col < 0 || col >= width then

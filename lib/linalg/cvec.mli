@@ -75,9 +75,6 @@ type panel = float array
 val panel_create : dim:int -> width:int -> panel
 (** Zero panel of [width] columns of dimension [dim]. *)
 
-val panel_dim : panel -> width:int -> int
-(** Number of complex entries per column. *)
-
 val panel_set_col : t -> panel -> width:int -> col:int -> unit
 (** Scatter a vector into column [col] of the panel. *)
 

@@ -44,5 +44,3 @@ let is_finite z =
   | (FP_normal | FP_subnormal | FP_zero), (FP_normal | FP_subnormal | FP_zero)
     ->
       true
-
-let approx_equal ?(tol = 1e-12) a b = Complex.norm (Complex.sub a b) <= tol

@@ -43,5 +43,3 @@ val cis : float -> t
 (** [cis theta] is [exp (i theta)]. *)
 
 val is_finite : t -> bool
-
-val approx_equal : ?tol:float -> t -> t -> bool

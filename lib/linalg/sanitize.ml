@@ -21,10 +21,6 @@ let fail op detail =
   Scnoise_obs.Obs.incr c_trips;
   raise (Nonfinite (Printf.sprintf "%s: %s" op detail))
 
-let check_float op x =
-  if !gate && not (Float.is_finite x) then
-    fail op (Printf.sprintf "non-finite value %h" x)
-
 let check_vec op (v : Vec.t) =
   if !gate then
     Array.iteri

@@ -22,10 +22,6 @@ val set_enabled : bool -> unit
 (** Programmatic override of the [SCNOISE_SANITIZE] environment gate
     (used by tests to exercise both behaviours in one process). *)
 
-val check_float : string -> float -> unit
-(** [check_float op x] raises {!Nonfinite} when the sanitizer is active
-    and [x] is NaN or infinite. *)
-
 val check_vec : string -> Vec.t -> unit
 
 val check_mat : string -> Mat.t -> unit

@@ -85,13 +85,11 @@ let hist_record_int = Hist.record_int
 
 (* ---- GC accounting ----
 
-   When on (the default), spans and [time]d timers capture the calling
-   domain's [Gc.minor_words] / promoted-words deltas, turning
-   bytes-per-call into always-available telemetry.  The deltas are
-   inclusive (children counted in their parents) and include the
-   instrumentation's own small bookkeeping allocations. *)
-
-let gc_stats = Atomic.make true
+   Spans and [time]d timers capture the calling domain's
+   [Gc.minor_words] / promoted-words deltas, turning bytes-per-call
+   into always-available telemetry.  The deltas are inclusive (children
+   counted in their parents) and include the instrumentation's own
+   small bookkeeping allocations. *)
 
 (* (minor_words, promoted_words) of the calling domain, without the
    [Gc.quick_stat] record allocation.  [Gc.minor_words] is used for the
@@ -101,10 +99,6 @@ let gc_stats = Atomic.make true
 let gc_counters () =
   let _minor, promoted, _major = Gc.counters () in
   (Gc.minor_words (), promoted)
-
-let set_gc_stats b = Atomic.set gc_stats b
-
-let gc_stats_enabled () = Atomic.get gc_stats
 
 (* ---- accumulating timers ---- *)
 
@@ -136,18 +130,13 @@ let timer name =
           t)
 
 let time t f =
-  let gc = Atomic.get gc_stats in
-  let m0, p0 = if gc then gc_counters () else (0.0, 0.0) in
+  let m0, p0 = gc_counters () in
   let t0 = Clock.now () in
   Fun.protect
     ~finally:(fun () ->
       let dt = Clock.elapsed t0 in
-      let dm, dp =
-        if gc then
-          let m1, p1 = gc_counters () in
-          (m1 -. m0, p1 -. p0)
-        else (0.0, 0.0)
-      in
+      let m1, p1 = gc_counters () in
+      let dm = m1 -. m0 and dp = p1 -. p0 in
       locked (fun () ->
           t.t_total := !(t.t_total) +. dt;
           t.t_minor := !(t.t_minor) +. dm;
@@ -174,7 +163,7 @@ type span = {
   sp_start : float; (* seconds, relative to [reset] *)
   sp_duration : float; (* seconds *)
   sp_domain : int; (* [Domain.self] that recorded the span *)
-  sp_minor_words : float; (* inclusive GC deltas; 0 with gc_stats off *)
+  sp_minor_words : float; (* inclusive GC deltas *)
   sp_promoted_words : float;
   sp_args : (string * float) list; (* free-form labels, e.g. pool job index *)
   sp_children : span list; (* in completion order *)
@@ -230,8 +219,7 @@ let with_span ?(src = obs_src) ?(args = []) name f =
   if not (Atomic.get enabled) then f ()
   else begin
     let cx = ctx () in
-    let gc = Atomic.get gc_stats in
-    let m0, p0 = if gc then gc_counters () else (0.0, 0.0) in
+    let m0, p0 = gc_counters () in
     let fr =
       {
         f_name = name;
@@ -249,12 +237,8 @@ let with_span ?(src = obs_src) ?(args = []) name f =
         match cx.stack with
         | top :: rest when top == fr ->
             cx.stack <- rest;
-            let dm, dp =
-              if gc then
-                let m1, p1 = gc_counters () in
-                (m1 -. fr.f_minor0, p1 -. fr.f_promoted0)
-              else (0.0, 0.0)
-            in
+            let m1, p1 = gc_counters () in
+            let dm = m1 -. fr.f_minor0 and dp = p1 -. fr.f_promoted0 in
             let sp =
               {
                 sp_name = name;

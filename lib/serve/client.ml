@@ -1,6 +1,7 @@
-(* Blocking client for the daemon protocol — what `scnoise bench serve`
-   and the tests speak.  One request, one reply; no pipelining needed
-   because the daemon executes requests sequentially anyway. *)
+(* Blocking client for the daemon protocol — what the tests and the
+   e2e `serve-mix` workload speak.  One request, one reply; no
+   pipelining needed because the daemon executes requests sequentially
+   anyway. *)
 
 module Json = Scnoise_obs.Json
 module P = Protocol

@@ -15,8 +15,8 @@
    Decks pass {!Front}'s gate and parameters resolve through {!Front},
    exactly as in the CLI, and every numeric path calls the library
    entry points the CLI calls, so served values are bit-identical to
-   direct `scnoise` runs — the parity property the tests and
-   `scnoise bench serve` assert.
+   direct `scnoise` runs — the parity property `test_serve` and the
+   e2e `serve-mix` workload assert.
 
    Replies never raise: failures become structured error replies with
    the stable codes documented in {!Protocol}. *)
@@ -150,11 +150,10 @@ let cached t key compute =
       Cache.put t.results key r;
       (r, lvl)
 
-let run_psd t p hash (q : P.psd_params) =
+let run_psd t p hash directives (q : P.psd_params) =
   let r =
     Front.psd ?engine:q.P.p_engine ?fmin:q.P.p_fmin ?fmax:q.P.p_fmax
-      ?points:q.P.p_points ?log:q.P.p_log ?spp:q.P.p_spp
-      p.pr_circuit.Front.directives
+      ?points:q.P.p_points ?log:q.P.p_log ?spp:q.P.p_spp directives
   in
   let { Front.engine = name; fmin; fmax; points; log; spp } = r in
   if name <> "mft" then
@@ -195,9 +194,9 @@ let run_variance t p hash spp =
           ],
         level ~prepared ))
 
-let run_contrib t p hash f spp =
+let run_contrib t p hash directives f spp =
   let c = p.pr_circuit in
-  let { Front.f; spp } = Front.contrib ?f ?spp c.Front.directives in
+  let { Front.f; spp } = Front.contrib ?f ?spp directives in
   let key = result_key hash "contrib" [ fstr f; string_of_int spp ] in
   cached t key (fun () ->
       require_stable p;
@@ -225,10 +224,10 @@ let run_contrib t p hash f spp =
           ],
         "cold" ))
 
-let run_transfer t p hash (q : P.transfer_params) =
+let run_transfer t p hash directives (q : P.transfer_params) =
   let r =
     Front.transfer ?fmin:q.P.t_fmin ?fmax:q.P.t_fmax ?points:q.P.t_points
-      ?k:q.P.t_k ?spp:q.P.t_spp p.pr_circuit.Front.directives
+      ?k:q.P.t_k ?spp:q.P.t_spp directives
   in
   let { Front.fmin; fmax; points; k = k_range; spp } = r in
   if Array.length p.pr_circuit.Front.sys.Pwl.inputs = 0 then
@@ -398,12 +397,16 @@ let run_request t rq =
       let loaded = gated (Front.load ~name (deck_of rq)) in
       let hash = Canon.hash_loaded loaded in
       let p = prepared_entry t ~name loaded hash in
+      (* defaults come from this request's deck: the hash leaves
+         directives out, so [p] may come from a twin with others *)
+      let directives = Front.directives loaded in
       let result, lvl =
         match rq.P.rq_op with
-        | P.Psd q -> run_psd t p hash q
+        | P.Psd q -> run_psd t p hash directives q
         | P.Variance { v_spp } -> run_variance t p hash v_spp
-        | P.Contrib { c_f; c_spp } -> run_contrib t p hash c_f c_spp
-        | P.Transfer q -> run_transfer t p hash q
+        | P.Contrib { c_f; c_spp } ->
+            run_contrib t p hash directives c_f c_spp
+        | P.Transfer q -> run_transfer t p hash directives q
         | _ -> assert false
       in
       (result, Some lvl)

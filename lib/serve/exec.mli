@@ -29,9 +29,6 @@ val handle_string : t -> string -> Scnoise_obs.Json.t
 (** Parse a frame payload and {!handle} it; malformed payloads yield a
     [protocol] error reply. *)
 
-val stats_json : t -> Scnoise_obs.Json.t
-(** The payload of a [stats] reply. *)
-
 val stopping : t -> bool
 (** True once a [shutdown] request was served (or {!request_stop} was
     called); the server drains and exits. *)

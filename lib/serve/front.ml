@@ -21,11 +21,7 @@ module Grid = Scnoise_util.Grid
 
 (* ---- deck gate ---- *)
 
-type circuit = {
-  sys : Pwl.t;
-  output : Vec.t;
-  directives : Elab.analysis list;
-}
+type circuit = { sys : Pwl.t; output : Vec.t }
 
 type error =
   | Deck of string
@@ -80,9 +76,11 @@ let compile ~name (l : Deck.loaded) =
       match Pwl.observable sys e.Elab.output_node with
       | exception Not_found -> Error (Output l)
       | output ->
-          Ok { sys; output; directives = List.map fst e.Elab.analyses })
+          Ok { sys; output })
 
 let gate ~name l = Result.bind (erc l) (fun () -> compile ~name l)
+
+let directives (l : Deck.loaded) = List.map fst l.Deck.elab.Elab.analyses
 
 (* ---- request resolution ---- *)
 

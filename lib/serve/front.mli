@@ -12,7 +12,6 @@
 type circuit = {
   sys : Scnoise_circuit.Pwl.t;
   output : Scnoise_linalg.Vec.t;  (** observability row of the output node *)
-  directives : Scnoise_lang.Elab.analysis list;  (** in deck order *)
 }
 
 (** A failure, one constructor per stage of the gate. *)
@@ -52,6 +51,12 @@ val gate : name:string -> Scnoise_lang.Deck.loaded -> (circuit, error) result
 (** {!erc}, then {!compile}. *)
 
 (** {1 Request resolution} *)
+
+val directives : Scnoise_lang.Deck.loaded -> Scnoise_lang.Elab.analysis list
+(** The deck's analysis directives, in deck order: the defaults the
+    resolvers below read.  The canonical deck hash leaves them out, so
+    they are read from each deck, never from a circuit cached under
+    that hash. *)
 
 type psd = {
   engine : string;

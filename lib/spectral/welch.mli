@@ -3,8 +3,6 @@
 
 type window = Rect | Hann
 
-val window_values : window -> int -> float array
-
 val periodogram :
   ?window:window -> dt:float -> float array -> float array * float array
 (** [(freqs, psd)] of a single segment whose length must be a power of

@@ -8,9 +8,6 @@
 val boltzmann : float
 (** Boltzmann constant, J/K. *)
 
-val electron_charge : float
-(** Elementary charge, C. *)
-
 val room_temperature : float
 (** Default analysis temperature, K (300 K, as in the source papers). *)
 

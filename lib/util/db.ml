@@ -6,6 +6,4 @@ let of_amplitude a =
   let a = abs_float a in
   if a = 0.0 then neg_infinity else 20.0 *. log10 a
 
-let to_amplitude d = 10.0 ** (d /. 20.0)
-
 let delta p1 p2 = of_power p1 -. of_power p2

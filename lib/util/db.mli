@@ -12,9 +12,6 @@ val to_power : float -> float
 val of_amplitude : float -> float
 (** [of_amplitude a] is [20 log10 (abs a)]. *)
 
-val to_amplitude : float -> float
-(** [to_amplitude d] is [10^(d/20)]. *)
-
 val delta : float -> float -> float
 (** [delta p1 p2] is the difference [of_power p1 -. of_power p2] in dB,
     with both arguments treated as powers. *)

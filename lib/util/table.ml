@@ -78,7 +78,3 @@ let series ?(x_label = "x") ?y_labels xs yss =
       (float_cell 6 xs.(i) :: List.map (fun ys -> float_cell 6 ys.(i)) yss)
   done;
   render t
-
-let print_series ?x_label ?y_labels xs yss =
-  print_string (series ?x_label ?y_labels xs yss);
-  print_newline ()

@@ -36,7 +36,3 @@ val series :
 (** [series xs yss] renders one or more aligned (x, y1, y2, ...) data
     series as a table, for regenerating figures as printable data.  All
     arrays must share [xs]'s length. *)
-
-val print_series :
-  ?x_label:string -> ?y_labels:string list ->
-  float array -> float array list -> unit

@@ -109,11 +109,21 @@ let test_cov_closure () =
   if Covariance.closure_error s > 1e-20 then
     Alcotest.failf "periodicity closure error %g" (Covariance.closure_error s)
 
+(* [n] periods of the affine map K -> Phi K Phiᵀ + Q from K = 0: the
+   naive steady-state iteration the direct Lyapunov solves replace *)
+let iterate_steady phi q n =
+  let k = ref (Mat.create (Mat.rows q) (Mat.cols q)) in
+  for _ = 1 to n do
+    k := Mat.symmetrize (Mat.add (Mat.mul phi (Mat.mul !k (Mat.transpose phi))) q)
+  done;
+  !k
+
 let test_cov_solvers_agree () =
   let b = switched_rc () in
-  let k1 = Covariance.periodic_initial ~solver:`Kron b.C_src.sys in
-  let k2 = Covariance.periodic_initial ~solver:`Doubling b.C_src.sys in
-  let k3 = Covariance.periodic_initial ~solver:(`Iterate 400) b.C_src.sys in
+  let phi, q = Covariance.period_map b.C_src.sys in
+  let k1 = Lyapunov.solve_discrete_kron phi q in
+  let k2 = Lyapunov.solve_discrete_doubling phi q in
+  let k3 = iterate_steady phi q 400 in
   if Mat.max_abs_diff k1 k2 > 1e-14 then Alcotest.fail "kron vs doubling";
   if Mat.max_abs_diff k1 k3 > 1e-5 *. Mat.max_abs k1 then
     Alcotest.fail "kron vs iterate"
@@ -285,15 +295,13 @@ let test_contrib_restrict_empty () =
   check_close "silent circuit" 0.0 (Psd.psd eng ~f:1e3);
   check_close "zero variance" 0.0 (Psd.average_variance eng)
 
-(* --- solver ablation: `Iterate converges like the naive method --- *)
+(* --- solver ablation: the naive iteration converges with periods --- *)
 
 let test_iterate_solver_converges_with_periods () =
   let b = switched_rc () in
-  let exact = Covariance.periodic_initial ~solver:`Kron b.C_src.sys in
-  let err n =
-    Mat.max_abs_diff exact
-      (Covariance.periodic_initial ~solver:(`Iterate n) b.C_src.sys)
-  in
+  let phi, q = Covariance.period_map b.C_src.sys in
+  let exact = Lyapunov.solve_discrete_kron phi q in
+  let err n = Mat.max_abs_diff exact (iterate_steady phi q n) in
   let e1 = err 2 and e2 = err 8 in
   if e2 >= e1 then Alcotest.fail "iterate solver should improve with periods"
 

@@ -10,7 +10,6 @@ module Vanloan = Scnoise_linalg.Vanloan
 module Lyapunov = Scnoise_linalg.Lyapunov
 module Pwl = Scnoise_circuit.Pwl
 module Covariance = Scnoise_core.Covariance
-module Phase_grid = Scnoise_core.Phase_grid
 module Psd = Scnoise_core.Psd
 module Const = Scnoise_util.Const
 module LAD = Scnoise_circuits.Sc_ladder
@@ -20,59 +19,8 @@ module SCI = Scnoise_circuits.Sc_integrator
 
 let rel_diff ~scale a b = Mat.max_abs_diff a b /. Float.max 1e-300 scale
 
-(* --- the per-interval reference recurrence --- *)
-
-let oracle_grid ~samples_per_phase (sys : Pwl.t) =
-  let times = ref [ 0.0 ] and steps = ref [] and offset = ref 0.0 in
-  Array.iteri
-    (fun p (ph : Pwl.phase) ->
-      let local =
-        Phase_grid.make ~a:ph.Pwl.a ~tau:ph.Pwl.tau ~n:samples_per_phase
-      in
-      for j = 1 to Array.length local - 1 do
-        times := (!offset +. local.(j)) :: !times;
-        steps := (p, local.(j) -. local.(j - 1)) :: !steps
-      done;
-      offset := !offset +. ph.Pwl.tau)
-    sys.Pwl.phases;
-  (Array.of_list (List.rev !times), Array.of_list (List.rev !steps))
-
-(* One [Vanloan.discretize] per interval, the period map stepped one
-   interval at a time, the fixed point by [steady], then the trace. *)
-let oracle_sample ?(steady = Lyapunov.solve_discrete_kron) ~samples_per_phase
-    (sys : Pwl.t) =
-  let n = sys.Pwl.nstates in
-  let times, steps = oracle_grid ~samples_per_phase sys in
-  let disc =
-    Array.map
-      (fun (p, h) ->
-        let ph = sys.Pwl.phases.(p) in
-        Vanloan.discretize ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:h)
-      steps
-  in
-  let npts = Array.length times in
-  let phis = Array.make npts (Mat.identity n) in
-  let q = ref (Mat.create n n) in
-  Array.iteri
-    (fun i (d : Vanloan.t) ->
-      phis.(i + 1) <- Mat.mul d.Vanloan.phi phis.(i);
-      q := Vanloan.propagate d !q)
-    disc;
-  let phi_period = phis.(npts - 1) in
-  let k0 = steady phi_period !q in
-  let ks = Array.make npts k0 in
-  Array.iteri (fun i d -> ks.(i + 1) <- Vanloan.propagate d ks.(i)) disc;
-  {
-    Covariance.sys;
-    times;
-    interval_phase = Array.map fst steps;
-    ks;
-    phis;
-    k0;
-    phi_period;
-    q_period = !q;
-    peak_rank = n;
-  }
+(* --- against the per-interval reference recurrence,
+   [Oracle.covariance] --- *)
 
 let check_ks_against_oracle name s o =
   Alcotest.(check int) (name ^ " grid points") (Array.length o.Covariance.ks)
@@ -97,7 +45,7 @@ let check_psd_against_oracle name s o output freqs =
 
 let samples_vs_oracle ~samples_per_phase ~steady sys =
   ( Covariance.sample ~samples_per_phase sys,
-    oracle_sample ~steady ~samples_per_phase sys )
+    Oracle.covariance ~steady ~samples_per_phase sys )
 
 let check_against_oracle name ~samples_per_phase ~steady sys output freqs =
   let s, o = samples_vs_oracle ~samples_per_phase ~steady sys in
@@ -210,7 +158,7 @@ let chain_system n =
 let test_chain_k0_vs_kron () =
   let sys = chain_system 40 in
   let s = Covariance.sample ~samples_per_phase:12 sys in
-  let o = oracle_sample ~samples_per_phase:12 sys in
+  let o = Oracle.covariance ~samples_per_phase:12 sys in
   let scale = Mat.max_abs o.Covariance.k0 in
   let err = rel_diff ~scale s.Covariance.k0 o.Covariance.k0 in
   if not (err <= 1e-9) then

@@ -458,12 +458,6 @@ let test_sweep_edges () =
     (Int64.bits_of_float single.(0)
     = Int64.bits_of_float (Psd.psd eng ~f:1234.5))
 
-let float_array_bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a b
-
 (* Block columns are width-1 solves (test_block_width_parity), so the
    auto-width sweep is bitwise the pointwise PSD at any job count. *)
 let test_sweep_batch_parity () =
@@ -478,7 +472,7 @@ let test_sweep_batch_parity () =
       Alcotest.(check bool)
         (Printf.sprintf "auto-width sweep (jobs %d) bit-identical to psd" jobs)
         true
-        (float_array_bits_equal
+        (Oracle.bits_equal
            (Psd.sweep ~pool:(Pool.create ~jobs ()) eng freqs)
            pointwise))
     [ 1; 4 ]

@@ -687,18 +687,12 @@ let prop_eig_count =
 
    The dense kernels promise the same floating-point result, bit for
    bit, as the straightforward loops they replaced.  Those loops live
-   on here as test-local references; every comparison is on
-   [Int64.bits_of_float], so a reordered sum, a fused multiply-add or a
-   lost signed zero fails. *)
-
-let bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
+   on as references ([Oracle.gemm] for the product); every comparison
+   is on [Int64.bits_of_float], so a reordered sum, a fused
+   multiply-add or a lost signed zero fails. *)
 
 let check_bits msg expected actual =
-  if not (bits_equal expected actual) then begin
+  if not (Oracle.bits_equal expected actual) then begin
     let k = ref 0 in
     while
       !k < Array.length expected
@@ -714,22 +708,6 @@ let check_bits msg expected actual =
     else Alcotest.failf "%s: length %d, reference %d" msg
         (Array.length actual) (Array.length expected)
   end
-
-(* the i-k-j product loop: c += a_ik b_kj for ascending k, skipping
-   a_ik = 0 *)
-let reference_mul a b =
-  let m = Mat.rows a and p = Mat.cols a and n = Mat.cols b in
-  let c = Array.make (m * n) 0.0 in
-  for i = 0 to m - 1 do
-    for k = 0 to p - 1 do
-      let aik = Mat.get a i k in
-      if aik <> 0.0 then
-        for j = 0 to n - 1 do
-          c.((i * n) + j) <- c.((i * n) + j) +. (aik *. Mat.get b k j)
-        done
-    done
-  done;
-  c
 
 let bit_rng = Random.State.make [| 0x6b17 |]
 
@@ -780,7 +758,7 @@ let test_mul_bitwise () =
               let a = structured ka m p and b = structured kb p n in
               check_bits
                 (Printf.sprintf "mul %dx%d * %dx%d" m p p n)
-                (reference_mul a b)
+                (Oracle.gemm a b)
                 (Mat.data (Mat.mul a b)))
             kinds)
         kinds)
@@ -796,11 +774,11 @@ let test_mul_nonfinite () =
         Mat.init 5 6 (fun i j -> if i = 2 && edge j then x else bit_rand ())
       in
       let b = Mat.init 6 9 (fun k _ -> if edge k then 0.0 else bit_rand ()) in
-      check_bits "mul with non-finite a" (reference_mul a b)
+      check_bits "mul with non-finite a" (Oracle.gemm a b)
         (Mat.data (Mat.mul a b));
       (* and a zero column of [a] still skips a non-finite row of [b] *)
       let a' = Mat.transpose b and b' = Mat.transpose a in
-      check_bits "mul with non-finite b" (reference_mul a' b')
+      check_bits "mul with non-finite b" (Oracle.gemm a' b')
         (Mat.data (Mat.mul a' b'));
       (* scattered zeros of [a] against scattered non-finite [b] *)
       let a'' = structured `Holes 7 9 in
@@ -808,7 +786,7 @@ let test_mul_nonfinite () =
         Mat.init 9 6 (fun _ _ ->
             if Random.State.int bit_rng 4 = 0 then x else bit_rand ())
       in
-      check_bits "mul with scattered non-finite b" (reference_mul a'' b'')
+      check_bits "mul with scattered non-finite b" (Oracle.gemm a'' b'')
         (Mat.data (Mat.mul a'' b'')))
     [ infinity; neg_infinity; Float.nan ]
 

@@ -94,8 +94,9 @@ let prop_solvers_agree =
   QCheck.Test.make ~count:40 ~name:"kron and doubling Lyapunov solvers agree"
     spec_arb (fun spec ->
       let sys, _ = build spec in
-      let k1 = Covariance.periodic_initial ~solver:`Kron sys in
-      let k2 = Covariance.periodic_initial ~solver:`Doubling sys in
+      let phi, q = Covariance.period_map sys in
+      let k1 = Scnoise_linalg.Lyapunov.solve_discrete_kron phi q in
+      let k2 = Scnoise_linalg.Lyapunov.solve_discrete_doubling phi q in
       Mat.max_abs_diff k1 k2 <= 1e-8 *. (1.0 +. Mat.max_abs k1))
 
 let prop_closure =

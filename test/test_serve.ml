@@ -30,6 +30,13 @@ let deck_a =
    S1 vout 0 {rs} closed=0\nC1 vout 0 {c}\n\
    .clock duty period={5 * rs * c} duty=0.5\n.output vout\n.end\n"
 
+(* [deck_a] with a non-default .psd directive *)
+let deck_a_psd =
+  ".param rs = 1k\n.param c = 1n\n\
+   S1 vout 0 {rs} closed=0\nC1 vout 0 {c}\n\
+   .clock duty period={5 * rs * c} duty=0.5\n.output vout\n\
+   .psd fmin=100 fmax=8k points=25 log\n.end\n"
+
 (* electrically different twin (bigger capacitor) *)
 let deck_b =
   ".param rs = 1k\n.param c = 2n\n\
@@ -77,14 +84,8 @@ let direct_psd ~jobs deck freqs =
       let eng = Psd.prepare ~samples_per_phase:default_spp ~pool sys ~output in
       Psd.sweep ~pool eng freqs)
 
-let bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a b
-
 let check_bits what a b =
-  if not (bits_equal a b) then
+  if not (Oracle.bits_equal a b) then
     Alcotest.failf "%s: served values are not bit-identical" what
 
 (* --- server harness --- *)
@@ -201,8 +202,20 @@ let test_psd_parity_and_cache_levels () =
       check_bits "jobs=4" served (direct_psd ~jobs:4 deck_a freqs);
       check_bits "result-tier replay" served (psd_values "psd2" r2);
       let freqs8 = Front.psd_freqs (Front.psd ~fmax:8e3 []) in
-      check_bits "prepared-tier range" (psd_values "psd3" r3)
+      check_bits "prepared-tier range jobs=1" (psd_values "psd3" r3)
         (direct_psd ~jobs:1 deck_a freqs8);
+      check_bits "prepared-tier range jobs=4" (psd_values "psd3" r3)
+        (direct_psd ~jobs:4 deck_a freqs8);
+      (* a request without parameters takes the deck's .psd directive *)
+      let served =
+        psd_values "directive deck"
+          (rpc conn (Sp.request_to_json (psd_req ~deck:deck_a_psd ())))
+      in
+      let freqs = Grid.logspace 100.0 8e3 25 in
+      check_bits "directive range jobs=1" served
+        (direct_psd ~jobs:1 deck_a_psd freqs);
+      check_bits "directive range jobs=4" served
+        (direct_psd ~jobs:4 deck_a_psd freqs);
       Scl.close conn)
 
 let test_variance_contrib_parity () =
@@ -533,7 +546,7 @@ let test_concurrent_clients_bit_identical () =
             if (k + i) mod 2 = 0 then (deck_a, expect_a) else (deck_b, expect_b)
           in
           let reply = rpc conn (Sp.request_to_json (psd_req ~deck ())) in
-          if not (bits_equal (psd_values "concurrent" reply) expect) then
+          if not (Oracle.bits_equal (psd_values "concurrent" reply) expect) then
             ok := false
         done;
         Scl.close conn;
