@@ -416,7 +416,7 @@ let exp_t3 () =
   (* switched RC: kT/C *)
   let b = SRC.build SRC.default in
   let cov = Covariance.sample b.SRC.sys in
-  let v_mft = Covariance.average_variance cov b.SRC.output in
+  let v_mft = (Covariance.variance cov b.SRC.output).Covariance.average in
   let ktc = Scnoise_util.Const.kt () /. b.SRC.params.SRC.c in
   let mc =
     Mc.estimate ~seed:41L ~paths:8 ~segments_per_path:8 b.SRC.sys
@@ -433,7 +433,7 @@ let exp_t3 () =
   (* integrator: 1/(1-pole^2)-amplified sampled noise; MC cross-check *)
   let bi = INT.build INT.default in
   let covi = Covariance.sample ~samples_per_phase:96 bi.INT.sys in
-  let vi = Covariance.average_variance covi bi.INT.output in
+  let vi = (Covariance.variance covi bi.INT.output).Covariance.average in
   let p = INT.default in
   let var_cycle =
     2.0
@@ -459,7 +459,7 @@ let exp_t3 () =
   (* bandpass: MC cross-check only *)
   let bb = BP.build BP.default in
   let covb = Covariance.sample ~samples_per_phase:64 bb.BP.sys in
-  let vb = Covariance.average_variance covb bb.BP.output in
+  let vb = (Covariance.variance covb bb.BP.output).Covariance.average in
   let mcb =
     Mc.estimate ~seed:47L ~paths:6 ~segments_per_path:6 ~samples_per_phase:48
       bb.BP.sys ~output:bb.BP.output ~freqs:[||]
@@ -1504,7 +1504,7 @@ let exp_cov () =
   let t =
     Table.create
       [ "states"; "ms"; "expm_calls"; "distinct_ops"; "doubling_steps";
-        "solve_madds"; "dense_madds"; "ks_KiB" ]
+        "solve_madds"; "dense_madds"; "held_KiB" ]
   in
   let counts_ok = ref true and expm_at_100 = ref 0 and ops_at_100 = ref 0 in
   let madds_at_100 = ref 0 and dense_at_100 = ref 0 in
@@ -1557,7 +1557,8 @@ let exp_cov () =
           string_of_int !steps;
           string_of_int !madds;
           string_of_int dense;
-          Printf.sprintf "%.0f" (float_of_int (Covariance.ks_bytes s) /. 1024.);
+          Printf.sprintf "%.0f"
+            (float_of_int (Covariance.held_bytes s) /. 1024.);
         ])
     [ 10; 20; 50 ];
   Table.print t;
@@ -1565,7 +1566,8 @@ let exp_cov () =
     "(one Van Loan exponential per distinct (phase, step) pair of the \
      stretched grid;\n runs of one operator fold by binary doubling; \
      solve_madds = lu_solve_madds of one sample, dense_madds = the row \
-     loop's count)\n";
+     loop's count;\n held_KiB = the matrices a sample holds: transitions, \
+     distinct operators, k0, Q — the K(t_i) trace is streamed, not stored)\n";
   let solve_bits = solve_table () in
   let ok = parity_db <= 1e-9 && !counts_ok in
   Printf.printf

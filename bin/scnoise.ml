@@ -641,15 +641,15 @@ let variance_cmd =
       let cov =
         Covariance.sample ~samples_per_phase:(Front.spp spp) picked.sys
       in
-      let vb = Covariance.variance_at_boundary cov picked.output in
-      let va = Covariance.average_variance cov picked.output in
+      let v = Covariance.variance cov picked.output in
+      let vb = v.Covariance.boundary and va = v.Covariance.average in
       Printf.printf "%s\n" picked.label;
       Printf.printf "variance at period boundary: %.6g V^2 (%.4g uV rms)\n" vb
         (1e6 *. sqrt vb);
       Printf.printf "time-averaged variance:      %.6g V^2 (%.4g uV rms)\n" va
         (1e6 *. sqrt va);
       Printf.printf "periodicity closure error:   %.3g\n"
-        (Covariance.closure_error cov);
+        v.Covariance.closure_error;
       0
     end
   in

@@ -36,7 +36,7 @@ let () =
   let output = Pwl.observable sys "vout" in
   let cov = Covariance.sample sys in
   Printf.printf "steady-state output variance = %.6g V^2 (kT/C = %.6g)\n"
-    (Covariance.variance_at_boundary cov output)
+    (Covariance.variance cov output).Covariance.boundary
     (Scnoise_util.Const.kt () /. 1e-9);
 
   (* 5. output noise PSD: one periodic boundary-value solve per

@@ -19,7 +19,8 @@ type sampled = {
   sys : Pwl.t;
   times : float array;
   interval_phase : int array;
-  ks : Mat.t array;
+  ops : Vanloan.t array;
+  interval_op : int array;
   phis : Mat.t array;
   k0 : Mat.t;
   phi_period : Mat.t;
@@ -27,8 +28,18 @@ type sampled = {
   peak_rank : int;
 }
 
-let ks_bytes s =
-  Array.fold_left (fun acc k -> acc + (8 * Mat.rows k * Mat.cols k)) 0 s.ks
+(* The trace is streamed ({!iter_trace}), never stored. *)
+let ks_bytes _ = 0
+
+let held_bytes s =
+  let bytes m = 8 * Mat.rows m * Mat.cols m in
+  (* [phi_period] is the last transition, shared physically *)
+  Array.fold_left (fun acc m -> acc + bytes m) 0 s.phis
+  + Array.fold_left
+      (fun acc (d : Vanloan.t) ->
+        acc + bytes d.Vanloan.phi + bytes d.Vanloan.qd)
+      0 s.ops
+  + bytes s.k0 + bytes s.q_period
 
 (* --- the discretised grid ---
 
@@ -204,9 +215,9 @@ let periodic_initial ?samples_per_phase ?pool sys =
   solve_steady phi q
 
 (* One period of the recurrence: chain the transitions, fold the
-   period's process noise run by run, solve the discrete Lyapunov
-   fixed point, then unroll K(t_{i+1}) = Phi_i K(t_i) Phi_iᵀ + Qd_i
-   from the steady state over the memoised operators. *)
+   period's process noise run by run and solve the discrete Lyapunov
+   fixed point.  The trace K(t_i) is not formed here: {!iter_trace}
+   unrolls it from the steady state over the memoised operators. *)
 let sample ?samples_per_phase ?grid ?pool sys =
   Obs.with_span ~src "covariance.sample" (fun () ->
       Obs.incr c_samples;
@@ -216,16 +227,15 @@ let sample ?samples_per_phase ?grid ?pool sys =
       let phi_period = phis.(Array.length phis - 1) in
       let q_period = period_noise g n in
       let k0 = solve_steady phi_period q_period in
-      let ks = Array.make (Array.length phis) k0 in
-      Array.iteri (fun i d -> ks.(i + 1) <- Vanloan.propagate d ks.(i)) g.g_disc;
       Log.debug (fun m ->
           m "sampling done: %d states, %d grid points over one period" n
-            (Array.length ks));
+            (Array.length phis));
       {
         sys;
         times = g.g_times;
         interval_phase = g.g_phase;
-        ks;
+        ops = g.g_ops;
+        interval_op = g.g_op;
         phis;
         k0;
         phi_period;
@@ -233,15 +243,57 @@ let sample ?samples_per_phase ?grid ?pool sys =
         peak_rank = n;
       })
 
-let quad k c = Vec.dot c (Mat.mul_vec k c)
+(* K(t_{i+1}) = sym (Phi_i K(t_i) Phi_iᵀ + Qd_i) from K(t_0) = k0, in
+   buffers owned here: two K matrices used in turn, the kernel's two
+   work matrices and one transpose per distinct operator.  Nothing is
+   allocated per interval. *)
+let iter_trace s f =
+  Obs.with_span ~src "covariance.unroll" (fun () ->
+      let n = Mat.rows s.k0 in
+      let ks = [| Mat.create n n; Mat.create n n |] in
+      let work = Mat.create n n and work' = Mat.create n n in
+      let phi_ts =
+        Array.map (fun (d : Vanloan.t) -> Mat.transpose d.Vanloan.phi) s.ops
+      in
+      f 0 s.k0;
+      let k = ref s.k0 in
+      Array.iteri
+        (fun i op ->
+          let out = ks.(i land 1) in
+          Vanloan.propagate_into s.ops.(op) ~phi_t:phi_ts.(op) ~work ~work' !k
+            ~out;
+          f (i + 1) out;
+          k := out)
+        s.interval_op)
 
-let variance_trace s c = Array.map (fun k -> quad k c) s.ks
+let unroll s =
+  let ks = Array.make (Array.length s.times) s.k0 in
+  iter_trace s (fun i k -> if i > 0 then ks.(i) <- Mat.copy k);
+  ks
 
-let variance_at_boundary s c = quad s.k0 c
+type variance = {
+  trace : float array;
+  boundary : float;
+  average : float;
+  closure_error : float;
+}
 
-let average_variance s c =
-  let tr = variance_trace s c in
-  let period = s.times.(Array.length s.times - 1) in
-  Scnoise_util.Grid.trapezoid s.times tr /. period
+let output_trace s c =
+  let npts = Array.length s.times in
+  let kc = Array.make npts [||] and trace = Array.make npts 0.0 in
+  let closure_error = ref 0.0 in
+  iter_trace s (fun i k ->
+      let v = Mat.mul_vec k c in
+      kc.(i) <- v;
+      trace.(i) <- Vec.dot c v;
+      if i = npts - 1 then closure_error := Mat.max_abs_diff k s.k0);
+  let period = s.times.(npts - 1) in
+  ( kc,
+    {
+      trace;
+      boundary = trace.(0);
+      average = Scnoise_util.Grid.trapezoid s.times trace /. period;
+      closure_error = !closure_error;
+    } )
 
-let closure_error s = Mat.max_abs_diff s.ks.(Array.length s.ks - 1) s.k0
+let variance s c = snd (output_trace s c)

@@ -13,8 +13,14 @@
     augmented exponential, memoised per distinct (phase, step) pair, so
     a stretched grid of ~2x96 intervals builds a dozen or so operators.
     The period's process noise folds each run of one operator by binary
-    doubling ({!run_map}), and the trace [K(t_i)] is unrolled from the
-    steady state as dense [n×n] matrices. *)
+    doubling ({!run_map}).
+
+    The trace [K(t_i)] is never stored: the method reads it only
+    through the PSD forcing [K(t_i) c] and the output variance
+    [cᵀ K(t_i) c], so {!iter_trace} streams it from the steady state
+    over the shared operators, one [n×n] matrix at a time, in buffers
+    it owns and allocating nothing per interval.  {!output_trace} takes
+    the forcing and the variance from one such pass. *)
 
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
@@ -26,16 +32,23 @@ type sampled = {
   sys : Pwl.t;
   times : float array;  (** grid over one period, [0 .. T], length N+1 *)
   interval_phase : int array;  (** phase index of each of the N intervals *)
-  ks : Mat.t array;  (** K at each grid time *)
+  ops : Scnoise_linalg.Vanloan.t array;
+      (** the distinct per-interval operators (Phi, Qd) *)
+  interval_op : int array;  (** index into [ops] of each interval's operator *)
   phis : Mat.t array;  (** state-transition Phi(t_i, 0) at each grid time *)
   k0 : Mat.t;  (** periodic steady-state covariance at t = 0 *)
   phi_period : Mat.t;  (** monodromy Phi(T, 0) *)
   q_period : Mat.t;  (** accumulated process noise over one period *)
-  peak_rank : int;  (** rank of the stored covariances: always [nstates] *)
+  peak_rank : int;  (** rank of the covariance: always [nstates] *)
 }
 
 val ks_bytes : sampled -> int
-(** Total bytes held by the [ks] trace (the dominant storage term). *)
+(** Bytes of stored [K(t_i)] matrices: 0, since the trace is streamed
+    by {!iter_trace}.  Kept so bench records stay comparable. *)
+
+val held_bytes : sampled -> int
+(** Bytes of every matrix the record holds: the transitions, the
+    distinct operators, [k0] and [q_period]. *)
 
 type discretized_grid = {
   g_times : float array;  (** grid over one period, [0 .. T] *)
@@ -85,17 +98,34 @@ val periodic_initial :
 val sample :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> sampled
-(** Full sampled trace of the periodic covariance over one period,
-    together with the transition matrices needed by the PSD engine. *)
+(** The periodic covariance over one period: the steady state [k0], the
+    per-interval operators its trace unrolls over, and the transition
+    matrices needed by the PSD engine. *)
 
-val variance_trace : sampled -> Vec.t -> float array
-(** [variance_trace s c] is [cᵀ K(t_i) c] on the grid. *)
+val iter_trace : sampled -> (int -> Mat.t -> unit) -> unit
+(** [iter_trace s f] calls [f i k] with [k = K(t_i)] for [i = 0 .. N]
+    in order, where [K(t_0) = s.k0] and
+    [K(t_{i+1}) = Vanloan.propagate s.ops.(s.interval_op.(i)) K(t_i)]
+    bit for bit.  [k] is
+    read-only and valid only during the call: the next step overwrites
+    it.  Runs under the [covariance.unroll] span. *)
 
-val variance_at_boundary : sampled -> Vec.t -> float
+val unroll : sampled -> Mat.t array
+(** The whole trace [K(t_i)], materialised: one copy per grid point,
+    for tests and oracles. *)
 
-val average_variance : sampled -> Vec.t -> float
-(** Time average of the variance over one period. *)
+type variance = {
+  trace : float array;  (** [cᵀ K(t_i) c] on the grid *)
+  boundary : float;  (** [cᵀ K(0) c] *)
+  average : float;  (** time average of [trace] over one period *)
+  closure_error : float;
+      (** [max_abs (K(T) - K(0))] — a periodicity self-check (small for
+          a converged steady state) *)
+}
 
-val closure_error : sampled -> float
-(** [max_abs (K(T) - K(0))] — a periodicity self-check (small for a
-    converged steady state). *)
+val output_trace : sampled -> Vec.t -> Vec.t array * variance
+(** [output_trace s c] is the forcing [K(t_i) c] at every grid point
+    and the output variance, read from one {!iter_trace}. *)
+
+val variance : sampled -> Vec.t -> variance
+(** The output variance of row [c], from one {!iter_trace}. *)

@@ -23,16 +23,17 @@ type engine = {
   bvp : Periodic_bvp.t;
   out_row : Vec.t;
   forcing : Periodic_bvp.forcing; (* k(t_i) = K(t_i) c *)
+  variance : Covariance.variance;
 }
 
+(* The output row is known here, so this is where the covariance trace
+   is unrolled: one pass yields the forcing k(t_i) = K(t_i) c and the
+   variance cᵀ k(t_i), and neither K(t_i) outlives its step. *)
 let of_sampled cov ~output =
   if Array.length output <> cov.Covariance.sys.Pwl.nstates then
     invalid_arg "Psd.of_sampled: output row has wrong length";
-  let k =
-    Array.map
-      (fun k -> Cvec.of_real (Scnoise_linalg.Mat.mul_vec k output))
-      cov.Covariance.ks
-  in
+  let kc, variance = Covariance.output_trace cov output in
+  let k = Array.map Cvec.of_real kc in
   let bvp = Periodic_bvp.of_sampled cov ~output in
   (* k(t) is continuous across grid points: interval [i] runs from
      k.(i) to k.(i + 1) *)
@@ -42,6 +43,7 @@ let of_sampled cov ~output =
     out_row = output;
     forcing =
       Periodic_bvp.forcing bvp ~kl:(Array.get k) ~kr:(fun i -> k.(i + 1));
+    variance;
   }
 
 let prepare ?samples_per_phase ?grid ?pool sys ~output =
@@ -156,7 +158,9 @@ let sweep ?pool e freqs =
 let sweep_db ?pool e freqs =
   Array.map Scnoise_util.Db.of_power (sweep ?pool e freqs)
 
-let average_variance e = Covariance.average_variance e.cov e.out_row
+let variance e = e.variance
+
+let average_variance e = e.variance.Covariance.average
 
 let integrated_noise ?(points = 400) ?pool e ~fmin ~fmax =
   if fmax <= fmin then invalid_arg "Psd.integrated_noise: fmax <= fmin";

@@ -22,7 +22,10 @@
     The PSD reads only the output samples [cᵀ P(t_i)], so that is all a
     solve returns ({!Periodic_bvp.solve}): a prepared engine keeps the
     forcing [K(t_i) c] and one real row [cᵀ Phi(t_i, 0)] per grid point,
-    never a per-state trajectory. *)
+    never a per-state trajectory.  {!of_sampled} unrolls the covariance
+    trace once ({!Covariance.output_trace}, the [covariance.unroll]
+    span): the same pass yields the forcing and the output variance,
+    which the engine records, so no [K(t_i)] outlives its step. *)
 
 module Vec = Scnoise_linalg.Vec
 module Pwl = Scnoise_circuit.Pwl
@@ -31,7 +34,8 @@ type engine
 
 val of_sampled : Covariance.sampled -> output:Vec.t -> engine
 (** Build an engine from an already-sampled periodic covariance (allows
-    sharing the covariance across several outputs). *)
+    sharing the covariance across several outputs), unrolling its trace
+    once for the output row. *)
 
 val prepare :
   ?samples_per_phase:int -> ?grid:Covariance.grid_kind ->
@@ -79,8 +83,13 @@ val instantaneous : engine -> f:float -> float array * float array
     (the time-varying spectrum of the underlying non-stationary
     formulation); its period average is {!psd}. *)
 
+val variance : engine -> Covariance.variance
+(** The output variance recorded when the engine was built: bitwise
+    {!Covariance.variance} of the engine's covariance and output row,
+    without unrolling the trace again. *)
+
 val average_variance : engine -> float
-(** Time-averaged output variance (from the covariance trace). *)
+(** Time-averaged output variance: [(variance e).average]. *)
 
 val integrated_noise :
   ?points:int -> ?pool:Scnoise_par.Pool.t -> engine ->

@@ -71,15 +71,15 @@ let analyze ?(samples_per_phase = Covariance.default_samples_per_phase) ?freqs
              { label; psd; share = (if total > 0.0 then psd /. total else 0.0) })
       |> List.sort (fun a b -> compare b.psd a.psd)
     in
-    let variance_avg = Covariance.average_variance cov output in
+    let var = Psd.variance eng in
     {
       title;
       stable;
       floquet_radius = radius;
       nstates = sys.Pwl.nstates;
-      variance_avg;
-      variance_boundary = Covariance.variance_at_boundary cov output;
-      rms_uv = 1e6 *. sqrt variance_avg;
+      variance_avg = var.Covariance.average;
+      variance_boundary = var.Covariance.boundary;
+      rms_uv = 1e6 *. sqrt var.Covariance.average;
       band;
       spectrum;
       contributions;

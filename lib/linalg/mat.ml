@@ -120,7 +120,7 @@ let scale s m =
 
    The tile helpers take buffers and indices only, never a float, so
    no float crosses a call.  Every index is in range by the dimension
-   check in [mul] and the support bounds. *)
+   checks in [mul_into] and the support bounds. *)
 
 let tile_2x4 ad bd cd ~p ~n i j k0 k1 =
   let c00 = ref 0.0 and c01 = ref 0.0 and c02 = ref 0.0 and c03 = ref 0.0 in
@@ -177,10 +177,16 @@ let tile_col ad bd cd ~p ~n ~rows i j k0 k1 =
     Array.unsafe_set cd ((r * n) + j) !c
   done
 
-let mul a b =
-  if a.nc <> b.nr then invalid_arg "Mat.mul: inner dimension mismatch";
+(* Every entry of [c] is written (a tile with an empty [k] range stores
+   its zero accumulators), so [c] needs no clearing first.  Empty
+   matrices all share the one empty array and cannot alias. *)
+let mul_into a b c =
+  if a.nc <> b.nr then invalid_arg "Mat.mul_into: inner dimension mismatch";
+  if c.nr <> a.nr || c.nc <> b.nc then
+    invalid_arg "Mat.mul_into: output dimension mismatch";
+  if Array.length c.d > 0 && (c.d == a.d || c.d == b.d) then
+    invalid_arg "Mat.mul_into: aliased output";
   let m = a.nr and p = a.nc and n = b.nc in
-  let c = create m n in
   let ad = a.d and bd = b.d and cd = c.d in
   (* nonzero supports: [lo, hi] per row of [a] and per column of [b]
      (empty as [p, -1]) *)
@@ -230,7 +236,12 @@ let mul a b =
       tile_col ad bd cd ~p ~n ~rows i0 j0 (Int.max alo b_lo.(j0))
         (Int.min ahi b_hi.(j0))
     done
-  done;
+  done
+
+let mul a b =
+  if a.nc <> b.nr then invalid_arg "Mat.mul: inner dimension mismatch";
+  let c = create a.nr b.nc in
+  mul_into a b c;
   c
 
 let mul_vec m v =
@@ -284,11 +295,14 @@ let norm_fro m =
 
 let max_abs m = Array.fold_left (fun acc x -> max acc (abs_float x)) 0.0 m.d
 
+(* [Stdlib.max !best x], written out: the polymorphic call boxes every
+   float it is passed *)
 let max_abs_diff a b =
   same_dims a b "max_abs_diff";
   let best = ref 0.0 in
   for k = 0 to Array.length a.d - 1 do
-    best := max !best (abs_float (a.d.(k) -. b.d.(k)))
+    let x = abs_float (a.d.(k) -. b.d.(k)) in
+    if not (!best >= x) then best := x
   done;
   !best
 

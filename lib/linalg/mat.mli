@@ -4,7 +4,7 @@
     [Invalid_argument].  The representation is exposed read-only through
     accessors; construct with {!create}/{!init}/{!of_arrays}.
 
-    The arithmetic kernels ({!mul}, {!add}, {!sub}, {!scale},
+    The arithmetic kernels ({!mul}, {!mul_into}, {!add}, {!sub}, {!scale},
     {!transpose}, {!symmetrize}) are bit-faithful: each output entry is
     computed by the same floating-point operations, in the same order,
     as the plain loop that defines it, whatever tiling or loop
@@ -65,6 +65,12 @@ val mul : t -> t -> t
     [a], of the columns of [b]) are skipped, so block-triangular
     operands such as the Van Loan matrix multiply at a fraction of the
     dense cost. *)
+
+val mul_into : t -> t -> t -> unit
+(** [mul_into a b c] writes [mul a b] into [c], bit for bit, without
+    allocating a matrix: every entry of [c] is overwritten.  Raises
+    [Invalid_argument] on mismatched dimensions or when [c] shares its
+    storage with [a] or [b]. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 

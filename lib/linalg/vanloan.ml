@@ -40,8 +40,41 @@ let discretize_augmented ~a ~q ~tau =
     { phi; qd }
   end
 
+(* [out = sym (phi (k phiᵀ) + qd)], the products into the two work
+   matrices and the add fused with the symmetrise: entry (i, j) is
+   [0.5 *. ((p_ij +. q_ij) +. (p_ji +. q_ji))], the operations
+   [Mat.add] then [Mat.symmetrize] perform, and that expression is the
+   same float for (j, i), so the loop fills the upper triangle and
+   mirrors it. *)
+let propagate_into d ~phi_t ~work ~work' k ~out =
+  Mat.mul_into k phi_t work;
+  Mat.mul_into d.phi work work';
+  let n = Mat.rows work' in
+  if Mat.rows out <> n || Mat.cols out <> n || Mat.cols work' <> n
+     || Mat.rows d.qd <> n || Mat.cols d.qd <> n
+  then invalid_arg "Vanloan.propagate_into: dimension mismatch";
+  let p = Mat.data work' and q = Mat.data d.qd and o = Mat.data out in
+  if n > 0 && (o == p || o == q) then
+    invalid_arg "Vanloan.propagate_into: aliased output";
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      let ij = (i * n) + j and ji = (j * n) + i in
+      let x =
+        0.5
+        *. ((Array.unsafe_get p ij +. Array.unsafe_get q ij)
+           +. (Array.unsafe_get p ji +. Array.unsafe_get q ji))
+      in
+      Array.unsafe_set o ij x;
+      Array.unsafe_set o ji x
+    done
+  done
+
 let propagate d k =
-  Mat.symmetrize (Mat.add (Mat.mul d.phi (Mat.mul k (Mat.transpose d.phi))) d.qd)
+  let n = Mat.rows d.phi in
+  let out = Mat.create n n in
+  propagate_into d ~phi_t:(Mat.transpose d.phi) ~work:(Mat.create n n)
+    ~work':(Mat.create n n) k ~out;
+  out
 
 (* Stiffness threshold on [norm(A) tau] below which the augmented form is
    numerically safe. *)

@@ -35,4 +35,16 @@ val discretize_b : a:Mat.t -> b:Mat.t -> tau:float -> t
 (** Convenience wrapper forming [q = b bᵀ] first. *)
 
 val propagate : t -> Mat.t -> Mat.t
-(** [propagate d k] is [phi k phiᵀ + qd], symmetrised. *)
+(** [propagate d k] is [phi k phiᵀ + qd], symmetrised: {!propagate_into}
+    on freshly allocated matrices. *)
+
+val propagate_into :
+  t -> phi_t:Mat.t -> work:Mat.t -> work':Mat.t -> Mat.t -> out:Mat.t -> unit
+(** [propagate_into d ~phi_t ~work ~work' k ~out] writes
+    [propagate d k] into [out], bit for bit — the same products in the
+    same order — given [phi_t = Mat.transpose d.phi] and two [n×n] work
+    matrices, and allocates no matrix.  A caller stepping many
+    intervals keeps its buffers and transposes each operator once.
+    Raises [Invalid_argument] on mismatched dimensions or when [out],
+    [work] and [work'] share storage with each other, [k], [phi_t],
+    [d.phi] or [d.qd] where a read would see a write. *)

@@ -180,17 +180,16 @@ let run_variance t p hash spp =
       require_stable p;
       (* the engine's sampled covariance IS the CLI's
          [Covariance.sample ~samples_per_phase:spp sys] — same call,
-         same defaults — so reusing it keeps variance bit-identical *)
+         same defaults — and the engine recorded its variance from the
+         same unroll [Covariance.variance] runs, so the reply is
+         bit-identical without unrolling again *)
       let eng, prepared = engine p spp in
-      let cov = Psd.covariance eng in
-      let output = p.pr_circuit.Front.output in
-      let vb = Covariance.variance_at_boundary cov output in
-      let va = Covariance.average_variance cov output in
+      let v = Psd.variance eng in
       ( Json.Obj
           [
-            ("boundary_V2", Json.Num vb);
-            ("average_V2", Json.Num va);
-            ("closure_error", Json.Num (Covariance.closure_error cov));
+            ("boundary_V2", Json.Num v.Covariance.boundary);
+            ("average_V2", Json.Num v.Covariance.average);
+            ("closure_error", Json.Num v.Covariance.closure_error);
           ],
         level ~prepared ))
 

@@ -22,7 +22,9 @@ let of_engine eng =
   let cov = Psd.covariance eng and c = Psd.output eng in
   let bvp = Bvp.of_sampled cov ~output:c in
   let forcing =
-    Array.map (fun k -> Cvec.of_real (Mat.mul_vec k c)) cov.Covariance.ks
+    Array.map
+      (fun k -> Cvec.of_real (Mat.mul_vec k c))
+      (Covariance.unroll cov)
   in
   let kl = Array.get forcing and kr i = forcing.(i + 1) in
   { bvp; kl; kr; prepared = Bvp.forcing bvp ~kl ~kr }

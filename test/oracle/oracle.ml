@@ -56,8 +56,9 @@ let covariance_grid ~samples_per_phase (sys : Pwl.t) =
 
 (* The per-interval covariance recurrence: one [Vanloan.discretize] per
    interval with exact step bits, the period map stepped one interval
-   at a time, the fixed point by [steady] (default: the Kron solve),
-   then the trace. *)
+   at a time and the fixed point by [steady] (default: the Kron solve).
+   The record's operators are the per-interval ones, so its trace
+   unrolls over them, one operator per interval. *)
 let covariance ?(steady = Lyapunov.solve_discrete_kron) ~samples_per_phase
     (sys : Pwl.t) =
   let n = sys.Pwl.nstates in
@@ -79,13 +80,12 @@ let covariance ?(steady = Lyapunov.solve_discrete_kron) ~samples_per_phase
     disc;
   let phi_period = phis.(npts - 1) in
   let k0 = steady phi_period !q in
-  let ks = Array.make npts k0 in
-  Array.iteri (fun i d -> ks.(i + 1) <- Vanloan.propagate d ks.(i)) disc;
   {
     Covariance.sys;
     times;
     interval_phase = Array.map fst steps;
-    ks;
+    ops = disc;
+    interval_op = Array.init (Array.length disc) Fun.id;
     phis;
     k0;
     phi_period;

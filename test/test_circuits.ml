@@ -147,9 +147,10 @@ let test_int_variance_scaling () =
      less accumulated noise *)
   let var cd =
     let b = INT.build { INT.default with INT.cd } in
-    Covariance.average_variance
-      (Covariance.sample ~samples_per_phase:64 b.INT.sys)
-      b.INT.output
+    (Covariance.variance
+       (Covariance.sample ~samples_per_phase:64 b.INT.sys)
+       b.INT.output)
+      .Covariance.average
   in
   let v_light = var 0.5e-12 and v_heavy = var 4e-12 in
   if v_light <= v_heavy then
@@ -174,7 +175,7 @@ let test_ladder_thermal_equilibrium () =
       for i = 0 to 4 do
         check_close ~eps:1e-6 "kT/C at every node" ktc (Mat.get k i i)
       done)
-    cov.Covariance.ks
+    (Covariance.unroll cov)
 
 let test_ladder_single_stage_is_switched_rc () =
   (* one stage with matched values must reproduce the switched RC *)

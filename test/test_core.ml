@@ -91,23 +91,24 @@ let plain_rc r c =
 let test_cov_switched_rc_variance () =
   let b = switched_rc () in
   let s = Covariance.sample b.C_src.sys in
+  let v = Covariance.variance s b.C_src.output in
   check_close ~eps:1e-10 "kT/C at boundary"
     (Const.kt () /. b.C_src.params.C_src.c)
-    (Covariance.variance_at_boundary s b.C_src.output);
+    v.Covariance.boundary;
   (* the switched RC variance is constant over the whole period *)
-  let tr = Covariance.variance_trace s b.C_src.output in
+  let tr = v.Covariance.trace in
   Array.iter
     (fun v -> check_close ~eps:1e-9 "constant variance" tr.(0) v)
     tr;
   check_close ~eps:1e-10 "average too"
     (Const.kt () /. b.C_src.params.C_src.c)
-    (Covariance.average_variance s b.C_src.output)
+    v.Covariance.average
 
 let test_cov_closure () =
   let b = switched_rc ~t_over_rc:20.0 ~duty:0.25 () in
   let s = Covariance.sample b.C_src.sys in
-  if Covariance.closure_error s > 1e-20 then
-    Alcotest.failf "periodicity closure error %g" (Covariance.closure_error s)
+  let e = (Covariance.variance s b.C_src.output).Covariance.closure_error in
+  if e > 1e-20 then Alcotest.failf "periodicity closure error %g" e
 
 (* [n] periods of the affine map K -> Phi K Phiᵀ + Q from K = 0: the
    naive steady-state iteration the direct Lyapunov solves replace *)
@@ -135,15 +136,15 @@ let test_cov_lti_matches_continuous_lyapunov () =
   let k_ref = Lyapunov.solve_continuous ph.Pwl.a ph.Pwl.q in
   check_close ~eps:1e-9 "LTI limit"
     (Vec.dot out (Mat.mul_vec k_ref out))
-    (Covariance.variance_at_boundary s out)
+    (Covariance.variance s out).Covariance.boundary
 
 let test_cov_grid_kinds_agree () =
   let b = switched_rc () in
   let s1 = Covariance.sample ~grid:`Stretched b.C_src.sys in
   let s2 = Covariance.sample ~grid:`Uniform b.C_src.sys in
   check_close ~eps:1e-10 "grids agree on steady variance"
-    (Covariance.variance_at_boundary s1 b.C_src.output)
-    (Covariance.variance_at_boundary s2 b.C_src.output)
+    (Covariance.variance s1 b.C_src.output).Covariance.boundary
+    (Covariance.variance s2 b.C_src.output).Covariance.boundary
 
 let test_cov_period_map_stability () =
   let b = switched_rc () in
@@ -228,7 +229,21 @@ let test_engine_footprint () =
   Alcotest.(check bool)
     (Printf.sprintf "%d-state engine holds %d words of its own (< %d)" n own
        bound)
-    true (own < bound)
+    true (own < bound);
+  (* the sampled record itself, besides the circuit and the distinct
+     operators: one n×n matrix per grid point (the transitions), k0 and
+     Q, and no K(t_i) trace; one more n² covers headers and the grid *)
+  let held =
+    Obj.reachable_words (Obj.repr cov)
+    - Obj.reachable_words (Obj.repr cov.Covariance.sys)
+    - Obj.reachable_words (Obj.repr cov.Covariance.ops)
+  in
+  let cov_bound = (npts + 3) * n * n in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%d-state sample holds %d words besides its operators (< %d)" n held
+       cov_bound)
+    true (held < cov_bound)
 
 let test_psd_white_input_independence () =
   (* a plain RC PSD at DC must be 2kTR regardless of grid resolution *)

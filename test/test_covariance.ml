@@ -16,6 +16,7 @@ module LAD = Scnoise_circuits.Sc_ladder
 module LP = Scnoise_circuits.Sc_lowpass
 module RC = Scnoise_circuits.Switched_rc
 module SCI = Scnoise_circuits.Sc_integrator
+module Pool = Scnoise_par.Pool
 
 let rel_diff ~scale a b = Mat.max_abs_diff a b /. Float.max 1e-300 scale
 
@@ -23,15 +24,14 @@ let rel_diff ~scale a b = Mat.max_abs_diff a b /. Float.max 1e-300 scale
    [Oracle.covariance] --- *)
 
 let check_ks_against_oracle name s o =
-  Alcotest.(check int) (name ^ " grid points") (Array.length o.Covariance.ks)
-    (Array.length s.Covariance.ks);
+  let ks = Covariance.unroll s and kos = Covariance.unroll o in
+  Alcotest.(check int) (name ^ " grid points") (Array.length kos)
+    (Array.length ks);
   let worst = ref 0.0 in
   Array.iteri
     (fun i ko ->
-      worst :=
-        Float.max !worst
-          (rel_diff ~scale:(Mat.max_abs ko) s.Covariance.ks.(i) ko))
-    o.Covariance.ks;
+      worst := Float.max !worst (rel_diff ~scale:(Mat.max_abs ko) ks.(i) ko))
+    kos;
   if not (!worst <= 1e-10) then
     Alcotest.failf "%s: ks differ from the oracle by %.3e relative" name !worst
 
@@ -190,11 +190,107 @@ let test_equipartition_ladder100 () =
   let s = Covariance.sample ~samples_per_phase:48 sys in
   let scale = Mat.max_abs expected in
   let worst = ref 0.0 in
-  Array.iter
-    (fun k -> worst := Float.max !worst (rel_diff ~scale k expected))
-    s.Covariance.ks;
+  Covariance.iter_trace s (fun _ k ->
+      worst := Float.max !worst (rel_diff ~scale k expected));
   if not (!worst <= 1e-9) then
     Alcotest.failf "K(t_i) is %.3e off kT·C⁻¹ (relative)" !worst
+
+(* --- the streamed trace ---
+
+   [iter_trace] against the chain it replaces, stepped here over the
+   record's own operators with the allocating expression [propagate]
+   was before it wrote into buffers, bit for bit, on samples built at
+   one and at four jobs. *)
+
+let bits m = Array.map Int64.bits_of_float (Mat.data m)
+
+let propagate (d : Vanloan.t) k =
+  Mat.symmetrize
+    (Mat.add
+       (Mat.mul d.Vanloan.phi (Mat.mul k (Mat.transpose d.Vanloan.phi)))
+       d.Vanloan.qd)
+
+let check_stream_against_chain name s =
+  let k = ref s.Covariance.k0 and steps = ref 0 in
+  Covariance.iter_trace s (fun i ki ->
+      if i > 0 then
+        k := propagate s.Covariance.ops.(s.Covariance.interval_op.(i - 1)) !k;
+      if bits ki <> bits !k then
+        Alcotest.failf "%s: K(t_%d) differs from the propagate chain" name i;
+      steps := i);
+  Alcotest.(check int) (name ^ " intervals")
+    (Array.length s.Covariance.interval_op)
+    !steps
+
+let test_stream_vs_chain () =
+  let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 20))
+  and lp = LP.build LP.default
+  and sci = SCI.build SCI.default in
+  List.iter
+    (fun (name, sys, spp) ->
+      List.iter
+        (fun jobs ->
+          let pool = Pool.create ~jobs () in
+          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+          check_stream_against_chain
+            (Printf.sprintf "%s jobs=%d" name jobs)
+            (Covariance.sample ~samples_per_phase:spp ~pool sys))
+        [ 1; 4 ])
+    [
+      ("ladder n=40", lad.LAD.sys, 48);
+      ("sc_lowpass", lp.LP.sys, 96);
+      ("sc_integrator", sci.SCI.sys, 96);
+    ]
+
+(* The engine records the variance of its one unroll; a fresh
+   [Covariance.variance] of the same sample must give the same bits. *)
+let test_engine_variance () =
+  let sci = SCI.build SCI.default in
+  let s = Covariance.sample ~samples_per_phase:96 sci.SCI.sys in
+  let e = Psd.of_sampled s ~output:sci.SCI.output in
+  let v = Covariance.variance s sci.SCI.output and ve = Psd.variance e in
+  let fl x = Int64.bits_of_float x in
+  Alcotest.(check (array int64)) "trace"
+    (Array.map fl v.Covariance.trace)
+    (Array.map fl ve.Covariance.trace);
+  let summary (v : Covariance.variance) =
+    List.map fl
+      [ v.Covariance.boundary; v.Covariance.average; v.Covariance.closure_error ]
+  in
+  Alcotest.(check (list int64)) "boundary, average, closure" (summary v)
+    (summary ve)
+
+(* Words allocated directly in the major heap while [f] runs: every
+   [n×n] float matrix at n = 40 (1,600 words) goes there, while minor
+   collections only move words the counters also record as promoted. *)
+let direct_major_words f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  m1 -. m0 -. (p1 -. p0)
+
+(* A 40-state unroll allocates a fixed set of n×n buffers — two K
+   matrices, two work matrices and one transpose per distinct
+   operator — whether the grid has 24 or 96 samples per phase. *)
+let test_stream_allocation () =
+  let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
+  let n = lad.LAD.sys.Pwl.nstates in
+  let buffers spp =
+    let s = Covariance.sample ~samples_per_phase:spp lad.LAD.sys in
+    let w =
+      direct_major_words (fun () -> Covariance.iter_trace s (fun _ _ -> ()))
+    in
+    (Array.length s.Covariance.interval_op, Array.length s.Covariance.ops,
+     int_of_float (Float.round (w /. float_of_int (n * n))))
+  in
+  let i24, ops24, b24 = buffers 24 and i96, ops96, b96 = buffers 96 in
+  Printf.printf "spp 24: %d intervals, %d operators, %d n×n buffers\n" i24
+    ops24 b24;
+  Printf.printf "spp 96: %d intervals, %d operators, %d n×n buffers\n" i96
+    ops96 b96;
+  Alcotest.(check int) "same buffers at spp 24 and 96" b24 b96;
+  if b96 > 4 + ops96 then
+    Alcotest.failf "%d n×n buffers for %d operators" b96 ops96
 
 let () =
   Alcotest.run "covariance"
@@ -211,5 +307,14 @@ let () =
           Alcotest.test_case "chain k0 vs kron" `Quick test_chain_k0_vs_kron;
           Alcotest.test_case "equipartition ladder n=100" `Quick
             test_equipartition_ladder100;
+        ] );
+      ( "stream",
+        [
+          Alcotest.test_case "iter_trace == propagate chain, jobs 1 and 4"
+            `Quick test_stream_vs_chain;
+          Alcotest.test_case "engine variance == Covariance.variance" `Quick
+            test_engine_variance;
+          Alcotest.test_case "unroll buffers independent of grid size" `Quick
+            test_stream_allocation;
         ] );
     ]

@@ -915,6 +915,21 @@ let test_elementwise_bitwise () =
         (Mat.data (Mat.sub a b));
       check_bits "scale" (Array.init len (fun k -> -0.37 *. ad.(k)))
         (Mat.data (Mat.scale (-0.37) a));
+      let max_abs_diff x y =
+        let acc = ref 0.0 in
+        Array.iteri
+          (fun k v -> acc := max !acc (abs_float (v -. (Mat.data y).(k))))
+          (Mat.data x);
+        !acc
+      in
+      let a_nan =
+        Mat.init r c (fun i j ->
+            if i = 0 && j = 0 then Float.nan else ad.((i * c) + j))
+      in
+      check_bits "max_abs_diff"
+        [| max_abs_diff a b; max_abs_diff a_nan b; max_abs_diff b a_nan |]
+        [| Mat.max_abs_diff a b; Mat.max_abs_diff a_nan b;
+           Mat.max_abs_diff b a_nan |];
       let t = Mat.transpose a in
       Alcotest.(check (pair int int)) "transpose dims" (c, r)
         (Mat.rows t, Mat.cols t);
@@ -929,6 +944,74 @@ let test_elementwise_bitwise () =
              0.5 *. (sd.((i * r) + j) +. sd.((j * r) + i))))
         (Mat.data (Mat.symmetrize s)))
     [ (1, 1); (1, 7); (6, 1); (5, 5); (13, 8); (40, 40) ]
+
+(* [mul_into] writes the product's bits over whatever its output held,
+   and refuses an output that shares storage with an operand. *)
+let test_mul_into_bitwise () =
+  List.iter
+    (fun (m, p, n) ->
+      List.iter
+        (fun ka ->
+          let a = structured ka m p and b = structured `Holes p n in
+          let c = Mat.init m n (fun _ _ -> Float.nan) in
+          Mat.mul_into a b c;
+          check_bits
+            (Printf.sprintf "mul_into %dx%d * %dx%d" m p p n)
+            (Mat.data (Mat.mul a b)) (Mat.data c))
+        kinds)
+    [ (1, 1, 1); (3, 5, 7); (33, 20, 35); (40, 40, 40) ];
+  let a = structured `Dense 6 6 and b = structured `Dense 6 6 in
+  let rejects msg f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" msg
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "output aliases a" (fun () -> Mat.mul_into a b a);
+  rejects "output aliases b" (fun () -> Mat.mul_into a b b);
+  rejects "output aliases both" (fun () -> Mat.mul_into a a a);
+  rejects "output too small" (fun () -> Mat.mul_into a b (Mat.create 5 6));
+  (* empty matrices share one empty array, which is not an alias *)
+  Mat.mul_into (Mat.create 0 3) (Mat.create 3 0) (Mat.create 0 0)
+
+(* [propagate_into] against the expression [propagate] used to be —
+   two products, add, symmetrise — over stale buffers, and against
+   [propagate] itself. *)
+let test_propagate_into_bitwise () =
+  List.iter
+    (fun n ->
+      let d =
+        Vanloan.discretize ~a:(random_stable_mat n)
+          ~q:(Mat.symmetrize (structured `Dense n n))
+          ~tau:0.05
+      in
+      let k = Mat.symmetrize (structured `Holes n n) in
+      let reference =
+        Mat.symmetrize
+          (Mat.add
+             (Mat.mul d.Vanloan.phi (Mat.mul k (Mat.transpose d.Vanloan.phi)))
+             d.Vanloan.qd)
+      in
+      let stale () = Mat.init n n (fun _ _ -> Float.nan) in
+      let out = stale () in
+      Vanloan.propagate_into d
+        ~phi_t:(Mat.transpose d.Vanloan.phi)
+        ~work:(stale ()) ~work':(stale ()) k ~out;
+      let msg = Printf.sprintf "propagate_into n=%d" n in
+      check_bits msg (Mat.data reference) (Mat.data out);
+      check_bits (msg ^ " vs propagate") (Mat.data (Vanloan.propagate d k))
+        (Mat.data out))
+    [ 1; 2; 5; 13; 40 ];
+  let n = 4 in
+  let d =
+    Vanloan.discretize ~a:(random_stable_mat n) ~q:(Mat.identity n) ~tau:0.1
+  in
+  let work = Mat.create n n and work' = Mat.create n n in
+  match
+    Vanloan.propagate_into d ~phi_t:(Mat.transpose d.Vanloan.phi) ~work ~work'
+      (Mat.identity n) ~out:work'
+  with
+  | () -> Alcotest.fail "propagate_into accepted out = work'"
+  | exception Invalid_argument _ -> ()
 
 (* End to end: the 40-state ladder's whole covariance trace — every
    Van Loan step, product and solve above — is bitwise the same at
@@ -945,7 +1028,7 @@ let test_ladder_trace_jobs () =
     Array.concat
       (List.map Mat.data
          (s.Cov.k0 :: s.Cov.phi_period
-          :: (Array.to_list s.Cov.ks
+          :: (Array.to_list (Cov.unroll s)
              @ Array.to_list s.Cov.phis)))
   in
   check_bits "ladder n=40 covariance trace, jobs 1 vs 4" (trace 1) (trace 4)
@@ -1047,6 +1130,10 @@ let () =
             test_elementwise_bitwise;
           Alcotest.test_case "ladder n=40 trace, jobs 1 vs 4" `Quick
             test_ladder_trace_jobs;
+          Alcotest.test_case "mul_into == mul, aliased output rejected"
+            `Quick test_mul_into_bitwise;
+          Alcotest.test_case "propagate_into == propagate" `Quick
+            test_propagate_into_bitwise;
         ] );
       ( "vanloan",
         [

@@ -88,7 +88,7 @@ let prop_covariance_psd_matrix =
       let s = Covariance.sample ~samples_per_phase:24 sys in
       Array.for_all
         (fun k -> Chol.is_psd ~tol:1e-6 k)
-        s.Covariance.ks)
+        (Covariance.unroll s))
 
 let prop_solvers_agree =
   QCheck.Test.make ~count:40 ~name:"kron and doubling Lyapunov solvers agree"
@@ -101,9 +101,9 @@ let prop_solvers_agree =
 
 let prop_closure =
   QCheck.Test.make ~count:40 ~name:"periodicity closure" spec_arb (fun spec ->
-      let sys, _ = build spec in
+      let sys, output = build spec in
       let s = Covariance.sample ~samples_per_phase:24 sys in
-      Covariance.closure_error s
+      (Covariance.variance s output).Covariance.closure_error
       <= 1e-9 *. (1.0 +. Mat.max_abs s.Covariance.k0))
 
 let prop_psd_positive_even =
@@ -126,7 +126,8 @@ let prop_variance_trace_nonnegative =
     (fun spec ->
       let sys, output = build spec in
       let s = Covariance.sample ~samples_per_phase:24 sys in
-      Array.for_all (fun v -> v >= 0.0) (Covariance.variance_trace s output))
+      Array.for_all (fun v -> v >= 0.0)
+        (Covariance.variance s output).Covariance.trace)
 
 let prop_mft_matches_brute_force =
   QCheck.Test.make ~count:12 ~name:"MFT matches the brute-force transient"

@@ -222,8 +222,9 @@ let test_variance_contrib_parity () =
   with_server (fun addr _ ->
       let conn = connect addr in
       let sys, output = compiled_of deck_a in
-      (* variance: CLI calls Covariance.sample at spp then reads both
-         variances and the closure error *)
+      (* variance: the CLI runs Covariance.variance on
+         Covariance.sample at spp; the daemon reads what its engine
+         recorded from the same unroll *)
       let vr =
         result_of "variance"
           (rpc conn
@@ -235,7 +236,11 @@ let test_variance_contrib_parity () =
                   rq_op = Sp.Variance { v_spp = None };
                 }))
       in
-      let cov = Covariance.sample ~samples_per_phase:default_spp sys in
+      let v =
+        Covariance.variance
+          (Covariance.sample ~samples_per_phase:default_spp sys)
+          output
+      in
       check_bits "variance"
         [|
           num_of "variance" vr "boundary_V2";
@@ -243,9 +248,9 @@ let test_variance_contrib_parity () =
           num_of "variance" vr "closure_error";
         |]
         [|
-          Covariance.variance_at_boundary cov output;
-          Covariance.average_variance cov output;
-          Covariance.closure_error cov;
+          v.Covariance.boundary;
+          v.Covariance.average;
+          v.Covariance.closure_error;
         |];
       (* contrib at an explicit frequency *)
       let cr =
