@@ -483,14 +483,14 @@ let exp_t4 () =
   let b = BP.build BP.default in
   let sys = b.BP.sys in
   let phi, q = Covariance.period_map ~samples_per_phase:64 sys in
-  let k_ref = Scnoise_linalg.Lyapunov.solve_discrete_kron phi q in
+  let k_ref = Kron.solve_discrete phi q in
   let open Bechamel in
   let results =
     time_per_run_ns
       [
         Test.make ~name:"kron"
           (Staged.stage (fun () ->
-               ignore (Scnoise_linalg.Lyapunov.solve_discrete_kron phi q)));
+               ignore (Kron.solve_discrete phi q)));
         Test.make ~name:"doubling"
           (Staged.stage (fun () ->
                ignore (Scnoise_linalg.Lyapunov.solve_discrete_doubling phi q)));

@@ -26,6 +26,7 @@ module Mc = Scnoise_noise.Monte_carlo
 module Table = Scnoise_util.Table
 module Db = Scnoise_util.Db
 module Cx = Scnoise_linalg.Cx
+module Lyapunov = Scnoise_linalg.Lyapunov
 module SRC = Scnoise_circuits.Switched_rc
 module LP = Scnoise_circuits.Sc_lowpass
 module BP = Scnoise_circuits.Sc_bandpass
@@ -301,7 +302,7 @@ let f0_arg =
   Arg.(value & opt float 8e3 & info [ "f0" ] ~doc)
 
 let q_arg =
-  let doc = "Quality factor (bandpass, <= 2.5)." in
+  let doc = "Quality factor (bandpass; must give a stable circuit)." in
   Arg.(value & opt float 2.0 & info [ "q" ] ~doc)
 
 let spp_arg =
@@ -330,6 +331,13 @@ let with_circuit f name target duty t_over_rc f0 q stages =
         (fun fi -> Printf.eprintf "scnoise: %s\n" (Finding.to_string fi))
         (Check.ill_conditioned ~since:baseline);
       code
+
+(* Run [f] only on a circuit with a periodic steady state: the daemon's
+   Floquet check, then the steady-state solve's refusal as a fallback. *)
+let steady picked f =
+  let refuse why = Printf.eprintf "scnoise: %s%s\n" Front.unstable why; 2 in
+  if not (Front.stable picked.sys) then refuse ""
+  else try f () with Lyapunov.Not_stable why -> refuse (" (" ^ why ^ ")")
 
 (* ---- list ---- *)
 
@@ -504,11 +512,7 @@ let psd_cmd =
       Front.psd ?engine ?fmin ?fmax ?points ~log ?spp picked.directives
     in
     let spp = r.Front.spp in
-    if not (Pwl.is_stable picked.sys) then begin
-      Printf.eprintf "scnoise: circuit is not stable; no steady-state noise\n";
-      2
-    end
-    else begin
+    steady picked @@ fun () ->
       let freqs = Front.psd_freqs r in
       Printf.printf "# %s, engine = %s\n" picked.label r.Front.engine;
       let values =
@@ -566,7 +570,6 @@ let psd_cmd =
               ~y_label:"psd_dB" freqs dbs
           end;
           0
-    end
   in
   let d = Front.psd_defaults in
   let engine_arg =
@@ -633,25 +636,20 @@ let psd_cmd =
 
 let variance_cmd =
   let run spp picked =
-    if not (Pwl.is_stable picked.sys) then begin
-      Printf.eprintf "scnoise: circuit is not stable\n";
-      2
-    end
-    else begin
-      let cov =
-        Covariance.sample ~samples_per_phase:(Front.spp spp) picked.sys
-      in
-      let v = Covariance.variance cov picked.output in
-      let vb = v.Covariance.boundary and va = v.Covariance.average in
-      Printf.printf "%s\n" picked.label;
-      Printf.printf "variance at period boundary: %.6g V^2 (%.4g uV rms)\n" vb
-        (1e6 *. sqrt vb);
-      Printf.printf "time-averaged variance:      %.6g V^2 (%.4g uV rms)\n" va
-        (1e6 *. sqrt va);
-      Printf.printf "periodicity closure error:   %.3g\n"
-        v.Covariance.closure_error;
-      0
-    end
+    steady picked @@ fun () ->
+    let cov =
+      Covariance.sample ~samples_per_phase:(Front.spp spp) picked.sys
+    in
+    let v = Covariance.variance cov picked.output in
+    let vb = v.Covariance.boundary and va = v.Covariance.average in
+    Printf.printf "%s\n" picked.label;
+    Printf.printf "variance at period boundary: %.6g V^2 (%.4g uV rms)\n" vb
+      (1e6 *. sqrt vb);
+    Printf.printf "time-averaged variance:      %.6g V^2 (%.4g uV rms)\n" va
+      (1e6 *. sqrt va);
+    Printf.printf "periodicity closure error:   %.3g\n"
+      v.Covariance.closure_error;
+    0
   in
   let doc = "Steady-state output noise variance." in
   Cmd.v
@@ -670,27 +668,22 @@ let contrib_cmd =
   let run f spp picked =
     let r = Front.contrib ?f ?spp picked.directives in
     let f = r.Front.f in
-    if not (Pwl.is_stable picked.sys) then begin
-      Printf.eprintf "scnoise: circuit is not stable\n";
-      2
-    end
-    else begin
-      Printf.printf "%s, f = %g Hz\n" picked.label f;
-      let parts =
-        Contrib.per_source_psd ~samples_per_phase:r.Front.spp picked.sys
-          ~output:picked.output ~f
-      in
-      let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 parts in
-      let t = Table.create [ "source"; "psd_V2_per_Hz"; "share_%" ] in
-      List.iter
-        (fun (label, s) ->
-          Table.add_float_row t ~precision:4 label
-            [ s; (if total > 0.0 then 100.0 *. s /. total else 0.0) ])
-        (List.sort (fun (_, a) (_, b) -> compare b a) parts);
-      Table.print t;
-      Printf.printf "total: %.5g V^2/Hz (%.2f dB)\n" total (Db.of_power total);
-      0
-    end
+    steady picked @@ fun () ->
+    Printf.printf "%s, f = %g Hz\n" picked.label f;
+    let parts =
+      Contrib.per_source_psd ~samples_per_phase:r.Front.spp picked.sys
+        ~output:picked.output ~f
+    in
+    let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 parts in
+    let t = Table.create [ "source"; "psd_V2_per_Hz"; "share_%" ] in
+    List.iter
+      (fun (label, s) ->
+        Table.add_float_row t ~precision:4 label
+          [ s; (if total > 0.0 then 100.0 *. s /. total else 0.0) ])
+      (List.sort (fun (_, a) (_, b) -> compare b a) parts);
+    Table.print t;
+    Printf.printf "total: %.5g V^2/Hz (%.2f dB)\n" total (Db.of_power total);
+    0
   in
   let f_arg =
     let doc =
@@ -723,6 +716,7 @@ let transfer_cmd =
       2
     end
     else begin
+      steady picked @@ fun () ->
       let module Transfer = Scnoise_core.Transfer in
       let tr =
         Transfer.prepare ~samples_per_phase:r.Front.spp picked.sys

@@ -33,15 +33,23 @@ val default : params
     2e-16 V^2/Hz) with a large [ugf] standing in for the paper's
     infinite-bandwidth op-amps. *)
 
+val coefficients :
+  ?ci:float -> ?r_switch:float -> ?ugf:float -> ?opamp_noise_psd:float ->
+  clock_hz:float -> f0:float -> q:float -> unit -> params
+(** The design equations of {!design} without its stability check:
+    [cin = cc12 = cc21 = k ci], [cd = k ci / q], [k = 2 pi f0 / clock_hz]. *)
+
 val design :
   ?ci:float -> ?r_switch:float -> ?ugf:float -> ?opamp_noise_psd:float ->
   clock_hz:float -> f0:float -> q:float -> unit -> params
 (** Choose coupling/damping caps for a requested centre frequency and
     quality factor.  The single-delay loop timing of this topology adds
-    excess phase, so designs are limited to [q <= 2.5] (higher values
-    raise [Invalid_argument]); the design equations are first-order in
-    [w0 T], and the effective noise-resonance width is set by the Floquet
-    radius rather than the nominal [q]. *)
+    excess phase that grows with [f0] and [q], so [design] builds the
+    circuit and raises [Invalid_argument] unless its Floquet radius is
+    below 1 (at a 128 kHz clock: [f0] up to 10 kHz at [q = 2], 8 kHz at
+    [q = 2.5]).  The design equations are first-order in [w0 T], and the
+    effective noise-resonance width is set by the Floquet radius rather
+    than the nominal [q]. *)
 
 type built = {
   sys : Scnoise_circuit.Pwl.t;

@@ -134,26 +134,6 @@ let discretized_grid ?(samples_per_phase = default_samples_per_phase)
     g_disc = Array.map (fun op -> g_ops.(op)) g_op;
   }
 
-(* [run_map d len] is [len] applications of the affine map
-   X ↦ Phi X Phiᵀ + Qd, composed by binary doubling in O(log len)
-   products, exactly like the steady-state solver's iteration. *)
-let run_map (d : Vanloan.t) len =
-  let after (b : Vanloan.t) (a : Vanloan.t) =
-    { Vanloan.phi = Mat.mul b.Vanloan.phi a.Vanloan.phi;
-      qd = Vanloan.propagate b a.Vanloan.qd }
-  in
-  let n = Mat.rows d.Vanloan.phi in
-  let acc = ref None and base = ref d and len = ref len in
-  while !len > 0 do
-    if !len land 1 = 1 then
-      acc := Some (match !acc with None -> !base | Some a -> after !base a);
-    len := !len asr 1;
-    if !len > 0 then base := after !base !base
-  done;
-  match !acc with
-  | None -> { Vanloan.phi = Mat.identity n; qd = Mat.create n n }
-  | Some a -> a
-
 (* Runs shorter than this step one interval at a time: doubling saves
    no products on them. *)
 let run_min = 5
@@ -179,7 +159,7 @@ let period_noise g n =
       incr len
     done;
     let d = g.g_ops.(op) in
-    if !len >= run_min then q := Vanloan.propagate (run_map d !len) !q
+    if !len >= run_min then q := Vanloan.propagate (Vanloan.repeat d !len) !q
     else
       for _ = 1 to !len do
         q := Vanloan.propagate d !q
@@ -194,25 +174,9 @@ let period_map ?samples_per_phase ?grid ?pool sys =
   let phis = transitions g n in
   (phis.(Array.length phis - 1), period_noise g n)
 
-(* State count below which the O(n^6) Kron solve is still instant and
-   serves as the exact reference; above it the O(n^3 log) doubling
-   iteration runs, with Kron kept as a fallback for marginal
-   monodromies while it stays affordable. *)
-let auto_solver_threshold = 12
-
-let kron_fallback_cap = 64
-
-let solve_steady phi q =
-  let n = Mat.rows q in
-  if n > auto_solver_threshold then (
-    try Lyapunov.solve_discrete_doubling phi q
-    with Lyapunov.Not_stable _ when n <= kron_fallback_cap ->
-      Lyapunov.solve_discrete_kron phi q)
-  else Lyapunov.solve_discrete_kron phi q
-
 let periodic_initial ?samples_per_phase ?pool sys =
   let phi, q = period_map ?samples_per_phase ?pool sys in
-  solve_steady phi q
+  Lyapunov.solve_discrete_doubling phi q
 
 (* One period of the recurrence: chain the transitions, fold the
    period's process noise run by run and solve the discrete Lyapunov
@@ -226,7 +190,7 @@ let sample ?samples_per_phase ?grid ?pool sys =
       let phis = transitions g n in
       let phi_period = phis.(Array.length phis - 1) in
       let q_period = period_noise g n in
-      let k0 = solve_steady phi_period q_period in
+      let k0 = Lyapunov.solve_discrete_doubling phi_period q_period in
       Log.debug (fun m ->
           m "sampling done: %d states, %d grid points over one period" n
             (Array.length phis));

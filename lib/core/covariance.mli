@@ -13,7 +13,9 @@
     augmented exponential, memoised per distinct (phase, step) pair, so
     a stretched grid of ~2x96 intervals builds a dozen or so operators.
     The period's process noise folds each run of one operator by binary
-    doubling ({!run_map}).
+    doubling ({!Scnoise_linalg.Vanloan.repeat}), and the steady state
+    squares the period map the same way until it converges
+    ({!Scnoise_linalg.Lyapunov.solve_discrete_doubling}).
 
     The trace [K(t_i)] is never stored: the method reads it only
     through the PSD forcing [K(t_i) c] and the output variance
@@ -77,11 +79,6 @@ val discretized_grid :
     discretisations are independent and run across [pool] (default:
     the shared pool) with bit-identical results at any job count. *)
 
-val run_map : Scnoise_linalg.Vanloan.t -> int -> Scnoise_linalg.Vanloan.t
-(** [run_map d len] is [len] consecutive applications of the affine map
-    [K ↦ Phi K Phiᵀ + Qd], composed by binary doubling in [O(log len)]
-    products; [len = 0] gives the identity map. *)
-
 val period_map :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> Mat.t * Mat.t
@@ -92,15 +89,19 @@ val period_map :
 val periodic_initial :
   ?samples_per_phase:int -> ?pool:Scnoise_par.Pool.t -> Pwl.t -> Mat.t
 (** Steady-state covariance at the period boundary: the fixed point of
-    {!period_map}, by the exact Kron solve on small systems and by
-    doubling on larger ones. *)
+    {!period_map}, found by squaring the period map
+    ({!Scnoise_linalg.Lyapunov.solve_discrete_doubling}) at every state
+    count.  Raises {!Scnoise_linalg.Lyapunov.Not_stable} when the
+    monodromy's spectral radius is not below 1. *)
 
 val sample :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> sampled
 (** The periodic covariance over one period: the steady state [k0], the
     per-interval operators its trace unrolls over, and the transition
-    matrices needed by the PSD engine. *)
+    matrices needed by the PSD engine.  Raises
+    {!Scnoise_linalg.Lyapunov.Not_stable} on an unstable circuit, which
+    has no steady state. *)
 
 val iter_trace : sampled -> (int -> Mat.t -> unit) -> unit
 (** [iter_trace s f] calls [f i k] with [k = K(t_i)] for [i = 0 .. N]

@@ -22,7 +22,7 @@ let make ~ad ~bd ~c ~period =
   { ad; bd; c; period }
 
 let state_covariance t =
-  Lyapunov.solve_discrete t.ad (Mat.mul t.bd (Mat.transpose t.bd))
+  Lyapunov.solve_discrete_doubling t.ad (Mat.mul t.bd (Mat.transpose t.bd))
 
 let variance t =
   let k = state_covariance t in

@@ -28,8 +28,9 @@ type t = {
 val make : ad:Mat.t -> bd:Mat.t -> c:Vec.t -> period:float -> t
 (** Validates dimensions and stability requirements are NOT checked here
     (marginal systems are permitted for transfer-function work); the
-    variance/spectrum functions raise {!Scnoise_linalg.Lyapunov.Not_stable}
-    or [Lu.Singular] when the system has no stationary state. *)
+    variance functions raise {!Scnoise_linalg.Lyapunov.Not_stable} when
+    the system has no stationary state, the spectra [Clu.Singular] at a
+    pole on the unit circle. *)
 
 val variance : t -> float
 (** Stationary output-sample variance [cᵀ K c]. *)

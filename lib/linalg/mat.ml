@@ -293,10 +293,16 @@ let norm_inf m =
 let norm_fro m =
   sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.d)
 
-let max_abs m = Array.fold_left (fun acc x -> max acc (abs_float x)) 0.0 m.d
-
 (* [Stdlib.max !best x], written out: the polymorphic call boxes every
    float it is passed *)
+let max_abs m =
+  let best = ref 0.0 in
+  for k = 0 to Array.length m.d - 1 do
+    let x = abs_float m.d.(k) in
+    if not (!best >= x) then best := x
+  done;
+  !best
+
 let max_abs_diff a b =
   same_dims a b "max_abs_diff";
   let best = ref 0.0 in

@@ -76,6 +76,24 @@ let propagate d k =
     ~work':(Mat.create n n) k ~out;
   out
 
+(* [compose b a] is the map [a] followed by [b]. *)
+let compose b a = { phi = Mat.mul b.phi a.phi; qd = propagate b a.qd }
+
+(* Binary powering: O(log len) compositions. *)
+let repeat d len =
+  let acc = ref None and base = ref d and len = ref len in
+  while !len > 0 do
+    if !len land 1 = 1 then
+      acc := Some (match !acc with None -> !base | Some a -> compose !base a);
+    len := !len asr 1;
+    if !len > 0 then base := compose !base !base
+  done;
+  match !acc with
+  | None ->
+      let n = Mat.rows d.phi in
+      { phi = Mat.identity n; qd = Mat.create n n }
+  | Some a -> a
+
 (* Stiffness threshold on [norm(A) tau] below which the augmented form is
    numerically safe. *)
 let stiff_threshold = 20.0
@@ -89,31 +107,13 @@ let discretize ~a ~q ~tau =
   let stiffness = Mat.norm_inf a *. tau in
   if stiffness <= stiff_threshold then discretize_augmented ~a ~q ~tau
   else begin
-    (* For a stable stiff phase, use the exact stationary form:
-       K(tau) = Phi K(0) Phiᵀ + (Kinf - Phi Kinf Phiᵀ) with
-       A Kinf + Kinf Aᵀ + Q = 0 — only decaying exponentials appear. *)
-    match Lyapunov.solve_continuous a q with
-    | k_inf ->
-        let phi = Expm.expm_scaled a tau in
-        let qd =
-          Mat.symmetrize
-            (Mat.sub k_inf (Mat.mul phi (Mat.mul k_inf (Mat.transpose phi))))
-        in
-        { phi; qd }
-    | exception Lu.Singular _ ->
-        (* Lossless/marginal modes: fall back to composing short
-           augmented steps, each within the safe stiffness range. *)
-        let chunks =
-          int_of_float (ceil (stiffness /. stiff_threshold))
-        in
-        let h = tau /. float_of_int chunks in
-        let step = discretize_augmented ~a ~q ~tau:h in
-        let phi = ref (Mat.identity n) and qd = ref (Mat.create n n) in
-        for _ = 1 to chunks do
-          phi := Mat.mul step.phi !phi;
-          qd := propagate step !qd
-        done;
-        { phi = !phi; qd = !qd }
+    (* Stiff: [chunks] equal sub-steps, each with [norm(A) h] at most
+       [stiff_threshold], so every augmented exponential stays in its
+       safe range; they are composed by binary powering.  No Lyapunov
+       solve is needed, so a singular or lossless [a] takes this path
+       too. *)
+    let chunks = int_of_float (ceil (stiffness /. stiff_threshold)) in
+    repeat (discretize_augmented ~a ~q ~tau:(tau /. float_of_int chunks)) chunks
   end
 
 let discretize_b ~a ~b ~tau =

@@ -1,4 +1,5 @@
-(** Van Loan (1978) discretisation of an LTI stochastic system.
+(** Van Loan (1978) discretisation of an LTI stochastic system, and the
+    affine covariance maps it yields.
 
     Given [dx = A x dt + B dW] with constant [A], [B] over an interval of
     length [tau], computes exactly (to rounding):
@@ -9,7 +10,9 @@
 
     via the matrix exponential of the augmented block matrix
     [[-A, B Bᵀ; 0, Aᵀ] tau].  The covariance propagates across the
-    interval as [K(tau) = Phi K(0) Phiᵀ + Qd]. *)
+    interval as [K(tau) = Phi K(0) Phiᵀ + Qd].  One binary powering of
+    that affine map ({!repeat}) serves stiff intervals, runs of grid
+    intervals and, in {!Lyapunov}, the map's fixed point. *)
 
 type t = { phi : Mat.t; qd : Mat.t }
 
@@ -17,19 +20,19 @@ val discretize : a:Mat.t -> q:Mat.t -> tau:float -> t
 (** [discretize ~a ~q ~tau] with [q = B Bᵀ] (PSD intensity matrix).
     [tau >= 0] required; [tau = 0] gives [phi = I], [qd = 0].
 
-    Numerically robust for stiff phases: when [norm(a) * tau] is large,
-    the augmented exponential would overflow through its [e^{-A tau}]
-    block, so the implementation switches to the exact stationary form
-    [qd = Kinf - phi Kinf phiᵀ] (continuous Lyapunov solve), with a
-    chunked-composition fallback for marginally stable [a]. *)
+    Stiff phases: when [norm(a) * tau] exceeds {!stiff_threshold} the
+    augmented exponential would overflow through its [e^{-A tau}] block,
+    so it is taken at [tau / c], [c = ceil (norm(a) tau / stiff_threshold)],
+    and {!repeat} composes [c] of it.  This holds for any [a], singular
+    or lossless included. *)
 
 val augmented : a:Mat.t -> q:Mat.t -> tau:float -> Mat.t
 (** The augmented matrix [[-A, Q; 0, Aᵀ] tau] whose exponential the
     non-stiff branch of {!discretize} takes. *)
 
 val stiff_threshold : float
-(** The [norm(a) * tau] value above which {!discretize} leaves the
-    augmented-exponential path (20). *)
+(** The [norm(a) * tau] value above which {!discretize} composes
+    sub-steps instead of taking one augmented exponential (20). *)
 
 val discretize_b : a:Mat.t -> b:Mat.t -> tau:float -> t
 (** Convenience wrapper forming [q = b bᵀ] first. *)
@@ -48,3 +51,10 @@ val propagate_into :
     Raises [Invalid_argument] on mismatched dimensions or when [out],
     [work] and [work'] share storage with each other, [k], [phi_t],
     [d.phi] or [d.qd] where a read would see a write. *)
+
+val repeat : t -> int -> t
+(** [repeat d len] is [len] consecutive applications of the affine map
+    [K ↦ phi K phiᵀ + qd], composed by binary powering in [O(log len)]
+    compositions [{phi = b.phi a.phi; qd = propagate b a.qd}];
+    [len = 0] gives the identity map and [len = 1] returns [d]
+    itself. *)

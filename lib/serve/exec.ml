@@ -29,6 +29,7 @@ module Canon = Scnoise_lang.Canon
 module Check = Scnoise_check.Check
 module Finding = Scnoise_check.Finding
 module Pwl = Scnoise_circuit.Pwl
+module Lyapunov = Scnoise_linalg.Lyapunov
 module Psd = Scnoise_core.Psd
 module Covariance = Scnoise_core.Covariance
 module Contrib = Scnoise_core.Contrib
@@ -103,7 +104,7 @@ let prepared_entry t ~name (loaded : Deck.loaded) hash =
       let p =
         {
           pr_circuit = c;
-          pr_stable = Pwl.is_stable c.Front.sys;
+          pr_stable = Front.stable c.Front.sys;
           pr_engines = [];
         }
       in
@@ -124,9 +125,7 @@ let engine p spp =
       p.pr_engines <- (spp, e) :: p.pr_engines;
       (e, false)
 
-let require_stable p =
-  if not p.pr_stable then
-    err "unstable" "circuit is not stable; no steady-state noise"
+let require_stable p = if not p.pr_stable then err "unstable" "%s" Front.unstable
 
 let fstr x = Printf.sprintf "%.17g" x
 
@@ -237,6 +236,7 @@ let run_transfer t p hash directives (q : P.transfer_params) =
         string_of_int spp ]
   in
   cached t key (fun () ->
+      require_stable p;
       let eng, prepared = engine p spp in
       let tr = Transfer.of_psd eng in
       let freqs = Front.transfer_freqs r in
@@ -420,15 +420,19 @@ let handle_request t rq =
       Obs.hist_record h_request elapsed_s;
       P.ok_reply ?id:rq.P.rq_id ~op:(P.op_name rq.P.rq_op) ?cache ~elapsed_s
         result
-  | exception Err (code, message) ->
-      Obs.incr c_errors;
-      t.failed <- t.failed + 1;
-      P.error_reply ?id:rq.P.rq_id ~code message
   | exception exn ->
       (* the daemon must survive anything a request throws *)
       Obs.incr c_errors;
       t.failed <- t.failed + 1;
-      P.error_reply ?id:rq.P.rq_id ~code:"internal" (Printexc.to_string exn)
+      let code, message =
+        match exn with
+        | Err (code, message) -> (code, message)
+        | Lyapunov.Not_stable why ->
+            (* the steady-state solve's fallback to {!require_stable} *)
+            ("unstable", Front.unstable ^ ": " ^ why)
+        | exn -> ("internal", Printexc.to_string exn)
+      in
+      P.error_reply ?id:rq.P.rq_id ~code message
 
 let locked t f =
   Mutex.lock t.mutex;

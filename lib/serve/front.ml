@@ -82,6 +82,12 @@ let gate ~name l = Result.bind (erc l) (fun () -> compile ~name l)
 
 let directives (l : Deck.loaded) = List.map fst l.Deck.elab.Elab.analyses
 
+(* ---- stability ---- *)
+
+let stable sys = Pwl.is_stable sys
+
+let unstable = "circuit is not stable; no steady-state noise"
+
 (* ---- request resolution ---- *)
 
 type psd = {

@@ -50,6 +50,17 @@ val compile :
 val gate : name:string -> Scnoise_lang.Deck.loaded -> (circuit, error) result
 (** {!erc}, then {!compile}. *)
 
+(** {1 Stability} *)
+
+val stable : Scnoise_circuit.Pwl.t -> bool
+(** {!Scnoise_circuit.Pwl.is_stable}: the verdict both front ends ask
+    before psd, variance, contrib and transfer.  The steady-state
+    solve's {!Scnoise_linalg.Lyapunov.Not_stable} is only a fallback:
+    it misses a mode that no noise source reaches. *)
+
+val unstable : string
+(** The refusal both front ends report. *)
+
 (** {1 Request resolution} *)
 
 val directives : Scnoise_lang.Deck.loaded -> Scnoise_lang.Elab.analysis list

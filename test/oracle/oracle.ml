@@ -4,7 +4,6 @@
 
 module Mat = Scnoise_linalg.Mat
 module Vanloan = Scnoise_linalg.Vanloan
-module Lyapunov = Scnoise_linalg.Lyapunov
 module Pwl = Scnoise_circuit.Pwl
 module Covariance = Scnoise_core.Covariance
 module Phase_grid = Scnoise_core.Phase_grid
@@ -59,7 +58,7 @@ let covariance_grid ~samples_per_phase (sys : Pwl.t) =
    at a time and the fixed point by [steady] (default: the Kron solve).
    The record's operators are the per-interval ones, so its trace
    unrolls over them, one operator per interval. *)
-let covariance ?(steady = Lyapunov.solve_discrete_kron) ~samples_per_phase
+let covariance ?(steady = Kron.solve_discrete) ~samples_per_phase
     (sys : Pwl.t) =
   let n = sys.Pwl.nstates in
   let times, steps = covariance_grid ~samples_per_phase sys in

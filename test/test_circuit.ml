@@ -1,6 +1,5 @@
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
-module Lyapunov = Scnoise_linalg.Lyapunov
 module Const = Scnoise_util.Const
 module Clock = Scnoise_circuit.Clock
 module Netlist = Scnoise_circuit.Netlist
@@ -187,7 +186,7 @@ let test_compile_rc_kt_over_c () =
   let r = 50.0 and c = 3e-12 in
   let sys = build_rc r c in
   let ph = sys.Pwl.phases.(0) in
-  let k = Lyapunov.solve_continuous ph.Pwl.a ph.Pwl.q in
+  let k = Kron.solve_continuous ph.Pwl.a ph.Pwl.q in
   check_close ~eps:1e-9 "kT/C" (Const.kt () /. c) (Mat.get k 0 0)
 
 let test_compile_divider_elimination () =
@@ -209,7 +208,7 @@ let test_compile_divider_elimination () =
   check_close ~eps:1e-12 "A = -1/((R1+R2)C)"
     (-1.0 /. ((r1 +. r2) *. c))
     (Mat.get ph.Pwl.a 0 0);
-  let k = Lyapunov.solve_continuous ph.Pwl.a ph.Pwl.q in
+  let k = Kron.solve_continuous ph.Pwl.a ph.Pwl.q in
   check_close ~eps:1e-9 "kT/C through elimination" (Const.kt () /. c)
     (Mat.get k 0 0)
 

@@ -297,13 +297,19 @@ let test_bp_design_f0_moves_peak () =
     Array.iteri (fun i v -> if v > s.(!imax) then imax := i) s;
     freqs.(!imax)
   in
-  let p4 = probe 4e3 and p12 = probe 12e3 in
-  if p12 <= p4 then Alcotest.fail "peak should track the design frequency"
+  (* 10 kHz is the highest accepted design on this grid at q = 2
+     (Floquet radius 0.998) *)
+  let p4 = probe 4e3 and p10 = probe 10e3 in
+  if p10 <= p4 then Alcotest.fail "peak should track the design frequency"
 
 let test_bp_design_validation () =
-  match BP.design ~clock_hz:128e3 ~f0:64e3 ~q:2.0 () with
+  (match BP.design ~clock_hz:128e3 ~f0:64e3 ~q:2.0 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "f0 too close to clock accepted"
+  | _ -> Alcotest.fail "f0 too close to clock accepted");
+  (* a moderate q, but the Floquet radius is 1.026 *)
+  match BP.design ~clock_hz:128e3 ~f0:12e3 ~q:2.0 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unstable 12 kHz, q = 2 design accepted"
 
 (* --- delta-sigma loop filter --- *)
 

@@ -122,7 +122,7 @@ let iterate_steady phi q n =
 let test_cov_solvers_agree () =
   let b = switched_rc () in
   let phi, q = Covariance.period_map b.C_src.sys in
-  let k1 = Lyapunov.solve_discrete_kron phi q in
+  let k1 = Kron.solve_discrete phi q in
   let k2 = Lyapunov.solve_discrete_doubling phi q in
   let k3 = iterate_steady phi q 400 in
   if Mat.max_abs_diff k1 k2 > 1e-14 then Alcotest.fail "kron vs doubling";
@@ -133,7 +133,7 @@ let test_cov_lti_matches_continuous_lyapunov () =
   let sys, out = plain_rc 1e3 1e-9 in
   let s = Covariance.sample sys in
   let ph = sys.Pwl.phases.(0) in
-  let k_ref = Lyapunov.solve_continuous ph.Pwl.a ph.Pwl.q in
+  let k_ref = Kron.solve_continuous ph.Pwl.a ph.Pwl.q in
   check_close ~eps:1e-9 "LTI limit"
     (Vec.dot out (Mat.mul_vec k_ref out))
     (Covariance.variance s out).Covariance.boundary
@@ -315,7 +315,7 @@ let test_contrib_restrict_empty () =
 let test_iterate_solver_converges_with_periods () =
   let b = switched_rc () in
   let phi, q = Covariance.period_map b.C_src.sys in
-  let exact = Lyapunov.solve_discrete_kron phi q in
+  let exact = Kron.solve_discrete phi q in
   let err n = Mat.max_abs_diff exact (iterate_steady phi q n) in
   let e1 = err 2 and e2 = err 8 in
   if e2 >= e1 then Alcotest.fail "iterate solver should improve with periods"

@@ -6,7 +6,6 @@ module Cvec = Scnoise_linalg.Cvec
 module Cmat = Scnoise_linalg.Cmat
 module Clu = Scnoise_linalg.Clu
 module Expm = Scnoise_linalg.Expm
-module Kron = Scnoise_linalg.Kron
 module Lyapunov = Scnoise_linalg.Lyapunov
 module Vanloan = Scnoise_linalg.Vanloan
 module Eig = Scnoise_linalg.Eig
@@ -175,6 +174,21 @@ let test_lu_solve_mat_alloc () =
     Alcotest.failf "solve_mat allocated %.0f minor words besides its result"
       words;
   check_mat_close ~eps:1e-9 "A X = B" b (Mat.mul a x)
+
+(* The reductions box nothing per entry: at n = 100 a boxing
+   [Stdlib.max] would allocate 40,000 words per call. *)
+let test_max_abs_alloc () =
+  without_sanitizer @@ fun () ->
+  let a = random_mat 100 and b = random_mat 100 in
+  ignore (Mat.max_abs a +. Mat.max_abs_diff a b);
+  let w0 = Gc.minor_words () in
+  let x = Mat.max_abs a in
+  let y = Mat.max_abs_diff a b in
+  let words = Gc.minor_words () -. w0 in
+  if words > 8.0 then
+    Alcotest.failf "max_abs and max_abs_diff allocated %.0f minor words"
+      words;
+  if not (x > 0.0 && y > 0.0) then Alcotest.fail "max_abs of a random matrix"
 
 let test_lu_rcond () =
   let good = Mat.identity 3 in
@@ -468,14 +482,14 @@ let test_eig_companion () =
 
 let test_lyap_continuous_scalar () =
   let a = mat_of [ [ -2.0 ] ] and q = mat_of [ [ 4.0 ] ] in
-  let x = Lyapunov.solve_continuous a q in
+  let x = Kron.solve_continuous a q in
   check_close "scalar lyap" 1.0 (Mat.get x 0 0)
 
 let test_lyap_continuous_residual () =
   let a = random_stable_mat 5 in
   let b = random_mat 5 in
   let q = Mat.mul b (Mat.transpose b) in
-  let x = Lyapunov.solve_continuous a q in
+  let x = Kron.solve_continuous a q in
   let resid =
     Mat.add (Mat.add (Mat.mul a x) (Mat.mul x (Mat.transpose a))) q
   in
@@ -486,7 +500,7 @@ let test_lyap_discrete_kron_vs_doubling () =
   let phi = Mat.scale 0.4 (random_mat 5) in
   let b = random_mat 5 in
   let q = Mat.mul b (Mat.transpose b) in
-  let x1 = Lyapunov.solve_discrete_kron phi q in
+  let x1 = Kron.solve_discrete phi q in
   let x2 = Lyapunov.solve_discrete_doubling phi q in
   check_mat_close ~eps:1e-10 "kron vs doubling" x1 x2;
   check_close ~eps:1e-9 "residual kron" 0.0
@@ -540,15 +554,15 @@ let test_vanloan_stationary_limit () =
   let a = random_stable_mat 4 in
   let b = random_mat 4 in
   let q = Mat.mul b (Mat.transpose b) in
-  let k_inf = Lyapunov.solve_continuous a q in
+  let k_inf = Kron.solve_continuous a q in
   let d = Vanloan.discretize ~a ~q ~tau:0.7 in
-  let k_dis = Lyapunov.solve_discrete_kron d.Vanloan.phi d.Vanloan.qd in
+  let k_dis = Kron.solve_discrete d.Vanloan.phi d.Vanloan.qd in
   check_mat_close ~eps:1e-7 "continuous vs discrete steady state" k_inf k_dis
 
 let test_vanloan_stiff_path_matches_chunked () =
-  (* above the stiffness threshold the implementation switches to the
-     stationary form; it must agree with composing many safe augmented
-     steps *)
+  (* above the stiffness threshold the implementation composes safe
+     augmented sub-steps by binary powering; it must agree with
+     composing many smaller ones in sequence *)
   let a = Mat.diag [| -1e8; -3e7 |] in
   let b = mat_of [ [ 1.0; 0.2 ]; [ 0.0; 0.5 ] ] in
   let q = Mat.mul b (Mat.transpose b) in
@@ -564,16 +578,42 @@ let test_vanloan_stiff_path_matches_chunked () =
     qd := Vanloan.propagate step !qd
   done;
   check_mat_close ~eps:1e-9 "phi stiff" !phi d.Vanloan.phi;
-  check_mat_close ~eps:1e-9 "qd stiff" !qd d.Vanloan.qd
+  check_mat_close ~eps:1e-9 "qd stiff" !qd d.Vanloan.qd;
+  (* a singular A — a zero row, the state of a held capacitor — has
+     no stationary form; binary powering of the sub-step must agree
+     with composing the same sub-step one at a time *)
+  let a =
+    mat_of
+      [ [ 0.0; 0.0; 0.0 ]; [ 2e5; -7e5; 1e5 ]; [ 0.0; 3e5; -9e5 ] ]
+  in
+  let b = mat_of [ [ 0.3; 0.0 ]; [ 1.0; 0.2 ]; [ 0.0; 0.5 ] ] in
+  let q = Mat.mul b (Mat.transpose b) and tau = 1e-3 in
+  let stiffness = Mat.norm_inf a *. tau in
+  let chunks = int_of_float (ceil (stiffness /. Vanloan.stiff_threshold)) in
+  Alcotest.(check int) "sub-steps" 60 chunks;
+  let d = Vanloan.discretize ~a ~q ~tau in
+  let step = Vanloan.discretize ~a ~q ~tau:(tau /. float_of_int chunks) in
+  let phi = ref (Mat.identity 3) and qd = ref (Mat.create 3 3) in
+  for _ = 1 to chunks do
+    phi := Mat.mul step.Vanloan.phi !phi;
+    qd := Vanloan.propagate step !qd
+  done;
+  let rel msg x y =
+    let e = Mat.max_abs_diff x y /. Mat.max_abs x in
+    if not (e <= 1e-12) then Alcotest.failf "%s: %.3e relative" msg e
+  in
+  rel "phi singular stiff" !phi d.Vanloan.phi;
+  rel "qd singular stiff" !qd d.Vanloan.qd;
+  (* the held state integrates its own noise: qd_00 = q_00 tau *)
+  check_close ~eps:1e-12 "held qd" (0.09 *. tau) (Mat.get d.Vanloan.qd 0 0)
 
 let test_vanloan_marginal_chunked_fallback () =
-  (* A = 0 (lossless): qd must be exactly Q tau, via the chunked
-     fallback when the scaled norm is large *)
+  (* A = 0 (lossless): qd must be exactly Q tau *)
   let q = mat_of [ [ 2.0; 0.5 ]; [ 0.5; 1.0 ] ] in
   let d = Vanloan.discretize ~a:(Mat.create 2 2) ~q ~tau:0.7 in
   check_mat_close "phi = I" (Mat.identity 2) d.Vanloan.phi;
   check_mat_close ~eps:1e-12 "qd = Q tau" (Mat.scale 0.7 q) d.Vanloan.qd;
-  (* and a marginal-but-large-norm case takes the chunked path *)
+  (* and a marginal-but-large-norm case takes the stiff path *)
   let a = mat_of [ [ 0.0; 1e6 ]; [ -1e6; 0.0 ] ] in
   (* pure rotation: Lyapunov operator singular *)
   let d2 = Vanloan.discretize ~a ~q:(Mat.identity 2) ~tau:1e-3 in
@@ -930,6 +970,20 @@ let test_elementwise_bitwise () =
         [| max_abs_diff a b; max_abs_diff a_nan b; max_abs_diff b a_nan |]
         [| Mat.max_abs_diff a b; Mat.max_abs_diff a_nan b;
            Mat.max_abs_diff b a_nan |];
+      (* [Stdlib.max] keeps a NaN only while no later entry replaces
+         it, so one in the first and one in the last entry differ *)
+      let max_abs x =
+        Array.fold_left (fun acc v -> max acc (abs_float v)) 0.0 (Mat.data x)
+      in
+      let nan_last =
+        Mat.init r c (fun i j ->
+            if i = r - 1 && j = c - 1 then Float.nan else ad.((i * c) + j))
+      in
+      check_bits "max_abs"
+        [| max_abs a; max_abs b; max_abs a_nan; max_abs nan_last;
+           max_abs (Mat.scale (-1.0) b) |]
+        [| Mat.max_abs a; Mat.max_abs b; Mat.max_abs a_nan;
+           Mat.max_abs nan_last; Mat.max_abs (Mat.scale (-1.0) b) |];
       let t = Mat.transpose a in
       Alcotest.(check (pair int int)) "transpose dims" (c, r)
         (Mat.rows t, Mat.cols t);
@@ -1050,6 +1104,7 @@ let () =
           Alcotest.test_case "submatrix/cat" `Quick test_mat_submatrix_cat;
           Alcotest.test_case "norms" `Quick test_mat_norms;
           Alcotest.test_case "symmetrize" `Quick test_mat_symmetrize;
+          Alcotest.test_case "max_abs allocation" `Quick test_max_abs_alloc;
         ] );
       ( "lu",
         [

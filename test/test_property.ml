@@ -95,7 +95,7 @@ let prop_solvers_agree =
     spec_arb (fun spec ->
       let sys, _ = build spec in
       let phi, q = Covariance.period_map sys in
-      let k1 = Scnoise_linalg.Lyapunov.solve_discrete_kron phi q in
+      let k1 = Kron.solve_discrete phi q in
       let k2 = Scnoise_linalg.Lyapunov.solve_discrete_doubling phi q in
       Mat.max_abs_diff k1 k2 <= 1e-8 *. (1.0 +. Mat.max_abs k1))
 

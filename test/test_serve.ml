@@ -348,6 +348,54 @@ let test_transfer_parity_and_inputs_error () =
         (Array.map (fun h -> h.(0).Scnoise_linalg.Cx.im) h);
       Scl.close conn)
 
+(* The integrator deck with its damping cap at 2.5 Ci: the sampled pole
+   1 - Cd/Ci is -1.5, so there is no steady state.  Every op that needs
+   one is refused by the Floquet check with the same code, also when
+   every switch is noiseless and no noise reaches the unstable mode
+   (ERC006 only warns): the steady-state solve alone would then find a
+   zero covariance and answer ok. *)
+let test_unstable_deck () =
+  let unstable ~noiseless =
+    read_file (Filename.concat deck_dir "sc_integrator.scn")
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:".param cd " l then ".param cd = 25p"
+           else if noiseless && String.starts_with ~prefix:"S" l then
+             l ^ " noiseless"
+           else l)
+    |> String.concat "\n"
+  in
+  let req deck op =
+    Sp.request_to_json
+      { Sp.rq_id = None; rq_deck = Some deck; rq_deck_name = "<test>";
+        rq_op = op }
+  in
+  with_server (fun addr _ ->
+      let conn = connect addr in
+      List.iter
+        (fun noiseless ->
+          let deck = unstable ~noiseless in
+          let what op = Printf.sprintf "%s (noiseless %b)" op noiseless in
+          expect_error (what "psd") "unstable"
+            (rpc conn (Sp.request_to_json (psd_req ~deck ~points:3 ())));
+          expect_error (what "variance") "unstable"
+            (rpc conn (req deck (Sp.Variance { v_spp = None })));
+          expect_error (what "contrib") "unstable"
+            (rpc conn (req deck (Sp.Contrib { c_f = Some 2e3; c_spp = None })));
+          expect_error (what "transfer") "unstable"
+            (rpc conn
+               (req deck
+                  (Sp.Transfer
+                     {
+                       t_fmin = None;
+                       t_fmax = None;
+                       t_points = Some 3;
+                       t_k = None;
+                       t_spp = None;
+                     }))))
+        [ false; true ];
+      Scl.close conn)
+
 (* One prepared engine per (circuit, spp): psd, variance and transfer
    at the default spp sample the periodic covariance once between them,
    and the transfer reply reuses the engine the psd request prepared. *)
@@ -616,6 +664,7 @@ let () =
             test_one_engine_per_circuit;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients_bit_identical;
+          Alcotest.test_case "unstable deck" `Quick test_unstable_deck;
         ] );
       ( "lifecycle",
         [
