@@ -725,6 +725,32 @@ let vanloan_shaped rnd n =
       else if j < h then 0.0
       else Mat.get a (j - h) (i - h))
 
+(* A real Van Loan operand: phase [phase] of the [stages]-stage
+   parasitic ladder at tau/48, its rows sparse inside a support spanning
+   both blocks; with its name and the phase. *)
+let ladder_vanloan stages phase =
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let sys =
+    (LAD.build (LAD.with_parasitics (LAD.with_stages stages))).LAD.sys
+  in
+  let ph = sys.Pwl.phases.(phase) in
+  ( Printf.sprintf "ladder-%d phase %d" sys.Pwl.nstates phase,
+    ph,
+    Scnoise_linalg.Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q
+      ~tau:(ph.Pwl.tau /. 48.0) )
+
+(* The operands of the Padé tables (EXP-C2): the ladder's Van Loan
+   matrices and a random Van Loan-shaped one. *)
+let vanloan_systems () =
+  let rng = Random.State.make [| 0x50_1e |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  List.map
+    (fun (stages, phase) ->
+      let name, _, m = ladder_vanloan stages phase in
+      (name, m))
+    [ (20, 0); (50, 0); (50, 1) ]
+  @ [ ("random van-loan-shaped", vanloan_shaped rnd 200) ]
+
 (* Returns whether the GEMM-SMOKE gate holds. *)
 let exp_gemm () =
   header "EXP-K2  bit-faithful dense kernels: GEMM ns/flop, Van Loan ms and bytes";
@@ -773,25 +799,37 @@ let exp_gemm () =
               Printf.sprintf "%.2fx" ratio;
               (if equal then "equal" else "MISMATCH");
             ])
-        [ ("dense", Mat.init n n (fun _ _ -> rnd ())); ("vanloan", vanloan_shaped n) ])
+        ([ ("dense", Mat.init n n (fun _ _ -> rnd ()));
+           ("vanloan", vanloan_shaped n) ]
+        @
+        if n = 200 then
+          let _, _, m = ladder_vanloan 50 0 in
+          [ ("ladder vanloan", m) ]
+        else []))
     [ 40; 80; 200 ];
   Table.print t;
   Printf.printf
     "(ns/flop over the nominal 2n^3 flops of an n x n product; the Van \
-     Loan operand's zero block is skipped by the kernel's support bounds)\n";
+     Loan operand's zero block is skipped by the kernel's support bounds,\n \
+     and the ladder's sparse rows run as row axpys over their nonzeros)\n";
   (* one augmented Van Loan discretisation: the 2n x 2n expm plus the
      products around it *)
-  let tv = Table.create [ "n"; "discretize_ms"; "bytes" ] in
+  let tv = Table.create [ "n"; "operand"; "discretize_ms"; "bytes" ] in
+  let random n =
+    let a =
+      Mat.init n n (fun i j ->
+          if i = j then -.(float_of_int n +. 1.0) else 0.5 *. rnd ())
+    in
+    let b = Mat.init n 3 (fun _ _ -> rnd ()) in
+    (* ‖A‖τ ≈ 3 keeps the augmented (non-stiff) branch *)
+    (n, "random", a, Mat.mul b (Mat.transpose b), 3.0 /. Mat.norm_inf a)
+  in
+  let ladder =
+    let _, ph, _ = ladder_vanloan 50 0 in
+    (100, "ladder", ph.Pwl.a, ph.Pwl.q, ph.Pwl.tau /. 48.0)
+  in
   List.iter
-    (fun n ->
-      let a =
-        Mat.init n n (fun i j ->
-            if i = j then -.(float_of_int n +. 1.0) else 0.5 *. rnd ())
-      in
-      let b = Mat.init n 3 (fun _ _ -> rnd ()) in
-      let q = Mat.mul b (Mat.transpose b) in
-      (* ‖A‖τ ≈ 3 keeps the augmented (non-stiff) branch *)
-      let tau = 3.0 /. Mat.norm_inf a in
+    (fun (n, operand, a, q, tau) ->
       let run () = ignore (Vanloan.discretize ~a ~q ~tau) in
       run ();
       let best = ref infinity in
@@ -805,8 +843,9 @@ let exp_gemm () =
       done;
       let bytes = (Gc.allocated_bytes () -. a0) /. float_of_int reps in
       Table.add_row tv
-        [ string_of_int n; Printf.sprintf "%.2f" !best; Printf.sprintf "%.0f" bytes ])
-    [ 40; 100 ];
+        [ string_of_int n; operand; Printf.sprintf "%.2f" !best;
+          Printf.sprintf "%.0f" bytes ])
+    [ random 40; random 100; ladder ];
   Table.print tv;
   let ok = !ratio80 >= 2.0 && !bits_ok in
   Printf.printf "GEMM-SMOKE: n80_speedup=%.2fx bits=%s ok=%s\n" !ratio80
@@ -1415,21 +1454,8 @@ let reference_solve_rows (f, piv) b =
 let solve_table () =
   let module Lu = Scnoise_linalg.Lu in
   let module Expm = Scnoise_linalg.Expm in
-  let module Vanloan = Scnoise_linalg.Vanloan in
-  let rng = Random.State.make [| 0x50_1e |] in
-  let rnd () = Random.State.float rng 2.0 -. 1.0 in
-  let ladder stages phase =
-    let sys =
-      (LAD.build (LAD.with_parasitics (LAD.with_stages stages))).LAD.sys
-    in
-    let ph = sys.Pwl.phases.(phase) in
-    ( Printf.sprintf "ladder-%d phase %d" sys.Pwl.nstates phase,
-      Expm.pade13
-        (Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:(ph.Pwl.tau /. 48.0)) )
-  in
   let systems =
-    [ ladder 20 0; ladder 50 0; ladder 50 1;
-      ("random van-loan-shaped", Expm.pade13 (vanloan_shaped rnd 200)) ]
+    List.map (fun (name, m) -> (name, Expm.pade13 m)) (vanloan_systems ())
   in
   let t =
     Table.create
@@ -1476,6 +1502,68 @@ let solve_table () =
     "(Padé system of one Van Loan step tau/48 of the phase; ref_madds = \
      n(n-1)w, the row loop's count;\n the kernel skips zero factor \
      entries and the zero span of each source row)\n";
+  !bits_ok
+
+(* The fused Padé system against the composition it replaced
+   ([Oracle.pade13]: identity, whole-matrix temporaries, reference GEMM
+   products) on the ladder's Van Loan matrices and a random Van
+   Loan-shaped one.  Returns whether every system is bitwise equal and
+   prints the fused one's time and bytes against the composition's
+   bytes. *)
+let pade_table () =
+  let module Expm = Scnoise_linalg.Expm in
+  let systems = vanloan_systems () in
+  let t =
+    Table.create
+      [ "system"; "2n"; "fused_ms"; "fused_bytes"; "composed_bytes"; "bits" ]
+  in
+  (* [Gc.allocated_bytes] advances at GC boundaries: average over
+     reps *)
+  let bytes f =
+    let reps = 10 in
+    let a0 = Gc.allocated_bytes () in
+    for _ = 1 to reps do
+      ignore (f ())
+    done;
+    (Gc.allocated_bytes () -. a0) /. float_of_int reps
+  in
+  let bits_ok = ref true and n100 = ref (nan, nan, nan) in
+  List.iter
+    (fun (name, m) ->
+      let e = Oracle.pade13 m and x = Expm.pade13 m in
+      let equal =
+        Oracle.bits_equal (Mat.data e.Expm.lhs) (Mat.data x.Expm.lhs)
+        && Oracle.bits_equal (Mat.data e.Expm.rhs) (Mat.data x.Expm.rhs)
+        && e.Expm.squarings = x.Expm.squarings
+      in
+      if not equal then bits_ok := false;
+      let best = ref infinity in
+      for _ = 1 to 5 do
+        best := Float.min !best (wall_ms (fun () -> ignore (Expm.pade13 m)))
+      done;
+      let fb = bytes (fun () -> Expm.pade13 m)
+      and cb = bytes (fun () -> Oracle.pade13 m) in
+      if name = "ladder-100 phase 0" then n100 := (!best, fb, cb);
+      Table.add_row t
+        [
+          name; string_of_int (Mat.rows m);
+          Printf.sprintf "%.2f" !best;
+          Printf.sprintf "%.0f" fb;
+          Printf.sprintf "%.0f" cb;
+          (if equal then "equal" else "MISMATCH");
+        ])
+    systems;
+  Table.print t;
+  Printf.printf
+    "(order-13 Padé system of one Van Loan step tau/48: fused entry loops \
+     and fixed product buffers,\n against the composition of whole-matrix \
+     temporaries it replaced)\n";
+  let ms, fb, cb = !n100 in
+  Printf.printf "PADE-SMOKE: n100_fused_ms=%.2f fused_bytes=%.0f \
+                 composed_bytes=%.0f bits=%s ok=%s\n"
+    ms fb cb
+    (if !bits_ok then "equal" else "MISMATCH")
+    (if !bits_ok then "ok" else "FAIL");
   !bits_ok
 
 let exp_cov () =
@@ -1569,6 +1657,7 @@ let exp_cov () =
      loop's count;\n held_KiB = the matrices a sample holds: transitions, \
      distinct operators, k0, Q — the K(t_i) trace is streamed, not stored)\n";
   let solve_bits = solve_table () in
+  let pade_bits = pade_table () in
   let ok = parity_db <= 1e-9 && !counts_ok in
   Printf.printf
     "COV-SMOKE: n100_expm_calls=%d n100_distinct_ops=%d parity_db=%.3e status=%s\n"
@@ -1578,7 +1667,7 @@ let exp_cov () =
     !madds_at_100 !dense_at_100
     (if solve_bits then "equal" else "MISMATCH")
     (if solve_bits then "ok" else "FAIL");
-  if not (ok && solve_bits) then exit 1
+  if not (ok && solve_bits && pade_bits) then exit 1
 
 let experiments =
   [

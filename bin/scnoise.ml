@@ -484,13 +484,19 @@ let info_cmd =
           ph.Pwl.tau
           (Array.length ph.Pwl.noise_labels))
       picked.sys.Pwl.phases;
-    Printf.printf "stable: %b; Floquet multipliers:\n"
-      (Pwl.is_stable picked.sys);
-    Array.iter
-      (fun (m : Cx.t) ->
-        Printf.printf "  %+.6g %+.6gi  (|mu| = %.6g)\n" m.Cx.re m.Cx.im
-          (Cx.modulus m))
-      (Pwl.floquet_multipliers picked.sys);
+    (match Pwl.floquet_multipliers picked.sys with
+    | mus ->
+        Printf.printf "stable: %b; Floquet multipliers:\n"
+          (Pwl.is_stable picked.sys);
+        Array.iter
+          (fun (m : Cx.t) ->
+            Printf.printf "  %+.6g %+.6gi  (|mu| = %.6g)\n" m.Cx.re m.Cx.im
+              (Cx.modulus m))
+          mus
+    | exception Scnoise_linalg.Eig.No_convergence _ ->
+        Printf.printf
+          "stable: false (not shown: the eigenvalue iteration on the \
+           monodromy did not converge)\n");
     0
   in
   let doc = "Show the compiled model: states, phases, stability." in

@@ -81,8 +81,14 @@ let monodromy t =
 
 let floquet_multipliers t = Eig.eigenvalues (monodromy t)
 
-let is_stable ?(margin = 0.0) t =
-  Eig.spectral_radius (monodromy t) < 1.0 -. margin
+(* A QR iteration that does not converge shows nothing about the
+   spectrum: the radius is taken as infinite, so the circuit counts as
+   not stable. *)
+let floquet_radius t =
+  try Eig.spectral_radius (monodromy t)
+  with Eig.No_convergence _ -> Float.infinity
+
+let is_stable ?(margin = 0.0) t = floquet_radius t < 1.0 -. margin
 
 let validate t =
   let n = t.nstates in

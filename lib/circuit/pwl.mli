@@ -57,9 +57,17 @@ val monodromy : t -> Mat.t
 (** State-transition matrix over one full period starting at phase 0
     (computed by per-phase matrix exponentials). *)
 
+val floquet_radius : t -> float
+(** The largest Floquet multiplier modulus (spectral radius of the
+    monodromy), or [infinity] when the eigenvalue iteration does not
+    converge ({!Scnoise_linalg.Eig.No_convergence}): stability not
+    shown. *)
+
 val is_stable : ?margin:float -> t -> bool
 (** All Floquet multipliers (eigenvalues of the monodromy) strictly
-    inside the unit disc (by more than [margin], default 0). *)
+    inside the unit disc (by more than [margin], default 0):
+    [floquet_radius t < 1 - margin].  False when stability is not
+    shown. *)
 
 val floquet_multipliers : t -> Scnoise_linalg.Cx.t array
 

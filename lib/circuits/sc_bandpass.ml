@@ -2,7 +2,6 @@ module Netlist = Scnoise_circuit.Netlist
 module Clock = Scnoise_circuit.Clock
 module Compile = Scnoise_circuit.Compile
 module Pwl = Scnoise_circuit.Pwl
-module Eig = Scnoise_linalg.Eig
 
 type params = {
   ci1 : float;
@@ -101,10 +100,7 @@ let design ?ci ?r_switch ?ugf ?opamp_noise_psd ~clock_hz ~f0 ~q () =
   let p =
     coefficients ?ci ?r_switch ?ugf ?opamp_noise_psd ~clock_hz ~f0 ~q ()
   in
-  let radius =
-    try Eig.spectral_radius (Pwl.monodromy (build p).sys)
-    with Eig.No_convergence _ -> Float.infinity (* stability not shown *)
-  in
+  let radius = Pwl.floquet_radius (build p).sys in
   if not (radius < 1.0) then
     invalid_arg
       (Printf.sprintf

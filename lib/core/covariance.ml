@@ -147,9 +147,17 @@ let transitions g n =
   phis
 
 (* Process noise accumulated over one period from K = 0, one maximal
-   run of a shared operator at a time. *)
+   run of a shared operator at a time, stepped between two owned
+   buffers. *)
 let period_noise g n =
-  let q = ref (Mat.create n n) in
+  let bufs = Vanloan.buffers n in
+  let q = ref (Mat.create n n) and next = ref (Mat.create n n) in
+  let step d =
+    Vanloan.step bufs d !q ~out:!next;
+    let x = !q in
+    q := !next;
+    next := x
+  in
   let nint = Array.length g.g_op in
   let i = ref 0 in
   while !i < nint do
@@ -159,10 +167,10 @@ let period_noise g n =
       incr len
     done;
     let d = g.g_ops.(op) in
-    if !len >= run_min then q := Vanloan.propagate (Vanloan.repeat d !len) !q
+    if !len >= run_min then step (Vanloan.repeat d !len)
     else
       for _ = 1 to !len do
-        q := Vanloan.propagate d !q
+        step d
       done;
     i := !i + !len
   done;

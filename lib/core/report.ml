@@ -1,6 +1,5 @@
 module Pwl = Scnoise_circuit.Pwl
 module Vec = Scnoise_linalg.Vec
-module Eig = Scnoise_linalg.Eig
 module Db = Scnoise_util.Db
 module Grid = Scnoise_util.Grid
 module Table = Scnoise_util.Table
@@ -23,7 +22,7 @@ type t = {
 
 let analyze ?(samples_per_phase = Covariance.default_samples_per_phase) ?freqs
     ?band ?reference_freq ?(title = "circuit") sys ~output =
-  let radius = Eig.spectral_radius (Pwl.monodromy sys) in
+  let radius = Pwl.floquet_radius sys in
   let stable = radius < 1.0 in
   let freqs =
     match freqs with

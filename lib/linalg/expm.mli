@@ -20,8 +20,13 @@ type pade = {
 
 val pade13 : Mat.t -> pade
 (** The system {!expm} solves for a nonempty square matrix, bit for bit
-    (for kernel tests and benchmarks on real operands).  Raises
-    [Invalid_argument] if [a] is not square or is empty. *)
+    (for kernel tests and benchmarks on real operands).  U and V are
+    formed by per-entry loops that apply the float operations of the
+    whole-matrix composition, in its order, with no identity matrix and
+    no temporaries:
+    [U = A (A6 (b13 A6 + b11 A4 + b9 A2) + (b7 A6 + b5 A4) + (b3 A2 + b1 I))],
+    [V = A6 (b12 A6 + b10 A4 + b8 A2) + (b6 A6 + b4 A4) + (b2 A2 + b0 I)].  Raises [Invalid_argument] if
+    [a] is not square or is empty. *)
 
 val expm_scaled : Mat.t -> float -> Mat.t
 (** [expm_scaled a t] is [e^(a t)]. *)

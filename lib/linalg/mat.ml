@@ -105,23 +105,34 @@ let scale s m =
    [c.(i).(j)] is the sum, from [0.0] and in ascending [k], of
    [a.(i).(k) *. b.(k).(j)] over the [k] with [a.(i).(k) <> 0] — the
    i-k-j loop's operation sequence, kept entry by entry, so the kernel
-   is bitwise identical to that loop.  The kernel computes 2 x 4 tiles
-   of [c] in float accumulators (the compiler keeps them unboxed in
-   registers), each loading one [b] row segment for two [a] rows.
+   is bitwise identical to that loop.
 
-   Each tile runs [k] only over the union of the nonzero supports of
-   its two [a] rows and its four [b] columns.  Outside the [a] support
-   every term is skipped anyway; outside the [b] support every term is
-   [x *. 0], which leaves a running sum unchanged as long as [x] is
-   finite (a sum that starts at [+0.0] is never [-0.0]).  The [b]
-   support is used only when [a] is entirely finite, since [inf *. 0]
-   is NaN.  For the Van Loan matrix [[-A, Q], [0, Aᵀ]] and its Padé
-   powers this skips the zero block for free.
+   Each row of [a] is classified once by its nonzero support [lo, hi]
+   and its nonzero count.  Two consecutive rows with the same support,
+   both zero-free inside it (no [0.0] or [-0.0]; an empty row counts)
+   and both finite or both not, run in 2 x 4 tiles of [c] held in float
+   accumulators (the compiler keeps them unboxed in registers), with no
+   zero test: every term of the range is a term of the loop.  Every
+   other row runs as a row axpy over its nonzeros, [c_i += a_ik b_k]
+   for ascending [k] — the loop itself, with [c]'s row as the
+   accumulator.  The products of a covariance run are one class or the
+   other: the transitions, the covariances and the exponentials are
+   zero-free row by row, and the rows of a Van Loan matrix and its Padé
+   powers are sparse inside a support that spans both blocks.
 
-   The tile helpers take buffers and indices only, never a float, so
-   no float crosses a call.  Every index is in range by the dimension
+   Both paths skip terms where [b] is zero: outside the nonzero support
+   of the tile's [b] columns (tiles) or of a [b] row (axpy) every term
+   is [x *. 0], which leaves a running sum unchanged as long as [x] is
+   finite (a sum that starts at [+0.0] is never [-0.0]).  That bound
+   applies only to rows of [a] that are entirely finite, since
+   [inf *. 0] is NaN.
+
+   The helpers take buffers and indices only, never a float, so no
+   float crosses a call.  Every index is in range by the dimension
    checks in [mul_into] and the support bounds. *)
 
+(* Rows [i] and [i + 1] against columns [j .. j + 3], over [k] in
+   [k0 .. k1]. *)
 let tile_2x4 ad bd cd ~p ~n i j k0 k1 =
   let c00 = ref 0.0 and c01 = ref 0.0 and c02 = ref 0.0 and c03 = ref 0.0 in
   let c10 = ref 0.0 and c11 = ref 0.0 and c12 = ref 0.0 and c13 = ref 0.0 in
@@ -129,28 +140,18 @@ let tile_2x4 ad bd cd ~p ~n i j k0 k1 =
   let bk = ref ((k0 * n) + j) in
   for k = k0 to k1 do
     let a0 = Array.unsafe_get ad (r0 + k)
-    and a1 = Array.unsafe_get ad (r1 + k) in
-    let o = !bk in
-    if a0 <> 0.0 then begin
-      let b0 = Array.unsafe_get bd o and b1 = Array.unsafe_get bd (o + 1) in
-      let b2 = Array.unsafe_get bd (o + 2) and b3 = Array.unsafe_get bd (o + 3) in
-      c00 := !c00 +. (a0 *. b0);
-      c01 := !c01 +. (a0 *. b1);
-      c02 := !c02 +. (a0 *. b2);
-      c03 := !c03 +. (a0 *. b3);
-      if a1 <> 0.0 then begin
-        c10 := !c10 +. (a1 *. b0);
-        c11 := !c11 +. (a1 *. b1);
-        c12 := !c12 +. (a1 *. b2);
-        c13 := !c13 +. (a1 *. b3)
-      end
-    end
-    else if a1 <> 0.0 then begin
-      c10 := !c10 +. (a1 *. Array.unsafe_get bd o);
-      c11 := !c11 +. (a1 *. Array.unsafe_get bd (o + 1));
-      c12 := !c12 +. (a1 *. Array.unsafe_get bd (o + 2));
-      c13 := !c13 +. (a1 *. Array.unsafe_get bd (o + 3))
-    end;
+    and a1 = Array.unsafe_get ad (r1 + k)
+    and o = !bk in
+    let b0 = Array.unsafe_get bd o and b1 = Array.unsafe_get bd (o + 1) in
+    let b2 = Array.unsafe_get bd (o + 2) and b3 = Array.unsafe_get bd (o + 3) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c02 := !c02 +. (a0 *. b2);
+    c03 := !c03 +. (a0 *. b3);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c12 := !c12 +. (a1 *. b2);
+    c13 := !c13 +. (a1 *. b3);
     bk := o + n
   done;
   let o0 = (i * n) + j and o1 = ((i + 1) * n) + j in
@@ -163,23 +164,79 @@ let tile_2x4 ad bd cd ~p ~n i j k0 k1 =
   Array.unsafe_set cd (o1 + 2) !c12;
   Array.unsafe_set cd (o1 + 3) !c13
 
-(* One column of rows [i] .. [i + rows - 1] ([rows] is 1 or 2): the
-   columns past the last multiple of 4, and every column of the last row
-   of an odd-height product. *)
-let tile_col ad bd cd ~p ~n ~rows i j k0 k1 =
-  for r = i to i + rows - 1 do
-    let c = ref 0.0 in
-    let ra = r * p in
-    for k = k0 to k1 do
-      let a0 = Array.unsafe_get ad (ra + k) in
-      if a0 <> 0.0 then c := !c +. (a0 *. Array.unsafe_get bd ((k * n) + j))
-    done;
-    Array.unsafe_set cd ((r * n) + j) !c
+(* Column [j] of row [i] of a tile pair over [k] in [k0 .. k1]: the
+   columns past the last multiple of 4. *)
+let tile_col ad bd cd ~p ~n i j k0 k1 =
+  let c = ref 0.0 and ra = i * p in
+  for k = k0 to k1 do
+    c :=
+      !c +. (Array.unsafe_get ad (ra + k) *. Array.unsafe_get bd ((k * n) + j))
+  done;
+  Array.unsafe_set cd ((i * n) + j) !c
+
+(* Row [i] of [c]: cleared, then [a_ik b_k] added for each nonzero
+   [a_ik] in ascending [k], over the [b] row's support
+   [b_lo.(k) .. b_hi.(k)] when [bound] (row [i] finite). *)
+let row_axpy ad bd cd ~p ~n ~bound b_lo b_hi i lo hi =
+  let ci = i * n and ra = i * p in
+  Array.fill cd ci n 0.0;
+  for k = lo to hi do
+    let x = Array.unsafe_get ad (ra + k) in
+    if x <> 0.0 then begin
+      let bo = k * n in
+      let jlo = if bound then Array.unsafe_get b_lo k else 0
+      and jhi = if bound then Array.unsafe_get b_hi k else n - 1 in
+      for j = jlo to jhi do
+        Array.unsafe_set cd (ci + j)
+          (Array.unsafe_get cd (ci + j) +. (x *. Array.unsafe_get bd (bo + j)))
+      done
+    end
   done
 
+(* Per-domain scratch of [mul_into], grown to the largest operands
+   seen: per row of [a] its nonzero support, whether it is zero-free
+   inside it and whether it is finite; the nonzero supports of [b]'s
+   columns (for the tiles) and rows (for the axpys).  A product
+   allocates no array, so it leaves the collector's pacing of its
+   callers as it was. *)
+type scratch = {
+  mutable a_lo : int array;
+  mutable a_hi : int array;
+  mutable zero_free : bool array;
+  mutable finite : bool array;
+  mutable bc_lo : int array;
+  mutable bc_hi : int array;
+  mutable br_lo : int array;
+  mutable br_hi : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { a_lo = [||]; a_hi = [||]; zero_free = [||]; finite = [||];
+        bc_lo = [||]; bc_hi = [||]; br_lo = [||]; br_hi = [||] })
+
+let scratch ~m ~p ~n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.a_lo < m then begin
+    s.a_lo <- Array.make m 0;
+    s.a_hi <- Array.make m 0;
+    s.zero_free <- Array.make m false;
+    s.finite <- Array.make m false
+  end;
+  if Array.length s.bc_lo < n then begin
+    s.bc_lo <- Array.make n 0;
+    s.bc_hi <- Array.make n 0
+  end;
+  if Array.length s.br_lo < p then begin
+    s.br_lo <- Array.make p 0;
+    s.br_hi <- Array.make p 0
+  end;
+  s
+
 (* Every entry of [c] is written (a tile with an empty [k] range stores
-   its zero accumulators), so [c] needs no clearing first.  Empty
-   matrices all share the one empty array and cannot alias. *)
+   its zero accumulators, an axpy row clears first), so [c] needs no
+   clearing.  Empty matrices all share the one empty array and cannot
+   alias. *)
 let mul_into a b c =
   if a.nc <> b.nr then invalid_arg "Mat.mul_into: inner dimension mismatch";
   if c.nr <> a.nr || c.nc <> b.nc then
@@ -188,54 +245,106 @@ let mul_into a b c =
     invalid_arg "Mat.mul_into: aliased output";
   let m = a.nr and p = a.nc and n = b.nc in
   let ad = a.d and bd = b.d and cd = c.d in
-  (* nonzero supports: [lo, hi] per row of [a] and per column of [b]
-     (empty as [p, -1]) *)
-  let a_lo = Array.make m p and a_hi = Array.make m (-1) in
-  let a_finite = ref true in
+  let { a_lo; a_hi; zero_free; finite; bc_lo; bc_hi; br_lo; br_hi } =
+    scratch ~m ~p ~n
+  in
   for i = 0 to m - 1 do
+    let nnz = ref 0 and lo = ref p and hi = ref (-1) and fin = ref true in
+    let r = i * p in
     for k = 0 to p - 1 do
-      let x = Array.unsafe_get ad ((i * p) + k) in
+      let x = Array.unsafe_get ad (r + k) in
       if x <> 0.0 then begin
-        if k < a_lo.(i) then a_lo.(i) <- k;
-        a_hi.(i) <- k;
-        if not (Float.is_finite x) then a_finite := false
+        if !nnz = 0 then lo := k;
+        hi := k;
+        incr nnz;
+        if not (Float.is_finite x) then fin := false
       end
-    done
+    done;
+    a_lo.(i) <- !lo;
+    a_hi.(i) <- !hi;
+    finite.(i) <- !fin;
+    zero_free.(i) <- !nnz = 0 || !nnz = !hi - !lo + 1
   done;
-  let b_lo = Array.make n 0 and b_hi = Array.make n (p - 1) in
-  if !a_finite then begin
-    Array.fill b_lo 0 n p;
-    Array.fill b_hi 0 n (-1);
+  (* rows [i] and [i + 1] share a tile *)
+  let paired i =
+    i + 1 < m && zero_free.(i) && zero_free.(i + 1)
+    && a_lo.(i) = a_lo.(i + 1) && a_hi.(i) = a_hi.(i + 1)
+    && finite.(i) = finite.(i + 1)
+  in
+  (* whether a finite row runs in a tile, which needs [b]'s column
+     supports, or as an axpy, which needs its row supports: the pairing
+     walk of the product loop below, run once ahead of it *)
+  let col_bound = ref false and row_bound = ref false in
+  let i = ref 0 in
+  while !i < m do
+    if paired !i then begin
+      if finite.(!i) then col_bound := true;
+      i := !i + 2
+    end
+    else begin
+      if finite.(!i) then row_bound := true;
+      incr i
+    end
+  done;
+  if !col_bound then begin
+    Array.fill bc_lo 0 n p;
+    Array.fill bc_hi 0 n (-1);
     for k = 0 to p - 1 do
       for j = 0 to n - 1 do
         if Array.unsafe_get bd ((k * n) + j) <> 0.0 then begin
-          if k < b_lo.(j) then b_lo.(j) <- k;
-          b_hi.(j) <- k
+          if k < bc_lo.(j) then bc_lo.(j) <- k;
+          bc_hi.(j) <- k
         end
       done
     done
   end;
-  for t = 0 to ((m + 1) / 2) - 1 do
-    let i0 = 2 * t in
-    let rows = if i0 + 1 < m then 2 else 1 in
-    let alo = Int.min a_lo.(i0) a_lo.(i0 + rows - 1)
-    and ahi = Int.max a_hi.(i0) a_hi.(i0 + rows - 1) in
-    let n4 = if rows = 2 then n - (n mod 4) else 0 in
-    for u = 0 to (n4 / 4) - 1 do
-      let j0 = 4 * u in
-      let blo =
-        Int.min (Int.min b_lo.(j0) b_lo.(j0 + 1))
-          (Int.min b_lo.(j0 + 2) b_lo.(j0 + 3))
-      and bhi =
-        Int.max (Int.max b_hi.(j0) b_hi.(j0 + 1))
-          (Int.max b_hi.(j0 + 2) b_hi.(j0 + 3))
-      in
-      tile_2x4 ad bd cd ~p ~n i0 j0 (Int.max alo blo) (Int.min ahi bhi)
+  if !row_bound then
+    for k = 0 to p - 1 do
+      let o = k * n in
+      let j = ref 0 in
+      while !j < n && Array.unsafe_get bd (o + !j) = 0.0 do
+        incr j
+      done;
+      br_lo.(k) <- !j;
+      let j = ref (n - 1) in
+      while !j >= 0 && Array.unsafe_get bd (o + !j) = 0.0 do
+        decr j
+      done;
+      br_hi.(k) <- !j
     done;
-    for j0 = n4 to n - 1 do
-      tile_col ad bd cd ~p ~n ~rows i0 j0 (Int.max alo b_lo.(j0))
-        (Int.min ahi b_hi.(j0))
-    done
+  let n4 = n - (n mod 4) in
+  let i = ref 0 in
+  while !i < m do
+    let i0 = !i in
+    let lo = a_lo.(i0) and hi = a_hi.(i0) and fin = finite.(i0) in
+    if paired i0 then begin
+      for u = 0 to (n4 / 4) - 1 do
+        let j = 4 * u in
+        if fin then
+          let blo =
+            Int.min (Int.min bc_lo.(j) bc_lo.(j + 1))
+              (Int.min bc_lo.(j + 2) bc_lo.(j + 3))
+          and bhi =
+            Int.max (Int.max bc_hi.(j) bc_hi.(j + 1))
+              (Int.max bc_hi.(j + 2) bc_hi.(j + 3))
+          in
+          tile_2x4 ad bd cd ~p ~n i0 j (Int.max lo blo) (Int.min hi bhi)
+        else tile_2x4 ad bd cd ~p ~n i0 j lo hi
+      done;
+      for r = i0 to i0 + 1 do
+        for j = n4 to n - 1 do
+          if fin then
+            tile_col ad bd cd ~p ~n r j (Int.max lo bc_lo.(j))
+              (Int.min hi bc_hi.(j))
+          else tile_col ad bd cd ~p ~n r j lo hi
+        done
+      done;
+      i := i0 + 2
+    end
+    else begin
+      row_axpy ad bd cd ~p ~n ~bound:fin br_lo br_hi i0 lo hi;
+      i := i0 + 1
+    end
   done
 
 let mul a b =

@@ -60,11 +60,13 @@ val scale : float -> t -> t
 val mul : t -> t -> t
 (** Matrix product.  Entry [(i, j)] is the sum, from [0.0] and in
     ascending [k], of [a.(i).(k) *. b.(k).(j)] over the [k] with
-    [a.(i).(k) <> 0] — bitwise, including non-finite operands.  Zero
-    leading and trailing stretches of the rows of [a] (and, for finite
-    [a], of the columns of [b]) are skipped, so block-triangular
-    operands such as the Van Loan matrix multiply at a fraction of the
-    dense cost. *)
+    [a.(i).(k) <> 0] — bitwise, including non-finite operands.  Rows
+    of [a] with no zero inside their nonzero support run in register
+    tiles, the others as row axpys over their nonzeros; for rows of
+    [a] that are finite, the zero stretches of [b]'s columns or rows
+    are skipped too.  Block-triangular and sparse operands such as the
+    Van Loan matrix and its powers multiply at a fraction of the dense
+    cost. *)
 
 val mul_into : t -> t -> t -> unit
 (** [mul_into a b c] writes [mul a b] into [c], bit for bit, without

@@ -69,30 +69,74 @@ let propagate_into d ~phi_t ~work ~work' k ~out =
     done
   done
 
+(* Buffers for stepping maps of one size: the transpose of the stepping
+   operator and [propagate_into]'s two work matrices. *)
+type buffers = { phi_t : Mat.t; work : Mat.t; work' : Mat.t }
+
+let buffers n =
+  { phi_t = Mat.create n n; work = Mat.create n n; work' = Mat.create n n }
+
+let step bufs d k ~out =
+  let n = Mat.rows d.phi in
+  if Mat.rows bufs.phi_t <> n || Mat.cols d.phi <> n then
+    invalid_arg "Vanloan.step: dimension mismatch";
+  let s = Mat.data d.phi and t = Mat.data bufs.phi_t in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Array.unsafe_set t ((i * n) + j) (Array.unsafe_get s ((j * n) + i))
+    done
+  done;
+  propagate_into d ~phi_t:bufs.phi_t ~work:bufs.work ~work':bufs.work' k ~out
+
 let propagate d k =
   let n = Mat.rows d.phi in
   let out = Mat.create n n in
-  propagate_into d ~phi_t:(Mat.transpose d.phi) ~work:(Mat.create n n)
-    ~work':(Mat.create n n) k ~out;
+  step (buffers n) d k ~out;
   out
 
-(* [compose b a] is the map [a] followed by [b]. *)
-let compose b a = { phi = Mat.mul b.phi a.phi; qd = propagate b a.qd }
+(* [b] after [a] into [out], which shares no storage with either. *)
+let compose_into bufs b a ~out =
+  Mat.mul_into b.phi a.phi out.phi;
+  step bufs b a.qd ~out:out.qd
 
-(* Binary powering: O(log len) compositions. *)
+(* Binary powering: O(log len) compositions, into three owned maps
+   that take turns as the accumulated map, the running power and the
+   output, so no composition allocates. *)
 let repeat d len =
-  let acc = ref None and base = ref d and len = ref len in
-  while !len > 0 do
-    if !len land 1 = 1 then
-      acc := Some (match !acc with None -> !base | Some a -> compose !base a);
-    len := !len asr 1;
-    if !len > 0 then base := compose !base !base
-  done;
-  match !acc with
-  | None ->
-      let n = Mat.rows d.phi in
-      { phi = Mat.identity n; qd = Mat.create n n }
-  | Some a -> a
+  let n = Mat.rows d.phi in
+  if len <= 0 then { phi = Mat.identity n; qd = Mat.create n n }
+  else if len = 1 then d
+  else begin
+    let fresh () = { phi = Mat.create n n; qd = Mat.create n n } in
+    let bufs = buffers n in
+    let base = ref { phi = Mat.copy d.phi; qd = Mat.copy d.qd } in
+    let acc = ref (fresh ()) and spare = ref (fresh ()) in
+    let started = ref false and len = ref len in
+    let swap r =
+      let x = !r in
+      r := !spare;
+      spare := x
+    in
+    while !len > 0 do
+      if !len land 1 = 1 then begin
+        if !started then begin
+          compose_into bufs !base !acc ~out:!spare;
+          swap acc
+        end
+        else begin
+          Array.blit (Mat.data !base.phi) 0 (Mat.data !acc.phi) 0 (n * n);
+          Array.blit (Mat.data !base.qd) 0 (Mat.data !acc.qd) 0 (n * n);
+          started := true
+        end
+      end;
+      len := !len asr 1;
+      if !len > 0 then begin
+        compose_into bufs !base !base ~out:!spare;
+        swap base
+      end
+    done;
+    !acc
+  end
 
 (* Stiffness threshold on [norm(A) tau] below which the augmented form is
    numerically safe. *)

@@ -52,9 +52,22 @@ val propagate_into :
     [work] and [work'] share storage with each other, [k], [phi_t],
     [d.phi] or [d.qd] where a read would see a write. *)
 
+type buffers
+(** Work buffers for stepping [n×n] maps: a transpose and the two work
+    matrices of {!propagate_into}. *)
+
+val buffers : int -> buffers
+(** [buffers n] allocates them for [n×n] maps. *)
+
+val step : buffers -> t -> Mat.t -> out:Mat.t -> unit
+(** [step bufs d k ~out] writes [propagate d k] into [out], bit for
+    bit, transposing [d.phi] into [bufs]: a chain of steps through one
+    set of buffers allocates nothing.  Raises [Invalid_argument] as
+    {!propagate_into} does, or when [bufs] is for another size. *)
+
 val repeat : t -> int -> t
 (** [repeat d len] is [len] consecutive applications of the affine map
     [K ↦ phi K phiᵀ + qd], composed by binary powering in [O(log len)]
-    compositions [{phi = b.phi a.phi; qd = propagate b a.qd}];
-    [len = 0] gives the identity map and [len = 1] returns [d]
-    itself. *)
+    compositions [{phi = b.phi a.phi; qd = propagate b a.qd}], each
+    written into buffers the call owns; [len = 0] gives the identity
+    map and [len = 1] returns [d] itself. *)

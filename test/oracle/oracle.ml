@@ -4,6 +4,7 @@
 
 module Mat = Scnoise_linalg.Mat
 module Vanloan = Scnoise_linalg.Vanloan
+module Expm = Scnoise_linalg.Expm
 module Pwl = Scnoise_circuit.Pwl
 module Covariance = Scnoise_core.Covariance
 module Phase_grid = Scnoise_core.Phase_grid
@@ -35,6 +36,61 @@ let gemm a b =
     done
   done;
   c
+
+(* [gemm] as a matrix. *)
+let gemm_mat a b =
+  let n = Mat.cols b in
+  let c = gemm a b in
+  Mat.init (Mat.rows a) n (fun i j -> c.((i * n) + j))
+
+(* The order-13 Padé system [Expm.pade13] replaced, composed from whole
+   matrices: the scaled operand, an identity, [Mat.scale]/[Mat.add]/
+   [Mat.sub] temporaries and [gemm] products.  The constants are
+   Higham's (2005), written out again so that a changed coefficient in
+   the library shows. *)
+let pade13 a =
+  let theta13 = 5.371920351148152
+  and b =
+    [| 64764752532480000.0; 32382376266240000.0; 7771770303897600.0;
+       1187353796428800.0; 129060195264000.0; 10559470521600.0;
+       670442572800.0; 33522128640.0; 1323241920.0; 40840800.0; 960960.0;
+       16380.0; 182.0; 1.0 |]
+  in
+  let n = Mat.rows a in
+  let norm = Mat.norm_inf a in
+  let s =
+    if norm <= theta13 then 0
+    else int_of_float (ceil (log (norm /. theta13) /. log 2.0))
+  in
+  let s = max s 0 in
+  let a = Mat.scale (1.0 /. (2.0 ** float_of_int s)) a in
+  let mul = gemm_mat in
+  let ident = Mat.identity n in
+  let a2 = mul a a in
+  let a4 = mul a2 a2 in
+  let a6 = mul a2 a4 in
+  let u_inner =
+    Mat.add
+      (mul a6
+         (Mat.add
+            (Mat.add (Mat.scale b.(13) a6) (Mat.scale b.(11) a4))
+            (Mat.scale b.(9) a2)))
+      (Mat.add
+         (Mat.add (Mat.scale b.(7) a6) (Mat.scale b.(5) a4))
+         (Mat.add (Mat.scale b.(3) a2) (Mat.scale b.(1) ident)))
+  in
+  let u = mul a u_inner in
+  let v =
+    Mat.add
+      (mul a6
+         (Mat.add
+            (Mat.add (Mat.scale b.(12) a6) (Mat.scale b.(10) a4))
+            (Mat.scale b.(8) a2)))
+      (Mat.add
+         (Mat.add (Mat.scale b.(6) a6) (Mat.scale b.(4) a4))
+         (Mat.add (Mat.scale b.(2) a2) (Mat.scale b.(0) ident)))
+  in
+  { Expm.lhs = Mat.sub v u; rhs = Mat.add v u; squarings = s }
 
 (* The sampling grid over one period and, per interval, its phase and
    exact step. *)

@@ -1024,6 +1024,18 @@ let test_mul_into_bitwise () =
   rejects "output aliases b" (fun () -> Mat.mul_into a b b);
   rejects "output aliases both" (fun () -> Mat.mul_into a a a);
   rejects "output too small" (fun () -> Mat.mul_into a b (Mat.create 5 6));
+  (* the supports live in a per-domain scratch: once it has grown, a
+     product allocates (next to) nothing *)
+  let a = structured `Holes 60 60 and b = structured `Dense 60 60 in
+  let c = Mat.create 60 60 in
+  Mat.mul_into a b c;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Mat.mul_into a b c
+  done;
+  let words = (Gc.minor_words () -. w0) /. 10.0 in
+  if words > 16.0 then
+    Alcotest.failf "mul_into allocated %.0f words per call" words;
   (* empty matrices share one empty array, which is not an alias *)
   Mat.mul_into (Mat.create 0 3) (Mat.create 3 0) (Mat.create 0 0)
 
@@ -1066,6 +1078,170 @@ let test_propagate_into_bitwise () =
   with
   | () -> Alcotest.fail "propagate_into accepted out = work'"
   | exception Invalid_argument _ -> ()
+
+(* The two row paths of the product.  The ladder's Van Loan matrix and
+   its Padé powers have rows sparse inside a support spanning both
+   blocks (the axpy path), its exponential has zero-free rows (the
+   tiles). *)
+let ladder_vanloan stages phase =
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let sys =
+    (Ladder.build (Ladder.with_parasitics (Ladder.with_stages stages)))
+      .Ladder.sys
+  in
+  let ph = sys.Scnoise_circuit.Pwl.phases.(phase) in
+  Vanloan.augmented ~a:ph.Scnoise_circuit.Pwl.a ~q:ph.Scnoise_circuit.Pwl.q
+    ~tau:(ph.Scnoise_circuit.Pwl.tau /. 48.0)
+
+let test_mul_ladder_vanloan () =
+  List.iter
+    (fun phase ->
+      let m = ladder_vanloan 50 phase in
+      let m2 = Mat.mul m m in
+      let m4 = Mat.mul m2 m2 in
+      let m6 = Mat.mul m2 m4 in
+      let r = Expm.expm m in
+      List.iter
+        (fun (name, a, b) ->
+          check_bits
+            (Printf.sprintf "ladder-100 phase %d: %s" phase name)
+            (Oracle.gemm a b) (Mat.data (Mat.mul a b)))
+        [ ("a a", m, m); ("a2 a2", m2, m2); ("a2 a4", m2, m4);
+          ("a6 a6", m6, m6); ("a a6", m, m6); ("a6 a", m6, m);
+          ("expm expm", r, r); ("a expm", m, r); ("expm a", r, m) ])
+    [ 0; 1 ]
+
+(* Row classes at their edges: zero-free pairs on a narrow shared
+   support (against [b] columns with zero stretches, so the tiles' [k]
+   range is clipped), pairs whose supports differ, a [-0.0] or [0.0]
+   inside a dense support (which must leave the tiles: [-0.0 *. inf]
+   is NaN), a non-finite entry in a sparse row (which must not trim the
+   [b] rows' supports: [inf *. 0] is NaN), zero-free rows beside sparse
+   ones, odd heights and widths off a multiple of 4. *)
+let test_mul_row_classes () =
+  let dense_in lo hi r c =
+    Mat.init r c (fun _ k -> if k >= lo && k <= hi then bit_rand () else 0.0)
+  in
+  let b_with_edges p n =
+    (* zero leading and trailing rows and columns, plus an infinity *)
+    Mat.init p n (fun k j ->
+        if k < 2 || k >= p - 2 || j = 0 || j = n - 1 then 0.0
+        else if k = p / 2 && j = 1 then infinity
+        else bit_rand ())
+  in
+  let cases =
+    [
+      ("shared narrow support", dense_in 3 9 6 14, b_with_edges 14 9);
+      ( "supports differ by row",
+        Mat.init 7 12 (fun i k -> if abs (i - k) <= 2 then bit_rand () else 0.0),
+        b_with_edges 12 10 );
+      ( "-0.0 and 0.0 inside a support",
+        Mat.init 5 11 (fun i k ->
+            if k = 5 then (if i mod 2 = 0 then -0.0 else 0.0) else bit_rand ()),
+        Mat.init 11 7 (fun k _ -> if k = 5 then infinity else bit_rand ()) );
+      ( "non-finite in a sparse row",
+        Mat.init 5 12 (fun i k ->
+            if i = 2 then
+              if k = 1 then infinity else if k = 10 then bit_rand () else 0.0
+            else if k mod 3 = 0 then bit_rand ()
+            else 0.0),
+        b_with_edges 12 6 );
+      ( "non-finite zero-free pair",
+        Mat.init 4 8 (fun i k ->
+            if i = 0 && k = 0 then Float.nan
+            else if i = 1 && k = 7 then neg_infinity
+            else bit_rand ()),
+        b_with_edges 8 9 );
+      ( "mixed pairs, odd height",
+        Mat.init 9 13 (fun i k ->
+            if i mod 3 = 1 && k mod 2 = 0 then 0.0 else bit_rand ()),
+        b_with_edges 13 11 );
+      ( "empty rows",
+        Mat.init 6 7 (fun i _ -> if i = 2 || i = 3 || i = 5 then 0.0 else bit_rand ()),
+        b_with_edges 7 5 );
+    ]
+  in
+  List.iter
+    (fun (name, a, b) ->
+      check_bits ("mul: " ^ name) (Oracle.gemm a b) (Mat.data (Mat.mul a b));
+      let c = Mat.init (Mat.rows a) (Mat.cols b) (fun _ _ -> Float.nan) in
+      Mat.mul_into a b c;
+      check_bits ("mul_into: " ^ name) (Oracle.gemm a b) (Mat.data c))
+    cases
+
+(* [Expm.pade13] (fused entry loops, products into fixed buffers)
+   against the composition it replaced, on every distinct step the
+   covariance grid discretises: the shipped circuits' grids at the
+   default density, each step as the augmented matrix
+   [Vanloan.discretize] exponentiates (a stiff step's sub-step). *)
+let test_pade13_oracle () =
+  let module Pwl = Scnoise_circuit.Pwl in
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let module LP = Scnoise_circuits.Sc_lowpass in
+  let module BP = Scnoise_circuits.Sc_bandpass in
+  let ladder stages =
+    (Ladder.build (Ladder.with_parasitics (Ladder.with_stages stages)))
+      .Ladder.sys
+  in
+  List.iter
+    (fun (name, sys) ->
+      let _, steps =
+        Oracle.covariance_grid ~samples_per_phase:96 sys
+      in
+      let seen = Hashtbl.create 64 in
+      Array.iter
+        (fun (p, h) ->
+          let key = (p, Int64.bits_of_float h) in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            let ph = sys.Pwl.phases.(p) in
+            let stiffness = Mat.norm_inf ph.Pwl.a *. h in
+            let tau =
+              if stiffness <= Vanloan.stiff_threshold then h
+              else h /. ceil (stiffness /. Vanloan.stiff_threshold)
+            in
+            let m = Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau in
+            let e = Oracle.pade13 m and x = Expm.pade13 m in
+            let msg = Printf.sprintf "%s phase %d h=%h" name p h in
+            check_bits (msg ^ " lhs") (Mat.data e.Expm.lhs) (Mat.data x.Expm.lhs);
+            check_bits (msg ^ " rhs") (Mat.data e.Expm.rhs) (Mat.data x.Expm.rhs);
+            Alcotest.(check int) (msg ^ " squarings") e.Expm.squarings
+              x.Expm.squarings
+          end)
+        steps)
+    [ ("ladder-40", ladder 20); ("ladder-100", ladder 50);
+      ("sc_lowpass", (LP.build LP.default).LP.sys);
+      ("sc_bandpass", (BP.build BP.default).BP.sys) ]
+
+(* The affine-map chains step through buffers they own: binary
+   powering over 1000 steps and the doubling steady state each allocate
+   a fixed handful of n×n matrices, not a few per step (five per
+   composition when every step allocated its transpose, work matrices
+   and output). *)
+let test_chain_buffers () =
+  let n = 40 in
+  let matrix_bytes = float_of_int (8 * n * n) in
+  let d =
+    Vanloan.discretize ~a:(random_stable_mat n)
+      ~q:(Mat.identity n) ~tau:0.05
+  in
+  let bytes f =
+    let a0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.allocated_bytes () -. a0) /. matrix_bytes
+  in
+  let repeat = bytes (fun () -> Vanloan.repeat d 1000) in
+  if repeat > 12.0 then
+    Alcotest.failf "repeat 1000 allocated %.1f matrices" repeat;
+  let steps = Scnoise_obs.Obs.counter "lyapunov.doubling_steps" in
+  let s0 = Scnoise_obs.Obs.value steps in
+  let doubling =
+    bytes (fun () -> Lyapunov.solve_discrete_doubling d.Vanloan.phi d.Vanloan.qd)
+  in
+  let taken = Scnoise_obs.Obs.value steps - s0 in
+  if taken < 4 then Alcotest.failf "doubling took only %d steps" taken;
+  if doubling > 10.0 then
+    Alcotest.failf "doubling (%d steps) allocated %.1f matrices" taken doubling
 
 (* End to end: the 40-state ladder's whole covariance trace — every
    Van Loan step, product and solve above — is bitwise the same at
@@ -1189,6 +1365,12 @@ let () =
             `Quick test_mul_into_bitwise;
           Alcotest.test_case "propagate_into == propagate" `Quick
             test_propagate_into_bitwise;
+          Alcotest.test_case "mul on ladder-100 Van Loan operands" `Quick
+            test_mul_ladder_vanloan;
+          Alcotest.test_case "mul row classes == i-k-j loop" `Quick
+            test_mul_row_classes;
+          Alcotest.test_case "pade13 == composition oracle" `Quick
+            test_pade13_oracle;
         ] );
       ( "vanloan",
         [
@@ -1199,5 +1381,7 @@ let () =
           Alcotest.test_case "b wrapper" `Quick test_vanloan_discretize_b;
           Alcotest.test_case "stiff path" `Quick test_vanloan_stiff_path_matches_chunked;
           Alcotest.test_case "marginal fallback" `Quick test_vanloan_marginal_chunked_fallback;
+          Alcotest.test_case "chains step in owned buffers" `Quick
+            test_chain_buffers;
         ] );
     ]

@@ -396,6 +396,40 @@ let test_unstable_deck () =
         [ false; true ];
       Scl.close conn)
 
+(* The band-pass at f0 = 12 kHz, q = 8: the eigenvalue iteration on
+   its monodromy does not converge, so stability is not shown.  The
+   Floquet check counts that as not stable, and every op that needs a
+   steady state answers [unstable]; an escaping [Eig.No_convergence]
+   would answer [internal]. *)
+let test_stability_not_shown () =
+  let deck = read_file (Filename.concat "decks" "sc_bandpass_q8.scn") in
+  let sys, _ = compiled_of deck in
+  (match
+     Scnoise_linalg.Eig.spectral_radius (Scnoise_circuit.Pwl.monodromy sys)
+   with
+  | r -> Alcotest.failf "the deck's Floquet radius converged (%g)" r
+  | exception Scnoise_linalg.Eig.No_convergence _ -> ());
+  let req op =
+    Sp.request_to_json
+      { Sp.rq_id = None; rq_deck = Some deck; rq_deck_name = "<test>";
+        rq_op = op }
+  in
+  with_server (fun addr _ ->
+      let conn = connect addr in
+      expect_error "psd" "unstable"
+        (rpc conn (Sp.request_to_json (psd_req ~deck ~points:3 ())));
+      expect_error "variance" "unstable"
+        (rpc conn (req (Sp.Variance { v_spp = None })));
+      expect_error "contrib" "unstable"
+        (rpc conn (req (Sp.Contrib { c_f = Some 2e3; c_spp = None })));
+      expect_error "transfer" "unstable"
+        (rpc conn
+           (req
+              (Sp.Transfer
+                 { t_fmin = None; t_fmax = None; t_points = Some 3;
+                   t_k = None; t_spp = None })));
+      Scl.close conn)
+
 (* One prepared engine per (circuit, spp): psd, variance and transfer
    at the default spp sample the periodic covariance once between them,
    and the transfer reply reuses the engine the psd request prepared. *)
@@ -665,6 +699,8 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients_bit_identical;
           Alcotest.test_case "unstable deck" `Quick test_unstable_deck;
+          Alcotest.test_case "stability not shown" `Quick
+            test_stability_not_shown;
         ] );
       ( "lifecycle",
         [
