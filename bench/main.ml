@@ -1592,10 +1592,13 @@ let exp_cov () =
   let t =
     Table.create
       [ "states"; "ms"; "expm_calls"; "distinct_ops"; "doubling_steps";
-        "solve_madds"; "dense_madds"; "held_KiB" ]
+        "solve_madds"; "dense_madds"; "sample_products"; "forcing_ms";
+        "forcing_products"; "held_KiB" ]
   in
   let counts_ok = ref true and expm_at_100 = ref 0 and ops_at_100 = ref 0 in
   let madds_at_100 = ref 0 and dense_at_100 = ref 0 in
+  let products_at_100 = ref 0 and forcing_rel_at_100 = ref nan in
+  let products_c = Obs.counter "covariance_products" in
   List.iter
     (fun stages ->
       let b = build stages in
@@ -1613,9 +1616,10 @@ let exp_cov () =
          honest estimate of the actual cost; the counters are per run *)
       let best = ref infinity and cell = ref None in
       let expm_calls = ref 0 and steps = ref 0 and madds = ref 0 in
+      let sample_products = ref 0 in
       for _ = 1 to 3 do
         let e0 = Obs.value expm and d0 = Obs.value dbl
-        and m0 = Obs.value madds_c in
+        and m0 = Obs.value madds_c and p0 = Obs.value products_c in
         let ms =
           wall_ms (fun () ->
               cell := Some (Covariance.sample ~samples_per_phase:spp b.LAD.sys))
@@ -1623,18 +1627,39 @@ let exp_cov () =
         expm_calls := Obs.value expm - e0;
         steps := Obs.value dbl - d0;
         madds := Obs.value madds_c - m0;
+        sample_products := Obs.value products_c - p0;
         if ms < !best then best := ms
+      done;
+      (* the forcing pass Psd.of_sampled runs, timed the same way *)
+      let s = Option.get !cell in
+      let forcing_best = ref infinity and forcing_products = ref 0 in
+      let trace = ref None in
+      for _ = 1 to 3 do
+        let p0 = Obs.value products_c in
+        let ms =
+          wall_ms (fun () ->
+              trace := Some (Covariance.output_trace s b.LAD.output))
+        in
+        forcing_products := Obs.value products_c - p0;
+        forcing_best := Float.min !forcing_best ms
       done;
       (* each exponential solves its 2n x 2n Padé system, 2n columns *)
       let dense = !expm_calls * (2 * n) * ((2 * n) - 1) * (2 * n) in
-      let s = Option.get !cell in
       Obs.timer_record (Obs.timer (Printf.sprintf "cov.n%d" n)) (!best /. 1000.0);
       if !expm_calls <> distinct then counts_ok := false;
       if n >= 100 then begin
         expm_at_100 := !expm_calls;
         ops_at_100 := distinct;
         madds_at_100 := !madds;
-        dense_at_100 := dense
+        dense_at_100 := dense;
+        products_at_100 := !sample_products + !forcing_products;
+        let tr = Option.get !trace in
+        let ek, ev, er =
+          Oracle.trace_errors s b.LAD.output ~forcing:tr.Covariance.forcing
+            ~trace:tr.Covariance.variance.Covariance.trace
+            ~rows:tr.Covariance.rows
+        in
+        forcing_rel_at_100 := Float.max ek (Float.max ev er)
       end;
       Table.add_row t
         [
@@ -1645,6 +1670,9 @@ let exp_cov () =
           string_of_int !steps;
           string_of_int !madds;
           string_of_int dense;
+          string_of_int !sample_products;
+          Printf.sprintf "%.1f" !forcing_best;
+          string_of_int !forcing_products;
           Printf.sprintf "%.0f"
             (float_of_int (Covariance.held_bytes s) /. 1024.);
         ])
@@ -1654,8 +1682,10 @@ let exp_cov () =
     "(one Van Loan exponential per distinct (phase, step) pair of the \
      stretched grid;\n runs of one operator fold by binary doubling; \
      solve_madds = lu_solve_madds of one sample, dense_madds = the row \
-     loop's count;\n held_KiB = the matrices a sample holds: transitions, \
-     distinct operators, k0, Q — the K(t_i) trace is streamed, not stored)\n";
+     loop's count;\n *_products = covariance_products, the n×n products \
+     of the monodromy and period-noise fold (sample) and of the run-wise \
+     forcing pass;\n held_KiB = the matrices a sample holds: distinct \
+     operators, run maps, k0, the monodromy, Q — no K(t_i) or Phi(t_i, 0))\n";
   let solve_bits = solve_table () in
   let pade_bits = pade_table () in
   let ok = parity_db <= 1e-9 && !counts_ok in
@@ -1667,7 +1697,13 @@ let exp_cov () =
     !madds_at_100 !dense_at_100
     (if solve_bits then "equal" else "MISMATCH")
     (if solve_bits then "ok" else "FAIL");
-  if not (ok && solve_bits && pade_bits) then exit 1
+  (* the transition chain (96) and the dense unroll (192) the run-wise
+     pass replaced took 288 products at n = 100 *)
+  let forcing_ok = !forcing_rel_at_100 <= 1e-13 && !products_at_100 < 96 + 192 in
+  Printf.printf "FORCING-SMOKE: n100_products=%d max_rel=%.2e ok=%s\n"
+    !products_at_100 !forcing_rel_at_100
+    (if forcing_ok then "ok" else "FAIL");
+  if not (ok && solve_bits && pade_bits && forcing_ok) then exit 1
 
 let experiments =
   [

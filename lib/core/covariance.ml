@@ -12,8 +12,14 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let c_samples = Obs.counter "covariance_samples"
 
+(* Dense n×n products issued here: the monodromy, the period-noise
+   fold and the forcing pass.  Counted per call site, so the product
+   kernel's loop stays bare. *)
+let c_products = Obs.counter "covariance_products"
 
 type grid_kind = [ `Stretched | `Uniform ]
+
+type run = { first : int; len : int; map : Vanloan.t option }
 
 type sampled = {
   sys : Pwl.t;
@@ -21,25 +27,24 @@ type sampled = {
   interval_phase : int array;
   ops : Vanloan.t array;
   interval_op : int array;
-  phis : Mat.t array;
+  runs : run array;
   k0 : Mat.t;
   phi_period : Mat.t;
   q_period : Mat.t;
   peak_rank : int;
 }
 
-(* The trace is streamed ({!iter_trace}), never stored. *)
+(* The trace is never formed, let alone stored. *)
 let ks_bytes _ = 0
 
 let held_bytes s =
   let bytes m = 8 * Mat.rows m * Mat.cols m in
-  (* [phi_period] is the last transition, shared physically *)
-  Array.fold_left (fun acc m -> acc + bytes m) 0 s.phis
+  let map acc (d : Vanloan.t) = acc + bytes d.Vanloan.phi + bytes d.Vanloan.qd in
+  Array.fold_left map 0 s.ops
   + Array.fold_left
-      (fun acc (d : Vanloan.t) ->
-        acc + bytes d.Vanloan.phi + bytes d.Vanloan.qd)
-      0 s.ops
-  + bytes s.k0 + bytes s.q_period
+      (fun acc r -> match r.map with Some d -> map acc d | None -> acc)
+      0 s.runs
+  + bytes s.k0 + bytes s.phi_period + bytes s.q_period
 
 (* --- the discretised grid ---
 
@@ -138,110 +143,102 @@ let discretized_grid ?(samples_per_phase = default_samples_per_phase)
    no products on them. *)
 let run_min = 5
 
-(* Transition chain Phi(t_i, 0) at every grid time. *)
-let transitions g n =
-  let phis = Array.make (Array.length g.g_disc + 1) (Mat.identity n) in
-  Array.iteri
-    (fun i (d : Vanloan.t) -> phis.(i + 1) <- Mat.mul d.Vanloan.phi phis.(i))
-    g.g_disc;
-  phis
-
-(* Process noise accumulated over one period from K = 0, one maximal
-   run of a shared operator at a time, stepped between two owned
-   buffers. *)
-let period_noise g n =
-  let bufs = Vanloan.buffers n in
-  let q = ref (Mat.create n n) and next = ref (Mat.create n n) in
-  let step d =
-    Vanloan.step bufs d !q ~out:!next;
-    let x = !q in
-    q := !next;
-    next := x
-  in
-  let nint = Array.length g.g_op in
-  let i = ref 0 in
+(* The maximal runs of consecutive intervals that share one operator,
+   each long one with its [len]-fold map. *)
+let runs_of ops interval_op =
+  let nint = Array.length interval_op in
+  let runs = ref [] and i = ref 0 in
   while !i < nint do
-    let op = g.g_op.(!i) in
+    let op = interval_op.(!i) in
     let len = ref 1 in
-    while !i + !len < nint && g.g_op.(!i + !len) = op do
+    while !i + !len < nint && interval_op.(!i + !len) = op do
       incr len
     done;
-    let d = g.g_ops.(op) in
-    if !len >= run_min then step (Vanloan.repeat d !len)
-    else
-      for _ = 1 to !len do
-        step d
-      done;
+    let map =
+      if !len >= run_min then Some (Vanloan.repeat ops.(op) !len) else None
+    in
+    runs := { first = !i; len = !len; map } :: !runs;
     i := !i + !len
   done;
+  Array.of_list (List.rev !runs)
+
+(* The operator of interval [i]. *)
+let op_at ops interval_op i = ops.(interval_op.(i))
+
+(* [f d] for each step of one period in order: a long run's map, or
+   each interval's operator on a short run. *)
+let iter_steps ops interval_op runs f =
+  Array.iter
+    (fun r ->
+      match r.map with
+      | Some d -> f d
+      | None ->
+          for i = r.first to r.first + r.len - 1 do
+            f (op_at ops interval_op i)
+          done)
+    runs
+
+(* Phi(T, 0), one product per step.  {!output_trace} forms
+   Phi(t_i, 0) with the same products in the same order, so the two
+   agree bit for bit. *)
+let monodromy ops interval_op runs n =
+  let t = ref (Mat.identity n) in
+  iter_steps ops interval_op runs (fun d ->
+      Obs.incr c_products;
+      t := Mat.mul d.Vanloan.phi !t);
+  !t
+
+(* Process noise accumulated over one period from K = 0, step by step
+   between two owned buffers. *)
+let period_noise ops interval_op runs n =
+  let bufs = Vanloan.buffers n in
+  let q = ref (Mat.create n n) and next = ref (Mat.create n n) in
+  iter_steps ops interval_op runs (fun d ->
+      Obs.add c_products 2;
+      Vanloan.step bufs d !q ~out:!next;
+      let x = !q in
+      q := !next;
+      next := x);
   !q
 
 let period_map ?samples_per_phase ?grid ?pool sys =
   let g = discretized_grid ?samples_per_phase ?grid ?pool sys in
   let n = sys.Pwl.nstates in
-  let phis = transitions g n in
-  (phis.(Array.length phis - 1), period_noise g n)
+  let runs = runs_of g.g_ops g.g_op in
+  (monodromy g.g_ops g.g_op runs n, period_noise g.g_ops g.g_op runs n)
 
 let periodic_initial ?samples_per_phase ?pool sys =
   let phi, q = period_map ?samples_per_phase ?pool sys in
   Lyapunov.solve_discrete_doubling phi q
 
-(* One period of the recurrence: chain the transitions, fold the
-   period's process noise run by run and solve the discrete Lyapunov
-   fixed point.  The trace K(t_i) is not formed here: {!iter_trace}
-   unrolls it from the steady state over the memoised operators. *)
+(* One period of the recurrence: the runs of one operator with their
+   maps, the monodromy and the period's process noise from those maps,
+   and the discrete Lyapunov fixed point.  No K(t_i) or Phi(t_i, 0) is
+   formed here: {!output_trace} takes what the output reads of them. *)
 let sample ?samples_per_phase ?grid ?pool sys =
   Obs.with_span ~src "covariance.sample" (fun () ->
       Obs.incr c_samples;
       let n = sys.Pwl.nstates in
       let g = discretized_grid ?samples_per_phase ?grid ?pool sys in
-      let phis = transitions g n in
-      let phi_period = phis.(Array.length phis - 1) in
-      let q_period = period_noise g n in
+      let runs = runs_of g.g_ops g.g_op in
+      let phi_period = monodromy g.g_ops g.g_op runs n in
+      let q_period = period_noise g.g_ops g.g_op runs n in
       let k0 = Lyapunov.solve_discrete_doubling phi_period q_period in
       Log.debug (fun m ->
-          m "sampling done: %d states, %d grid points over one period" n
-            (Array.length phis));
+          m "sampling done: %d states, %d grid points in %d runs" n
+            (Array.length g.g_times) (Array.length runs));
       {
         sys;
         times = g.g_times;
         interval_phase = g.g_phase;
         ops = g.g_ops;
         interval_op = g.g_op;
-        phis;
+        runs;
         k0;
         phi_period;
         q_period;
         peak_rank = n;
       })
-
-(* K(t_{i+1}) = sym (Phi_i K(t_i) Phi_iᵀ + Qd_i) from K(t_0) = k0, in
-   buffers owned here: two K matrices used in turn, the kernel's two
-   work matrices and one transpose per distinct operator.  Nothing is
-   allocated per interval. *)
-let iter_trace s f =
-  Obs.with_span ~src "covariance.unroll" (fun () ->
-      let n = Mat.rows s.k0 in
-      let ks = [| Mat.create n n; Mat.create n n |] in
-      let work = Mat.create n n and work' = Mat.create n n in
-      let phi_ts =
-        Array.map (fun (d : Vanloan.t) -> Mat.transpose d.Vanloan.phi) s.ops
-      in
-      f 0 s.k0;
-      let k = ref s.k0 in
-      Array.iteri
-        (fun i op ->
-          let out = ks.(i land 1) in
-          Vanloan.propagate_into s.ops.(op) ~phi_t:phi_ts.(op) ~work ~work' !k
-            ~out;
-          f (i + 1) out;
-          k := out)
-        s.interval_op)
-
-let unroll s =
-  let ks = Array.make (Array.length s.times) s.k0 in
-  iter_trace s (fun i k -> if i > 0 then ks.(i) <- Mat.copy k);
-  ks
 
 type variance = {
   trace : float array;
@@ -250,22 +247,104 @@ type variance = {
   closure_error : float;
 }
 
-let output_trace s c =
-  let npts = Array.length s.times in
-  let kc = Array.make npts [||] and trace = Array.make npts 0.0 in
-  let closure_error = ref 0.0 in
-  iter_trace s (fun i k ->
-      let v = Mat.mul_vec k c in
-      kc.(i) <- v;
-      trace.(i) <- Vec.dot c v;
-      if i = npts - 1 then closure_error := Mat.max_abs_diff k s.k0);
-  let period = s.times.(npts - 1) in
-  ( kc,
-    {
-      trace;
-      boundary = trace.(0);
-      average = Scnoise_util.Grid.trapezoid s.times trace /. period;
-      closure_error = !closure_error;
-    } )
+type output_trace = {
+  forcing : Vec.t array;
+  rows : Vec.t array;
+  variance : variance;
+}
 
-let variance s c = snd (output_trace s c)
+(* The forcing k_i = K(t_i) c and the rows r_i = Phi(t_i, 0)ᵀ c, run by
+   run.  In a run of [m] intervals of one operator (Phi, Qd) from grid
+   point s, with w_l = (Phi^l)ᵀ c,
+
+     k_{s+l} = Phi^l (K_s w_l) + sum_{j<l} Phi^j (Qd w_j),
+     r_{s+l} = T_sᵀ w_l,    T_s = Phi(t_s, 0),
+
+   an exact unrolling of K_{l+1} = Phi K_l Phiᵀ + Qd: one power Phi^l
+   per interval and matrix-vector products.  K and T are formed only at
+   the run's end, through its map.  A short run steps K and T interval
+   by interval.  Every matrix lives in buffers owned here, two of each
+   kind used in turn, so the count is the same at any grid size, and
+   the work vectors too: a grid point allocates only its two outputs. *)
+let output_trace s c =
+  Obs.with_span ~src "covariance.unroll" (fun () ->
+      let n = Mat.rows s.k0 in
+      if Array.length c <> n then
+        invalid_arg "Covariance.output_trace: output row has wrong length";
+      let npts = Array.length s.times in
+      let forcing = Array.make npts [||] and rows = Array.make npts [||] in
+      let trace = Array.make npts 0.0 in
+      let emit i k r =
+        forcing.(i) <- k;
+        rows.(i) <- r;
+        trace.(i) <- Vec.dot c k
+      in
+      let pair () = [| Mat.create n n; Mat.create n n |] in
+      let kb = pair () and tb = [| Mat.identity n; Mat.create n n |] in
+      let pw = pair () and bufs = Vanloan.buffers n in
+      let w = Vec.create n and acc = Vec.create n in
+      let u = Vec.create n and pu = Vec.create n and v = Vec.create n in
+      (* the buffer of [b] that [x] is not *)
+      let other b x = if x == b.(0) then b.(1) else b.(0) in
+      let k = ref s.k0 and t = ref tb.(0) in
+      let emit_state i =
+        emit i (Mat.mul_vec !k c) (Mat.mul_transpose_vec !t c)
+      in
+      (* K <- d (K), T <- d.phi T *)
+      let advance (d : Vanloan.t) =
+        let k' = other kb !k and t' = other tb !t in
+        Obs.add c_products 3;
+        Vanloan.step bufs d !k ~out:k';
+        Mat.mul_into d.Vanloan.phi !t t';
+        k := k';
+        t := t'
+      in
+      emit_state 0;
+      Array.iter
+        (fun r ->
+          match r.map with
+          | None ->
+              for i = r.first to r.first + r.len - 1 do
+                advance (op_at s.ops s.interval_op i);
+                emit_state (i + 1)
+              done
+          | Some map ->
+              let d = op_at s.ops s.interval_op r.first in
+              let ks = !k and ts = !t in
+              (* when point s + l is emitted: [p] = Phi^l, [w] = w_l
+                 and [acc] = the sum over j < l *)
+              let p = ref d.Vanloan.phi in
+              Mat.mul_vec_into d.Vanloan.qd c acc;
+              for l = 1 to r.len - 1 do
+                if l > 1 then begin
+                  Mat.mul_vec_into d.Vanloan.qd w u;
+                  Mat.mul_vec_into !p u pu;
+                  Vec.axpy 1.0 pu acc;
+                  let p' = other pw !p in
+                  Obs.incr c_products;
+                  Mat.mul_into d.Vanloan.phi !p p';
+                  p := p'
+                end;
+                Mat.mul_transpose_vec_into !p c w;
+                Mat.mul_vec_into ks w v;
+                let kl = Mat.mul_vec !p v in
+                Vec.axpy 1.0 acc kl;
+                emit (r.first + l) kl (Mat.mul_transpose_vec ts w)
+              done;
+              advance map;
+              emit_state (r.first + r.len))
+        s.runs;
+      let period = s.times.(npts - 1) in
+      {
+        forcing;
+        rows;
+        variance =
+          {
+            trace;
+            boundary = trace.(0);
+            average = Scnoise_util.Grid.trapezoid s.times trace /. period;
+            closure_error = Mat.max_abs_diff !k s.k0;
+          };
+      })
+
+let variance s c = (output_trace s c).variance

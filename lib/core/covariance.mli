@@ -12,23 +12,32 @@
     Every interval of the sampling grid is discretised by one Van Loan
     augmented exponential, memoised per distinct (phase, step) pair, so
     a stretched grid of ~2x96 intervals builds a dozen or so operators.
-    The period's process noise folds each run of one operator by binary
-    doubling ({!Scnoise_linalg.Vanloan.repeat}), and the steady state
-    squares the period map the same way until it converges
-    ({!Scnoise_linalg.Lyapunov.solve_discrete_doubling}).
+    Consecutive intervals of one operator form a run; a long run folds
+    into one map by binary doubling ({!Scnoise_linalg.Vanloan.repeat}),
+    and the monodromy and the period's process noise take one step per
+    run.  The steady state squares the period map the same way until it
+    converges ({!Scnoise_linalg.Lyapunov.solve_discrete_doubling}).
 
-    The trace [K(t_i)] is never stored: the method reads it only
-    through the PSD forcing [K(t_i) c] and the output variance
-    [cᵀ K(t_i) c], so {!iter_trace} streams it from the steady state
-    over the shared operators, one [n×n] matrix at a time, in buffers
-    it owns and allocating nothing per interval.  {!output_trace} takes
-    the forcing and the variance from one such pass. *)
+    No [K(t_i)] and no [Phi(t_i, 0)] is ever formed per grid point: the
+    method reads the covariance only through the PSD forcing
+    [K(t_i) c], the output variance [cᵀ K(t_i) c] and the shooting rows
+    [cᵀ Phi(t_i, 0)], and {!output_trace} takes all three from one
+    run-wise pass, one matrix power per interval inside a run. *)
 
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
 module Pwl = Scnoise_circuit.Pwl
 
 type grid_kind = [ `Stretched | `Uniform ]
+
+type run = {
+  first : int;  (** index of the run's first interval *)
+  len : int;  (** number of consecutive intervals sharing its operator *)
+  map : Scnoise_linalg.Vanloan.t option;
+      (** the operator applied [len] times ({!Scnoise_linalg.Vanloan.repeat}),
+          kept for runs long enough to pay for it; [None] on a short run,
+          which is stepped interval by interval *)
+}
 
 type sampled = {
   sys : Pwl.t;
@@ -37,7 +46,7 @@ type sampled = {
   ops : Scnoise_linalg.Vanloan.t array;
       (** the distinct per-interval operators (Phi, Qd) *)
   interval_op : int array;  (** index into [ops] of each interval's operator *)
-  phis : Mat.t array;  (** state-transition Phi(t_i, 0) at each grid time *)
+  runs : run array;  (** the maximal runs of one operator, in grid order *)
   k0 : Mat.t;  (** periodic steady-state covariance at t = 0 *)
   phi_period : Mat.t;  (** monodromy Phi(T, 0) *)
   q_period : Mat.t;  (** accumulated process noise over one period *)
@@ -45,12 +54,12 @@ type sampled = {
 }
 
 val ks_bytes : sampled -> int
-(** Bytes of stored [K(t_i)] matrices: 0, since the trace is streamed
-    by {!iter_trace}.  Kept so bench records stay comparable. *)
+(** Bytes of stored [K(t_i)] matrices: 0, since the trace is never
+    formed.  Kept so bench records stay comparable. *)
 
 val held_bytes : sampled -> int
-(** Bytes of every matrix the record holds: the transitions, the
-    distinct operators, [k0] and [q_period]. *)
+(** Bytes of every matrix the record holds: the distinct operators, the
+    run maps, [k0], [phi_period] and [q_period]. *)
 
 type discretized_grid = {
   g_times : float array;  (** grid over one period, [0 .. T] *)
@@ -98,22 +107,10 @@ val sample :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> sampled
 (** The periodic covariance over one period: the steady state [k0], the
-    per-interval operators its trace unrolls over, and the transition
-    matrices needed by the PSD engine.  Raises
+    per-interval operators and run maps its trace unrolls over, and the
+    monodromy, taken as one product per run.  Raises
     {!Scnoise_linalg.Lyapunov.Not_stable} on an unstable circuit, which
     has no steady state. *)
-
-val iter_trace : sampled -> (int -> Mat.t -> unit) -> unit
-(** [iter_trace s f] calls [f i k] with [k = K(t_i)] for [i = 0 .. N]
-    in order, where [K(t_0) = s.k0] and
-    [K(t_{i+1}) = Vanloan.propagate s.ops.(s.interval_op.(i)) K(t_i)]
-    bit for bit.  [k] is
-    read-only and valid only during the call: the next step overwrites
-    it.  Runs under the [covariance.unroll] span. *)
-
-val unroll : sampled -> Mat.t array
-(** The whole trace [K(t_i)], materialised: one copy per grid point,
-    for tests and oracles. *)
 
 type variance = {
   trace : float array;  (** [cᵀ K(t_i) c] on the grid *)
@@ -124,9 +121,24 @@ type variance = {
           a converged steady state) *)
 }
 
-val output_trace : sampled -> Vec.t -> Vec.t array * variance
-(** [output_trace s c] is the forcing [K(t_i) c] at every grid point
-    and the output variance, read from one {!iter_trace}. *)
+type output_trace = {
+  forcing : Vec.t array;  (** [k_i = K(t_i) c] at every grid point *)
+  rows : Vec.t array;  (** [r_i = Phi(t_i, 0)ᵀ c] at every grid point *)
+  variance : variance;
+}
+
+val output_trace : sampled -> Vec.t -> output_trace
+(** [output_trace s c] is everything the PSD engine reads of the
+    covariance for output row [c], from one pass over the runs (span
+    [covariance.unroll]).  In a run of [m] intervals of one operator
+    [(Phi, Qd)] from grid point [s], with [w_l = (Phi^l)ᵀ c],
+    [k_{s+l} = Phi^l (K_s w_l) + sum_{j<l} Phi^j (Qd w_j)] and
+    [r_{s+l} = Phi(t_s, 0)ᵀ w_l]: one [n×n] product (the power) per
+    interval, and [K] and [Phi(t, 0)] formed only at run ends through
+    the run's map.  Short runs step both interval by interval.  The
+    pass owns a fixed set of [n×n] buffers, whatever the grid size, and
+    its last transition is bitwise [s.phi_period].  Raises
+    [Invalid_argument] if [c] has the wrong length. *)
 
 val variance : sampled -> Vec.t -> variance
-(** The output variance of row [c], from one {!iter_trace}. *)
+(** The output variance of row [c]: [(output_trace s c).variance]. *)

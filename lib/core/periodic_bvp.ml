@@ -56,12 +56,17 @@ let step_tol = 1e-12
    monodromy, the basis changes at phase boundaries, and the output and
    homogeneous rows in those bases.  The homogeneous correction only
    ever reaches the output through cᵀ Phi(t_i, 0), so one real row per
-   grid point is all of the transitions a solver keeps. *)
-let of_sampled (cov : Covariance.sampled) ~output =
+   grid point, from the covariance's forcing pass, is all a solver
+   needs of the transitions. *)
+let of_sampled (cov : Covariance.sampled) ~output ~rows =
   let sys = cov.Covariance.sys in
   if Array.length output <> sys.Pwl.nstates then
     invalid_arg "Periodic_bvp.of_sampled: output row has wrong length";
   let times = cov.Covariance.times in
+  if
+    Array.length rows <> Array.length times
+    || Array.exists (fun r -> Array.length r <> sys.Pwl.nstates) rows
+  then invalid_arg "Periodic_bvp.of_sampled: rows do not match the grid";
   let interval_phase = cov.Covariance.interval_phase in
   let nintervals = Array.length times - 1 in
   let step_h = Array.init nintervals (fun i -> times.(i + 1) -. times.(i)) in
@@ -92,9 +97,6 @@ let of_sampled (cov : Covariance.sampled) ~output =
               Some m)
   in
   let h_phi, v = Eig.hessenberg cov.Covariance.phi_period in
-  let rows =
-    Array.map (fun phi -> Mat.mul_transpose_vec phi output) cov.Covariance.phis
-  in
   {
     sys;
     nstates = sys.Pwl.nstates;
@@ -317,7 +319,7 @@ let solve t ~omegas ~forcing y =
           let part_end = particular_into t ws ~omegas ~forcing y in
           close_periodic_into t ws ~omegas ~part_end y))
 
-(* The oracle shares only the grid and the covariance's transitions
+(* The oracle shares only the grid, the monodromy and the rows
    with [solve]: original coordinates, a dense complex LU per distinct
    (phase, h) and frequency, a dense complex LU for the closure, one
    column at a time. *)

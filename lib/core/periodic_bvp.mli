@@ -16,8 +16,8 @@
     The particular pass alternates between two state panels and reduces
     each grid point to [cᵀ P_part(t_i)] as it goes; the homogeneous term
     is [e^{-jwt_i} (r_i · P(0))] with the real rows
-    [r_i = cᵀ Phi(t_i, 0)] kept at preparation, so no per-state
-    trajectory is ever stored.  For a unit output row — every
+    [r_i = cᵀ Phi(t_i, 0)] given at preparation, so no per-state
+    trajectory and no transition matrix is ever stored.  For a unit output row — every
     observable a compiled circuit produces — the samples round exactly
     like [cᵀ] applied to the full superposed state.
 
@@ -45,11 +45,15 @@ type t
     per-domain solve workspace is domain-local, so a prepared solver may
     be used from a pool). *)
 
-val of_sampled : Covariance.sampled -> output:Scnoise_linalg.Vec.t -> t
-(** Build from a sampled periodic covariance (which already carries the
-    grid and the transition matrices) for the output row [output].
-    Raises [Invalid_argument] if the row's length is not the state
-    count. *)
+val of_sampled :
+  Covariance.sampled -> output:Scnoise_linalg.Vec.t ->
+  rows:Scnoise_linalg.Vec.t array -> t
+(** Build from a sampled periodic covariance (its grid and monodromy)
+    for the output row [output], given the rows
+    [rows.(i) = Phi(t_i, 0)ᵀ output] at every grid point, as
+    {!Covariance.output_trace} yields them.  Raises [Invalid_argument]
+    if the row's length is not the state count or [rows] does not
+    match the grid. *)
 
 val times : t -> float array
 (** The grid over one period ([0 .. T]). *)

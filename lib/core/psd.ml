@@ -27,14 +27,17 @@ type engine = {
 }
 
 (* The output row is known here, so this is where the covariance trace
-   is unrolled: one pass yields the forcing k(t_i) = K(t_i) c and the
-   variance cᵀ k(t_i), and neither K(t_i) outlives its step. *)
+   is unrolled: one pass yields the forcing k(t_i) = K(t_i) c, the
+   variance cᵀ k(t_i) and the solver's rows cᵀ Phi(t_i, 0), and no
+   K(t_i) or Phi(t_i, 0) is formed. *)
 let of_sampled cov ~output =
   if Array.length output <> cov.Covariance.sys.Pwl.nstates then
     invalid_arg "Psd.of_sampled: output row has wrong length";
-  let kc, variance = Covariance.output_trace cov output in
-  let k = Array.map Cvec.of_real kc in
-  let bvp = Periodic_bvp.of_sampled cov ~output in
+  let { Covariance.forcing; rows; variance } =
+    Covariance.output_trace cov output
+  in
+  let k = Array.map Cvec.of_real forcing in
+  let bvp = Periodic_bvp.of_sampled cov ~output ~rows in
   (* k(t) is continuous across grid points: interval [i] runs from
      k.(i) to k.(i + 1) *)
   {

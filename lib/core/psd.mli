@@ -22,10 +22,11 @@
     The PSD reads only the output samples [cᵀ P(t_i)], so that is all a
     solve returns ({!Periodic_bvp.solve}): a prepared engine keeps the
     forcing [K(t_i) c] and one real row [cᵀ Phi(t_i, 0)] per grid point,
-    never a per-state trajectory.  {!of_sampled} unrolls the covariance
-    trace once ({!Covariance.output_trace}, the [covariance.unroll]
-    span): the same pass yields the forcing and the output variance,
-    which the engine records, so no [K(t_i)] outlives its step. *)
+    never a per-state trajectory.  {!of_sampled} takes all of them from
+    one run-wise pass over the covariance ({!Covariance.output_trace},
+    the [covariance.unroll] span), which also yields the output
+    variance that the engine records; no [K(t_i)] and no
+    [Phi(t_i, 0)] is formed. *)
 
 module Vec = Scnoise_linalg.Vec
 module Pwl = Scnoise_circuit.Pwl
@@ -34,8 +35,9 @@ type engine
 
 val of_sampled : Covariance.sampled -> output:Vec.t -> engine
 (** Build an engine from an already-sampled periodic covariance (allows
-    sharing the covariance across several outputs), unrolling its trace
-    once for the output row. *)
+    sharing the covariance across several outputs), taking the forcing,
+    the variance and the solver's rows for the output row from one
+    {!Covariance.output_trace}. *)
 
 val prepare :
   ?samples_per_phase:int -> ?grid:Covariance.grid_kind ->

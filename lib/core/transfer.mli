@@ -20,8 +20,8 @@ type engine
 
 val of_psd : Psd.engine -> engine
 (** The transfer view of a prepared noise engine: it solves on the
-    engine's periodic-BVP solver (grid, transitions, monodromy and
-    output row), so one preparation serves the PSD and every transfer
+    engine's periodic-BVP solver (grid, rows [cᵀ Phi(t_i, 0)],
+    monodromy and output row), so one preparation serves the PSD and every transfer
     function of a circuit. *)
 
 val prepare :

@@ -353,30 +353,47 @@ let mul a b =
   mul_into a b c;
   c
 
+let mul_vec_into m v out =
+  if m.nc <> Array.length v || m.nr <> Array.length out then
+    invalid_arg "Mat.mul_vec_into: dimension mismatch";
+  if m.nr > 0 && out == v then invalid_arg "Mat.mul_vec_into: aliased output";
+  for i = 0 to m.nr - 1 do
+    let acc = ref 0.0 in
+    let base = i * m.nc in
+    for j = 0 to m.nc - 1 do
+      acc := !acc +. (m.d.(base + j) *. v.(j))
+    done;
+    out.(i) <- !acc
+  done
+
 let mul_vec m v =
   if m.nc <> Array.length v then invalid_arg "Mat.mul_vec: dimension mismatch";
-  Array.init m.nr (fun i ->
-      let acc = ref 0.0 in
-      let base = i * m.nc in
-      for j = 0 to m.nc - 1 do
-        acc := !acc +. (m.d.(base + j) *. v.(j))
-      done;
-      !acc)
+  let out = Array.make m.nr 0.0 in
+  mul_vec_into m v out;
+  out
 
-let mul_transpose_vec m v =
-  if m.nr <> Array.length v then
-    invalid_arg "Mat.mul_transpose_vec: dimension mismatch";
-  let r = Array.make m.nc 0.0 in
+let mul_transpose_vec_into m v out =
+  if m.nr <> Array.length v || m.nc <> Array.length out then
+    invalid_arg "Mat.mul_transpose_vec_into: dimension mismatch";
+  if m.nc > 0 && out == v then
+    invalid_arg "Mat.mul_transpose_vec_into: aliased output";
+  Array.fill out 0 m.nc 0.0;
   for i = 0 to m.nr - 1 do
     let vi = v.(i) in
     if vi <> 0.0 then begin
       let base = i * m.nc in
       for j = 0 to m.nc - 1 do
-        r.(j) <- r.(j) +. (m.d.(base + j) *. vi)
+        out.(j) <- out.(j) +. (m.d.(base + j) *. vi)
       done
     end
-  done;
-  r
+  done
+
+let mul_transpose_vec m v =
+  if m.nr <> Array.length v then
+    invalid_arg "Mat.mul_transpose_vec: dimension mismatch";
+  let out = Array.make m.nc 0.0 in
+  mul_transpose_vec_into m v out;
+  out
 
 let row m i =
   if i < 0 || i >= m.nr then invalid_arg "Mat.row: out of bounds";

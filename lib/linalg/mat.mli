@@ -76,8 +76,18 @@ val mul_into : t -> t -> t -> unit
 
 val mul_vec : t -> Vec.t -> Vec.t
 
+val mul_vec_into : t -> Vec.t -> Vec.t -> unit
+(** [mul_vec_into m v out] writes [mul_vec m v] into [out], bit for bit.
+    Raises [Invalid_argument] on mismatched dimensions or when [out] is
+    [v]. *)
+
 val mul_transpose_vec : t -> Vec.t -> Vec.t
 (** [mul_transpose_vec m v] is [mᵀ v] without forming the transpose. *)
+
+val mul_transpose_vec_into : t -> Vec.t -> Vec.t -> unit
+(** [mul_transpose_vec_into m v out] writes [mul_transpose_vec m v]
+    into [out], bit for bit.  Raises [Invalid_argument] on mismatched
+    dimensions or when [out] is [v]. *)
 
 val row : t -> int -> Vec.t
 

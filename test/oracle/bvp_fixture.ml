@@ -1,13 +1,13 @@
 (* A periodic-BVP solver over a PSD engine's covariance and output row,
-   driven by the PSD forcing K(t_i) c but built apart from the engine,
-   so tests and benchmarks reach the solve layer's complex output
-   samples and its reference solve directly. *)
+   driven by the PSD forcing K(t_i) c but built apart from the engine —
+   forcing and rows from the dense per-interval recursion
+   ([Oracle.output_trace]) — so tests and benchmarks
+   reach the solve layer's complex output samples and its reference
+   solve directly. *)
 
-module Mat = Scnoise_linalg.Mat
 module Cvec = Scnoise_linalg.Cvec
 module Bvp = Scnoise_core.Periodic_bvp
 module Psd = Scnoise_core.Psd
-module Covariance = Scnoise_core.Covariance
 
 (* [kl i] and [kr i] are the forcing at the left and right ends of
    interval [i], as [Periodic_bvp.solve_reference] takes it *)
@@ -20,12 +20,9 @@ type t = {
 
 let of_engine eng =
   let cov = Psd.covariance eng and c = Psd.output eng in
-  let bvp = Bvp.of_sampled cov ~output:c in
-  let forcing =
-    Array.map
-      (fun k -> Cvec.of_real (Mat.mul_vec k c))
-      (Covariance.unroll cov)
-  in
+  let forcing, _, rows = Oracle.output_trace cov c in
+  let bvp = Bvp.of_sampled cov ~output:c ~rows in
+  let forcing = Array.map Cvec.of_real forcing in
   let kl = Array.get forcing and kr i = forcing.(i + 1) in
   { bvp; kl; kr; prepared = Bvp.forcing bvp ~kl ~kr }
 

@@ -3,6 +3,7 @@
    memo, no run doubling, no zero-span bounds. *)
 
 module Mat = Scnoise_linalg.Mat
+module Vec = Scnoise_linalg.Vec
 module Vanloan = Scnoise_linalg.Vanloan
 module Expm = Scnoise_linalg.Expm
 module Pwl = Scnoise_circuit.Pwl
@@ -112,8 +113,8 @@ let covariance_grid ~samples_per_phase (sys : Pwl.t) =
 (* The per-interval covariance recurrence: one [Vanloan.discretize] per
    interval with exact step bits, the period map stepped one interval
    at a time and the fixed point by [steady] (default: the Kron solve).
-   The record's operators are the per-interval ones, so its trace
-   unrolls over them, one operator per interval. *)
+   The record's operators are the per-interval ones, each its own run
+   of one, so its trace unrolls over them one interval at a time. *)
 let covariance ?(steady = Kron.solve_discrete) ~samples_per_phase
     (sys : Pwl.t) =
   let n = sys.Pwl.nstates in
@@ -141,9 +142,58 @@ let covariance ?(steady = Kron.solve_discrete) ~samples_per_phase
     interval_phase = Array.map fst steps;
     ops = disc;
     interval_op = Array.init (Array.length disc) Fun.id;
-    phis;
+    runs =
+      Array.init (Array.length disc) (fun i ->
+          { Covariance.first = i; len = 1; map = None });
     k0;
     phi_period;
     q_period = !q;
     peak_rank = n;
   }
+
+(* The dense per-interval recursion over a record's operators:
+   K(t_{i+1}) = [Vanloan.propagate] op_i K(t_i) from [k0], one matrix
+   per grid point — the trace the engine's run-wise forcing pass
+   unrolls algebraically. *)
+let unroll (s : Covariance.sampled) =
+  let ks = Array.make (Array.length s.Covariance.times) s.Covariance.k0 in
+  Array.iteri
+    (fun i op -> ks.(i + 1) <- Vanloan.propagate s.Covariance.ops.(op) ks.(i))
+    s.Covariance.interval_op;
+  ks
+
+(* Phi(t_i, 0) chained one interval at a time over a record's
+   operators. *)
+let transitions (s : Covariance.sampled) =
+  let n = Mat.rows s.Covariance.k0 in
+  let phis = Array.make (Array.length s.Covariance.times) (Mat.identity n) in
+  Array.iteri
+    (fun i op ->
+      phis.(i + 1) <- Mat.mul s.Covariance.ops.(op).Vanloan.phi phis.(i))
+    s.Covariance.interval_op;
+  phis
+
+(* What the PSD engine reads of the dense recursion for output row [c]:
+   the forcing K(t_i) c, the variance trace cᵀ K(t_i) c and the rows
+   Phi(t_i, 0)ᵀ c. *)
+let output_trace s c =
+  let forcing = Array.map (fun k -> Mat.mul_vec k c) (unroll s) in
+  ( forcing,
+    Array.map (Vec.dot c) forcing,
+    Array.map (fun phi -> Mat.mul_transpose_vec phi c) (transitions s) )
+
+(* Largest entry-wise difference of [got] from [want] over the grid,
+   relative to the largest entry of [want]. *)
+let rel_vecs got want =
+  let scale = Array.fold_left (fun m v -> Float.max m (Vec.norm_inf v)) 0.0 want
+  and diff = ref 0.0 in
+  Array.iteri
+    (fun i w -> diff := Float.max !diff (Vec.max_abs_diff got.(i) w))
+    want;
+  !diff /. Float.max 1e-300 scale
+
+(* Relative errors of a forcing, a variance trace and rows against the
+   dense recursion over the same record. *)
+let trace_errors s c ~forcing ~trace ~rows =
+  let k, v, r = output_trace s c in
+  (rel_vecs forcing k, rel_vecs [| trace |] [| v |], rel_vecs rows r)

@@ -175,7 +175,7 @@ let test_ladder_thermal_equilibrium () =
       for i = 0 to 4 do
         check_close ~eps:1e-6 "kT/C at every node" ktc (Mat.get k i i)
       done)
-    (Covariance.unroll cov)
+    (Oracle.unroll cov)
 
 let test_ladder_single_stage_is_switched_rc () =
   (* one stage with matched values must reproduce the switched RC *)

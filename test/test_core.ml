@@ -214,7 +214,8 @@ let test_psd_envelope_periodicity () =
 
 (* A prepared engine keeps what the output reads — the forcing K(t_i) c,
    one real row cᵀ Phi(t_i, 0) per grid point and the per-(phase, h)
-   stepper factors — not an n x n matrix per grid point. *)
+   stepper factors — not an n x n matrix per grid point, and neither
+   does the sampled covariance under it. *)
 let test_engine_footprint () =
   let module LAD = Scnoise_circuits.Sc_ladder in
   let b = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
@@ -230,20 +231,40 @@ let test_engine_footprint () =
     (Printf.sprintf "%d-state engine holds %d words of its own (< %d)" n own
        bound)
     true (own < bound);
-  (* the sampled record itself, besides the circuit and the distinct
-     operators: one n×n matrix per grid point (the transitions), k0 and
-     Q, and no K(t_i) trace; one more n² covers headers and the grid *)
+  (* the sampled record itself, besides the circuit, the distinct
+     operators and the run maps: k0, Q and the monodromy, and no n×n
+     matrix per grid point (no K(t_i), no Phi(t_i, 0)); one more n²
+     covers headers and the grid *)
+  let maps =
+    Array.fold_left
+      (fun acc r ->
+        match r.Covariance.map with
+        | Some d -> acc + Obj.reachable_words (Obj.repr d)
+        | None -> acc)
+      0 cov.Covariance.runs
+  in
   let held =
     Obj.reachable_words (Obj.repr cov)
     - Obj.reachable_words (Obj.repr cov.Covariance.sys)
     - Obj.reachable_words (Obj.repr cov.Covariance.ops)
+    - maps
   in
-  let cov_bound = (npts + 3) * n * n in
+  let cov_bound = 4 * n * n in
   Alcotest.(check bool)
     (Printf.sprintf
-       "%d-state sample holds %d words besides its operators (< %d)" n held
-       cov_bound)
-    true (held < cov_bound)
+       "%d-state sample holds %d words besides its operators and run maps \
+        (< %d)"
+       n held cov_bound)
+    true (held < cov_bound);
+  (* and each run map is one (Phi, Qd) pair *)
+  Array.iter
+    (fun r ->
+      match r.Covariance.map with
+      | Some d ->
+          Alcotest.(check bool) "a run map holds two n×n matrices" true
+            (Obj.reachable_words (Obj.repr d) < (2 * n * n) + 16)
+      | None -> ())
+    cov.Covariance.runs
 
 let test_psd_white_input_independence () =
   (* a plain RC PSD at DC must be 2kTR regardless of grid resolution *)

@@ -6,6 +6,7 @@
    size the engine runs on. *)
 
 module Mat = Scnoise_linalg.Mat
+module Vec = Scnoise_linalg.Vec
 module Vanloan = Scnoise_linalg.Vanloan
 module Lyapunov = Scnoise_linalg.Lyapunov
 module Pwl = Scnoise_circuit.Pwl
@@ -17,7 +18,7 @@ module LP = Scnoise_circuits.Sc_lowpass
 module RC = Scnoise_circuits.Switched_rc
 module SCI = Scnoise_circuits.Sc_integrator
 module BP = Scnoise_circuits.Sc_bandpass
-module Pool = Scnoise_par.Pool
+module DS = Scnoise_circuits.Sc_delta_sigma
 
 let rel_diff ~scale a b = Mat.max_abs_diff a b /. Float.max 1e-300 scale
 
@@ -25,7 +26,7 @@ let rel_diff ~scale a b = Mat.max_abs_diff a b /. Float.max 1e-300 scale
    [Oracle.covariance] --- *)
 
 let check_ks_against_oracle name s o =
-  let ks = Covariance.unroll s and kos = Covariance.unroll o in
+  let ks = Oracle.unroll s and kos = Oracle.unroll o in
   Alcotest.(check int) (name ^ " grid points") (Array.length kos)
     (Array.length ks);
   let worst = ref 0.0 in
@@ -169,35 +170,59 @@ let test_chain_k0_vs_kron () =
 
    Every node of a passive RC network at uniform temperature holds
    kT/C with no cross-correlation, switch or not, so on the 50-stage
-   parasitic ladder (100 states) each K(t_i) must be kT·C⁻¹: kT/c on
-   stage nodes, kT/c_par on parasitic nodes, zero elsewhere. *)
+   parasitic ladder (100 states) each K(t_i) is kT·C⁻¹: kT/c on stage
+   nodes, kT/c_par on parasitic nodes, zero elsewhere.  The check reads
+   what the PSD engine reads: the forcing K(t_i) c of the pass
+   [Psd.of_sampled] runs must be kT·C⁻¹c, and the engine's variance
+   trace kT/C at the output node, both relative to the largest entry of
+   kT·C⁻¹ (kT/c_par), the scale the whole-matrix check used. *)
 
-let check_equipartition ~bound p =
-  let b = LAD.build p in
-  let sys = b.LAD.sys in
+let sampled_ladder100 p =
+  let b = LAD.build (LAD.with_parasitics p) in
+  (b, Covariance.sample ~samples_per_phase:48 b.LAD.sys)
+
+(* The stiff sample serves two groups and takes most of a second. *)
+let sampled_stiff_ladder100 =
+  lazy
+    (sampled_ladder100
+       { (LAD.with_stages 50) with LAD.r = 10.0; r_switch = 10.0 })
+
+let check_equipartition ~bound (b, s) =
+  let p = b.LAD.params and sys = b.LAD.sys in
   let n = sys.Pwl.nstates in
   Alcotest.(check int) "ladder states" 100 n;
   let kt = Const.kt ~temperature:p.LAD.temperature () in
   let parasitic i = String.starts_with ~prefix:"v(p" sys.Pwl.state_names.(i) in
   Alcotest.(check int) "parasitic states" 50
     (List.length (List.filter parasitic (List.init n Fun.id)));
-  let expected =
-    Mat.init n n (fun i j ->
-        if i <> j then 0.0
-        else if parasitic i then kt /. p.LAD.c_par
-        else kt /. p.LAD.c)
+  let c = b.LAD.output in
+  let want =
+    Array.init n (fun i ->
+        (if parasitic i then kt /. p.LAD.c_par else kt /. p.LAD.c) *. c.(i))
   in
-  let s = Covariance.sample ~samples_per_phase:48 sys in
-  let scale = Mat.max_abs expected in
-  let worst = ref 0.0 in
-  Covariance.iter_trace s (fun _ k ->
-      worst := Float.max !worst (rel_diff ~scale k expected));
-  Printf.printf "worst K(t_i) error against kT·C⁻¹: %.3e relative\n" !worst;
-  if not (!worst <= bound) then
-    Alcotest.failf "K(t_i) is %.3e off kT·C⁻¹ (relative)" !worst
+  let want_var = Vec.dot c want and scale = kt /. p.LAD.c_par in
+  let tr = Covariance.output_trace s c in
+  let var = Psd.variance (Psd.of_sampled s ~output:c) in
+  let worst_k =
+    Array.fold_left
+      (fun m k -> Float.max m (Vec.max_abs_diff k want))
+      0.0 tr.Covariance.forcing
+    /. scale
+  and worst_v =
+    Array.fold_left
+      (fun m v -> Float.max m (Float.abs (v -. want_var)))
+      0.0 var.Covariance.trace
+    /. scale
+  in
+  Printf.printf
+    "worst error against kT·C⁻¹: forcing %.3e, variance %.3e relative\n"
+    worst_k worst_v;
+  if not (worst_k <= bound && worst_v <= bound) then
+    Alcotest.failf "forcing %.3e, variance %.3e off kT·C⁻¹ (relative)" worst_k
+      worst_v
 
 let test_equipartition_ladder100 () =
-  check_equipartition ~bound:1e-9 (LAD.with_parasitics (LAD.with_stages 50))
+  check_equipartition ~bound:1e-9 (sampled_ladder100 (LAD.with_stages 50))
 
 (* The same ladder with 10-ohm resistors and switches: norm(A)·tau is
    about 2.1e4 per phase, so 42 of each phase's 48 grid intervals take
@@ -206,8 +231,7 @@ let test_equipartition_ladder100 () =
    norm(A)·h close to the stiffness threshold of 20, compounded over
    the composition. *)
 let test_equipartition_stiff_ladder100 () =
-  let p = { (LAD.with_stages 50) with LAD.r = 10.0; r_switch = 10.0 } in
-  check_equipartition ~bound:1e-7 (LAD.with_parasitics p)
+  check_equipartition ~bound:1e-7 (Lazy.force sampled_stiff_ladder100)
 
 (* --- no steady state ---
 
@@ -226,54 +250,125 @@ let test_unstable_raises () =
       Alcotest.failf "unstable circuit sampled: output variance %g V^2"
         v.Covariance.boundary
 
-(* --- the streamed trace ---
+(* --- the forcing pass against the dense recursion ---
 
-   [iter_trace] against the chain it replaces, stepped here over the
-   record's own operators with the allocating expression [propagate]
-   was before it wrote into buffers, bit for bit, on samples built at
-   one and at four jobs. *)
+   [Covariance.output_trace] unrolls each run of one operator
+   algebraically (one matrix power per interval); the oracle steps
+   K(t_i) and Phi(t_i, 0) one interval at a time over the record's own
+   operators ([Oracle.unroll], [Oracle.transitions]).  The two are the
+   same sums in a different order, so every quantity must agree to
+   within 1e-13 of its largest entry. *)
 
-let bits m = Array.map Int64.bits_of_float (Mat.data m)
+let parity_tol = 1e-13
 
-let propagate (d : Vanloan.t) k =
-  Mat.symmetrize
-    (Mat.add
-       (Mat.mul d.Vanloan.phi (Mat.mul k (Mat.transpose d.Vanloan.phi)))
-       d.Vanloan.qd)
-
-let check_stream_against_chain name s =
-  let k = ref s.Covariance.k0 and steps = ref 0 in
-  Covariance.iter_trace s (fun i ki ->
-      if i > 0 then
-        k := propagate s.Covariance.ops.(s.Covariance.interval_op.(i - 1)) !k;
-      if bits ki <> bits !k then
-        Alcotest.failf "%s: K(t_%d) differs from the propagate chain" name i;
-      steps := i);
-  Alcotest.(check int) (name ^ " intervals")
-    (Array.length s.Covariance.interval_op)
-    !steps
-
-let test_stream_vs_chain () =
-  let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 20))
-  and lp = LP.build LP.default
-  and sci = SCI.build SCI.default in
+let check_forcing name s c =
+  let tr = Covariance.output_trace s c in
+  let ek, ev, er =
+    Oracle.trace_errors s c ~forcing:tr.Covariance.forcing
+      ~trace:tr.Covariance.variance.Covariance.trace ~rows:tr.Covariance.rows
+  in
+  (* the monodromy against the interval chain, and the steady state
+     against the fixed point of that chain's period map *)
+  let chain = Oracle.transitions s in
+  let phi = chain.(Array.length chain - 1) in
+  let k0 = Lyapunov.solve_discrete_doubling phi s.Covariance.q_period in
+  let em = rel_diff ~scale:(Mat.max_abs phi) s.Covariance.phi_period phi
+  and e0 = rel_diff ~scale:(Mat.max_abs k0) s.Covariance.k0 k0 in
+  Printf.printf
+    "%s: forcing %.1e, variance %.1e, rows %.1e, monodromy %.1e, k0 %.1e\n"
+    name ek ev er em e0;
+  (* the pass's last transition is the record's monodromy, bit for bit *)
+  let bits v = Array.map Int64.bits_of_float v in
+  if
+    bits tr.Covariance.rows.(Array.length tr.Covariance.rows - 1)
+    <> bits (Mat.mul_transpose_vec s.Covariance.phi_period c)
+  then Alcotest.failf "%s: the last row is not cᵀ phi_period" name;
   List.iter
-    (fun (name, sys, spp) ->
-      List.iter
-        (fun jobs ->
-          let pool = Pool.create ~jobs () in
-          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-          check_stream_against_chain
-            (Printf.sprintf "%s jobs=%d" name jobs)
-            (Covariance.sample ~samples_per_phase:spp ~pool sys))
-        [ 1; 4 ])
-    [
-      ("ladder n=40", lad.LAD.sys, 48);
-      ("sc_lowpass", lp.LP.sys, 96);
-      ("sc_integrator", sci.SCI.sys, 96);
-    ]
+    (fun (what, e) ->
+      if not (e <= parity_tol) then
+        Alcotest.failf "%s: %s is %.3e off the dense recursion" name what e)
+    [ ("forcing", ek); ("variance", ev); ("rows", er); ("monodromy", em);
+      ("k0", e0) ]
 
-(* The engine records the variance of its one unroll; a fresh
+let test_forcing_ladders () =
+  List.iter
+    (fun stages ->
+      let b = LAD.build (LAD.with_parasitics (LAD.with_stages stages)) in
+      check_forcing
+        (Printf.sprintf "ladder-%d" b.LAD.sys.Pwl.nstates)
+        (Covariance.sample ~samples_per_phase:48 b.LAD.sys)
+        b.LAD.output)
+    [ 4; 20; 50 ]
+
+let shipped_decks () =
+  let lp = LP.build LP.default
+  and sci = SCI.build SCI.default
+  and bp = BP.build BP.default
+  and ds = DS.build DS.default
+  and rc = RC.build RC.default in
+  [
+    ("sc_lowpass", lp.LP.sys, lp.LP.output, 128);
+    ("sc_integrator", sci.SCI.sys, sci.SCI.output, 96);
+    ("sc_bandpass", bp.BP.sys, bp.BP.output, 96);
+    ("sc_delta_sigma", ds.DS.sys, ds.DS.output, 96);
+    ("switched_rc", rc.RC.sys, rc.RC.output, 96);
+  ]
+
+let test_forcing_decks () =
+  List.iter
+    (fun (name, sys, c, spp) ->
+      check_forcing name (Covariance.sample ~samples_per_phase:spp sys) c)
+    (shipped_decks ())
+
+let test_forcing_stiff_ladder () =
+  let b, s = Lazy.force sampled_stiff_ladder100 in
+  check_forcing "stiff ladder-100" s b.LAD.output
+
+(* The rejected per-phase variant: across each phase, K(t_i) from one
+   exponential of the phase's A over t_i - t_phase, as if the grid's
+   computed operators composed exactly (e^{A h_a} e^{A h_b} =
+   e^{A (h_a + h_b)}).  Its forcing misses the dense recursion by
+   2.3e-6 (sc_lowpass) and 1.0e-6 (sc_integrator) relative, which the
+   parity check must catch. *)
+let per_phase_forcing s c =
+  let ks = Oracle.unroll s in
+  let start = ref 0 in
+  Array.mapi
+    (fun i k ->
+      if i = 0 then Mat.mul_vec k c
+      else begin
+        let p = s.Covariance.interval_phase.(i - 1) in
+        if i > 1 && s.Covariance.interval_phase.(i - 2) <> p then
+          start := i - 1;
+        let ph = s.Covariance.sys.Pwl.phases.(p) in
+        let d =
+          Vanloan.discretize ~a:ph.Pwl.a ~q:ph.Pwl.q
+            ~tau:(s.Covariance.times.(i) -. s.Covariance.times.(!start))
+        in
+        Mat.mul_vec (Vanloan.propagate d ks.(!start)) c
+      end)
+    ks
+
+let test_per_phase_caught () =
+  List.iter
+    (fun (name, sys, c, spp) ->
+      if name = "sc_lowpass" || name = "sc_integrator" then begin
+        let s = Covariance.sample ~samples_per_phase:spp sys in
+        let tr = Covariance.output_trace s c in
+        let ek, _, _ =
+          Oracle.trace_errors s c ~forcing:(per_phase_forcing s c)
+            ~trace:tr.Covariance.variance.Covariance.trace
+            ~rows:tr.Covariance.rows
+        in
+        Printf.printf "%s: per-phase forcing %.2e off the dense recursion\n"
+          name ek;
+        if ek <= parity_tol then
+          Alcotest.failf "%s: the per-phase variant passes the parity check"
+            name
+      end)
+    (shipped_decks ())
+
+(* The engine records the variance of its one pass; a fresh
    [Covariance.variance] of the same sample must give the same bits. *)
 let test_engine_variance () =
   let sci = SCI.build SCI.default in
@@ -300,28 +395,27 @@ let direct_major_words f =
   let _, p1, m1 = Gc.counters () in
   m1 -. m0 -. (p1 -. p0)
 
-(* A 40-state unroll allocates a fixed set of n×n buffers — two K
-   matrices, two work matrices and one transpose per distinct
-   operator — whether the grid has 24 or 96 samples per phase. *)
+(* A 40-state forcing pass allocates a fixed set of n×n buffers — two
+   each for K, Phi(t, 0) and the run's power, and the three of
+   [Vanloan.buffers] — whether the grid has 24 or 96 samples per
+   phase. *)
 let test_stream_allocation () =
   let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
   let n = lad.LAD.sys.Pwl.nstates in
   let buffers spp =
     let s = Covariance.sample ~samples_per_phase:spp lad.LAD.sys in
     let w =
-      direct_major_words (fun () -> Covariance.iter_trace s (fun _ _ -> ()))
+      direct_major_words (fun () ->
+          ignore (Covariance.output_trace s lad.LAD.output))
     in
-    (Array.length s.Covariance.interval_op, Array.length s.Covariance.ops,
+    (Array.length s.Covariance.interval_op, Array.length s.Covariance.runs,
      int_of_float (Float.round (w /. float_of_int (n * n))))
   in
-  let i24, ops24, b24 = buffers 24 and i96, ops96, b96 = buffers 96 in
-  Printf.printf "spp 24: %d intervals, %d operators, %d n×n buffers\n" i24
-    ops24 b24;
-  Printf.printf "spp 96: %d intervals, %d operators, %d n×n buffers\n" i96
-    ops96 b96;
+  let i24, r24, b24 = buffers 24 and i96, r96, b96 = buffers 96 in
+  Printf.printf "spp 24: %d intervals, %d runs, %d n×n buffers\n" i24 r24 b24;
+  Printf.printf "spp 96: %d intervals, %d runs, %d n×n buffers\n" i96 r96 b96;
   Alcotest.(check int) "same buffers at spp 24 and 96" b24 b96;
-  if b96 > 4 + ops96 then
-    Alcotest.failf "%d n×n buffers for %d operators" b96 ops96
+  if b96 > 9 then Alcotest.failf "%d n×n buffers, more than 9" b96
 
 let () =
   Alcotest.run "covariance"
@@ -345,11 +439,22 @@ let () =
         ] );
       ( "stream",
         [
-          Alcotest.test_case "iter_trace == propagate chain, jobs 1 and 4"
-            `Quick test_stream_vs_chain;
           Alcotest.test_case "engine variance == Covariance.variance" `Quick
             test_engine_variance;
           Alcotest.test_case "unroll buffers independent of grid size" `Quick
             test_stream_allocation;
+        ] );
+      (* a long group name widens the report's group column and
+         truncates the test names of every group *)
+      ( "forcing",
+        [
+          Alcotest.test_case "ladders == dense recursion" `Quick
+            test_forcing_ladders;
+          Alcotest.test_case "shipped decks == dense recursion" `Quick
+            test_forcing_decks;
+          Alcotest.test_case "stiff ladder-100 == dense recursion" `Quick
+            test_forcing_stiff_ladder;
+          Alcotest.test_case "per-phase variant is caught" `Quick
+            test_per_phase_caught;
         ] );
     ]

@@ -79,7 +79,19 @@ let test_mat_mul_vec () =
   check_close "r1" 7.0 r.(1);
   let rt = Mat.mul_transpose_vec a v in
   check_close "rt0" 4.0 rt.(0);
-  check_close "rt1" 6.0 rt.(1)
+  check_close "rt1" 6.0 rt.(1);
+  (* the _into forms overwrite a stale buffer and refuse to alias *)
+  let out = [| nan; nan |] in
+  Mat.mul_vec_into a v out;
+  Alcotest.(check (array (float 0.0))) "mul_vec_into" r out;
+  Mat.mul_transpose_vec_into a v out;
+  Alcotest.(check (array (float 0.0))) "mul_transpose_vec_into" rt out;
+  Alcotest.check_raises "mul_vec_into aliased"
+    (Invalid_argument "Mat.mul_vec_into: aliased output") (fun () ->
+      Mat.mul_vec_into a v v);
+  Alcotest.check_raises "mul_transpose_vec_into aliased"
+    (Invalid_argument "Mat.mul_transpose_vec_into: aliased output")
+    (fun () -> Mat.mul_transpose_vec_into a v v)
 
 let test_mat_submatrix_cat () =
   let a = mat_of [ [ 1.0; 2.0; 3.0 ]; [ 4.0; 5.0; 6.0 ]; [ 7.0; 8.0; 9.0 ] ] in
@@ -1243,9 +1255,10 @@ let test_chain_buffers () =
   if doubling > 10.0 then
     Alcotest.failf "doubling (%d steps) allocated %.1f matrices" taken doubling
 
-(* End to end: the 40-state ladder's whole covariance trace — every
-   Van Loan step, product and solve above — is bitwise the same at
-   1 and 4 jobs. *)
+(* End to end: the 40-state ladder's covariance trace as the PSD
+   engine reads it — k0, the monodromy, the forcing K(t_i) c, the rows
+   cᵀ Phi(t_i, 0) and the variance, through every Van Loan step,
+   product and solve above — is bitwise the same at 1 and 4 jobs. *)
 let test_ladder_trace_jobs () =
   let module Cov = Scnoise_core.Covariance in
   let module Ladder = Scnoise_circuits.Sc_ladder in
@@ -1255,11 +1268,11 @@ let test_ladder_trace_jobs () =
     let pool = Pool.create ~jobs () in
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
     let s = Cov.sample ~samples_per_phase:48 ~pool b.Ladder.sys in
+    let tr = Cov.output_trace s b.Ladder.output in
     Array.concat
-      (List.map Mat.data
-         (s.Cov.k0 :: s.Cov.phi_period
-          :: (Array.to_list (Cov.unroll s)
-             @ Array.to_list s.Cov.phis)))
+      (Mat.data s.Cov.k0 :: Mat.data s.Cov.phi_period
+       :: tr.Cov.variance.Cov.trace
+       :: (Array.to_list tr.Cov.forcing @ Array.to_list tr.Cov.rows))
   in
   check_bits "ladder n=40 covariance trace, jobs 1 vs 4" (trace 1) (trace 4)
 

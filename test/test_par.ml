@@ -220,10 +220,10 @@ let test_covariance_parity () =
   check_mat_bits "k0" s1.Covariance.k0 s4.Covariance.k0;
   check_mat_bits "phi_period" s1.Covariance.phi_period s4.Covariance.phi_period;
   check_mat_bits "q_period" s1.Covariance.q_period s4.Covariance.q_period;
-  let ks4 = Covariance.unroll s4 in
+  let ks4 = Oracle.unroll s4 in
   Array.iteri
     (fun i k -> check_mat_bits (Printf.sprintf "ks[%d]" i) k ks4.(i))
-    (Covariance.unroll s1);
+    (Oracle.unroll s1);
   (* and the raw per-interval discretisations *)
   let g1 =
     with_pool 1 (fun p ->

@@ -88,7 +88,7 @@ let prop_covariance_psd_matrix =
       let s = Covariance.sample ~samples_per_phase:24 sys in
       Array.for_all
         (fun k -> Chol.is_psd ~tol:1e-6 k)
-        (Covariance.unroll s))
+        (Oracle.unroll s))
 
 let prop_solvers_agree =
   QCheck.Test.make ~count:40 ~name:"kron and doubling Lyapunov solvers agree"
