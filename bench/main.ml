@@ -1566,6 +1566,59 @@ let pade_table () =
     (if !bits_ok then "ok" else "FAIL");
   !bits_ok
 
+(* [Eig.hessenberg] (flat, row by row) against the column loop it
+   replaced ([Oracle.hessenberg]) on the ladder-100 phase matrices and
+   monodromy the BVP reduces: min-of-10 times and H, U bit for bit.
+   Prints HESS-SMOKE on the monodromy and returns whether every
+   reduction is bitwise equal. *)
+let hessenberg_table (b, s) =
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let module Eig = Scnoise_linalg.Eig in
+  let t = Table.create [ "matrix"; "n"; "flat_ms"; "ref_ms"; "bits" ] in
+  let best f =
+    let m = ref infinity in
+    for _ = 1 to 10 do
+      m := Float.min !m (wall_ms f)
+    done;
+    !m
+  in
+  let bits_ok = ref true and n100 = ref (nan, nan) in
+  let cases =
+    List.mapi
+      (fun p (ph : Pwl.phase) -> (Printf.sprintf "ladder-100 A%d" p, ph.Pwl.a))
+      (Array.to_list b.LAD.sys.Pwl.phases)
+    @ [ ("ladder-100 monodromy", s.Covariance.phi_period) ]
+  in
+  List.iter
+    (fun (name, a) ->
+      let h, u = Eig.hessenberg a and h', u' = Oracle.hessenberg a in
+      let equal =
+        Oracle.bits_equal (Mat.data h) (Mat.data h')
+        && Oracle.bits_equal (Mat.data u) (Mat.data u')
+      in
+      if not equal then bits_ok := false;
+      let flat = best (fun () -> ignore (Eig.hessenberg a))
+      and reference = best (fun () -> ignore (Oracle.hessenberg a)) in
+      if name = "ladder-100 monodromy" then n100 := (flat, reference);
+      Table.add_row t
+        [
+          name; string_of_int (Mat.rows a);
+          Printf.sprintf "%.2f" flat;
+          Printf.sprintf "%.2f" reference;
+          (if equal then "equal" else "MISMATCH");
+        ])
+    cases;
+  Table.print t;
+  Printf.printf
+    "(Householder reduction with U: flat row-major loops against the \
+     column loop on float array array)\n";
+  let flat, reference = !n100 in
+  Printf.printf "HESS-SMOKE: n100_ms=%.2f ref_ms=%.2f bits=%s ok=%s\n" flat
+    reference
+    (if !bits_ok then "equal" else "MISMATCH")
+    (if !bits_ok then "ok" else "FAIL");
+  !bits_ok
+
 let exp_cov () =
   header "EXP-C2  covariance engine: memoised Van Loan grid (ladder with parasitics)";
   let module LAD = Scnoise_circuits.Sc_ladder in
@@ -1593,12 +1646,15 @@ let exp_cov () =
     Table.create
       [ "states"; "ms"; "expm_calls"; "distinct_ops"; "doubling_steps";
         "solve_madds"; "dense_madds"; "sample_products"; "forcing_ms";
-        "forcing_products"; "held_KiB" ]
+        "forcing_products"; "chain_cols"; "held_KiB" ]
   in
   let counts_ok = ref true and expm_at_100 = ref 0 and ops_at_100 = ref 0 in
   let madds_at_100 = ref 0 and dense_at_100 = ref 0 in
   let products_at_100 = ref 0 and forcing_rel_at_100 = ref nan in
-  let products_c = Obs.counter "covariance_products" in
+  let forcing_at_100 = ref 0 and cols_at_100 = ref 0 in
+  let ladder100 = ref None in
+  let products_c = Obs.counter "covariance_products"
+  and columns_c = Obs.counter "covariance_chain_columns" in
   List.iter
     (fun stages ->
       let b = build stages in
@@ -1633,14 +1689,15 @@ let exp_cov () =
       (* the forcing pass Psd.of_sampled runs, timed the same way *)
       let s = Option.get !cell in
       let forcing_best = ref infinity and forcing_products = ref 0 in
-      let trace = ref None in
+      let chain_cols = ref 0 and trace = ref None in
       for _ = 1 to 3 do
-        let p0 = Obs.value products_c in
+        let p0 = Obs.value products_c and c0 = Obs.value columns_c in
         let ms =
           wall_ms (fun () ->
               trace := Some (Covariance.output_trace s b.LAD.output))
         in
         forcing_products := Obs.value products_c - p0;
+        chain_cols := Obs.value columns_c - c0;
         forcing_best := Float.min !forcing_best ms
       done;
       (* each exponential solves its 2n x 2n Padé system, 2n columns *)
@@ -1653,6 +1710,9 @@ let exp_cov () =
         madds_at_100 := !madds;
         dense_at_100 := dense;
         products_at_100 := !sample_products + !forcing_products;
+        forcing_at_100 := !forcing_products;
+        cols_at_100 := !chain_cols;
+        ladder100 := Some (b, s);
         let tr = Option.get !trace in
         let ek, ev, er =
           Oracle.trace_errors s b.LAD.output ~forcing:tr.Covariance.forcing
@@ -1673,6 +1733,7 @@ let exp_cov () =
           string_of_int !sample_products;
           Printf.sprintf "%.1f" !forcing_best;
           string_of_int !forcing_products;
+          string_of_int !chain_cols;
           Printf.sprintf "%.0f"
             (float_of_int (Covariance.held_bytes s) /. 1024.);
         ])
@@ -1684,10 +1745,12 @@ let exp_cov () =
      solve_madds = lu_solve_madds of one sample, dense_madds = the row \
      loop's count;\n *_products = covariance_products, the n×n products \
      of the monodromy and period-noise fold (sample) and of the run-wise \
-     forcing pass;\n held_KiB = the matrices a sample holds: distinct \
+     forcing pass;\n chain_cols = covariance_chain_columns, the \
+     matrix-vector columns of the forcing pass's Horner chains;\n held_KiB = the matrices a sample holds: distinct \
      operators, run maps, k0, the monodromy, Q — no K(t_i) or Phi(t_i, 0))\n";
   let solve_bits = solve_table () in
   let pade_bits = pade_table () in
+  let hess_bits = hessenberg_table (Option.get !ladder100) in
   let ok = parity_db <= 1e-9 && !counts_ok in
   Printf.printf
     "COV-SMOKE: n100_expm_calls=%d n100_distinct_ops=%d parity_db=%.3e status=%s\n"
@@ -1700,10 +1763,12 @@ let exp_cov () =
   (* the transition chain (96) and the dense unroll (192) the run-wise
      pass replaced took 288 products at n = 100 *)
   let forcing_ok = !forcing_rel_at_100 <= 1e-13 && !products_at_100 < 96 + 192 in
-  Printf.printf "FORCING-SMOKE: n100_products=%d max_rel=%.2e ok=%s\n"
-    !products_at_100 !forcing_rel_at_100
+  Printf.printf
+    "FORCING-SMOKE: n100_products=%d n100_forcing_products=%d \
+     n100_chain_cols=%d max_rel=%.2e ok=%s\n"
+    !products_at_100 !forcing_at_100 !cols_at_100 !forcing_rel_at_100
     (if forcing_ok then "ok" else "FAIL");
-  if not (ok && solve_bits && pade_bits && forcing_ok) then exit 1
+  if not (ok && solve_bits && pade_bits && forcing_ok && hess_bits) then exit 1
 
 let experiments =
   [

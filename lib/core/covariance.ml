@@ -17,6 +17,9 @@ let c_samples = Obs.counter "covariance_samples"
    kernel's loop stays bare. *)
 let c_products = Obs.counter "covariance_products"
 
+(* Matrix-vector columns the forcing pass's Horner chains run. *)
+let c_chain_columns = Obs.counter "covariance_chain_columns"
+
 type grid_kind = [ `Stretched | `Uniform ]
 
 type run = { first : int; len : int; map : Vanloan.t option }
@@ -40,10 +43,17 @@ let ks_bytes _ = 0
 let held_bytes s =
   let bytes m = 8 * Mat.rows m * Mat.cols m in
   let map acc (d : Vanloan.t) = acc + bytes d.Vanloan.phi + bytes d.Vanloan.qd in
+  (* pieces of one run share their map *)
+  let run_maps =
+    Array.fold_left
+      (fun seen r ->
+        match r.map with
+        | Some d when not (List.memq d seen) -> d :: seen
+        | _ -> seen)
+      [] s.runs
+  in
   Array.fold_left map 0 s.ops
-  + Array.fold_left
-      (fun acc r -> match r.map with Some d -> map acc d | None -> acc)
-      0 s.runs
+  + List.fold_left map 0 run_maps
   + bytes s.k0 + bytes s.phi_period + bytes s.q_period
 
 (* --- the discretised grid ---
@@ -143,10 +153,32 @@ let discretized_grid ?(samples_per_phase = default_samples_per_phase)
    no products on them. *)
 let run_min = 5
 
+(* The longest run {!output_trace} unrolls by Horner chains.  A run of
+   [m] intervals runs m(m-1)/2 matrix-vector columns, which is at most
+   the m - 1 powers' m - 1 products of n columns while m <= 2n, and its
+   chain blocks stay within two [n×n] matrices.  Below n = 5 the floor
+   of [2 * run_min] keeps every piece of a cut run long enough for a
+   map. *)
+let chain_cap n = Int.max (2 * n) (2 * run_min)
+
 (* The maximal runs of consecutive intervals that share one operator,
-   each long one with its [len]-fold map. *)
+   each cut into as few pieces of at most [chain_cap n] as it takes,
+   their lengths differing by at most one, and each piece of at least
+   [run_min] with its [len]-fold map: pieces of one operator and length
+   share one map. *)
 let runs_of ops interval_op =
   let nint = Array.length interval_op in
+  let maps = Hashtbl.create 16 in
+  let map_of op len =
+    if len < run_min then None
+    else
+      match Hashtbl.find_opt maps (op, len) with
+      | Some d -> Some d
+      | None ->
+          let d = Vanloan.repeat ops.(op) len in
+          Hashtbl.add maps (op, len) d;
+          Some d
+  in
   let runs = ref [] and i = ref 0 in
   while !i < nint do
     let op = interval_op.(!i) in
@@ -154,11 +186,14 @@ let runs_of ops interval_op =
     while !i + !len < nint && interval_op.(!i + !len) = op do
       incr len
     done;
-    let map =
-      if !len >= run_min then Some (Vanloan.repeat ops.(op) !len) else None
-    in
-    runs := { first = !i; len = !len; map } :: !runs;
-    i := !i + !len
+    let cap = chain_cap (Mat.rows ops.(op).Vanloan.phi) in
+    let pieces = (!len + cap - 1) / cap in
+    let short = !len / pieces and long = !len mod pieces in
+    for p = 0 to pieces - 1 do
+      let len = if p < long then short + 1 else short in
+      runs := { first = !i; len; map = map_of op len } :: !runs;
+      i := !i + len
+    done
   done;
   Array.of_list (List.rev !runs)
 
@@ -255,17 +290,26 @@ type output_trace = {
 
 (* The forcing k_i = K(t_i) c and the rows r_i = Phi(t_i, 0)ᵀ c, run by
    run.  In a run of [m] intervals of one operator (Phi, Qd) from grid
-   point s, with w_l = (Phi^l)ᵀ c,
+   point s, with w_l = (Phiᵀ)^l c and u_j = Qd w_j,
 
-     k_{s+l} = Phi^l (K_s w_l) + sum_{j<l} Phi^j (Qd w_j),
+     k_{s+l} = Phi^l (K_s w_l) + sum_{j<l} Phi^j u_j,
      r_{s+l} = T_sᵀ w_l,    T_s = Phi(t_s, 0),
 
-   an exact unrolling of K_{l+1} = Phi K_l Phiᵀ + Qd: one power Phi^l
-   per interval and matrix-vector products.  K and T are formed only at
-   the run's end, through its map.  A short run steps K and T interval
-   by interval.  Every matrix lives in buffers owned here, two of each
-   kind used in turn, so the count is the same at any grid size, and
-   the work vectors too: a grid point allocates only its two outputs. *)
+   an exact unrolling of K_{l+1} = Phi K_l Phiᵀ + Qd, taken in Horner
+   form: z <- K_s w_l, then z <- Phi z + u_j for j = l-1 down to 0.  The
+   chains l = 1 .. m-1 are the rows of one block Z, longest first, all
+   started together: step t advances the m - t live rows (a row prefix)
+   by one product with Phiᵀ, adds to row r the row r + t of U (the u_j
+   in reverse order), and finishes chain l = t, the last live row.
+   That is m(m-1)/2 matrix-vector columns and no power of Phi; K and T
+   are formed only at the run's end, through its map.  A short run
+   steps K and T interval by interval.
+
+   Every matrix lives in buffers owned here, the same at any grid size:
+   K (stepped in place once it leaves [s.k0]), T, Phiᵀ, and the chain
+   blocks Z and U of [chain_cap n] rows, held as n-row pieces, with one
+   spare piece the products of Z land in.  Between chains the pieces
+   are free and serve as the step's work matrices and T's next value. *)
 let output_trace s c =
   Obs.with_span ~src "covariance.unroll" (fun () ->
       let n = Mat.rows s.k0 in
@@ -274,30 +318,93 @@ let output_trace s c =
       let npts = Array.length s.times in
       let forcing = Array.make npts [||] and rows = Array.make npts [||] in
       let trace = Array.make npts 0.0 in
-      let emit i k r =
+      let emit_forcing i k =
         forcing.(i) <- k;
-        rows.(i) <- r;
         trace.(i) <- Vec.dot c k
       in
-      let pair () = [| Mat.create n n; Mat.create n n |] in
-      let kb = pair () and tb = [| Mat.identity n; Mat.create n n |] in
-      let pw = pair () and bufs = Vanloan.buffers n in
-      let w = Vec.create n and acc = Vec.create n in
-      let u = Vec.create n and pu = Vec.create n and v = Vec.create n in
-      (* the buffer of [b] that [x] is not *)
-      let other b x = if x == b.(0) then b.(1) else b.(0) in
-      let k = ref s.k0 and t = ref tb.(0) in
-      let emit_state i =
-        emit i (Mat.mul_vec !k c) (Mat.mul_transpose_vec !t c)
+      let square () = Mat.create n n in
+      let pieces = (chain_cap n + n - 1) / Int.max 1 n in
+      let z = Array.init pieces (fun _ -> square ())
+      and u = Array.init pieces (fun _ -> square ()) in
+      let spare = ref (square ()) and phi_t = square () and kbuf = square () in
+      let k = ref s.k0 and t = ref (Mat.identity n) in
+      let w = Vec.create n and w' = Vec.create n in
+      (* row [r] of a block is row [r mod n] of piece [r / n] *)
+      let store blk r x =
+        Array.blit x 0 (Mat.data blk.(r / n)) (r mod n * n) n
       in
-      (* K <- d (K), T <- d.phi T *)
+      (* K <- d (K), T <- d.phi T, through free pieces *)
       let advance (d : Vanloan.t) =
-        let k' = other kb !k and t' = other tb !t in
         Obs.add c_products 3;
-        Vanloan.step bufs d !k ~out:k';
-        Mat.mul_into d.Vanloan.phi !t t';
-        k := k';
+        Mat.transpose_into d.Vanloan.phi phi_t;
+        Vanloan.propagate_into d ~phi_t ~work:z.(0) ~work':z.(1) !k ~out:kbuf;
+        k := kbuf;
+        Mat.mul_into d.Vanloan.phi !t u.(0);
+        let t' = u.(0) in
+        u.(0) <- !t;
         t := t'
+      in
+      let emit_state i =
+        emit_forcing i (Mat.mul_vec !k c);
+        rows.(i) <- Mat.mul_transpose_vec !t c
+      in
+      (* [f p r] for the pieces holding the first [live] rows of a
+         block, [r] of them in piece [p] *)
+      let pieces_of live f =
+        for p = 0 to (live - 1) / n do
+          f p (Int.min n (live - (p * n)))
+        done
+      in
+      (* Z <- Z b on the first [live] rows, piece by piece through the
+         spare *)
+      let times live b =
+        pieces_of live (fun p r ->
+            let out = !spare in
+            Mat.mul_into ~rows:r z.(p) b out;
+            spare := z.(p);
+            z.(p) <- out)
+      in
+      let chains (d : Vanloan.t) first m =
+        let phi = d.Vanloan.phi in
+        (* W, in Z: w_l in row m-1-l *)
+        Array.blit c 0 w 0 n;
+        store z (m - 1) w;
+        for l = 1 to m - 1 do
+          Mat.mul_transpose_vec_into phi w w';
+          Array.blit w' 0 w 0 n;
+          store z (m - 1 - l) w
+        done;
+        (* U = W Qd (Qd is symmetric): u_j in row m-1-j *)
+        pieces_of m (fun p r ->
+            Mat.mul_into ~rows:r z.(p) d.Vanloan.qd u.(p));
+        (* the rows r_{s+l} = T_sᵀ w_l: the rows of W T_s *)
+        pieces_of (m - 1) (fun p r ->
+            Mat.mul_into ~rows:r z.(p) !t !spare;
+            let sd = Mat.data !spare in
+            for i = 0 to r - 1 do
+              rows.(first + m - 1 - ((p * n) + i)) <- Array.sub sd (i * n) n
+            done);
+        (* the chains' starts K_s w_l (K is symmetric): Z = W K_s *)
+        times (m - 1) !k;
+        Mat.transpose_into phi phi_t;
+        for step = 1 to m - 1 do
+          let live = m - step in
+          times live phi_t;
+          (* chain l = m-1-r adds u_{l-step}, U row r + step *)
+          for r = 0 to live - 1 do
+            let zd = Mat.data z.(r / n) and zo = r mod n * n in
+            let q = r + step in
+            let ud = Mat.data u.(q / n) and uo = q mod n * n in
+            for j = 0 to n - 1 do
+              Array.unsafe_set zd (zo + j)
+                (Array.unsafe_get zd (zo + j) +. Array.unsafe_get ud (uo + j))
+            done
+          done;
+          Obs.add c_chain_columns live;
+          let r = live - 1 in
+          emit_forcing (first + step)
+            (Array.sub (Mat.data z.(r / n)) (r mod n * n) n)
+        done
       in
       emit_state 0;
       Array.iter
@@ -309,28 +416,7 @@ let output_trace s c =
                 emit_state (i + 1)
               done
           | Some map ->
-              let d = op_at s.ops s.interval_op r.first in
-              let ks = !k and ts = !t in
-              (* when point s + l is emitted: [p] = Phi^l, [w] = w_l
-                 and [acc] = the sum over j < l *)
-              let p = ref d.Vanloan.phi in
-              Mat.mul_vec_into d.Vanloan.qd c acc;
-              for l = 1 to r.len - 1 do
-                if l > 1 then begin
-                  Mat.mul_vec_into d.Vanloan.qd w u;
-                  Mat.mul_vec_into !p u pu;
-                  Vec.axpy 1.0 pu acc;
-                  let p' = other pw !p in
-                  Obs.incr c_products;
-                  Mat.mul_into d.Vanloan.phi !p p';
-                  p := p'
-                end;
-                Mat.mul_transpose_vec_into !p c w;
-                Mat.mul_vec_into ks w v;
-                let kl = Mat.mul_vec !p v in
-                Vec.axpy 1.0 acc kl;
-                emit (r.first + l) kl (Mat.mul_transpose_vec ts w)
-              done;
+              chains (op_at s.ops s.interval_op r.first) r.first r.len;
               advance map;
               emit_state (r.first + r.len))
         s.runs;

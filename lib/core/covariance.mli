@@ -12,17 +12,20 @@
     Every interval of the sampling grid is discretised by one Van Loan
     augmented exponential, memoised per distinct (phase, step) pair, so
     a stretched grid of ~2x96 intervals builds a dozen or so operators.
-    Consecutive intervals of one operator form a run; a long run folds
-    into one map by binary doubling ({!Scnoise_linalg.Vanloan.repeat}),
-    and the monodromy and the period's process noise take one step per
-    run.  The steady state squares the period map the same way until it
-    converges ({!Scnoise_linalg.Lyapunov.solve_discrete_doubling}).
+    Consecutive intervals of one operator form a run, cut into pieces
+    of at most [max (2n) 10] intervals; a long piece folds into one map
+    by binary doubling ({!Scnoise_linalg.Vanloan.repeat}), shared by
+    the pieces of one operator and length, and the monodromy and the
+    period's process noise take one step per piece.  The steady state
+    squares the period map the same way until it converges
+    ({!Scnoise_linalg.Lyapunov.solve_discrete_doubling}).
 
     No [K(t_i)] and no [Phi(t_i, 0)] is ever formed per grid point: the
     method reads the covariance only through the PSD forcing
     [K(t_i) c], the output variance [cᵀ K(t_i) c] and the shooting rows
     [cᵀ Phi(t_i, 0)], and {!output_trace} takes all three from one
-    run-wise pass, one matrix power per interval inside a run. *)
+    run-wise pass of Horner chains on vectors, with n×n products only
+    where it steps through a map or a short run's interval. *)
 
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
@@ -32,11 +35,15 @@ type grid_kind = [ `Stretched | `Uniform ]
 
 type run = {
   first : int;  (** index of the run's first interval *)
-  len : int;  (** number of consecutive intervals sharing its operator *)
+  len : int;
+      (** number of consecutive intervals sharing its operator: at most
+          [max (2n) 10], a longer stretch of one operator being cut into
+          pieces whose lengths differ by at most one *)
   map : Scnoise_linalg.Vanloan.t option;
       (** the operator applied [len] times ({!Scnoise_linalg.Vanloan.repeat}),
-          kept for runs long enough to pay for it; [None] on a short run,
-          which is stepped interval by interval *)
+          kept for runs long enough to pay for it (at least 5 intervals)
+          and shared physically by the runs of one operator and length;
+          [None] on a short run, which is stepped interval by interval *)
 }
 
 type sampled = {
@@ -46,7 +53,7 @@ type sampled = {
   ops : Scnoise_linalg.Vanloan.t array;
       (** the distinct per-interval operators (Phi, Qd) *)
   interval_op : int array;  (** index into [ops] of each interval's operator *)
-  runs : run array;  (** the maximal runs of one operator, in grid order *)
+  runs : run array;  (** the runs of one operator, in grid order *)
   k0 : Mat.t;  (** periodic steady-state covariance at t = 0 *)
   phi_period : Mat.t;  (** monodromy Phi(T, 0) *)
   q_period : Mat.t;  (** accumulated process noise over one period *)
@@ -59,7 +66,7 @@ val ks_bytes : sampled -> int
 
 val held_bytes : sampled -> int
 (** Bytes of every matrix the record holds: the distinct operators, the
-    run maps, [k0], [phi_period] and [q_period]. *)
+    distinct run maps, [k0], [phi_period] and [q_period]. *)
 
 type discretized_grid = {
   g_times : float array;  (** grid over one period, [0 .. T] *)
@@ -130,14 +137,21 @@ type output_trace = {
 val output_trace : sampled -> Vec.t -> output_trace
 (** [output_trace s c] is everything the PSD engine reads of the
     covariance for output row [c], from one pass over the runs (span
-    [covariance.unroll]).  In a run of [m] intervals of one operator
-    [(Phi, Qd)] from grid point [s], with [w_l = (Phi^l)ᵀ c],
-    [k_{s+l} = Phi^l (K_s w_l) + sum_{j<l} Phi^j (Qd w_j)] and
-    [r_{s+l} = Phi(t_s, 0)ᵀ w_l]: one [n×n] product (the power) per
-    interval, and [K] and [Phi(t, 0)] formed only at run ends through
-    the run's map.  Short runs step both interval by interval.  The
-    pass owns a fixed set of [n×n] buffers, whatever the grid size, and
-    its last transition is bitwise [s.phi_period].  Raises
+    [covariance.unroll]).  In a mapped run of [m] intervals of one
+    operator [(Phi, Qd)] from grid point [s], with
+    [w_l = (Phiᵀ)^l c], the forcing
+    [k_{s+l} = Phi^l (K_s w_l) + sum_{j<l} Phi^j (Qd w_j)] is taken in
+    Horner form, [z <- K_s w_l] then [z <- Phi z + Qd w_j] for
+    [j = l-1 .. 0], every chain of the run a row of one block advanced
+    by one row-prefix product with [Phiᵀ] per step: [m(m-1)/2]
+    matrix-vector columns (counter [covariance_chain_columns]) and no
+    power of [Phi].  The rows are [r_{s+l} = Phi(t_s, 0)ᵀ w_l].  [K]
+    and [Phi(t, 0)] are formed only at run ends, through the run's map,
+    and short runs step both interval by interval: three [n×n]
+    products per step (counter [covariance_products]).  The pass owns
+    a fixed set of eight [n×n] buffers, whatever the grid size, and
+    its last transition is bitwise [s.phi_period].  [s.k0] and every
+    operator's [Qd] must be symmetric, as {!sample} makes them.  Raises
     [Invalid_argument] if [c] has the wrong length. *)
 
 val variance : sampled -> Vec.t -> variance

@@ -1,24 +1,48 @@
 exception No_convergence of int
 
 (* Householder similarity reduction to upper Hessenberg form, in place
-   on [a].  With [u] (the identity on entry) each reflector
-   P_k = I - beta v vᵀ is also accumulated as u <- u P_k, so that on
-   exit A = u H uᵀ; the reduction's own arithmetic does not depend on
-   it. *)
+   on the row-major [n×n] buffer [a].  With [u] (the identity on entry)
+   each reflector P_k = I - beta v vᵀ is also accumulated as
+   u <- u P_k, so that on exit A = u H uᵀ; the reduction's own
+   arithmetic does not depend on it.
+
+   Every entry sees the float operations of the textbook column loop
+   ([Oracle.hessenberg]), in its order: the left update's sums
+   s_j = sum_i v_i a_ij run over ascending i for every column at once,
+   a row of [a] at a time, into [s]; the right update and [u]'s are
+   row sums already. *)
 let reduce ?u a n =
+  let v = Array.make n 0.0 and s = Array.make n 0.0 in
+  (* x <- x (I - beta v vᵀ) on the rows of the row-major [x] *)
+  let right x beta k =
+    for i = 0 to n - 1 do
+      let r = i * n in
+      let acc = ref 0.0 in
+      for j = k + 1 to n - 1 do
+        acc := !acc +. (Array.unsafe_get x (r + j) *. Array.unsafe_get v j)
+      done;
+      let acc = beta *. !acc in
+      for j = k + 1 to n - 1 do
+        Array.unsafe_set x (r + j)
+          (Array.unsafe_get x (r + j) -. (acc *. Array.unsafe_get v j))
+      done
+    done
+  in
   for k = 0 to n - 3 do
     (* Householder vector annihilating a.(k+2..n-1).(k). *)
     let alpha = ref 0.0 in
     for i = k + 1 to n - 1 do
-      alpha := !alpha +. (a.(i).(k) *. a.(i).(k))
+      let x = a.((i * n) + k) in
+      alpha := !alpha +. (x *. x)
     done;
     let alpha = sqrt !alpha in
     if alpha > 0.0 then begin
-      let alpha = if a.(k + 1).(k) > 0.0 then -.alpha else alpha in
-      let v = Array.make n 0.0 in
-      v.(k + 1) <- a.(k + 1).(k) -. alpha;
+      let sub = a.(((k + 1) * n) + k) in
+      let alpha = if sub > 0.0 then -.alpha else alpha in
+      Array.fill v 0 n 0.0;
+      v.(k + 1) <- sub -. alpha;
       for i = k + 2 to n - 1 do
-        v.(i) <- a.(i).(k)
+        v.(i) <- a.((i * n) + k)
       done;
       let vnorm2 = ref 0.0 in
       for i = k + 1 to n - 1 do
@@ -27,55 +51,41 @@ let reduce ?u a n =
       if !vnorm2 > 0.0 then begin
         let beta = 2.0 /. !vnorm2 in
         (* A <- (I - beta v vᵀ) A *)
+        Array.fill s 0 n 0.0;
+        for i = k + 1 to n - 1 do
+          let vi = v.(i) and r = i * n in
+          for j = 0 to n - 1 do
+            Array.unsafe_set s j
+              (Array.unsafe_get s j +. (vi *. Array.unsafe_get a (r + j)))
+          done
+        done;
         for j = 0 to n - 1 do
-          let s = ref 0.0 in
-          for i = k + 1 to n - 1 do
-            s := !s +. (v.(i) *. a.(i).(j))
-          done;
-          let s = beta *. !s in
-          for i = k + 1 to n - 1 do
-            a.(i).(j) <- a.(i).(j) -. (s *. v.(i))
+          s.(j) <- beta *. s.(j)
+        done;
+        for i = k + 1 to n - 1 do
+          let vi = v.(i) and r = i * n in
+          for j = 0 to n - 1 do
+            Array.unsafe_set a (r + j)
+              (Array.unsafe_get a (r + j) -. (Array.unsafe_get s j *. vi))
           done
         done;
         (* A <- A (I - beta v vᵀ) *)
-        for i = 0 to n - 1 do
-          let s = ref 0.0 in
-          for j = k + 1 to n - 1 do
-            s := !s +. (a.(i).(j) *. v.(j))
-          done;
-          let s = beta *. !s in
-          for j = k + 1 to n - 1 do
-            a.(i).(j) <- a.(i).(j) -. (s *. v.(j))
-          done
-        done;
-        match u with
-        | None -> ()
-        | Some u ->
-            for i = 0 to n - 1 do
-              let s = ref 0.0 in
-              for j = k + 1 to n - 1 do
-                s := !s +. (u.(i).(j) *. v.(j))
-              done;
-              let s = beta *. !s in
-              for j = k + 1 to n - 1 do
-                u.(i).(j) <- u.(i).(j) -. (s *. v.(j))
-              done
-            done
+        right a beta k;
+        Option.iter (fun u -> right u beta k) u
       end
     end;
     (* Clean below the first subdiagonal in column k. *)
     for i = k + 2 to n - 1 do
-      a.(i).(k) <- 0.0
+      a.((i * n) + k) <- 0.0
     done
   done
 
 let hessenberg m =
   if not (Mat.is_square m) then invalid_arg "Eig.hessenberg: not square";
   let n = Mat.rows m in
-  let a = Mat.to_arrays m in
-  let u = Mat.to_arrays (Mat.identity n) in
-  reduce ~u a n;
-  (Mat.of_arrays a, Mat.of_arrays u)
+  let h = Mat.copy m and u = Mat.identity n in
+  reduce ~u:(Mat.data u) (Mat.data h) n;
+  (h, u)
 
 let sign_with magnitude reference =
   if reference >= 0.0 then abs_float magnitude else -.abs_float magnitude
@@ -266,16 +276,19 @@ let hqr a n =
   done;
   Array.init n (fun i -> Cx.make wr.(i) wi.(i))
 
+let hessenberg_eigenvalues h =
+  if not (Mat.is_square h) then
+    invalid_arg "Eig.hessenberg_eigenvalues: not square";
+  let n = Mat.rows h in
+  if n = 0 then [||]
+  else if n = 1 then [| Cx.re (Mat.get h 0 0) |]
+  else hqr (Mat.to_arrays h) n
+
 let eigenvalues m =
   if not (Mat.is_square m) then invalid_arg "Eig.eigenvalues: not square";
-  let n = Mat.rows m in
-  if n = 0 then [||]
-  else if n = 1 then [| Cx.re (Mat.get m 0 0) |]
-  else begin
-    let a = Mat.to_arrays m in
-    reduce a n;
-    hqr a n
-  end
+  let h = Mat.copy m in
+  reduce (Mat.data h) (Mat.rows m);
+  hessenberg_eigenvalues h
 
 let spectral_radius m =
   Array.fold_left (fun acc z -> max acc (Cx.modulus z)) 0.0 (eigenvalues m)

@@ -3,7 +3,12 @@
     Householder reduction to upper Hessenberg form followed by the
     Francis implicit double-shift QR iteration (eigenvalues only).  Used
     for Floquet-multiplier / stability diagnostics of switched circuits
-    and for analytic cross-checks in tests. *)
+    and for analytic cross-checks in tests.
+
+    The reduction runs on the row-major storage of {!Mat.t}, row by row,
+    yet every entry sees the same float operations in the same order as
+    the textbook column loop (kept in the test oracle as
+    [Oracle.hessenberg]), so its results are that loop's bit for bit. *)
 
 exception No_convergence of int
 (** Raised with the stuck eigenvalue index if the QR iteration exceeds
@@ -16,7 +21,12 @@ val hessenberg : Mat.t -> Mat.t * Mat.t
     modified. *)
 
 val eigenvalues : Mat.t -> Cx.t array
-(** All eigenvalues (with multiplicity), in no particular order. *)
+(** All eigenvalues (with multiplicity), in no particular order:
+    [hessenberg_eigenvalues] of the reduced matrix. *)
+
+val hessenberg_eigenvalues : Mat.t -> Cx.t array
+(** The QR stage alone, on a matrix already in upper Hessenberg form
+    (entries below the first subdiagonal are taken as zero). *)
 
 val spectral_radius : Mat.t -> float
 (** Largest eigenvalue modulus. *)

@@ -60,15 +60,24 @@ let copy m = { m with d = Array.copy m.d }
 
 (* The element-wise operations below are plain loops over the backing
    buffers: no per-element closure call, so no float is boxed. *)
-let transpose m =
-  let nr = m.nr and nc = m.nc and s = m.d in
-  let d = Array.create_float (nr * nc) in
+let transpose_data ~nr ~nc (s : float array) (d : float array) =
   for i = 0 to nc - 1 do
     for j = 0 to nr - 1 do
       Array.unsafe_set d ((i * nr) + j) (Array.unsafe_get s ((j * nc) + i))
     done
-  done;
-  { nr = nc; nc = nr; d }
+  done
+
+let transpose m =
+  let d = Array.create_float (m.nr * m.nc) in
+  transpose_data ~nr:m.nr ~nc:m.nc m.d d;
+  { nr = m.nc; nc = m.nr; d }
+
+let transpose_into m out =
+  if out.nr <> m.nc || out.nc <> m.nr then
+    invalid_arg "Mat.transpose_into: dimension mismatch";
+  if Array.length out.d > 0 && out.d == m.d then
+    invalid_arg "Mat.transpose_into: aliased output";
+  transpose_data ~nr:m.nr ~nc:m.nc m.d out.d
 
 let same_dims a b name =
   if a.nr <> b.nr || a.nc <> b.nc then
@@ -233,17 +242,26 @@ let scratch ~m ~p ~n =
   end;
   s
 
-(* Every entry of [c] is written (a tile with an empty [k] range stores
-   its zero accumulators, an axpy row clears first), so [c] needs no
-   clearing.  Empty matrices all share the one empty array and cannot
-   alias. *)
-let mul_into a b c =
+(* Whether rows [i] and [i + 1] of the first [m] share a tile.  A
+   top-level function, so that a product allocates no closure. *)
+let paired ~m a_lo a_hi zero_free finite i =
+  i + 1 < m && zero_free.(i) && zero_free.(i + 1)
+  && a_lo.(i) = a_lo.(i + 1) && a_hi.(i) = a_hi.(i + 1)
+  && finite.(i) = finite.(i + 1)
+
+(* Every entry of the first [m] rows of [c] is written (a tile with an
+   empty [k] range stores its zero accumulators, an axpy row clears
+   first), so [c] needs no clearing; its later rows are not touched.
+   Empty matrices all share the one empty array and cannot alias. *)
+let mul_into ?rows a b c =
   if a.nc <> b.nr then invalid_arg "Mat.mul_into: inner dimension mismatch";
   if c.nr <> a.nr || c.nc <> b.nc then
     invalid_arg "Mat.mul_into: output dimension mismatch";
   if Array.length c.d > 0 && (c.d == a.d || c.d == b.d) then
     invalid_arg "Mat.mul_into: aliased output";
-  let m = a.nr and p = a.nc and n = b.nc in
+  let m = match rows with None -> a.nr | Some r -> r in
+  if m < 0 || m > a.nr then invalid_arg "Mat.mul_into: row count out of range";
+  let p = a.nc and n = b.nc in
   let ad = a.d and bd = b.d and cd = c.d in
   let { a_lo; a_hi; zero_free; finite; bc_lo; bc_hi; br_lo; br_hi } =
     scratch ~m ~p ~n
@@ -265,19 +283,13 @@ let mul_into a b c =
     finite.(i) <- !fin;
     zero_free.(i) <- !nnz = 0 || !nnz = !hi - !lo + 1
   done;
-  (* rows [i] and [i + 1] share a tile *)
-  let paired i =
-    i + 1 < m && zero_free.(i) && zero_free.(i + 1)
-    && a_lo.(i) = a_lo.(i + 1) && a_hi.(i) = a_hi.(i + 1)
-    && finite.(i) = finite.(i + 1)
-  in
   (* whether a finite row runs in a tile, which needs [b]'s column
      supports, or as an axpy, which needs its row supports: the pairing
      walk of the product loop below, run once ahead of it *)
   let col_bound = ref false and row_bound = ref false in
   let i = ref 0 in
   while !i < m do
-    if paired !i then begin
+    if paired ~m a_lo a_hi zero_free finite !i then begin
       if finite.(!i) then col_bound := true;
       i := !i + 2
     end
@@ -317,7 +329,7 @@ let mul_into a b c =
   while !i < m do
     let i0 = !i in
     let lo = a_lo.(i0) and hi = a_hi.(i0) and fin = finite.(i0) in
-    if paired i0 then begin
+    if paired ~m a_lo a_hi zero_free finite i0 then begin
       for u = 0 to (n4 / 4) - 1 do
         let j = 4 * u in
         if fin then

@@ -51,6 +51,11 @@ val copy : t -> t
 
 val transpose : t -> t
 
+val transpose_into : t -> t -> unit
+(** [transpose_into m out] writes [transpose m] into [out].  Raises
+    [Invalid_argument] on mismatched dimensions or when [out] shares
+    its storage with [m]. *)
+
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -68,11 +73,14 @@ val mul : t -> t -> t
     Van Loan matrix and its powers multiply at a fraction of the dense
     cost. *)
 
-val mul_into : t -> t -> t -> unit
+val mul_into : ?rows:int -> t -> t -> t -> unit
 (** [mul_into a b c] writes [mul a b] into [c], bit for bit, without
-    allocating a matrix: every entry of [c] is overwritten.  Raises
-    [Invalid_argument] on mismatched dimensions or when [c] shares its
-    storage with [a] or [b]. *)
+    allocating a matrix: every entry of [c] is overwritten.  With
+    [~rows:r] only the first [r] rows of [a] are multiplied: rows
+    [0 .. r - 1] of [c] get those of [mul a b], bit for bit, and the
+    later rows of [c] are left as they were.  Raises [Invalid_argument]
+    on mismatched dimensions, on [r] outside [0 .. rows a], or when [c]
+    shares its storage with [a] or [b]. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 

@@ -80,12 +80,7 @@ let step bufs d k ~out =
   let n = Mat.rows d.phi in
   if Mat.rows bufs.phi_t <> n || Mat.cols d.phi <> n then
     invalid_arg "Vanloan.step: dimension mismatch";
-  let s = Mat.data d.phi and t = Mat.data bufs.phi_t in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Array.unsafe_set t ((i * n) + j) (Array.unsafe_get s ((j * n) + i))
-    done
-  done;
+  Mat.transpose_into d.phi bufs.phi_t;
   propagate_into d ~phi_t:bufs.phi_t ~work:bufs.work ~work':bufs.work' k ~out
 
 let propagate d k =

@@ -93,6 +93,66 @@ let pade13 a =
   in
   { Expm.lhs = Mat.sub v u; rhs = Mat.add v u; squarings = s }
 
+(* The Householder reduction to Hessenberg form that [Eig.hessenberg]
+   replaced, on a [float array array] with the textbook column loop:
+   the left update forms each column's s_j = sum_i v_i a_ij and updates
+   that column before the next.  Returns (H, U) with A = U H Uᵀ. *)
+let hessenberg m =
+  let n = Mat.rows m in
+  let a = Mat.to_arrays m and u = Mat.to_arrays (Mat.identity n) in
+  for k = 0 to n - 3 do
+    let alpha = ref 0.0 in
+    for i = k + 1 to n - 1 do
+      alpha := !alpha +. (a.(i).(k) *. a.(i).(k))
+    done;
+    let alpha = sqrt !alpha in
+    if alpha > 0.0 then begin
+      let alpha = if a.(k + 1).(k) > 0.0 then -.alpha else alpha in
+      let v = Array.make n 0.0 in
+      v.(k + 1) <- a.(k + 1).(k) -. alpha;
+      for i = k + 2 to n - 1 do
+        v.(i) <- a.(i).(k)
+      done;
+      let vnorm2 = ref 0.0 in
+      for i = k + 1 to n - 1 do
+        vnorm2 := !vnorm2 +. (v.(i) *. v.(i))
+      done;
+      if !vnorm2 > 0.0 then begin
+        let beta = 2.0 /. !vnorm2 in
+        (* A <- (I - beta v vᵀ) A *)
+        for j = 0 to n - 1 do
+          let s = ref 0.0 in
+          for i = k + 1 to n - 1 do
+            s := !s +. (v.(i) *. a.(i).(j))
+          done;
+          let s = beta *. !s in
+          for i = k + 1 to n - 1 do
+            a.(i).(j) <- a.(i).(j) -. (s *. v.(i))
+          done
+        done;
+        (* X <- X (I - beta v vᵀ) for X = A, U *)
+        List.iter
+          (fun x ->
+            for i = 0 to n - 1 do
+              let s = ref 0.0 in
+              for j = k + 1 to n - 1 do
+                s := !s +. (x.(i).(j) *. v.(j))
+              done;
+              let s = beta *. !s in
+              for j = k + 1 to n - 1 do
+                x.(i).(j) <- x.(i).(j) -. (s *. v.(j))
+              done
+            done)
+          [ a; u ]
+      end
+    end;
+    for i = k + 2 to n - 1 do
+      a.(i).(k) <- 0.0
+    done
+  done;
+  let mat x = Mat.init n n (fun i j -> x.(i).(j)) in
+  (mat a, mat u)
+
 (* The sampling grid over one period and, per interval, its phase and
    exact step. *)
 let covariance_grid ~samples_per_phase (sys : Pwl.t) =

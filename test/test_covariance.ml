@@ -253,7 +253,7 @@ let test_unstable_raises () =
 (* --- the forcing pass against the dense recursion ---
 
    [Covariance.output_trace] unrolls each run of one operator
-   algebraically (one matrix power per interval); the oracle steps
+   algebraically (Horner chains on vectors); the oracle steps
    K(t_i) and Phi(t_i, 0) one interval at a time over the record's own
    operators ([Oracle.unroll], [Oracle.transitions]).  The two are the
    same sums in a different order, so every quantity must agree to
@@ -323,6 +323,54 @@ let test_forcing_decks () =
 let test_forcing_stiff_ladder () =
   let b, s = Lazy.force sampled_stiff_ladder100 in
   check_forcing "stiff ladder-100" s b.LAD.output
+
+(* Runs below, at and above the chain cap (2n intervals, at least
+   2·run_min = 10): a longer run is cut into pieces of near-equal
+   length, each with a map, and every piece's forcing, variance and
+   rows must keep the parity of the short ones.  The uniform grids give
+   one run per phase of exactly the cap (ladder-8 at 16 intervals), one
+   past it (17, cut 9 + 8), one of exactly run_min (the switched RC at
+   5) and one just short of it, which steps (4). *)
+let test_forcing_chain_cap () =
+  let rc = RC.build RC.default in
+  let ladder stages = LAD.build (LAD.with_parasitics (LAD.with_stages stages)) in
+  let lad8 = ladder 4 and lad40 = ladder 20 in
+  let cases =
+    [
+      ("switched_rc spp 96", rc.RC.sys, rc.RC.output, 96, `Stretched, [ 10; 9 ]);
+      ("ladder-8 spp 96", lad8.LAD.sys, lad8.LAD.output, 96, `Stretched, [ 15 ]);
+      ("ladder-40 spp 96", lad40.LAD.sys, lad40.LAD.output, 96, `Stretched,
+       [ 45 ]);
+      ("ladder-8 uniform 16", lad8.LAD.sys, lad8.LAD.output, 16, `Uniform, [ 16 ]);
+      ("ladder-8 uniform 17", lad8.LAD.sys, lad8.LAD.output, 17, `Uniform,
+       [ 9; 8 ]);
+      ("switched_rc uniform 5", rc.RC.sys, rc.RC.output, 5, `Uniform, [ 5 ]);
+      ("switched_rc uniform 4", rc.RC.sys, rc.RC.output, 4, `Uniform, []);
+    ]
+  in
+  List.iter
+    (fun (name, sys, c, spp, grid, lens) ->
+      let s = Covariance.sample ~samples_per_phase:spp ~grid sys in
+      let n = sys.Pwl.nstates in
+      let cap = Int.max (2 * n) 10 in
+      let mapped =
+        List.filter_map
+          (fun r ->
+            if r.Covariance.len > cap then
+              Alcotest.failf "%s: a run of %d past the cap %d" name
+                r.Covariance.len cap;
+            Option.map (fun _ -> r.Covariance.len) r.Covariance.map)
+          (Array.to_list s.Covariance.runs)
+      in
+      Printf.printf "%s (n = %d, cap %d): mapped runs %s\n" name n cap
+        (String.concat " " (List.map string_of_int mapped));
+      List.iter
+        (fun len ->
+          if not (List.mem len mapped) then
+            Alcotest.failf "%s: no mapped run of %d" name len)
+        lens;
+      check_forcing name s c)
+    cases
 
 (* The rejected per-phase variant: across each phase, K(t_i) from one
    exponential of the phase's A over t_i - t_phase, as if the grid's
@@ -395,10 +443,10 @@ let direct_major_words f =
   let _, p1, m1 = Gc.counters () in
   m1 -. m0 -. (p1 -. p0)
 
-(* A 40-state forcing pass allocates a fixed set of n×n buffers — two
-   each for K, Phi(t, 0) and the run's power, and the three of
-   [Vanloan.buffers] — whether the grid has 24 or 96 samples per
-   phase. *)
+(* A 40-state forcing pass allocates a fixed set of n×n buffers — K,
+   Phi(t, 0), Phiᵀ and the five pieces of the chain blocks, which the
+   run-end steps borrow as work matrices — whether the grid has 24 or
+   96 samples per phase. *)
 let test_stream_allocation () =
   let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
   let n = lad.LAD.sys.Pwl.nstates in
@@ -416,6 +464,30 @@ let test_stream_allocation () =
   Printf.printf "spp 96: %d intervals, %d runs, %d n×n buffers\n" i96 r96 b96;
   Alcotest.(check int) "same buffers at spp 24 and 96" b24 b96;
   if b96 > 9 then Alcotest.failf "%d n×n buffers, more than 9" b96
+
+(* What the forcing pass counts: three n×n products per step it takes
+   through a map or a short run's interval (K's two and T's one) and no
+   power, and m(m-1)/2 chain columns per mapped run of m intervals. *)
+let test_forcing_counts () =
+  let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
+  let s = Covariance.sample ~samples_per_phase:96 lad.LAD.sys in
+  let products = Scnoise_obs.Obs.counter "covariance_products"
+  and columns = Scnoise_obs.Obs.counter "covariance_chain_columns" in
+  let p0 = Scnoise_obs.Obs.value products
+  and c0 = Scnoise_obs.Obs.value columns in
+  ignore (Covariance.output_trace s lad.LAD.output);
+  let steps, cols =
+    Array.fold_left
+      (fun (st, co) r ->
+        let m = r.Covariance.len in
+        match r.Covariance.map with
+        | Some _ -> (st + 1, co + (m * (m - 1) / 2))
+        | None -> (st + m, co))
+      (0, 0) s.Covariance.runs
+  in
+  Alcotest.(check int) "n×n products" (3 * steps)
+    (Scnoise_obs.Obs.value products - p0);
+  Alcotest.(check int) "chain columns" cols (Scnoise_obs.Obs.value columns - c0)
 
 let () =
   Alcotest.run "covariance"
@@ -443,6 +515,8 @@ let () =
             test_engine_variance;
           Alcotest.test_case "unroll buffers independent of grid size" `Quick
             test_stream_allocation;
+          Alcotest.test_case "forcing products and chain columns" `Quick
+            test_forcing_counts;
         ] );
       (* a long group name widens the report's group column and
          truncates the test names of every group *)
@@ -456,5 +530,7 @@ let () =
             test_forcing_stiff_ladder;
           Alcotest.test_case "per-phase variant is caught" `Quick
             test_per_phase_caught;
+          Alcotest.test_case "runs below, at and above the cap" `Quick
+            test_forcing_chain_cap;
         ] );
     ]

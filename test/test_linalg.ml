@@ -1276,6 +1276,78 @@ let test_ladder_trace_jobs () =
   in
   check_bits "ladder n=40 covariance trace, jobs 1 vs 4" (trace 1) (trace 4)
 
+(* [mul_into ~rows] writes the first rows of the product, bit for bit,
+   and leaves the later rows of its output as they were. *)
+let test_mul_into_rows () =
+  let rng = Random.State.make [| 0x2f0c |] in
+  let rand () = Random.State.float rng 2.0 -. 1.0 in
+  List.iter
+    (fun (m, p, n) ->
+      let a = Mat.init m p (fun i k -> if (i + k) mod 5 = 0 then 0.0 else rand ())
+      and b = Mat.init p n (fun _ _ -> rand ()) in
+      let full = Mat.data (Mat.mul a b) in
+      for rows = 0 to m do
+        let c = Mat.init m n (fun _ _ -> Float.nan) in
+        Mat.mul_into ~rows a b c;
+        check_bits
+          (Printf.sprintf "mul_into ~rows:%d of %dx%d" rows m p)
+          (Array.init (m * n) (fun k -> if k < rows * n then full.(k) else Float.nan))
+          (Mat.data c)
+      done)
+    [ (1, 1, 1); (7, 5, 9); (16, 12, 12) ];
+  match Mat.mul_into ~rows:4 (Mat.create 3 3) (Mat.create 3 3) (Mat.create 3 3) with
+  | () -> Alcotest.fail "a row count past the operand accepted"
+  | exception Invalid_argument _ -> ()
+
+(* [Eig.hessenberg] (H and U) and [Eig.eigenvalues] against the column
+   loop they replaced ([Oracle.hessenberg], then the same QR stage),
+   bit for bit.  The cases: the phases and the monodromy of the
+   hundred-state ladder the BVP reduces, random dense matrices of 1 to
+   12 states, and columns the loop leaves alone — already reduced
+   (alpha = 0 on a triangular or block matrix), or with entries whose
+   squares underflow.  The loop's second guard, vnorm2 > 0, cannot fail
+   once alpha > 0: vnorm2 sums the same squares with the first one
+   replaced by a larger (a_{k+1,k} and alpha have opposite signs). *)
+let test_hessenberg_oracle () =
+  let module Pwl = Scnoise_circuit.Pwl in
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let rng = Random.State.make [| 0x4e55 |] in
+  let rand () = Random.State.float rng 2.0 -. 1.0 in
+  let eigen f =
+    match f () with
+    | z -> Ok (Array.map (fun (z : Cx.t) -> (Int64.bits_of_float z.re,
+                                             Int64.bits_of_float z.im)) z)
+    | exception Eig.No_convergence i -> Error i
+  in
+  let check name a =
+    let h, u = Eig.hessenberg a and h', u' = Oracle.hessenberg a in
+    check_bits (name ^ ": H") (Mat.data h') (Mat.data h);
+    check_bits (name ^ ": U") (Mat.data u') (Mat.data u);
+    if eigen (fun () -> Eig.eigenvalues a)
+       <> eigen (fun () -> Eig.hessenberg_eigenvalues h')
+    then Alcotest.failf "%s: eigenvalues differ from the reference" name
+  in
+  let lad = (Ladder.build (Ladder.with_parasitics (Ladder.with_stages 50))).Ladder.sys in
+  Array.iteri
+    (fun p (ph : Pwl.phase) -> check (Printf.sprintf "ladder-100 A%d" p) ph.Pwl.a)
+    lad.Pwl.phases;
+  check "ladder-100 monodromy" (Pwl.monodromy lad);
+  for n = 1 to 12 do
+    check (Printf.sprintf "random %dx%d" n n) (Mat.init n n (fun _ _ -> rand ()))
+  done;
+  check "upper triangular" (Mat.init 7 7 (fun i j -> if i <= j then rand () else 0.0));
+  check "zero first columns"
+    (Mat.init 8 8 (fun _ j -> if j < 3 then 0.0 else rand ()));
+  check "block diagonal"
+    (Mat.init 9 9 (fun i j -> if (i < 4) = (j < 4) then rand () else 0.0));
+  check "underflowing squares"
+    (Mat.init 6 6 (fun i j ->
+         if j = 0 && i > 0 then 1e-170 *. rand ()
+         else if j = 1 && i > 1 then -0.0
+         else rand ()));
+  check "signed zeros"
+    (Mat.init 6 6 (fun i j -> if (i + j) mod 3 = 0 then -0.0 else rand ()))
+
 let () =
   Alcotest.run "linalg"
     [
@@ -1396,5 +1468,14 @@ let () =
           Alcotest.test_case "marginal fallback" `Quick test_vanloan_marginal_chunked_fallback;
           Alcotest.test_case "chains step in owned buffers" `Quick
             test_chain_buffers;
+        ] );
+      (* after "vanloan": its allocation counts read the minor heap,
+         which these cases fill *)
+      ( "kernels",
+        [
+          Alcotest.test_case "mul_into ~rows == row prefix" `Quick
+            test_mul_into_rows;
+          Alcotest.test_case "hessenberg == column-loop oracle" `Quick
+            test_hessenberg_oracle;
         ] );
     ]
