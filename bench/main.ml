@@ -680,6 +680,7 @@ let exp_t7 () =
   header
     "EXP-T7  full-and-fast validity: exact MFT vs the ideal z-domain model      (SC integrator)";
   let module Dt = Scnoise_dtime.Dt_system in
+  let module Ideal_dt = Scnoise_dtime.Ideal_dt in
   let t =
     Table.create
       [ "R_switch"; "RC/phase"; "err@100Hz_dB"; "err@1kHz_dB"; "err@10kHz_dB" ]
@@ -691,7 +692,7 @@ let exp_t7 () =
       let eng =
         Psd.prepare ~samples_per_phase:96 b.INT.sys ~output:b.INT.output
       in
-      let dt = INT.ideal_dt p in
+      let dt = Ideal_dt.sc_integrator p in
       let d f = Db.delta (Psd.psd eng ~f) (Dt.spectrum_held dt ~f) in
       let phase = 0.5 /. p.INT.clock_hz in
       Table.add_row t

@@ -4,7 +4,7 @@
      scnoise list
      scnoise info    -c bandpass
      scnoise psd     -c lowpass --fmin 100 --fmax 16e3 -n 40
-     scnoise psd     -c switched-rc --engine bruteforce
+     scnoise psd     -c switched-rc --plot
      scnoise psd     examples/decks/switched_rc.scn
      scnoise variance -c integrator
      scnoise contrib -c bandpass -f 8e3
@@ -21,8 +21,6 @@ module Elab = Scnoise_lang.Elab
 module Psd = Scnoise_core.Psd
 module Covariance = Scnoise_core.Covariance
 module Contrib = Scnoise_core.Contrib
-module Esd = Scnoise_noise.Esd_transient
-module Mc = Scnoise_noise.Monte_carlo
 module Table = Scnoise_util.Table
 module Db = Scnoise_util.Db
 module Cx = Scnoise_linalg.Cx
@@ -512,82 +510,47 @@ let info_cmd =
 (* ---- psd ---- *)
 
 let psd_cmd =
-  let run engine fmin fmax points log spp seed csv plot picked =
+  let run fmin fmax points log spp csv plot picked =
     (* a .psd directive in the deck supplies the defaults *)
-    let r =
-      Front.psd ?engine ?fmin ?fmax ?points ~log ?spp picked.directives
-    in
-    let spp = r.Front.spp in
+    let r = Front.psd ?fmin ?fmax ?points ~log ?spp picked.directives in
     steady picked @@ fun () ->
-      let freqs = Front.psd_freqs r in
-      Printf.printf "# %s, engine = %s\n" picked.label r.Front.engine;
-      let values =
-        match r.Front.engine with
-        | "mft" ->
-            let eng =
-              Psd.prepare ~samples_per_phase:spp picked.sys
-                ~output:picked.output
-            in
-            Ok (Psd.sweep eng freqs)
-        | "bruteforce" ->
-            Ok
-              (Esd.sweep ~samples_per_phase:spp ~tol_db:0.05 picked.sys
-                 ~output:picked.output freqs)
-        | "montecarlo" ->
-            let est =
-              Mc.estimate ~seed:(Int64.of_int seed) ~samples_per_phase:spp
-                ~paths:8 ~segments_per_path:8 picked.sys ~output:picked.output
-                ~freqs
-            in
-            Ok est.Mc.psd
-        | other -> Error (Printf.sprintf "unknown engine %S" other)
-      in
-      match values with
-      | Error msg ->
-          Printf.eprintf "scnoise: %s\n" msg;
-          1
-      | Ok values ->
-          let headers =
-            [ "f_Hz"; "psd_V2_per_Hz"; "psd_dB" ]
-            @ (if picked.closed_form <> None then [ "closed_form_dB" ] else [])
-          in
-          let t = Table.create headers in
-          Array.iteri
-            (fun i f ->
-              let base = [ values.(i); Db.of_power values.(i) ] in
-              let extra =
-                match picked.closed_form with
-                | Some cf -> [ Db.of_power (cf f) ]
-                | None -> []
-              in
-              Table.add_float_row t ~precision:5
-                (Printf.sprintf "%.5g" f)
-                (base @ extra))
-            freqs;
-          Table.print t;
-          (match csv with
-          | Some path ->
-              Table.save_csv t path;
-              Printf.printf "# wrote %s\n" path
-          | None -> ());
-          if plot then begin
-            let dbs = Array.map Db.of_power values in
-            Scnoise_util.Ascii_plot.print ~x_log:r.Front.log ~x_label:"f_Hz"
-              ~y_label:"psd_dB" freqs dbs
-          end;
-          0
+    let freqs = Front.psd_freqs r in
+    Printf.printf "# %s, engine = mft\n" picked.label;
+    let eng =
+      Psd.prepare ~samples_per_phase:r.Front.spp picked.sys
+        ~output:picked.output
+    in
+    let values = Psd.sweep eng freqs in
+    let headers =
+      [ "f_Hz"; "psd_V2_per_Hz"; "psd_dB" ]
+      @ (if picked.closed_form <> None then [ "closed_form_dB" ] else [])
+    in
+    let t = Table.create headers in
+    Array.iteri
+      (fun i f ->
+        let base = [ values.(i); Db.of_power values.(i) ] in
+        let extra =
+          match picked.closed_form with
+          | Some cf -> [ Db.of_power (cf f) ]
+          | None -> []
+        in
+        Table.add_float_row t ~precision:5 (Printf.sprintf "%.5g" f)
+          (base @ extra))
+      freqs;
+    Table.print t;
+    (match csv with
+    | Some path ->
+        Table.save_csv t path;
+        Printf.printf "# wrote %s\n" path
+    | None -> ());
+    if plot then begin
+      let dbs = Array.map Db.of_power values in
+      Scnoise_util.Ascii_plot.print ~x_log:r.Front.log ~x_label:"f_Hz"
+        ~y_label:"psd_dB" freqs dbs
+    end;
+    0
   in
   let d = Front.psd_defaults in
-  let engine_arg =
-    let doc =
-      Printf.sprintf
-        "PSD engine: mft, bruteforce, or montecarlo (default %s).  Unset \
-         options fall back to the deck's .psd directive, when one is \
-         present."
-        d.Front.engine
-    in
-    Arg.(value & opt (some string) None & info [ "e"; "engine" ] ~doc)
-  in
   let fmin_arg =
     let doc =
       Printf.sprintf "Lowest frequency, Hz (default %g)." d.Front.fmin
@@ -609,9 +572,6 @@ let psd_cmd =
   let log_arg =
     Arg.(value & flag & info [ "log" ] ~doc:"Logarithmic frequency grid.")
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Monte-Carlo seed.")
-  in
   let csv_arg =
     Arg.(
       value
@@ -621,20 +581,23 @@ let psd_cmd =
   let plot_arg =
     Arg.(value & flag & info [ "plot" ] ~doc:"Draw an ASCII plot of the sweep.")
   in
-  let doc = "Compute the output noise power spectral density." in
+  let doc =
+    "Compute the output noise power spectral density with the MFT \
+     steady-state solver.  Unset options fall back to the deck's .psd \
+     directive, when one is present."
+  in
   Cmd.v
     (Cmd.info "psd" ~doc)
     Term.(
       const
-        (fun () metrics trace engine fmin fmax points log spp seed csv plot name
-             target duty r f0 q stages ->
+        (fun () metrics trace fmin fmax points log spp csv plot name target
+             duty r f0 q stages ->
           with_obs metrics trace (fun () ->
               with_circuit
-                (fun picked ->
-                  run engine fmin fmax points log spp seed csv plot picked)
+                (fun picked -> run fmin fmax points log spp csv plot picked)
                 name target duty r f0 q stages))
-      $ setup_term $ metrics_arg $ trace_arg $ engine_arg $ fmin_arg
-      $ fmax_arg $ points_arg $ log_arg $ spp_arg $ seed_arg
+      $ setup_term $ metrics_arg $ trace_arg $ fmin_arg $ fmax_arg
+      $ points_arg $ log_arg $ spp_arg
       $ csv_arg $ plot_arg $ circuit_arg $ target_arg $ duty_arg $ ratio_arg
       $ f0_arg $ q_arg $ stages_arg)
 

@@ -41,16 +41,6 @@ let output_name = "vo"
 
 let dt_pole params = 1.0 -. (params.cd /. params.ci)
 
-let ideal_dt params =
-  let kt = Scnoise_util.Const.kt ~temperature:params.temperature () in
-  let per_cap c = 2.0 *. kt /. c *. ((c /. params.ci) ** 2.0) in
-  let q = per_cap params.cs +. (if params.cd > 0.0 then per_cap params.cd else 0.0) in
-  Scnoise_dtime.Dt_system.make
-    ~ad:(Scnoise_linalg.Mat.of_arrays [| [| dt_pole params |] |])
-    ~bd:(Scnoise_linalg.Mat.of_arrays [| [| sqrt q |] |])
-    ~c:[| 1.0 |]
-    ~period:(1.0 /. params.clock_hz)
-
 let phi1 = [ 0 ]
 
 let phi2 = [ 1 ]

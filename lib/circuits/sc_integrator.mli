@@ -40,10 +40,4 @@ val build : params -> built
 val dt_pole : params -> float
 (** The ideal ("full and fast") discrete-time pole [1 - cd/ci]. *)
 
-val ideal_dt : params -> Scnoise_dtime.Dt_system.t
-(** Ideal charge-transfer model: pole {!dt_pole}, per-cycle injected
-    output-referred noise [2kT/Cs (Cs/Ci)^2 + 2kT/Cd (Cd/Ci)^2] (each
-    toggled capacitor samples kT/C twice per cycle); the op-amp is taken
-    as noiseless, matching {!default}. *)
-
 val output_name : string

@@ -28,15 +28,6 @@ type built = {
 
 let output_name = "vout"
 
-let ideal_dt params =
-  let kt = Scnoise_util.Const.kt ~temperature:params.temperature () in
-  let a = exp (-.params.duty *. params.period /. (params.r *. params.c)) in
-  let var_inject = kt /. params.c *. (1.0 -. (a *. a)) in
-  Scnoise_dtime.Dt_system.make
-    ~ad:(Scnoise_linalg.Mat.of_arrays [| [| a |] |])
-    ~bd:(Scnoise_linalg.Mat.of_arrays [| [| sqrt var_inject |] |])
-    ~c:[| 1.0 |] ~period:params.period
-
 let build params =
   if params.duty <= 0.0 || params.duty >= 1.0 then
     invalid_arg "Switched_rc.build: need 0 < duty < 1";

@@ -36,10 +36,3 @@ val build : params -> built
 
 val output_name : string
 (** Name of the output node ("vout"). *)
-
-val ideal_dt : params -> Scnoise_dtime.Dt_system.t
-(** Exact discrete-time model of the boundary-sampled output:
-    [x(n+1) = a x(n) + sqrt(kT/C (1-a^2)) w(n)] with
-    [a = exp(-duty T / RC)].  Its held spectrum with
-    [hold_fraction = 1 - duty] is the classical sampled-data
-    approximation of the full waveform's PSD. *)

@@ -69,7 +69,6 @@ type analysis =
       fmax : expr option;
       points : expr option;
       log : bool;
-      engine : string option;
     }
   | Variance
   | Contrib of { f : expr option }

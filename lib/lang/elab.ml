@@ -8,7 +8,6 @@ type analysis =
       fmax : float option;
       points : int option;
       log : bool;
-      engine : string option;
     }
   | Variance
   | Contrib of { f : float option }
@@ -320,14 +319,13 @@ let elaborate (deck : Ast.deck) =
   in
   let opt f = Option.map f in
   let do_analysis = function
-    | Ast.Psd { fmin; fmax; points; log; engine } ->
+    | Ast.Psd { fmin; fmax; points; log } ->
         Psd
           {
             fmin = opt (eval env) fmin;
             fmax = opt (eval env) fmax;
             points = opt (fun e -> eval_int env e "points") points;
             log;
-            engine;
           }
     | Ast.Variance -> Variance
     | Ast.Contrib { f } -> Contrib { f = opt (eval env) f }

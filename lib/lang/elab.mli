@@ -25,7 +25,6 @@ type analysis =
       fmax : float option;
       points : int option;
       log : bool;
-      engine : string option;
     }
   | Variance
   | Contrib of { f : float option }

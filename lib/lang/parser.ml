@@ -132,7 +132,6 @@ let parse_node st =
 type tail_item =
   | Key of string * Loc.t * expr
   | Int_list of string * Loc.t * int list
-  | Name of string * Loc.t * string  (* key=bareword, e.g. engine=mft *)
   | Flag of string * Loc.t
 
 let parse_int_list st =
@@ -156,34 +155,33 @@ let parse_int_list st =
   more [ one () ]
 
 let item_key = function
-  | Key (k, _, _) | Int_list (k, _, _) | Name (k, _, _) | Flag (k, _) -> k
+  | Key (k, _, _) | Int_list (k, _, _) | Flag (k, _) -> k
 
-let item_loc = function
-  | Key (_, l, _) | Int_list (_, l, _) | Name (_, l, _) | Flag (_, l) -> l
-
-(* [int_keys] values are comma-separated integer lists; [name_keys] take a
-   bare identifier. *)
-let parse_tail ?(int_keys = []) ?(name_keys = []) st =
+(* A tail of [keys] (key=value), [int_keys] (key=comma-separated
+   integers) and [flags] (a bare key) on card [card].  Any other key is
+   refused at its own location, before its value is read. *)
+let parse_tail ?(keys = []) ?(int_keys = []) ?(flags = []) st card =
   let rec loop acc =
     match (peek st).Lexer.tok with
     | Lexer.IDENT key ->
         let t = next st in
         let loc = t.Lexer.loc in
         let k = String.lowercase_ascii key in
-        let item =
-          match (peek st).Lexer.tok with
-          | Lexer.EQUALS ->
-              ignore (next st);
-              if List.mem k int_keys then Int_list (k, loc, parse_int_list st)
-              else if List.mem k name_keys then (
-                match (next st).Lexer.tok with
-                | Lexer.IDENT v -> Name (k, loc, String.lowercase_ascii v)
-                | _ -> syntax_error st.toks.(st.pos - 1) "a name")
-              else Key (k, loc, parse_value st)
-          | _ -> Flag (k, loc)
+        let valued =
+          match (peek st).Lexer.tok with Lexer.EQUALS -> true | _ -> false
         in
+        if not (List.mem k (if valued then keys @ int_keys else flags)) then
+          Diag.error loc "%s: unknown option %S (expected %s)" card k
+            (String.concat ", " (keys @ int_keys @ flags));
         if List.exists (fun i -> item_key i = k) acc then
           Diag.error loc "duplicate %S" k;
+        let item =
+          if not valued then Flag (k, loc)
+          else (
+            ignore (next st);
+            if List.mem k int_keys then Int_list (k, loc, parse_int_list st)
+            else Key (k, loc, parse_value st))
+        in
         loop (item :: acc)
     | _ -> List.rev acc
   in
@@ -201,25 +199,6 @@ let find_key_opt tail k =
 
 let find_flag tail k =
   List.exists (function Flag (k', _) -> k' = k | _ -> false) tail
-
-let find_name_opt tail k =
-  List.find_map (function Name (k', _, v) when k' = k -> Some v | _ -> None) tail
-
-let check_tail _loc card tail ~keys ~int_keys ~flags ~name_keys =
-  List.iter
-    (fun item ->
-      let k = item_key item in
-      let known =
-        match item with
-        | Key _ -> keys
-        | Int_list _ -> int_keys
-        | Name _ -> name_keys
-        | Flag _ -> flags
-      in
-      if not (List.mem k known) then
-        Diag.error (item_loc item) "%s: unknown option %S (expected %s)" card k
-          (String.concat ", " (keys @ int_keys @ name_keys @ flags)))
-    tail
 
 (* ---- waveforms ---- *)
 
@@ -264,9 +243,7 @@ let parse_card st name loc =
   Scnoise_obs.Obs.incr c_cards;
   if has_prefix "OPI" name then begin
     let plus = parse_node st and minus = parse_node st and out = parse_node st in
-    let tail = parse_tail st in
-    check_tail loc name tail ~keys:[ "ugf"; "noise" ] ~int_keys:[] ~flags:[]
-      ~name_keys:[];
+    let tail = parse_tail ~keys:[ "ugf"; "noise" ] st name in
     Opamp_integrator
       {
         name;
@@ -279,9 +256,7 @@ let parse_card st name loc =
   end
   else if has_prefix "OP1" name then begin
     let plus = parse_node st and minus = parse_node st and out = parse_node st in
-    let tail = parse_tail st in
-    check_tail loc name tail ~keys:[ "gm"; "rout"; "cout"; "noise" ] ~int_keys:[]
-      ~flags:[] ~name_keys:[];
+    let tail = parse_tail ~keys:[ "gm"; "rout"; "cout"; "noise" ] st name in
     Opamp_single_stage
       {
         name;
@@ -299,9 +274,7 @@ let parse_card st name loc =
     | 'R' ->
         let n1 = parse_node st and n2 = parse_node st in
         let r = parse_value st in
-        let tail = parse_tail st in
-        check_tail loc name tail ~keys:[] ~int_keys:[] ~flags:[ "noiseless" ]
-          ~name_keys:[];
+        let tail = parse_tail ~flags:[ "noiseless" ] st name in
         Resistor { name; n1; n2; r; noisy = not (find_flag tail "noiseless") }
     | 'C' ->
         let n1 = parse_node st and n2 = parse_node st in
@@ -310,9 +283,9 @@ let parse_card st name loc =
     | 'S' ->
         let n1 = parse_node st and n2 = parse_node st in
         let r_on = parse_value st in
-        let tail = parse_tail ~int_keys:[ "closed" ] st in
-        check_tail loc name tail ~keys:[] ~int_keys:[ "closed" ]
-          ~flags:[ "noiseless" ] ~name_keys:[];
+        let tail =
+          parse_tail ~int_keys:[ "closed" ] ~flags:[ "noiseless" ] st name
+        in
         let closed_in =
           match
             List.find_map
@@ -335,9 +308,9 @@ let parse_card st name loc =
         match (peek st).Lexer.tok with
         | Lexer.IDENT kw when String.lowercase_ascii kw = "flicker" ->
             ignore (next st);
-            let tail = parse_tail st in
-            check_tail loc name tail ~keys:[ "psd1hz"; "fmin"; "fmax"; "spd" ]
-              ~int_keys:[] ~flags:[] ~name_keys:[];
+            let tail =
+              parse_tail ~keys:[ "psd1hz"; "fmin"; "fmax"; "spd" ] st name
+            in
             Noise
               {
                 name;
@@ -353,9 +326,7 @@ let parse_card st name loc =
                     };
               }
         | _ ->
-            let tail = parse_tail st in
-            check_tail loc name tail ~keys:[ "psd" ] ~int_keys:[] ~flags:[]
-              ~name_keys:[];
+            let tail = parse_tail ~keys:[ "psd" ] st name in
             Noise { name; n1; n2; kind = White { psd = find_key loc tail name "psd" } })
     | _ ->
         Diag.error loc
@@ -387,9 +358,9 @@ let parse_directive st d loc =
       | Lexer.IDENT kind -> (
           match String.lowercase_ascii kind with
           | "duty" ->
-              let tail = parse_tail st in
-              check_tail loc ".clock duty" tail ~keys:[ "period"; "duty" ]
-                ~int_keys:[] ~flags:[] ~name_keys:[];
+              let tail =
+                parse_tail ~keys:[ "period"; "duty" ] st ".clock duty"
+              in
               Clock
                 (Clock_duty
                    {
@@ -397,9 +368,9 @@ let parse_directive st d loc =
                      duty = find_key loc tail ".clock duty" "duty";
                    })
           | "two_phase" ->
-              let tail = parse_tail st in
-              check_tail loc ".clock two_phase" tail ~keys:[ "period"; "gap" ]
-                ~int_keys:[] ~flags:[] ~name_keys:[];
+              let tail =
+                parse_tail ~keys:[ "period"; "gap" ] st ".clock two_phase"
+              in
               Clock
                 (Clock_two_phase
                    {
@@ -421,9 +392,9 @@ let parse_directive st d loc =
   | "output" -> Output (parse_node st)
   | "temp" -> Temp (parse_value st)
   | "psd" ->
-      let tail = parse_tail ~name_keys:[ "engine" ] st in
-      check_tail loc ".psd" tail ~keys:[ "fmin"; "fmax"; "points" ] ~int_keys:[]
-        ~flags:[ "log" ] ~name_keys:[ "engine" ];
+      let tail =
+        parse_tail ~keys:[ "fmin"; "fmax"; "points" ] ~flags:[ "log" ] st ".psd"
+      in
       Analysis
         (Psd
            {
@@ -431,18 +402,15 @@ let parse_directive st d loc =
              fmax = find_key_opt tail "fmax";
              points = find_key_opt tail "points";
              log = find_flag tail "log";
-             engine = find_name_opt tail "engine";
            })
   | "variance" -> Analysis Variance
   | "contrib" ->
-      let tail = parse_tail st in
-      check_tail loc ".contrib" tail ~keys:[ "f" ] ~int_keys:[] ~flags:[]
-        ~name_keys:[];
+      let tail = parse_tail ~keys:[ "f" ] st ".contrib" in
       Analysis (Contrib { f = find_key_opt tail "f" })
   | "transfer" ->
-      let tail = parse_tail st in
-      check_tail loc ".transfer" tail ~keys:[ "fmin"; "fmax"; "points"; "k" ]
-        ~int_keys:[] ~flags:[] ~name_keys:[];
+      let tail =
+        parse_tail ~keys:[ "fmin"; "fmax"; "points"; "k" ] st ".transfer"
+      in
       Analysis
         (Transfer
            {

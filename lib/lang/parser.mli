@@ -22,8 +22,7 @@ directive := .param NAME [=] expr
                     | "two_phase" period=value [gap=value]
                     | "phases" value+)
            | .output node | .temp value
-           | .psd [fmin=value] [fmax=value] [points=value] [engine=NAME]
-                  ["log"]
+           | .psd [fmin=value] [fmax=value] [points=value] ["log"]
            | .variance | .contrib [f=value] | .transfer [fmin=..] [fmax=..]
                   [points=value] [k=value]
            | .end

@@ -105,9 +105,8 @@ let card = function
 let opt_key k = function Some v -> Printf.sprintf " %s=%s" k (value v) | None -> ""
 
 let analysis = function
-  | Psd { fmin; fmax; points; log; engine } ->
+  | Psd { fmin; fmax; points; log } ->
       ".psd" ^ opt_key "fmin" fmin ^ opt_key "fmax" fmax ^ opt_key "points" points
-      ^ (match engine with Some e -> " engine=" ^ e | None -> "")
       ^ if log then " log" else ""
   | Variance -> ".variance"
   | Contrib { f } -> ".contrib" ^ opt_key "f" f

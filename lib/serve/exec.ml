@@ -151,13 +151,10 @@ let cached t key compute =
 
 let run_psd t p hash directives (q : P.psd_params) =
   let r =
-    Front.psd ?engine:q.P.p_engine ?fmin:q.P.p_fmin ?fmax:q.P.p_fmax
-      ?points:q.P.p_points ?log:q.P.p_log ?spp:q.P.p_spp directives
+    Front.psd ?fmin:q.P.p_fmin ?fmax:q.P.p_fmax ?points:q.P.p_points
+      ?log:q.P.p_log ?spp:q.P.p_spp directives
   in
-  let { Front.engine = name; fmin; fmax; points; log; spp } = r in
-  if name <> "mft" then
-    err "engine" "engine %S is not served (the daemon caches prepared MFT \
-                  solvers; run `scnoise psd --engine %s` directly)" name name;
+  let { Front.fmin; fmax; points; log; spp } = r in
   let key =
     result_key hash "psd"
       [ fstr fmin; fstr fmax; string_of_int points; string_of_bool log;

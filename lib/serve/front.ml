@@ -91,7 +91,6 @@ let unstable = "circuit is not stable; no steady-state noise"
 (* ---- request resolution ---- *)
 
 type psd = {
-  engine : string;
   fmin : float;
   fmax : float;
   points : int;
@@ -107,7 +106,6 @@ let default_spp = Covariance.default_samples_per_phase
 
 let psd_defaults : psd =
   {
-    engine = "mft";
     fmin = 0.0;
     fmax = 16e3;
     points = 33;
@@ -125,22 +123,21 @@ let pick given directive default =
 
 let spp given = Option.value given ~default:default_spp
 
-let psd ?engine ?fmin ?fmax ?points ?log ?spp:s directives : psd =
+let psd ?fmin ?fmax ?points ?log ?spp:s directives : psd =
   let d = psd_defaults in
-  let dfmin, dfmax, dpoints, dlog, dengine =
+  let dfmin, dfmax, dpoints, dlog =
     match
       List.find_map
         (function
-          | Elab.Psd { fmin; fmax; points; log; engine } ->
-              Some (fmin, fmax, points, log, engine)
+          | Elab.Psd { fmin; fmax; points; log } ->
+              Some (fmin, fmax, points, log)
           | _ -> None)
         directives
     with
     | Some found -> found
-    | None -> (None, None, None, false, None)
+    | None -> (None, None, None, false)
   in
   {
-    engine = pick engine dengine d.engine;
     fmin = pick fmin dfmin d.fmin;
     fmax = pick fmax dfmax d.fmax;
     points = pick points dpoints d.points;

@@ -70,7 +70,6 @@ val directives : Scnoise_lang.Deck.loaded -> Scnoise_lang.Elab.analysis list
     that hash. *)
 
 type psd = {
-  engine : string;
   fmin : float;
   fmax : float;
   points : int;
@@ -83,7 +82,7 @@ type transfer = { fmin : float; fmax : float; points : int; k : int; spp : int }
 type contrib = { f : float; spp : int }
 
 val psd_defaults : psd
-(** [mft], 0 to 16 kHz, 33 linear points. *)
+(** 0 to 16 kHz, 33 linear points. *)
 
 val transfer_defaults : transfer
 (** 1 Hz to 2 kHz, 21 points, no side harmonics. *)
@@ -97,8 +96,8 @@ val spp : int option -> int
     sets it); the one parameter of a variance analysis. *)
 
 val psd :
-  ?engine:string -> ?fmin:float -> ?fmax:float -> ?points:int -> ?log:bool ->
-  ?spp:int -> Scnoise_lang.Elab.analysis list -> psd
+  ?fmin:float -> ?fmax:float -> ?points:int -> ?log:bool -> ?spp:int ->
+  Scnoise_lang.Elab.analysis list -> psd
 (** Resolve against the first [.psd] directive.  A log directive turns
     the grid logarithmic whatever [log] says. *)
 

@@ -46,8 +46,13 @@ type psd_params = {
   p_points : int option;
   p_log : bool option;
   p_spp : int option;
-  p_engine : string option;
+  p_engine : no_engine option;
+      (* always [None]: [no_engine] has no values.  The field stays so
+         that existing client record literals still compile; the one PSD
+         path is MFT, and the decoder refuses an "engine" field. *)
 }
+
+and no_engine = |
 
 type transfer_params = {
   t_fmin : float option;
@@ -127,6 +132,8 @@ let request_of_json j =
     | Some "stats" -> Stats
     | Some "shutdown" -> Shutdown
     | Some "psd" ->
+        if Json.member "engine" j <> None then
+          bad "field \"engine\" is not accepted: the one PSD engine is mft";
         Psd
           {
             p_fmin = num_field j "fmin";
@@ -134,7 +141,7 @@ let request_of_json j =
             p_points = int_field j "points";
             p_log = bool_field j "log";
             p_spp = int_field j "spp";
-            p_engine = str_field j "engine";
+            p_engine = None;
           }
     | Some "variance" -> Variance { v_spp = int_field j "spp" }
     | Some "contrib" ->
@@ -206,7 +213,6 @@ let request_to_json rq =
             ("points", Option.map inum p.p_points);
             ("log", Option.map (fun b -> Json.Bool b) p.p_log);
             ("spp", Option.map inum p.p_spp);
-            ("engine", Option.map (fun s -> Json.Str s) p.p_engine);
           ]
     | Variance { v_spp } -> opt_fields [ ("spp", Option.map inum v_spp) ]
     | Contrib { c_f; c_spp } ->
@@ -240,7 +246,6 @@ let batch_to_json ?id requests =
      compile    matrix assembly failure
      output     output node not observable
      unstable   circuit has no steady state
-     engine     unsupported PSD engine for serve (only "mft")
      inputs     transfer on a circuit without signal inputs
      overload   admission queue full
      timeout    spent longer than --timeout queued

@@ -7,6 +7,7 @@ module Db = Scnoise_util.Db
 module Grid = Scnoise_util.Grid
 module Const = Scnoise_util.Const
 module Dt = Scnoise_dtime.Dt_system
+module Ideal_dt = Scnoise_dtime.Ideal_dt
 module Ideal_sc = Scnoise_analytic.Ideal_sc
 module A_src = Scnoise_analytic.Switched_rc
 module SRC = Scnoise_circuits.Switched_rc
@@ -83,7 +84,7 @@ let test_make_validation () =
 
 let test_switched_rc_ideal_variance () =
   let p = SRC.with_ratio ~t_over_rc:5.0 ~duty:0.5 () in
-  let dt = SRC.ideal_dt p in
+  let dt = Ideal_dt.switched_rc p in
   check_close ~eps:1e-12 "sampled variance kT/C"
     (Const.kt () /. p.SRC.c) (Dt.variance dt)
 
@@ -94,7 +95,7 @@ let test_switched_rc_ideal_vs_exact_in_hold_regime () =
   let a =
     A_src.make ~r:p.SRC.r ~c:p.SRC.c ~period:p.SRC.period ~duty:p.SRC.duty ()
   in
-  let dt = SRC.ideal_dt p in
+  let dt = Ideal_dt.switched_rc p in
   List.iter
     (fun f_over_fs ->
       let f = f_over_fs /. p.SRC.period in
@@ -112,7 +113,7 @@ let test_switched_rc_ideal_fails_in_continuous_regime () =
   let a =
     A_src.make ~r:p.SRC.r ~c:p.SRC.c ~period:p.SRC.period ~duty:p.SRC.duty ()
   in
-  let dt = SRC.ideal_dt p in
+  let dt = Ideal_dt.switched_rc p in
   let f = 0.25 /. p.SRC.period in
   let exact = A_src.psd a f in
   let ideal = Dt.spectrum_held ~hold_fraction:(1.0 -. p.SRC.duty) dt ~f in
@@ -125,7 +126,7 @@ let test_integrator_ideal_matches_exact () =
   let p = INT.default in
   let b = INT.build p in
   let eng = Psd.prepare ~samples_per_phase:96 b.INT.sys ~output:b.INT.output in
-  let dt = INT.ideal_dt p in
+  let dt = Ideal_dt.sc_integrator p in
   List.iter
     (fun f ->
       let d =
@@ -137,7 +138,7 @@ let test_integrator_ideal_matches_exact () =
 let test_integrator_ideal_consistent_with_analytic () =
   (* the Dt_system route and the Ideal_sc closed form must agree exactly *)
   let p = INT.default in
-  let dt = INT.ideal_dt p in
+  let dt = Ideal_dt.sc_integrator p in
   let var =
     2.0 *. Const.kt () /. p.INT.cs *. ((p.INT.cs /. p.INT.ci) ** 2.0)
     +. (2.0 *. Const.kt () /. p.INT.cd *. ((p.INT.cd /. p.INT.ci) ** 2.0))
@@ -158,7 +159,7 @@ let test_full_and_fast_breakdown_with_slow_switches () =
     let p = { INT.default with INT.r_switch } in
     let b = INT.build p in
     let eng = Psd.prepare ~samples_per_phase:96 b.INT.sys ~output:b.INT.output in
-    let dt = INT.ideal_dt p in
+    let dt = Ideal_dt.sc_integrator p in
     abs_float (Db.delta (Psd.psd eng ~f:1e3) (Dt.spectrum_held dt ~f:1e3))
   in
   let fast = err 1e3 and slow = err 6.4e7 in

@@ -171,7 +171,7 @@ let kitchen_sink =
    .clock two_phase period=1u gap=0.02\n\
    .output n1\n\
    .temp 350\n\
-   .psd fmin=1 fmax=1k points=11 engine=mft log\n\
+   .psd fmin=1 fmax=1k points=11 log\n\
    .variance\n\
    .contrib f=1k\n\
    .transfer fmin=1 fmax=1k points=5 k=2\n\
@@ -298,7 +298,10 @@ let test_diag_duplicates () =
   check_error_contains "duplicate key" "S1 a 0 1k closed=0 closed=1\n"
     "duplicate \"closed\"";
   check_error_contains "unknown option" "R1 a 0 1k bogus=3\n"
-    "unknown option \"bogus\""
+    "unknown option \"bogus\"";
+  (* the one PSD path is MFT: .psd has no engine= option *)
+  check_error_contains "psd engine" "C1 a 0 1n\n.psd fmin=1 engine=mft\n"
+    "deck.scn:2:13: .psd: unknown option \"engine\""
 
 (* --- parity with the programmatic circuits --- *)
 
@@ -366,20 +369,19 @@ let test_erc_sc_ladder () =
 let test_elab_directives () =
   let text =
     "S1 a 0 1k closed=0\nC1 a 0 1n\n.clock duty period=1u duty=0.5\n\
-     .output a\n.temp 350\n.psd fmin=10 fmax=1k points=5 engine=bruteforce \
-     log\n.contrib f=500\n"
+     .output a\n.temp 350\n.psd fmin=10 fmax=1k points=5 log\n\
+     .contrib f=500\n"
   in
   match load text with
   | Error msg -> Alcotest.fail msg
   | Ok { Deck.elab = e; _ } -> (
       Alcotest.(check (option (float 0.0))) "temp" (Some 350.0) e.Elab.temperature;
       match List.map fst e.Elab.analyses with
-      | [ Elab.Psd { fmin; fmax; points; log; engine }; Elab.Contrib { f } ] ->
+      | [ Elab.Psd { fmin; fmax; points; log }; Elab.Contrib { f } ] ->
           Alcotest.(check (option (float 0.0))) "fmin" (Some 10.0) fmin;
           Alcotest.(check (option (float 0.0))) "fmax" (Some 1e3) fmax;
           Alcotest.(check (option int)) "points" (Some 5) points;
           Alcotest.(check bool) "log" true log;
-          Alcotest.(check (option string)) "engine" (Some "bruteforce") engine;
           Alcotest.(check (option (float 0.0))) "f" (Some 500.0) f
       | _ -> Alcotest.fail "unexpected analyses")
 

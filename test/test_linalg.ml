@@ -1237,9 +1237,13 @@ let test_chain_buffers () =
     Vanloan.discretize ~a:(random_stable_mat n)
       ~q:(Mat.identity n) ~tau:0.05
   in
+  (* empty the minor heap at both readings, so the count is this call's
+     alone, whatever ran before *)
   let bytes f =
+    Gc.minor ();
     let a0 = Gc.allocated_bytes () in
     ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
     (Gc.allocated_bytes () -. a0) /. matrix_bytes
   in
   let repeat = bytes (fun () -> Vanloan.repeat d 1000) in
@@ -1457,6 +1461,13 @@ let () =
           Alcotest.test_case "pade13 == composition oracle" `Quick
             test_pade13_oracle;
         ] );
+      ( "kernels",
+        [
+          Alcotest.test_case "mul_into ~rows == row prefix" `Quick
+            test_mul_into_rows;
+          Alcotest.test_case "hessenberg == column-loop oracle" `Quick
+            test_hessenberg_oracle;
+        ] );
       ( "vanloan",
         [
           Alcotest.test_case "scalar rc" `Quick test_vanloan_scalar_rc;
@@ -1468,14 +1479,5 @@ let () =
           Alcotest.test_case "marginal fallback" `Quick test_vanloan_marginal_chunked_fallback;
           Alcotest.test_case "chains step in owned buffers" `Quick
             test_chain_buffers;
-        ] );
-      (* after "vanloan": its allocation counts read the minor heap,
-         which these cases fill *)
-      ( "kernels",
-        [
-          Alcotest.test_case "mul_into ~rows == row prefix" `Quick
-            test_mul_into_rows;
-          Alcotest.test_case "hessenberg == column-loop oracle" `Quick
-            test_hessenberg_oracle;
         ] );
     ]

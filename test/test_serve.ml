@@ -569,6 +569,15 @@ let test_malformed_and_oversized_frames () =
       (match Scl.rpc_string conn "{\"op\": \"frobnicate\"}" with
       | Ok s -> expect_error "unknown op" "protocol" (Json.of_string s)
       | Error msg -> Alcotest.failf "unknown op: %s" msg);
+      (* a psd request naming an engine is refused, not answered with
+         MFT behind the client's back *)
+      let psd = Sp.request_to_json (psd_req ~points:3 ()) in
+      (match psd with
+      | Json.Obj fields ->
+          expect_error "psd engine" "protocol"
+            (rpc conn (Json.Obj (fields @ [ ("engine", Json.Str "mft") ])))
+      | _ -> Alcotest.fail "psd request is not an object");
+      ignore (result_of "psd after engine" (rpc conn psd));
       (* the same connection still serves valid requests *)
       ignore
         (result_of "ping after garbage"
