@@ -482,7 +482,9 @@ let exp_t4 () =
   header "EXP-T4a  periodic-Lyapunov solver ablation (band-pass, 9 states)";
   let b = BP.build BP.default in
   let sys = b.BP.sys in
-  let phi, q = Covariance.period_map ~samples_per_phase:64 sys in
+  let { Covariance.phi_period = phi; q_period = q; _ } =
+    Covariance.sample ~samples_per_phase:64 sys
+  in
   let k_ref = Kron.solve_discrete phi q in
   let open Bechamel in
   let results =
@@ -946,80 +948,13 @@ let stage_split cases =
   Table.print t
 
 let exp_kern () =
-  header "EXP-K1  unboxed complex kernels: ns/op and per-point allocation";
+  header "EXP-K1  per-point allocation: Hessenberg sweep vs dense reference";
   let module Cx = Scnoise_linalg.Cx in
   let module Cvec = Scnoise_linalg.Cvec in
-  let module Cmat = Scnoise_linalg.Cmat in
-  let module Clu = Scnoise_linalg.Clu in
   let module Ctrap = Scnoise_ode.Ctrapezoid in
-  let t =
-    Table.create
-      [ "n"; "kernel"; "alloc_ns"; "into_ns"; "speedup" ]
-  in
-  List.iter
-    (fun n ->
-      let rng = Random.State.make [| 0xbe_5c; n |] in
-      let rnd () = Random.State.float rng 2.0 -. 1.0 in
-      let m =
-        Cmat.init n n (fun i j ->
-            if i = j then Cx.make (float_of_int n +. 2.0 +. rnd ()) (rnd ())
-            else Cx.make (0.3 *. rnd ()) (0.3 *. rnd ()))
-      in
-      let v = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
-      let out = Cvec.create n in
-      let lu = Clu.factor m in
-      let lu_into = Clu.create n in
-      let work = Array.make (2 * n) 0.0 in
-      let a =
-        Mat.init n n (fun i j ->
-            if i = j then -.(float_of_int n +. 1.5) *. 1e6 else 3e5 *. rnd ())
-      in
-      let omega = 2.0 *. Float.pi *. 1e4 in
-      let st = Ctrap.make ~a ~shift:(Cx.make 0.0 omega) ~h:1e-7 in
-      let k0 = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
-      let open Bechamel in
-      let results =
-        time_per_run_ns
-          [
-            Test.make ~name:"mul_vec"
-              (Staged.stage (fun () -> ignore (Cmat.mul_vec m v)));
-            Test.make ~name:"mul_vec_into"
-              (Staged.stage (fun () -> Cmat.mul_vec_into m v ~into:out));
-            Test.make ~name:"lu_factor"
-              (Staged.stage (fun () -> ignore (Clu.factor m)));
-            Test.make ~name:"lu_factor_into"
-              (Staged.stage (fun () -> Clu.factor_into lu_into m));
-            Test.make ~name:"lu_solve"
-              (Staged.stage (fun () -> ignore (Clu.solve lu v)));
-            Test.make ~name:"lu_solve_into"
-              (Staged.stage (fun () -> Clu.solve_into lu ~work ~b:v ~into:out));
-            Test.make ~name:"trap_step"
-              (Staged.stage (fun () -> ignore (Ctrap.step st ~p:v ~k0 ~k1:k0)));
-            Test.make ~name:"trap_step_into"
-              (Staged.stage (fun () ->
-                   Ctrap.step_into st ~p:v ~k0 ~k1:k0 ~into:out));
-          ]
-      in
-      List.iter
-        (fun (kernel, alloc_name, into_name) ->
-          let ta = find_time results alloc_name in
-          let ti = find_time results into_name in
-          Table.add_row t
-            [
-              string_of_int n; kernel; Printf.sprintf "%.1f" ta;
-              Printf.sprintf "%.1f" ti; Printf.sprintf "%.2fx" (ta /. ti);
-            ])
-        [
-          ("cmat.mul_vec", "mul_vec", "mul_vec_into");
-          ("clu.factor", "lu_factor", "lu_factor_into");
-          ("clu.solve", "lu_solve", "lu_solve_into");
-          ("ctrap.step", "trap_step", "trap_step_into");
-        ])
-    [ 1; 4; 9 ];
-  Table.print t;
   (* per-PSD-point allocation: a default PSD point against one
-     reference periodic-BVP solve (complex LU on every interval) into a
-     preallocated output buffer.  [Gc.allocated_bytes] advances at GC
+     reference periodic-BVP solve ([Oracle.bvp_reference], dense complex
+     LU on every interval) into a preallocated output buffer.  [Gc.allocated_bytes] advances at GC
      boundaries, so only high rep counts give a stable per-call
      figure. *)
   let b = LP.build LP.default in
@@ -1036,40 +971,19 @@ let exp_kern () =
   in
   let hess_b = per_point (fun f -> ignore (Psd.psd eng ~f)) in
   let ref_b =
-    let { Bvp_fixture.bvp; kl; kr; _ } = Bvp_fixture.of_engine eng in
-    let y = Cvec.panel_create ~dim:(Bvp.n_points bvp) ~width:1 in
+    let fx = Bvp_fixture.of_engine eng in
+    let y = Cvec.panel_create ~dim:(Bvp.n_points fx.Bvp_fixture.bvp) ~width:1 in
     per_point (fun f ->
-        Bvp.solve_reference bvp ~omegas:[| 2.0 *. Float.pi *. f |] ~kl ~kr y)
+        Bvp_fixture.solve ~reference:true fx ~omegas:[| 2.0 *. Float.pi *. f |] y)
   in
   let t2 = Table.create [ "bvp_backend"; "bytes/point" ] in
   Table.add_row t2 [ "hessenberg (default)"; Printf.sprintf "%.0f" hess_b ];
   Table.add_row t2 [ "reference solve"; Printf.sprintf "%.0f" ref_b ];
   Table.print t2;
-  let solve_into_ns =
-    let rng = Random.State.make [| 0x50_1e |] in
-    let rnd () = Random.State.float rng 2.0 -. 1.0 in
-    let n = 4 in
-    let m =
-      Cmat.init n n (fun i j ->
-          if i = j then Cx.make 6.0 (rnd ()) else Cx.make (0.3 *. rnd ()) 0.0)
-    in
-    let lu = Clu.factor m in
-    let v = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
-    let out = Cvec.create n in
-    let work = Array.make (2 * n) 0.0 in
-    let open Bechamel in
-    find_time
-      (time_per_run_ns
-         [
-           Test.make ~name:"solve4"
-             (Staged.stage (fun () -> Clu.solve_into lu ~work ~b:v ~into:out));
-         ])
-      "solve4"
-  in
   Printf.printf
     "KERN-SMOKE: hess_bytes_per_point=%.0f reference_bytes_per_point=%.0f \
-     solve_into_n4_ns=%.0f ok=%s\n"
-    hess_b ref_b solve_into_ns
+     ok=%s\n"
+    hess_b ref_b
     (if hess_b < 48_000.0 then "ok" else "FAIL");
   (* --- EXP-H1: batched sweeps on the shifted-Hessenberg kernel ---
 
@@ -1368,8 +1282,8 @@ let exp_obs () =
     (find_time results "hist_record")
     (find_time results "hist_record_int");
   (* end-to-end: a PSD point with telemetry fully off vs fully on.
-     The always-on histograms (lu.rcond, clu.rcond, ode.demod_iters)
-     are in both runs; the enabled run adds the gated duration
+     The always-on histograms (lu.rcond, bvp.hess_pivot_growth) are in
+     both runs; the enabled run adds the gated duration
      histograms, spans and GC accounting. *)
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in

@@ -429,9 +429,7 @@ let resolve_anchor (e : Elab.t) anchor =
           |> Option.map snd
       | _ -> None)
 
-let ill_conditioned_count () =
-  Obs.counter_value "lu_ill_conditioned"
-  + Obs.counter_value "clu_ill_conditioned"
+let ill_conditioned_count () = Obs.counter_value "lu_ill_conditioned"
 
 let ill_conditioned ~since =
   let now = ill_conditioned_count () in

@@ -40,8 +40,8 @@
     - [ERC010-ill-conditioned] (warning, post-hoc): an LU factorisation
       during a subsequent analysis had a diagonal-ratio condition
       estimate worse than 1e12 (reported from the
-      [lu_ill_conditioned] / [clu_ill_conditioned] observability
-      counters, see {!ill_conditioned}).
+      [lu_ill_conditioned] observability counter, see
+      {!ill_conditioned}).
     - [ERC011-structural-singular] (error): a per-phase MNA block fails
       magnitude-aware structural rank.  Entries below [1e-12] times
       the block's magnitude scale are
@@ -98,8 +98,7 @@ val resolve_anchor : Elab.t -> string -> Loc.t option
     canonical (layout-erasing) deck hash. *)
 
 val ill_conditioned_count : unit -> int
-(** Current sum of the [lu_ill_conditioned] and [clu_ill_conditioned]
-    observability counters. *)
+(** Current value of the [lu_ill_conditioned] observability counter. *)
 
 val ill_conditioned : since:int -> Finding.t list
 (** Post-hoc ERC010: the factorisations whose condition estimate

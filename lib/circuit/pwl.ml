@@ -26,14 +26,6 @@ type t = {
 
 let n_phases t = Array.length t.phases
 
-let phase_start t i =
-  if i < 0 || i >= n_phases t then invalid_arg "Pwl.phase_start: bad index";
-  let acc = ref 0.0 in
-  for k = 0 to i - 1 do
-    acc := !acc +. t.phases.(k).tau
-  done;
-  !acc
-
 let phase_at t time =
   let tm = Float.rem time t.period in
   let tm = if tm < 0.0 then tm +. t.period else tm in

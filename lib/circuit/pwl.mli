@@ -36,8 +36,6 @@ type t = {
 
 val n_phases : t -> int
 
-val phase_start : t -> int -> float
-
 val phase_at : t -> float -> int * float
 (** Phase index and offset for an absolute time (reduced mod period). *)
 

@@ -236,16 +236,6 @@ let period_noise ops interval_op runs n =
       next := x);
   !q
 
-let period_map ?samples_per_phase ?grid ?pool sys =
-  let g = discretized_grid ?samples_per_phase ?grid ?pool sys in
-  let n = sys.Pwl.nstates in
-  let runs = runs_of g.g_ops g.g_op in
-  (monodromy g.g_ops g.g_op runs n, period_noise g.g_ops g.g_op runs n)
-
-let periodic_initial ?samples_per_phase ?pool sys =
-  let phi, q = period_map ?samples_per_phase ?pool sys in
-  Lyapunov.solve_discrete_doubling phi q
-
 (* One period of the recurrence: the runs of one operator with their
    maps, the monodromy and the period's process noise from those maps,
    and the discrete Lyapunov fixed point.  No K(t_i) or Phi(t_i, 0) is

@@ -95,21 +95,6 @@ val discretized_grid :
     discretisations are independent and run across [pool] (default:
     the shared pool) with bit-identical results at any job count. *)
 
-val period_map :
-  ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
-  Pwl.t -> Mat.t * Mat.t
-(** [(Phi, Q)] of the one-period affine covariance map (the grid options
-    only affect substep placement; the result is exact up to rounding
-    regardless, they are exposed for the ablation benches). *)
-
-val periodic_initial :
-  ?samples_per_phase:int -> ?pool:Scnoise_par.Pool.t -> Pwl.t -> Mat.t
-(** Steady-state covariance at the period boundary: the fixed point of
-    {!period_map}, found by squaring the period map
-    ({!Scnoise_linalg.Lyapunov.solve_discrete_doubling}) at every state
-    count.  Raises {!Scnoise_linalg.Lyapunov.Not_stable} when the
-    monodromy's spectral radius is not below 1. *)
-
 val sample :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> sampled

@@ -1,8 +1,6 @@
 module Mat = Scnoise_linalg.Mat
 module Cx = Scnoise_linalg.Cx
 module Cvec = Scnoise_linalg.Cvec
-module Cmat = Scnoise_linalg.Cmat
-module Clu = Scnoise_linalg.Clu
 module Eig = Scnoise_linalg.Eig
 module Ctrapezoid = Scnoise_ode.Ctrapezoid
 module Pwl = Scnoise_circuit.Pwl
@@ -22,14 +20,10 @@ let h_solve = Obs.histogram "periodic_bvp.solve_s"
 let c_block_solves = Obs.counter "bvp_block_solves"
 
 type t = {
-  sys : Pwl.t;
+  period : float;
   nstates : int;
   times : float array;
   interval_phase : int array;
-  (* the reference solve's view: original coordinates *)
-  out_row : float array; (* c *)
-  rows : float array array; (* r_i = cᵀ Phi(t_i, 0) *)
-  phi_period : Mat.t;
   step_h : float array; (* interval i -> the step its factors are built for *)
   refactor : bool array; (* interval i starts a new run of equal steps *)
   (* the Hessenberg basis: A_p = U_p H_p U_pᵀ, Phi = V H_Phi Vᵀ *)
@@ -98,13 +92,10 @@ let of_sampled (cov : Covariance.sampled) ~output ~rows =
   in
   let h_phi, v = Eig.hessenberg cov.Covariance.phi_period in
   {
-    sys;
+    period = sys.Pwl.period;
     nstates = sys.Pwl.nstates;
     times;
     interval_phase;
-    out_row = Array.copy output;
-    rows;
-    phi_period = cov.Covariance.phi_period;
     step_h;
     refactor;
     basis;
@@ -272,12 +263,11 @@ let particular_into t ws ~omegas ~forcing y =
 let close_periodic_into t ws ~omegas ~part_end y =
   let n = t.nstates in
   let width = ws.w_width in
-  let period = t.sys.Pwl.period in
   let npts = Array.length t.times in
   apply_into t.close_in ~width part_end ws.w_p0;
   for b = 0 to width - 1 do
     Ctrapezoid.hess_factor ws.w_close ~hmat:t.h_phi ~col:b ~d:Cx.one
-      ~alpha:(Cx.cis (-.omegas.(b) *. period))
+      ~alpha:(Cx.cis (-.omegas.(b) *. t.period))
   done;
   Ctrapezoid.hess_solve_in_place ws.w_close ws.w_p0;
   Log.debug (fun m ->
@@ -318,65 +308,3 @@ let solve t ~omegas ~forcing y =
           let ws = workspace t ~width in
           let part_end = particular_into t ws ~omegas ~forcing y in
           close_periodic_into t ws ~omegas ~part_end y))
-
-(* The oracle shares only the grid, the monodromy and the rows
-   with [solve]: original coordinates, a dense complex LU per distinct
-   (phase, h) and frequency, a dense complex LU for the closure, one
-   column at a time. *)
-let solve_reference t ~omegas ~kl ~kr y =
-  let width = check_block t ~omegas y in
-  let n = t.nstates in
-  let npts = Array.length t.times in
-  let period = t.sys.Pwl.period in
-  let dot (r : float array) p =
-    let re = ref 0.0 and im = ref 0.0 in
-    for j = 0 to n - 1 do
-      let z = Cvec.get p j in
-      re := !re +. (r.(j) *. z.Cx.re);
-      im := !im +. (r.(j) *. z.Cx.im)
-    done;
-    Cx.make !re !im
-  in
-  let put i b (z : Cx.t) =
-    y.(2 * ((i * width) + b)) <- z.Cx.re;
-    y.((2 * ((i * width) + b)) + 1) <- z.Cx.im
-  in
-  for b = 0 to width - 1 do
-    let omega = omegas.(b) in
-    let steppers = Hashtbl.create 32 in
-    let stepper i =
-      let key = (t.interval_phase.(i), t.times.(i + 1) -. t.times.(i)) in
-      match Hashtbl.find_opt steppers key with
-      | Some st -> st
-      | None ->
-          let p, h = key in
-          let st =
-            Ctrapezoid.make ~a:t.sys.Pwl.phases.(p).Pwl.a
-              ~shift:(Cx.make 0.0 omega) ~h
-          in
-          Hashtbl.add steppers key st;
-          st
-    in
-    let p = ref (Cvec.create n) in
-    put 0 b Cx.zero;
-    for i = 1 to npts - 1 do
-      p :=
-        Ctrapezoid.step (stepper (i - 1)) ~p:!p ~k0:(kl (i - 1))
-          ~k1:(kr (i - 1));
-      put i b (dot t.out_row !p)
-    done;
-    let rot = Cx.cis (-.omega *. period) in
-    let lhs =
-      Cmat.init n n (fun i j ->
-          let z = Cx.scale (Mat.get t.phi_period i j) rot in
-          if i = j then Cx.( -: ) Cx.one z else Cx.neg z)
-    in
-    let p0 = Clu.solve (Clu.factor lhs) !p in
-    for i = 0 to npts - 1 do
-      let k = 2 * ((i * width) + b) in
-      let hom =
-        Cx.( *: ) (Cx.cis (-.omega *. t.times.(i))) (dot t.rows.(i) p0)
-      in
-      put i b (Cx.( +: ) hom (Cx.make y.(k) y.(k + 1)))
-    done
-  done

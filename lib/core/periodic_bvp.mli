@@ -79,14 +79,5 @@ val solve : t -> omegas:float array -> forcing:forcing -> Cvec.panel -> unit
     shared by every column.  Beyond [y] the solve allocates only
     transient bookkeeping once the domain's workspace is warm.  Raises
     [Invalid_argument] on an empty block, an output buffer of the wrong
-    size or a forcing prepared for another grid, and [Clu.Singular]
+    size or a forcing prepared for another grid, and [Lu.Singular]
     only if the circuit has a Floquet multiplier of unit modulus. *)
-
-val solve_reference :
-  t -> omegas:float array -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) ->
-  Cvec.panel -> unit
-(** {!solve} in original coordinates on the dense complex-LU
-    {!Scnoise_ode.Ctrapezoid.make} stepper, factored per (phase, h) at
-    each frequency, with a dense complex-LU closure, one column at a
-    time — the oracle the Hessenberg solve is tested against
-    (agreement well below 1e-9 dB).  [kl]/[kr] as for {!forcing}. *)

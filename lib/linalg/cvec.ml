@@ -59,29 +59,7 @@ let check_len a b name =
   if Array.length a <> Array.length b then
     invalid_arg ("Cvec." ^ name ^ ": length mismatch")
 
-let add a b =
-  check_len a b "add";
-  Array.init (Array.length a) (fun k -> a.(k) +. b.(k))
-
-let scale (s : Cx.t) a =
-  let n = dim a in
-  let d = Array.make (2 * n) 0.0 in
-  for i = 0 to n - 1 do
-    let re = a.(2 * i) and im = a.((2 * i) + 1) in
-    d.(2 * i) <- (s.Cx.re *. re) -. (s.Cx.im *. im);
-    d.((2 * i) + 1) <- (s.Cx.re *. im) +. (s.Cx.im *. re)
-  done;
-  d
-
 let scale_re s a = Array.map (fun x -> s *. x) a
-
-let norm2 a =
-  let acc = ref 0.0 in
-  for i = 0 to dim a - 1 do
-    let re = a.(2 * i) and im = a.((2 * i) + 1) in
-    acc := !acc +. (re *. re) +. (im *. im)
-  done;
-  sqrt !acc
 
 let norm_inf a =
   let m = ref 0.0 in
@@ -99,32 +77,6 @@ let max_abs_diff a b =
         (Cx.modulus_ri (a.(2 * i) -. b.(2 * i)) (a.((2 * i) + 1) -. b.((2 * i) + 1)))
   done;
   !m
-
-(* --- in-place kernels --- *)
-
-let add_into a b ~into =
-  check_len a b "add_into";
-  check_len a into "add_into";
-  for k = 0 to Array.length a - 1 do
-    into.(k) <- a.(k) +. b.(k)
-  done
-
-let scale_into (s : Cx.t) a ~into =
-  check_len a into "scale_into";
-  for i = 0 to dim a - 1 do
-    let re = a.(2 * i) and im = a.((2 * i) + 1) in
-    into.(2 * i) <- (s.Cx.re *. re) -. (s.Cx.im *. im);
-    into.((2 * i) + 1) <- (s.Cx.re *. im) +. (s.Cx.im *. re)
-  done
-
-let axpy_into ~s:(s : Cx.t) ~x ~into =
-  check_len x into "axpy_into";
-  let sre = s.Cx.re and sim = s.Cx.im in
-  for i = 0 to dim x - 1 do
-    let re = x.(2 * i) and im = x.((2 * i) + 1) in
-    into.(2 * i) <- ((sre *. re) -. (sim *. im)) +. into.(2 * i);
-    into.((2 * i) + 1) <- ((sre *. im) +. (sim *. re)) +. into.((2 * i) + 1)
-  done
 
 let data v = v
 

@@ -33,30 +33,11 @@ val get : t -> int -> Cx.t
 
 val set : t -> int -> Cx.t -> unit
 
-val add : t -> t -> t
-
-val scale : Cx.t -> t -> t
-
 val scale_re : float -> t -> t
-
-val norm2 : t -> float
 
 val norm_inf : t -> float
 
 val max_abs_diff : t -> t -> float
-
-(** {1 In-place kernels}
-
-    The [_into] variants write their result into a caller-provided
-    vector and allocate nothing.  Unless stated otherwise the output
-    may alias an input (every kernel below is element-wise). *)
-
-val add_into : t -> t -> into:t -> unit
-
-val scale_into : Cx.t -> t -> into:t -> unit
-
-val axpy_into : s:Cx.t -> x:t -> into:t -> unit
-(** [axpy_into ~s ~x ~into] accumulates [into += s * x]. *)
 
 (** {1 Panels — blocked multi-RHS storage}
 

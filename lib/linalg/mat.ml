@@ -415,8 +415,6 @@ let col m j =
   if j < 0 || j >= m.nc then invalid_arg "Mat.col: out of bounds";
   Array.init m.nr (fun i -> m.d.((i * m.nc) + j))
 
-let map f m = { m with d = Array.map f m.d }
-
 let norm_inf m =
   let best = ref 0.0 in
   for i = 0 to m.nr - 1 do
@@ -482,19 +480,3 @@ let vcat a b =
   if a.nc <> b.nc then invalid_arg "Mat.vcat: column mismatch";
   init (a.nr + b.nr) a.nc (fun i j ->
       if i < a.nr then a.d.((i * a.nc) + j) else b.d.(((i - a.nr) * b.nc) + j))
-
-let equal ?(tol = 0.0) a b =
-  a.nr = b.nr && a.nc = b.nc && max_abs_diff a b <= tol
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.nr - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.nc - 1 do
-      if j > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%10.4g" m.d.((i * m.nc) + j)
-    done;
-    Format.fprintf fmt "]";
-    if i < m.nr - 1 then Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -101,8 +101,6 @@ val row : t -> int -> Vec.t
 
 val col : t -> int -> Vec.t
 
-val map : (float -> float) -> t -> t
-
 val norm_inf : t -> float
 (** Maximum absolute row sum. *)
 
@@ -125,7 +123,3 @@ val submatrix : t -> rows:int list -> cols:int list -> t
 val hcat : t -> t -> t
 
 val vcat : t -> t -> t
-
-val equal : ?tol:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -39,22 +39,6 @@ let check_mat op m =
       done
     done
 
-(* The complex containers are flat interleaved float buffers; scan the
-   raw storage and recover the (entry / coordinate) position only when
-   reporting. *)
-let check_cvec op (v : Cvec.t) =
-  if !gate then begin
-    let d = Cvec.data v in
-    for k = 0 to Array.length d - 1 do
-      if not (Float.is_finite d.(k)) then
-        let i = k / 2 in
-        let z = Cvec.get v i in
-        fail op
-          (Printf.sprintf "non-finite entry %h%+hi at index %d" z.Cx.re
-             z.Cx.im i)
-    done
-  end
-
 (* Panels are raw buffers with no dimension of their own; report the
    (state, column) coordinates for the given width. *)
 let check_panel op ~width (p : Cvec.panel) =
@@ -66,18 +50,3 @@ let check_panel op ~width (p : Cvec.panel) =
           (Printf.sprintf "non-finite value %h at (state %d, column %d)" p.(k)
              (e / width) (e mod width))
     done
-
-let check_cmat op m =
-  if !gate then begin
-    let d = Cmat.data m in
-    let nc = Cmat.cols m in
-    for k = 0 to Array.length d - 1 do
-      if not (Float.is_finite d.(k)) then
-        let e = k / 2 in
-        let i = e / nc and j = e mod nc in
-        let z = Cmat.get m i j in
-        fail op
-          (Printf.sprintf "non-finite entry %h%+hi at (%d,%d)" z.Cx.re
-             z.Cx.im i j)
-    done
-  end

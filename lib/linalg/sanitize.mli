@@ -3,10 +3,10 @@
 
     When enabled (environment variable [SCNOISE_SANITIZE=1], or
     {!set_enabled} from code), the checked operations ({!Lu.factor},
-    {!Lu.solve}, {!Clu.factor}, {!Clu.solve}, {!Expm.expm} and the
-    [Ctrapezoid] stepper) verify that their inputs and outputs are
-    finite and raise {!Nonfinite} — naming the offending operation and
-    entry — the moment a NaN or infinity enters the data flow, instead
+    {!Lu.solve}, {!Expm.expm} and the [Ctrapezoid] Hessenberg step)
+    verify that their inputs and outputs are finite and raise
+    {!Nonfinite} — naming the offending operation and entry — the
+    moment a NaN or infinity enters the data flow, instead
     of letting it propagate silently into a garbage PSD.
 
     Disabled (the default), every check is a single branch on a [bool
@@ -25,10 +25,6 @@ val set_enabled : bool -> unit
 val check_vec : string -> Vec.t -> unit
 
 val check_mat : string -> Mat.t -> unit
-
-val check_cvec : string -> Cvec.t -> unit
-
-val check_cmat : string -> Cmat.t -> unit
 
 val check_panel : string -> width:int -> Cvec.panel -> unit
 (** Scan a blocked multi-RHS panel ({!Cvec.panel}); the report names

@@ -45,16 +45,3 @@ let max_abs_diff a b =
     m := max !m (abs_float (a.(i) -. b.(i)))
   done;
   !m
-
-let map2 f a b =
-  check_len a b "map2";
-  Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let pp fmt a =
-  Format.fprintf fmt "[|";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%g" x)
-    a;
-  Format.fprintf fmt "|]"

@@ -29,7 +29,3 @@ val norm2 : t -> float
 val norm_inf : t -> float
 
 val max_abs_diff : t -> t -> float
-
-val map2 : (float -> float -> float) -> t -> t -> t
-
-val pp : Format.formatter -> t -> unit

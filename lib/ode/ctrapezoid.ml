@@ -1,88 +1,10 @@
 module Cvec = Scnoise_linalg.Cvec
-module Cmat = Scnoise_linalg.Cmat
-module Clu = Scnoise_linalg.Clu
 module Mat = Scnoise_linalg.Mat
 module Cx = Scnoise_linalg.Cx
 
 module Obs = Scnoise_obs.Obs
 
-type stepper = {
-  h : float;
-  n : int;
-  lhs : Clu.t; (* I - h/2 (A - sI) *)
-  rhs : Cmat.t; (* I + h/2 (A - sI) *)
-  sb : Cvec.t; (* per-stepper rhs scratch *)
-  sw : float array; (* per-stepper solve workspace *)
-}
-
-let c_steps = Obs.counter "ode_steps"
-
-let shifted_half a shift h =
-  (* h/2 (A - shift I) as a complex matrix *)
-  let n = Mat.rows a in
-  Cmat.init n n (fun i j ->
-      let re = 0.5 *. h *. Mat.get a i j in
-      if i = j then Cx.( -: ) (Cx.re re) (Cx.scale (0.5 *. h) shift)
-      else Cx.re re)
-
-let make ~a ~shift ~h =
-  if not (Mat.is_square a) then invalid_arg "Ctrapezoid.make: not square";
-  if h <= 0.0 then invalid_arg "Ctrapezoid.make: h <= 0";
-  Scnoise_linalg.Sanitize.check_mat "Ctrapezoid.make" a;
-  let n = Mat.rows a in
-  let ident = Cmat.identity n in
-  let half = shifted_half a shift h in
-  {
-    h;
-    n;
-    lhs = Clu.factor (Cmat.sub ident half);
-    rhs = Cmat.add ident half;
-    sb = Cvec.create n;
-    sw = Array.make (2 * n) 0.0;
-  }
-
-(* Steppers carry their own scratch, so one stepper must not be driven
-   from two domains at once; the BVP layer keeps its caches
-   per-solve (hence per-domain). *)
-let step_into st ~p ~k0 ~k1 ~into =
-  Obs.incr c_steps;
-  Cmat.mul_vec_into st.rhs p ~into:st.sb;
-  let w = 0.5 *. st.h in
-  let bd = Cvec.data st.sb
-  and k0d = Cvec.data k0
-  and k1d = Cvec.data k1 in
-  for k = 0 to (2 * st.n) - 1 do
-    bd.(k) <- bd.(k) +. (w *. (k0d.(k) +. k1d.(k)))
-  done;
-  Clu.solve_into st.lhs ~work:st.sw ~b:st.sb ~into;
-  Scnoise_linalg.Sanitize.check_cvec "Ctrapezoid.step" into
-
-let step st ~p ~k0 ~k1 =
-  let out = Cvec.create st.n in
-  step_into st ~p ~k0 ~k1 ~into:out;
-  out
-
-let step_homogeneous st p =
-  Obs.incr c_steps;
-  Clu.solve st.lhs (Cmat.mul_vec st.rhs p)
-
-let trajectory ~a ~shift ~forcing ~h ~steps p0 =
-  if steps < 1 then invalid_arg "Ctrapezoid.trajectory: steps < 1";
-  let st = make ~a ~shift ~h in
-  let out = Array.make (steps + 1) p0 in
-  let p = ref p0 in
-  let k = ref (forcing 0) in
-  for i = 1 to steps do
-    let k_next = forcing i in
-    p := step st ~p:!p ~k0:!k ~k1:k_next;
-    k := k_next;
-    out.(i) <- !p
-  done;
-  out
-
-(* --- shifted-Hessenberg stepper ---
-
-   In the orthogonal basis of a Hessenberg reduction A = U H Uᵀ the
+(* In the orthogonal basis of a Hessenberg reduction A = U H Uᵀ the
    shifted trapezoid LHS is I - h/2 (H - jwI) = d I - alpha H with
    d = 1 + j wh/2 and alpha = h/2: complex upper Hessenberg at every
    frequency, so it factors exactly in O(n^2).  Gaussian elimination
@@ -110,6 +32,8 @@ type hess = {
   swap : bool array; (* per (step k, column): rows k, k+1 swapped *)
   carry : float array; (* factorisation scratch: the row being reduced *)
 }
+
+let c_steps = Obs.counter "ode_steps"
 
 let c_hess_factorizations = Obs.counter "bvp_hess_factorizations"
 
@@ -189,7 +113,7 @@ let hess_factor t ~hmat ~col ~d ~alpha =
     t.swap.((k * w) + col) <- swapped;
     let pr = if swapped then nr else cr and pi = if swapped then ni else ci in
     let er = if swapped then cr else nr and ei = if swapped then ci else ni in
-    if pr = 0.0 && pi = 0.0 then raise (Scnoise_linalg.Clu.Singular k);
+    if pr = 0.0 && pi = 0.0 then raise (Scnoise_linalg.Lu.Singular k);
     (* l = e / p, Complex.div's branch-on-magnitude algorithm *)
     let lr = ref 0.0 and li = ref 0.0 in
     if abs_float pr >= abs_float pi then begin
@@ -246,7 +170,7 @@ let hess_factor t ~hmat ~col ~d ~alpha =
   for i = 0 to n - 1 do
     let k = 2 * ((row_off n i * w) + col) in
     let pr = u.(k) and pi = u.(k + 1) in
-    if pr = 0.0 && pi = 0.0 then raise (Scnoise_linalg.Clu.Singular i);
+    if pr = 0.0 && pi = 0.0 then raise (Scnoise_linalg.Lu.Singular i);
     let q = 2 * ((i * w) + col) in
     if abs_float pr >= abs_float pi then begin
       let r = pi /. pr in

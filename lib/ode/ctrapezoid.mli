@@ -5,10 +5,7 @@
     cross-spectral density in the mixed-frequency-time method, where
     [s = j w] for analysis frequency [w].
 
-    Two steppers are provided.  The classic {!stepper} factors the
-    dense complex LHS [I - h/2 (A - sI)] per (shift, h) — O(n^3) per
-    frequency, kept as the reference.  The shifted-Hessenberg stepper
-    ({!hess}) works in the basis of a real Hessenberg reduction
+    The stepper works in the basis of a real Hessenberg reduction
     [A = U H Uᵀ] (Laub, IEEE TAC 26(2), 1981): there the LHS
     [I - h/2 (H - jwI)] is complex upper Hessenberg at every
     frequency, so it factors exactly in O(n^2) and each step costs
@@ -18,28 +15,6 @@
 module Cvec = Scnoise_linalg.Cvec
 module Mat = Scnoise_linalg.Mat
 module Cx = Scnoise_linalg.Cx
-
-type stepper
-
-val make : a:Mat.t -> shift:Cx.t -> h:float -> stepper
-(** Prepare a stepper for [dP/dt = (A - shift·I) P + k]. *)
-
-val step : stepper -> p:Cvec.t -> k0:Cvec.t -> k1:Cvec.t -> Cvec.t
-
-val step_into :
-  stepper -> p:Cvec.t -> k0:Cvec.t -> k1:Cvec.t -> into:Cvec.t -> unit
-(** Allocation-free {!step} using the stepper's own scratch; [into]
-    may alias [p].  Because of that scratch a single stepper must not
-    be shared across domains. *)
-
-val step_homogeneous : stepper -> Cvec.t -> Cvec.t
-
-val trajectory :
-  a:Mat.t -> shift:Cx.t -> forcing:(int -> Cvec.t) -> h:float -> steps:int ->
-  Cvec.t -> Cvec.t array
-(** [trajectory ~a ~shift ~forcing ~h ~steps p0] integrates from sample 0
-    to sample [steps] with the forcing given by its grid samples
-    ([forcing i] is [k] at [t = i h]); returns all [steps + 1] states. *)
 
 (** {1 Shifted-Hessenberg stepper}
 
@@ -68,7 +43,7 @@ val hess_factor : hess -> hmat:Mat.t -> col:int -> d:Cx.t -> alpha:Cx.t -> unit
     is shared by every column: the last call binds it.  Records the
     pivot growth [max |u_ij| / max |m_ij|] in the always-on
     [bvp.hess_pivot_growth] histogram and counts
-    [bvp_hess_factorizations].  Raises [Clu.Singular] on an exactly
+    [bvp_hess_factorizations].  Raises [Lu.Singular] on an exactly
     zero pivot. *)
 
 val hess_factor_shifted :

@@ -1,9 +1,6 @@
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
 module Cx = Scnoise_linalg.Cx
-module Cvec = Scnoise_linalg.Cvec
-module Cmat = Scnoise_linalg.Cmat
-module Clu = Scnoise_linalg.Clu
 module Lyapunov = Scnoise_linalg.Lyapunov
 
 type t = {
@@ -32,18 +29,19 @@ let variance t =
 let sampled_density t theta =
   let n = Mat.rows t.ad in
   let m =
-    Cmat.init n n (fun i j ->
-        let d = if i = j then Cx.cis theta else Cx.zero in
-        (* transpose of (e^{jθ} I - Ad) *)
-        Cx.( -: ) d (Cx.re (Mat.get t.ad j i)))
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            let d = if i = j then Cx.cis theta else Cx.zero in
+            (* transpose of (e^{jθ} I - Ad) *)
+            Cx.( -: ) d (Cx.re (Mat.get t.ad j i))))
   in
-  let z = Clu.solve_dense m (Cvec.of_real t.c) in
+  let z = Oracle.clu_solve (Oracle.clu_factor m) (Array.map Cx.re t.c) in
   (* accumulate || Bdᵀ z ||² *)
   let acc = ref 0.0 in
   for col = 0 to Mat.cols t.bd - 1 do
     let s = ref Cx.zero in
     for i = 0 to n - 1 do
-      s := Cx.( +: ) !s (Cx.scale (Mat.get t.bd i col) (Cvec.get z i))
+      s := Cx.( +: ) !s (Cx.scale (Mat.get t.bd i col) z.(i))
     done;
     acc := !acc +. (Cx.modulus !s ** 2.0)
   done;

@@ -29,7 +29,7 @@ val make : ad:Mat.t -> bd:Mat.t -> c:Vec.t -> period:float -> t
 (** Validates dimensions and stability requirements are NOT checked here
     (marginal systems are permitted for transfer-function work); the
     variance functions raise {!Scnoise_linalg.Lyapunov.Not_stable} when
-    the system has no stationary state, the spectra [Clu.Singular] at a
+    the system has no stationary state, the spectra [Lu.Singular] at a
     pole on the unit circle. *)
 
 val variance : t -> float

@@ -1,9 +1,8 @@
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
 module Cx = Scnoise_linalg.Cx
-module Cvec = Scnoise_linalg.Cvec
 module Vanloan = Scnoise_linalg.Vanloan
-module Ctrapezoid = Scnoise_ode.Ctrapezoid
+module Trapezoid = Scnoise_ode.Trapezoid
 module Covariance = Scnoise_core.Covariance
 module Pwl = Scnoise_circuit.Pwl
 module Db = Scnoise_util.Db
@@ -32,8 +31,9 @@ let psd ?samples_per_phase ?grid ?(tol_db = 0.1) ?(window_periods = 3)
   let times = g.Covariance.g_times in
   let npts = Array.length times in
   let omega = 2.0 *. Float.pi *. f in
-  (* steppers for K' (unshifted), cached per (phase, h) *)
-  let cache : (int * float, Ctrapezoid.stepper) Hashtbl.t = Hashtbl.create 64 in
+  (* steppers for K' (unshifted, so real: K' steps as its real and
+     imaginary parts), cached per (phase, h) *)
+  let cache : (int * float, Trapezoid.stepper) Hashtbl.t = Hashtbl.create 64 in
   let stepper p h =
     match Hashtbl.find_opt cache (p, h) with
     | Some st ->
@@ -41,7 +41,7 @@ let psd ?samples_per_phase ?grid ?(tol_db = 0.1) ?(window_periods = 3)
         st
     | None ->
         Obs.incr c_cache_misses;
-        let st = Ctrapezoid.make ~a:sys.Pwl.phases.(p).Pwl.a ~shift:Cx.zero ~h in
+        let st = Trapezoid.make ~a:sys.Pwl.phases.(p).Pwl.a ~h in
         Hashtbl.add cache (p, h) st;
         st
   in
@@ -49,24 +49,20 @@ let psd ?samples_per_phase ?grid ?(tol_db = 0.1) ?(window_periods = 3)
     ref
       (match init with
       | `Zero -> Mat.create n n
-      | `Periodic -> Covariance.periodic_initial ?samples_per_phase sys)
+      | `Periodic -> (Covariance.sample ?samples_per_phase sys).Covariance.k0)
   in
-  let k' = ref (Cvec.create n) in
+  let k' = ref (Vec.create n, Vec.create n) in
   let k'' = ref 0.0 in
   let history = ref [] in
+  (* K c e^{jwt} *)
   let forcing_at kmat t =
     let base = Mat.mul_vec kmat output in
-    let rot = Cx.cis (omega *. t) in
-    Cvec.init n (fun i -> Cx.( *: ) rot (Cx.re base.(i)))
+    (Vec.scale (cos (omega *. t)) base, Vec.scale (sin (omega *. t)) base)
   in
-  let integrand kvec t =
+  let integrand (re, im) t =
     (* 2 Re (e^{-jwt} cᵀ K') *)
     let rot = Cx.cis (-.omega *. t) in
-    let s = ref Cx.zero in
-    Array.iteri
-      (fun i c -> s := Cx.( +: ) !s (Cx.scale c (Cvec.get kvec i)))
-      output;
-    2.0 *. (Cx.( *: ) rot !s).Cx.re
+    2.0 *. ((rot.Cx.re *. Vec.dot output re) -. (rot.Cx.im *. Vec.dot output im))
   in
   let rec run period =
     if period > max_periods then
@@ -83,7 +79,11 @@ let psd ?samples_per_phase ?grid ?(tol_db = 0.1) ?(window_periods = 3)
       k := Vanloan.propagate g.Covariance.g_disc.(i - 1) !k;
       (* cross-spectral density trapezoidal substep *)
       let fnext = forcing_at !k t_abs in
-      k' := Ctrapezoid.step (stepper p h) ~p:!k' ~k0:!fprev ~k1:fnext;
+      let st = stepper p h and (re, im) = !k' and (f0re, f0im) = !fprev in
+      let f1re, f1im = fnext in
+      k' :=
+        ( Trapezoid.step st ~x:re ~f0:f0re ~f1:f1re,
+          Trapezoid.step st ~x:im ~f0:f0im ~f1:f1im );
       fprev := fnext;
       (* ESD accumulation *)
       let gnext = integrand !k' t_abs in

@@ -2,20 +2,19 @@
    driven by the PSD forcing K(t_i) c but built apart from the engine —
    forcing and rows from the dense per-interval recursion
    ([Oracle.output_trace]) — so tests and benchmarks
-   reach the solve layer's complex output samples and its reference
-   solve directly. *)
+   reach the solve layer's complex output samples and the dense
+   reference ([Oracle.bvp_reference]) directly. *)
 
 module Cvec = Scnoise_linalg.Cvec
 module Bvp = Scnoise_core.Periodic_bvp
 module Psd = Scnoise_core.Psd
 
-(* [kl i] and [kr i] are the forcing at the left and right ends of
-   interval [i], as [Periodic_bvp.solve_reference] takes it *)
+(* [reference] is [Oracle.bvp_reference] on the same covariance,
+   rows and forcing as [bvp] and [prepared] *)
 type t = {
   bvp : Bvp.t;
-  kl : int -> Cvec.t;
-  kr : int -> Cvec.t;
   prepared : Bvp.forcing;
+  reference : omegas:float array -> Cvec.panel -> unit;
 }
 
 let of_engine eng =
@@ -24,12 +23,16 @@ let of_engine eng =
   let bvp = Bvp.of_sampled cov ~output:c ~rows in
   let forcing = Array.map Cvec.of_real forcing in
   let kl = Array.get forcing and kr i = forcing.(i + 1) in
-  { bvp; kl; kr; prepared = Bvp.forcing bvp ~kl ~kr }
+  {
+    bvp;
+    prepared = Bvp.forcing bvp ~kl ~kr;
+    reference = Oracle.bvp_reference cov ~output:c ~rows ~kl ~kr;
+  }
 
 (* [y] is a panel of [n_points] entries by [Array.length omegas]
    columns *)
 let solve ?(reference = false) fx ~omegas y =
-  if reference then Bvp.solve_reference fx.bvp ~omegas ~kl:fx.kl ~kr:fx.kr y
+  if reference then fx.reference ~omegas y
   else Bvp.solve fx.bvp ~omegas ~forcing:fx.prepared y
 
 (* The output samples y(t_i) = cᵀ P(t_i) of one width-1 solve at [f]. *)

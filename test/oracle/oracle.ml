@@ -4,6 +4,8 @@
 
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
+module Cvec = Scnoise_linalg.Cvec
+module Lu = Scnoise_linalg.Lu
 module Vanloan = Scnoise_linalg.Vanloan
 module Expm = Scnoise_linalg.Expm
 module Pwl = Scnoise_circuit.Pwl
@@ -257,3 +259,148 @@ let rel_vecs got want =
 let trace_errors s c ~forcing ~trace ~rows =
   let k, v, r = output_trace s c in
   (rel_vecs forcing k, rel_vecs [| trace |] [| v |], rel_vecs rows r)
+
+(* --- dense complex reference: the periodic-BVP oracle ---
+   Textbook complex linear algebra on plain [Complex.t] arrays. *)
+
+(* Gaussian elimination with partial pivoting on the modulus: the
+   factors' real and imaginary rows and the row permutation.  Raises
+   [Lu.Singular k] on an exactly zero pivot in column [k]. *)
+let clu_factor (m : Complex.t array array) =
+  let n = Array.length m in
+  let lre = Array.map (Array.map (fun (z : Complex.t) -> z.re)) m
+  and lim = Array.map (Array.map (fun (z : Complex.t) -> z.im)) m
+  and perm = Array.init n Fun.id in
+  for k = 0 to n - 1 do
+    let mag i = Float.hypot lre.(i).(k) lim.(i).(k) in
+    let p = ref k in
+    for i = k + 1 to n - 1 do
+      if mag i > mag !p then p := i
+    done;
+    if mag !p = 0.0 then raise (Lu.Singular k);
+    let swap a = let x = a.(k) in a.(k) <- a.(!p); a.(!p) <- x in
+    swap lre; swap lim; swap perm;
+    let pivot = { Complex.re = lre.(k).(k); im = lim.(k).(k) } in
+    for i = k + 1 to n - 1 do
+      let f = Complex.div { re = lre.(i).(k); im = lim.(i).(k) } pivot in
+      let fr = f.re and fi = f.im in
+      let ur = lre.(k) and ui = lim.(k) and xr = lre.(i) and xi = lim.(i) in
+      xr.(k) <- fr;
+      xi.(k) <- fi;
+      (* the ladders' banded phases leave most multipliers zero *)
+      if fr <> 0.0 || fi <> 0.0 then
+        for j = k + 1 to n - 1 do
+          xr.(j) <- xr.(j) -. ((fr *. ur.(j)) -. (fi *. ui.(j)));
+          xi.(j) <- xi.(j) -. ((fr *. ui.(j)) +. (fi *. ur.(j)))
+        done
+    done
+  done;
+  (lre, lim, perm)
+
+(* Forward substitution over the unit lower triangle, then back
+   substitution over the upper one. *)
+let clu_solve (lre, lim, perm) (b : Complex.t array) =
+  let n = Array.length perm in
+  let xr = Array.init n (fun i -> b.(perm.(i)).re)
+  and xi = Array.init n (fun i -> b.(perm.(i)).im) in
+  let eliminate i j =
+    let ar = lre.(i).(j) and ai = lim.(i).(j) in
+    xr.(i) <- xr.(i) -. ((ar *. xr.(j)) -. (ai *. xi.(j)));
+    xi.(i) <- xi.(i) -. ((ar *. xi.(j)) +. (ai *. xr.(j)))
+  in
+  for i = 0 to n - 1 do
+    for j = 0 to i - 1 do
+      eliminate i j
+    done
+  done;
+  for i = n - 1 downto 0 do
+    for j = i + 1 to n - 1 do
+      eliminate i j
+    done;
+    let u = { Complex.re = lre.(i).(i); im = lim.(i).(i) } in
+    let z = Complex.div { re = xr.(i); im = xi.(i) } u in
+    xr.(i) <- z.re;
+    xi.(i) <- z.im
+  done;
+  Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
+
+(* sum_j m_ij v_j, in column order *)
+let cmul_vec m (v : Complex.t array) =
+  Array.map
+    (fun (row : Complex.t array) ->
+      let re = ref 0.0 and im = ref 0.0 in
+      for j = 0 to Array.length v - 1 do
+        re := !re +. ((row.(j).re *. v.(j).re) -. (row.(j).im *. v.(j).im));
+        im := !im +. ((row.(j).re *. v.(j).im) +. (row.(j).im *. v.(j).re))
+      done;
+      { Complex.re = !re; im = !im })
+    m
+
+(* The trapezoid step of dP/dt = (A - jωI) P + k over [h]:
+   (I - h/2 (A - jωI)) P' = (I + h/2 (A - jωI)) P + h/2 (k0 + k1), the
+   left side factored once. *)
+let trapezoid ~a ~omega ~h =
+  let n = Mat.rows a and w = 0.5 *. h in
+  let shifted s =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            let d = if i = j then 1.0 else 0.0 in
+            let re = d +. (s *. w *. Mat.get a i j) in
+            { Complex.re; im = -.d *. s *. w *. omega }))
+  in
+  let lhs = clu_factor (shifted (-1.0)) and rhs = shifted 1.0 in
+  let hw = { Complex.re = w; im = 0.0 } in
+  fun ~p ~k0 ~k1 ->
+    clu_solve lhs
+      (Array.mapi
+         (fun i z -> Complex.add z (Complex.mul hw (Complex.add k0.(i) k1.(i))))
+         (cmul_vec rhs p))
+
+(* [Periodic_bvp.solve] in original coordinates, one column at a time:
+   the forced transient from zero on a dense LU per exact (phase, h),
+   the closure (I - e^{-jωT} Phi) P(0) = P(T) by dense LU, and the
+   homogeneous term e^{-jωt_i} rows.(i) · P(0) at every grid point.
+   Arguments as [Periodic_bvp.of_sampled] and [Periodic_bvp.forcing]
+   take them; [y] as [Periodic_bvp.solve] fills it. *)
+let bvp_reference (cov : Covariance.sampled) ~output ~rows ~omegas ~kl ~kr y =
+  let sys = cov.Covariance.sys and times = cov.Covariance.times in
+  let n = sys.Pwl.nstates and width = Array.length omegas in
+  let cx v = Array.init n (Cvec.get v) in
+  let real r = Array.map (fun x -> { Complex.re = x; im = 0.0 }) r in
+  let dot r p = (cmul_vec [| real r |] p).(0) in
+  Array.iteri
+    (fun b omega ->
+      let steps = Hashtbl.create 32 in
+      let step i =
+        let p = cov.Covariance.interval_phase.(i)
+        and h = times.(i + 1) -. times.(i) in
+        if not (Hashtbl.mem steps (p, h)) then
+          Hashtbl.add steps (p, h)
+            (trapezoid ~a:sys.Pwl.phases.(p).Pwl.a ~omega ~h);
+        Hashtbl.find steps (p, h)
+      in
+      (* the particular solution from zero, reduced to the output *)
+      let p = ref (Array.make n Complex.zero) in
+      let part =
+        Array.init (Array.length times) (fun i ->
+            if i > 0 then
+              p := step (i - 1) ~p:!p ~k0:(cx (kl (i - 1))) ~k1:(cx (kr (i - 1)));
+            dot output !p)
+      in
+      let rot = Complex.polar 1.0 (-.omega *. sys.Pwl.period) in
+      let closure =
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                let d = if i = j then Complex.one else Complex.zero in
+                let phi = Mat.get cov.Covariance.phi_period i j in
+                Complex.sub d (Complex.mul rot { re = phi; im = 0.0 })))
+      in
+      let p0 = clu_solve (clu_factor closure) !p in
+      Array.iteri
+        (fun i t ->
+          let rot_t = Complex.polar 1.0 (-.omega *. t) in
+          let z = Complex.add (Complex.mul rot_t (dot rows.(i) p0)) part.(i) in
+          y.(2 * ((i * width) + b)) <- z.re;
+          y.((2 * ((i * width) + b)) + 1) <- z.im)
+        times)
+    omegas

@@ -89,9 +89,7 @@ let test_band_low () =
 
 (* --- phase-aware passes: the semantic claims behind the rules --- *)
 
-let lu_count () =
-  Scnoise_obs.Obs.counter_value "lu_factorizations"
-  + Scnoise_obs.Obs.counter_value "clu_factorizations"
+let lu_count () = Scnoise_obs.Obs.counter_value "lu_factorizations"
 
 (* The admission path (ERC gate, then compile only when clean) must
    reject an ERC011 deck before ANY LU factorisation runs — the whole

@@ -308,7 +308,7 @@ let test_compile_g_leak_patch () =
   Netlist.capacitor nl out Netlist.ground 1e-9;
   let sys = Compile.compile nl (Clock.make [ 1e-6; 1e-6 ]) in
   (* thermal equilibrium through the two series switches in phase 0 *)
-  let k = Scnoise_core.Covariance.periodic_initial sys in
+  let k = (Scnoise_core.Covariance.sample sys).Scnoise_core.Covariance.k0 in
   check_close ~eps:1e-6 "kT/C with leak patch" (Const.kt () /. 1e-9)
     (Mat.get k 0 0)
 

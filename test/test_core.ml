@@ -1,6 +1,5 @@
 module Mat = Scnoise_linalg.Mat
 module Vec = Scnoise_linalg.Vec
-module Lyapunov = Scnoise_linalg.Lyapunov
 module Const = Scnoise_util.Const
 module Db = Scnoise_util.Db
 module Clock = Scnoise_circuit.Clock
@@ -121,9 +120,10 @@ let iterate_steady phi q n =
 
 let test_cov_solvers_agree () =
   let b = switched_rc () in
-  let phi, q = Covariance.period_map b.C_src.sys in
+  let { Covariance.phi_period = phi; q_period = q; k0 = k2; _ } =
+    Covariance.sample b.C_src.sys
+  in
   let k1 = Kron.solve_discrete phi q in
-  let k2 = Lyapunov.solve_discrete_doubling phi q in
   let k3 = iterate_steady phi q 400 in
   if Mat.max_abs_diff k1 k2 > 1e-14 then Alcotest.fail "kron vs doubling";
   if Mat.max_abs_diff k1 k3 > 1e-5 *. Mat.max_abs k1 then
@@ -148,7 +148,9 @@ let test_cov_grid_kinds_agree () =
 
 let test_cov_period_map_stability () =
   let b = switched_rc () in
-  let phi, q = Covariance.period_map b.C_src.sys in
+  let { Covariance.phi_period = phi; q_period = q; _ } =
+    Covariance.sample b.C_src.sys
+  in
   if Mat.get phi 0 0 >= 1.0 then Alcotest.fail "monodromy not contracting";
   if Mat.get q 0 0 <= 0.0 then Alcotest.fail "no accumulated noise"
 
@@ -335,7 +337,9 @@ let test_contrib_restrict_empty () =
 
 let test_iterate_solver_converges_with_periods () =
   let b = switched_rc () in
-  let phi, q = Covariance.period_map b.C_src.sys in
+  let { Covariance.phi_period = phi; q_period = q; _ } =
+    Covariance.sample b.C_src.sys
+  in
   let exact = Kron.solve_discrete phi q in
   let err n = Mat.max_abs_diff exact (iterate_steady phi q n) in
   let e1 = err 2 and e2 = err 8 in

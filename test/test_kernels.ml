@@ -1,14 +1,11 @@
-(* Property tests for the flat complex kernels and their in-place
-   variants: the unboxed representation and the allocation-free hot
-   path must be bit-compatible with straightforward reference
-   implementations on random inputs, and the Hessenberg-form sweep
-   must agree with the dense per-frequency factorization on the
+(* Property tests for the blocked complex kernels, which must be
+   bit-compatible with their single-column counterparts on random
+   inputs, and for the Hessenberg-form sweep, which must agree with the
+   dense per-frequency reference ([Oracle.bvp_reference]) on the
    bundled circuits. *)
 
 module Cx = Scnoise_linalg.Cx
 module Cvec = Scnoise_linalg.Cvec
-module Cmat = Scnoise_linalg.Cmat
-module Clu = Scnoise_linalg.Clu
 module Mat = Scnoise_linalg.Mat
 module Ctrap = Scnoise_ode.Ctrapezoid
 module Bvp = Scnoise_core.Periodic_bvp
@@ -37,13 +34,12 @@ let rnd rng = Random.State.float rng 4.0 -. 2.0
 
 let random_cvec rng n = Cvec.init n (fun _ -> Cx.make (rnd rng) (rnd rng))
 
-let random_cmat rng n = Cmat.init n n (fun _ _ -> Cx.make (rnd rng) (rnd rng))
-
 (* Diagonally dominant so LU never hits the singularity guard. *)
 let random_dd_cmat rng n =
-  Cmat.init n n (fun i j ->
-      if i = j then Cx.make (float_of_int n +. 2.0 +. rnd rng) (rnd rng)
-      else Cx.make (0.3 *. rnd rng) (0.3 *. rnd rng))
+  Array.init n (fun i ->
+      Array.init n (fun j ->
+          if i = j then Cx.make (float_of_int n +. 2.0 +. rnd rng) (rnd rng)
+          else Cx.make (0.3 *. rnd rng) (0.3 *. rnd rng)))
 
 let bits z = (Int64.bits_of_float z.Cx.re, Int64.bits_of_float z.Cx.im)
 
@@ -56,132 +52,23 @@ let cvec_equal_bits a b =
   done;
   !ok
 
-(* --- reference implementations over Cx arrays --- *)
-
-let ref_add a b = Array.map2 Cx.( +: ) a b
-
-let ref_scale s a = Array.map (Cx.( *: ) s) a
-
-let ref_axpy s x y = Array.map2 (fun xi yi -> Cx.( +: ) (Cx.( *: ) s xi) yi) x y
-
-let ref_mul_vec m v =
-  let n = Array.length v in
-  Array.init n (fun i ->
-      let acc = ref Cx.zero in
-      for j = 0 to n - 1 do
-        acc := Cx.( +: ) !acc (Cx.( *: ) (Cmat.get m i j) v.(j))
-      done;
-      !acc)
-
-(* --- kernel vs reference parity --- *)
-
-let prop_add_into =
-  QCheck.Test.make ~count:120 ~name:"add_into matches reference" spec_arb
-    (fun spec ->
-      let rng = rng_of spec in
-      let a = random_cvec rng spec.n and b = random_cvec rng spec.n in
-      let out = Cvec.create spec.n in
-      Cvec.add_into a b ~into:out;
-      let expect = ref_add (Cvec.to_array a) (Cvec.to_array b) in
-      cvec_equal_bits out (Cvec.of_array expect)
-      && cvec_equal_bits (Cvec.add a b) out)
-
-let prop_scale_into =
-  QCheck.Test.make ~count:120 ~name:"scale_into matches reference" spec_arb
-    (fun spec ->
-      let rng = rng_of spec in
-      let s = Cx.make (rnd rng) (rnd rng) in
-      let a = random_cvec rng spec.n in
-      let out = Cvec.create spec.n in
-      Cvec.scale_into s a ~into:out;
-      cvec_equal_bits out (Cvec.of_array (ref_scale s (Cvec.to_array a))))
-
-let prop_axpy_into =
-  QCheck.Test.make ~count:120 ~name:"axpy_into matches reference" spec_arb
-    (fun spec ->
-      let rng = rng_of spec in
-      let s = Cx.make (rnd rng) (rnd rng) in
-      let x = random_cvec rng spec.n and y = random_cvec rng spec.n in
-      let out = Cvec.copy y in
-      Cvec.axpy_into ~s ~x ~into:out;
-      let expect = ref_axpy s (Cvec.to_array x) (Cvec.to_array y) in
-      cvec_equal_bits out (Cvec.of_array expect))
-
-let prop_mul_vec_into =
-  QCheck.Test.make ~count:120 ~name:"mul_vec_into matches reference" spec_arb
-    (fun spec ->
-      let rng = rng_of spec in
-      let m = random_cmat rng spec.n in
-      let v = random_cvec rng spec.n in
-      let out = Cvec.create spec.n in
-      Cmat.mul_vec_into m v ~into:out;
-      let expect = ref_mul_vec m (Cvec.to_array v) in
-      cvec_equal_bits out (Cvec.of_array expect)
-      && cvec_equal_bits (Cmat.mul_vec m v) out)
-
-(* --- pivoted complex LU --- *)
+(* --- the oracle's dense complex LU --- *)
 
 let prop_lu_solve =
   QCheck.Test.make ~count:80 ~name:"LU solve reconstructs rhs" spec_arb
     (fun spec ->
       let rng = rng_of spec in
       let m = random_dd_cmat rng spec.n in
-      let x = random_cvec rng spec.n in
-      let b = Cmat.mul_vec m x in
-      let lu = Clu.factor m in
-      let got = Clu.solve lu b in
-      Cvec.max_abs_diff got x < 1e-9)
+      let x = Array.init spec.n (fun _ -> Cx.make (rnd rng) (rnd rng)) in
+      let got = Oracle.clu_solve (Oracle.clu_factor m) (Oracle.cmul_vec m x) in
+      Cvec.max_abs_diff (Cvec.of_array got) (Cvec.of_array x) < 1e-9)
 
-let prop_factor_into_parity =
-  QCheck.Test.make ~count:80 ~name:"factor_into == factor (bitwise)" spec_arb
-    (fun spec ->
-      let rng = rng_of spec in
-      let m = random_dd_cmat rng spec.n in
-      let b = random_cvec rng spec.n in
-      let fresh = Clu.factor m in
-      let reused = Clu.create spec.n in
-      (* factor something else first: state must be fully overwritten *)
-      Clu.factor_into reused (random_dd_cmat rng spec.n);
-      Clu.factor_into reused m;
-      cvec_equal_bits (Clu.solve fresh b) (Clu.solve reused b))
-
-let prop_solve_into_aliasing =
-  QCheck.Test.make ~count:80 ~name:"solve_into tolerates into == b" spec_arb
-    (fun spec ->
-      let rng = rng_of spec in
-      let m = random_dd_cmat rng spec.n in
-      let b = random_cvec rng spec.n in
-      let lu = Clu.factor m in
-      let work = Array.make (2 * spec.n) 0.0 in
-      let expect = Clu.solve lu b in
-      let separate = Cvec.create spec.n in
-      Clu.solve_into lu ~work ~b ~into:separate;
-      let aliased = Cvec.copy b in
-      Clu.solve_into lu ~work ~b:aliased ~into:aliased;
-      cvec_equal_bits separate expect && cvec_equal_bits aliased expect)
-
-(* --- steppers --- *)
+(* --- random stable phase matrices --- *)
 
 let random_stable_a rng n =
   Mat.init n n (fun i j ->
       if i = j then -.(float_of_int n +. 1.5) *. 1e6 +. (1e5 *. rnd rng)
       else 3e5 *. rnd rng)
-
-let prop_step_into =
-  QCheck.Test.make ~count:60 ~name:"step_into == step (bitwise)" spec_arb
-    (fun spec ->
-      let rng = rng_of spec in
-      let a = random_stable_a rng spec.n in
-      let omega = 2.0 *. Float.pi *. (10.0 ** (2.0 +. Random.State.float rng 4.0)) in
-      let st = Ctrap.make ~a ~shift:(Cx.make 0.0 omega) ~h:1e-7 in
-      let p = random_cvec rng spec.n in
-      let k0 = random_cvec rng spec.n and k1 = random_cvec rng spec.n in
-      let expect = Ctrap.step st ~p ~k0 ~k1 in
-      let out = Cvec.create spec.n in
-      Ctrap.step_into st ~p ~k0 ~k1 ~into:out;
-      let aliased = Cvec.copy p in
-      Ctrap.step_into st ~p:aliased ~k0 ~k1 ~into:aliased;
-      cvec_equal_bits out expect && cvec_equal_bits aliased expect)
 
 (* --- block columns are width-1 solves --- *)
 
@@ -521,11 +408,7 @@ let qsuite name tests =
 let () =
   Alcotest.run "kernels"
     [
-      qsuite "cvec/cmat"
-        [ prop_add_into; prop_scale_into; prop_axpy_into; prop_mul_vec_into ];
-      qsuite "clu"
-        [ prop_lu_solve; prop_factor_into_parity; prop_solve_into_aliasing ];
-      qsuite "steppers" [ prop_step_into ];
+      qsuite "clu" [ prop_lu_solve ];
       ( "bvp",
         [
           Alcotest.test_case "block columns == width-1 solves (bitwise)" `Quick

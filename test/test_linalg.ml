@@ -3,8 +3,6 @@ module Mat = Scnoise_linalg.Mat
 module Lu = Scnoise_linalg.Lu
 module Cx = Scnoise_linalg.Cx
 module Cvec = Scnoise_linalg.Cvec
-module Cmat = Scnoise_linalg.Cmat
-module Clu = Scnoise_linalg.Clu
 module Expm = Scnoise_linalg.Expm
 module Lyapunov = Scnoise_linalg.Lyapunov
 module Vanloan = Scnoise_linalg.Vanloan
@@ -225,48 +223,53 @@ let test_cx_arith () =
 
 let test_cvec () =
   let a = Cvec.init 3 (fun i -> Cx.make (float_of_int i) 1.0) in
-  check_close "norm2" (sqrt (0.0 +. 1.0 +. 1.0 +. 1.0 +. 4.0 +. 1.0))
-    (Cvec.norm2 a);
+  check_close "norm_inf" (sqrt 5.0) (Cvec.norm_inf a);
   let r = Cvec.real a in
   check_close "real part" 2.0 r.(2);
-  let s = Cvec.scale (Cx.make 0.0 1.0) a in
-  check_close "i*(0+1i) = -1" (-1.0) (Cvec.get s 0).Cx.re
+  let s = Cvec.scale_re (-2.0) a in
+  check_close "-2 (0+1i) = -2i" (-2.0) (Cvec.get s 0).Cx.im
 
+(* The oracle's dense complex LU reconstructs the right-hand side of a
+   diagonally dominant system, of general random ones, and of one whose
+   leading entry is zero, which only a row interchange can factor. *)
 let test_clu_roundtrip () =
-  let n = 5 in
-  let a =
-    Cmat.init n n (fun i j ->
-        let d = if i = j then 6.0 else 0.0 in
-        Cx.make
-          (d +. Random.State.float rand_state 1.0)
-          (Random.State.float rand_state 1.0))
+  let roundtrip name a x =
+    let lu = Oracle.clu_factor a in
+    let x' = Oracle.clu_solve lu (Oracle.cmul_vec a x) in
+    if Cvec.max_abs_diff (Cvec.of_array x) (Cvec.of_array x') > 1e-9 then
+      Alcotest.failf "%s: complex solve roundtrip" name;
+    lu
   in
-  let x = Cvec.init n (fun _ -> Cx.make (Random.State.float rand_state 1.0) 0.5) in
-  let b = Cmat.mul_vec a x in
-  let x' = Clu.solve_dense a b in
-  if Cvec.max_abs_diff x x' > 1e-9 then Alcotest.fail "complex solve roundtrip"
-
-let test_clu_inverse_det () =
-  let a = Cmat.of_real (Mat.identity 3) in
-  Cmat.set a 0 1 (Cx.make 0.0 2.0);
-  let f = Clu.factor a in
-  let d = Clu.det f in
-  check_close "det re" 1.0 d.Cx.re;
-  check_close "det im" 0.0 d.Cx.im;
-  let inv = Clu.inverse f in
-  let prod = Cmat.mul a inv in
-  if Cmat.max_abs_diff prod (Cmat.identity 3) > 1e-10 then
-    Alcotest.fail "A A^{-1} = I (complex)"
-
-let test_cmat_hermitian () =
-  let a = Cmat.create 2 2 in
-  Cmat.set a 0 0 (Cx.re 1.0);
-  Cmat.set a 1 1 (Cx.re 2.0);
-  Cmat.set a 0 1 (Cx.make 1.0 3.0);
-  Cmat.set a 1 0 (Cx.make 1.0 (-3.0));
-  if not (Cmat.is_hermitian a) then Alcotest.fail "hermitian";
-  Cmat.set a 1 0 (Cx.make 1.0 3.0);
-  if Cmat.is_hermitian a then Alcotest.fail "not hermitian"
+  (* drawn from the suite's shared stream, as the later groups expect *)
+  let n = 5 in
+  let dominant =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            let d = if i = j then 6.0 else 0.0 in
+            Cx.make
+              (d +. Random.State.float rand_state 1.0)
+              (Random.State.float rand_state 1.0)))
+  in
+  let x = Array.init n (fun _ -> Cx.make (Random.State.float rand_state 1.0) 0.5) in
+  ignore (roundtrip "dominant" dominant x);
+  let rng = Random.State.make [| 0xc10 |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let cx () = Cx.make (rnd ()) (rnd ()) in
+  for k = 1 to 4 do
+    let a = Array.init 6 (fun _ -> Array.init 6 (fun _ -> cx ())) in
+    ignore (roundtrip (Printf.sprintf "random %d" k) a (Array.init 6 (fun _ -> cx ())))
+  done;
+  let lu =
+    roundtrip "zero leading entry"
+      [|
+        [| Cx.zero; Cx.make 1.0 1.0; Cx.re 2.0 |];
+        [| Cx.re 3.0; Cx.re 1.0; Cx.re (-1.0) |];
+        [| Cx.re 1.0; Cx.make 0.0 2.0; Cx.re 1.0 |];
+      |]
+      [| Cx.re 1.0; Cx.make 0.5 (-1.0); Cx.make 0.0 2.0 |]
+  in
+  let _, _, perm = lu in
+  Alcotest.(check bool) "first column pivoted" true (perm.(0) <> 0)
 
 (* --- Expm --- *)
 
@@ -1389,8 +1392,6 @@ let () =
           Alcotest.test_case "cx arith" `Quick test_cx_arith;
           Alcotest.test_case "cvec" `Quick test_cvec;
           Alcotest.test_case "clu roundtrip" `Quick test_clu_roundtrip;
-          Alcotest.test_case "clu inverse/det" `Quick test_clu_inverse_det;
-          Alcotest.test_case "hermitian" `Quick test_cmat_hermitian;
         ] );
       ( "expm",
         [

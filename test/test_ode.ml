@@ -72,23 +72,25 @@ let test_backward_euler_step () =
   let x = Trapezoid.backward_euler_step ~a ~h:0.1 ~x:[| 1.0 |] ~f1:[| 0.0 |] in
   check_close "be step" (1.0 /. 1.1) x.(0)
 
-(* --- complex trapezoid --- *)
+(* --- complex trapezoid: the dense oracle stepper --- *)
+
+let cvec_of (v : Complex.t array) = Cvec.of_array v
 
 let test_ctrapezoid_matches_real () =
   (* zero shift on a real system must reproduce the real stepper *)
   let a = mat_of [ [ -1.5; 0.3 ]; [ 0.0; -0.7 ] ] in
   let st_r = Trapezoid.make ~a ~h:0.01 in
-  let st_c = Ctrapezoid.make ~a ~shift:Cx.zero ~h:0.01 in
+  let st_c = Oracle.trapezoid ~a ~omega:0.0 ~h:0.01 in
   let xr = ref [| 1.0; -0.5 |] in
-  let xc = ref (Cvec.of_real !xr) in
+  let xc = ref (Array.map Cx.re !xr) in
+  let f = Array.map Cx.re [| 0.1; 0.2 |] in
   for _ = 1 to 100 do
     xr := Trapezoid.step st_r ~x:!xr ~f0:[| 0.1; 0.2 |] ~f1:[| 0.1; 0.2 |];
-    let f = Cvec.of_real [| 0.1; 0.2 |] in
-    xc := Ctrapezoid.step st_c ~p:!xc ~k0:f ~k1:f
+    xc := st_c ~p:!xc ~k0:f ~k1:f
   done;
-  if Vec.max_abs_diff !xr (Cvec.real !xc) > 1e-12 then
+  if Vec.max_abs_diff !xr (Cvec.real (cvec_of !xc)) > 1e-12 then
     Alcotest.fail "complex stepper with zero shift diverged from real";
-  if Vec.norm_inf (Cvec.imag !xc) > 1e-12 then
+  if Vec.norm_inf (Cvec.imag (cvec_of !xc)) > 1e-12 then
     Alcotest.fail "imaginary part should stay zero"
 
 let test_ctrapezoid_shift_analytic () =
@@ -96,15 +98,16 @@ let test_ctrapezoid_shift_analytic () =
   let a0 = 2.0 and w = 5.0 in
   let a = mat_of [ [ -.a0 ] ] in
   let h = 1e-4 in
-  let st = Ctrapezoid.make ~a ~shift:(Cx.make 0.0 w) ~h in
-  let p = ref (Cvec.of_array [| Cx.one |]) in
+  let st = Oracle.trapezoid ~a ~omega:w ~h in
+  let zero = [| Cx.zero |] in
+  let p = ref [| Cx.one |] in
   let steps = 10_000 in
   for _ = 1 to steps do
-    p := Ctrapezoid.step_homogeneous st !p
+    p := st ~p:!p ~k0:zero ~k1:zero
   done;
   let t = h *. float_of_int steps in
   let expected = Cx.( *: ) (Cx.re (exp (-.a0 *. t))) (Cx.cis (-.w *. t)) in
-  let got = Cvec.get !p 0 in
+  let got = !p.(0) in
   if Cx.modulus (Cx.( -: ) got expected) > 1e-4 then
     Alcotest.failf "shifted decay wrong: got %g%+gi, want %g%+gi"
       got.Cx.re got.Cx.im expected.Cx.re expected.Cx.im
@@ -113,22 +116,18 @@ let test_ctrapezoid_trajectory_steady_state () =
   (* dP/dt = (-a - jw)P + k: steady state k/(a + jw) *)
   let a0 = 3.0 and w = 7.0 and k = 2.0 in
   let a = mat_of [ [ -.a0 ] ] in
-  let kvec = Cvec.of_array [| Cx.re k |] in
-  let traj =
-    Ctrapezoid.trajectory ~a ~shift:(Cx.make 0.0 w)
-      ~forcing:(fun _ -> kvec)
-      ~h:1e-3 ~steps:20_000
-      (Cvec.of_array [| Cx.zero |])
-  in
+  let kvec = [| Cx.re k |] in
+  let st = Oracle.trapezoid ~a ~omega:w ~h:1e-3 in
+  let p = ref [| Cx.zero |] in
+  for _ = 1 to 20_000 do
+    p := st ~p:!p ~k0:kvec ~k1:kvec
+  done;
   let expected = Cx.( /: ) (Cx.re k) (Cx.make a0 w) in
-  let last = Cvec.get traj.(20_000) 0 in
-  if Cx.modulus (Cx.( -: ) last expected) > 1e-5 then
+  if Cx.modulus (Cx.( -: ) !p.(0) expected) > 1e-5 then
     Alcotest.fail "complex steady state wrong"
 
 (* --- shifted-Hessenberg stepper --- *)
 
-module Cmat = Scnoise_linalg.Cmat
-module Clu = Scnoise_linalg.Clu
 module Eig = Scnoise_linalg.Eig
 
 (* A non-stiff 9-state system stepped far past its time constants
@@ -143,6 +142,10 @@ let hess_case () =
   (a, b)
 
 let rel_err x y = Cvec.max_abs_diff x y /. Cvec.norm_inf y
+
+(* the oracle's dense complex LU solve of m x = b *)
+let dense_solve m b =
+  Cvec.of_array (Oracle.clu_solve (Oracle.clu_factor m) (Cvec.to_array b))
 
 (* The shifted factor/solve in the Hessenberg basis against the dense
    complex LU of I - h/2 (A - jwI) in the original one, at DC, at a low
@@ -173,11 +176,12 @@ let test_hess_matches_clu () =
       let x = apply u (Cvec.of_data y) in
       let w = 0.5 *. h in
       let dense =
-        Cmat.init n n (fun i j ->
-            let re = (if i = j then 1.0 else 0.0) -. (w *. Mat.get a i j) in
-            Cx.make re (if i = j then w *. omega else 0.0))
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                let re = (if i = j then 1.0 else 0.0) -. (w *. Mat.get a i j) in
+                Cx.make re (if i = j then w *. omega else 0.0)))
       in
-      let want = Clu.solve (Clu.factor dense) b in
+      let want = dense_solve dense b in
       let err = rel_err x want in
       if err > 1e-12 then
         Alcotest.failf "%s: relative error %.3e vs dense LU" label err)
@@ -205,11 +209,12 @@ let test_hess_general () =
       let x = Cvec.copy b in
       Ctrapezoid.hess_solve_in_place st (Cvec.data x);
       let dense =
-        Cmat.init n n (fun i j ->
-            let z = Cx.scale (Mat.get hmat i j) alpha in
-            if i = j then Cx.( -: ) Cx.one z else Cx.neg z)
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                let z = Cx.scale (Mat.get hmat i j) alpha in
+                if i = j then Cx.( -: ) Cx.one z else Cx.neg z))
       in
-      let err = rel_err x (Clu.solve (Clu.factor dense) b) in
+      let err = rel_err x (dense_solve dense b) in
       if err > 1e-12 then
         Alcotest.failf "theta %g: relative error %.3e vs dense LU" theta err)
     [ 0.0; 0.3; 2.0; -2.9 ]
