@@ -867,11 +867,21 @@ module LAD = Scnoise_circuits.Sc_ladder
    record, then exits 1. *)
 let smoke_failed = ref false
 
-(* Where a width-1 solve's time goes: its Hessenberg factorisations
-   (one per run of equal steps, priced by timing the factor kernel on
-   the circuit's first phase), the closure (factor and solve of
-   I - e^{-jwT} H_Phi), and the particular pass — the rest of the
-   measured solve. *)
+(* Run [f] — a timing loop whose repetition count the sampler decides —
+   and take back what it added to the named counters, so that the run
+   record's counts do not depend on the timing. *)
+let uncounted names f =
+  let cs = List.map Obs.counter names in
+  let before = List.map Obs.value cs in
+  let r = f () in
+  List.iter2 (fun c v0 -> Obs.add c (v0 - Obs.value c)) cs before;
+  r
+
+(* Where a width-1 solve's time goes: its run starts (one per run of
+   equal steps, the O(n) block inverses, priced by timing the start
+   kernel on the circuit's first phase), the closure (start and
+   back-substitution on I - e^{-jwT} T_Phi), and the particular pass —
+   the rest of the measured solve. *)
 let stage_split cases =
   let module Cvec = Scnoise_linalg.Cvec in
   let module Cx = Scnoise_linalg.Cx in
@@ -880,7 +890,7 @@ let stage_split cases =
   let t =
     Table.create
       [
-        "circuit"; "n"; "solve_ms"; "factors"; "factor%"; "particular%";
+        "circuit"; "n"; "solve_ms"; "runs"; "start%"; "particular%";
         "closure%";
       ]
   in
@@ -897,9 +907,7 @@ let stage_split cases =
           (Grid.logspace 100.0 16_000.0 8)
       in
       let y = Cvec.panel_create ~dim:(Bvp.n_points bvp) ~width:1 in
-      let f0 = Obs.counter_value "bvp_hess_factorizations" in
-      Bvp.solve bvp ~omegas:[| omegas.(0) |] ~forcing y;
-      let factors = Obs.counter_value "bvp_hess_factorizations" - f0 - 1 in
+      let runs = Bvp.n_runs bvp in
       let per_solve f =
         let best = ref infinity in
         for _ = 1 to 5 do
@@ -914,41 +922,43 @@ let stage_split cases =
               omegas)
       in
       let times = Bvp.times bvp in
-      let hmat, _ = Eig.hessenberg sys.Pwl.phases.(0).Pwl.a in
-      let st = Ctrap.hess_create ~dim:n ~width:1 in
-      let factor =
+      let tmat = Ctrap.quasi (fst (Eig.schur sys.Pwl.phases.(0).Pwl.a)) in
+      let st = Ctrap.schur_create ~dim:n ~width:1 in
+      let start =
         per_solve (fun () ->
             Array.iter
               (fun omega ->
-                for _ = 1 to factors do
-                  Ctrap.hess_factor_shifted st ~hmat ~h:(times.(1) -. times.(0))
-                    ~col:0 ~omega
+                for _ = 1 to runs do
+                  Ctrap.schur_start_shifted st ~tmat
+                    ~h:(times.(1) -. times.(0)) ~col:0 ~omega
                 done)
               omegas)
       in
-      let hphi, _ = Eig.hessenberg (Psd.covariance e).Covariance.phi_period in
+      let tphi =
+        Ctrap.quasi (fst (Eig.schur (Psd.covariance e).Covariance.phi_period))
+      in
       let x = Array.make (2 * n) 1.0 in
       let closure =
         per_solve (fun () ->
             Array.iter
               (fun omega ->
-                Ctrap.hess_factor st ~hmat:hphi ~col:0 ~d:Cx.one
+                Ctrap.schur_start st ~tmat:tphi ~col:0 ~d:Cx.one
                   ~alpha:(Cx.cis (-.omega *. sys.Pwl.period));
-                Ctrap.hess_solve_in_place st x)
+                Ctrap.schur_solve_in_place st x)
               omegas)
       in
       let pct v = Printf.sprintf "%.0f" (100.0 *. v /. total) in
       Table.add_row t
         [
           name; string_of_int n; Printf.sprintf "%.4f" total;
-          string_of_int factors;
-          pct factor; pct (total -. factor -. closure); pct closure;
+          string_of_int runs;
+          pct start; pct (total -. start -. closure); pct closure;
         ])
     cases;
   Table.print t
 
 let exp_kern () =
-  header "EXP-K1  per-point allocation: Hessenberg sweep vs dense reference";
+  header "EXP-K1  per-point allocation: Schur sweep vs dense reference";
   let module Cx = Scnoise_linalg.Cx in
   let module Cvec = Scnoise_linalg.Cvec in
   let module Ctrap = Scnoise_ode.Ctrapezoid in
@@ -969,7 +979,7 @@ let exp_kern () =
     done;
     (Gc.allocated_bytes () -. a0) /. float_of_int (reps * Array.length freqs)
   in
-  let hess_b = per_point (fun f -> ignore (Psd.psd eng ~f)) in
+  let sweep_b = per_point (fun f -> ignore (Psd.psd eng ~f)) in
   let ref_b =
     let fx = Bvp_fixture.of_engine eng in
     let y = Cvec.panel_create ~dim:(Bvp.n_points fx.Bvp_fixture.bvp) ~width:1 in
@@ -977,23 +987,25 @@ let exp_kern () =
         Bvp_fixture.solve ~reference:true fx ~omegas:[| 2.0 *. Float.pi *. f |] y)
   in
   let t2 = Table.create [ "bvp_backend"; "bytes/point" ] in
-  Table.add_row t2 [ "hessenberg (default)"; Printf.sprintf "%.0f" hess_b ];
+  Table.add_row t2 [ "schur (default)"; Printf.sprintf "%.0f" sweep_b ];
   Table.add_row t2 [ "reference solve"; Printf.sprintf "%.0f" ref_b ];
   Table.print t2;
   Printf.printf
-    "KERN-SMOKE: hess_bytes_per_point=%.0f reference_bytes_per_point=%.0f \
+    "KERN-SMOKE: sweep_bytes_per_point=%.0f reference_bytes_per_point=%.0f \
      ok=%s\n"
-    hess_b ref_b
-    (if hess_b < 48_000.0 then "ok" else "FAIL");
-  (* --- EXP-H1: batched sweeps on the shifted-Hessenberg kernel ---
+    sweep_b ref_b
+    (if sweep_b < 48_000.0 then "ok" else "FAIL");
+  (* --- EXP-S1: batched sweeps on the Schur kernel ---
 
      Per-RHS cost of one trapezoid step at widths 1/8/16, then the
      width table and the per-stage split of a solve, then whole-sweep
      ms/pt and bytes/pt on sc_lowpass with a serial pool (isolating the
      kernel effect from domain parallelism).  Batched results must be
      bit-identical to the B=1 sweep; the smoke gate demands the
-     auto-tuned width beat B=1 by >= 1.5x. *)
-  header "EXP-H1  batched sweeps: shifted-Hessenberg panel kernel";
+     auto-tuned width beat B=1 by >= 1.5x.  The step timings run under
+     Bechamel, whose sampler picks the repetition count, so their
+     counts are taken back ([uncounted]). *)
+  header "EXP-S1  batched sweeps: quasi-triangular Schur panel kernel";
   let module Eig = Scnoise_linalg.Eig in
   let tk =
     Table.create
@@ -1003,17 +1015,19 @@ let exp_kern () =
     (fun n ->
       let rng = Random.State.make [| 0xb1_0c; n |] in
       let rnd () = Random.State.float rng 2.0 -. 1.0 in
-      let hmat, _ =
-        Eig.hessenberg
-          (Mat.init n n (fun i j ->
-               if i = j then -.(float_of_int n +. 1.5) *. 1e6
-               else 3e5 *. rnd ()))
+      let tmat =
+        Ctrap.quasi
+          (fst
+             (Eig.schur
+                (Mat.init n n (fun i j ->
+                     if i = j then -.(float_of_int n +. 1.5) *. 1e6
+                     else 3e5 *. rnd ()))))
       in
       let g = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
       let stepper w =
-        let st = Ctrap.hess_create ~dim:n ~width:w in
+        let st = Ctrap.schur_create ~dim:n ~width:w in
         for col = 0 to w - 1 do
-          Ctrap.hess_factor_shifted st ~hmat ~h:1e-7 ~col
+          Ctrap.schur_start_shifted st ~tmat ~h:1e-7 ~col
             ~omega:(2.0 *. Float.pi *. 1e3 *. float_of_int (col + 1))
         done;
         let p = Array.init (2 * n * w) (fun _ -> rnd ()) in
@@ -1023,25 +1037,26 @@ let exp_kern () =
       and s16, p16, o16 = stepper 16 in
       let open Bechamel in
       let results =
-        time_per_run_ns
-          [
-            Test.make ~name:"h1"
-              (Staged.stage (fun () ->
-                   Ctrap.step_hess_into s1 ~g ~p:p1 ~into:o1));
-            Test.make ~name:"h8"
-              (Staged.stage (fun () ->
-                   Ctrap.step_hess_into s8 ~g ~p:p8 ~into:o8));
-            Test.make ~name:"h16"
-              (Staged.stage (fun () ->
-                   Ctrap.step_hess_into s16 ~g ~p:p16 ~into:o16));
-          ]
+        uncounted [ "ode_steps"; "ode_block_steps" ] (fun () ->
+            time_per_run_ns
+              [
+                Test.make ~name:"h1"
+                  (Staged.stage (fun () ->
+                       Ctrap.step_schur_into s1 ~g ~p:p1 ~into:o1));
+                Test.make ~name:"h8"
+                  (Staged.stage (fun () ->
+                       Ctrap.step_schur_into s8 ~g ~p:p8 ~into:o8));
+                Test.make ~name:"h16"
+                  (Staged.stage (fun () ->
+                       Ctrap.step_schur_into s16 ~g ~p:p16 ~into:o16));
+              ])
       in
       let c1 = find_time results "h1" in
       let b8 = find_time results "h8" /. 8.0 in
       let b16 = find_time results "h16" /. 16.0 in
       Table.add_row tk
         [
-          string_of_int n; "step_hess_into"; Printf.sprintf "%.1f" c1;
+          string_of_int n; "step_schur_into"; Printf.sprintf "%.1f" c1;
           Printf.sprintf "%.1f" b8; Printf.sprintf "%.1f" b16;
           Printf.sprintf "%.2fx" (c1 /. b16);
         ])
@@ -1102,6 +1117,7 @@ let exp_kern () =
       ("ladder-12", ladder 6, 48, Grid.logspace 100.0 40_000.0 16);
       ("ladder-16", ladder 8, 48, Grid.logspace 100.0 40_000.0 16);
       ("ladder-20", ladder 10, 48, Grid.logspace 100.0 40_000.0 16);
+      ("ladder-30", ladder 15, 48, Grid.logspace 100.0 40_000.0 16);
       ("ladder-40", ladder 20, 48, Grid.logspace 100.0 40_000.0 16);
     ];
   Table.print tw;
@@ -1180,7 +1196,7 @@ let exp_kern () =
     (if parity then "bit" else "MISMATCH")
     (if batch_ok then "ok" else "FAIL");
   let gemm_ok = exp_gemm () in
-  if hess_b >= 48_000.0 || not batch_ok || not gemm_ok then smoke_failed := true
+  if sweep_b >= 48_000.0 || not batch_ok || not gemm_ok then smoke_failed := true
 
 (* ------------------------------------------------------------------ *)
 (* EXP-P1: domain pool — serial vs parallel wall time, bit parity      *)
@@ -1282,8 +1298,7 @@ let exp_obs () =
     (find_time results "hist_record")
     (find_time results "hist_record_int");
   (* end-to-end: a PSD point with telemetry fully off vs fully on.
-     The always-on histograms (lu.rcond, bvp.hess_pivot_growth) are in
-     both runs; the enabled run adds the gated duration
+     The always-on histogram (lu.rcond) is in both runs; the enabled run adds the gated duration
      histograms, spans and GC accounting. *)
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
@@ -1534,6 +1549,81 @@ let hessenberg_table (b, s) =
     (if !bits_ok then "ok" else "FAIL");
   !bits_ok
 
+(* [Eig.schur] on the ladder-100 phase matrices and monodromy the sweep
+   steps in: min-of-5 time, the relative reconstruction residual
+   ||Z T Zᵀ - A|| / ||A|| (Frobenius), ||ZᵀZ - I|| and the 2×2 block
+   count; then the Schur-form sweep against the dense reference
+   [Oracle.bvp_reference] over the benchmark's band (DC, 33 log points
+   from 100 Hz to 40 kHz, 50 kHz).  Prints SCHUR-SMOKE and returns
+   whether every residual is within 100 ulps of ||A|| and the sweep
+   within 1e-9 dB of the reference. *)
+let schur_table (b, s) =
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let module Eig = Scnoise_linalg.Eig in
+  let t =
+    Table.create [ "matrix"; "n"; "schur_ms"; "rel_resid"; "orth"; "2x2" ]
+  in
+  let worst = ref 0.0 and n100_ms = ref 0.0 in
+  let cases =
+    List.mapi
+      (fun p (ph : Pwl.phase) -> (Printf.sprintf "ladder-100 A%d" p, ph.Pwl.a))
+      (Array.to_list b.LAD.sys.Pwl.phases)
+    @ [ ("ladder-100 monodromy", s.Covariance.phi_period) ]
+  in
+  List.iter
+    (fun (name, a) ->
+      let n = Mat.rows a in
+      let tm, z = Eig.schur a in
+      let resid =
+        Mat.norm_fro (Mat.sub a (Mat.mul z (Mat.mul tm (Mat.transpose z))))
+        /. Mat.norm_fro a
+      in
+      let orth =
+        Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose z) z) (Mat.identity n))
+      in
+      let blocks = ref 0 in
+      for i = 0 to n - 2 do
+        if Mat.get tm (i + 1) i <> 0.0 then incr blocks
+      done;
+      worst := Float.max !worst resid;
+      let ms = ref infinity in
+      for _ = 1 to 5 do
+        ms := Float.min !ms (wall_ms (fun () -> ignore (Eig.schur a)))
+      done;
+      n100_ms := !n100_ms +. !ms;
+      Table.add_row t
+        [
+          name; string_of_int n; Printf.sprintf "%.2f" !ms;
+          Printf.sprintf "%.2e" resid; Printf.sprintf "%.2e" orth;
+          string_of_int !blocks;
+        ])
+    cases;
+  Table.print t;
+  let eng = Psd.of_sampled s ~output:b.LAD.output in
+  let freqs =
+    Array.concat
+      [ [| 0.0 |]; Grid.logspace 100.0 40_000.0 33; [| 50_000.0 |] ]
+  in
+  let fast = Psd.sweep ~pool:(Pool.create ~jobs:1 ()) eng freqs in
+  let slow =
+    Bvp_fixture.reference_psd (Bvp_fixture.of_engine eng)
+      ~period:b.LAD.sys.Pwl.period freqs
+  in
+  let oracle_db = ref 0.0 in
+  Array.iteri
+    (fun i _ ->
+      oracle_db :=
+        Float.max !oracle_db
+          (abs_float (Db.of_power fast.(i) -. Db.of_power slow.(i))))
+    freqs;
+  let ok = !worst <= 100.0 *. epsilon_float && !oracle_db <= 1e-9 in
+  Printf.printf
+    "SCHUR-SMOKE: n100_reductions_ms=%.2f max_rel_resid=%.2e \
+     oracle_db=%.3e ok=%s\n"
+    !n100_ms !worst !oracle_db
+    (if ok then "ok" else "FAIL");
+  ok
+
 let exp_cov () =
   header "EXP-C2  covariance engine: memoised Van Loan grid (ladder with parasitics)";
   let module LAD = Scnoise_circuits.Sc_ladder in
@@ -1666,6 +1756,7 @@ let exp_cov () =
   let solve_bits = solve_table () in
   let pade_bits = pade_table () in
   let hess_bits = hessenberg_table (Option.get !ladder100) in
+  let schur_ok = schur_table (Option.get !ladder100) in
   let ok = parity_db <= 1e-9 && !counts_ok in
   Printf.printf
     "COV-SMOKE: n100_expm_calls=%d n100_distinct_ops=%d parity_db=%.3e status=%s\n"
@@ -1683,7 +1774,8 @@ let exp_cov () =
      n100_chain_cols=%d max_rel=%.2e ok=%s\n"
     !products_at_100 !forcing_at_100 !cols_at_100 !forcing_rel_at_100
     (if forcing_ok then "ok" else "FAIL");
-  if not (ok && solve_bits && pade_bits && forcing_ok && hess_bits) then exit 1
+  if not (ok && solve_bits && pade_bits && forcing_ok && hess_bits && schur_ok)
+  then exit 1
 
 let experiments =
   [

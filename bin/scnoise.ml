@@ -331,11 +331,17 @@ let with_circuit f name target duty t_over_rc f0 q stages =
       code
 
 (* Run [f] only on a circuit with a periodic steady state: the daemon's
-   Floquet check, then the steady-state solve's refusal as a fallback. *)
+   Floquet check, then the steady-state solve's refusal as a fallback.
+   A Schur reduction the sweep cannot prepare is refused the same way. *)
 let steady picked f =
   let refuse why = Printf.eprintf "scnoise: %s%s\n" Front.unstable why; 2 in
   if not (Front.stable picked.sys) then refuse ""
-  else try f () with Lyapunov.Not_stable why -> refuse (" (" ^ why ^ ")")
+  else
+    try f () with
+    | Lyapunov.Not_stable why -> refuse (" (" ^ why ^ ")")
+    | Scnoise_core.Periodic_bvp.Reduction_failed why ->
+        Printf.eprintf "scnoise: %s\n" why;
+        2
 
 (* ---- list ---- *)
 

@@ -19,39 +19,42 @@ let h_solve = Obs.histogram "periodic_bvp.solve_s"
 
 let c_block_solves = Obs.counter "bvp_block_solves"
 
+exception Reduction_failed of string
+
 type t = {
   period : float;
   nstates : int;
   times : float array;
   interval_phase : int array;
-  step_h : float array; (* interval i -> the step its factors are built for *)
+  step_h : float array; (* interval i -> the step its run is set up for *)
   refactor : bool array; (* interval i starts a new run of equal steps *)
-  (* the Hessenberg basis: A_p = U_p H_p U_pᵀ, Phi = V H_Phi Vᵀ *)
-  basis : Mat.t array; (* per phase: U_p *)
-  hess : Mat.t array; (* per phase: H_p *)
-  out_rows : float array array; (* per phase: U_pᵀ c *)
+  (* the real Schur bases: A_p = Z_p T_p Z_pᵀ, Phi = V T_Phi Vᵀ *)
+  basis : Mat.t array; (* per phase: Z_p *)
+  tri : Ctrapezoid.quasi array; (* per phase: T_p *)
+  out_rows : float array array; (* per phase: Z_pᵀ c *)
   crossing : Mat.t option array;
-      (* per interval i: U_{p(i)}ᵀ U_{p(i-1)} where the phase changes *)
-  h_phi : Mat.t;
-  close_in : Mat.t; (* Vᵀ U_p of the last interval's phase *)
+      (* per interval i: Z_{p(i)}ᵀ Z_{p(i-1)} where the phase changes *)
+  t_phi : Ctrapezoid.quasi;
+  close_in : Mat.t; (* Vᵀ Z_p of the last interval's phase *)
   hrows : float array array; (* Vᵀ r_i *)
 }
 
-(* Steps within this relative distance share one factorisation: a
-   phase's uniform steps differ only by the rounding of the grid times
-   they are differences of, and the trapezoid map moves by that much
-   when one stands in for the other. *)
+(* Steps within this relative distance share one run: a phase's uniform
+   steps differ only by the rounding of the grid times they are
+   differences of, and the trapezoid map moves by that much when one
+   stands in for the other. *)
 let step_tol = 1e-12
 
 (* Everything frequency-independent is prepared here: the runs of
-   consecutive intervals that share a phase and a step — each run is
-   factored once per frequency, so a solve holds one factorisation per
-   column at a time — one Hessenberg reduction per phase and of the
-   monodromy, the basis changes at phase boundaries, and the output and
-   homogeneous rows in those bases.  The homogeneous correction only
-   ever reaches the output through cᵀ Phi(t_i, 0), so one real row per
-   grid point, from the covariance's forcing pass, is all a solver
-   needs of the transitions. *)
+   consecutive intervals that share a phase and a step — each run sets
+   up its diagonal-block inverses once per frequency, so a solve holds
+   one run's inverses per column at a time — one real Schur reduction
+   per phase and of the monodromy, the basis changes at phase
+   boundaries, and the output and homogeneous rows in those bases.  The
+   homogeneous correction only ever reaches the output through
+   cᵀ Phi(t_i, 0), so one real row per grid point, from the
+   covariance's forcing pass, is all a solver needs of the
+   transitions. *)
 let of_sampled (cov : Covariance.sampled) ~output ~rows =
   let sys = cov.Covariance.sys in
   if Array.length output <> sys.Pwl.nstates then
@@ -74,7 +77,20 @@ let of_sampled (cov : Covariance.sampled) ~output ~rows =
       step_h.(i) <- step_h.(i - 1)
     end
   done;
-  let reduced = Array.map (fun ph -> Eig.hessenberg ph.Pwl.a) sys.Pwl.phases in
+  let schur what m =
+    match Eig.schur m with
+    | t, z -> (Ctrapezoid.quasi t, z)
+    | exception Eig.No_convergence _ ->
+        raise
+          (Reduction_failed
+             (Printf.sprintf
+                "the real Schur reduction of the %s did not converge" what))
+  in
+  let reduced =
+    Array.mapi
+      (fun p ph -> schur (Printf.sprintf "phase %d matrix" p) ph.Pwl.a)
+      sys.Pwl.phases
+  in
   let basis = Array.map snd reduced in
   let crossings : (int * int, Mat.t) Hashtbl.t = Hashtbl.create 4 in
   let crossing =
@@ -90,7 +106,7 @@ let of_sampled (cov : Covariance.sampled) ~output ~rows =
               Hashtbl.add crossings (p, q) m;
               Some m)
   in
-  let h_phi, v = Eig.hessenberg cov.Covariance.phi_period in
+  let t_phi, v = schur "monodromy" cov.Covariance.phi_period in
   {
     period = sys.Pwl.period;
     nstates = sys.Pwl.nstates;
@@ -99,10 +115,10 @@ let of_sampled (cov : Covariance.sampled) ~output ~rows =
     step_h;
     refactor;
     basis;
-    hess = Array.map fst reduced;
+    tri = Array.map fst reduced;
     out_rows = Array.map (fun u -> Mat.mul_transpose_vec u output) basis;
     crossing;
-    h_phi;
+    t_phi;
     close_in =
       Mat.mul (Mat.transpose v) basis.(interval_phase.(nintervals - 1));
     hrows = Array.map (Mat.mul_transpose_vec v) rows;
@@ -111,6 +127,9 @@ let of_sampled (cov : Covariance.sampled) ~output ~rows =
 let times t = Array.copy t.times
 
 let n_points t = Array.length t.times
+
+let n_runs t =
+  Array.fold_left (fun c r -> if r then c + 1 else c) 0 t.refactor
 
 (* --- forcing ---
 
@@ -149,8 +168,8 @@ let forcing t ~kl ~kr =
    domain-local records (same pattern as [Psd]'s scratch): pooled
    sweeps get their own per worker, so prepared solvers stay read-only.
    A workspace is sized by its (dimension, width) pair alone — it holds
-   one run's factors per column, refactored as the pass goes — so every
-   solver of that shape reuses it.
+   one run's block inverses per column, redone as the pass goes — so
+   every solver of that shape reuses it.
    A domain keeps the few most recent pairs: one sweep legitimately
    uses two widths — the tail block is narrower whenever the width
    doesn't divide the point count — single points run at width 1, and
@@ -159,12 +178,14 @@ let forcing t ~kl ~kr =
 type ws = {
   w_dim : int;
   w_width : int;
-  w_step : Ctrapezoid.hess; (* the current run's factors, per column *)
-  w_close : Ctrapezoid.hess; (* I - e^{-jwT} H_Phi per column *)
+  w_step : Ctrapezoid.schur; (* the current run's stepper, per column *)
+  w_close : Ctrapezoid.schur; (* I - e^{-jwT} T_Phi per column *)
   w_pa : Cvec.panel; (* the particular pass alternates between *)
   w_pb : Cvec.panel; (* these two panels, P_b(t_{i-1}) -> P_b(t_i) *)
   w_pc : Cvec.panel; (* a state carried across a phase boundary *)
   w_p0 : Cvec.panel; (* boundary values, in the monodromy's basis *)
+  w_phase : float array; (* per column: e^{-jw t_i} at the current point *)
+  w_turn : float array; (* per column: e^{-jw h} of the current run *)
 }
 
 let ws_key : ws list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
@@ -176,17 +197,19 @@ let workspace t ~width =
   Scnoise_util.Mru.find (Domain.DLS.get ws_key) ~cap:max_cached
     ~matches:(fun ws -> ws.w_dim = n && ws.w_width = width)
     ~make:(fun () ->
-      let hess () = Ctrapezoid.hess_create ~dim:n ~width in
+      let stepper () = Ctrapezoid.schur_create ~dim:n ~width in
       let panel () = Cvec.panel_create ~dim:n ~width in
       {
         w_dim = n;
         w_width = width;
-        w_step = hess ();
-        w_close = hess ();
+        w_step = stepper ();
+        w_close = stepper ();
         w_pa = panel ();
         w_pb = panel ();
         w_pc = panel ();
         w_p0 = panel ();
+        w_phase = Array.make (2 * width) 0.0;
+        w_turn = Array.make (2 * width) 0.0;
       })
 
 (* dst_b <- m src_b for every column of a panel (real dense [m]) *)
@@ -225,7 +248,7 @@ let reduce_into c ~width p y ~i =
 (* Forced transient from a zero initial condition in the phase bases,
    reduced to the output at every grid point as it goes; returns the
    panel holding P_b(T) in the last phase's basis.  Each run of equal
-   steps is factored as it starts, and a state entering a new phase
+   steps is set up as it starts, and a state entering a new phase
    crosses into its basis first. *)
 let particular_into t ws ~omegas ~forcing y =
   let width = ws.w_width in
@@ -237,7 +260,7 @@ let particular_into t ws ~omegas ~forcing y =
     let phase = t.interval_phase.(i - 1) in
     if t.refactor.(i - 1) then
       for b = 0 to width - 1 do
-        Ctrapezoid.hess_factor_shifted ws.w_step ~hmat:t.hess.(phase)
+        Ctrapezoid.schur_start_shifted ws.w_step ~tmat:t.tri.(phase)
           ~h:t.step_h.(i - 1) ~col:b ~omega:omegas.(b)
       done;
     let from =
@@ -247,7 +270,8 @@ let particular_into t ws ~omegas ~forcing y =
           apply_into m ~width !p ws.w_pc;
           ws.w_pc
     in
-    Ctrapezoid.step_hess_into ws.w_step ~g:forcing.(i - 1) ~p:from ~into:!into;
+    Ctrapezoid.step_schur_into ws.w_step ~g:forcing.(i - 1) ~p:from
+      ~into:!into;
     reduce_into t.out_rows.(phase) ~width !into y ~i;
     let last = !p in
     p := !into;
@@ -255,8 +279,41 @@ let particular_into t ws ~omegas ~forcing y =
   done;
   !p
 
-(* Close the periodic boundary in the monodromy's basis: with
-   z_b = Vᵀ P_b(0), solve (I - e^{-jw_bT} H_Phi) z_b = Vᵀ P_part,b(T),
+(* The homogeneous term's phase factors e^{-jw t_i}, point by point:
+   exact (one cos and sin) where a run of equal steps starts, and
+   advanced inside the run by one complex multiply with the run's
+   e^{-jw h}.  [phase] and [turn] hold column [b]'s factor and turn at
+   2b; on return [phase] holds point [i]'s. *)
+let advance_phase t ~omegas ~phase ~turn ~i =
+  let start = i < Array.length t.times - 1 && t.refactor.(i) in
+  for b = 0 to Array.length omegas - 1 do
+    let k = 2 * b in
+    if start then begin
+      let theta = -.omegas.(b) *. t.times.(i) in
+      phase.(k) <- cos theta;
+      phase.(k + 1) <- sin theta;
+      let theta = -.omegas.(b) *. t.step_h.(i) in
+      turn.(k) <- cos theta;
+      turn.(k + 1) <- sin theta
+    end
+    else begin
+      let cr = phase.(k) and ci = phase.(k + 1) in
+      let sr = turn.(k) and si = turn.(k + 1) in
+      phase.(k) <- (cr *. sr) -. (ci *. si);
+      phase.(k + 1) <- (cr *. si) +. (ci *. sr)
+    end
+  done
+
+let phase_factors t ~omega =
+  let npts = Array.length t.times in
+  let omegas = [| omega |] and phase = Array.make 2 0.0
+  and turn = Array.make 2 0.0 in
+  Cvec.init npts (fun i ->
+      advance_phase t ~omegas ~phase ~turn ~i;
+      Cx.make phase.(0) phase.(1))
+
+(* Close the periodic boundary in the monodromy's Schur basis: with
+   z_b = Vᵀ P_b(0), solve (I - e^{-jw_bT} T_Phi) z_b = Vᵀ P_part,b(T),
    O(n^2) per column, then add the homogeneous term
    e^{-jw_bt_i} cᵀ Phi(t_i, 0) P_b(0) = e^{-jw_bt_i} ((Vᵀ r_i) · z_b) to
    every output sample — O(n) per point and column. *)
@@ -266,15 +323,16 @@ let close_periodic_into t ws ~omegas ~part_end y =
   let npts = Array.length t.times in
   apply_into t.close_in ~width part_end ws.w_p0;
   for b = 0 to width - 1 do
-    Ctrapezoid.hess_factor ws.w_close ~hmat:t.h_phi ~col:b ~d:Cx.one
+    Ctrapezoid.schur_start ws.w_close ~tmat:t.t_phi ~col:b ~d:Cx.one
       ~alpha:(Cx.cis (-.omegas.(b) *. t.period))
   done;
-  Ctrapezoid.hess_solve_in_place ws.w_close ws.w_p0;
+  Ctrapezoid.schur_solve_in_place ws.w_close ws.w_p0;
   Log.debug (fun m ->
       m "BVP closed: %d points, %d frequencies" npts width);
-  let p0 = ws.w_p0 in
+  let p0 = ws.w_p0 and phase = ws.w_phase and turn = ws.w_turn in
   for i = 0 to npts - 1 do
     let r = t.hrows.(i) in
+    advance_phase t ~omegas ~phase ~turn ~i;
     for b = 0 to width - 1 do
       let hr = ref 0.0 and hi = ref 0.0 in
       for j = 0 to n - 1 do
@@ -282,8 +340,7 @@ let close_periodic_into t ws ~omegas ~part_end y =
         hr := !hr +. (r.(j) *. p0.(q));
         hi := !hi +. (r.(j) *. p0.(q + 1))
       done;
-      let theta = -.omegas.(b) *. t.times.(i) in
-      let cr = cos theta and ci = sin theta in
+      let cr = phase.(2 * b) and ci = phase.((2 * b) + 1) in
       let k = 2 * ((i * width) + b) in
       y.(k) <- ((cr *. !hr) -. (ci *. !hi)) +. y.(k);
       y.(k + 1) <- ((cr *. !hi) +. (ci *. !hr)) +. y.(k + 1)

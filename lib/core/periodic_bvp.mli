@@ -24,26 +24,34 @@
     One solve serves every caller.  It takes a block of [width]
     frequencies that advance in lockstep through the shared phase grid
     as {!Cvec.panel} steps (a width-1 panel is exactly a {!Cvec.t}
-    buffer).  The transient runs in Hessenberg form: each phase matrix
-    is reduced once, [A_p = U_p H_p U_pᵀ], so the shifted trapezoid LHS
-    [I - h/2 (H_p - jwI)] is complex upper Hessenberg and factors and
-    solves exactly in O(n^2) at any frequency (one factorisation per
-    distinct (phase, h) and column).  The forcing is rotated into the
+    buffer).  The transient runs in real Schur form: each phase matrix
+    is reduced once, [A_p = Z_p T_p Z_pᵀ], so the shifted trapezoid LHS
+    [I - h/2 (T_p - jwI)] is complex quasi-upper-triangular and every
+    step is a back-substitution with the real [T_p] at any frequency;
+    a run of equal steps only inverts [T_p]'s diagonal blocks, O(n) per
+    column, and nothing is factored.  The forcing is rotated into the
     phase bases once ({!forcing}); a state entering a new phase crosses
-    through the precomputed [U_qᵀ U_p], and the output rows are
-    [cᵀ U_p].  The closure is solved in the monodromy's Hessenberg basis
-    [Phi = V H_Phi Vᵀ], again O(n^2) per frequency.  Column [b] of
-    every result is bitwise identical to a width-1 solve at
-    [omegas.(b)]. *)
+    through the precomputed [Z_qᵀ Z_p], and the output rows are
+    [cᵀ Z_p].  The closure is solved in the monodromy's Schur basis
+    [Phi = V T_Phi Vᵀ], again a back-substitution per frequency, and
+    its phase factors [e^{-jwt_i}] are exact at each run start and
+    advanced by one complex multiply inside a run ({!phase_factors}).
+    Column [b] of every result is bitwise identical to a width-1 solve
+    at [omegas.(b)]. *)
 
 module Cvec = Scnoise_linalg.Cvec
 
 type t
-(** Prepared solver: grids, phase matrices, the output rows
-    [cᵀ Phi(t_i, 0)], the monodromy and frequency-independent stepper
-    factorisations are shared across frequencies and forcings (the
+(** Prepared solver: grids, the real Schur forms of the phase matrices
+    and of the monodromy with their bases, and the output rows
+    [cᵀ Phi(t_i, 0)] are shared across frequencies and forcings (the
     per-domain solve workspace is domain-local, so a prepared solver may
     be used from a pool). *)
+
+exception Reduction_failed of string
+(** Raised by {!of_sampled} when the QR iteration of the real Schur
+    reduction ({!Scnoise_linalg.Eig.schur}) of a phase matrix or of the
+    monodromy does not converge; the message names which. *)
 
 val of_sampled :
   Covariance.sampled -> output:Scnoise_linalg.Vec.t ->
@@ -53,12 +61,23 @@ val of_sampled :
     [rows.(i) = Phi(t_i, 0)ᵀ output] at every grid point, as
     {!Covariance.output_trace} yields them.  Raises [Invalid_argument]
     if the row's length is not the state count or [rows] does not
-    match the grid. *)
+    match the grid, and {!Reduction_failed} if a Schur reduction does
+    not converge. *)
 
 val times : t -> float array
 (** The grid over one period ([0 .. T]). *)
 
 val n_points : t -> int
+
+val n_runs : t -> int
+(** Runs of consecutive intervals sharing a phase and a step: a solve
+    sets up each run's stepper once per column, O(n). *)
+
+val phase_factors : t -> omega:float -> Cvec.t
+(** The factors [e^{-j omega t_i}] the closure applies to the
+    homogeneous term at every grid point, formed as a solve forms them:
+    exactly at the start of each run of equal steps, then by repeated
+    multiplication with the run's [e^{-j omega h}]. *)
 
 type forcing
 (** A forcing prepared for one solver: per grid interval, the trapezoid

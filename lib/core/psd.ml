@@ -113,13 +113,14 @@ let psd_db e ~f = Scnoise_util.Db.of_power (psd e ~f)
 (* --- batch-width selection ---
 
    A sweep is tiled into width-B frequency blocks, each advanced in
-   lockstep through the phase grid by one [Periodic_bvp.solve].  At
-   [B = 1] the solve runs the single-column loops; larger widths
-   amortise each traversal of the phase's Hessenberg matrix over B
-   columns.  EXP-H1's width table measures 16-wide blocks ahead up to
-   the 9-state band-pass and behind from 12 states on, so blocks run on
-   circuits of at most 9 states. *)
-let auto_batch ~nstates = if nstates <= 9 then 16 else 1
+   lockstep through the phase grid by one [Periodic_bvp.solve].  Every
+   column runs the same back-substitution at any width; a block shares
+   the phase's Schur matrix and amortises the per-step bookkeeping over
+   B columns, a saving that shrinks against the O(n^2) step as n grows.
+   EXP-S1's width table measures 16-wide blocks ahead by 1.14x or more
+   up to 20 states and level from 30 on, so blocks run on circuits of
+   at most 20 states. *)
+let auto_batch ~nstates = if nstates <= 20 then 16 else 1
 
 let batch_width e ~npoints =
   if npoints < 2 then 1

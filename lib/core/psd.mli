@@ -75,8 +75,8 @@ val sweep_db :
 
 val batch_width : engine -> npoints:int -> int
 (** The block width {!sweep} uses for a sweep of [npoints] over this
-    engine: 16 on circuits of at most 9 states, where blocks measure
-    faster (EXP-H1), else 1; clamped to the sweep length.  Exposed for
+    engine: 16 on circuits of at most 20 states, where blocks measure
+    faster (EXP-S1), else 1; clamped to the sweep length.  Exposed for
     status reporting and benchmarks. *)
 
 val instantaneous : engine -> f:float -> float array * float array

@@ -45,10 +45,10 @@ val max_abs_diff : t -> t -> float
     column-major over the block: entry (state [i], column [b]) lives at
     [2 * (i * width + b)] (re) / [2 * (i * width + b) + 1] (im).  All
     [width] columns of one state are adjacent, so a blocked kernel
-    ([Ctrapezoid.step_hess_into]) loads each factor element once per
-    [width] right-hand sides and streams over contiguous memory in its
-    inner loops.  Each column of a blocked kernel's result is bitwise
-    identical to the corresponding single-RHS call. *)
+    ([Ctrapezoid.step_schur_into]) runs [width] right-hand sides over
+    one shared matrix in a single call.  Each column of a blocked
+    kernel's result is bitwise identical to the corresponding
+    single-RHS call. *)
 
 type panel = float array
 (** Raw interleaved storage, length [2 * dim * width]. *)

@@ -1,4 +1,9 @@
+module Obs = Scnoise_obs.Obs
+
 exception No_convergence of int
+
+(* O(n^3) work the periodic-BVP sweep pays once, at preparation *)
+let c_reductions = Obs.counter "schur_reductions"
 
 (* Householder similarity reduction to upper Hessenberg form, in place
    on the row-major [n×n] buffer [a].  With [u] (the identity on entry)
@@ -90,14 +95,47 @@ let hessenberg m =
 let sign_with magnitude reference =
   if reference >= 0.0 then abs_float magnitude else -.abs_float magnitude
 
-(* Francis implicit double-shift QR on an upper Hessenberg matrix;
-   classic EISPACK "hqr" (eigenvalues only), 0-based. *)
-let hqr a n =
+(* One double step's reflector on columns k .. k + 2 (k .. k + 1 unless
+   [three]) of rows lo .. hi of the row-major n×n [m], in hqr's order.
+   A function of its own so that its float arguments are unboxed once
+   per call rather than read from a closure in the loop. *)
+let column_step m n k ~lo ~hi ~three x y z q r =
+  for i = lo to hi do
+    let c = (i * n) + k in
+    let pp = (x *. Array.unsafe_get m c) +. (y *. Array.unsafe_get m (c + 1)) in
+    let pp =
+      if three then begin
+        let pp = pp +. (z *. Array.unsafe_get m (c + 2)) in
+        Array.unsafe_set m (c + 2) (Array.unsafe_get m (c + 2) -. (pp *. r));
+        pp
+      end
+      else pp
+    in
+    Array.unsafe_set m (c + 1) (Array.unsafe_get m (c + 1) -. (pp *. q));
+    Array.unsafe_set m c (Array.unsafe_get m c -. pp)
+  done
+
+(* Francis implicit double-shift QR on an upper Hessenberg matrix,
+   classic EISPACK "hqr", 0-based, on the row-major [n×n] buffer [a].
+   Returns the eigenvalues as (wr, wi).
+
+   With [z] it is "hqr2" up to its back-substitution: every double step
+   also updates the rows right of and the columns above the active
+   window — so the window's own arithmetic, and with it every
+   eigenvalue, is the same bit for bit — and accumulates its reflectors
+   into the columns of [z] (z <- z Q); each deflated diagonal entry
+   gets the accumulated exceptional shift back.  z a zᵀ is then what it
+   was on entry, with [a] quasi-upper-triangular up to the rounding
+   residue the steps leave below the subdiagonal ({!schur} clears
+   it). *)
+let hqr ?z a n =
+  let full = Option.is_some z in
+  let zd = match z with Some z -> z | None -> [||] in
   let wr = Array.make n 0.0 and wi = Array.make n 0.0 in
   let anorm = ref 0.0 in
   for i = 0 to n - 1 do
     for j = max (i - 1) 0 to n - 1 do
-      anorm := !anorm +. abs_float a.(i).(j)
+      anorm := !anorm +. abs_float a.((i * n) + j)
     done
   done;
   let anorm = !anorm in
@@ -113,60 +151,69 @@ let hqr a n =
       let l = ref 0 in
       (try
          for ll = !nn downto 1 do
-           let s = abs_float a.(ll - 1).(ll - 1) +. abs_float a.(ll).(ll) in
+           let s =
+             abs_float a.(((ll - 1) * n) + ll - 1) +. abs_float a.((ll * n) + ll)
+           in
            let s = if s = 0.0 then anorm else s in
-           if abs_float a.(ll).(ll - 1) <= eps *. s then begin
-             a.(ll).(ll - 1) <- 0.0;
+           if abs_float a.((ll * n) + ll - 1) <= eps *. s then begin
+             a.((ll * n) + ll - 1) <- 0.0;
              l := ll;
              raise Exit
            end
          done
        with Exit -> ());
       let l = !l in
-      let x = a.(!nn).(!nn) in
-      if l = !nn then begin
+      let en = !nn in
+      let x = a.((en * n) + en) in
+      if l = en then begin
         (* one real root *)
-        wr.(!nn) <- x +. !t;
-        wi.(!nn) <- 0.0;
+        wr.(en) <- x +. !t;
+        wi.(en) <- 0.0;
+        if full then a.((en * n) + en) <- x +. !t;
         decr nn;
         finished_block := true
       end
       else begin
-        let y = a.(!nn - 1).(!nn - 1) in
-        let w = a.(!nn).(!nn - 1) *. a.(!nn - 1).(!nn) in
-        if l = !nn - 1 then begin
+        let na = en - 1 in
+        let y = a.((na * n) + na) in
+        let w = a.((en * n) + na) *. a.((na * n) + en) in
+        if l = na then begin
           (* two roots from the trailing 2x2 block *)
           let p = 0.5 *. (y -. x) in
           let q = (p *. p) +. w in
           let z = sqrt (abs_float q) in
+          if full then begin
+            a.((en * n) + en) <- x +. !t;
+            a.((na * n) + na) <- y +. !t
+          end;
           let x = x +. !t in
           if q >= 0.0 then begin
             let z = p +. sign_with z p in
-            wr.(!nn - 1) <- x +. z;
-            wr.(!nn) <- (if z <> 0.0 then x -. (w /. z) else x +. z);
-            wi.(!nn - 1) <- 0.0;
-            wi.(!nn) <- 0.0
+            wr.(na) <- x +. z;
+            wr.(en) <- (if z <> 0.0 then x -. (w /. z) else x +. z);
+            wi.(na) <- 0.0;
+            wi.(en) <- 0.0
           end
           else begin
-            wr.(!nn - 1) <- x +. p;
-            wr.(!nn) <- x +. p;
-            wi.(!nn - 1) <- z;
-            wi.(!nn) <- -.z
+            wr.(na) <- x +. p;
+            wr.(en) <- x +. p;
+            wi.(na) <- z;
+            wi.(en) <- -.z
           end;
-          nn := !nn - 2;
+          nn := en - 2;
           finished_block := true
         end
         else begin
-          if !its = 30 then raise (No_convergence !nn);
+          if !its = 30 then raise (No_convergence en);
           let x = ref x and y = ref y and w = ref w in
           if !its = 10 || !its = 20 then begin
             (* exceptional shift *)
             t := !t +. !x;
-            for i = 0 to !nn do
-              a.(i).(i) <- a.(i).(i) -. !x
+            for i = 0 to en do
+              a.((i * n) + i) <- a.((i * n) + i) -. !x
             done;
             let s =
-              abs_float a.(!nn).(!nn - 1) +. abs_float a.(!nn - 1).(!nn - 2)
+              abs_float a.((en * n) + na) +. abs_float a.((na * n) + en - 2)
             in
             x := 0.75 *. s;
             y := !x;
@@ -175,47 +222,51 @@ let hqr a n =
           incr its;
           (* Look for two consecutive small subdiagonal elements. *)
           let p = ref 0.0 and q = ref 0.0 and r = ref 0.0 in
-          let m = ref (!nn - 2) in
+          let m = ref (en - 2) in
           (try
              while !m >= l do
-               let z = a.(!m).(!m) in
+               let m0 = !m * n and m1 = (!m + 1) * n in
+               let z = a.(m0 + !m) in
                let rr = !x -. z in
                let ss = !y -. z in
-               p := (((rr *. ss) -. !w) /. a.(!m + 1).(!m)) +. a.(!m).(!m + 1);
-               q := a.(!m + 1).(!m + 1) -. z -. rr -. ss;
-               r := a.(!m + 2).(!m + 1);
+               p := (((rr *. ss) -. !w) /. a.(m1 + !m)) +. a.(m0 + !m + 1);
+               q := a.(m1 + !m + 1) -. z -. rr -. ss;
+               r := a.(((!m + 2) * n) + !m + 1);
                let s = abs_float !p +. abs_float !q +. abs_float !r in
                p := !p /. s;
                q := !q /. s;
                r := !r /. s;
                if !m = l then raise Exit;
                let u =
-                 abs_float a.(!m).(!m - 1)
-                 *. (abs_float !q +. abs_float !r)
+                 abs_float a.(m0 + !m - 1) *. (abs_float !q +. abs_float !r)
                in
                let v =
                  abs_float !p
-                 *. (abs_float a.(!m - 1).(!m - 1)
+                 *. (abs_float a.(m0 - n + !m - 1)
                     +. abs_float z
-                    +. abs_float a.(!m + 1).(!m + 1))
+                    +. abs_float a.(m1 + !m + 1))
                in
                if u <= eps *. v then raise Exit;
                decr m
              done
            with Exit -> ());
           let m = !m in
-          for i = m + 2 to !nn do
-            a.(i).(i - 2) <- 0.0
+          for i = m + 2 to en do
+            a.((i * n) + i - 2) <- 0.0
           done;
-          for i = m + 3 to !nn do
-            a.(i).(i - 3) <- 0.0
+          for i = m + 3 to en do
+            a.((i * n) + i - 3) <- 0.0
           done;
-          (* Double QR step over rows l..nn. *)
-          for k = m to !nn - 1 do
+          (* Double QR step over rows l..en; with [z], over the whole
+             rows and columns. *)
+          let jmax = if full then n - 1 else en and imin = if full then 0 else l in
+          for k = m to en - 1 do
+            let k0 = k * n and k1 = (k + 1) * n and k2 = (k + 2) * n in
+            let three = k <> en - 1 in
             if k <> m then begin
-              p := a.(k).(k - 1);
-              q := a.(k + 1).(k - 1);
-              r := (if k <> !nn - 1 then a.(k + 2).(k - 1) else 0.0);
+              p := a.(k0 + k - 1);
+              q := a.(k1 + k - 1);
+              r := (if three then a.(k2 + k - 1) else 0.0);
               let xx = abs_float !p +. abs_float !q +. abs_float !r in
               if xx <> 0.0 then begin
                 p := !p /. xx;
@@ -229,44 +280,40 @@ let hqr a n =
             in
             if s <> 0.0 then begin
               if k = m then begin
-                if l <> m then a.(k).(k - 1) <- -.a.(k).(k - 1)
+                if l <> m then a.(k0 + k - 1) <- -.a.(k0 + k - 1)
               end
-              else a.(k).(k - 1) <- -.s *. !x;
+              else a.(k0 + k - 1) <- -.s *. !x;
               p := !p +. s;
               x := !p /. s;
               y := !q /. s;
               let z = !r /. s in
               q := !q /. !p;
               r := !r /. !p;
+              let x = !x and y = !y and q = !q and r = !r in
               (* row modification *)
-              for j = k to !nn do
-                let pp = a.(k).(j) +. (!q *. a.(k + 1).(j)) in
+              for j = k to jmax do
                 let pp =
-                  if k <> !nn - 1 then begin
-                    let pp = pp +. (!r *. a.(k + 2).(j)) in
-                    a.(k + 2).(j) <- a.(k + 2).(j) -. (pp *. z);
+                  Array.unsafe_get a (k0 + j)
+                  +. (q *. Array.unsafe_get a (k1 + j))
+                in
+                let pp =
+                  if three then begin
+                    let pp = pp +. (r *. Array.unsafe_get a (k2 + j)) in
+                    Array.unsafe_set a (k2 + j)
+                      (Array.unsafe_get a (k2 + j) -. (pp *. z));
                     pp
                   end
                   else pp
                 in
-                a.(k + 1).(j) <- a.(k + 1).(j) -. (pp *. !y);
-                a.(k).(j) <- a.(k).(j) -. (pp *. !x)
+                Array.unsafe_set a (k1 + j)
+                  (Array.unsafe_get a (k1 + j) -. (pp *. y));
+                Array.unsafe_set a (k0 + j)
+                  (Array.unsafe_get a (k0 + j) -. (pp *. x))
               done;
-              (* column modification *)
-              let mmin = min !nn (k + 3) in
-              for i = l to mmin do
-                let pp = (!x *. a.(i).(k)) +. (!y *. a.(i).(k + 1)) in
-                let pp =
-                  if k <> !nn - 1 then begin
-                    let pp = pp +. (z *. a.(i).(k + 2)) in
-                    a.(i).(k + 2) <- a.(i).(k + 2) -. (pp *. !r);
-                    pp
-                  end
-                  else pp
-                in
-                a.(i).(k + 1) <- a.(i).(k + 1) -. (pp *. !q);
-                a.(i).(k) <- a.(i).(k) -. pp
-              done
+              (* column modification, then the same on every row of z to
+                 accumulate the transformation *)
+              column_step a n k ~lo:imin ~hi:(min en (k + 3)) ~three x y z q r;
+              if full then column_step zd n k ~lo:0 ~hi:(n - 1) ~three x y z q r
             end
           done
           (* inner while continues: not finished_block *)
@@ -274,7 +321,7 @@ let hqr a n =
       end
     done
   done;
-  Array.init n (fun i -> Cx.make wr.(i) wi.(i))
+  (wr, wi)
 
 let hessenberg_eigenvalues h =
   if not (Mat.is_square h) then
@@ -282,7 +329,112 @@ let hessenberg_eigenvalues h =
   let n = Mat.rows h in
   if n = 0 then [||]
   else if n = 1 then [| Cx.re (Mat.get h 0 0) |]
-  else hqr (Mat.to_arrays h) n
+  else
+    let wr, wi = hqr (Array.copy (Mat.data h)) n in
+    Array.init n (fun i -> Cx.make wr.(i) wi.(i))
+
+(* The standardised Schur factorisation of a real 2×2 block
+   [[a b] [c d]] (LAPACK's dlanv2): a rotation [cs -sn; sn cs] that
+   makes it upper triangular when its eigenvalues are real and gives it
+   equal diagonal entries and off-diagonal entries of opposite sign
+   when they are complex.  Returns (a, b, c, d, cs, sn). *)
+let lanv2 a b c d =
+  if c = 0.0 then (a, b, c, d, 1.0, 0.0)
+  else if b = 0.0 then (d, -.c, 0.0, a, 0.0, 1.0)
+  else if a -. d = 0.0 && Float.sign_bit b <> Float.sign_bit c then
+    (a, b, c, d, 1.0, 0.0)
+  else begin
+    let temp = a -. d in
+    let p = 0.5 *. temp in
+    let bcmax = Float.max (abs_float b) (abs_float c) in
+    let bcmis =
+      Float.min (abs_float b) (abs_float c)
+      *. Float.copy_sign 1.0 b *. Float.copy_sign 1.0 c
+    in
+    let scale = Float.max (abs_float p) bcmax in
+    let z = (p /. scale *. p) +. (bcmax /. scale *. bcmis) in
+    if z >= 4.0 *. epsilon_float then begin
+      (* real eigenvalues *)
+      let z = p +. Float.copy_sign (sqrt scale *. sqrt z) p in
+      let tau = Float.hypot c z in
+      (d +. z, b -. c, 0.0, d -. (bcmax /. z *. bcmis), z /. tau, c /. tau)
+    end
+    else begin
+      (* complex or nearly equal real eigenvalues: equalise the
+         diagonal *)
+      let sigma = b +. c in
+      let tau = Float.hypot sigma temp in
+      let cs = sqrt (0.5 *. (1.0 +. (abs_float sigma /. tau))) in
+      let sn = -.(p /. (tau *. cs)) *. Float.copy_sign 1.0 sigma in
+      let aa = (a *. cs) +. (b *. sn) and bb = (-.a *. sn) +. (b *. cs) in
+      let cc = (c *. cs) +. (d *. sn) and dd = (-.c *. sn) +. (d *. cs) in
+      let a = (aa *. cs) +. (cc *. sn) and b = (bb *. cs) +. (dd *. sn) in
+      let c = (-.aa *. sn) +. (cc *. cs) and d = (-.bb *. sn) +. (dd *. cs) in
+      let temp = 0.5 *. (a +. d) in
+      if c = 0.0 then (temp, b, c, temp, cs, sn)
+      else if b = 0.0 then (temp, -.c, 0.0, temp, -.sn, cs)
+      else if Float.sign_bit b = Float.sign_bit c then begin
+        (* real eigenvalues after all: make it upper triangular *)
+        let sab = sqrt (abs_float b) and sac = sqrt (abs_float c) in
+        let p = Float.copy_sign (sab *. sac) c in
+        let tau = 1.0 /. sqrt (abs_float (b +. c)) in
+        let cs1 = sab *. tau and sn1 = sac *. tau in
+        ( temp +. p, b -. c, 0.0, temp -. p,
+          (cs *. cs1) -. (sn *. sn1), (cs *. sn1) +. (sn *. cs1) )
+      end
+      else (temp, b, c, temp, cs, sn)
+    end
+  end
+
+(* Standardise every 2×2 diagonal block of the quasi-triangular [t]
+   (row-major n×n) with {!lanv2}, rotating the rest of its two rows and
+   columns and the matching columns of [z]. *)
+let standardise t z n =
+  let rot x i0 i1 cs sn =
+    let a = x.(i0) and b = x.(i1) in
+    x.(i0) <- (cs *. a) +. (sn *. b);
+    x.(i1) <- (cs *. b) -. (sn *. a)
+  in
+  let i = ref 0 in
+  while !i < n - 1 do
+    let k = !i in
+    let r0 = k * n and r1 = (k + 1) * n in
+    if t.(r1 + k) = 0.0 then incr i
+    else begin
+      let a, b, c, d, cs, sn =
+        lanv2 t.(r0 + k) t.(r0 + k + 1) t.(r1 + k) t.(r1 + k + 1)
+      in
+      t.(r0 + k) <- a;
+      t.(r0 + k + 1) <- b;
+      t.(r1 + k) <- c;
+      t.(r1 + k + 1) <- d;
+      for j = k + 2 to n - 1 do
+        rot t (r0 + j) (r1 + j) cs sn
+      done;
+      for r = 0 to k - 1 do
+        rot t ((r * n) + k) ((r * n) + k + 1) cs sn
+      done;
+      for r = 0 to n - 1 do
+        rot z ((r * n) + k) ((r * n) + k + 1) cs sn
+      done;
+      i := k + 2
+    end
+  done
+
+let schur m =
+  if not (Mat.is_square m) then invalid_arg "Eig.schur: not square";
+  Obs.incr c_reductions;
+  let n = Mat.rows m in
+  let t = Mat.copy m and z = Mat.identity n in
+  let td = Mat.data t and zd = Mat.data z in
+  reduce ~u:zd td n;
+  ignore (hqr ~z:zd td n);
+  (* the double steps' bulge residue below the subdiagonal *)
+  for i = 2 to n - 1 do
+    Array.fill td (i * n) (i - 1) 0.0
+  done;
+  standardise td zd n;
+  (t, z)
 
 let eigenvalues m =
   if not (Mat.is_square m) then invalid_arg "Eig.eigenvalues: not square";

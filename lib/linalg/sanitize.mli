@@ -3,7 +3,7 @@
 
     When enabled (environment variable [SCNOISE_SANITIZE=1], or
     {!set_enabled} from code), the checked operations ({!Lu.factor},
-    {!Lu.solve}, {!Expm.expm} and the [Ctrapezoid] Hessenberg step)
+    {!Lu.solve}, {!Expm.expm} and the [Ctrapezoid] Schur step)
     verify that their inputs and outputs are finite and raise
     {!Nonfinite} — naming the offending operation and entry — the
     moment a NaN or infinity enters the data flow, instead

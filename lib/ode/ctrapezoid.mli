@@ -5,59 +5,68 @@
     cross-spectral density in the mixed-frequency-time method, where
     [s = j w] for analysis frequency [w].
 
-    The stepper works in the basis of a real Hessenberg reduction
-    [A = U H Uᵀ] (Laub, IEEE TAC 26(2), 1981): there the LHS
-    [I - h/2 (H - jwI)] is complex upper Hessenberg at every
-    frequency, so it factors exactly in O(n^2) and each step costs
-    O(n^2) — one real Hessenberg product and one bidiagonal-L /
-    triangular-U solve. *)
+    The stepper works in the basis of a real Schur factorisation
+    [A = Z T Zᵀ] ({!Scnoise_linalg.Eig.schur}): there the LHS
+    [I - h/2 (T - jwI)] is complex quasi-upper-triangular at every
+    frequency, so a new (h, w) costs only the inverses of [T]'s 1×1 and
+    2×2 diagonal blocks, O(n), and each step is one back-substitution
+    with the real [T], O(n^2), with no factorisation and no pivots. *)
 
 module Cvec = Scnoise_linalg.Cvec
 module Mat = Scnoise_linalg.Mat
 module Cx = Scnoise_linalg.Cx
 
-(** {1 Shifted-Hessenberg stepper}
+(** {1 Quasi-triangular shifted stepper}
 
-    Factors of [width] complex upper-Hessenberg matrices
-    [M_b = d_b I - alpha_b H] over one shared real upper-Hessenberg [H],
-    one per block column, by Gaussian elimination with adjacent-row
-    partial pivoting ([L] unit lower bidiagonal, [U] upper triangular).
-    The factors are stored column-interleaved with the block column
-    innermost, so a panel step ({!Cvec.panel} layout) traverses [H]
-    once for the whole block; every column is bitwise identical to a
-    width-1 factor/solve with its own coefficients.  A [hess] carries
+    Solves with [width] complex quasi-upper-triangular matrices
+    [M_b = d_b I - alpha_b T] over one shared real quasi-triangular [T],
+    one per block column, by back-substitution over [T]'s diagonal
+    blocks.  The block inverses are stored column-interleaved with the
+    block column innermost, like the states of a panel ({!Cvec.panel}
+    layout); a panel step runs every column, in registers, in one call
+    over the shared [T], and every column is bitwise identical to a
+    width-1 start/solve with its own coefficients.  A [schur] carries
     scratch and must not be shared across domains. *)
 
-type hess
+type quasi
+(** A real quasi-upper-triangular matrix with its 2×2 diagonal blocks
+    located. *)
 
-val hess_create : dim:int -> width:int -> hess
-(** Room for [width] factorisations of dimension [dim].  Raises
+val quasi : Mat.t -> quasi
+(** [quasi t] locates the 2×2 blocks of [t] (a nonzero subdiagonal
+    entry [t_{i+1,i}] makes rows [i, i+1] one block), keeping [t]
+    itself, not a copy.  Raises [Invalid_argument] if [t] is not square,
+    has a nonzero entry below the subdiagonal or two adjacent nonzero
+    subdiagonal entries. *)
+
+type schur
+
+val schur_create : dim:int -> width:int -> schur
+(** Room for [width] columns of dimension [dim].  Raises
     [Invalid_argument] when [width < 1]. *)
 
-val hess_swaps : hess -> col:int -> int
-(** Row interchanges in column [col]'s last factorisation. *)
+val schur_start : schur -> tmat:quasi -> col:int -> d:Cx.t -> alpha:Cx.t -> unit
+(** Set column [col] to [d I - alpha tmat] in O(n): the reciprocal of
+    each 1×1 diagonal entry and the inverse of each 2×2 block.  [tmat]
+    is shared by every column: the last call binds it.  Raises
+    [Lu.Singular] on an exactly zero diagonal entry or 2×2
+    determinant. *)
 
-val hess_factor : hess -> hmat:Mat.t -> col:int -> d:Cx.t -> alpha:Cx.t -> unit
-(** Factor column [col] as [d I - alpha hmat] in O(n^2).  [hmat] must be
-    upper Hessenberg (entries below the subdiagonal are not read) and
-    is shared by every column: the last call binds it.  Records the
-    pivot growth [max |u_ij| / max |m_ij|] in the always-on
-    [bvp.hess_pivot_growth] histogram and counts
-    [bvp_hess_factorizations].  Raises [Lu.Singular] on an exactly
-    zero pivot. *)
-
-val hess_factor_shifted :
-  hess -> hmat:Mat.t -> h:float -> col:int -> omega:float -> unit
-(** The trapezoid LHS [I - h/2 (hmat - j omega I)]: {!hess_factor} with
+val schur_start_shifted :
+  schur -> tmat:quasi -> h:float -> col:int -> omega:float -> unit
+(** The trapezoid LHS [I - h/2 (tmat - j omega I)]: {!schur_start} with
     [d = 1 + j omega h/2] and [alpha = h/2]. *)
 
-val hess_solve_in_place : hess -> Cvec.panel -> unit
+val schur_solve_in_place : schur -> Cvec.panel -> unit
 (** Overwrite every column [b] of the panel with [M_b^{-1}] applied to
     it. *)
 
-val step_hess_into : hess -> g:Cvec.t -> p:Cvec.panel -> into:Cvec.panel -> unit
+val step_schur_into :
+  schur -> g:Cvec.t -> p:Cvec.panel -> into:Cvec.panel -> unit
 (** One trapezoid step of every column:
-    [M_b into_b = ((2 - d_b) I + alpha_b H) p_b + g], which for shifted
-    factors is [(I + h/2 (H - jwI)) p_b + h/2 (k0 + k1)] with the
-    forcing term [g = h/2 (k0 + k1)] given in the Hessenberg basis and
-    shared by all columns.  [into] must not alias [p]. *)
+    [M_b into_b = ((2 - d_b) I + alpha_b T) p_b + g], which for shifted
+    columns is [(I + h/2 (T - jwI)) p_b + h/2 (k0 + k1)] with the
+    forcing term [g = h/2 (k0 + k1)] given in the Schur basis and
+    shared by all columns.  One pass over each row of [T] forms both
+    products, on [p + into] of the rows already solved.  [into] must
+    not alias [p]. *)

@@ -427,6 +427,7 @@ let handle_request t rq =
         | Lyapunov.Not_stable why ->
             (* the steady-state solve's fallback to {!require_stable} *)
             ("unstable", Front.unstable ^ ": " ^ why)
+        | Scnoise_core.Periodic_bvp.Reduction_failed why -> ("numeric", why)
         | exn -> ("internal", Printexc.to_string exn)
       in
       P.error_reply ?id:rq.P.rq_id ~code message

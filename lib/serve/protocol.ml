@@ -246,6 +246,8 @@ let batch_to_json ?id requests =
      compile    matrix assembly failure
      output     output node not observable
      unstable   circuit has no steady state
+     numeric    the sweep could not be prepared (a real Schur
+                reduction did not converge)
      inputs     transfer on a circuit without signal inputs
      overload   admission queue full
      timeout    spent longer than --timeout queued

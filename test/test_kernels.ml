@@ -1,6 +1,6 @@
 (* Property tests for the blocked complex kernels, which must be
    bit-compatible with their single-column counterparts on random
-   inputs, and for the Hessenberg-form sweep, which must agree with the
+   inputs, and for the Schur-form sweep, which must agree with the
    dense per-frequency reference ([Oracle.bvp_reference]) on the
    bundled circuits. *)
 
@@ -120,7 +120,7 @@ let test_block_width_parity () =
       done)
     [ 3; 16 ]
 
-(* --- Hessenberg sweep vs the reference solve --- *)
+(* --- Schur sweep vs the reference solve --- *)
 
 let reference_psd eng freqs =
   let cov = Psd.covariance eng in
@@ -177,7 +177,7 @@ let test_gc_budget () =
     true (per_point < budget)
 
 (* A serving daemon prepares solver after solver on one domain.  The
-   Hessenberg factors a solve needs live in the domain's workspace; the
+   block inverses a solve needs live in the domain's workspace; the
    next solver must recycle them, or live heap grows with every solver
    ever run. *)
 let test_workspace_bounded () =
@@ -205,7 +205,7 @@ let test_workspace_bounded () =
 
 (* The 100-state parasitic ladder the e2e benchmark runs (48 samples
    per phase), on its 33-point log sweep plus DC and 50 kHz: the
-   Hessenberg solve against the dense reference at the size the engine
+   Schur solve against the dense reference at the size the engine
    actually runs. *)
 let test_ladder100_oracle () =
   let module LAD = Scnoise_circuits.Sc_ladder in
@@ -228,7 +228,7 @@ let test_ladder100_oracle () =
         Float.max !worst
           (abs_float (Db.of_power fast.(i) -. Db.of_power slow.(i))))
     freqs;
-  Printf.printf "ladder-100 Hessenberg vs reference: max |dPSD| = %.3e dB\n"
+  Printf.printf "ladder-100 Schur vs reference: max |dPSD| = %.3e dB\n"
     !worst;
   check_db_close "ladder-100" freqs fast slow
 
@@ -262,35 +262,39 @@ let random_panel rng ~dim ~width =
   Array.iteri (fun b v -> Cvec.panel_set_col v p ~width ~col:b) cols;
   (p, cols)
 
-(* A Hessenberg panel step at per-column frequencies == the width-1
-   step of each column with its own factors. *)
-let prop_step_hess_panel =
+(* A Schur panel step at per-column frequencies == the width-1 step of
+   each column with its own block inverses.  The random phase matrices'
+   clustered diagonals leave complex pairs in most draws (93 % from 2 to
+   10 states), so T's 2×2 blocks are exercised. *)
+let prop_step_schur_panel =
   QCheck.Test.make ~count:80
-    ~name:"step_hess_into panel == per-column width-1 (bitwise)" bspec_arb
+    ~name:"step_schur_into panel == per-column width-1 (bitwise)" bspec_arb
     (fun s ->
       let rng = brng s in
-      let hmat, _ = Scnoise_linalg.Eig.hessenberg (random_stable_a rng s.bn) in
+      let tmat =
+        Ctrap.quasi (fst (Scnoise_linalg.Eig.schur (random_stable_a rng s.bn)))
+      in
       let omegas =
         Array.init s.bw (fun _ ->
             2.0 *. Float.pi *. (10.0 ** (1.0 +. Random.State.float rng 6.0)))
       in
       let p, cols = random_panel rng ~dim:s.bn ~width:s.bw in
       let g = random_cvec rng s.bn in
-      let panel = Ctrap.hess_create ~dim:s.bn ~width:s.bw in
+      let panel = Ctrap.schur_create ~dim:s.bn ~width:s.bw in
       Array.iteri
         (fun col omega ->
-          Ctrap.hess_factor_shifted panel ~hmat ~h:1e-7 ~col ~omega)
+          Ctrap.schur_start_shifted panel ~tmat ~h:1e-7 ~col ~omega)
         omegas;
       let out = Cvec.panel_create ~dim:s.bn ~width:s.bw in
-      Ctrap.step_hess_into panel ~g ~p ~into:out;
-      let single = Ctrap.hess_create ~dim:s.bn ~width:1 in
+      Ctrap.step_schur_into panel ~g ~p ~into:out;
+      let single = Ctrap.schur_create ~dim:s.bn ~width:1 in
       let scalar = Cvec.create s.bn and got = Cvec.create s.bn in
       let ok = ref true in
       Array.iteri
         (fun b v ->
-          Ctrap.hess_factor_shifted single ~hmat ~h:1e-7 ~col:0
+          Ctrap.schur_start_shifted single ~tmat ~h:1e-7 ~col:0
             ~omega:omegas.(b);
-          Ctrap.step_hess_into single ~g ~p:(Cvec.data v)
+          Ctrap.step_schur_into single ~g ~p:(Cvec.data v)
             ~into:(Cvec.data scalar);
           Cvec.panel_get_col out ~width:s.bw ~col:b ~into:got;
           if not (cvec_equal_bits got scalar) then ok := false)
@@ -314,14 +318,16 @@ let test_block_aliasing () =
   in
   let p = Cvec.panel_create ~dim:n ~width in
   Array.iteri (fun k _ -> p.(k) <- rnd ()) p;
-  let hmat, _ = Scnoise_linalg.Eig.hessenberg (random_stable_a rng n) in
-  let st = Ctrap.hess_create ~dim:n ~width in
+  let tmat =
+    Ctrap.quasi (fst (Scnoise_linalg.Eig.schur (random_stable_a rng n)))
+  in
+  let st = Ctrap.schur_create ~dim:n ~width in
   for col = 0 to width - 1 do
-    Ctrap.hess_factor_shifted st ~hmat ~h:1e-7 ~col ~omega:1e3
+    Ctrap.schur_start_shifted st ~tmat ~h:1e-7 ~col ~omega:1e3
   done;
   let g = random_cvec rng n in
-  rejects "Ctrapezoid.step_hess_into" (fun () ->
-      Ctrap.step_hess_into st ~g ~p ~into:p)
+  rejects "Ctrapezoid.step_schur_into" (fun () ->
+      Ctrap.step_schur_into st ~g ~p ~into:p)
 
 (* --- batched sweeps --- *)
 
@@ -370,33 +376,91 @@ let batched_vs_reference name prep freqs () =
   check_db_close name freqs (Psd.sweep ~pool eng freqs)
     (reference_psd eng freqs)
 
-(* Every solve factors each distinct (phase, h) stepper and the closure
-   once per column, and each factorisation records its pivot growth:
-   a 16-wide block costs exactly sixteen single points. *)
-let test_hess_factorizations () =
+(* The O(n^3) work of the Schur sweep is paid at preparation: one
+   reduction per phase and one of the monodromy, and none while a
+   point or a 16-wide block solves. *)
+let test_schur_reductions () =
   let b = LP.build LP.default in
+  let r0 = counter "schur_reductions" in
   let eng = Psd.prepare ~samples_per_phase:64 b.LP.sys ~output:b.LP.output in
-  let growth () =
-    let hists = (Obs.snapshot ()).Obs.snap_hists in
-    match List.assoc_opt "bvp.hess_pivot_growth" hists with
-    | Some h -> Scnoise_obs.Hist.total h
-    | None -> 0
-  in
-  let f0 = counter "bvp_hess_factorizations" and g0 = growth () in
+  let phases = Array.length b.LP.sys.Scnoise_circuit.Pwl.phases in
+  Alcotest.(check int) "one reduction per phase and of the monodromy"
+    (phases + 1)
+    (counter "schur_reductions" - r0);
+  let r1 = counter "schur_reductions" in
   ignore (Psd.psd eng ~f:1e3);
-  let single = counter "bvp_hess_factorizations" - f0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "a point factors its steppers and closure (%d)" single)
-    true (single >= 2);
-  Alcotest.(check int) "one pivot-growth sample per factorisation" single
-    (growth () - g0);
-  let f1 = counter "bvp_hess_factorizations" in
   ignore
     (Psd.sweep ~pool:(Pool.create ~jobs:1 ()) eng
        (Scnoise_util.Grid.linspace 100.0 16_000.0 16));
-  Alcotest.(check int) "a 16-wide block factors 16 points' worth"
-    (16 * single)
-    (counter "bvp_hess_factorizations" - f1)
+  Alcotest.(check int) "no reduction while sweeping" r1
+    (counter "schur_reductions")
+
+(* The closure's phase factors e^{-jwt_i}, formed by recurrence inside
+   each run of equal steps, against cos and sin of the exact grid time
+   at every point: on the low-pass at 128 samples per phase and on the
+   hundred-state ladder, across each circuit's band. *)
+let test_phase_factors () =
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let check name eng freqs =
+    let bvp = Psd.bvp eng and times = Bvp.times (Psd.bvp eng) in
+    let worst = ref 0.0 in
+    Array.iter
+      (fun f ->
+        let omega = 2.0 *. Float.pi *. f in
+        let got = Bvp.phase_factors bvp ~omega in
+        Array.iteri
+          (fun i t ->
+            let want = Cx.cis (-.omega *. t) in
+            worst :=
+              Float.max !worst (Cx.modulus (Cx.( -: ) (Cvec.get got i) want)))
+          times)
+      freqs;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: max |factor - cis| = %.3e within 1e-12" name !worst)
+      true (!worst <= 1e-12)
+  in
+  let b = LP.build LP.default in
+  check "sc_lowpass spp 128"
+    (Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output)
+    (Scnoise_util.Grid.linspace 0.0 16_000.0 65);
+  let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 50)) in
+  check "ladder-100"
+    (Psd.prepare ~samples_per_phase:48 lad.LAD.sys ~output:lad.LAD.output)
+    (Array.append (Scnoise_util.Grid.logspace 100.0 40_000.0 33) [| 50_000.0 |])
+
+(* A phase matrix on which the QR iteration stalls — the monodromy of
+   the band-pass at q = 8, whose stability the Floquet check cannot
+   show — stands in for a 9-state band-pass phase: preparing the sweep
+   raises the typed [Reduction_failed] naming that phase, not the
+   eigenvalue solver's bare exception. *)
+let test_reduction_failed () =
+  let module Pwl = Scnoise_circuit.Pwl in
+  let module Cov = Scnoise_core.Covariance in
+  let module Front = Scnoise_serve.Front in
+  let module BP = Scnoise_circuits.Sc_bandpass in
+  let q8 =
+    match Front.load_file "decks/sc_bandpass_q8.scn" with
+    | Error e -> Alcotest.fail (Front.message e)
+    | Ok l -> (
+        match Front.gate ~name:"q8" l with
+        | Ok c -> c.Front.sys
+        | Error e -> Alcotest.fail (Front.message e))
+  in
+  let stuck = Pwl.monodromy q8 in
+  (match Scnoise_linalg.Eig.schur stuck with
+  | _ -> Alcotest.fail "the q = 8 monodromy no longer stalls the QR iteration"
+  | exception Scnoise_linalg.Eig.No_convergence _ -> ());
+  let b = BP.build BP.default in
+  let cov = Cov.sample ~samples_per_phase:16 b.BP.sys in
+  let sys = cov.Cov.sys in
+  let phases = Array.copy sys.Pwl.phases in
+  phases.(0) <- { (phases.(0)) with Pwl.a = stuck };
+  let cov = { cov with Cov.sys = { sys with Pwl.phases } } in
+  match Psd.of_sampled cov ~output:b.BP.output with
+  | _ -> Alcotest.fail "a stalled reduction was accepted"
+  | exception Bvp.Reduction_failed why ->
+      Alcotest.(check string) "names the phase"
+        "the real Schur reduction of the phase 0 matrix did not converge" why
 
 let prep_integrator () =
   let b = SI.build SI.default in
@@ -424,8 +488,10 @@ let () =
           Alcotest.test_case "workspace bounded across solvers" `Quick
             test_workspace_bounded;
           Alcotest.test_case "ladder-100 oracle" `Slow test_ladder100_oracle;
+          Alcotest.test_case "closure phase factors == cis" `Slow
+            test_phase_factors;
         ] );
-      qsuite "blocked kernels" [ prop_step_hess_panel ];
+      qsuite "blocked kernels" [ prop_step_schur_panel ];
       ( "batched sweeps",
         [
           Alcotest.test_case "panel kernels reject aliasing" `Quick
@@ -441,7 +507,9 @@ let () =
             `Quick
             (batched_vs_reference "sc_integrator" prep_integrator
                [| 10.0; 1e3; 3.3e3 |]);
-          Alcotest.test_case "hessenberg factorizations counted" `Quick
-            test_hess_factorizations;
+          Alcotest.test_case "schur reductions counted" `Quick
+            test_schur_reductions;
+          Alcotest.test_case "stalled reduction is a typed error" `Quick
+            test_reduction_failed;
         ] );
     ]

@@ -459,6 +459,121 @@ let test_hessenberg_factor () =
       ignore (check (Printf.sprintf "hessenberg n=%d" n) h))
     [ 1; 2; 3; 9; 40; 100 ]
 
+(* A = Z T Zᵀ ([Eig.schur]) to a few ulps of ||A||, with Z orthogonal
+   and T quasi-upper-triangular in standard form: exact zeros below the
+   subdiagonal, a nonzero subdiagonal entry only inside a 2×2 block
+   [[a b] [c a]] with b c < 0, and the blocks' eigenvalues those of
+   [Eig.eigenvalues] where they are well conditioned.  The cases: random
+   dense matrices of 1 to 12 states, the phases and the monodromy of
+   the hundred-state ladder the sweep reduces, a Jordan block, the
+   sc_integrator's singular phases, the band-pass phases and a phase
+   with a complex pair (the paper's ring oscillator). *)
+let test_schur_factor () =
+  let module Pwl = Scnoise_circuit.Pwl in
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let module SI = Scnoise_circuits.Sc_integrator in
+  let module BP = Scnoise_circuits.Sc_bandpass in
+  let eps = epsilon_float in
+  let blocks = ref 0 in
+  let check ?(spectrum = false) name a =
+    let n = Mat.rows a in
+    let t, z = Eig.schur a in
+    let resid =
+      Mat.norm_fro (Mat.sub a (Mat.mul z (Mat.mul t (Mat.transpose z))))
+    in
+    if resid > 100.0 *. eps *. Mat.norm_fro a then
+      Alcotest.failf "%s: ||Z T Zᵀ - A|| = %.3e (||A|| = %.3e)" name resid
+        (Mat.norm_fro a);
+    let orth =
+      Mat.norm_fro (Mat.sub (Mat.mul (Mat.transpose z) z) (Mat.identity n))
+    in
+    if orth > 1e-14 *. float_of_int n then
+      Alcotest.failf "%s: ||ZᵀZ - I|| = %.3e" name orth;
+    let eigs = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      let k = !i in
+      for r = k + 2 to n - 1 do
+        if Mat.get t r k <> 0.0 then
+          Alcotest.failf "%s: T(%d,%d) = %g below the subdiagonal" name r k
+            (Mat.get t r k)
+      done;
+      if k + 1 < n && Mat.get t (k + 1) k <> 0.0 then begin
+        incr blocks;
+        let a = Mat.get t k k and b = Mat.get t k (k + 1)
+        and c = Mat.get t (k + 1) k and d = Mat.get t (k + 1) (k + 1) in
+        if a <> d || b *. c >= 0.0 then
+          Alcotest.failf "%s: 2x2 block at %d not standard: [%g %g; %g %g]"
+            name k a b c d;
+        if k + 2 < n && Mat.get t (k + 2) (k + 1) <> 0.0 then
+          Alcotest.failf "%s: blocks at %d and %d touch" name k (k + 1);
+        let im = sqrt (abs_float b) *. sqrt (abs_float c) in
+        eigs := Cx.make a im :: Cx.make a (-.im) :: !eigs;
+        i := k + 2
+      end
+      else begin
+        eigs := Cx.re (Mat.get t k k) :: !eigs;
+        i := k + 1
+      end
+    done;
+    if spectrum then
+      check_spectrum ~eps:1e-9 (name ^ ": spectrum") (Eig.eigenvalues a)
+        (Array.of_list !eigs)
+  in
+  let rng = Random.State.make [| 0x5c40 |] in
+  for n = 1 to 12 do
+    for k = 0 to 3 do
+      check ~spectrum:true
+        (Printf.sprintf "random %dx%d #%d" n n k)
+        (Mat.init n n (fun _ _ -> Random.State.float rng 2.0 -. 1.0))
+    done
+  done;
+  let random_blocks = !blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "random cases carry complex pairs (%d blocks)"
+       random_blocks)
+    true (random_blocks > 0);
+  let lad =
+    (Ladder.build (Ladder.with_parasitics (Ladder.with_stages 50))).Ladder.sys
+  in
+  Array.iteri
+    (fun p (ph : Pwl.phase) ->
+      check (Printf.sprintf "ladder-100 A%d" p) ph.Pwl.a)
+    lad.Pwl.phases;
+  check "ladder-100 monodromy" (Pwl.monodromy lad);
+  check "jordan block"
+    (Mat.init 6 6 (fun i j ->
+         if i = j then -2.0 else if j = i + 1 then 1.0 else 0.0));
+  let si = (SI.build SI.default).SI.sys in
+  Alcotest.(check bool) "sc_integrator has a singular phase" true
+    (Array.exists
+       (fun (ph : Pwl.phase) ->
+         Array.exists
+           (fun z -> Cx.modulus z <= 1e-15 *. Mat.norm_fro ph.Pwl.a)
+           (Eig.eigenvalues ph.Pwl.a))
+       si.Pwl.phases);
+  Array.iteri
+    (fun p (ph : Pwl.phase) ->
+      check (Printf.sprintf "sc_integrator A%d" p) ph.Pwl.a)
+    si.Pwl.phases;
+  Array.iteri
+    (fun p (ph : Pwl.phase) ->
+      check ~spectrum:true (Printf.sprintf "sc_bandpass A%d" p) ph.Pwl.a)
+    (BP.build BP.default).BP.sys.Pwl.phases;
+  (* the source paper's three-stage ring oscillator: -3/RC and
+     ±j sqrt(3)/RC *)
+  let b0 = !blocks in
+  let g = 1.0 /. 2e-9 in
+  check ~spectrum:true "ring oscillator"
+    (mat_of
+       [
+         [ -.g; 0.0; -2.0 *. g ];
+         [ -2.0 *. g; -.g; 0.0 ];
+         [ 0.0; -2.0 *. g; -.g ];
+       ]);
+  Alcotest.(check int) "the ring oscillator's complex pair is one block" 1
+    (!blocks - b0)
+
 (* Accumulating U leaves the reduction's arithmetic alone: the
    eigenvalues keep the bits they had before the factor was
    returned. *)
@@ -1421,6 +1536,7 @@ let () =
           Alcotest.test_case "companion" `Quick test_eig_companion;
           Alcotest.test_case "hessenberg" `Quick test_hessenberg_structure_and_spectrum;
           Alcotest.test_case "hessenberg factor" `Quick test_hessenberg_factor;
+          Alcotest.test_case "schur factor" `Quick test_schur_factor;
           Alcotest.test_case "eigenvalue bits" `Quick test_eigenvalues_bits;
           QCheck_alcotest.to_alcotest prop_eig_count;
         ] );

@@ -583,8 +583,8 @@ let test_psd_bumps_counters () =
     (Obs.counter_value "lu_factorizations" > 0);
   Alcotest.(check bool) "ode_steps > 0" true
     (Obs.counter_value "ode_steps" > 0);
-  Alcotest.(check bool) "bvp_hess_factorizations > 0" true
-    (Obs.counter_value "bvp_hess_factorizations" > 0);
+  Alcotest.(check bool) "schur_reductions > 0" true
+    (Obs.counter_value "schur_reductions" > 0);
   Alcotest.(check bool) "expm_calls > 0" true
     (Obs.counter_value "expm_calls" > 0);
   Alcotest.(check bool) "psd_points > 0" true

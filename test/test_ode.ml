@@ -126,14 +126,14 @@ let test_ctrapezoid_trajectory_steady_state () =
   if Cx.modulus (Cx.( -: ) !p.(0) expected) > 1e-5 then
     Alcotest.fail "complex steady state wrong"
 
-(* --- shifted-Hessenberg stepper --- *)
+(* --- quasi-triangular shifted stepper --- *)
 
 module Eig = Scnoise_linalg.Eig
 
 (* A non-stiff 9-state system stepped far past its time constants
-   (h |A| ~ 10), so the Hessenberg subdiagonal competes with the
-   diagonal and adjacent-row pivoting has work to do. *)
-let hess_case () =
+   (h |A| ~ 10), whose real Schur form carries 2×2 blocks: the
+   block inverses have work to do. *)
+let schur_case () =
   let rng = Random.State.make [| 0x4e55 |] in
   let n = 9 in
   let rnd () = Random.State.float rng 2.0 -. 1.0 in
@@ -141,39 +141,48 @@ let hess_case () =
   let b = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
   (a, b)
 
+let pairs t =
+  let c = ref 0 in
+  for i = 0 to Mat.rows t - 2 do
+    if Mat.get t (i + 1) i <> 0.0 then incr c
+  done;
+  !c
+
 let rel_err x y = Cvec.max_abs_diff x y /. Cvec.norm_inf y
 
 (* the oracle's dense complex LU solve of m x = b *)
 let dense_solve m b =
   Cvec.of_array (Oracle.clu_solve (Oracle.clu_factor m) (Cvec.to_array b))
 
-(* The shifted factor/solve in the Hessenberg basis against the dense
+(* v -> m v for a real matrix and a complex vector *)
+let apply m v =
+  Cvec.init (Mat.rows m) (fun r ->
+      let acc = ref Cx.zero in
+      for j = 0 to Mat.cols m - 1 do
+        acc := Cx.( +: ) !acc (Cx.scale (Mat.get m r j) (Cvec.get v j))
+      done;
+      !acc)
+
+(* The shifted back-substitution in the Schur basis against the dense
    complex LU of I - h/2 (A - jwI) in the original one, at DC, at a low
-   frequency and at 100 kHz, where wh/2 ~ 6 rivals the subdiagonal and
-   most steps swap rows. *)
-let test_hess_matches_clu () =
-  let a, b = hess_case () in
+   frequency and at 100 kHz, where wh/2 ~ 6 rivals T's entries. *)
+let test_schur_matches_clu () =
+  let a, b = schur_case () in
   let n = Mat.rows a in
-  let hmat, u = Eig.hessenberg a in
+  let t, z = Eig.schur a in
+  Alcotest.(check bool)
+    (Printf.sprintf "T carries 2x2 blocks (%d)" (pairs t))
+    true (pairs t > 0);
+  let tmat = Ctrapezoid.quasi t in
   let h = 2e-5 in
-  let swaps = ref [] in
   List.iter
     (fun (label, omega) ->
-      let st = Ctrapezoid.hess_create ~dim:n ~width:1 in
-      Ctrapezoid.hess_factor_shifted st ~hmat ~h ~col:0 ~omega;
-      swaps := (label, Ctrapezoid.hess_swaps st ~col:0) :: !swaps;
-      (* x = U M_H^{-1} Uᵀ b *)
-      let apply m v =
-        Cvec.init n (fun r ->
-            let acc = ref Cx.zero in
-            for j = 0 to n - 1 do
-              acc := Cx.( +: ) !acc (Cx.scale (Mat.get m r j) (Cvec.get v j))
-            done;
-            !acc)
-      in
-      let y = Cvec.data (apply (Mat.transpose u) b) in
-      Ctrapezoid.hess_solve_in_place st y;
-      let x = apply u (Cvec.of_data y) in
+      let st = Ctrapezoid.schur_create ~dim:n ~width:1 in
+      Ctrapezoid.schur_start_shifted st ~tmat ~h ~col:0 ~omega;
+      (* x = Z M_T^{-1} Zᵀ b *)
+      let y = Cvec.data (apply (Mat.transpose z) b) in
+      Ctrapezoid.schur_solve_in_place st y;
+      let x = apply z (Cvec.of_data y) in
       let w = 0.5 *. h in
       let dense =
         Array.init n (fun i ->
@@ -181,37 +190,41 @@ let test_hess_matches_clu () =
                 let re = (if i = j then 1.0 else 0.0) -. (w *. Mat.get a i j) in
                 Cx.make re (if i = j then w *. omega else 0.0)))
       in
-      let want = dense_solve dense b in
-      let err = rel_err x want in
+      let err = rel_err x (dense_solve dense b) in
       if err > 1e-12 then
         Alcotest.failf "%s: relative error %.3e vs dense LU" label err)
     [
       ("DC", 0.0);
       ("1 kHz", 2.0 *. Float.pi *. 1e3);
       ("100 kHz", 2.0 *. Float.pi *. 1e5);
-    ];
-  let high = List.assoc "100 kHz" !swaps in
-  Alcotest.(check bool)
-    (Printf.sprintf "rows swap at 100 kHz (%d of %d steps)" high (n - 1))
-    true (high > 0)
+    ]
 
-(* The closure's rotated monodromy d I - alpha H with |alpha| = 1,
-   against the dense complex LU of the same matrix. *)
-let test_hess_general () =
-  let a, b = hess_case () in
+(* The closure's rotated monodromy d I - alpha T with |alpha| = 1,
+   against the dense complex LU of the same matrix; a stepper that no
+   start has bound to a matrix refuses to solve. *)
+let test_schur_general () =
+  let a, b = schur_case () in
   let n = Mat.rows a in
-  let hmat, _ = Eig.hessenberg (Mat.scale 1e-6 a) in
+  (match
+     Ctrapezoid.schur_solve_in_place
+       (Ctrapezoid.schur_create ~dim:n ~width:1)
+       (Cvec.data (Cvec.copy b))
+   with
+  | () -> Alcotest.fail "solved before any start"
+  | exception Invalid_argument _ -> ());
+  let t, _ = Eig.schur (Mat.scale 1e-6 a) in
+  let tmat = Ctrapezoid.quasi t in
   List.iter
     (fun theta ->
       let alpha = Cx.cis theta in
-      let st = Ctrapezoid.hess_create ~dim:n ~width:1 in
-      Ctrapezoid.hess_factor st ~hmat ~col:0 ~d:Cx.one ~alpha;
+      let st = Ctrapezoid.schur_create ~dim:n ~width:1 in
+      Ctrapezoid.schur_start st ~tmat ~col:0 ~d:Cx.one ~alpha;
       let x = Cvec.copy b in
-      Ctrapezoid.hess_solve_in_place st (Cvec.data x);
+      Ctrapezoid.schur_solve_in_place st (Cvec.data x);
       let dense =
         Array.init n (fun i ->
             Array.init n (fun j ->
-                let z = Cx.scale (Mat.get hmat i j) alpha in
+                let z = Cx.scale (Mat.get t i j) alpha in
                 if i = j then Cx.( -: ) Cx.one z else Cx.neg z))
       in
       let err = rel_err x (dense_solve dense b) in
@@ -219,12 +232,12 @@ let test_hess_general () =
         Alcotest.failf "theta %g: relative error %.3e vs dense LU" theta err)
     [ 0.0; 0.3; 2.0; -2.9 ]
 
-(* A width-4 panel of per-column frequencies — with and without row
-   swaps — solves every column bitwise like its width-1 factor. *)
-let test_hess_panel_bitwise () =
-  let a, _ = hess_case () in
+(* A width-4 panel of per-column frequencies solves every column
+   bitwise like its width-1 start. *)
+let test_schur_panel_bitwise () =
+  let a, _ = schur_case () in
   let n = Mat.rows a in
-  let hmat, _ = Eig.hessenberg a in
+  let tmat = Ctrapezoid.quasi (fst (Eig.schur a)) in
   let omegas = [| 0.0; 2e3; 6.3e7; 6.3e5 |] in
   let width = Array.length omegas in
   let rng = Random.State.make [| 0xb17 |] in
@@ -233,26 +246,76 @@ let test_hess_panel_bitwise () =
   in
   (* float k of column b's interleaved vector, inside the panel *)
   let at b k = (2 * (((k / 2) * width) + b)) + (k mod 2) in
-  let st = Ctrapezoid.hess_create ~dim:n ~width in
+  let st = Ctrapezoid.schur_create ~dim:n ~width in
   Array.iteri
     (fun col omega ->
-      Ctrapezoid.hess_factor_shifted st ~hmat ~h:2e-5 ~col ~omega)
+      Ctrapezoid.schur_start_shifted st ~tmat ~h:2e-5 ~col ~omega)
     omegas;
   let cols =
     Array.init width (fun b -> Array.init (2 * n) (fun k -> panel.(at b k)))
   in
-  Ctrapezoid.hess_solve_in_place st panel;
+  Ctrapezoid.schur_solve_in_place st panel;
   Array.iteri
     (fun b col ->
-      let one = Ctrapezoid.hess_create ~dim:n ~width:1 in
-      Ctrapezoid.hess_factor_shifted one ~hmat ~h:2e-5 ~col:0 ~omega:omegas.(b);
-      Ctrapezoid.hess_solve_in_place one col;
+      let one = Ctrapezoid.schur_create ~dim:n ~width:1 in
+      Ctrapezoid.schur_start_shifted one ~tmat ~h:2e-5 ~col:0 ~omega:omegas.(b);
+      Ctrapezoid.schur_solve_in_place one col;
       for k = 0 to (2 * n) - 1 do
         let got = panel.(at b k) in
         if Int64.bits_of_float got <> Int64.bits_of_float col.(k) then
           Alcotest.failf "column %d entry %d: %h vs %h" b k got col.(k)
       done)
     cols
+
+(* Twenty trapezoid steps of a width-3 panel in the Schur basis, each
+   column at its own frequency and mapped back by Z, against the dense
+   complex-LU stepper [Oracle.trapezoid] in the original coordinates. *)
+let test_schur_step_vs_oracle () =
+  let a, _ = schur_case () in
+  let n = Mat.rows a in
+  let t, z = Eig.schur a in
+  let tmat = Ctrapezoid.quasi t in
+  let h = 2e-5 in
+  let omegas = [| 0.0; 2.0 *. Float.pi *. 3e3; 2.0 *. Float.pi *. 1e5 |] in
+  let width = Array.length omegas in
+  let rng = Random.State.make [| 0x57e9 |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let ks = Array.init 21 (fun _ -> Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ()))) in
+  let st = Ctrapezoid.schur_create ~dim:n ~width in
+  Array.iteri
+    (fun col omega -> Ctrapezoid.schur_start_shifted st ~tmat ~h ~col ~omega)
+    omegas;
+  let zt = Mat.transpose z in
+  let p = ref (Cvec.panel_create ~dim:n ~width)
+  and into = ref (Cvec.panel_create ~dim:n ~width) in
+  let oracle = Array.map (fun omega -> Oracle.trapezoid ~a ~omega ~h) omegas in
+  let want = Array.map (fun _ -> Array.make n Cx.zero) omegas in
+  for s = 0 to 19 do
+    let g =
+      Cvec.scale_re (0.5 *. h)
+        (apply zt
+           (Cvec.init n (fun i -> Cx.( +: ) (Cvec.get ks.(s) i) (Cvec.get ks.(s + 1) i))))
+    in
+    Ctrapezoid.step_schur_into st ~g ~p:!p ~into:!into;
+    let last = !p in
+    p := !into;
+    into := last;
+    Array.iteri
+      (fun b _ ->
+        want.(b) <-
+          oracle.(b) ~p:want.(b) ~k0:(Cvec.to_array ks.(s))
+            ~k1:(Cvec.to_array ks.(s + 1)))
+      omegas
+  done;
+  let col = Cvec.create n in
+  Array.iteri
+    (fun b _ ->
+      Cvec.panel_get_col !p ~width ~col:b ~into:col;
+      let err = rel_err (apply z col) (Cvec.of_array want.(b)) in
+      if err > 1e-11 then
+        Alcotest.failf "column %d: relative error %.3e vs Oracle.trapezoid" b
+          err)
+    omegas
 
 let prop_trapezoid_linear_in_ic =
   QCheck.Test.make ~count:50 ~name:"trapezoid step linear in the state"
@@ -289,11 +352,13 @@ let () =
           Alcotest.test_case "shifted decay" `Quick test_ctrapezoid_shift_analytic;
           Alcotest.test_case "steady state" `Quick test_ctrapezoid_trajectory_steady_state;
         ] );
-      ( "hessenberg",
+      ( "schur",
         [
-          Alcotest.test_case "shifted == dense LU" `Quick test_hess_matches_clu;
-          Alcotest.test_case "rotated == dense LU" `Quick test_hess_general;
+          Alcotest.test_case "shifted == dense LU" `Quick test_schur_matches_clu;
+          Alcotest.test_case "rotated == dense LU" `Quick test_schur_general;
           Alcotest.test_case "panel column == width 1" `Quick
-            test_hess_panel_bitwise;
+            test_schur_panel_bitwise;
+          Alcotest.test_case "steps == Oracle.trapezoid per column" `Quick
+            test_schur_step_vs_oracle;
         ] );
     ]
