@@ -957,6 +957,115 @@ let stage_split cases =
     cases;
   Table.print t
 
+(* STEP-SMOKE: each prepared engine's grid through the shipped shifted step
+   and through [Oracle.schur_step], the general-coefficient step it
+   specialises, on a 16-wide panel: every column of every step must
+   agree bit for bit.  Each phase's real Schur T, the grid's steps and
+   the forcing h/2 Zᵀ(k_i + k_{i+1}) are the circuit's own; the state
+   is carried across phase boundaries unrotated, which is all a kernel
+   check needs.  Columns restart where the phase or the step changes.
+   Prints ns per column step for both; returns whether the bits held. *)
+let step_smoke cases =
+  let module Cvec = Scnoise_linalg.Cvec in
+  let module Vec = Scnoise_linalg.Vec in
+  let module Ctrap = Scnoise_ode.Ctrapezoid in
+  let module Eig = Scnoise_linalg.Eig in
+  let t =
+    Table.create [ "circuit"; "n"; "steps"; "step_ns/col"; "reference_ns/col" ]
+  in
+  let width = 16 and equal = ref true and fields = Buffer.create 64 in
+  List.iter
+    (fun (name, e) ->
+      let cov = Psd.covariance e in
+      let sys = cov.Covariance.sys in
+      let k, _, _ = Oracle.output_trace cov (Psd.output e) in
+      let times = cov.Covariance.times and phase = cov.Covariance.interval_phase in
+      let n = sys.Pwl.nstates and nint = Array.length times - 1 in
+      let schur = Array.map (fun ph -> Eig.schur ph.Pwl.a) sys.Pwl.phases in
+      let tri = Array.map (fun (tm, _) -> Ctrap.quasi tm) schur in
+      let h i = times.(i + 1) -. times.(i) in
+      let g =
+        Array.init nint (fun i ->
+            Cvec.of_real
+              (Vec.scale (0.5 *. h i)
+                 (Mat.mul_transpose_vec (snd schur.(phase.(i)))
+                    (Vec.add k.(i) k.(i + 1)))))
+      in
+      let restart i =
+        i = 0 || phase.(i) <> phase.(i - 1) || h i <> h (i - 1)
+      in
+      let omegas =
+        Array.map (fun f -> 2.0 *. Float.pi *. f) (Grid.logspace 100.0 16_000.0 width)
+      in
+      let st = Ctrap.schur_create ~dim:n ~width in
+      let p = Cvec.panel_create ~dim:n ~width
+      and into = Cvec.panel_create ~dim:n ~width in
+      (* one walk of the grid; [check] sees each step's input and output *)
+      let walk check =
+        Cvec.panel_fill_zero p;
+        for i = 0 to nint - 1 do
+          if restart i then
+            Array.iteri
+              (fun col omega ->
+                Ctrap.schur_start_shifted st ~tmat:tri.(phase.(i)) ~h:(h i) ~col
+                  ~omega)
+              omegas;
+          Ctrap.step_schur_into st ~g:g.(i) ~p ~into;
+          check i;
+          Array.blit into 0 p 0 (Array.length p)
+        done
+      in
+      let column a b =
+        Array.init n (fun r ->
+            { Complex.re = a.(2 * ((r * width) + b));
+              im = a.((2 * ((r * width) + b)) + 1) })
+      in
+      let reference i b =
+        let w = 0.5 *. h i in
+        Oracle.schur_step ~t:(fst schur.(phase.(i)))
+          ~d:{ Complex.re = 1.0; im = w *. omegas.(b) }
+          ~alpha:{ Complex.re = w; im = 0.0 }
+          ~p:(column p b)
+          ~g:(Array.init n (Cvec.get g.(i)))
+      in
+      let flat zs =
+        Array.concat (List.map (fun (z : Complex.t) -> [| z.re; z.im |]) (Array.to_list zs))
+      in
+      let best f =
+        let m = ref infinity in
+        for _ = 1 to 5 do
+          m := Float.min !m (wall_ms f)
+        done;
+        1e6 *. !m /. float_of_int (nint * width)
+      in
+      uncounted [ "ode_steps"; "ode_block_steps" ] (fun () ->
+          walk (fun i ->
+              for b = 0 to width - 1 do
+                if not (Oracle.bits_equal (flat (reference i b)) (flat (column into b)))
+                then equal := false
+              done);
+          let step_ns = best (fun () -> walk ignore) in
+          let ref_ns =
+            best (fun () ->
+                walk (fun i ->
+                    for b = 0 to width - 1 do
+                      ignore (reference i b)
+                    done))
+            -. step_ns
+          in
+          Table.add_row t
+            [
+              name; string_of_int n; string_of_int nint;
+              Printf.sprintf "%.1f" step_ns; Printf.sprintf "%.1f" ref_ns;
+            ];
+          Printf.bprintf fields "%s_ns=%.1f " name step_ns))
+    cases;
+  Table.print t;
+  Printf.printf "STEP-SMOKE: %sbits=%s ok=%s\n" (Buffer.contents fields)
+    (if !equal then "equal" else "MISMATCH")
+    (if !equal then "ok" else "FAIL");
+  !equal
+
 let exp_kern () =
   header "EXP-K1  per-point allocation: Schur sweep vs dense reference";
   let module Cx = Scnoise_linalg.Cx in
@@ -1062,6 +1171,15 @@ let exp_kern () =
         ])
     [ 4; 9; 40 ];
   Table.print tk;
+  let step_ok =
+    let b = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
+    step_smoke
+      [
+        ("sc_lowpass", eng);
+        ( "ladder-40",
+          Psd.prepare ~samples_per_phase:48 b.LAD.sys ~output:b.LAD.output );
+      ]
+  in
   (* Width table: one 16-wide block against its 16 width-1 solves at the
      solve layer, per circuit size, over each circuit's workload band
      (interleaved rounds, per-mode minimum).  [Psd.batch_width]'s rule
@@ -1196,7 +1314,8 @@ let exp_kern () =
     (if parity then "bit" else "MISMATCH")
     (if batch_ok then "ok" else "FAIL");
   let gemm_ok = exp_gemm () in
-  if sweep_b >= 48_000.0 || not batch_ok || not gemm_ok then smoke_failed := true
+  if sweep_b >= 48_000.0 || not batch_ok || not gemm_ok || not step_ok then
+    smoke_failed := true
 
 (* ------------------------------------------------------------------ *)
 (* EXP-P1: domain pool — serial vs parallel wall time, bit parity      *)

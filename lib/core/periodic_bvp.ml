@@ -232,17 +232,20 @@ let apply_into m ~width src dst =
 
 (* y_b(t_i) <- c · P_b(t_i) for every column of one panel; per column the
    terms are added in state order onto a zero, as a plain dot product
-   would. *)
+   would.  [p] is a panel of [Array.length c] states and [y] has room
+   for point [i]. *)
 let reduce_into c ~width p y ~i =
-  let base = 2 * i * width in
-  Array.fill y base (2 * width) 0.0;
-  for j = 0 to Array.length c - 1 do
-    let cj = c.(j) and pbase = 2 * j * width in
-    for b = 0 to width - 1 do
-      let k = base + (2 * b) and q = pbase + (2 * b) in
-      y.(k) <- y.(k) +. (cj *. p.(q));
-      y.(k + 1) <- y.(k + 1) +. (cj *. p.(q + 1))
-    done
+  let n = Array.length c and w2 = 2 * width in
+  for b = 0 to width - 1 do
+    let re = ref 0.0 and im = ref 0.0 in
+    for j = 0 to n - 1 do
+      let cj = Array.unsafe_get c j and q = (j * w2) + (2 * b) in
+      re := !re +. (cj *. Array.unsafe_get p q);
+      im := !im +. (cj *. Array.unsafe_get p (q + 1))
+    done;
+    let k = (i * w2) + (2 * b) in
+    y.(k) <- !re;
+    y.(k + 1) <- !im
   done
 
 (* Forced transient from a zero initial condition in the phase bases,
@@ -297,10 +300,10 @@ let advance_phase t ~omegas ~phase ~turn ~i =
       turn.(k + 1) <- sin theta
     end
     else begin
-      let cr = phase.(k) and ci = phase.(k + 1) in
-      let sr = turn.(k) and si = turn.(k + 1) in
-      phase.(k) <- (cr *. sr) -. (ci *. si);
-      phase.(k + 1) <- (cr *. si) +. (ci *. sr)
+      let cr = Array.unsafe_get phase k and ci = Array.unsafe_get phase (k + 1) in
+      let sr = Array.unsafe_get turn k and si = Array.unsafe_get turn (k + 1) in
+      Array.unsafe_set phase k ((cr *. sr) -. (ci *. si));
+      Array.unsafe_set phase (k + 1) ((cr *. si) +. (ci *. sr))
     end
   done
 
@@ -336,14 +339,16 @@ let close_periodic_into t ws ~omegas ~part_end y =
     for b = 0 to width - 1 do
       let hr = ref 0.0 and hi = ref 0.0 in
       for j = 0 to n - 1 do
-        let q = 2 * ((j * width) + b) in
-        hr := !hr +. (r.(j) *. p0.(q));
-        hi := !hi +. (r.(j) *. p0.(q + 1))
+        let rj = Array.unsafe_get r j and q = 2 * ((j * width) + b) in
+        hr := !hr +. (rj *. Array.unsafe_get p0 q);
+        hi := !hi +. (rj *. Array.unsafe_get p0 (q + 1))
       done;
-      let cr = phase.(2 * b) and ci = phase.((2 * b) + 1) in
+      let cr = Array.unsafe_get phase (2 * b)
+      and ci = Array.unsafe_get phase ((2 * b) + 1) in
       let k = 2 * ((i * width) + b) in
-      y.(k) <- ((cr *. !hr) -. (ci *. !hi)) +. y.(k);
-      y.(k + 1) <- ((cr *. !hi) +. (ci *. !hr)) +. y.(k + 1)
+      Array.unsafe_set y k (((cr *. !hr) -. (ci *. !hi)) +. Array.unsafe_get y k);
+      Array.unsafe_set y (k + 1)
+        (((cr *. !hi) +. (ci *. !hr)) +. Array.unsafe_get y (k + 1))
     done
   done
 

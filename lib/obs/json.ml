@@ -32,9 +32,14 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C formatter [Printf]'s float conversions end in, called without
+   interpreting a format: the bytes are [Printf.sprintf]'s for finite
+   floats *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let number_string x =
-  if Float.is_integer x && abs_float x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+  if Float.is_integer x && abs_float x < 1e15 then format_float "%.0f" x
+  else format_float "%.17g" x
 
 let rec emit buf indent v =
   let pad n = String.make n ' ' in

@@ -46,13 +46,14 @@ type schur = {
   sn : int;
   sw : int;
   mutable tq : quasi; (* the shared real quasi-triangular T *)
-  coef : float array; (* per column: d re, d im, alpha re, alpha im *)
+  coef : float array; (* per column: d im, alpha re, alpha im *)
   inv : float array;
       (* per (row i, column b), at 4 (i width + b): two complex numbers —
          1 / (d - alpha t_ii) for a 1×1 block; for a 2×2 block on rows
          s, s + 1, row s holds the inverse's first row and row s + 1 its
          second *)
   q : float array; (* step scratch: p + x on the rows already solved *)
+  shifted : bool array; (* per column: started by [schur_start_shifted] *)
 }
 
 let c_steps = Obs.counter "ode_steps"
@@ -69,9 +70,10 @@ let schur_create ~dim ~width =
     sn = dim;
     sw = width;
     tq = unbound;
-    coef = Array.make (4 * width) 0.0;
+    coef = Array.make (3 * width) 0.0;
     inv = Array.make (4 * dim * width) 0.0;
     q = Array.make (2 * dim * width) 0.0;
+    shifted = Array.make width false;
   }
 
 (* v.(k), v.(k + 1) <- 1 / (pr + j pi), by Complex.div's
@@ -91,18 +93,31 @@ let[@inline] set_recip v k pr pi =
     v.(k + 1) <- -1.0 /. dd
   end
 
+(* x_B <- M_BB^{-1} y_B for a 2×2 block, rows k0 and k1 of the panel,
+   with the inverse's rows at m0 and m1 of [inv]; inlined like
+   [set_recip] *)
+let[@inline] set_pair inv ~m0 ~m1 x ~k0 ~k1 y0r y0i y1r y1i =
+  let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1)
+  and sr = Array.unsafe_get inv (m0 + 2) and si = Array.unsafe_get inv (m0 + 3) in
+  Array.unsafe_set x k0 (((y0r *. rr) -. (y0i *. ri)) +. ((y1r *. sr) -. (y1i *. si)));
+  Array.unsafe_set x (k0 + 1) (((y0r *. ri) +. (y0i *. rr)) +. ((y1r *. si) +. (y1i *. sr)));
+  let rr = Array.unsafe_get inv m1 and ri = Array.unsafe_get inv (m1 + 1)
+  and sr = Array.unsafe_get inv (m1 + 2) and si = Array.unsafe_get inv (m1 + 3) in
+  Array.unsafe_set x k1 (((y0r *. rr) -. (y0i *. ri)) +. ((y1r *. sr) -. (y1i *. si)));
+  Array.unsafe_set x (k1 + 1) (((y0r *. ri) +. (y0i *. rr)) +. ((y1r *. si) +. (y1i *. sr)))
+
 let schur_start t ~tmat ~col ~d ~alpha =
   let n = t.sn and w = t.sw in
   if col < 0 || col >= w then invalid_arg "Ctrapezoid.schur_start: bad column";
   if Mat.rows tmat.qm <> n then
     invalid_arg "Ctrapezoid.schur_start: dimension mismatch";
   t.tq <- tmat;
+  t.shifted.(col) <- false;
   let td = Mat.data tmat.qm and pair = tmat.pair and inv = t.inv in
   let dr = d.Cx.re and di = d.Cx.im and ar = alpha.Cx.re and ai = alpha.Cx.im in
-  t.coef.(4 * col) <- dr;
-  t.coef.((4 * col) + 1) <- di;
-  t.coef.((4 * col) + 2) <- ar;
-  t.coef.((4 * col) + 3) <- ai;
+  t.coef.(3 * col) <- di;
+  t.coef.((3 * col) + 1) <- ar;
+  t.coef.((3 * col) + 2) <- ai;
   let i = ref 0 in
   while !i < n do
     let s = !i in
@@ -143,64 +158,135 @@ let schur_start t ~tmat ~col ~d ~alpha =
 let schur_start_shifted t ~tmat ~h ~col ~omega =
   if h <= 0.0 then invalid_arg "Ctrapezoid.schur_start_shifted: h <= 0";
   let w = 0.5 *. h in
-  schur_start t ~tmat ~col ~d:(Cx.make 1.0 (w *. omega)) ~alpha:(Cx.re w)
+  schur_start t ~tmat ~col ~d:(Cx.make 1.0 (w *. omega)) ~alpha:(Cx.re w);
+  t.shifted.(col) <- true
 
 (* Back-substitution over T's diagonal blocks, bottom up, with every
    column's sums in registers: for column b and the block [s .. e]
-   (e = s or s + 1),
-
-     stepping:  y_B = (2 - d) p_B + g_B
-                      + alpha (T_BB p_B + sum_{j > e} T_Bj (p_j + x_j))
-     solving:   y_B = x_B + alpha sum_{j > e} T_Bj x_j
-
-   and x_B = M_BB^{-1} y_B.  A step thus reads T once for both of its
-   products, on p + x of the rows already solved (kept in [q]).  Each
-   column runs the same operations in the same order at every width. *)
-let back_substitute t ~stepping ~p ~g ~x =
+   (e = s or s + 1), y_B = x_B + alpha sum_{j > e} T_Bj x_j and
+   x_B = M_BB^{-1} y_B.  Each column runs the same operations in the
+   same order at every width. *)
+let solve_back t x =
   let n = t.sn and w = t.sw in
   if Mat.rows t.tq.qm <> n then
     invalid_arg "Ctrapezoid: solve before schur_start bound a matrix";
   let td = Mat.data t.tq.qm and pair = t.tq.pair and inv = t.inv in
   let coef = t.coef and w2 = 2 * w in
-  let v = if stepping then t.q else x in
   let e = ref (n - 1) in
   while !e >= 0 do
     let e' = !e in
     let s = if e' >= 1 && pair.(e' - 1) then e' - 1 else e' in
-    let r0 = s * n and r1 = e' * n and own = if stepping then s else e' + 1 in
-    let g0r = if stepping then Array.unsafe_get g (2 * s) else 0.0
-    and g0i = if stepping then Array.unsafe_get g ((2 * s) + 1) else 0.0
-    and g1r = if stepping then Array.unsafe_get g (2 * e') else 0.0
-    and g1i = if stepping then Array.unsafe_get g ((2 * e') + 1) else 0.0 in
+    let r0 = s * n and r1 = e' * n in
     for b = 0 to w - 1 do
-      let c = 4 * b in
-      let er = 2.0 -. Array.unsafe_get coef c
-      and ei = -.Array.unsafe_get coef (c + 1)
-      and ar = Array.unsafe_get coef (c + 2)
-      and ai = Array.unsafe_get coef (c + 3) in
+      let ar = Array.unsafe_get coef ((3 * b) + 1)
+      and ai = Array.unsafe_get coef ((3 * b) + 2) in
       let k0 = (s * w2) + (2 * b) and k1 = (e' * w2) + (2 * b) in
-      (* row s's sums (and row e's for a 2×2 block) *)
-      let s0r = ref 0.0 and s0i = ref 0.0 and s1r = ref 0.0 and s1i = ref 0.0 in
-      for j = own to e' do
-        let kj = (j * w2) + (2 * b) in
-        let pr = Array.unsafe_get p kj and pi = Array.unsafe_get p (kj + 1) in
-        let a = Array.unsafe_get td (r0 + j) in
-        s0r := !s0r +. (a *. pr);
-        s0i := !s0i +. (a *. pi);
-        if s < e' then begin
-          let a = Array.unsafe_get td (r1 + j) in
-          s1r := !s1r +. (a *. pr);
-          s1i := !s1i +. (a *. pi)
-        end
-      done;
-      if s = e' then
+      let m0 = 4 * ((s * w) + b) in
+      let s0r = ref 0.0 and s0i = ref 0.0 in
+      if s = e' then begin
         for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * b) in
+          let a = Array.unsafe_get td (r0 + j) in
+          s0r := !s0r +. (a *. Array.unsafe_get x kj);
+          s0i := !s0i +. (a *. Array.unsafe_get x (kj + 1))
+        done;
+        let y0r = Array.unsafe_get x k0 +. ((ar *. !s0r) -. (ai *. !s0i))
+        and y0i = Array.unsafe_get x (k0 + 1) +. ((ar *. !s0i) +. (ai *. !s0r)) in
+        let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1) in
+        Array.unsafe_set x k0 ((y0r *. rr) -. (y0i *. ri));
+        Array.unsafe_set x (k0 + 1) ((y0r *. ri) +. (y0i *. rr))
+      end
+      else begin
+        let s1r = ref 0.0 and s1i = ref 0.0 in
+        for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * b) in
+          let vr = Array.unsafe_get x kj and vi = Array.unsafe_get x (kj + 1) in
+          let a = Array.unsafe_get td (r0 + j) in
+          s0r := !s0r +. (a *. vr);
+          s0i := !s0i +. (a *. vi);
+          let a = Array.unsafe_get td (r1 + j) in
+          s1r := !s1r +. (a *. vr);
+          s1i := !s1i +. (a *. vi)
+        done;
+        let y0r = Array.unsafe_get x k0 +. ((ar *. !s0r) -. (ai *. !s0i))
+        and y0i = Array.unsafe_get x (k0 + 1) +. ((ar *. !s0i) +. (ai *. !s0r))
+        and y1r = Array.unsafe_get x k1 +. ((ar *. !s1r) -. (ai *. !s1i))
+        and y1i = Array.unsafe_get x (k1 + 1) +. ((ar *. !s1i) +. (ai *. !s1r)) in
+        set_pair inv ~m0 ~m1:(4 * ((e' * w) + b)) x ~k0 ~k1 y0r y0i y1r y1i
+      end
+    done;
+    e := s - 1
+  done
+
+let schur_solve_in_place t x =
+  if Array.length x <> 2 * t.sn * t.sw then
+    invalid_arg "Ctrapezoid.schur_solve_in_place: panel dimension mismatch";
+  solve_back t x
+
+(* The trapezoid step of a shifted column, d = 1 + j di and real
+   alpha = ar:
+
+     y_B = (1 - j di) p_B + g_B + ar (T_BB p_B + sum_{j > e} T_Bj (p_j + x_j))
+
+   which is the general (2 - d) p + alpha (...) + g with Re (2 - d) = 1.0
+   and Im alpha = +0.0 left out: 1.0 x is x, and the dropped +-0.0
+   terms leave ar s as it is unless ar s is -0.0.  Each sum s starts
+   from +0.0, so it is never -0.0, and ar > 0: ar s is -0.0 only where
+   it underflows.  A step thus reads T once for both of its products,
+   on p + x of the rows already solved (kept in [q]). *)
+let step_back t ~p ~g ~x =
+  let n = t.sn and w = t.sw in
+  let td = Mat.data t.tq.qm and pair = t.tq.pair and inv = t.inv in
+  let coef = t.coef and v = t.q and w2 = 2 * w in
+  let e = ref (n - 1) in
+  while !e >= 0 do
+    let e' = !e in
+    let s = if e' >= 1 && pair.(e' - 1) then e' - 1 else e' in
+    let r0 = s * n and r1 = e' * n in
+    let g0r = Array.unsafe_get g (2 * s)
+    and g0i = Array.unsafe_get g ((2 * s) + 1) in
+    if s = e' then begin
+      let a0 = Array.unsafe_get td (r0 + s) in
+      for b = 0 to w - 1 do
+        let ei = -.Array.unsafe_get coef (3 * b)
+        and ar = Array.unsafe_get coef ((3 * b) + 1) in
+        let k0 = (s * w2) + (2 * b) in
+        let xr = Array.unsafe_get p k0 and xi = Array.unsafe_get p (k0 + 1) in
+        let s0r = ref (0.0 +. (a0 *. xr)) and s0i = ref (0.0 +. (a0 *. xi)) in
+        for j = s + 1 to n - 1 do
           let kj = (j * w2) + (2 * b) in
           let a = Array.unsafe_get td (r0 + j) in
           s0r := !s0r +. (a *. Array.unsafe_get v kj);
           s0i := !s0i +. (a *. Array.unsafe_get v (kj + 1))
-        done
-      else
+        done;
+        let y0r = ((xr -. (ei *. xi)) +. (ar *. !s0r)) +. g0r
+        and y0i = ((xi +. (ei *. xr)) +. (ar *. !s0i)) +. g0i in
+        let m0 = 4 * ((s * w) + b) in
+        let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1) in
+        let x0r = (y0r *. rr) -. (y0i *. ri) and x0i = (y0r *. ri) +. (y0i *. rr) in
+        Array.unsafe_set x k0 x0r;
+        Array.unsafe_set x (k0 + 1) x0i;
+        Array.unsafe_set v k0 (xr +. x0r);
+        Array.unsafe_set v (k0 + 1) (xi +. x0i)
+      done
+    end
+    else begin
+      let g1r = Array.unsafe_get g (2 * e')
+      and g1i = Array.unsafe_get g ((2 * e') + 1) in
+      let a00 = Array.unsafe_get td (r0 + s)
+      and a01 = Array.unsafe_get td (r0 + e')
+      and a10 = Array.unsafe_get td (r1 + s)
+      and a11 = Array.unsafe_get td (r1 + e') in
+      for b = 0 to w - 1 do
+        let ei = -.Array.unsafe_get coef (3 * b)
+        and ar = Array.unsafe_get coef ((3 * b) + 1) in
+        let k0 = (s * w2) + (2 * b) and k1 = (e' * w2) + (2 * b) in
+        let p0r = Array.unsafe_get p k0 and p0i = Array.unsafe_get p (k0 + 1)
+        and p1r = Array.unsafe_get p k1 and p1i = Array.unsafe_get p (k1 + 1) in
+        let s0r = ref ((0.0 +. (a00 *. p0r)) +. (a01 *. p1r))
+        and s0i = ref ((0.0 +. (a00 *. p0i)) +. (a01 *. p1i))
+        and s1r = ref ((0.0 +. (a10 *. p0r)) +. (a11 *. p1r))
+        and s1i = ref ((0.0 +. (a10 *. p0i)) +. (a11 *. p1i)) in
         for j = e' + 1 to n - 1 do
           let kj = (j * w2) + (2 * b) in
           let vr = Array.unsafe_get v kj and vi = Array.unsafe_get v (kj + 1) in
@@ -211,70 +297,20 @@ let back_substitute t ~stepping ~p ~g ~x =
           s1r := !s1r +. (a *. vr);
           s1i := !s1i +. (a *. vi)
         done;
-      let xr = Array.unsafe_get (if stepping then p else x) k0
-      and xi = Array.unsafe_get (if stepping then p else x) (k0 + 1) in
-      let y0r =
-        if stepping then
-          ((er *. xr) -. (ei *. xi)) +. ((ar *. !s0r) -. (ai *. !s0i)) +. g0r
-        else xr +. ((ar *. !s0r) -. (ai *. !s0i))
-      and y0i =
-        if stepping then
-          ((er *. xi) +. (ei *. xr)) +. ((ar *. !s0i) +. (ai *. !s0r)) +. g0i
-        else xi +. ((ar *. !s0i) +. (ai *. !s0r))
-      in
-      let m0 = 4 * ((s * w) + b) in
-      let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1) in
-      if s = e' then begin
-        let x0r = (y0r *. rr) -. (y0i *. ri) and x0i = (y0r *. ri) +. (y0i *. rr) in
-        Array.unsafe_set x k0 x0r;
-        Array.unsafe_set x (k0 + 1) x0i;
-        if stepping then begin
-          Array.unsafe_set v k0 (xr +. x0r);
-          Array.unsafe_set v (k0 + 1) (xi +. x0i)
-        end
-      end
-      else begin
-        let xr = Array.unsafe_get (if stepping then p else x) k1
-        and xi = Array.unsafe_get (if stepping then p else x) (k1 + 1) in
-        let y1r =
-          if stepping then
-            ((er *. xr) -. (ei *. xi)) +. ((ar *. !s1r) -. (ai *. !s1i)) +. g1r
-          else xr +. ((ar *. !s1r) -. (ai *. !s1i))
-        and y1i =
-          if stepping then
-            ((er *. xi) +. (ei *. xr)) +. ((ar *. !s1i) +. (ai *. !s1r)) +. g1i
-          else xi +. ((ar *. !s1i) +. (ai *. !s1r))
-        in
-        let m1 = 4 * ((e' * w) + b) in
-        let sr = Array.unsafe_get inv (m0 + 2)
-        and si = Array.unsafe_get inv (m0 + 3) in
-        let x0r = ((y0r *. rr) -. (y0i *. ri)) +. ((y1r *. sr) -. (y1i *. si))
-        and x0i = ((y0r *. ri) +. (y0i *. rr)) +. ((y1r *. si) +. (y1i *. sr)) in
-        let rr = Array.unsafe_get inv m1 and ri = Array.unsafe_get inv (m1 + 1)
-        and sr = Array.unsafe_get inv (m1 + 2)
-        and si = Array.unsafe_get inv (m1 + 3) in
-        let x1r = ((y0r *. rr) -. (y0i *. ri)) +. ((y1r *. sr) -. (y1i *. si))
-        and x1i = ((y0r *. ri) +. (y0i *. rr)) +. ((y1r *. si) +. (y1i *. sr)) in
-        if stepping then begin
-          Array.unsafe_set v k0 (Array.unsafe_get p k0 +. x0r);
-          Array.unsafe_set v (k0 + 1) (Array.unsafe_get p (k0 + 1) +. x0i);
-          Array.unsafe_set v k1 (xr +. x1r);
-          Array.unsafe_set v (k1 + 1) (xi +. x1i)
-        end;
-        Array.unsafe_set x k0 x0r;
-        Array.unsafe_set x (k0 + 1) x0i;
-        Array.unsafe_set x k1 x1r;
-        Array.unsafe_set x (k1 + 1) x1i
-      end
-    done;
+        let y0r = ((p0r -. (ei *. p0i)) +. (ar *. !s0r)) +. g0r
+        and y0i = ((p0i +. (ei *. p0r)) +. (ar *. !s0i)) +. g0i
+        and y1r = ((p1r -. (ei *. p1i)) +. (ar *. !s1r)) +. g1r
+        and y1i = ((p1i +. (ei *. p1r)) +. (ar *. !s1i)) +. g1i in
+        set_pair inv ~m0:(4 * ((s * w) + b)) ~m1:(4 * ((e' * w) + b)) x ~k0
+          ~k1 y0r y0i y1r y1i;
+        Array.unsafe_set v k0 (p0r +. Array.unsafe_get x k0);
+        Array.unsafe_set v (k0 + 1) (p0i +. Array.unsafe_get x (k0 + 1));
+        Array.unsafe_set v k1 (p1r +. Array.unsafe_get x k1);
+        Array.unsafe_set v (k1 + 1) (p1i +. Array.unsafe_get x (k1 + 1))
+      done
+    end;
     e := s - 1
   done
-
-let schur_solve_in_place t x =
-  if Array.length x <> 2 * t.sn * t.sw then
-    invalid_arg "Ctrapezoid.schur_solve_in_place: panel dimension mismatch";
-  (* p and g are read only when stepping *)
-  back_substitute t ~stepping:false ~p:x ~g:[||] ~x
 
 (* One trapezoid step of every column, M_b x_b = (2 - d_b) p_b +
    alpha_b T p_b + g, by back-substitution. *)
@@ -286,7 +322,11 @@ let step_schur_into t ~g ~p ~into =
     invalid_arg "Ctrapezoid.step_schur_into: forcing dimension mismatch";
   if p == into then
     invalid_arg "Ctrapezoid.step_schur_into: output must not alias p";
+  for b = 0 to w - 1 do
+    if not t.shifted.(b) then
+      invalid_arg "Ctrapezoid.step_schur_into: a column not started shifted"
+  done;
   Obs.add c_steps w;
   if w > 1 then Obs.incr c_block_steps;
-  back_substitute t ~stepping:true ~p ~g:(Cvec.data g) ~x:into;
+  step_back t ~p ~g:(Cvec.data g) ~x:into;
   Scnoise_linalg.Sanitize.check_panel "Ctrapezoid.step_schur" ~width:w into

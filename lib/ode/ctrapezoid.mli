@@ -48,14 +48,17 @@ val schur_create : dim:int -> width:int -> schur
 val schur_start : schur -> tmat:quasi -> col:int -> d:Cx.t -> alpha:Cx.t -> unit
 (** Set column [col] to [d I - alpha tmat] in O(n): the reciprocal of
     each 1×1 diagonal entry and the inverse of each 2×2 block.  [tmat]
-    is shared by every column: the last call binds it.  Raises
-    [Lu.Singular] on an exactly zero diagonal entry or 2×2
+    is shared by every column: the last call binds it.  A column so
+    started serves {!schur_solve_in_place} only; it cannot step.
+    Raises [Lu.Singular] on an exactly zero diagonal entry or 2×2
     determinant. *)
 
 val schur_start_shifted :
   schur -> tmat:quasi -> h:float -> col:int -> omega:float -> unit
 (** The trapezoid LHS [I - h/2 (tmat - j omega I)]: {!schur_start} with
-    [d = 1 + j omega h/2] and [alpha = h/2]. *)
+    [d = 1 + j omega h/2] and [alpha = h/2], and the one start after
+    which a column may step.  Raises [Invalid_argument] when
+    [h <= 0]. *)
 
 val schur_solve_in_place : schur -> Cvec.panel -> unit
 (** Overwrite every column [b] of the panel with [M_b^{-1}] applied to
@@ -63,10 +66,14 @@ val schur_solve_in_place : schur -> Cvec.panel -> unit
 
 val step_schur_into :
   schur -> g:Cvec.t -> p:Cvec.panel -> into:Cvec.panel -> unit
-(** One trapezoid step of every column:
-    [M_b into_b = ((2 - d_b) I + alpha_b T) p_b + g], which for shifted
-    columns is [(I + h/2 (T - jwI)) p_b + h/2 (k0 + k1)] with the
+(** One trapezoid step of every column,
+    [M_b into_b = (I + h/2 (T - jwI)) p_b + h/2 (k0 + k1)], with the
     forcing term [g = h/2 (k0 + k1)] given in the Schur basis and
     shared by all columns.  One pass over each row of [T] forms both
-    products, on [p + into] of the rows already solved.  [into] must
-    not alias [p]. *)
+    products, on [p + into] of the rows already solved.  Every column
+    must have been started last by {!schur_start_shifted}: the kernel
+    leaves out the factor [Re (2 - d) = 1] and the terms of
+    [Im alpha = +0], so it is bitwise the general
+    [((2 - d) I + alpha T) p + g] step on finite values.  Raises
+    [Invalid_argument] on a column started otherwise, or when [into]
+    aliases [p]. *)

@@ -356,6 +356,70 @@ let trapezoid ~a ~omega ~h =
          (fun i z -> Complex.add z (Complex.mul hw (Complex.add k0.(i) k1.(i))))
          (cmul_vec rhs p))
 
+(* The general-coefficient trapezoid step over a real quasi-upper-
+   triangular [t] that [Ctrapezoid.step_schur_into] specialises to
+   shifted columns: (d I - alpha T) x = (2 - d) p + alpha T p + g, by
+   back-substitution over T's 1×1 and 2×2 diagonal blocks, bottom up,
+   with alpha's product on p + x of the rows already solved.  The
+   block inverses take [Ctrapezoid.schur_start]'s operations and the
+   sums the kernel's order, so a shifted column (d = 1 + j omega h/2,
+   alpha = h/2) must match it bit for bit.  Returns x. *)
+let schur_step ~t ~(d : Complex.t) ~(alpha : Complex.t) ~(p : Complex.t array)
+    ~(g : Complex.t array) =
+  let n = Mat.rows t in
+  let cx re im = { Complex.re; im } in
+  (* 1 / z by Complex.div's branch on magnitude, without its 0 - r *)
+  let recip (z : Complex.t) =
+    if abs_float z.re >= abs_float z.im then
+      let r = z.im /. z.re in
+      let dd = z.re +. (r *. z.im) in
+      cx (1.0 /. dd) (-.r /. dd)
+    else
+      let r = z.re /. z.im in
+      let dd = z.im +. (r *. z.re) in
+      cx (r /. dd) (-1.0 /. dd)
+  in
+  let at a = cx (alpha.re *. a) (alpha.im *. a) in
+  let x = Array.make n Complex.zero and q = Array.make n Complex.zero in
+  (* T_ij p_j for j in [lo, hi], then T_ij q_j above hi *)
+  let sum i ~lo ~hi =
+    let acc = ref Complex.zero in
+    for j = lo to n - 1 do
+      let v = if j <= hi then p.(j) else q.(j) and a = Mat.get t i j in
+      acc := cx (!acc.re +. (a *. v.re)) (!acc.im +. (a *. v.im))
+    done;
+    !acc
+  in
+  let rhs i ~lo ~hi =
+    let s = sum i ~lo ~hi in
+    let e = cx (2.0 -. d.re) (-.d.im) in
+    Complex.add
+      (Complex.add (Complex.mul e p.(i)) (Complex.mul alpha s))
+      g.(i)
+  in
+  let e = ref (n - 1) in
+  while !e >= 0 do
+    let e' = !e in
+    let s = if e' >= 1 && Mat.get t e' (e' - 1) <> 0.0 then e' - 1 else e' in
+    let m11 = Complex.sub d (at (Mat.get t s s)) in
+    if s = e' then x.(s) <- Complex.mul (rhs s ~lo:s ~hi:s) (recip m11)
+    else begin
+      let m12 = Complex.neg (at (Mat.get t s e'))
+      and m21 = Complex.neg (at (Mat.get t e' s))
+      and m22 = Complex.sub d (at (Mat.get t e' e')) in
+      let r = recip (Complex.sub (Complex.mul m11 m22) (Complex.mul m12 m21)) in
+      let y0 = rhs s ~lo:s ~hi:e' and y1 = rhs e' ~lo:s ~hi:e' in
+      let row a b = Complex.add (Complex.mul y0 a) (Complex.mul y1 b) in
+      x.(s) <- row (Complex.mul m22 r) (Complex.neg (Complex.mul m12 r));
+      x.(e') <- row (Complex.neg (Complex.mul m21 r)) (Complex.mul m11 r)
+    end;
+    for i = s to e' do
+      q.(i) <- Complex.add p.(i) x.(i)
+    done;
+    e := s - 1
+  done;
+  x
+
 (* [Periodic_bvp.solve] in original coordinates, one column at a time:
    the forced transient from zero on a dense LU per exact (phase, h),
    the closure (I - e^{-jωT} Phi) P(0) = P(T) by dense LU, and the

@@ -549,6 +549,35 @@ let test_json_nonfinite () =
         (contains_sub msg "1e999")
   | _ -> Alcotest.fail "accepted an overflowing number"
 
+(* Numbers print through the C formatter directly; the bytes must be
+   [Printf.sprintf]'s: "%.0f" for integers below 1e15, "%.17g" for
+   the rest.  Random bit patterns cover every exponent, subnormals
+   included; the fixed cases pin the edges. *)
+let prop_json_number_bytes =
+  let want x =
+    if Float.is_integer x && abs_float x < 1e15 then Printf.sprintf "%.0f" x
+    else Printf.sprintf "%.17g" x
+  in
+  let edges =
+    [ 0.0; -0.0; 1.0; -1.0; 0.5; 1e15 -. 1.0; 1e15; -1e15; 1e15 +. 1.0;
+      9007199254740992.0; 1e22; 1e300; Float.max_float; -.Float.max_float;
+      Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324;
+      Float.pred Float.min_float; 0.1; 1.0 /. 3.0 ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"number bytes == Printf.sprintf"
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(
+         frequency
+           [
+             (4, map Int64.float_of_bits ui64);
+             (1, oneofl edges);
+             (1, map (fun k -> Float.of_int k) (int_range (-1_000_000) 1_000_000));
+             (1, map (fun k -> 1e15 +. Float.of_int k) (int_range (-5) 5));
+           ]))
+    (fun x ->
+      QCheck.assume (Float.is_finite x);
+      Json.to_string (Json.Num x) = want x)
+
 let test_json_error_messages () =
   List.iter
     (fun (doc, needle) ->
@@ -709,6 +738,7 @@ let () =
           Alcotest.test_case "control chars" `Quick test_json_control_chars;
           Alcotest.test_case "deep nesting" `Quick test_json_deep_nesting;
           Alcotest.test_case "non-finite numbers" `Quick test_json_nonfinite;
+          QCheck_alcotest.to_alcotest prop_json_number_bytes;
           Alcotest.test_case "error messages" `Quick test_json_error_messages;
         ] );
       ( "hist",

@@ -317,6 +317,112 @@ let test_schur_step_vs_oracle () =
           err)
     omegas
 
+(* A random real quasi-upper-triangular matrix: a random upper
+   triangle whose diagonal carries 2×2 blocks (nonzero subdiagonal
+   entries, never adjacent) at random places, at a random scale. *)
+let random_quasi rng n =
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let scale = 10.0 ** Random.State.float rng 7.0 in
+  let t =
+    Mat.init n n (fun i j ->
+        if j < i then 0.0
+        else if i = j then -.scale *. (0.1 +. Random.State.float rng 1.0)
+        else scale *. rnd ())
+  in
+  let i = ref 0 in
+  while !i < n - 1 do
+    if Random.State.bool rng then begin
+      Mat.set t (!i + 1) !i (scale *. (0.05 +. Random.State.float rng 1.0));
+      i := !i + 2
+    end
+    else incr i
+  done;
+  t
+
+type step_case = { sn : int; sw : int; sseed : int }
+
+(* The shipped shifted step == the oracle's general-coefficient step
+   with d = 1 + j omega h/2 and alpha = h/2, bit for bit, column by
+   column: each column with its own omega (0, negative or positive)
+   and its own h in [1e-9, 1e-3]. *)
+let prop_step_vs_reference =
+  QCheck.Test.make ~count:300
+    ~name:"step_schur_into == Oracle.schur_step (bitwise)"
+    (QCheck.make
+       ~print:(fun c -> Printf.sprintf "{n=%d; w=%d; seed=%d}" c.sn c.sw c.sseed)
+       QCheck.Gen.(
+         int_range 1 12 >>= fun sn ->
+         int_range 1 17 >>= fun sw ->
+         int_range 0 1_000_000 >|= fun sseed -> { sn; sw; sseed }))
+    (fun c ->
+      let rng = Random.State.make [| c.sseed; c.sn; c.sw; 0x5e9 |] in
+      let rnd () = Random.State.float rng 2.0 -. 1.0 in
+      let n = c.sn and width = c.sw in
+      let t = random_quasi rng n in
+      let tmat = Ctrapezoid.quasi t in
+      let omegas =
+        Array.init width (fun _ ->
+            match Random.State.int rng 4 with
+            | 0 -> 0.0
+            | k ->
+                let w = 2.0 *. Float.pi *. (10.0 ** Random.State.float rng 7.0) in
+                if k = 1 then -.w else w)
+      in
+      let hs = Array.init width (fun _ -> 10.0 ** (-9.0 +. Random.State.float rng 6.0)) in
+      let st = Ctrapezoid.schur_create ~dim:n ~width in
+      Array.iteri
+        (fun col omega ->
+          Ctrapezoid.schur_start_shifted st ~tmat ~h:hs.(col) ~col ~omega)
+        omegas;
+      let p = Array.init (2 * n * width) (fun _ -> rnd ()) in
+      let g = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
+      let into = Cvec.panel_create ~dim:n ~width in
+      Ctrapezoid.step_schur_into st ~g ~p ~into;
+      let entry a b i = { Complex.re = a.(2 * ((i * width) + b)); im = a.((2 * ((i * width) + b)) + 1) } in
+      let g = Array.init n (fun i -> Cvec.get g i) in
+      let ok = ref true in
+      Array.iteri
+        (fun b omega ->
+          let w = 0.5 *. hs.(b) in
+          let x =
+            Oracle.schur_step ~t ~d:{ Complex.re = 1.0; im = w *. omega }
+              ~alpha:{ Complex.re = w; im = 0.0 }
+              ~p:(Array.init n (entry p b)) ~g
+          in
+          Array.iteri
+            (fun i (z : Complex.t) ->
+              let got = entry into b i in
+              if
+                Int64.bits_of_float got.re <> Int64.bits_of_float z.re
+                || Int64.bits_of_float got.im <> Int64.bits_of_float z.im
+              then ok := false)
+            x)
+        omegas;
+      !ok)
+
+(* Only shifted columns step: a column last started by plain
+   [schur_start], even after a shifted start, refuses. *)
+let test_step_needs_shifted_start () =
+  let a, _ = schur_case () in
+  let n = Mat.rows a in
+  let tmat = Ctrapezoid.quasi (fst (Eig.schur a)) in
+  let st = Ctrapezoid.schur_create ~dim:n ~width:2 in
+  let g = Cvec.create n and p = Cvec.panel_create ~dim:n ~width:2 in
+  let into = Cvec.panel_create ~dim:n ~width:2 in
+  let refuses what =
+    match Ctrapezoid.step_schur_into st ~g ~p ~into with
+    | () -> Alcotest.failf "stepped %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "before any start";
+  for col = 0 to 1 do
+    Ctrapezoid.schur_start_shifted st ~tmat ~h:2e-5 ~col ~omega:1e3
+  done;
+  Ctrapezoid.step_schur_into st ~g ~p ~into;
+  Ctrapezoid.schur_start st ~tmat ~col:1 ~d:(Cx.make 1.0 1e-2)
+    ~alpha:(Cx.re 1e-5);
+  refuses "a column after a plain start"
+
 let prop_trapezoid_linear_in_ic =
   QCheck.Test.make ~count:50 ~name:"trapezoid step linear in the state"
     QCheck.(pair (float_range (-5.0) 5.0) (float_range (-5.0) 5.0))
@@ -360,5 +466,8 @@ let () =
             test_schur_panel_bitwise;
           Alcotest.test_case "steps == Oracle.trapezoid per column" `Quick
             test_schur_step_vs_oracle;
+          QCheck_alcotest.to_alcotest prop_step_vs_reference;
+          Alcotest.test_case "step needs a shifted start" `Quick
+            test_step_needs_shifted_start;
         ] );
     ]
