@@ -739,7 +739,7 @@ let ladder_vanloan stages phase =
   let ph = sys.Pwl.phases.(phase) in
   ( Printf.sprintf "ladder-%d phase %d" sys.Pwl.nstates phase,
     ph,
-    Scnoise_linalg.Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q
+    Oracle.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q
       ~tau:(ph.Pwl.tau /. 48.0) )
 
 (* The operands of the Padé tables (EXP-C2): the ladder's Van Loan
@@ -815,8 +815,9 @@ let exp_gemm () =
     "(ns/flop over the nominal 2n^3 flops of an n x n product; the Van \
      Loan operand's zero block is skipped by the kernel's support bounds,\n \
      and the ladder's sparse rows run as row axpys over their nonzeros)\n";
-  (* one augmented Van Loan discretisation: the 2n x 2n expm plus the
-     products around it *)
+  (* one augmented Van Loan discretisation: the block-structured
+     exponential (F12 and F22 of the 2n matrix) plus the products
+     around it *)
   let tv = Table.create [ "n"; "operand"; "discretize_ms"; "bytes" ] in
   let random n =
     let a =
@@ -1066,6 +1067,33 @@ let step_smoke cases =
     (if !equal then "ok" else "FAIL");
   !equal
 
+(* Words [f] allocates: the minor words, read with [Gc.minor_words]
+   (which counts the live minor-heap chunk), plus the words allocated
+   directly in the major heap (major less promoted), around a run
+   fenced by [Gc.minor ()] so that every promotion it causes is
+   counted, and by a major slice, which folds the domain's pending
+   major allocations into [Gc.quick_stat]'s counts (OCaml 5.1 adds them
+   only at a slice); less the words of the readings themselves.
+   [Gc.allocated_bytes] advances only in minor-heap quanta. *)
+let alloc_words f =
+  let fence () =
+    Gc.minor ();
+    ignore (Gc.major_slice 0)
+  in
+  let reading g =
+    fence ();
+    let s0 = Gc.quick_stat () in
+    let m0 = Gc.minor_words () in
+    g ();
+    let m1 = Gc.minor_words () in
+    fence ();
+    let s1 = Gc.quick_stat () in
+    let direct (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+    m1 -. m0 +. (direct s1 -. direct s0)
+  in
+  let overhead = reading ignore in
+  reading f -. overhead
+
 let exp_kern () =
   header "EXP-K1  per-point allocation: Schur sweep vs dense reference";
   let module Cx = Scnoise_linalg.Cx in
@@ -1073,20 +1101,22 @@ let exp_kern () =
   let module Ctrap = Scnoise_ode.Ctrapezoid in
   (* per-PSD-point allocation: a default PSD point against one
      reference periodic-BVP solve ([Oracle.bvp_reference], dense complex
-     LU on every interval) into a preallocated output buffer.  [Gc.allocated_bytes] advances at GC
-     boundaries, so only high rep counts give a stable per-call
-     figure. *)
+     LU on every interval) into a preallocated output buffer, counted
+     in words ([alloc_words]) *)
   let b = LP.build LP.default in
   let eng = Psd.prepare ~samples_per_phase:128 b.LP.sys ~output:b.LP.output in
   let freqs = [| 100.0; 1e3; 4e3; 8e3; 16e3 |] in
   let per_point point =
     Array.iter point freqs;
     let reps = 400 in
-    let a0 = Gc.allocated_bytes () in
-    for _ = 1 to reps do
-      Array.iter point freqs
-    done;
-    (Gc.allocated_bytes () -. a0) /. float_of_int (reps * Array.length freqs)
+    let words =
+      alloc_words (fun () ->
+          for _ = 1 to reps do
+            Array.iter point freqs
+          done)
+    in
+    words *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (reps * Array.length freqs)
   in
   let sweep_b = per_point (fun f -> ignore (Psd.psd eng ~f)) in
   let ref_b =
@@ -1615,6 +1645,126 @@ let pade_table () =
     (if !bits_ok then "ok" else "FAIL");
   !bits_ok
 
+(* [f] with the named histograms put back as they were before it. *)
+let unrecorded names f =
+  let hs = List.map (fun name -> Obs.histogram name) names in
+  let before = List.map Hist.snapshot hs in
+  let r = f () in
+  List.iter2
+    (fun (h : Hist.t) (s : Hist.snapshot) ->
+      Array.iteri (fun i c -> Atomic.set h.Hist.h_counts.(i) c) s.Hist.s_counts)
+    hs before;
+  r
+
+(* EXP-C7: the grid's Van Loan exponentials on their block structure.
+   Every distinct operator of ladder-40, ladder-100 and sc_lowpass at
+   the default density, through [Vanloan.discretize] (the Padé on the
+   three n×n blocks, F12 and F22 only) and through [Oracle.vanloan]
+   (the 2n composition it replaced): Phi and Qd bit for bit, each
+   side's time for one pass over the operators (minimum over
+   interleaved rounds) and its Padé solves' multiply-adds.  The
+   counts and rcond records these runs add are taken back.  Prints
+   VANLOAN-SMOKE and returns whether every operator is bitwise
+   equal. *)
+let vanloan_table () =
+  let module Vanloan = Scnoise_linalg.Vanloan in
+  let module Expm = Scnoise_linalg.Expm in
+  let ladder stages =
+    (LAD.build (LAD.with_parasitics (LAD.with_stages stages))).LAD.sys
+  in
+  let t =
+    Table.create
+      [ "circuit"; "n"; "ops"; "max_s"; "ms"; "oracle_ms"; "speedup";
+        "solve_madds"; "oracle_madds"; "bits" ]
+  in
+  let madds_c = Obs.counter "lu_solve_madds" in
+  let bits_ok = ref true and n100 = ref (nan, nan, 0) in
+  List.iter
+    (fun (name, (sys : Pwl.t)) ->
+      let ops =
+        Array.map
+          (fun (p, h) ->
+            let ph = sys.Pwl.phases.(p) in
+            (ph.Pwl.a, ph.Pwl.q, h))
+          (Covariance.steps sys)
+      in
+      let pass f = Array.iter (fun (a, q, tau) -> ignore (f ~a ~q ~tau)) ops in
+      let madds f =
+        let m0 = Obs.value madds_c in
+        pass f;
+        Obs.value madds_c - m0
+      in
+      let shipped = Vanloan.discretize and oracle = Oracle.vanloan in
+      let quiet f =
+        uncounted
+          [ "expm_calls"; "lu_factorizations"; "lu_solves"; "lu_solve_madds";
+            "lu_ill_conditioned" ]
+          (fun () -> unrecorded [ "lu.rcond" ] f)
+      in
+      let equal =
+        quiet @@ fun () ->
+        Array.for_all
+          (fun (a, q, tau) ->
+            let d = shipped ~a ~q ~tau and o = oracle ~a ~q ~tau in
+            Oracle.bits_equal (Mat.data d.Vanloan.phi) (Mat.data o.Vanloan.phi)
+            && Oracle.bits_equal (Mat.data d.Vanloan.qd)
+                 (Mat.data o.Vanloan.qd))
+          ops
+      in
+      if not equal then bits_ok := false;
+      let max_s =
+        Array.fold_left
+          (fun acc (a, q, tau) ->
+            let stiff = Mat.norm_inf a *. tau in
+            let tau =
+              if stiff <= Vanloan.stiff_threshold then tau
+              else tau /. ceil (stiff /. Vanloan.stiff_threshold)
+            in
+            max acc
+              (Expm.squarings (Mat.norm_inf (Oracle.augmented ~a ~q ~tau))))
+          0 ops
+      in
+      let ms, oracle_ms, m, om =
+        quiet (fun () ->
+            let m = madds shipped and om = madds oracle in
+            let best = ref infinity and best_o = ref infinity in
+            for _ = 1 to 5 do
+              best := Float.min !best (wall_ms (fun () -> pass shipped));
+              best_o := Float.min !best_o (wall_ms (fun () -> pass oracle))
+            done;
+            (!best, !best_o, m, om))
+      in
+      let n = sys.Pwl.nstates in
+      if name = "ladder-100" then n100 := (ms, oracle_ms, m);
+      Table.add_row t
+        [
+          name; string_of_int n; string_of_int (Array.length ops);
+          string_of_int max_s;
+          Printf.sprintf "%.2f" ms;
+          Printf.sprintf "%.2f" oracle_ms;
+          Printf.sprintf "%.2fx" (oracle_ms /. ms);
+          string_of_int m; string_of_int om;
+          (if equal then "equal" else "MISMATCH");
+        ])
+    (* building a circuit factors its capacitance matrix *)
+    (uncounted [ "lu_factorizations" ] (fun () ->
+         [ ("ladder-40", ladder 20); ("ladder-100", ladder 50);
+           ("sc_lowpass", (LP.build LP.default).LP.sys) ]));
+  Table.print t;
+  Printf.printf
+    "(every distinct grid operator at the default density: the Padé on \
+     the three n×n blocks, F12 and F22 only, against Expm.expm of the \
+     assembled 2n matrix;\n max_s = the largest scaling exponent; \
+     *_madds = lu_solve_madds of one pass)\n";
+  let ms, oracle_ms, m = !n100 in
+  Printf.printf
+    "VANLOAN-SMOKE: n100_ms=%.2f oracle_ms=%.2f n100_solve_madds=%d \
+     bits=%s ok=%s\n"
+    ms oracle_ms m
+    (if !bits_ok then "equal" else "MISMATCH")
+    (if !bits_ok then "ok" else "FAIL");
+  !bits_ok
+
 (* [Eig.hessenberg] (flat, row by row) against the column loop it
    replaced ([Oracle.hessenberg]) on the ladder-100 phase matrices and
    monodromy the BVP reduces: min-of-10 times and H, U bit for bit.
@@ -1874,6 +2024,7 @@ let exp_cov () =
      operators, run maps, k0, the monodromy, Q — no K(t_i) or Phi(t_i, 0))\n";
   let solve_bits = solve_table () in
   let pade_bits = pade_table () in
+  let vanloan_bits = vanloan_table () in
   let hess_bits = hessenberg_table (Option.get !ladder100) in
   let schur_ok = schur_table (Option.get !ladder100) in
   let ok = parity_db <= 1e-9 && !counts_ok in
@@ -1893,7 +2044,10 @@ let exp_cov () =
      n100_chain_cols=%d max_rel=%.2e ok=%s\n"
     !products_at_100 !forcing_at_100 !cols_at_100 !forcing_rel_at_100
     (if forcing_ok then "ok" else "FAIL");
-  if not (ok && solve_bits && pade_bits && forcing_ok && hess_bits && schur_ok)
+  if
+    not
+      (ok && solve_bits && pade_bits && vanloan_bits && forcing_ok && hess_bits
+     && schur_ok)
   then exit 1
 
 let experiments =

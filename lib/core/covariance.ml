@@ -90,14 +90,9 @@ let step_key ~norm_a h =
 
 let default_samples_per_phase = 96
 
-let discretized_grid ?(samples_per_phase = default_samples_per_phase)
-    ?(grid = `Stretched) ?pool (sys : Pwl.t) =
-  (* The layout and the memo are cheap and stay serial, assigning
-     operators in first-occurrence order; the distinct discretisations
-     (a matrix exponential each) are independent, so they fan out
-     across the pool and land by index, making the parallel grid
-     bit-identical to the serial one. *)
-  let pool = match pool with Some p -> p | None -> Pool.global () in
+(* The grid's layout and the distinct (phase, step) pairs of its
+   operators, in order of first occurrence. *)
+let layout ~samples_per_phase ~grid (sys : Pwl.t) =
   let times = ref [ 0.0 ] and phases = ref [] and ops = ref [] in
   let distinct = ref [] and count = ref 0 in
   let memo = Hashtbl.create 32 in
@@ -130,20 +125,37 @@ let discretized_grid ?(samples_per_phase = default_samples_per_phase)
       done;
       offset := !offset +. ph.Pwl.tau)
     sys.Pwl.phases;
+  (!times, !phases, !ops, Array.of_list (List.rev !distinct))
+
+let steps ?(samples_per_phase = default_samples_per_phase) ?(grid = `Stretched)
+    sys =
+  let _, _, _, distinct = layout ~samples_per_phase ~grid sys in
+  distinct
+
+let discretized_grid ?(samples_per_phase = default_samples_per_phase)
+    ?(grid = `Stretched) ?pool (sys : Pwl.t) =
+  (* The layout and the memo are cheap and stay serial, assigning
+     operators in first-occurrence order; the distinct discretisations
+     (a matrix exponential each) are independent, so they fan out
+     across the pool and land by index, making the parallel grid
+     bit-identical to the serial one. *)
+  let pool = match pool with Some p -> p | None -> Pool.global () in
+  let times, phases, ops, distinct = layout ~samples_per_phase ~grid sys in
   let g_ops =
     Pool.map pool
       (fun _ (p, h) ->
         let ph = sys.Pwl.phases.(p) in
         Vanloan.discretize ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:h)
-      (Array.of_list (List.rev !distinct))
+      distinct
   in
-  let g_op = Array.of_list (List.rev !ops) in
+  Vanloan.release_buffers ();
+  let g_op = Array.of_list (List.rev ops) in
   Log.debug (fun m ->
       m "grid: %d intervals share %d distinct step operators"
         (Array.length g_op) (Array.length g_ops));
   {
-    g_times = Array.of_list (List.rev !times);
-    g_phase = Array.of_list (List.rev !phases);
+    g_times = Array.of_list (List.rev times);
+    g_phase = Array.of_list (List.rev phases);
     g_ops;
     g_op;
     g_disc = Array.map (fun op -> g_ops.(op)) g_op;
@@ -213,14 +225,17 @@ let iter_steps ops interval_op runs f =
           done)
     runs
 
-(* Phi(T, 0), one product per step.  {!output_trace} forms
-   Phi(t_i, 0) with the same products in the same order, so the two
-   agree bit for bit. *)
+(* Phi(T, 0), one product per step between two owned buffers.
+   {!output_trace} forms Phi(t_i, 0) with the same products in the
+   same order, so the two agree bit for bit. *)
 let monodromy ops interval_op runs n =
-  let t = ref (Mat.identity n) in
+  let t = ref (Mat.identity n) and next = ref (Mat.create n n) in
   iter_steps ops interval_op runs (fun d ->
       Obs.incr c_products;
-      t := Mat.mul d.Vanloan.phi !t);
+      Mat.mul_into d.Vanloan.phi !t !next;
+      let x = !t in
+      t := !next;
+      next := x);
   !t
 
 (* Process noise accumulated over one period from K = 0, step by step

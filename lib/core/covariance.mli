@@ -95,6 +95,14 @@ val discretized_grid :
     discretisations are independent and run across [pool] (default:
     the shared pool) with bit-identical results at any job count. *)
 
+val steps :
+  ?samples_per_phase:int -> ?grid:grid_kind -> Pwl.t -> (int * float) array
+(** The (phase, step) pairs {!discretized_grid} discretises, one per
+    distinct key, in the order of its [g_ops]: operator [i] is
+    [Vanloan.discretize] of phase [fst steps.(i)] over [snd steps.(i)].
+    For benchmarks and tests that take the grid's exponentials one by
+    one. *)
+
 val sample :
   ?samples_per_phase:int -> ?grid:grid_kind -> ?pool:Scnoise_par.Pool.t ->
   Pwl.t -> sampled

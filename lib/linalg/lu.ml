@@ -24,12 +24,9 @@ let ill_conditioned_rcond = 1e-12
    1e-12 counter trips.  Always-on (one atomic add per factorisation). *)
 let h_rcond = Obs.histogram "lu.rcond"
 
-let factor m =
-  if not (Mat.is_square m) then invalid_arg "Lu.factor: not square";
-  Sanitize.check_mat "Lu.factor" m;
+(* Factors the [n × n] row-major [lu] in place. *)
+let factor_data n lu =
   Obs.incr c_factorizations;
-  let n = Mat.rows m in
-  let lu = Array.copy (Mat.data m) in
   let piv = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
@@ -83,6 +80,16 @@ let factor m =
      if !mn < ill_conditioned_rcond *. !mx then Obs.incr c_ill_conditioned
    end);
   t
+
+let factor m =
+  if not (Mat.is_square m) then invalid_arg "Lu.factor: not square";
+  Sanitize.check_mat "Lu.factor" m;
+  factor_data (Mat.rows m) (Array.copy (Mat.data m))
+
+let factor_in_place m =
+  if not (Mat.is_square m) then invalid_arg "Lu.factor_in_place: not square";
+  Sanitize.check_mat "Lu.factor" m;
+  factor_data (Mat.rows m) (Mat.data m)
 
 let solve_in_place t x =
   let n = t.n in
@@ -317,14 +324,22 @@ let c_solve_madds = Obs.counter "lu_solve_madds"
 
 (* All right-hand sides at once, row by row; the [lu_solves] counter
    still counts one solve per column. *)
-let solve_mat t b =
-  if Mat.rows b <> t.n then invalid_arg "Lu.solve_mat: dimension mismatch";
+let solve_mat_into t b ~out =
+  if Mat.rows b <> t.n || Mat.rows out <> t.n || Mat.cols out <> Mat.cols b
+  then invalid_arg "Lu.solve_mat_into: dimension mismatch";
+  let o = Mat.data out in
+  if t.n > 0 && Mat.cols b > 0 && (o == Mat.data b || o == t.lu) then
+    invalid_arg "Lu.solve_mat_into: aliased output";
   Sanitize.check_mat "Lu.solve" b;
   let nc = Mat.cols b in
   Obs.add c_solves nc;
-  let out = Mat.create t.n nc in
   Obs.add c_solve_madds (solve_rows t ~w:nc ~b:(Mat.data b) ~x:(Mat.data out));
-  Sanitize.check_mat "Lu.solve (result)" out;
+  Sanitize.check_mat "Lu.solve (result)" out
+
+let solve_mat t b =
+  if Mat.rows b <> t.n then invalid_arg "Lu.solve_mat: dimension mismatch";
+  let out = Mat.create t.n (Mat.cols b) in
+  solve_mat_into t b ~out;
   out
 
 let packed t =

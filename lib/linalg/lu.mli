@@ -12,6 +12,12 @@ val factor : Mat.t -> t
 (** Factor a square matrix.  Raises [Invalid_argument] if not square and
     {!Singular} if structurally singular. *)
 
+val factor_in_place : Mat.t -> t
+(** {!factor} in the matrix's own storage, which the factorisation
+    keeps: the matrix holds the packed factors afterwards and must not
+    be written while the factorisation is in use.  Same counters,
+    exceptions and bits as {!factor}. *)
+
 val solve : t -> Vec.t -> Vec.t
 (** Solve [A x = b] for one right-hand side. *)
 
@@ -28,6 +34,12 @@ val solve_mat : t -> Mat.t -> Mat.t
     rows are finite and [B] holds no [-0.0], and the pass runs every
     term once that fails.  The [lu_solve_madds] counter advances by the
     multiply-adds run, at most [n (n − 1)] per column. *)
+
+val solve_mat_into : t -> Mat.t -> out:Mat.t -> unit
+(** [solve_mat_into lu b ~out] writes [solve_mat lu b] into [out], bit
+    for bit and with the same counters, allocating nothing.  Raises
+    [Invalid_argument] on mismatched dimensions or when [out] shares
+    storage with [b] or with the factors. *)
 
 val packed : t -> Mat.t * int array
 (** Copies of the packed factors (unit [L] below the diagonal, [U] on

@@ -9,10 +9,26 @@
       [Qd = ∫_0^tau e^{A s} B Bᵀ e^{Aᵀ s} ds],
 
     via the matrix exponential of the augmented block matrix
-    [[-A, B Bᵀ; 0, Aᵀ] tau].  The covariance propagates across the
-    interval as [K(tau) = Phi K(0) Phiᵀ + Qd].  One binary powering of
-    that affine map ({!repeat}) serves stiff intervals, runs of grid
-    intervals and, in {!Lyapunov}, the map's fixed point. *)
+    [M = [[-A, B Bᵀ; 0, Aᵀ] tau] = [[F11, F12]; [0, F22]]], with
+    [Phi = F22ᵀ] and [Qd] the symmetric part of [Phi F12].  The exponential is taken on M's
+    three n×n blocks ({!Btri}) and forms only F12 and F22: the Padé
+    powers, U, V and the squarings as blocks (the zero block never
+    formed), the solve on the right block column only, the last
+    squaring on that column only.  Every entry keeps the float
+    operations, in their order, of {!Expm.expm} on the assembled 2n
+    matrix (the identity's [0.0] terms and the scaling exponent from the
+    2n row sums included), so for finite operands [Phi] and [Qd] are
+    that composition's bit for bit; the test-side [Oracle.vanloan]
+    keeps it as the reference.  One exponential advances [expm_calls]
+    and [lu_factorizations] by one each, as {!Expm.expm} does.  Its
+    work buffers (26 n² floats) are held per domain and reused by the
+    next exponential of the same [n]; a caller that has taken a batch
+    drops them with {!release_buffers}.
+
+    The covariance propagates across the interval as
+    [K(tau) = Phi K(0) Phiᵀ + Qd].  One binary powering of that affine
+    map ({!repeat}) serves stiff intervals, runs of grid intervals and,
+    in {!Lyapunov}, the map's fixed point. *)
 
 type t = { phi : Mat.t; qd : Mat.t }
 
@@ -26,9 +42,12 @@ val discretize : a:Mat.t -> q:Mat.t -> tau:float -> t
     and {!repeat} composes [c] of it.  This holds for any [a], singular
     or lossless included. *)
 
-val augmented : a:Mat.t -> q:Mat.t -> tau:float -> Mat.t
-(** The augmented matrix [[-A, Q; 0, Aᵀ] tau] whose exponential the
-    non-stiff branch of {!discretize} takes. *)
+val release_buffers : unit -> unit
+(** Drops the calling domain's work buffers of {!discretize}, which
+    are otherwise kept for the next exponential: a covariance grid
+    calls it once its exponentials are taken, so that the buffers are
+    not live data through the rest of a request.  Outputs do not depend
+    on it. *)
 
 val stiff_threshold : float
 (** The [norm(a) * tau] value above which {!discretize} composes

@@ -106,7 +106,10 @@ let[@inline] set_pair inv ~m0 ~m1 x ~k0 ~k1 y0r y0i y1r y1i =
   Array.unsafe_set x k1 (((y0r *. rr) -. (y0i *. ri)) +. ((y1r *. sr) -. (y1i *. si)));
   Array.unsafe_set x (k1 + 1) (((y0r *. ri) +. (y0i *. rr)) +. ((y1r *. si) +. (y1i *. sr)))
 
-let schur_start t ~tmat ~col ~d ~alpha =
+(* Both starts: [d = dr + j di], [alpha = ar + j ai] as plain floats,
+   inlined into each caller, since a non-flambda build boxes the float
+   arguments of a call. *)
+let[@inline] start t ~tmat ~col ~shifted dr di ar ai =
   let n = t.sn and w = t.sw in
   if col < 0 || col >= w then invalid_arg "Ctrapezoid.schur_start: bad column";
   if Mat.rows tmat.qm <> n then
@@ -114,7 +117,6 @@ let schur_start t ~tmat ~col ~d ~alpha =
   t.tq <- tmat;
   t.shifted.(col) <- false;
   let td = Mat.data tmat.qm and pair = tmat.pair and inv = t.inv in
-  let dr = d.Cx.re and di = d.Cx.im and ar = alpha.Cx.re and ai = alpha.Cx.im in
   t.coef.(3 * col) <- di;
   t.coef.((3 * col) + 1) <- ar;
   t.coef.((3 * col) + 2) <- ai;
@@ -153,13 +155,16 @@ let schur_start t ~tmat ~col ~d ~alpha =
       inv.(k1 + 3) <- (m11r *. ri) +. (m11i *. rr);
       i := s + 2
     end
-  done
+  done;
+  t.shifted.(col) <- shifted
+
+let schur_start t ~tmat ~col ~d ~alpha =
+  start t ~tmat ~col ~shifted:false d.Cx.re d.Cx.im alpha.Cx.re alpha.Cx.im
 
 let schur_start_shifted t ~tmat ~h ~col ~omega =
   if h <= 0.0 then invalid_arg "Ctrapezoid.schur_start_shifted: h <= 0";
   let w = 0.5 *. h in
-  schur_start t ~tmat ~col ~d:(Cx.make 1.0 (w *. omega)) ~alpha:(Cx.re w);
-  t.shifted.(col) <- true
+  start t ~tmat ~col ~shifted:true 1.0 (w *. omega) w 0.0
 
 (* Back-substitution over T's diagonal blocks, bottom up, with every
    column's sums in registers: for column b and the block [s .. e]

@@ -95,6 +95,48 @@ let pade13 a =
   in
   { Expm.lhs = Mat.sub v u; rhs = Mat.add v u; squarings = s }
 
+(* The Van Loan matrix M = [[-A, Q], [0, Aᵀ]] tau, assembled at 2n. *)
+let augmented ~a ~q ~tau =
+  let n = Mat.rows a in
+  let n2 = 2 * n in
+  let m = Mat.create n2 n2 in
+  let md = Mat.data m and ad = Mat.data a and qs = Mat.data q in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      md.((i * n2) + j) <- -.tau *. ad.((i * n) + j);
+      md.((i * n2) + n + j) <- tau *. qs.((i * n) + j);
+      md.(((n + i) * n2) + n + j) <- tau *. ad.((j * n) + i)
+    done
+  done;
+  m
+
+(* One augmented step by the 2n composition [Vanloan] replaced:
+   [Expm.expm] of the assembled M, then F12 and F22 read out of it,
+   Phi = F22ᵀ and Qd = sym (Phi F12). *)
+let vanloan_step ~a ~q ~tau =
+  let n = Mat.rows a in
+  if tau = 0.0 then { Vanloan.phi = Mat.identity n; qd = Mat.create n n }
+  else begin
+    let n2 = 2 * n in
+    let f = Expm.expm (augmented ~a ~q ~tau) in
+    let fd = Mat.data f in
+    let f12 = Mat.init n n (fun i j -> fd.((i * n2) + n + j))
+    and phi = Mat.init n n (fun i j -> fd.(((n + j) * n2) + n + i)) in
+    { Vanloan.phi; qd = Mat.symmetrize (Mat.mul phi f12) }
+  end
+
+(* [Vanloan.discretize] with each augmented exponential taken by the 2n
+   composition: above the stiffness threshold, the same sub-step
+   composed by [Vanloan.repeat]. *)
+let vanloan ~a ~q ~tau =
+  let stiffness = Mat.norm_inf a *. tau in
+  if stiffness <= Vanloan.stiff_threshold then vanloan_step ~a ~q ~tau
+  else
+    let chunks = int_of_float (ceil (stiffness /. Vanloan.stiff_threshold)) in
+    Vanloan.repeat
+      (vanloan_step ~a ~q ~tau:(tau /. float_of_int chunks))
+      chunks
+
 (* The Householder reduction to Hessenberg form that [Eig.hessenberg]
    replaced, on a [float array array] with the textbook column loop:
    the left update forms each column's s_j = sum_i v_i a_ij and updates

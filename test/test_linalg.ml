@@ -1039,7 +1039,7 @@ let test_solve_mat_bitwise () =
   let ph = sys.Pwl.phases.(0) in
   let pade =
     Expm.pade13
-      (Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:(ph.Pwl.tau /. 48.0))
+      (Oracle.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:(ph.Pwl.tau /. 48.0))
   in
   let lu = Lu.factor pade.Expm.lhs in
   check_solve_mat "solve_mat ladder Padé system" lu pade.Expm.rhs;
@@ -1220,7 +1220,7 @@ let ladder_vanloan stages phase =
       .Ladder.sys
   in
   let ph = sys.Scnoise_circuit.Pwl.phases.(phase) in
-  Vanloan.augmented ~a:ph.Scnoise_circuit.Pwl.a ~q:ph.Scnoise_circuit.Pwl.q
+  Oracle.augmented ~a:ph.Scnoise_circuit.Pwl.a ~q:ph.Scnoise_circuit.Pwl.q
     ~tau:(ph.Scnoise_circuit.Pwl.tau /. 48.0)
 
 let test_mul_ladder_vanloan () =
@@ -1330,7 +1330,7 @@ let test_pade13_oracle () =
               if stiffness <= Vanloan.stiff_threshold then h
               else h /. ceil (stiffness /. Vanloan.stiff_threshold)
             in
-            let m = Vanloan.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau in
+            let m = Oracle.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau in
             let e = Oracle.pade13 m and x = Expm.pade13 m in
             let msg = Printf.sprintf "%s phase %d h=%h" name p h in
             check_bits (msg ^ " lhs") (Mat.data e.Expm.lhs) (Mat.data x.Expm.lhs);
@@ -1342,6 +1342,245 @@ let test_pade13_oracle () =
     [ ("ladder-40", ladder 20); ("ladder-100", ladder 50);
       ("sc_lowpass", (LP.build LP.default).LP.sys);
       ("sc_bandpass", (BP.build BP.default).BP.sys) ]
+
+(* --- the block-structured Van Loan exponential ---
+
+   [Vanloan.discretize] runs the Padé exponential on the three n×n
+   blocks of [[-A, Q], [0, Aᵀ]] tau and forms only F12 and F22;
+   [Oracle.vanloan] is the 2n composition it replaced ([Expm.expm] of
+   the assembled matrix, then the blocks read out).  Phi and Qd must
+   agree bit for bit, and so must the exponential and factorisation
+   counts. *)
+
+let count name f =
+  let c0 = Scnoise_obs.Obs.counter_value name in
+  let r = f () in
+  (r, Scnoise_obs.Obs.counter_value name - c0)
+
+(* Whether the shipped and the oracle discretisation agree bit for bit,
+   with the same [expm_calls] and [lu_factorizations]; fails with
+   [msg] otherwise. *)
+let check_vanloan msg ~a ~q ~tau =
+  let run f =
+    let (d, calls), facts =
+      count "lu_factorizations" (fun () -> count "expm_calls" f)
+    in
+    (d, calls, facts)
+  in
+  let d, calls, facts = run (fun () -> Vanloan.discretize ~a ~q ~tau)
+  and o, ocalls, ofacts = run (fun () -> Oracle.vanloan ~a ~q ~tau) in
+  check_bits (msg ^ " phi") (Mat.data o.Vanloan.phi) (Mat.data d.Vanloan.phi);
+  check_bits (msg ^ " qd") (Mat.data o.Vanloan.qd) (Mat.data d.Vanloan.qd);
+  Alcotest.(check int) (msg ^ " expm_calls") ocalls calls;
+  Alcotest.(check int) (msg ^ " lu_factorizations") ofacts facts
+
+(* [Lu.factor_in_place] is [Lu.factor] in the matrix's own storage and
+   [Lu.solve_mat_into] is [Lu.solve_mat] into a given matrix, bit for
+   bit; an output sharing the right-hand side's or the factors' storage
+   is refused. *)
+let test_lu_in_place () =
+  let rng = Random.State.make [| 0x1a2 |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  List.iter
+    (fun n ->
+      let a = Mat.init n n (fun i j -> if i = j then 3.0 +. rnd () else rnd ()) in
+      let b = Mat.init n 5 (fun _ _ -> rnd ()) in
+      let lu = Lu.factor a in
+      let m = Mat.copy a in
+      let lu' = Lu.factor_in_place m in
+      let f, piv = Lu.packed lu and f', piv' = Lu.packed lu' in
+      check_bits "factor_in_place factors" (Mat.data f) (Mat.data f');
+      Alcotest.(check (array int)) "factor_in_place pivots" piv piv';
+      check_bits "factor_in_place keeps them in the matrix" (Mat.data f)
+        (Mat.data m);
+      let out = Mat.create n 5 in
+      Lu.solve_mat_into lu' b ~out;
+      check_bits "solve_mat_into" (Mat.data (Lu.solve_mat lu b)) (Mat.data out);
+      let refused what f =
+        match f () with
+        | () -> Alcotest.failf "solve_mat_into accepted %s" what
+        | exception Invalid_argument _ -> ()
+      in
+      refused "out = b" (fun () -> Lu.solve_mat_into lu b ~out:b);
+      if n = 5 then
+        refused "out = the factors" (fun () -> Lu.solve_mat_into lu' b ~out:m))
+    [ 1; 5; 12 ]
+
+(* [Btri.mul] against the i-k-j loop on the assembled 2n matrices, its
+   zero block included: dense, banded, sparse and empty block rows (the
+   tile and axpy paths), signed zeros, and n from 1 to 13 so that the
+   tiles' column remainders run.  With [~left:false], C11 keeps what
+   it held. *)
+let test_btri_mul () =
+  let module Btri = Scnoise_linalg.Btri in
+  let rng = Random.State.make [| 0xb7e1 |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let entry kind i k =
+    match kind with
+    | 0 -> rnd ()
+    | 1 -> if abs (i - k) <= 1 then rnd () else 0.0
+    | 2 -> (
+        match Random.State.int rng 4 with 0 -> rnd () | 1 -> -0.0 | _ -> 0.0)
+    | _ -> if i mod 3 = 0 then 0.0 else rnd ()
+  in
+  let random n kind =
+    let b = Btri.create n in
+    let d = Btri.data b in
+    List.iter
+      (fun blk ->
+        let o = Btri.offset b blk in
+        for i = 0 to n - 1 do
+          for k = 0 to n - 1 do
+            d.(o + (i * n) + k) <- entry kind i k
+          done
+        done)
+      [ Btri.x11; Btri.x12; Btri.x22 ];
+    Btri.classify b;
+    b
+  in
+  let assemble n b =
+    let d = Btri.data b in
+    Mat.init (2 * n) (2 * n) (fun i j ->
+        if i < n && j < n then d.(Btri.offset b Btri.x11 + (i * n) + j)
+        else if i < n then d.(Btri.offset b Btri.x12 + (i * n) + j - n)
+        else if j < n then 0.0
+        else d.(Btri.offset b Btri.x22 + ((i - n) * n) + j - n))
+  in
+  for n = 1 to 13 do
+    for kx = 0 to 3 do
+      for ky = 0 to 3 do
+        let x = random n kx and y = random n ky in
+        let assemble = assemble n in
+        let c = Btri.create n in
+        Btri.mul x y c;
+        let full = Oracle.gemm_mat (assemble x) (assemble y) in
+        let msg = Printf.sprintf "n=%d kinds %d x %d" n kx ky in
+        check_bits msg (Mat.data full) (Mat.data (assemble c));
+        let stale = Array.copy (Btri.data c) in
+        Btri.mul ~left:false y x c;
+        let full = Oracle.gemm_mat (assemble y) (assemble x) in
+        let got = assemble c in
+        for i = 0 to (2 * n) - 1 do
+          for j = 0 to (2 * n) - 1 do
+            let v = Mat.get got i j in
+            let want =
+              if i < n && j < n then stale.(Btri.offset c Btri.x11 + (i * n) + j)
+              else Mat.get full i j
+            in
+            if Int64.bits_of_float v <> Int64.bits_of_float want then
+              Alcotest.failf "%s ~left:false (%d, %d): %h, want %h" msg i j v
+                want
+          done
+        done
+      done
+    done
+  done
+
+(* Random blocks of n = 1 .. 12 with tau scaled so that the scaling
+   exponent s runs from 0 to 5; a zero row in A (a held node: A
+   singular), and Q with signed zeros and all-zero rows.  Q dominates
+   the norm as s grows, so ‖A‖tau stays in the augmented range. *)
+let vanloan_case_gen =
+  QCheck.Gen.(
+    triple (int_range 1 12) (int_range 0 5) (int_range 0 0x3fff_ffff))
+
+let vanloan_case (n, s, seed) =
+  let rng = Random.State.make [| seed |] in
+  let rnd () = Random.State.float rng 2.0 -. 1.0 in
+  let held = Random.State.int rng (n + 1) in
+  let a =
+    Mat.init n n (fun i j ->
+        if i = held then 0.0
+        else if Random.State.int rng 4 = 0 then 0.0
+        else rnd () -. if i = j then 2.0 else 0.0)
+  in
+  let qscale = 4.0 *. (2.0 ** float_of_int s) in
+  let zero_row = Random.State.int rng (n + 1) in
+  let q =
+    Mat.init n n (fun i j ->
+        if i = zero_row then if Random.State.bool rng then 0.0 else -0.0
+        else
+          match Random.State.int rng 5 with
+          | 0 -> 0.0
+          | 1 -> -0.0
+          | _ -> qscale *. rnd () +. if i = j then qscale else 0.0)
+  in
+  let norm = Mat.norm_inf (Oracle.augmented ~a ~q ~tau:1.0) in
+  let u = 0.55 +. (0.4 *. Random.State.float rng 1.0) in
+  let tau =
+    if norm = 0.0 then 1.0 else 5.371920351148152 *. (2.0 ** float_of_int s) *. u /. norm
+  in
+  (a, q, tau)
+
+let prop_vanloan_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"discretize == 2n composition, bit for bit"
+    (QCheck.make
+       ~print:(fun (n, s, seed) -> Printf.sprintf "n=%d s=%d seed=%d" n s seed)
+       vanloan_case_gen)
+    (fun ((n, s, seed) as case) ->
+      let a, q, tau = vanloan_case case in
+      check_vanloan (Printf.sprintf "n=%d s=%d seed=%d" n s seed) ~a ~q ~tau;
+      true)
+
+(* The random cases reach every scaling exponent from 0 to 5 on the
+   augmented (non-stiff) path. *)
+let test_vanloan_cases_cover_squarings () =
+  let seen = Array.make 6 false in
+  for seed = 0 to 199 do
+    let n = 1 + (seed mod 12) and s = seed mod 6 in
+    let a, q, tau = vanloan_case (n, s, seed) in
+    if Mat.norm_inf a *. tau <= Vanloan.stiff_threshold then begin
+      let got =
+        (Expm.pade13 (Oracle.augmented ~a ~q ~tau)).Expm.squarings
+      in
+      if got <= 5 then seen.(got) <- true
+    end
+  done;
+  Array.iteri
+    (fun s hit ->
+      if not hit then Alcotest.failf "no augmented case with s = %d" s)
+    seen
+
+(* Every distinct step of the shipped circuits' grids and of the
+   ladders, the stiff 10 ohm ladder-100 included (its steps are
+   composed sub-steps). *)
+let test_vanloan_oracle_decks () =
+  let module Pwl = Scnoise_circuit.Pwl in
+  let module Ladder = Scnoise_circuits.Sc_ladder in
+  let module LP = Scnoise_circuits.Sc_lowpass in
+  let module BP = Scnoise_circuits.Sc_bandpass in
+  let module SCI = Scnoise_circuits.Sc_integrator in
+  let module DS = Scnoise_circuits.Sc_delta_sigma in
+  let module RC = Scnoise_circuits.Switched_rc in
+  let ladder p = (Ladder.build (Ladder.with_parasitics p)).Ladder.sys in
+  List.iter
+    (fun (name, sys) ->
+      let _, steps = Oracle.covariance_grid ~samples_per_phase:96 sys in
+      let seen = Hashtbl.create 64 in
+      Array.iter
+        (fun (p, h) ->
+          let key = (p, Int64.bits_of_float h) in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            let ph = sys.Pwl.phases.(p) in
+            check_vanloan
+              (Printf.sprintf "%s phase %d h=%h" name p h)
+              ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau:h
+          end)
+        steps)
+    [ ("switched_rc", (RC.build RC.default).RC.sys);
+      ("sc_lowpass", (LP.build LP.default).LP.sys);
+      ("sc_integrator", (SCI.build SCI.default).SCI.sys);
+      ("sc_bandpass", (BP.build BP.default).BP.sys);
+      ("sc_delta_sigma", (DS.build DS.default).DS.sys);
+      ("ladder-8", ladder (Ladder.with_stages 4));
+      ("ladder-40", ladder (Ladder.with_stages 20));
+      ("ladder-100", ladder (Ladder.with_stages 50));
+      ( "stiff ladder-100",
+        ladder
+          { (Ladder.with_stages 50) with Ladder.r = 10.0; r_switch = 10.0 } );
+    ]
 
 (* The affine-map chains step through buffers they own: binary
    powering over 1000 steps and the doubling steady state each allocate
@@ -1577,6 +1816,15 @@ let () =
             test_mul_row_classes;
           Alcotest.test_case "pade13 == composition oracle" `Quick
             test_pade13_oracle;
+          Alcotest.test_case "Btri.mul == 2n i-k-j loop" `Quick
+            test_btri_mul;
+          Alcotest.test_case "factor_in_place, solve_mat_into" `Quick
+            test_lu_in_place;
+          QCheck_alcotest.to_alcotest prop_vanloan_oracle;
+          Alcotest.test_case "random cases reach s = 0 .. 5" `Quick
+            test_vanloan_cases_cover_squarings;
+          Alcotest.test_case "discretize == 2n composition on the decks"
+            `Quick test_vanloan_oracle_decks;
         ] );
       ( "kernels",
         [

@@ -423,6 +423,28 @@ let test_step_needs_shifted_start () =
     ~alpha:(Cx.re 1e-5);
   refuses "a column after a plain start"
 
+(* A shifted start allocates nothing: it shares the plain start's core
+   on plain floats, with no complex record built for it. *)
+let test_shifted_start_allocates_nothing () =
+  let a, _ = schur_case () in
+  let n = Mat.rows a in
+  let tmat = Ctrapezoid.quasi (fst (Eig.schur a)) in
+  let st = Ctrapezoid.schur_create ~dim:n ~width:4 in
+  let start () =
+    for col = 0 to 3 do
+      Ctrapezoid.schur_start_shifted st ~tmat ~h:2e-5 ~col ~omega:1e3
+    done
+  in
+  start ();
+  let w0 = Gc.minor_words () in
+  start ();
+  let w1 = Gc.minor_words () in
+  (* [Gc.minor_words] itself boxes its result: take the cost of a
+     read with nothing between *)
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words per shifted start" 0.0
+    (w1 -. w0 -. (w2 -. w1))
+
 let prop_trapezoid_linear_in_ic =
   QCheck.Test.make ~count:50 ~name:"trapezoid step linear in the state"
     QCheck.(pair (float_range (-5.0) 5.0) (float_range (-5.0) 5.0))
@@ -469,5 +491,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_step_vs_reference;
           Alcotest.test_case "step needs a shifted start" `Quick
             test_step_needs_shifted_start;
+          Alcotest.test_case "shifted start allocates nothing" `Quick
+            test_shifted_start_allocates_nothing;
         ] );
     ]
