@@ -171,19 +171,23 @@ let forcing t ~kl ~kr =
    one run's block inverses per column, redone as the pass goes — so
    every solver of that shape reuses it.
    A domain keeps the few most recent pairs: one sweep legitimately
-   uses two widths — the tail block is narrower whenever the width
-   doesn't divide the point count — single points run at width 1, and
-   a daemon alternates between a handful of circuits. *)
+   uses two widths — its near-equal blocks differ by one column
+   wherever the block count doesn't divide the point count — single
+   points run at width 1, and a daemon alternates between a handful of
+   circuits. *)
 
 type ws = {
   w_dim : int;
   w_width : int;
-  w_step : Ctrapezoid.schur; (* the current run's stepper, per column *)
-  w_close : Ctrapezoid.schur; (* I - e^{-jwT} T_Phi per column *)
+  w_step : Ctrapezoid.schur;
+      (* per column: the current run's stepper in the particular pass,
+         then I - e^{-jwT} T_Phi in the closure; every solve's first
+         interval starts a run, so each pass starts every column anew *)
   w_pa : Cvec.panel; (* the particular pass alternates between *)
   w_pb : Cvec.panel; (* these two panels, P_b(t_{i-1}) -> P_b(t_i) *)
-  w_pc : Cvec.panel; (* a state carried across a phase boundary *)
-  w_p0 : Cvec.panel; (* boundary values, in the monodromy's basis *)
+  w_p0 : Cvec.panel;
+      (* a state carried across a phase boundary in the particular
+         pass, then the boundary values in the monodromy's basis *)
   w_phase : float array; (* per column: e^{-jw t_i} at the current point *)
   w_turn : float array; (* per column: e^{-jw h} of the current run *)
 }
@@ -197,16 +201,13 @@ let workspace t ~width =
   Scnoise_util.Mru.find (Domain.DLS.get ws_key) ~cap:max_cached
     ~matches:(fun ws -> ws.w_dim = n && ws.w_width = width)
     ~make:(fun () ->
-      let stepper () = Ctrapezoid.schur_create ~dim:n ~width in
       let panel () = Cvec.panel_create ~dim:n ~width in
       {
         w_dim = n;
         w_width = width;
-        w_step = stepper ();
-        w_close = stepper ();
+        w_step = Ctrapezoid.schur_create ~dim:n ~width;
         w_pa = panel ();
         w_pb = panel ();
-        w_pc = panel ();
         w_p0 = panel ();
         w_phase = Array.make (2 * width) 0.0;
         w_turn = Array.make (2 * width) 0.0;
@@ -232,21 +233,67 @@ let apply_into m ~width src dst =
 
 (* y_b(t_i) <- c · P_b(t_i) for every column of one panel; per column the
    terms are added in state order onto a zero, as a plain dot product
-   would.  [p] is a panel of [Array.length c] states and [y] has room
-   for point [i]. *)
+   would.  Columns run in groups of 4, then 2, then 1, each column in
+   its own accumulators ([Ctrapezoid]'s scheme), so a column's sum is
+   the same at every width.  [p] is a panel of [Array.length c] states
+   and [y] has room for point [i]. *)
 let reduce_into c ~width p y ~i =
   let n = Array.length c and w2 = 2 * width in
-  for b = 0 to width - 1 do
-    let re = ref 0.0 and im = ref 0.0 in
+  let k = i * w2 and b = ref 0 in
+  while !b + 4 <= width do
+    let o = 2 * !b in
+    let r0 = ref 0.0 and i0 = ref 0.0 and r1 = ref 0.0 and i1 = ref 0.0
+    and r2 = ref 0.0 and i2 = ref 0.0 and r3 = ref 0.0 and i3 = ref 0.0 in
     for j = 0 to n - 1 do
-      let cj = Array.unsafe_get c j and q = (j * w2) + (2 * b) in
-      re := !re +. (cj *. Array.unsafe_get p q);
-      im := !im +. (cj *. Array.unsafe_get p (q + 1))
+      let cj = Array.unsafe_get c j and q = (j * w2) + o in
+      r0 := !r0 +. (cj *. Array.unsafe_get p q);
+      i0 := !i0 +. (cj *. Array.unsafe_get p (q + 1));
+      r1 := !r1 +. (cj *. Array.unsafe_get p (q + 2));
+      i1 := !i1 +. (cj *. Array.unsafe_get p (q + 3));
+      r2 := !r2 +. (cj *. Array.unsafe_get p (q + 4));
+      i2 := !i2 +. (cj *. Array.unsafe_get p (q + 5));
+      r3 := !r3 +. (cj *. Array.unsafe_get p (q + 6));
+      i3 := !i3 +. (cj *. Array.unsafe_get p (q + 7))
     done;
-    let k = (i * w2) + (2 * b) in
-    y.(k) <- !re;
-    y.(k + 1) <- !im
-  done
+    let k = k + o in
+    y.(k) <- !r0;
+    y.(k + 1) <- !i0;
+    y.(k + 2) <- !r1;
+    y.(k + 3) <- !i1;
+    y.(k + 4) <- !r2;
+    y.(k + 5) <- !i2;
+    y.(k + 6) <- !r3;
+    y.(k + 7) <- !i3;
+    b := !b + 4
+  done;
+  if !b + 2 <= width then begin
+    let o = 2 * !b in
+    let r0 = ref 0.0 and i0 = ref 0.0 and r1 = ref 0.0 and i1 = ref 0.0 in
+    for j = 0 to n - 1 do
+      let cj = Array.unsafe_get c j and q = (j * w2) + o in
+      r0 := !r0 +. (cj *. Array.unsafe_get p q);
+      i0 := !i0 +. (cj *. Array.unsafe_get p (q + 1));
+      r1 := !r1 +. (cj *. Array.unsafe_get p (q + 2));
+      i1 := !i1 +. (cj *. Array.unsafe_get p (q + 3))
+    done;
+    let k = k + o in
+    y.(k) <- !r0;
+    y.(k + 1) <- !i0;
+    y.(k + 2) <- !r1;
+    y.(k + 3) <- !i1;
+    b := !b + 2
+  end;
+  if !b < width then begin
+    let o = 2 * !b in
+    let r0 = ref 0.0 and i0 = ref 0.0 in
+    for j = 0 to n - 1 do
+      let cj = Array.unsafe_get c j and q = (j * w2) + o in
+      r0 := !r0 +. (cj *. Array.unsafe_get p q);
+      i0 := !i0 +. (cj *. Array.unsafe_get p (q + 1))
+    done;
+    y.(k + o) <- !r0;
+    y.(k + o + 1) <- !i0
+  end
 
 (* Forced transient from a zero initial condition in the phase bases,
    reduced to the output at every grid point as it goes; returns the
@@ -270,8 +317,8 @@ let particular_into t ws ~omegas ~forcing y =
       match t.crossing.(i - 1) with
       | None -> !p
       | Some m ->
-          apply_into m ~width !p ws.w_pc;
-          ws.w_pc
+          apply_into m ~width !p ws.w_p0;
+          ws.w_p0
     in
     Ctrapezoid.step_schur_into ws.w_step ~g:forcing.(i - 1) ~p:from
       ~into:!into;
@@ -315,6 +362,15 @@ let phase_factors t ~omega =
       advance_phase t ~omegas ~phase ~turn ~i;
       Cx.make phase.(0) phase.(1))
 
+(* y_b(t_i) += e^{-jw_bt_i} h for the column at offset [o] (2b) of a
+   panel row, from its sum h = (Vᵀ r_i) · z_b; inlined, since a
+   non-flambda build boxes the float arguments of a call *)
+let[@inline] add_homogeneous phase y ~w2 ~i ~o hr hi =
+  let cr = Array.unsafe_get phase o and ci = Array.unsafe_get phase (o + 1) in
+  let k = (i * w2) + o in
+  Array.unsafe_set y k (((cr *. hr) -. (ci *. hi)) +. Array.unsafe_get y k);
+  Array.unsafe_set y (k + 1) (((cr *. hi) +. (ci *. hr)) +. Array.unsafe_get y (k + 1))
+
 (* Close the periodic boundary in the monodromy's Schur basis: with
    z_b = Vᵀ P_b(0), solve (I - e^{-jw_bT} T_Phi) z_b = Vᵀ P_part,b(T),
    O(n^2) per column, then add the homogeneous term
@@ -326,30 +382,63 @@ let close_periodic_into t ws ~omegas ~part_end y =
   let npts = Array.length t.times in
   apply_into t.close_in ~width part_end ws.w_p0;
   for b = 0 to width - 1 do
-    Ctrapezoid.schur_start ws.w_close ~tmat:t.t_phi ~col:b ~d:Cx.one
+    Ctrapezoid.schur_start ws.w_step ~tmat:t.t_phi ~col:b ~d:Cx.one
       ~alpha:(Cx.cis (-.omegas.(b) *. t.period))
   done;
-  Ctrapezoid.schur_solve_in_place ws.w_close ws.w_p0;
+  Ctrapezoid.schur_solve_in_place ws.w_step ws.w_p0;
   Log.debug (fun m ->
       m "BVP closed: %d points, %d frequencies" npts width);
   let p0 = ws.w_p0 and phase = ws.w_phase and turn = ws.w_turn in
+  let w2 = 2 * width in
   for i = 0 to npts - 1 do
     let r = t.hrows.(i) in
     advance_phase t ~omegas ~phase ~turn ~i;
-    for b = 0 to width - 1 do
-      let hr = ref 0.0 and hi = ref 0.0 in
+    let b = ref 0 in
+    while !b + 4 <= width do
+      let o = 2 * !b in
+      let r0 = ref 0.0 and i0 = ref 0.0 and r1 = ref 0.0 and i1 = ref 0.0
+      and r2 = ref 0.0 and i2 = ref 0.0 and r3 = ref 0.0 and i3 = ref 0.0 in
       for j = 0 to n - 1 do
-        let rj = Array.unsafe_get r j and q = 2 * ((j * width) + b) in
-        hr := !hr +. (rj *. Array.unsafe_get p0 q);
-        hi := !hi +. (rj *. Array.unsafe_get p0 (q + 1))
+        let rj = Array.unsafe_get r j and q = (j * w2) + o in
+        r0 := !r0 +. (rj *. Array.unsafe_get p0 q);
+        i0 := !i0 +. (rj *. Array.unsafe_get p0 (q + 1));
+        r1 := !r1 +. (rj *. Array.unsafe_get p0 (q + 2));
+        i1 := !i1 +. (rj *. Array.unsafe_get p0 (q + 3));
+        r2 := !r2 +. (rj *. Array.unsafe_get p0 (q + 4));
+        i2 := !i2 +. (rj *. Array.unsafe_get p0 (q + 5));
+        r3 := !r3 +. (rj *. Array.unsafe_get p0 (q + 6));
+        i3 := !i3 +. (rj *. Array.unsafe_get p0 (q + 7))
       done;
-      let cr = Array.unsafe_get phase (2 * b)
-      and ci = Array.unsafe_get phase ((2 * b) + 1) in
-      let k = 2 * ((i * width) + b) in
-      Array.unsafe_set y k (((cr *. !hr) -. (ci *. !hi)) +. Array.unsafe_get y k);
-      Array.unsafe_set y (k + 1)
-        (((cr *. !hi) +. (ci *. !hr)) +. Array.unsafe_get y (k + 1))
-    done
+      add_homogeneous phase y ~w2 ~i ~o !r0 !i0;
+      add_homogeneous phase y ~w2 ~i ~o:(o + 2) !r1 !i1;
+      add_homogeneous phase y ~w2 ~i ~o:(o + 4) !r2 !i2;
+      add_homogeneous phase y ~w2 ~i ~o:(o + 6) !r3 !i3;
+      b := !b + 4
+    done;
+    if !b + 2 <= width then begin
+      let o = 2 * !b in
+      let r0 = ref 0.0 and i0 = ref 0.0 and r1 = ref 0.0 and i1 = ref 0.0 in
+      for j = 0 to n - 1 do
+        let rj = Array.unsafe_get r j and q = (j * w2) + o in
+        r0 := !r0 +. (rj *. Array.unsafe_get p0 q);
+        i0 := !i0 +. (rj *. Array.unsafe_get p0 (q + 1));
+        r1 := !r1 +. (rj *. Array.unsafe_get p0 (q + 2));
+        i1 := !i1 +. (rj *. Array.unsafe_get p0 (q + 3))
+      done;
+      add_homogeneous phase y ~w2 ~i ~o !r0 !i0;
+      add_homogeneous phase y ~w2 ~i ~o:(o + 2) !r1 !i1;
+      b := !b + 2
+    end;
+    if !b < width then begin
+      let o = 2 * !b in
+      let r0 = ref 0.0 and i0 = ref 0.0 in
+      for j = 0 to n - 1 do
+        let rj = Array.unsafe_get r j and q = (j * w2) + o in
+        r0 := !r0 +. (rj *. Array.unsafe_get p0 q);
+        i0 := !i0 +. (rj *. Array.unsafe_get p0 (q + 1))
+      done;
+      add_homogeneous phase y ~w2 ~i ~o !r0 !i0
+    end
   done
 
 let check_block t ~omegas y =

@@ -110,21 +110,24 @@ let psd e ~f = (psd_block e ~omegas:[| 2.0 *. Float.pi *. f |]).(0)
 
 let psd_db e ~f = Scnoise_util.Db.of_power (psd e ~f)
 
-(* --- batch-width selection ---
+(* --- block width ---
 
-   A sweep is tiled into width-B frequency blocks, each advanced in
-   lockstep through the phase grid by one [Periodic_bvp.solve].  Every
-   column runs the same back-substitution at any width; a block shares
-   the phase's Schur matrix and amortises the per-step bookkeeping over
-   B columns, a saving that shrinks against the O(n^2) step as n grows.
-   EXP-S1's width table measures 16-wide blocks ahead by 1.14x or more
-   up to 20 states and level from 30 on, so blocks run on circuits of
-   at most 20 states. *)
-let auto_batch ~nstates = if nstates <= 20 then 16 else 1
+   A sweep is tiled into blocks of at most [max_width] frequencies,
+   each advanced in lockstep through the phase grid by one
+   [Periodic_bvp.solve].  A block shares each entry of the phase's
+   Schur matrix across groups of 4 columns with independent sums, so
+   it wins at every circuit size: EXP-S3's width tables read 16 within
+   noise of the best width from 1 to 100 states.  The blocks are near
+   equal, ⌈npoints/16⌉ of them, so no sweep ends in a narrow tail. *)
+let max_width = 16
 
-let batch_width e ~npoints =
+let n_blocks ~npoints = (npoints + max_width - 1) / max_width
+
+let batch_width (_ : engine) ~npoints =
   if npoints < 2 then 1
-  else min (auto_batch ~nstates:(Array.length e.out_row)) npoints
+  else
+    let nb = n_blocks ~npoints in
+    (npoints + nb - 1) / nb
 
 (* Each block of a sweep is an independent read-only BVP solve over the
    prepared engine, so fanning blocks out across the pool is safe and —
@@ -139,18 +142,17 @@ let sweep ?pool e freqs =
     Obs.with_span "psd.sweep" (fun () -> [| psd e ~f:freqs.(0) |])
   else begin
     let pool = match pool with Some p -> p | None -> Pool.global () in
-    let width = batch_width e ~npoints:nf in
     Obs.with_span "psd.sweep" (fun () ->
-        let nblocks = (nf + width - 1) / width in
-        let starts = Array.init nblocks (fun k -> k * width) in
+        let nblocks = n_blocks ~npoints:nf in
+        let starts = Array.init (nblocks + 1) (fun k -> k * nf / nblocks) in
         let chunks =
           Pool.map pool
-            (fun _ start ->
-              let len = min width (nf - start) in
+            (fun k start ->
+              let len = starts.(k + 1) - start in
               psd_block e
                 ~omegas:
                   (Array.init len (fun i -> 2.0 *. Float.pi *. freqs.(start + i))))
-            starts
+            (Array.sub starts 0 nblocks)
         in
         let out = Array.make nf 0.0 in
         Array.iteri

@@ -60,9 +60,9 @@ val psd_db : engine -> f:float -> float
 (** [10 log10 (psd)] as plotted in the papers. *)
 
 val sweep : ?pool:Scnoise_par.Pool.t -> engine -> float array -> float array
-(** Frequency sweep, batched by circuit size: frequencies are tiled into
-    blocks of {!batch_width} points, each advanced in lockstep through
-    the phase grid by one {!Periodic_bvp.solve}, and the blocks are
+(** Frequency sweep in blocks: the [n] frequencies are tiled into
+    ⌈n/16⌉ near-equal blocks, each advanced in lockstep through the
+    phase grid by one {!Periodic_bvp.solve}, and the blocks are
     fanned out across [pool] (default: the shared pool).  Every block
     column is bitwise identical to a width-1 solve at its frequency,
     solves are read-only over the prepared engine, and results are
@@ -74,10 +74,11 @@ val sweep_db :
   ?pool:Scnoise_par.Pool.t -> engine -> float array -> float array
 
 val batch_width : engine -> npoints:int -> int
-(** The block width {!sweep} uses for a sweep of [npoints] over this
-    engine: 16 on circuits of at most 20 states, where blocks measure
-    faster (EXP-S1), else 1; clamped to the sweep length.  Exposed for
-    status reporting and benchmarks. *)
+(** The widest block {!sweep} uses for a sweep of [npoints]:
+    [⌈npoints / ⌈npoints / 16⌉⌉], so at most 16, the width that measures
+    within noise of the fastest at every circuit size (EXP-S3), and 1
+    for a single point.  The same on every engine.  Exposed for status
+    reporting and benchmarks. *)
 
 val instantaneous : engine -> f:float -> float array * float array
 (** [(times, s)] — the instantaneous power spectral density

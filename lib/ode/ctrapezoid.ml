@@ -17,8 +17,10 @@ module Obs = Scnoise_obs.Obs
    [width] systems share one T and keep their block inverses and states
    column-interleaved with the block column innermost (entry (i, b) at
    2 (i width + b)); a panel step runs every column in one call over
-   the shared T.  Each column's operations happen in the same order at
-   every width, so a panel column is bitwise the width-1 solve. *)
+   the shared T, in groups of up to 4 columns whose sums are
+   independent chains over each shared entry of T.  Each column's
+   operations happen in the same order at every width, so a panel
+   column is bitwise the width-1 solve. *)
 
 type quasi = {
   qm : Mat.t;
@@ -166,60 +168,181 @@ let schur_start_shifted t ~tmat ~h ~col ~omega =
   let w = 0.5 *. h in
   start t ~tmat ~col ~shifted:true 1.0 (w *. omega) w 0.0
 
-(* Back-substitution over T's diagonal blocks, bottom up, with every
-   column's sums in registers: for column b and the block [s .. e]
-   (e = s or s + 1), y_B = x_B + alpha sum_{j > e} T_Bj x_j and
-   x_B = M_BB^{-1} y_B.  Each column runs the same operations in the
-   same order at every width. *)
+(* Columns run in groups of 4, then 2, then the last one alone: a group
+   reads each entry of T once for all its columns and keeps one
+   accumulator pair per column and row, so its sums are independent
+   chains rather than one chain per row.  Each column's sums still
+   start from +0.0 and add the same products in ascending j, so a
+   column is bitwise its width-1 solve, which is the tail of the same
+   loop.  The group bodies are written out and each column is finished
+   by an inlined function: a non-flambda build boxes the float
+   arguments of a call it does not inline. *)
+
+(* column [b]'s 1×1 block on row [s] of a solve, from its sums *)
+let[@inline] solve_row t x ~s ~b s0r s0i =
+  let coef = t.coef and inv = t.inv and m = (s * t.sw) + b in
+  let ar = Array.unsafe_get coef ((3 * b) + 1)
+  and ai = Array.unsafe_get coef ((3 * b) + 2) in
+  let k0 = 2 * m and m0 = 4 * m in
+  let y0r = Array.unsafe_get x k0 +. ((ar *. s0r) -. (ai *. s0i))
+  and y0i = Array.unsafe_get x (k0 + 1) +. ((ar *. s0i) +. (ai *. s0r)) in
+  let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1) in
+  Array.unsafe_set x k0 ((y0r *. rr) -. (y0i *. ri));
+  Array.unsafe_set x (k0 + 1) ((y0r *. ri) +. (y0i *. rr))
+
+(* the same for the 2×2 block on rows [s] and [e] *)
+let[@inline] solve_pair t x ~s ~e ~b s0r s0i s1r s1i =
+  let coef = t.coef in
+  let ar = Array.unsafe_get coef ((3 * b) + 1)
+  and ai = Array.unsafe_get coef ((3 * b) + 2) in
+  let k0 = 2 * ((s * t.sw) + b) and k1 = 2 * ((e * t.sw) + b) in
+  let y0r = Array.unsafe_get x k0 +. ((ar *. s0r) -. (ai *. s0i))
+  and y0i = Array.unsafe_get x (k0 + 1) +. ((ar *. s0i) +. (ai *. s0r))
+  and y1r = Array.unsafe_get x k1 +. ((ar *. s1r) -. (ai *. s1i))
+  and y1i = Array.unsafe_get x (k1 + 1) +. ((ar *. s1i) +. (ai *. s1r)) in
+  set_pair t.inv ~m0:(2 * k0) ~m1:(2 * k1) x ~k0 ~k1 y0r y0i y1r y1i
+
+(* Back-substitution over T's diagonal blocks, bottom up: for column b
+   and the block [s .. e] (e = s or s + 1), y_B = x_B + alpha sum_{j > e}
+   T_Bj x_j and x_B = M_BB^{-1} y_B. *)
 let solve_back t x =
   let n = t.sn and w = t.sw in
   if Mat.rows t.tq.qm <> n then
     invalid_arg "Ctrapezoid: solve before schur_start bound a matrix";
-  let td = Mat.data t.tq.qm and pair = t.tq.pair and inv = t.inv in
-  let coef = t.coef and w2 = 2 * w in
+  let td = Mat.data t.tq.qm and pair = t.tq.pair and w2 = 2 * w in
   let e = ref (n - 1) in
   while !e >= 0 do
     let e' = !e in
     let s = if e' >= 1 && pair.(e' - 1) then e' - 1 else e' in
     let r0 = s * n and r1 = e' * n in
-    for b = 0 to w - 1 do
-      let ar = Array.unsafe_get coef ((3 * b) + 1)
-      and ai = Array.unsafe_get coef ((3 * b) + 2) in
-      let k0 = (s * w2) + (2 * b) and k1 = (e' * w2) + (2 * b) in
-      let m0 = 4 * ((s * w) + b) in
-      let s0r = ref 0.0 and s0i = ref 0.0 in
-      if s = e' then begin
+    let b = ref 0 in
+    if s = e' then begin
+      while !b + 4 <= w do
+        let c = !b in
+        let s0r = ref 0.0 and s0i = ref 0.0 and s1r = ref 0.0 and s1i = ref 0.0
+        and s2r = ref 0.0 and s2i = ref 0.0 and s3r = ref 0.0 and s3i = ref 0.0 in
         for j = e' + 1 to n - 1 do
-          let kj = (j * w2) + (2 * b) in
+          let kj = (j * w2) + (2 * c) in
+          let a = Array.unsafe_get td (r0 + j) in
+          s0r := !s0r +. (a *. Array.unsafe_get x kj);
+          s0i := !s0i +. (a *. Array.unsafe_get x (kj + 1));
+          s1r := !s1r +. (a *. Array.unsafe_get x (kj + 2));
+          s1i := !s1i +. (a *. Array.unsafe_get x (kj + 3));
+          s2r := !s2r +. (a *. Array.unsafe_get x (kj + 4));
+          s2i := !s2i +. (a *. Array.unsafe_get x (kj + 5));
+          s3r := !s3r +. (a *. Array.unsafe_get x (kj + 6));
+          s3i := !s3i +. (a *. Array.unsafe_get x (kj + 7))
+        done;
+        solve_row t x ~s ~b:c !s0r !s0i;
+        solve_row t x ~s ~b:(c + 1) !s1r !s1i;
+        solve_row t x ~s ~b:(c + 2) !s2r !s2i;
+        solve_row t x ~s ~b:(c + 3) !s3r !s3i;
+        b := c + 4
+      done;
+      if !b + 2 <= w then begin
+        let c = !b in
+        let s0r = ref 0.0 and s0i = ref 0.0 and s1r = ref 0.0 and s1i = ref 0.0 in
+        for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
+          let a = Array.unsafe_get td (r0 + j) in
+          s0r := !s0r +. (a *. Array.unsafe_get x kj);
+          s0i := !s0i +. (a *. Array.unsafe_get x (kj + 1));
+          s1r := !s1r +. (a *. Array.unsafe_get x (kj + 2));
+          s1i := !s1i +. (a *. Array.unsafe_get x (kj + 3))
+        done;
+        solve_row t x ~s ~b:c !s0r !s0i;
+        solve_row t x ~s ~b:(c + 1) !s1r !s1i;
+        b := c + 2
+      end;
+      if !b < w then begin
+        let c = !b in
+        let s0r = ref 0.0 and s0i = ref 0.0 in
+        for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
           let a = Array.unsafe_get td (r0 + j) in
           s0r := !s0r +. (a *. Array.unsafe_get x kj);
           s0i := !s0i +. (a *. Array.unsafe_get x (kj + 1))
         done;
-        let y0r = Array.unsafe_get x k0 +. ((ar *. !s0r) -. (ai *. !s0i))
-        and y0i = Array.unsafe_get x (k0 + 1) +. ((ar *. !s0i) +. (ai *. !s0r)) in
-        let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1) in
-        Array.unsafe_set x k0 ((y0r *. rr) -. (y0i *. ri));
-        Array.unsafe_set x (k0 + 1) ((y0r *. ri) +. (y0i *. rr))
+        solve_row t x ~s ~b:c !s0r !s0i
       end
-      else begin
-        let s1r = ref 0.0 and s1i = ref 0.0 in
+    end
+    else begin
+      while !b + 4 <= w do
+        let c = !b in
+        let t0r = ref 0.0 and t0i = ref 0.0 and u0r = ref 0.0 and u0i = ref 0.0
+        and t1r = ref 0.0 and t1i = ref 0.0 and u1r = ref 0.0 and u1i = ref 0.0
+        and t2r = ref 0.0 and t2i = ref 0.0 and u2r = ref 0.0 and u2i = ref 0.0
+        and t3r = ref 0.0 and t3i = ref 0.0 and u3r = ref 0.0 and u3i = ref 0.0 in
         for j = e' + 1 to n - 1 do
-          let kj = (j * w2) + (2 * b) in
+          let kj = (j * w2) + (2 * c) in
+          let a0 = Array.unsafe_get td (r0 + j)
+          and a1 = Array.unsafe_get td (r1 + j) in
           let vr = Array.unsafe_get x kj and vi = Array.unsafe_get x (kj + 1) in
-          let a = Array.unsafe_get td (r0 + j) in
-          s0r := !s0r +. (a *. vr);
-          s0i := !s0i +. (a *. vi);
-          let a = Array.unsafe_get td (r1 + j) in
-          s1r := !s1r +. (a *. vr);
-          s1i := !s1i +. (a *. vi)
+          t0r := !t0r +. (a0 *. vr);
+          t0i := !t0i +. (a0 *. vi);
+          u0r := !u0r +. (a1 *. vr);
+          u0i := !u0i +. (a1 *. vi);
+          let vr = Array.unsafe_get x (kj + 2) and vi = Array.unsafe_get x (kj + 3) in
+          t1r := !t1r +. (a0 *. vr);
+          t1i := !t1i +. (a0 *. vi);
+          u1r := !u1r +. (a1 *. vr);
+          u1i := !u1i +. (a1 *. vi);
+          let vr = Array.unsafe_get x (kj + 4) and vi = Array.unsafe_get x (kj + 5) in
+          t2r := !t2r +. (a0 *. vr);
+          t2i := !t2i +. (a0 *. vi);
+          u2r := !u2r +. (a1 *. vr);
+          u2i := !u2i +. (a1 *. vi);
+          let vr = Array.unsafe_get x (kj + 6) and vi = Array.unsafe_get x (kj + 7) in
+          t3r := !t3r +. (a0 *. vr);
+          t3i := !t3i +. (a0 *. vi);
+          u3r := !u3r +. (a1 *. vr);
+          u3i := !u3i +. (a1 *. vi)
         done;
-        let y0r = Array.unsafe_get x k0 +. ((ar *. !s0r) -. (ai *. !s0i))
-        and y0i = Array.unsafe_get x (k0 + 1) +. ((ar *. !s0i) +. (ai *. !s0r))
-        and y1r = Array.unsafe_get x k1 +. ((ar *. !s1r) -. (ai *. !s1i))
-        and y1i = Array.unsafe_get x (k1 + 1) +. ((ar *. !s1i) +. (ai *. !s1r)) in
-        set_pair inv ~m0 ~m1:(4 * ((e' * w) + b)) x ~k0 ~k1 y0r y0i y1r y1i
+        solve_pair t x ~s ~e:e' ~b:c !t0r !t0i !u0r !u0i;
+        solve_pair t x ~s ~e:e' ~b:(c + 1) !t1r !t1i !u1r !u1i;
+        solve_pair t x ~s ~e:e' ~b:(c + 2) !t2r !t2i !u2r !u2i;
+        solve_pair t x ~s ~e:e' ~b:(c + 3) !t3r !t3i !u3r !u3i;
+        b := c + 4
+      done;
+      if !b + 2 <= w then begin
+        let c = !b in
+        let t0r = ref 0.0 and t0i = ref 0.0 and u0r = ref 0.0 and u0i = ref 0.0
+        and t1r = ref 0.0 and t1i = ref 0.0 and u1r = ref 0.0 and u1i = ref 0.0 in
+        for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
+          let a0 = Array.unsafe_get td (r0 + j)
+          and a1 = Array.unsafe_get td (r1 + j) in
+          let vr = Array.unsafe_get x kj and vi = Array.unsafe_get x (kj + 1) in
+          t0r := !t0r +. (a0 *. vr);
+          t0i := !t0i +. (a0 *. vi);
+          u0r := !u0r +. (a1 *. vr);
+          u0i := !u0i +. (a1 *. vi);
+          let vr = Array.unsafe_get x (kj + 2) and vi = Array.unsafe_get x (kj + 3) in
+          t1r := !t1r +. (a0 *. vr);
+          t1i := !t1i +. (a0 *. vi);
+          u1r := !u1r +. (a1 *. vr);
+          u1i := !u1i +. (a1 *. vi)
+        done;
+        solve_pair t x ~s ~e:e' ~b:c !t0r !t0i !u0r !u0i;
+        solve_pair t x ~s ~e:e' ~b:(c + 1) !t1r !t1i !u1r !u1i;
+        b := c + 2
+      end;
+      if !b < w then begin
+        let c = !b in
+        let t0r = ref 0.0 and t0i = ref 0.0 and u0r = ref 0.0 and u0i = ref 0.0 in
+        for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
+          let a0 = Array.unsafe_get td (r0 + j)
+          and a1 = Array.unsafe_get td (r1 + j) in
+          let vr = Array.unsafe_get x kj and vi = Array.unsafe_get x (kj + 1) in
+          t0r := !t0r +. (a0 *. vr);
+          t0i := !t0i +. (a0 *. vi);
+          u0r := !u0r +. (a1 *. vr);
+          u0i := !u0i +. (a1 *. vi)
+        done;
+        solve_pair t x ~s ~e:e' ~b:c !t0r !t0i !u0r !u0i
       end
-    done;
+    end;
     e := s - 1
   done
 
@@ -239,10 +362,45 @@ let schur_solve_in_place t x =
    from +0.0, so it is never -0.0, and ar > 0: ar s is -0.0 only where
    it underflows.  A step thus reads T once for both of its products,
    on p + x of the rows already solved (kept in [q]). *)
+
+(* column [b]'s 1×1 block on row [s] of a step, from its sum *)
+let[@inline] step_row t ~p ~x ~s ~b g0r g0i s0r s0i =
+  let coef = t.coef and inv = t.inv and v = t.q and m = (s * t.sw) + b in
+  let ei = -.Array.unsafe_get coef (3 * b)
+  and ar = Array.unsafe_get coef ((3 * b) + 1) in
+  let k0 = 2 * m and m0 = 4 * m in
+  let xr = Array.unsafe_get p k0 and xi = Array.unsafe_get p (k0 + 1) in
+  let y0r = ((xr -. (ei *. xi)) +. (ar *. s0r)) +. g0r
+  and y0i = ((xi +. (ei *. xr)) +. (ar *. s0i)) +. g0i in
+  let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1) in
+  let x0r = (y0r *. rr) -. (y0i *. ri) and x0i = (y0r *. ri) +. (y0i *. rr) in
+  Array.unsafe_set x k0 x0r;
+  Array.unsafe_set x (k0 + 1) x0i;
+  Array.unsafe_set v k0 (xr +. x0r);
+  Array.unsafe_set v (k0 + 1) (xi +. x0i)
+
+(* the same for the 2×2 block on rows [s] and [e] *)
+let[@inline] step_pair t ~p ~x ~s ~e ~b g0r g0i g1r g1i s0r s0i s1r s1i =
+  let coef = t.coef and v = t.q in
+  let ei = -.Array.unsafe_get coef (3 * b)
+  and ar = Array.unsafe_get coef ((3 * b) + 1) in
+  let k0 = 2 * ((s * t.sw) + b) and k1 = 2 * ((e * t.sw) + b) in
+  let p0r = Array.unsafe_get p k0 and p0i = Array.unsafe_get p (k0 + 1)
+  and p1r = Array.unsafe_get p k1 and p1i = Array.unsafe_get p (k1 + 1) in
+  let y0r = ((p0r -. (ei *. p0i)) +. (ar *. s0r)) +. g0r
+  and y0i = ((p0i +. (ei *. p0r)) +. (ar *. s0i)) +. g0i
+  and y1r = ((p1r -. (ei *. p1i)) +. (ar *. s1r)) +. g1r
+  and y1i = ((p1i +. (ei *. p1r)) +. (ar *. s1i)) +. g1i in
+  set_pair t.inv ~m0:(2 * k0) ~m1:(2 * k1) x ~k0 ~k1 y0r y0i y1r y1i;
+  Array.unsafe_set v k0 (p0r +. Array.unsafe_get x k0);
+  Array.unsafe_set v (k0 + 1) (p0i +. Array.unsafe_get x (k0 + 1));
+  Array.unsafe_set v k1 (p1r +. Array.unsafe_get x k1);
+  Array.unsafe_set v (k1 + 1) (p1i +. Array.unsafe_get x (k1 + 1))
+
 let step_back t ~p ~g ~x =
   let n = t.sn and w = t.sw in
-  let td = Mat.data t.tq.qm and pair = t.tq.pair and inv = t.inv in
-  let coef = t.coef and v = t.q and w2 = 2 * w in
+  let td = Mat.data t.tq.qm and pair = t.tq.pair in
+  let v = t.q and w2 = 2 * w in
   let e = ref (n - 1) in
   while !e >= 0 do
     let e' = !e in
@@ -250,30 +408,70 @@ let step_back t ~p ~g ~x =
     let r0 = s * n and r1 = e' * n in
     let g0r = Array.unsafe_get g (2 * s)
     and g0i = Array.unsafe_get g ((2 * s) + 1) in
+    let b = ref 0 in
     if s = e' then begin
       let a0 = Array.unsafe_get td (r0 + s) in
-      for b = 0 to w - 1 do
-        let ei = -.Array.unsafe_get coef (3 * b)
-        and ar = Array.unsafe_get coef ((3 * b) + 1) in
-        let k0 = (s * w2) + (2 * b) in
-        let xr = Array.unsafe_get p k0 and xi = Array.unsafe_get p (k0 + 1) in
-        let s0r = ref (0.0 +. (a0 *. xr)) and s0i = ref (0.0 +. (a0 *. xi)) in
+      while !b + 4 <= w do
+        let c = !b in
+        let k0 = (s * w2) + (2 * c) in
+        let s0r = ref (0.0 +. (a0 *. Array.unsafe_get p k0))
+        and s0i = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 1)))
+        and s1r = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 2)))
+        and s1i = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 3)))
+        and s2r = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 4)))
+        and s2i = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 5)))
+        and s3r = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 6)))
+        and s3i = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 7))) in
         for j = s + 1 to n - 1 do
-          let kj = (j * w2) + (2 * b) in
+          let kj = (j * w2) + (2 * c) in
+          let a = Array.unsafe_get td (r0 + j) in
+          s0r := !s0r +. (a *. Array.unsafe_get v kj);
+          s0i := !s0i +. (a *. Array.unsafe_get v (kj + 1));
+          s1r := !s1r +. (a *. Array.unsafe_get v (kj + 2));
+          s1i := !s1i +. (a *. Array.unsafe_get v (kj + 3));
+          s2r := !s2r +. (a *. Array.unsafe_get v (kj + 4));
+          s2i := !s2i +. (a *. Array.unsafe_get v (kj + 5));
+          s3r := !s3r +. (a *. Array.unsafe_get v (kj + 6));
+          s3i := !s3i +. (a *. Array.unsafe_get v (kj + 7))
+        done;
+        step_row t ~p ~x ~s ~b:c g0r g0i !s0r !s0i;
+        step_row t ~p ~x ~s ~b:(c + 1) g0r g0i !s1r !s1i;
+        step_row t ~p ~x ~s ~b:(c + 2) g0r g0i !s2r !s2i;
+        step_row t ~p ~x ~s ~b:(c + 3) g0r g0i !s3r !s3i;
+        b := c + 4
+      done;
+      if !b + 2 <= w then begin
+        let c = !b in
+        let k0 = (s * w2) + (2 * c) in
+        let s0r = ref (0.0 +. (a0 *. Array.unsafe_get p k0))
+        and s0i = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 1)))
+        and s1r = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 2)))
+        and s1i = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 3))) in
+        for j = s + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
+          let a = Array.unsafe_get td (r0 + j) in
+          s0r := !s0r +. (a *. Array.unsafe_get v kj);
+          s0i := !s0i +. (a *. Array.unsafe_get v (kj + 1));
+          s1r := !s1r +. (a *. Array.unsafe_get v (kj + 2));
+          s1i := !s1i +. (a *. Array.unsafe_get v (kj + 3))
+        done;
+        step_row t ~p ~x ~s ~b:c g0r g0i !s0r !s0i;
+        step_row t ~p ~x ~s ~b:(c + 1) g0r g0i !s1r !s1i;
+        b := c + 2
+      end;
+      if !b < w then begin
+        let c = !b in
+        let k0 = (s * w2) + (2 * c) in
+        let s0r = ref (0.0 +. (a0 *. Array.unsafe_get p k0))
+        and s0i = ref (0.0 +. (a0 *. Array.unsafe_get p (k0 + 1))) in
+        for j = s + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
           let a = Array.unsafe_get td (r0 + j) in
           s0r := !s0r +. (a *. Array.unsafe_get v kj);
           s0i := !s0i +. (a *. Array.unsafe_get v (kj + 1))
         done;
-        let y0r = ((xr -. (ei *. xi)) +. (ar *. !s0r)) +. g0r
-        and y0i = ((xi +. (ei *. xr)) +. (ar *. !s0i)) +. g0i in
-        let m0 = 4 * ((s * w) + b) in
-        let rr = Array.unsafe_get inv m0 and ri = Array.unsafe_get inv (m0 + 1) in
-        let x0r = (y0r *. rr) -. (y0i *. ri) and x0i = (y0r *. ri) +. (y0i *. rr) in
-        Array.unsafe_set x k0 x0r;
-        Array.unsafe_set x (k0 + 1) x0i;
-        Array.unsafe_set v k0 (xr +. x0r);
-        Array.unsafe_set v (k0 + 1) (xi +. x0i)
-      done
+        step_row t ~p ~x ~s ~b:c g0r g0i !s0r !s0i
+      end
     end
     else begin
       let g1r = Array.unsafe_get g (2 * e')
@@ -282,37 +480,106 @@ let step_back t ~p ~g ~x =
       and a01 = Array.unsafe_get td (r0 + e')
       and a10 = Array.unsafe_get td (r1 + s)
       and a11 = Array.unsafe_get td (r1 + e') in
-      for b = 0 to w - 1 do
-        let ei = -.Array.unsafe_get coef (3 * b)
-        and ar = Array.unsafe_get coef ((3 * b) + 1) in
-        let k0 = (s * w2) + (2 * b) and k1 = (e' * w2) + (2 * b) in
-        let p0r = Array.unsafe_get p k0 and p0i = Array.unsafe_get p (k0 + 1)
-        and p1r = Array.unsafe_get p k1 and p1i = Array.unsafe_get p (k1 + 1) in
-        let s0r = ref ((0.0 +. (a00 *. p0r)) +. (a01 *. p1r))
-        and s0i = ref ((0.0 +. (a00 *. p0i)) +. (a01 *. p1i))
-        and s1r = ref ((0.0 +. (a10 *. p0r)) +. (a11 *. p1r))
-        and s1i = ref ((0.0 +. (a10 *. p0i)) +. (a11 *. p1i)) in
+      (* row [s]'s sums t, row [e]'s u, from T_BB p_B *)
+      while !b + 4 <= w do
+        let c = !b in
+        let k0 = (s * w2) + (2 * c) and k1 = (e' * w2) + (2 * c) in
+        let t0r = ref ((0.0 +. (a00 *. Array.unsafe_get p k0)) +. (a01 *. Array.unsafe_get p k1))
+        and t0i = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 1))) +. (a01 *. Array.unsafe_get p (k1 + 1)))
+        and u0r = ref ((0.0 +. (a10 *. Array.unsafe_get p k0)) +. (a11 *. Array.unsafe_get p k1))
+        and u0i = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 1))) +. (a11 *. Array.unsafe_get p (k1 + 1)))
+        and t1r = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 2))) +. (a01 *. Array.unsafe_get p (k1 + 2)))
+        and t1i = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 3))) +. (a01 *. Array.unsafe_get p (k1 + 3)))
+        and u1r = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 2))) +. (a11 *. Array.unsafe_get p (k1 + 2)))
+        and u1i = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 3))) +. (a11 *. Array.unsafe_get p (k1 + 3)))
+        and t2r = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 4))) +. (a01 *. Array.unsafe_get p (k1 + 4)))
+        and t2i = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 5))) +. (a01 *. Array.unsafe_get p (k1 + 5)))
+        and u2r = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 4))) +. (a11 *. Array.unsafe_get p (k1 + 4)))
+        and u2i = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 5))) +. (a11 *. Array.unsafe_get p (k1 + 5)))
+        and t3r = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 6))) +. (a01 *. Array.unsafe_get p (k1 + 6)))
+        and t3i = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 7))) +. (a01 *. Array.unsafe_get p (k1 + 7)))
+        and u3r = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 6))) +. (a11 *. Array.unsafe_get p (k1 + 6)))
+        and u3i = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 7))) +. (a11 *. Array.unsafe_get p (k1 + 7))) in
         for j = e' + 1 to n - 1 do
-          let kj = (j * w2) + (2 * b) in
+          let kj = (j * w2) + (2 * c) in
+          let a0 = Array.unsafe_get td (r0 + j)
+          and a1 = Array.unsafe_get td (r1 + j) in
           let vr = Array.unsafe_get v kj and vi = Array.unsafe_get v (kj + 1) in
-          let a = Array.unsafe_get td (r0 + j) in
-          s0r := !s0r +. (a *. vr);
-          s0i := !s0i +. (a *. vi);
-          let a = Array.unsafe_get td (r1 + j) in
-          s1r := !s1r +. (a *. vr);
-          s1i := !s1i +. (a *. vi)
+          t0r := !t0r +. (a0 *. vr);
+          t0i := !t0i +. (a0 *. vi);
+          u0r := !u0r +. (a1 *. vr);
+          u0i := !u0i +. (a1 *. vi);
+          let vr = Array.unsafe_get v (kj + 2) and vi = Array.unsafe_get v (kj + 3) in
+          t1r := !t1r +. (a0 *. vr);
+          t1i := !t1i +. (a0 *. vi);
+          u1r := !u1r +. (a1 *. vr);
+          u1i := !u1i +. (a1 *. vi);
+          let vr = Array.unsafe_get v (kj + 4) and vi = Array.unsafe_get v (kj + 5) in
+          t2r := !t2r +. (a0 *. vr);
+          t2i := !t2i +. (a0 *. vi);
+          u2r := !u2r +. (a1 *. vr);
+          u2i := !u2i +. (a1 *. vi);
+          let vr = Array.unsafe_get v (kj + 6) and vi = Array.unsafe_get v (kj + 7) in
+          t3r := !t3r +. (a0 *. vr);
+          t3i := !t3i +. (a0 *. vi);
+          u3r := !u3r +. (a1 *. vr);
+          u3i := !u3i +. (a1 *. vi)
         done;
-        let y0r = ((p0r -. (ei *. p0i)) +. (ar *. !s0r)) +. g0r
-        and y0i = ((p0i +. (ei *. p0r)) +. (ar *. !s0i)) +. g0i
-        and y1r = ((p1r -. (ei *. p1i)) +. (ar *. !s1r)) +. g1r
-        and y1i = ((p1i +. (ei *. p1r)) +. (ar *. !s1i)) +. g1i in
-        set_pair inv ~m0:(4 * ((s * w) + b)) ~m1:(4 * ((e' * w) + b)) x ~k0
-          ~k1 y0r y0i y1r y1i;
-        Array.unsafe_set v k0 (p0r +. Array.unsafe_get x k0);
-        Array.unsafe_set v (k0 + 1) (p0i +. Array.unsafe_get x (k0 + 1));
-        Array.unsafe_set v k1 (p1r +. Array.unsafe_get x k1);
-        Array.unsafe_set v (k1 + 1) (p1i +. Array.unsafe_get x (k1 + 1))
-      done
+        step_pair t ~p ~x ~s ~e:e' ~b:c g0r g0i g1r g1i !t0r !t0i !u0r !u0i;
+        step_pair t ~p ~x ~s ~e:e' ~b:(c + 1) g0r g0i g1r g1i !t1r !t1i !u1r !u1i;
+        step_pair t ~p ~x ~s ~e:e' ~b:(c + 2) g0r g0i g1r g1i !t2r !t2i !u2r !u2i;
+        step_pair t ~p ~x ~s ~e:e' ~b:(c + 3) g0r g0i g1r g1i !t3r !t3i !u3r !u3i;
+        b := c + 4
+      done;
+      if !b + 2 <= w then begin
+        let c = !b in
+        let k0 = (s * w2) + (2 * c) and k1 = (e' * w2) + (2 * c) in
+        let t0r = ref ((0.0 +. (a00 *. Array.unsafe_get p k0)) +. (a01 *. Array.unsafe_get p k1))
+        and t0i = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 1))) +. (a01 *. Array.unsafe_get p (k1 + 1)))
+        and u0r = ref ((0.0 +. (a10 *. Array.unsafe_get p k0)) +. (a11 *. Array.unsafe_get p k1))
+        and u0i = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 1))) +. (a11 *. Array.unsafe_get p (k1 + 1)))
+        and t1r = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 2))) +. (a01 *. Array.unsafe_get p (k1 + 2)))
+        and t1i = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 3))) +. (a01 *. Array.unsafe_get p (k1 + 3)))
+        and u1r = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 2))) +. (a11 *. Array.unsafe_get p (k1 + 2)))
+        and u1i = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 3))) +. (a11 *. Array.unsafe_get p (k1 + 3))) in
+        for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
+          let a0 = Array.unsafe_get td (r0 + j)
+          and a1 = Array.unsafe_get td (r1 + j) in
+          let vr = Array.unsafe_get v kj and vi = Array.unsafe_get v (kj + 1) in
+          t0r := !t0r +. (a0 *. vr);
+          t0i := !t0i +. (a0 *. vi);
+          u0r := !u0r +. (a1 *. vr);
+          u0i := !u0i +. (a1 *. vi);
+          let vr = Array.unsafe_get v (kj + 2) and vi = Array.unsafe_get v (kj + 3) in
+          t1r := !t1r +. (a0 *. vr);
+          t1i := !t1i +. (a0 *. vi);
+          u1r := !u1r +. (a1 *. vr);
+          u1i := !u1i +. (a1 *. vi)
+        done;
+        step_pair t ~p ~x ~s ~e:e' ~b:c g0r g0i g1r g1i !t0r !t0i !u0r !u0i;
+        step_pair t ~p ~x ~s ~e:e' ~b:(c + 1) g0r g0i g1r g1i !t1r !t1i !u1r !u1i;
+        b := c + 2
+      end;
+      if !b < w then begin
+        let c = !b in
+        let k0 = (s * w2) + (2 * c) and k1 = (e' * w2) + (2 * c) in
+        let t0r = ref ((0.0 +. (a00 *. Array.unsafe_get p k0)) +. (a01 *. Array.unsafe_get p k1))
+        and t0i = ref ((0.0 +. (a00 *. Array.unsafe_get p (k0 + 1))) +. (a01 *. Array.unsafe_get p (k1 + 1)))
+        and u0r = ref ((0.0 +. (a10 *. Array.unsafe_get p k0)) +. (a11 *. Array.unsafe_get p k1))
+        and u0i = ref ((0.0 +. (a10 *. Array.unsafe_get p (k0 + 1))) +. (a11 *. Array.unsafe_get p (k1 + 1))) in
+        for j = e' + 1 to n - 1 do
+          let kj = (j * w2) + (2 * c) in
+          let a0 = Array.unsafe_get td (r0 + j)
+          and a1 = Array.unsafe_get td (r1 + j) in
+          let vr = Array.unsafe_get v kj and vi = Array.unsafe_get v (kj + 1) in
+          t0r := !t0r +. (a0 *. vr);
+          t0i := !t0i +. (a0 *. vi);
+          u0r := !u0r +. (a1 *. vr);
+          u0i := !u0i +. (a1 *. vi)
+        done;
+        step_pair t ~p ~x ~s ~e:e' ~b:c g0r g0i g1r g1i !t0r !t0i !u0r !u0i
+      end
     end;
     e := s - 1
   done

@@ -23,8 +23,9 @@ module Cx = Scnoise_linalg.Cx
     one per block column, by back-substitution over [T]'s diagonal
     blocks.  The block inverses are stored column-interleaved with the
     block column innermost, like the states of a panel ({!Cvec.panel}
-    layout); a panel step runs every column, in registers, in one call
-    over the shared [T], and every column is bitwise identical to a
+    layout); a panel step runs every column in one call over the shared
+    [T], in groups of up to 4 columns with independent sums in
+    registers, and every column is bitwise identical to a
     width-1 start/solve with its own coefficients.  A [schur] carries
     scratch and must not be shared across domains. *)
 

@@ -400,6 +400,150 @@ let prop_step_vs_reference =
         omegas;
       !ok)
 
+(* Columns run in groups of 4, then 2, then 1 inside the step and
+   solve kernels; widths 1 to 9 cover every group and tail.  Every
+   column of a width-w step (shifted starts) and of a width-w solve
+   (plain starts with their own complex d and alpha) must equal its
+   own width-1 run bit for bit. *)
+let bits_of_panel a = Array.map Int64.bits_of_float a
+
+let prop_groups_match_width1 =
+  QCheck.Test.make ~count:150
+    ~name:"grouped columns == width-1 runs, widths 1..9 (bitwise)"
+    (QCheck.make
+       ~print:(fun (n, seed) -> Printf.sprintf "{n=%d; seed=%d}" n seed)
+       QCheck.Gen.(pair (int_range 1 12) (int_range 0 1_000_000)))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed; n; 0x960 |] in
+      let rnd () = Random.State.float rng 2.0 -. 1.0 in
+      let t = random_quasi rng n in
+      let tmat = Ctrapezoid.quasi t in
+      let tmax = Array.fold_left (fun m v -> Float.max m (abs_float v)) 0.0 (Mat.data t) in
+      let g = Cvec.init n (fun _ -> Cx.make (rnd ()) (rnd ())) in
+      let column a ~width b =
+        Array.init (2 * n) (fun k -> a.((2 * (((k / 2) * width) + b)) + (k mod 2)))
+      in
+      let ok = ref true in
+      for width = 1 to 9 do
+        let omegas = Array.init width (fun _ -> 2.0 *. Float.pi *. (10.0 ** (7.0 *. rnd ()))) in
+        let hs = Array.init width (fun _ -> 10.0 ** (-9.0 +. Random.State.float rng 6.0)) in
+        let ds = Array.init width (fun _ -> Cx.make 1.0 (rnd ())) in
+        let alphas = Array.init width (fun _ -> Cx.make (rnd () /. tmax) (rnd () /. tmax)) in
+        let p = Array.init (2 * n * width) (fun _ -> rnd ()) in
+        let step = Ctrapezoid.schur_create ~dim:n ~width in
+        let solve = Ctrapezoid.schur_create ~dim:n ~width in
+        for col = 0 to width - 1 do
+          Ctrapezoid.schur_start_shifted step ~tmat ~h:hs.(col) ~col ~omega:omegas.(col);
+          Ctrapezoid.schur_start solve ~tmat ~col ~d:ds.(col) ~alpha:alphas.(col)
+        done;
+        let stepped = Cvec.panel_create ~dim:n ~width and solved = Array.copy p in
+        Ctrapezoid.step_schur_into step ~g ~p ~into:stepped;
+        Ctrapezoid.schur_solve_in_place solve solved;
+        for b = 0 to width - 1 do
+          let one = Ctrapezoid.schur_create ~dim:n ~width:1 in
+          let into = Cvec.panel_create ~dim:n ~width:1 in
+          Ctrapezoid.schur_start_shifted one ~tmat ~h:hs.(b) ~col:0 ~omega:omegas.(b);
+          Ctrapezoid.step_schur_into one ~g ~p:(column p ~width b) ~into;
+          if bits_of_panel into <> bits_of_panel (column stepped ~width b) then ok := false;
+          let x = column p ~width b in
+          Ctrapezoid.schur_start one ~tmat ~col:0 ~d:ds.(b) ~alpha:alphas.(b);
+          Ctrapezoid.schur_solve_in_place one x;
+          if bits_of_panel x <> bits_of_panel (column solved ~width b) then ok := false
+        done
+      done;
+      !ok)
+
+(* STEP-SMOKE's grids: the shipped shifted step over a prepared
+   engine's own grid (the low-pass at 128 samples per phase, the
+   40-state ladder at 48) equals [Oracle.schur_step] at every column of
+   every step, on STEP-SMOKE's 16-wide panel and on a 7-wide one (a
+   group of 4, one of 2 and a tail). *)
+let test_step_grids_vs_oracle () =
+  let module LP = Scnoise_circuits.Sc_lowpass in
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let module Psd = Scnoise_core.Psd in
+  let lp = LP.build LP.default in
+  let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
+  List.iter
+    (fun (name, e) ->
+      let grid = Step_grid.of_engine e in
+      List.iter
+        (fun width ->
+          let omegas =
+            Array.map
+              (fun f -> 2.0 *. Float.pi *. f)
+              (Scnoise_util.Grid.logspace 100.0 16_000.0 width)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, width %d: every step == Oracle.schur_step" name width)
+            true
+            (Step_grid.matches_reference grid ~omegas))
+        [ 16; 7 ])
+    [
+      ("sc_lowpass", Psd.prepare ~samples_per_phase:128 lp.LP.sys ~output:lp.LP.output);
+      ( "ladder-40",
+        Psd.prepare ~samples_per_phase:48 lad.LAD.sys ~output:lad.LAD.output );
+    ]
+
+(* Whole sweeps at widths 1, 3, 4, 5 and 16 and at jobs 1 and 4: the
+   solve layer's output samples of every block column equal the width-1
+   solve's, and [Psd.sweep] equals pointwise [Psd.psd], bit for bit.
+   sc_delta_sigma's phase 1 carries a 2×2 Schur block. *)
+let test_sweeps_every_width () =
+  let module Psd = Scnoise_core.Psd in
+  let module Bvp = Scnoise_core.Periodic_bvp in
+  let module Pool = Scnoise_par.Pool in
+  let module LP = Scnoise_circuits.Sc_lowpass in
+  let module DS = Scnoise_circuits.Sc_delta_sigma in
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let lp = LP.build LP.default and ds = DS.build DS.default in
+  let lad = LAD.build (LAD.with_parasitics (LAD.with_stages 4)) in
+  let freqs = Scnoise_util.Grid.logspace 100.0 40_000.0 21 in
+  let omegas = Array.map (fun f -> 2.0 *. Float.pi *. f) freqs in
+  let nf = Array.length freqs in
+  List.iter
+    (fun (name, e) ->
+      let fx = Bvp_fixture.of_engine e in
+      let npts = Bvp.n_points fx.Bvp_fixture.bvp in
+      let solve_tiles pool width =
+        let starts = Array.init ((nf + width - 1) / width) (fun k -> k * width) in
+        Pool.map pool
+          (fun _ start ->
+            let len = min width (nf - start) in
+            let y = Cvec.panel_create ~dim:npts ~width:len in
+            Bvp_fixture.solve fx ~omegas:(Array.sub omegas start len) y;
+            Array.init len (fun b -> Array.init (2 * npts) (fun k ->
+                y.((2 * (((k / 2) * len) + b)) + (k mod 2)))))
+          starts
+        |> Array.to_list |> Array.concat
+      in
+      let serial = Pool.create ~jobs:1 () in
+      let want = solve_tiles serial 1 in
+      let pointwise = Array.map (fun f -> Psd.psd e ~f) freqs in
+      List.iter
+        (fun jobs ->
+          let pool = Pool.create ~jobs () in
+          List.iter
+            (fun width ->
+              let got = solve_tiles pool width in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: width %d, jobs %d == width 1" name width jobs)
+                true
+                (Array.for_all2 Oracle.bits_equal got want))
+            [ 1; 3; 4; 5; 16 ];
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: sweep at jobs %d == psd" name jobs)
+            true
+            (Oracle.bits_equal (Psd.sweep ~pool e freqs) pointwise);
+          Pool.shutdown pool)
+        [ 1; 4 ];
+      Pool.shutdown serial)
+    [
+      ("sc_lowpass", Psd.prepare ~samples_per_phase:96 lp.LP.sys ~output:lp.LP.output);
+      ("sc_delta_sigma", Psd.prepare ~samples_per_phase:96 ds.DS.sys ~output:ds.DS.output);
+      ("ladder-8", Psd.prepare ~samples_per_phase:48 lad.LAD.sys ~output:lad.LAD.output);
+    ]
+
 (* Only shifted columns step: a column last started by plain
    [schur_start], even after a shifted start, refuses. *)
 let test_step_needs_shifted_start () =
@@ -489,6 +633,11 @@ let () =
           Alcotest.test_case "steps == Oracle.trapezoid per column" `Quick
             test_schur_step_vs_oracle;
           QCheck_alcotest.to_alcotest prop_step_vs_reference;
+          QCheck_alcotest.to_alcotest prop_groups_match_width1;
+          Alcotest.test_case "shipped grids == Oracle.schur_step" `Quick
+            test_step_grids_vs_oracle;
+          Alcotest.test_case "sweeps bitwise at every width and jobs" `Quick
+            test_sweeps_every_width;
           Alcotest.test_case "step needs a shifted start" `Quick
             test_step_needs_shifted_start;
           Alcotest.test_case "shifted start allocates nothing" `Quick
