@@ -1303,17 +1303,35 @@ let exp_par () =
      kept (BATCH-SMOKE's scheme): one neighbour's interference window
      then cannot sink one mode alone.  Rounds after the first give back
      what they add to [counters], so the record's counts are those of
-     one round. *)
-  let row ?(rounds = 1) ?(counters = []) name run equal =
+     one round.  In the first round the pooled run must add to every
+     counter of [same] what the serial run adds: a pooled path that
+     does its work twice is then a parity failure, whatever its
+     speed. *)
+  let row ?(rounds = 1) ?(counters = []) ?(same = []) name run equal =
     let r1 = ref None and rn = ref None in
     let t1 = ref infinity and tn = ref infinity and ok = ref true in
+    let same = List.map Obs.counter same in
+    let counted pool result =
+      let before = List.map Obs.value same in
+      result := Some (run pool);
+      List.map2 (fun c v -> Obs.value c - v) same before
+    in
     for k = 1 to rounds do
+      let d1 = ref [] and dn = ref [] in
       let timed () =
-        t1 := Float.min !t1 (wall_ms (fun () -> r1 := Some (run serial)));
-        tn := Float.min !tn (wall_ms (fun () -> rn := Some (run par)))
+        t1 := Float.min !t1 (wall_ms (fun () -> d1 := counted serial r1));
+        tn := Float.min !tn (wall_ms (fun () -> dn := counted par rn))
       in
       if k = 1 then timed () else uncounted counters timed;
-      if not (equal (Option.get !r1) (Option.get !rn)) then ok := false
+      if not (equal (Option.get !r1) (Option.get !rn)) then ok := false;
+      if k = 1 && !d1 <> !dn then begin
+        ok := false;
+        List.iter2
+          (fun c (a, b) ->
+            Printf.eprintf "%s: %s rose by %d serial, %d pooled\n" name
+              (Obs.counter_name c) a b)
+          same (List.combine !d1 !dn)
+      end
     done;
     if not !ok then all_ok := false;
     let t1 = !t1 and tn = !tn in
@@ -1335,6 +1353,7 @@ let exp_par () =
           "ode_block_steps"; "pool.chunks"; "pool.items"; "pool.regions";
           "pool.serial_regions"; "pool.worker_chunks";
         ]
+      ~same:[ "bvp_solves"; "bvp_block_solves" ]
       "psd_sweep"
       (fun pool -> Psd.sweep ~pool eng freqs)
       Oracle.bits_equal
@@ -1848,6 +1867,240 @@ let schur_table (b, s) =
     (if ok then "ok" else "FAIL");
   ok
 
+(* A bound the elimination could take, kept here to measure it:
+   [Oracle.lu_factor]'s row-at-a-time loop with each row update bounded
+   by the pivot row's nonzero span right of the pivot, or, with
+   [~segments], run over that row's nonzero runs only.  Shipped, either
+   would need [Lu.solve_rows]' guard: a skipped [x -. (-0)] keeps a
+   [-0] target that the loop turns into [+0].  Returns the factors; raises
+   [Failure] on a zero pivot column. *)
+let lu_bounded ~segments m =
+  let n = Mat.rows m in
+  let lu = Array.copy (Mat.data m) and seg = Array.make (2 * n) 0 in
+  for k = 0 to n - 1 do
+    let prow = ref k and pmax = ref (abs_float lu.((k * n) + k)) in
+    for i = k + 1 to n - 1 do
+      let v = abs_float lu.((i * n) + k) in
+      if v > !pmax then begin
+        pmax := v;
+        prow := i
+      end
+    done;
+    if !pmax = 0.0 then failwith "lu_bounded: singular";
+    if !prow <> k then
+      for j = 0 to n - 1 do
+        let t = lu.((k * n) + j) in
+        lu.((k * n) + j) <- lu.((!prow * n) + j);
+        lu.((!prow * n) + j) <- t
+      done;
+    let rk = k * n and ns = ref 0 in
+    let nonzero j = lu.(rk + j) <> 0.0 in
+    if segments then begin
+      let j = ref (k + 1) in
+      while !j < n do
+        if nonzero !j then begin
+          seg.(2 * !ns) <- !j;
+          while !j < n && nonzero !j do
+            incr j
+          done;
+          seg.((2 * !ns) + 1) <- !j - 1;
+          incr ns
+        end
+        else incr j
+      done
+    end
+    else begin
+      let lo = ref (k + 1) and hi = ref (n - 1) in
+      while !lo < n && not (nonzero !lo) do
+        incr lo
+      done;
+      while !hi > !lo && not (nonzero !hi) do
+        decr hi
+      done;
+      if !lo < n then begin
+        seg.(0) <- !lo;
+        seg.(1) <- !hi;
+        ns := 1
+      end
+    end;
+    let pivot = lu.(rk + k) in
+    for i = k + 1 to n - 1 do
+      let f = lu.((i * n) + k) /. pivot in
+      lu.((i * n) + k) <- f;
+      if f <> 0.0 then begin
+        let ri = i * n in
+        for g = 0 to !ns - 1 do
+          for j = seg.(2 * g) to seg.((2 * g) + 1) do
+            Array.unsafe_set lu (ri + j)
+              (Array.unsafe_get lu (ri + j)
+              -. (f *. Array.unsafe_get lu (rk + j)))
+          done
+        done
+      end
+    done
+  done;
+  lu
+
+(* EXP-C8: the preparation kernels at ladder-100 against the loops they
+   replaced (the copies in [scnoise_oracle] and [reference_solve_rows]),
+   min of 10 interleaved rounds each: the LU factorisations of the 14
+   Padé systems (V − U at 2n) of the covariance's distinct operators,
+   the three Householder reductions the BVP's Schur forms start from
+   (two phases and the monodromy), the forcing rotation of the PSD
+   forcing, and the 14 Padé solves.  Two more LU rows time [lu_bounded]:
+   each row update bounded by the pivot row's nonzero span, or by its
+   nonzero runs.  The bits column reports; test_linalg and test_kernels
+   hold the bits.  The counts and rcond records these runs add are
+   taken back. *)
+let prep_kernel_table (b, s) =
+  let module Lu = Scnoise_linalg.Lu in
+  let module Eig = Scnoise_linalg.Eig in
+  let module Expm = Scnoise_linalg.Expm in
+  let module Vanloan = Scnoise_linalg.Vanloan in
+  let module Cvec = Scnoise_linalg.Cvec in
+  let sys = b.LAD.sys in
+  let quiet f =
+    uncounted
+      [ "expm_calls"; "lu_factorizations"; "lu_solves"; "lu_solve_madds";
+        "lu_ill_conditioned"; "covariance_products";
+        "covariance_chain_columns"; "schur_reductions" ]
+      (fun () -> unrecorded [ "lu.rcond" ] f)
+  in
+  quiet @@ fun () ->
+  let systems =
+    Array.map
+      (fun (p, tau) ->
+        let ph = sys.Pwl.phases.(p) in
+        let stiffness = Mat.norm_inf ph.Pwl.a *. tau in
+        let tau =
+          if stiffness <= Vanloan.stiff_threshold then tau
+          else tau /. ceil (stiffness /. Vanloan.stiff_threshold)
+        in
+        Expm.pade13 (Oracle.augmented ~a:ph.Pwl.a ~q:ph.Pwl.q ~tau))
+      (Covariance.steps sys)
+  in
+  let lhs = Array.map (fun (p : Expm.pade) -> p.Expm.lhs) systems in
+  let oracle_lu m =
+    match Oracle.lu_factor m with
+    | Ok (lu, piv, _) -> (lu, piv)
+    | Error _ -> failwith "singular Padé system"
+  in
+  let lu_bits m =
+    let f, piv = Lu.packed (Lu.factor m) and lu, piv' = oracle_lu m in
+    Oracle.bits_equal (Mat.data f) lu && piv = piv'
+  in
+  (* the update terms of the row loop, from its factors: each row with
+     a nonzero multiplier meets every entry right of the pivot *)
+  let terms = ref 0 and zero_terms = ref 0 and outside = ref 0 in
+  Array.iter
+    (fun m ->
+      let lu, _ = oracle_lu m and n = Mat.rows m in
+      for k = 0 to n - 1 do
+        let rows = ref 0 in
+        for i = k + 1 to n - 1 do
+          if lu.((i * n) + k) <> 0.0 then incr rows
+        done;
+        let lo = ref n and hi = ref k and zeros = ref 0 in
+        for j = k + 1 to n - 1 do
+          if lu.((k * n) + j) = 0.0 then incr zeros
+          else begin
+            if !lo = n then lo := j;
+            hi := j
+          end
+        done;
+        let span = if !lo = n then 0 else !hi - !lo + 1 in
+        terms := !terms + (!rows * (n - k - 1));
+        zero_terms := !zero_terms + (!rows * !zeros);
+        outside := !outside + (!rows * (n - k - 1 - span))
+      done)
+    lhs;
+  let bases = Array.map (fun (ph : Pwl.phase) -> snd (Eig.schur ph.Pwl.a)) sys.Pwl.phases in
+  let forcing, _, rows = Oracle.output_trace s b.LAD.output in
+  let bvp = Bvp.of_sampled s ~output:b.LAD.output ~rows in
+  let k = Array.map Cvec.of_real forcing in
+  let kl = Array.get k and kr i = k.(i + 1) in
+  let reductions =
+    Array.append (Array.map (fun (ph : Pwl.phase) -> ph.Pwl.a) sys.Pwl.phases)
+      [| s.Covariance.phi_period |]
+  in
+  let t =
+    Table.create [ "kernel"; "calls"; "oracle_ms"; "ms"; "speedup"; "bits" ]
+  in
+  let row name ~calls ~oracle ~shipped ~equal =
+    let best_o = ref infinity and best = ref infinity in
+    for _ = 1 to 10 do
+      best_o := Float.min !best_o (wall_ms oracle);
+      best := Float.min !best (wall_ms shipped)
+    done;
+    Table.add_row t
+      [
+        name; string_of_int calls; Printf.sprintf "%.2f" !best_o;
+        Printf.sprintf "%.2f" !best;
+        Printf.sprintf "%.2fx" (!best_o /. !best);
+        (if equal then "equal" else "differ");
+      ]
+  in
+  let each xs f () = Array.iter (fun x -> ignore (f x)) xs in
+  let oracle_lus = each lhs Oracle.lu_factor in
+  row "lu factor" ~calls:14 ~oracle:oracle_lus ~shipped:(each lhs Lu.factor)
+    ~equal:(Array.for_all lu_bits lhs);
+  List.iter
+    (fun segments ->
+      row
+        (if segments then "lu, pivot-row runs" else "lu, pivot-row span")
+        ~calls:14 ~oracle:oracle_lus
+        ~shipped:(each lhs (lu_bounded ~segments))
+        ~equal:
+          (Array.for_all
+             (fun m -> Oracle.bits_equal (fst (oracle_lu m)) (lu_bounded ~segments m))
+             lhs))
+    [ false; true ];
+  row "householder" ~calls:3
+    ~oracle:(each reductions Oracle.hessenberg)
+    ~shipped:(each reductions Eig.hessenberg)
+    ~equal:
+      (Array.for_all
+         (fun a ->
+           let h, u = Eig.hessenberg a and h', u' = Oracle.hessenberg a in
+           Oracle.bits_equal (Mat.data h) (Mat.data h')
+           && Oracle.bits_equal (Mat.data u) (Mat.data u'))
+         reductions);
+  row "forcing" ~calls:1
+    ~oracle:(fun () -> ignore (Oracle.bvp_forcing s ~bases ~kl ~kr))
+    ~shipped:(fun () -> ignore (Bvp.forcing bvp ~kl ~kr))
+    ~equal:
+      (Array.for_all2
+         (fun g w -> Oracle.bits_equal (Cvec.data g) w)
+         (Bvp.forcing bvp ~kl ~kr :> Cvec.t array)
+         (Oracle.bvp_forcing s ~bases ~kl ~kr));
+  let factors = Array.map (fun m -> Lu.factor m) lhs in
+  row "solve" ~calls:14
+    ~oracle:(fun () ->
+      Array.iteri
+        (fun i (p : Expm.pade) ->
+          ignore (reference_solve_rows (Lu.packed factors.(i)) p.Expm.rhs))
+        systems)
+    ~shipped:(fun () ->
+      Array.iteri
+        (fun i (p : Expm.pade) -> ignore (Lu.solve_mat factors.(i) p.Expm.rhs))
+        systems)
+    ~equal:
+      (Array.for_all2
+         (fun f (p : Expm.pade) ->
+           Oracle.bits_equal
+             (reference_solve_rows (Lu.packed f) p.Expm.rhs)
+             (Mat.data (Lu.solve_mat f p.Expm.rhs)))
+         factors systems);
+  Table.print t;
+  let pct x = 100.0 *. float_of_int x /. float_of_int (max 1 !terms) in
+  Printf.printf
+    "(ladder-100, spp 48: the 14 Padé systems at 2n = 200, the \
+     Householder reductions of A0, A1 and Phi(T, 0), the forcing K(t_i) c; \
+     min of 10;\n of the row loop's %d elimination update terms, %.1f %% \
+     meet a zero pivot-row entry and %.1f %% lie outside the pivot row's \
+     nonzero span)\n"
+    !terms (pct !zero_terms) (pct !outside)
+
 let exp_cov () =
   header "EXP-C2  covariance engine: memoised Van Loan grid (ladder with parasitics)";
   let module LAD = Scnoise_circuits.Sc_ladder in
@@ -1982,6 +2235,7 @@ let exp_cov () =
   let vanloan_bits = vanloan_table () in
   let hess_bits = hessenberg_table (Option.get !ladder100) in
   let schur_ok = schur_table (Option.get !ladder100) in
+  prep_kernel_table (Option.get !ladder100);
   let ok = parity_db <= 1e-9 && !counts_ok in
   Printf.printf
     "COV-SMOKE: n100_expm_calls=%d n100_distinct_ops=%d parity_db=%.3e status=%s\n"

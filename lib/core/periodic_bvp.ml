@@ -135,7 +135,12 @@ let n_runs t =
 
    The trapezoid step only sees its interval's forcing as
    h/2 (k0 + k1), so that is what is kept, rotated into the interval's
-   phase basis once per forcing rather than once per step. *)
+   phase basis once per forcing rather than once per step.  Entry r of
+   the rotation is the sum over ascending j of z_jr (k0_j + k1_j): it
+   is accumulated in the output, row j of Z_p at a time, so Z_p is read
+   along its rows and k0_j + k1_j is formed once per j, and then scaled
+   by h/2 — every entry's operations in the column loop's order, with
+   nothing allocated but the result. *)
 
 type forcing = Cvec.t array
 
@@ -147,18 +152,22 @@ let forcing t ~kl ~kr =
         invalid_arg "Periodic_bvp.forcing: wrong dimension";
       let k0 = Cvec.data k0 and k1 = Cvec.data k1 in
       let u = Mat.data t.basis.(t.interval_phase.(i)) in
-      let w = 0.5 *. (t.times.(i + 1) -. t.times.(i)) in
       let g = Cvec.create n in
       let gd = Cvec.data g in
-      for r = 0 to n - 1 do
-        let re = ref 0.0 and im = ref 0.0 in
-        for j = 0 to n - 1 do
-          let a = u.((j * n) + r) in
-          re := !re +. (a *. (k0.(2 * j) +. k1.(2 * j)));
-          im := !im +. (a *. (k0.((2 * j) + 1) +. k1.((2 * j) + 1)))
-        done;
-        gd.(2 * r) <- w *. !re;
-        gd.((2 * r) + 1) <- w *. !im
+      for j = 0 to n - 1 do
+        let sr = k0.(2 * j) +. k1.(2 * j)
+        and si = k0.((2 * j) + 1) +. k1.((2 * j) + 1)
+        and o = j * n in
+        for r = 0 to n - 1 do
+          let a = Array.unsafe_get u (o + r) in
+          Array.unsafe_set gd (2 * r) (Array.unsafe_get gd (2 * r) +. (a *. sr));
+          Array.unsafe_set gd ((2 * r) + 1)
+            (Array.unsafe_get gd ((2 * r) + 1) +. (a *. si))
+        done
+      done;
+      let w = 0.5 *. (t.times.(i + 1) -. t.times.(i)) in
+      for q = 0 to (2 * n) - 1 do
+        gd.(q) <- w *. gd.(q)
       done;
       g)
 

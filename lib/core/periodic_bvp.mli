@@ -79,9 +79,10 @@ val phase_factors : t -> omega:float -> Cvec.t
     exactly at the start of each run of equal steps, then by repeated
     multiplication with the run's [e^{-j omega h}]. *)
 
-type forcing
+type forcing = private Cvec.t array
 (** A forcing prepared for one solver: per grid interval, the trapezoid
-    term [h/2 (k0 + k1)] in the interval's phase basis. *)
+    term [h/2 (k0 + k1)] in the interval's phase basis.  Readable, so
+    that tests can hold it to a reference; only {!forcing} makes one. *)
 
 val forcing : t -> kl:(int -> Cvec.t) -> kr:(int -> Cvec.t) -> forcing
 (** [kl i] and [kr i] are the forcing at the left and right endpoints

@@ -56,21 +56,35 @@ let data t = t.d
 
 let offset t b = b * t.n * t.n
 
+(* Each block row's support is found from its two ends; the pass over
+   it stops at the first interior zero, so a zero-free row costs one
+   test per entry of its support. *)
 let classify t =
   let n = t.n and d = t.d in
   for r = 0 to (3 * n) - 1 do
     let o = r * n in
-    let nnz = ref 0 and lo = ref n and hi = ref (-1) in
-    for k = 0 to n - 1 do
-      if Array.unsafe_get d (o + k) <> 0.0 then begin
-        if !nnz = 0 then lo := k;
-        hi := k;
-        incr nnz
-      end
+    let lo = ref 0 in
+    while !lo < n && Array.unsafe_get d (o + !lo) = 0.0 do
+      incr lo
     done;
-    t.lo.(r) <- !lo;
-    t.hi.(r) <- !hi;
-    t.dense.(r) <- !nnz = 0 || !nnz = !hi - !lo + 1
+    if !lo = n then begin
+      t.lo.(r) <- n;
+      t.hi.(r) <- -1;
+      t.dense.(r) <- true
+    end
+    else begin
+      let lo = !lo and hi = ref (n - 1) in
+      while Array.unsafe_get d (o + !hi) = 0.0 do
+        decr hi
+      done;
+      let hi = !hi and k = ref lo in
+      while !k <= hi && Array.unsafe_get d (o + !k) <> 0.0 do
+        incr k
+      done;
+      t.lo.(r) <- lo;
+      t.hi.(r) <- hi;
+      t.dense.(r) <- !k > hi
+    end
   done
 
 (* Rows [i] and [i + 1] of the output block at [co] against its columns

@@ -12,27 +12,120 @@ let c_reductions = Obs.counter "schur_reductions"
    arithmetic does not depend on it.
 
    Every entry sees the float operations of the textbook column loop
-   ([Oracle.hessenberg]), in its order: the left update's sums
+   ([Oracle.hessenberg]), in its order.  The left update's sums
    s_j = sum_i v_i a_ij run over ascending i for every column at once,
-   a row of [a] at a time, into [s]; the right update and [u]'s are
-   row sums already. *)
+   four rows of [a] per pass with s_j held in a register, and its row
+   updates a_ij - s_j v_i take four rows per pass; the right updates'
+   row sums run four rows at a time in independent accumulators.
+
+   The left update runs over the columns j >= k only.  Below the
+   subdiagonal, columns j < k hold the [+0.0] their own step wrote,
+   and the loop's terms there leave them so: with v and beta finite,
+   v_i *. +0 is ±0, so s_j = beta *. +0 = +0 and a_ij -. (+0 *. v_i)
+   is +0 again.  A step whose v or beta is not finite would write NaN
+   there, so from the first such step on the full range runs.
+
+   The helpers take buffers and indices; only the right update takes
+   a float, once per step and matrix, as before. *)
+
+(* s_j <- sum_{i > k} v_i a_ij for j in [j0, n - 1] *)
+let column_sums a v s ~n ~k ~j0 =
+  Array.fill s j0 (n - j0) 0.0;
+  let i = ref (k + 1) in
+  while !i + 4 <= n do
+    let i0 = !i in
+    let v0 = v.(i0) and v1 = v.(i0 + 1) and v2 = v.(i0 + 2)
+    and v3 = v.(i0 + 3) in
+    let r0 = i0 * n and r1 = (i0 + 1) * n and r2 = (i0 + 2) * n
+    and r3 = (i0 + 3) * n in
+    for j = j0 to n - 1 do
+      Array.unsafe_set s j
+        (Array.unsafe_get s j
+        +. (v0 *. Array.unsafe_get a (r0 + j))
+        +. (v1 *. Array.unsafe_get a (r1 + j))
+        +. (v2 *. Array.unsafe_get a (r2 + j))
+        +. (v3 *. Array.unsafe_get a (r3 + j)))
+    done;
+    i := i0 + 4
+  done;
+  for i = !i to n - 1 do
+    let vi = v.(i) and r = i * n in
+    for j = j0 to n - 1 do
+      Array.unsafe_set s j
+        (Array.unsafe_get s j +. (vi *. Array.unsafe_get a (r + j)))
+    done
+  done
+
+(* a_ij <- a_ij - s_j v_i for i > k, j in [j0, n - 1] *)
+let left_update a v s ~n ~k ~j0 =
+  let i = ref (k + 1) in
+  while !i + 4 <= n do
+    let i0 = !i in
+    let v0 = v.(i0) and v1 = v.(i0 + 1) and v2 = v.(i0 + 2)
+    and v3 = v.(i0 + 3) in
+    let r0 = i0 * n and r1 = (i0 + 1) * n and r2 = (i0 + 2) * n
+    and r3 = (i0 + 3) * n in
+    for j = j0 to n - 1 do
+      let sj = Array.unsafe_get s j in
+      Array.unsafe_set a (r0 + j) (Array.unsafe_get a (r0 + j) -. (sj *. v0));
+      Array.unsafe_set a (r1 + j) (Array.unsafe_get a (r1 + j) -. (sj *. v1));
+      Array.unsafe_set a (r2 + j) (Array.unsafe_get a (r2 + j) -. (sj *. v2));
+      Array.unsafe_set a (r3 + j) (Array.unsafe_get a (r3 + j) -. (sj *. v3))
+    done;
+    i := i0 + 4
+  done;
+  for i = !i to n - 1 do
+    let vi = v.(i) and r = i * n in
+    for j = j0 to n - 1 do
+      Array.unsafe_set a (r + j)
+        (Array.unsafe_get a (r + j) -. (Array.unsafe_get s j *. vi))
+    done
+  done
+
+(* x <- x (I - beta v vᵀ) on the rows of the row-major [x] *)
+let right_update x v ~n ~k beta =
+  let i = ref 0 in
+  while !i + 4 <= n do
+    let r0 = !i * n in
+    let r1 = r0 + n in
+    let r2 = r1 + n in
+    let r3 = r2 + n in
+    let c0 = ref 0.0 and c1 = ref 0.0 and c2 = ref 0.0 and c3 = ref 0.0 in
+    for j = k + 1 to n - 1 do
+      let vj = Array.unsafe_get v j in
+      c0 := !c0 +. (Array.unsafe_get x (r0 + j) *. vj);
+      c1 := !c1 +. (Array.unsafe_get x (r1 + j) *. vj);
+      c2 := !c2 +. (Array.unsafe_get x (r2 + j) *. vj);
+      c3 := !c3 +. (Array.unsafe_get x (r3 + j) *. vj)
+    done;
+    let c0 = beta *. !c0 and c1 = beta *. !c1 and c2 = beta *. !c2
+    and c3 = beta *. !c3 in
+    for j = k + 1 to n - 1 do
+      let vj = Array.unsafe_get v j in
+      Array.unsafe_set x (r0 + j) (Array.unsafe_get x (r0 + j) -. (c0 *. vj));
+      Array.unsafe_set x (r1 + j) (Array.unsafe_get x (r1 + j) -. (c1 *. vj));
+      Array.unsafe_set x (r2 + j) (Array.unsafe_get x (r2 + j) -. (c2 *. vj));
+      Array.unsafe_set x (r3 + j) (Array.unsafe_get x (r3 + j) -. (c3 *. vj))
+    done;
+    i := !i + 4
+  done;
+  for i = !i to n - 1 do
+    let r = i * n in
+    let acc = ref 0.0 in
+    for j = k + 1 to n - 1 do
+      acc := !acc +. (Array.unsafe_get x (r + j) *. Array.unsafe_get v j)
+    done;
+    let acc = beta *. !acc in
+    for j = k + 1 to n - 1 do
+      Array.unsafe_set x (r + j)
+        (Array.unsafe_get x (r + j) -. (acc *. Array.unsafe_get v j))
+    done
+  done
+
 let reduce ?u a n =
   let v = Array.make n 0.0 and s = Array.make n 0.0 in
-  (* x <- x (I - beta v vᵀ) on the rows of the row-major [x] *)
-  let right x beta k =
-    for i = 0 to n - 1 do
-      let r = i * n in
-      let acc = ref 0.0 in
-      for j = k + 1 to n - 1 do
-        acc := !acc +. (Array.unsafe_get x (r + j) *. Array.unsafe_get v j)
-      done;
-      let acc = beta *. !acc in
-      for j = k + 1 to n - 1 do
-        Array.unsafe_set x (r + j)
-          (Array.unsafe_get x (r + j) -. (acc *. Array.unsafe_get v j))
-      done
-    done
-  in
+  (* whether every step so far had a finite v and beta *)
+  let finite = ref true in
   for k = 0 to n - 3 do
     (* Householder vector annihilating a.(k+2..n-1).(k). *)
     let alpha = ref 0.0 in
@@ -55,28 +148,22 @@ let reduce ?u a n =
       done;
       if !vnorm2 > 0.0 then begin
         let beta = 2.0 /. !vnorm2 in
-        (* A <- (I - beta v vᵀ) A *)
-        Array.fill s 0 n 0.0;
-        for i = k + 1 to n - 1 do
-          let vi = v.(i) and r = i * n in
-          for j = 0 to n - 1 do
-            Array.unsafe_set s j
-              (Array.unsafe_get s j +. (vi *. Array.unsafe_get a (r + j)))
+        if !finite then begin
+          if not (Float.is_finite beta) then finite := false;
+          for i = k + 1 to n - 1 do
+            if not (Float.is_finite v.(i)) then finite := false
           done
-        done;
-        for j = 0 to n - 1 do
+        end;
+        (* A <- (I - beta v vᵀ) A *)
+        let j0 = if !finite then k else 0 in
+        column_sums a v s ~n ~k ~j0;
+        for j = j0 to n - 1 do
           s.(j) <- beta *. s.(j)
         done;
-        for i = k + 1 to n - 1 do
-          let vi = v.(i) and r = i * n in
-          for j = 0 to n - 1 do
-            Array.unsafe_set a (r + j)
-              (Array.unsafe_get a (r + j) -. (Array.unsafe_get s j *. vi))
-          done
-        done;
+        left_update a v s ~n ~k ~j0;
         (* A <- A (I - beta v vᵀ) *)
-        right a beta k;
-        Option.iter (fun u -> right u beta k) u
+        right_update a v ~n ~k beta;
+        match u with Some u -> right_update u v ~n ~k beta | None -> ()
       end
     end;
     (* Clean below the first subdiagonal in column k. *)

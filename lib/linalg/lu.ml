@@ -24,10 +24,74 @@ let ill_conditioned_rcond = 1e-12
    1e-12 counter trips.  Always-on (one atomic add per factorisation). *)
 let h_rcond = Obs.histogram "lu.rcond"
 
+(* Per-domain scratch of [factor_data] and [solve_rows], grown to the
+   largest [n] seen: the source rows' spans [lo], [hi] and one target's
+   source list [src] of a solve, whether its skips are still exact, and
+   the rows one pivot updates in a factorisation ([src] serves both; a
+   factorisation runs no solve).  Neither allocates per call, so they
+   leave the collector's pacing of their callers as it was. *)
+type scratch = {
+  mutable lo : int array;
+  mutable hi : int array;
+  mutable src : int array;
+  mutable skips : bool;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { lo = [||]; hi = [||]; src = [||]; skips = true })
+
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.lo < n then begin
+    s.lo <- Array.make n 0;
+    s.hi <- Array.make n 0;
+    s.src <- Array.make n 0
+  end;
+  s
+
+(* --- elimination ---
+
+   Right-looking, row by row as in the textbook loop: after the pivot
+   search and swap, each row [i] below the pivot gets its multiplier
+   [f = l_ik / u_kk], stored in column [k], and, when [f <> 0], the
+   update [l_ij -. f *. u_kj] for every [j > k].  The rows with
+   [f <> 0] are listed first and then updated four at a time, so each
+   loaded pivot-row entry serves four rows; the rest run one at a time.
+   Every entry receives the same operations in the same order — one
+   [x -. f *. u] per pivot, in ascending [k] — so the factors are those
+   of the textbook loop bit for bit.  The helpers take buffers and
+   indices only, never a float; rows [i] and [k] are in range, so the
+   O(n³) update skips the bounds checks. *)
+
+(* Rows [rows.(g) .. rows.(g + 3)] less their multiple of pivot row
+   [k], over columns [k + 1 .. n - 1]. *)
+let eliminate4 lu ~n ~k rows g =
+  let r0 = rows.(g) * n and r1 = rows.(g + 1) * n
+  and r2 = rows.(g + 2) * n and r3 = rows.(g + 3) * n and rk = k * n in
+  let f0 = lu.(r0 + k) and f1 = lu.(r1 + k) and f2 = lu.(r2 + k)
+  and f3 = lu.(r3 + k) in
+  for j = k + 1 to n - 1 do
+    let u = Array.unsafe_get lu (rk + j) in
+    Array.unsafe_set lu (r0 + j) (Array.unsafe_get lu (r0 + j) -. (f0 *. u));
+    Array.unsafe_set lu (r1 + j) (Array.unsafe_get lu (r1 + j) -. (f1 *. u));
+    Array.unsafe_set lu (r2 + j) (Array.unsafe_get lu (r2 + j) -. (f2 *. u));
+    Array.unsafe_set lu (r3 + j) (Array.unsafe_get lu (r3 + j) -. (f3 *. u))
+  done
+
+(* Row [i] less its multiple of pivot row [k]. *)
+let eliminate1 lu ~n ~k i =
+  let ri = i * n and rk = k * n in
+  let f = lu.(ri + k) in
+  for j = k + 1 to n - 1 do
+    Array.unsafe_set lu (ri + j)
+      (Array.unsafe_get lu (ri + j) -. (f *. Array.unsafe_get lu (rk + j)))
+  done
+
 (* Factors the [n × n] row-major [lu] in place. *)
 let factor_data n lu =
   Obs.incr c_factorizations;
   let piv = Array.init n (fun i -> i) in
+  let rows = (scratch n).src in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* Partial pivoting: find the largest magnitude in column k. *)
@@ -53,19 +117,22 @@ let factor_data n lu =
       sign := -. !sign
     end;
     let pivot = lu.((k * n) + k) in
+    let m = ref 0 in
     for i = k + 1 to n - 1 do
       let f = lu.((i * n) + k) /. pivot in
       lu.((i * n) + k) <- f;
       if f <> 0.0 then begin
-        (* rows [i] and [k] are in range, so the O(n^3) update skips
-           the bounds checks *)
-        let ri = i * n and rk = k * n in
-        for j = k + 1 to n - 1 do
-          Array.unsafe_set lu (ri + j)
-            (Array.unsafe_get lu (ri + j)
-            -. (f *. Array.unsafe_get lu (rk + j)))
-        done
+        rows.(!m) <- i;
+        incr m
       end
+    done;
+    let g = ref 0 in
+    while !g + 4 <= !m do
+      eliminate4 lu ~n ~k rows !g;
+      g := !g + 4
+    done;
+    for g = !g to !m - 1 do
+      eliminate1 lu ~n ~k rows.(g)
     done
   done;
   let t = { n; lu; piv; sign = !sign } in
@@ -222,29 +289,6 @@ let record_span x ~w ~lo ~hi i =
   lo.(i) <- !first;
   hi.(i) <- !last;
   !finite
-
-(* Per-domain scratch of [solve_rows], grown to the largest [n] seen:
-   the source rows' spans [lo], [hi], one target's source list [src],
-   and whether the skips are still exact.  A solve allocates nothing, so
-   it leaves the collector's pacing of its callers as it was. *)
-type scratch = {
-  mutable lo : int array;
-  mutable hi : int array;
-  mutable src : int array;
-  mutable skips : bool;
-}
-
-let scratch_key =
-  Domain.DLS.new_key (fun () -> { lo = [||]; hi = [||]; src = [||]; skips = true })
-
-let scratch n =
-  let s = Domain.DLS.get scratch_key in
-  if Array.length s.lo < n then begin
-    s.lo <- Array.make n 0;
-    s.hi <- Array.make n 0;
-    s.src <- Array.make n 0
-  end;
-  s
 
 (* Row [i] is final: record its span, or leave the skips for good if it
    is not finite. *)

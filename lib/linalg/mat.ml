@@ -116,8 +116,12 @@ let scale s m =
    i-k-j loop's operation sequence, kept entry by entry, so the kernel
    is bitwise identical to that loop.
 
-   Each row of [a] is classified once by its nonzero support [lo, hi]
-   and its nonzero count.  Two consecutive rows with the same support,
+   Each row of [a] is classified once by its nonzero support [lo, hi],
+   whether it is zero-free inside it and whether it is finite
+   ([classify_row]: from the support's ends, then one test per entry
+   of it on a zero-free finite row), and [b]'s columns by their supports
+   from either end ([column_supports]: two loads on a column with no
+   zero at its ends).  Two consecutive rows with the same support,
    both zero-free inside it (no [0.0] or [-0.0]; an empty row counts)
    and both finite or both not, run in 2 x 4 tiles of [c] held in float
    accumulators (the compiler keeps them unboxed in registers), with no
@@ -242,6 +246,80 @@ let scratch ~m ~p ~n =
   end;
   s
 
+(* Row [i] of [a]: its nonzero support, found from its two ends, then
+   one pass over the support that stops at the first entry that is zero
+   or not finite ([x -. x] is [0] exactly when [x] is finite).  Only a
+   row that has such an entry counts its nonzeros, from there on, so a
+   zero-free finite row costs one test per entry of its support. *)
+let classify_row ad ~p a_lo a_hi zero_free finite i =
+  let r = i * p in
+  let lo = ref 0 in
+  while !lo < p && Array.unsafe_get ad (r + !lo) = 0.0 do
+    incr lo
+  done;
+  if !lo = p then begin
+    a_lo.(i) <- p;
+    a_hi.(i) <- -1;
+    zero_free.(i) <- true;
+    finite.(i) <- true
+  end
+  else begin
+    let lo = !lo and hi = ref (p - 1) in
+    while Array.unsafe_get ad (r + !hi) = 0.0 do
+      decr hi
+    done;
+    let hi = !hi and k = ref lo in
+    while
+      !k <= hi
+      &&
+      let x = Array.unsafe_get ad (r + !k) in
+      x <> 0.0 && x -. x = 0.0
+    do
+      incr k
+    done;
+    a_lo.(i) <- lo;
+    a_hi.(i) <- hi;
+    if !k > hi then begin
+      zero_free.(i) <- true;
+      finite.(i) <- true
+    end
+    else begin
+      let nnz = ref (!k - lo) and fin = ref true in
+      for k = !k to hi do
+        let x = Array.unsafe_get ad (r + k) in
+        if x <> 0.0 then begin
+          incr nnz;
+          if not (Float.is_finite x) then fin := false
+        end
+      done;
+      zero_free.(i) <- !nnz = hi - lo + 1;
+      finite.(i) <- !fin
+    end
+  end
+
+(* The nonzero support of each column of the [p × n] [b], walked from
+   the top and from the bottom to the column's first nonzero: a column
+   with no zero at either end costs two loads. *)
+let column_supports bd ~p ~n bc_lo bc_hi =
+  for j = 0 to n - 1 do
+    let k = ref 0 in
+    while !k < p && Array.unsafe_get bd ((!k * n) + j) = 0.0 do
+      incr k
+    done;
+    if !k = p then begin
+      bc_lo.(j) <- p;
+      bc_hi.(j) <- -1
+    end
+    else begin
+      bc_lo.(j) <- !k;
+      let k = ref (p - 1) in
+      while Array.unsafe_get bd ((!k * n) + j) = 0.0 do
+        decr k
+      done;
+      bc_hi.(j) <- !k
+    end
+  done
+
 (* Whether rows [i] and [i + 1] of the first [m] share a tile.  A
    top-level function, so that a product allocates no closure. *)
 let paired ~m a_lo a_hi zero_free finite i =
@@ -267,21 +345,7 @@ let mul_into ?rows a b c =
     scratch ~m ~p ~n
   in
   for i = 0 to m - 1 do
-    let nnz = ref 0 and lo = ref p and hi = ref (-1) and fin = ref true in
-    let r = i * p in
-    for k = 0 to p - 1 do
-      let x = Array.unsafe_get ad (r + k) in
-      if x <> 0.0 then begin
-        if !nnz = 0 then lo := k;
-        hi := k;
-        incr nnz;
-        if not (Float.is_finite x) then fin := false
-      end
-    done;
-    a_lo.(i) <- !lo;
-    a_hi.(i) <- !hi;
-    finite.(i) <- !fin;
-    zero_free.(i) <- !nnz = 0 || !nnz = !hi - !lo + 1
+    classify_row ad ~p a_lo a_hi zero_free finite i
   done;
   (* whether a finite row runs in a tile, which needs [b]'s column
      supports, or as an axpy, which needs its row supports: the pairing
@@ -298,18 +362,7 @@ let mul_into ?rows a b c =
       incr i
     end
   done;
-  if !col_bound then begin
-    Array.fill bc_lo 0 n p;
-    Array.fill bc_hi 0 n (-1);
-    for k = 0 to p - 1 do
-      for j = 0 to n - 1 do
-        if Array.unsafe_get bd ((k * n) + j) <> 0.0 then begin
-          if k < bc_lo.(j) then bc_lo.(j) <- k;
-          bc_hi.(j) <- k
-        end
-      done
-    done
-  end;
+  if !col_bound then column_supports bd ~p ~n bc_lo bc_hi;
   if !row_bound then
     for k = 0 to p - 1 do
       let o = k * n in

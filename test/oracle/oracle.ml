@@ -197,6 +197,59 @@ let hessenberg m =
   let mat x = Mat.init n n (fun i j -> x.(i).(j)) in
   (mat a, mat u)
 
+(* The right-looking LU elimination [Lu.factor] ran before its rows
+   were grouped, on a copy of the row-major data: partial pivoting on
+   the first largest magnitude, then, row by row below the pivot, the
+   multiplier [f = l_ik / u_kk] and, when [f <> 0], [l_ij -. f *. u_kj]
+   for every [j > k].  [Ok (lu, piv, sign)], or [Error k] at the first
+   column [k] with no nonzero pivot candidate. *)
+let lu_factor m =
+  let n = Mat.rows m in
+  let lu = Array.copy (Mat.data m) in
+  let piv = Array.init n Fun.id and sign = ref 1.0 in
+  let rec column k =
+    if k = n then Ok (lu, piv, !sign)
+    else begin
+      let pmax = ref (abs_float lu.((k * n) + k)) and prow = ref k in
+      for i = k + 1 to n - 1 do
+        let v = abs_float lu.((i * n) + k) in
+        if v > !pmax then begin
+          pmax := v;
+          prow := i
+        end
+      done;
+      if !pmax = 0.0 then Error k
+      else begin
+        if !prow <> k then begin
+          for j = 0 to n - 1 do
+            let t = lu.((k * n) + j) in
+            lu.((k * n) + j) <- lu.((!prow * n) + j);
+            lu.((!prow * n) + j) <- t
+          done;
+          let t = piv.(k) in
+          piv.(k) <- piv.(!prow);
+          piv.(!prow) <- t;
+          sign := -. !sign
+        end;
+        let pivot = lu.((k * n) + k) in
+        for i = k + 1 to n - 1 do
+          let f = lu.((i * n) + k) /. pivot in
+          lu.((i * n) + k) <- f;
+          if f <> 0.0 then begin
+            let ri = i * n and rk = k * n in
+            for j = k + 1 to n - 1 do
+              Array.unsafe_set lu (ri + j)
+                (Array.unsafe_get lu (ri + j)
+                -. (f *. Array.unsafe_get lu (rk + j)))
+            done
+          end
+        done;
+        column (k + 1)
+      end
+    end
+  in
+  column 0
+
 (* The sampling grid over one period and, per interval, its phase and
    exact step. *)
 let covariance_grid ~samples_per_phase (sys : Pwl.t) =
@@ -510,3 +563,28 @@ let bvp_reference (cov : Covariance.sampled) ~output ~rows ~omegas ~kl ~kr y =
           y.((2 * ((i * width) + b)) + 1) <- z.im)
         times)
     omegas
+
+(* [Periodic_bvp.forcing] as the column loop it was: per interval, entry
+   r of h/2 (k0 + k1) in the phase basis Z_p ([bases.(p)], the phases'
+   real Schur bases as [Eig.schur] gives them) is the sum over ascending
+   j of z_jr (k0_j + k1_j), read down column r of Z_p, with k0 + k1
+   formed afresh for every term. *)
+let bvp_forcing (cov : Covariance.sampled) ~bases ~kl ~kr =
+  let times = cov.Covariance.times in
+  let n = cov.Covariance.sys.Pwl.nstates in
+  Array.init (Array.length times - 1) (fun i ->
+      let k0 = Cvec.data (kl i) and k1 = Cvec.data (kr i) in
+      let u = Mat.data bases.(cov.Covariance.interval_phase.(i)) in
+      let w = 0.5 *. (times.(i + 1) -. times.(i)) in
+      let g = Array.make (2 * n) 0.0 in
+      for r = 0 to n - 1 do
+        let re = ref 0.0 and im = ref 0.0 in
+        for j = 0 to n - 1 do
+          let a = u.((j * n) + r) in
+          re := !re +. (a *. (k0.(2 * j) +. k1.(2 * j)));
+          im := !im +. (a *. (k0.((2 * j) + 1) +. k1.((2 * j) + 1)))
+        done;
+        g.(2 * r) <- w *. !re;
+        g.((2 * r) + 1) <- w *. !im
+      done;
+      g)

@@ -466,6 +466,61 @@ let prep_integrator () =
   let b = SI.build SI.default in
   Psd.prepare ~samples_per_phase:64 b.SI.sys ~output:b.SI.output
 
+(* [Bvp.forcing] (accumulated along the rows of each phase basis,
+   k0 + k1 formed once per state) against the column loop it replaced
+   ([Oracle.bvp_forcing]), bit for bit: the PSD forcing K(t_i) c of the
+   shipped low-pass, switched-RC and integrator and of ladder-40, and
+   random complex endpoints with signed zeros that switch with the
+   clock, as a transfer forcing does. *)
+let test_forcing_oracle () =
+  let module LAD = Scnoise_circuits.Sc_ladder in
+  let rng = Random.State.make [| 0xf0c |] in
+  let ladder40 () =
+    let b = LAD.build (LAD.with_parasitics (LAD.with_stages 20)) in
+    Psd.prepare ~samples_per_phase:48 b.LAD.sys ~output:b.LAD.output
+  in
+  let check name cov bvp ~kl ~kr =
+    let bases =
+      Array.map
+        (fun (ph : Scnoise_circuit.Pwl.phase) ->
+          snd (Scnoise_linalg.Eig.schur ph.Scnoise_circuit.Pwl.a))
+        cov.Scnoise_core.Covariance.sys.Scnoise_circuit.Pwl.phases
+    in
+    let got = (Bvp.forcing bvp ~kl ~kr :> Cvec.t array)
+    and want = Oracle.bvp_forcing cov ~bases ~kl ~kr in
+    Alcotest.(check int) (name ^ ": intervals") (Array.length want)
+      (Array.length got);
+    Array.iteri
+      (fun i g ->
+        if not (Oracle.bits_equal want.(i) (Cvec.data g)) then
+          Alcotest.failf "%s: interval %d differs from the column loop" name i)
+      got
+  in
+  List.iter
+    (fun (name, eng) ->
+      let cov = Psd.covariance eng and c = Psd.output eng in
+      let forcing, _, rows = Oracle.output_trace cov c in
+      let bvp = Bvp.of_sampled cov ~output:c ~rows in
+      let k = Array.map Cvec.of_real forcing in
+      check (name ^ " K c") cov bvp ~kl:(Array.get k) ~kr:(fun i -> k.(i + 1));
+      let n = Array.length c in
+      let entry () =
+        match Random.State.int rng 8 with
+        | 0 -> -0.0
+        | 1 -> 0.0
+        | _ -> rnd rng
+      in
+      let cols =
+        Array.init 2 (fun _ -> Cvec.init n (fun _ -> Cx.make (entry ()) (entry ())))
+      in
+      let phase = cov.Scnoise_core.Covariance.interval_phase in
+      let kl i = cols.(phase.(i) mod 2) and kr i = cols.((phase.(i) + 1) mod 2) in
+      check (name ^ " switched") cov bvp ~kl ~kr)
+    [
+      ("lowpass", prep_lowpass ()); ("switched_rc", prep_switched_rc ());
+      ("integrator", prep_integrator ()); ("ladder-40", ladder40 ());
+    ]
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -490,6 +545,8 @@ let () =
           Alcotest.test_case "ladder-100 oracle" `Slow test_ladder100_oracle;
           Alcotest.test_case "closure phase factors == cis" `Slow
             test_phase_factors;
+          Alcotest.test_case "forcing == column-loop oracle" `Quick
+            test_forcing_oracle;
         ] );
       qsuite "blocked kernels" [ prop_step_schur_panel ];
       ( "batched sweeps",

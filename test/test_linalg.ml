@@ -1241,6 +1241,128 @@ let test_mul_ladder_vanloan () =
           ("expm expm", r, r); ("a expm", m, r); ("expm a", r, m) ])
     [ 0; 1 ]
 
+(* [Lu.factor] against [Oracle.lu_factor], the row-at-a-time loop its
+   grouped elimination replaced: factors, pivots, the sign (through
+   [Lu.det], which multiplies it into the diagonal) and the [Singular]
+   column, bit for bit.  Random matrices of 1 to 12 states with zero
+   rows and columns, signed zeros, infinities and NaNs, so that the
+   rows a pivot updates split into groups of four and a tail in every
+   way and some multipliers are zero or not finite; and the Padé
+   systems of the two ladder-100 Van Loan steps (200 states). *)
+let test_lu_factor_oracle () =
+  without_sanitizer @@ fun () ->
+  let rng = Random.State.make [| 0x1f7 |] in
+  let check name m =
+    let n = Mat.rows m in
+    let got = match Lu.factor m with t -> Ok t | exception Lu.Singular k -> Error k in
+    match (Oracle.lu_factor m, got) with
+    | Ok (lu, piv, sign), Ok t ->
+        let f, piv' = Lu.packed t in
+        check_bits (name ^ ": factors") lu (Mat.data f);
+        Alcotest.(check (array int)) (name ^ ": pivots") piv piv';
+        let det = ref sign in
+        for i = 0 to n - 1 do
+          det := !det *. lu.((i * n) + i)
+        done;
+        check_bits (name ^ ": sign") [| !det |] [| Lu.det t |]
+    | Error k, Error k' -> Alcotest.(check int) (name ^ ": singular column") k k'
+    | Error k, Ok _ -> Alcotest.failf "%s: factored; the loop stops at column %d" name k
+    | Ok _, Error k -> Alcotest.failf "%s: singular at column %d; the loop factors" name k
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  for n = 1 to 12 do
+    for case = 1 to 30 do
+      let zr = Array.init n (fun _ -> Random.State.int rng 8 = 0)
+      and zc = Array.init n (fun _ -> Random.State.int rng 8 = 0)
+      and odd = Random.State.int rng 3 = 0 in
+      let m =
+        Mat.init n n (fun i j ->
+            if zr.(i) || zc.(j) then 0.0
+            else
+              match Random.State.int rng 12 with
+              | 0 -> -0.0
+              | 1 -> 0.0
+              | 2 when odd -> pick [ infinity; neg_infinity; Float.nan ]
+              | _ -> Random.State.float rng 2.0 -. 1.0)
+      in
+      check (Printf.sprintf "random %dx%d #%d" n n case) m
+    done
+  done;
+  List.iter
+    (fun phase ->
+      check
+        (Printf.sprintf "ladder-100 Van Loan phase %d Padé lhs" phase)
+        (Oracle.pade13 (ladder_vanloan 50 phase)).Expm.lhs)
+    [ 0; 1 ]
+
+(* [Mat.mul_into] against [Oracle.gemm] on the operands each of its
+   classification's fallbacks serves: rows of [a] with zeros at either
+   end and inside ([0.0] and [-0.0]), with infinities or NaN at a
+   support's ends or inside it, all-zero rows, and runs of rows that
+   share a support (the tiles); columns of [b] with zeros at the top
+   and bottom and inside, non-finite entries, all-zero rows and
+   columns; every product at a random [~rows] prefix too.  Rows past
+   the prefix must keep what they held.
+
+   Every entry that is not NaN must match bit for bit, and a NaN must
+   meet a NaN.  Which NaN a sum of two NaNs yields (here the operand
+   NaN against the [inf *. 0] one, which differ in sign) is the
+   hardware's pick of the instruction's first operand, and the
+   compiler orders the operands of the loop and of the kernel's axpy
+   differently; no sum of numbers depends on it. *)
+let test_mul_into_fallbacks () =
+  let rng = Random.State.make [| 0x3c1 |] in
+  let rand () = Random.State.float rng 2.0 -. 1.0 in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  (* one line of [len]: its support, interior zeros and non-finite
+     entries drawn per line *)
+  let shape len =
+    let lo = if Random.State.bool rng then Random.State.int rng len else 0 in
+    let hi =
+      if Random.State.bool rng then lo + Random.State.int rng (len - lo)
+      else len - 1
+    in
+    (lo, hi, Random.State.int rng 3, Random.State.int rng 4 = 0,
+     Random.State.int rng 7 = 0)
+  in
+  let line len (lo, hi, holes, nonfinite, empty) =
+    Array.init len (fun k ->
+        if empty || k < lo || k > hi then 0.0
+        else if nonfinite && (k = lo || k = hi || Random.State.int rng 6 = 0)
+        then pick [ infinity; neg_infinity; Float.nan ]
+        else if holes > 0 && Random.State.int rng 4 < holes then
+          pick [ 0.0; -0.0 ]
+        else rand ())
+  in
+  (* [r] lines, each sharing the previous one's shape half the time *)
+  let lines r len =
+    let s = ref (shape len) in
+    Array.init r (fun _ ->
+        if Random.State.bool rng then s := shape len;
+        line len !s)
+  in
+  for case = 1 to 400 do
+    let m = 1 + Random.State.int rng 13
+    and p = 1 + Random.State.int rng 13
+    and n = 1 + Random.State.int rng 13 in
+    let ar = lines m p and bc = lines n p in
+    let a = Mat.init m p (fun i k -> ar.(i).(k))
+    and b = Mat.init p n (fun k j -> bc.(j).(k)) in
+    let want = Oracle.gemm a b in
+    List.iter
+      (fun rows ->
+        let c = Mat.init m n (fun _ _ -> Float.nan) in
+        Mat.mul_into ~rows a b c;
+        let nan_class x = if Float.is_nan x then Float.nan else x in
+        check_bits
+          (Printf.sprintf "case %d: mul_into ~rows:%d of %dx%d * %dx%d" case
+             rows m p p n)
+          (Array.init (m * n) (fun k ->
+               if k < rows * n then nan_class want.(k) else Float.nan))
+          (Array.map nan_class (Mat.data c)))
+      [ m; Random.State.int rng (m + 1) ]
+  done
+
 (* Row classes at their edges: zero-free pairs on a narrow shared
    support (against [b] columns with zero stretches, so the tiles' [k]
    range is clipped), pairs whose supports differ, a [-0.0] or [0.0]
@@ -1666,7 +1788,9 @@ let test_mul_into_rows () =
    hundred-state ladder the BVP reduces, random dense matrices of 1 to
    12 states, and columns the loop leaves alone — already reduced
    (alpha = 0 on a triangular or block matrix), or with entries whose
-   squares underflow.  The loop's second guard, vnorm2 > 0, cannot fail
+   squares underflow — and non-finite input, where the reduction's
+   j >= k bound on the left update must give way to the full range.
+   The loop's second guard, vnorm2 > 0, cannot fail
    once alpha > 0: vnorm2 sums the same squares with the first one
    replaced by a larger (a_{k+1,k} and alpha have opposite signs). *)
 let test_hessenberg_oracle () =
@@ -1707,7 +1831,17 @@ let test_hessenberg_oracle () =
          else if j = 1 && i > 1 then -0.0
          else rand ()));
   check "signed zeros"
-    (Mat.init 6 6 (fun i j -> if (i + j) mod 3 = 0 then -0.0 else rand ()))
+    (Mat.init 6 6 (fun i j -> if (i + j) mod 3 = 0 then -0.0 else rand ()));
+  (* non-finite input: the left update's columns left of the step then
+     hold NaN below the subdiagonal, which the j >= k bound must not
+     skip — an infinity below the subdiagonal, a NaN above it, and
+     finite entries whose squares overflow, so that v is infinite *)
+  check "infinity below the subdiagonal"
+    (Mat.init 9 9 (fun i j -> if i = 6 && j = 1 then infinity else rand ()));
+  check "NaN above the diagonal"
+    (Mat.init 9 9 (fun i j -> if i = 0 && j = 5 then Float.nan else rand ()));
+  check "overflowing squares"
+    (Mat.init 9 9 (fun i j -> if j = 2 && i > 3 then 1e200 *. rand () else rand ()))
 
 let () =
   Alcotest.run "linalg"
@@ -1825,6 +1959,10 @@ let () =
             test_vanloan_cases_cover_squarings;
           Alcotest.test_case "discretize == 2n composition on the decks"
             `Quick test_vanloan_oracle_decks;
+          Alcotest.test_case "factor == row-at-a-time loop" `Quick
+            test_lu_factor_oracle;
+          Alcotest.test_case "mul_into fallbacks == i-k-j loop" `Quick
+            test_mul_into_fallbacks;
         ] );
       ( "kernels",
         [
