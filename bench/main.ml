@@ -2259,13 +2259,134 @@ let exp_cov () =
      && schur_ok)
   then exit 1
 
+(* ------------------------------------------------------------------ *)
+(* EXP-SV2: the deck memo in front of the serve tiers                  *)
+(* ------------------------------------------------------------------ *)
+
+module Sp = Scnoise_serve.Protocol
+module Sx = Scnoise_serve.Exec
+module Json = Scnoise_obs.Json
+
+(* a switched RC and a damped SC integrator *)
+let serve_decks =
+  [
+    ".param rs = 1k\n.param c = 1n\n\
+     S1 vout 0 {rs} closed=0\nC1 vout 0 {c}\n\
+     .clock duty period={5 * rs * c} duty=0.5\n.output vout\n\
+     .psd fmin=0 fmax=16k points=33\n.end\n";
+    "* damped SC integrator, 100 kHz clock\n\
+     .param cs = 1p\n.param ci = 10p\n.param cd = 1p\n.param cp = 50f\n\
+     .param ron = 1k\n.param T = 10u\n\
+     Vin vin dc 0\n\
+     S1 na vin {ron} closed=0\nS2 nb 0 {ron} closed=0\n\
+     S3 na 0 {ron} closed=1\nS4 nb vg {ron} closed=1\n\
+     Cs na nb {cs}\nCpa na 0 {cp}\nCpb nb 0 {cp}\n\
+     Ci vg vo {ci}\nOPI1 0 vg vo ugf={2 * pi * 10meg}\n\
+     S5 nd vo {ron} closed=0\nS6 nd vg {ron} closed=1\nCd nd 0 {cd}\n\
+     .clock phases {T / 2} {T / 2}\n.output vo\n.end\n";
+  ]
+
+let serve_ops =
+  let psd points =
+    Sp.Psd
+      { p_fmin = None; p_fmax = None; p_points = points; p_log = None;
+        p_spp = None; p_engine = None }
+  in
+  [ psd None; psd (Some 9); Sp.Variance { v_spp = None } ]
+
+let serve_frame deck op =
+  Json.to_string
+    (Sp.request_to_json
+       { Sp.rq_id = None; rq_deck = Some deck; rq_deck_name = "<bench>";
+         rq_op = op })
+
+(* The executor's memo hits and misses so far, from its stats reply *)
+let memo_counts exec =
+  let stats = Sx.handle_string exec (serve_frame "" Sp.Stats) in
+  let decks =
+    Option.bind (Sp.reply_result stats) (fun r ->
+        Option.bind (Json.member "cache" r) (Json.member "decks"))
+  in
+  let field name =
+    match Option.bind decks (Json.member name) with
+    | Some (Json.Num x) -> int_of_float x
+    | _ -> failwith ("stats reply lacks cache.decks." ^ name)
+  in
+  (field "hits", field "misses")
+
+(* One fresh executor primed with every (deck, op) key, then [frames]
+   one at a time, timed in blocks of 20 (the clock ticks in µs): the
+   median over blocks of the wall µs per request, and the memo's hits
+   and misses over the timed requests. *)
+let serve_stream frames =
+  let exec = Sx.create () in
+  List.iter
+    (fun d ->
+      List.iter (fun op -> ignore (Sx.handle_string exec (serve_frame d op))) serve_ops)
+    serve_decks;
+  let h0, m0 = memo_counts exec in
+  (* both streams start from the same compacted heap *)
+  Gc.compact ();
+  let block = 20 in
+  let us =
+    Array.init (Array.length frames / block) (fun b ->
+        let t0 = Clock.now () in
+        for i = b * block to ((b + 1) * block) - 1 do
+          let reply = Sx.handle_string exec frames.(i) in
+          if not (Sp.reply_ok reply) then
+            failwith ("serve bench: error reply " ^ Json.to_string reply)
+        done;
+        1e6 *. Clock.elapsed t0 /. float_of_int block)
+  in
+  Array.sort compare us;
+  let h1, m1 = memo_counts exec in
+  (us.(Array.length us / 2), h1 - h0, m1 - m0)
+
+let exp_serve () =
+  header "EXP-SV2  the deck memo: repeated vs never-repeated deck text";
+  let keys =
+    Array.of_list
+      (List.concat_map (fun d -> List.map (fun op -> (d, op)) serve_ops) serve_decks)
+  in
+  let n = 3000 in
+  let key i = keys.(i mod Array.length keys) in
+  (* every frame is built before its stream runs; a fresh stream's text
+     differs by one comment line, so its canonical hash, and therefore
+     the result tier's answer, are those of the repeating stream *)
+  let repeat = Array.init n (fun i -> let d, op = key i in serve_frame d op) in
+  let fresh =
+    Array.init n (fun i ->
+        let d, op = key i in
+        serve_frame (Printf.sprintf "* request %d\n%s" i d) op)
+  in
+  (* the fresh stream first: both builds then start it from the same
+     process state, whatever the repeating stream costs them *)
+  let fresh_us, fresh_hits, fresh_misses = serve_stream fresh in
+  let repeat_us, repeat_hits, repeat_misses = serve_stream repeat in
+  let t = Table.create [ "stream"; "requests"; "median_us"; "memo_hits"; "memo_misses" ] in
+  List.iter
+    (fun (name, us, h, m) ->
+      Table.add_row t
+        [ name; string_of_int n; Printf.sprintf "%.2f" us; string_of_int h;
+          string_of_int m ])
+    [ ("repeating text", repeat_us, repeat_hits, repeat_misses);
+      ("fresh text", fresh_us, fresh_hits, fresh_misses) ];
+  Table.print t;
+  let ok = repeat_hits > 0 && fresh_hits = 0 in
+  (* the repeating stream's hits, the fresh stream's misses *)
+  Printf.printf
+    "SERVE-SMOKE: repeat_us=%.2f fresh_us=%.2f memo_hits=%d memo_misses=%d ok=%s\n"
+    repeat_us fresh_us repeat_hits fresh_misses
+    (if ok then "ok" else "FAIL");
+  if not ok then smoke_failed := true
+
 let experiments =
   [
     ("f1", exp_f1); ("f2", exp_f2); ("f3", exp_f3); ("f4", exp_f4);
     ("f5", exp_f5); ("f6", exp_f6); ("t1", exp_t1); ("t2", exp_t2);
     ("t3", exp_t3); ("t4", exp_t4); ("t5", exp_t5); ("t6", exp_t6);
     ("t7", exp_t7); ("kern", exp_kern); ("par", exp_par); ("obs", exp_obs);
-    ("cov", exp_cov);
+    ("cov", exp_cov); ("serve", exp_serve);
   ]
 
 (* `--trace base.json` for several experiments writes base.f1.json,

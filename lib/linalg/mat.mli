@@ -65,7 +65,11 @@ val scale : float -> t -> t
 val mul : t -> t -> t
 (** Matrix product.  Entry [(i, j)] is the sum, from [0.0] and in
     ascending [k], of [a.(i).(k) *. b.(k).(j)] over the [k] with
-    [a.(i).(k) <> 0] — bitwise, including non-finite operands.  Rows
+    [a.(i).(k) <> 0] — bitwise for every finite result and every
+    infinity; a NaN result is a NaN, but where two NaNs meet in one sum
+    (an [inf *. 0.0] term added to a NaN operand) its sign and payload
+    may differ from a plain loop's, which depend on the order the
+    hardware sees the operands in.  Rows
     of [a] with no zero inside their nonzero support run in register
     tiles, the others as row axpys over their nonzeros; for rows of
     [a] that are finite, the zero stretches of [b]'s columns or rows

@@ -1,12 +1,13 @@
-(* Bounded LRU cache used by both serve tiers (results and prepared
-   solvers).
+(* Bounded LRU cache used by the serve tiers (results and prepared
+   solvers) and the deck memo.
 
-   Capacities are small (tens of entries: each prepared solver pins a
-   sampled covariance trace plus per-phase LU factors), so eviction does
-   a linear scan for the oldest access tick instead of maintaining an
-   intrusive list.  Probes bump a logical clock; a mutex makes the cache
-   safe to share between the server loop and direct library users
-   (tests drive {!Exec} from several domains).
+   Entries sit in a hash table and in a doubly-linked recency list,
+   most recent first, so a probe, an insert and an eviction each cost
+   one table operation and a few pointer moves.  A key carries its hash,
+   computed once by [key]: a deck-memo key is a whole deck text, and a
+   request that probes and then records one hashes it once.  A mutex
+   makes the cache safe to share between the server loop and direct
+   library users (tests drive {!Exec} from several domains).
 
    Hits/misses/evictions are mirrored into [Obs] counters
    ([serve.cache.<name>.hit] etc.) for the metrics artifacts, and kept
@@ -16,14 +17,34 @@
 
 module Obs = Scnoise_obs.Obs
 
-type 'a slot = { value : 'a; mutable tick : int }
+type key = { hash : int; text : string }
+
+let key text = { hash = Hashtbl.hash text; text }
+
+let key_hash k = k.hash
+
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = a.hash = b.hash && String.equal a.text b.text
+
+  let hash k = k.hash
+end)
+
+type 'a node = {
+  k : key;
+  mutable value : 'a;
+  mutable newer : 'a node option;
+  mutable older : 'a node option;
+}
 
 type 'a t = {
   name : string;
   cap : int;
   mutex : Mutex.t;
-  table : (string, 'a slot) Hashtbl.t;
-  mutable clock : int;
+  table : 'a node Tbl.t;
+  mutable newest : 'a node option;
+  mutable oldest : 'a node option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -38,8 +59,9 @@ let create ~name ~cap =
     name;
     cap;
     mutex = Mutex.create ();
-    table = Hashtbl.create (2 * cap);
-    clock = 0;
+    table = Tbl.create (2 * cap);
+    newest = None;
+    oldest = None;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -52,45 +74,53 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let find t key =
+let unlink t n =
+  (match n.newer with Some m -> m.older <- n.older | None -> t.newest <- n.older);
+  (match n.older with Some m -> m.newer <- n.newer | None -> t.oldest <- n.newer);
+  n.newer <- None;
+  n.older <- None
+
+let push_newest t n =
+  n.older <- t.newest;
+  (match t.newest with Some m -> m.newer <- Some n | None -> t.oldest <- Some n);
+  t.newest <- Some n
+
+let find t k =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some slot ->
-          t.clock <- t.clock + 1;
-          slot.tick <- t.clock;
+      match Tbl.find_opt t.table k with
+      | Some n ->
+          unlink t n;
+          push_newest t n;
           t.hits <- t.hits + 1;
           Obs.incr t.c_hit;
-          Some slot.value
+          Some n.value
       | None ->
           t.misses <- t.misses + 1;
           Obs.incr t.c_miss;
           None)
 
-let evict_oldest_locked t =
-  let oldest = ref None in
-  Hashtbl.iter
-    (fun key slot ->
-      match !oldest with
-      | Some (_, best) when best <= slot.tick -> ()
-      | _ -> oldest := Some (key, slot.tick))
-    t.table;
-  match !oldest with
-  | Some (key, _) ->
-      Hashtbl.remove t.table key;
-      t.evictions <- t.evictions + 1;
-      Obs.incr t.c_evict
-  | None -> ()
-
-let put t key value =
+let put t k value =
   locked t (fun () ->
-      t.clock <- t.clock + 1;
-      (match Hashtbl.find_opt t.table key with
-      | Some _ -> Hashtbl.remove t.table key
-      | None -> ());
-      if Hashtbl.length t.table >= t.cap then evict_oldest_locked t;
-      Hashtbl.replace t.table key { value; tick = t.clock })
+      match Tbl.find_opt t.table k with
+      | Some n ->
+          n.value <- value;
+          unlink t n;
+          push_newest t n
+      | None -> (
+          let n = { k; value; newer = None; older = None } in
+          Tbl.add t.table k n;
+          push_newest t n;
+          (* the new entry is the newest, so a full cache drops another *)
+          if Tbl.length t.table > t.cap then
+            match t.oldest with
+            | Some old ->
+                unlink t old;
+                Tbl.remove t.table old.k;
+                t.evictions <- t.evictions + 1;
+                Obs.incr t.c_evict
+            | None -> ()))
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let length t = locked t (fun () -> Tbl.length t.table)
 
 let cap t = t.cap
 
@@ -104,6 +134,6 @@ let stats t =
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;
-        entries = Hashtbl.length t.table;
+        entries = Tbl.length t.table;
         capacity = t.cap;
       })

@@ -1,8 +1,17 @@
-(* Request execution with the two-tier content-addressed cache.
+(* Request execution with the two-tier content-addressed cache and a
+   memo of deck texts in front of it.
+
+   The deck memo maps (deck name, exact deck text) to what a request
+   needs before it reaches the tiers: the canonical hash and the text's
+   own analysis directives.  A text is recorded only once it has loaded,
+   passed ERC and answered an analysis twice, so a repeated text skips
+   parse, elaboration, hashing and ERC from its third request on; ERC
+   runs at most twice per distinct text, and a verdict is reused only
+   for the bytes that earned it.
 
    Tier 1 maps (deck hash, op, fully-resolved parameters) to the reply
-   [result] JSON: a repeated request costs one parse + elaborate + hash
-   and no numerics at all.
+   [result] JSON: a repeated request costs one memo lookup and no
+   numerics at all.
 
    Tier 2 maps the deck hash to the prepared solver state: the compiled
    PWL system, the observability vector, and — per samples-per-phase
@@ -26,6 +35,7 @@ module Obs = Scnoise_obs.Obs
 module Clock = Scnoise_obs.Clock
 module Deck = Scnoise_lang.Deck
 module Canon = Scnoise_lang.Canon
+module Elab = Scnoise_lang.Elab
 module Check = Scnoise_check.Check
 module Finding = Scnoise_check.Finding
 module Pwl = Scnoise_circuit.Pwl
@@ -58,7 +68,15 @@ type prepared = {
   mutable pr_engines : (int * Psd.engine) list;
 }
 
+(* Deck-memo entry: no AST, elaboration or netlist, only what the
+   tiers are looked up by and what the request's defaults resolve from
+   (the hash leaves directives out, so a layout twin may differ). *)
+type deck_memo = { hash : string; directives : Elab.analysis list }
+
 type t = {
+  decks : deck_memo Cache.t;
+  answered : int array;  (* memo-key hashes of texts that answered once *)
+  mutable answered_next : int;
   results : Json.t Cache.t;
   solvers : prepared Cache.t;
   mutex : Mutex.t;
@@ -72,6 +90,9 @@ let default_cache_entries = 32
 
 let create ?(cache_entries = default_cache_entries) () =
   {
+    decks = Cache.create ~name:"decks" ~cap:cache_entries;
+    answered = Array.make cache_entries (-1);
+    answered_next = 0;
     results = Cache.create ~name:"results" ~cap:cache_entries;
     solvers = Cache.create ~name:"prepared" ~cap:(max 1 (cache_entries / 4));
     mutex = Mutex.create ();
@@ -92,14 +113,55 @@ let gated = function
   | Ok v -> v
   | Error e -> raise (Err (Front.code e, Front.message e))
 
-(* Compile (or fetch) the tier-2 entry.  The ERC gate runs on every
-   request — it is structural and cheap — so a cached circuit never
-   bypasses the checks a direct CLI run would perform. *)
-let prepared_entry t ~name (loaded : Deck.loaded) hash =
+(* The memo key: the exact bytes, so a verdict never passes to a twin *)
+let memo_key ~name text = Cache.key (String.concat "\x00" [ name; text ])
+
+(* Load a text and pass it through the errors-only ERC, as the CLI does *)
+let load_checked ~name text =
+  let loaded = gated (Front.load ~name text) in
   gated (Front.erc loaded);
-  match Cache.find t.solvers hash with
+  loaded
+
+(* The request's hash and directives.  On a memo miss the loaded deck
+   comes back too, for a tier-2 miss to compile. *)
+let admit t ~name ~key text =
+  match Cache.find t.decks key with
+  | Some m -> (m, None)
+  | None ->
+      let loaded = load_checked ~name text in
+      let m =
+        { hash = Canon.hash_loaded loaded; directives = Front.directives loaded }
+      in
+      (m, Some loaded)
+
+(* True when the text answered before and is still among the last
+   [cache_entries] texts that answered once; otherwise it joins them,
+   pushing out the oldest.  A text enters the memo only on such a
+   second answer, so a stream of texts that never repeat leaves nothing
+   on the major heap: recording each one cost such a stream 3–7 % of
+   its request time, in the major collections its promoted entries
+   paid for. *)
+let answered_before t key =
+  let h = Cache.key_hash key in
+  let n = Array.length t.answered in
+  let rec seen i = i < n && (t.answered.(i) = h || seen (i + 1)) in
+  seen 0
+  || begin
+       t.answered.(t.answered_next) <- h;
+       t.answered_next <- (t.answered_next + 1) mod n;
+       false
+     end
+
+(* Fetch (or compile) the tier-2 entry.  After a memo hit the text is
+   loaded again and passes the whole gate before it compiles. *)
+let prepared_entry t ~name text hash loaded =
+  let key = Cache.key hash in
+  match Cache.find t.solvers key with
   | Some p -> p
   | None ->
+      let loaded =
+        match loaded with Some l -> l | None -> load_checked ~name text
+      in
       let c = gated (Front.compile ~name loaded) in
       let p =
         {
@@ -108,7 +170,7 @@ let prepared_entry t ~name (loaded : Deck.loaded) hash =
           pr_engines = [];
         }
       in
-      Cache.put t.solvers hash p;
+      Cache.put t.solvers key p;
       p
 
 (* The circuit's one prepared engine at [spp], and [true] when it
@@ -142,6 +204,7 @@ let level ~prepared = if prepared then "prepared" else "cold"
    freshly computed result on a miss. *)
 
 let cached t key compute =
+  let key = Cache.key key in
   match Cache.find t.results key with
   | Some r -> (r, "result")
   | None ->
@@ -367,6 +430,7 @@ let stats_json t =
           [
             ("results", cache_stats_json (Cache.stats t.results));
             ("prepared", cache_stats_json (Cache.stats t.solvers));
+            ("decks", cache_stats_json (Cache.stats t.decks));
           ] );
     ]
 
@@ -390,12 +454,10 @@ let run_request t rq =
       (result, Some lvl)
   | P.Psd _ | P.Variance _ | P.Contrib _ | P.Transfer _ ->
       let name = rq.P.rq_deck_name in
-      let loaded = gated (Front.load ~name (deck_of rq)) in
-      let hash = Canon.hash_loaded loaded in
-      let p = prepared_entry t ~name loaded hash in
-      (* defaults come from this request's deck: the hash leaves
-         directives out, so [p] may come from a twin with others *)
-      let directives = Front.directives loaded in
+      let text = deck_of rq in
+      let key = memo_key ~name text in
+      let ({ hash; directives } as m), loaded = admit t ~name ~key text in
+      let p = prepared_entry t ~name text hash loaded in
       let result, lvl =
         match rq.P.rq_op with
         | P.Psd q -> run_psd t p hash directives q
@@ -405,6 +467,10 @@ let run_request t rq =
         | P.Transfer q -> run_transfer t p hash directives q
         | _ -> assert false
       in
+      (* record only a text that answered: a compile, stability or
+         input failure is met again on every request *)
+      if Option.is_some loaded && answered_before t key then
+        Cache.put t.decks key m;
       (result, Some lvl)
 
 let handle_request t rq =

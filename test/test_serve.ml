@@ -354,17 +354,17 @@ let test_transfer_parity_and_inputs_error () =
    every switch is noiseless and no noise reaches the unstable mode
    (ERC006 only warns): the steady-state solve alone would then find a
    zero covariance and answer ok. *)
+let unstable_deck ~noiseless =
+  read_file (Filename.concat deck_dir "sc_integrator.scn")
+  |> String.split_on_char '\n'
+  |> List.map (fun l ->
+         if String.starts_with ~prefix:".param cd " l then ".param cd = 25p"
+         else if noiseless && String.starts_with ~prefix:"S" l then
+           l ^ " noiseless"
+         else l)
+  |> String.concat "\n"
+
 let test_unstable_deck () =
-  let unstable ~noiseless =
-    read_file (Filename.concat deck_dir "sc_integrator.scn")
-    |> String.split_on_char '\n'
-    |> List.map (fun l ->
-           if String.starts_with ~prefix:".param cd " l then ".param cd = 25p"
-           else if noiseless && String.starts_with ~prefix:"S" l then
-             l ^ " noiseless"
-           else l)
-    |> String.concat "\n"
-  in
   let req deck op =
     Sp.request_to_json
       { Sp.rq_id = None; rq_deck = Some deck; rq_deck_name = "<test>";
@@ -374,7 +374,7 @@ let test_unstable_deck () =
       let conn = connect addr in
       List.iter
         (fun noiseless ->
-          let deck = unstable ~noiseless in
+          let deck = unstable_deck ~noiseless in
           let what op = Printf.sprintf "%s (noiseless %b)" op noiseless in
           expect_error (what "psd") "unstable"
             (rpc conn (Sp.request_to_json (psd_req ~deck ~points:3 ())));
@@ -653,6 +653,187 @@ let test_concurrent_clients_bit_identical () =
       Alcotest.(check (list bool)) "all clients bit-identical"
         [ true; true; true; true ] oks)
 
+(* --- the deck memo --- *)
+
+(* The cache against a list model of LRU, most recent first: the same
+   answers, hits, misses, evictions and entries at every capacity. *)
+let test_cache_lru () =
+  let module Cache = Scnoise_serve.Cache in
+  let rng = Random.State.make [| 33 |] in
+  for cap = 1 to 4 do
+    let c = Cache.create ~name:"lru-model" ~cap in
+    let model = ref [] and hits = ref 0 and misses = ref 0 in
+    let evictions = ref 0 in
+    for step = 1 to 2000 do
+      let k = string_of_int (Random.State.int rng 6) in
+      if Random.State.bool rng then begin
+        let want = List.assoc_opt k !model in
+        (match want with
+        | Some v ->
+            incr hits;
+            model := (k, v) :: List.remove_assoc k !model
+        | None -> incr misses);
+        Alcotest.(check (option int)) "find" want (Cache.find c (Cache.key k))
+      end
+      else begin
+        Cache.put c (Cache.key k) step;
+        model := (k, step) :: List.remove_assoc k !model;
+        if List.length !model > cap then begin
+          model := List.filteri (fun i _ -> i < cap) !model;
+          incr evictions
+        end
+      end
+    done;
+    let s = Cache.stats c in
+    Alcotest.(check (list int)) (Printf.sprintf "counts at cap %d" cap)
+      [ !hits; !misses; !evictions; List.length !model ]
+      [ s.Cache.hits; s.Cache.misses; s.Cache.evictions; s.Cache.entries ]
+  done
+
+let single deck op =
+  Sp.Single
+    { Sp.rq_id = None; rq_deck = Some deck; rq_deck_name = "<test>"; rq_op = op }
+
+let psd_op ?points () =
+  Sp.Psd
+    { p_fmin = None; p_fmax = None; p_points = points; p_log = None;
+      p_spp = None; p_engine = None }
+
+let transfer_op =
+  Sp.Transfer
+    { t_fmin = None; t_fmax = None; t_points = Some 5; t_k = Some 1;
+      t_spp = None }
+
+(* A reply with the fields that depend on the executor's history
+   removed: the wall time and the cache tier that answered. *)
+let rec strip = function
+  | Json.Obj fs ->
+      Json.Obj
+        (List.filter_map
+           (function
+             | ("elapsed_s" | "cache"), _ -> None
+             | "results", Json.List l -> Some ("results", Json.List (List.map strip l))
+             | f -> Some f)
+           fs)
+  | j -> j
+
+let tier exec name =
+  let stats =
+    match Sp.reply_result (Sx.handle exec (Sp.Single (no_deck_req Sp.Stats))) with
+    | Some r -> r
+    | None -> Alcotest.fail "stats has no result"
+  in
+  match Option.bind (Json.member "cache" stats) (Json.member name) with
+  | Some j -> fun field -> int_of_float (num_of "stats" j field)
+  | None -> Alcotest.failf "stats has no %s tier" name
+
+(* One long-lived executor, small enough that every tier evicts, runs a
+   scripted stream of repeated texts; each reply must equal, byte for
+   byte, what a fresh executor answers for the same envelope.  The
+   stream holds texts that share a hash but not their directives
+   ([deck_a], [deck_a_psd] and a layout twin), so a memo keyed by the
+   hash alone answers [deck_a_psd] with [deck_a]'s defaults. *)
+let test_memo_parity () =
+  let integrator = read_file (Filename.concat deck_dir "sc_integrator.scn") in
+  let twin = "* a layout twin\n\n" ^ deck_a_psd in
+  let variants =
+    List.init 6 (fun i -> Printf.sprintf "* variant %d\n%s" i deck_b)
+  in
+  let script =
+    [
+      single deck_a (psd_op ());
+      single deck_a_psd (psd_op ());
+      single deck_a (psd_op ());
+      single twin (psd_op ());
+      single deck_a_psd (psd_op ~points:9 ());
+      single deck_b (Sp.Variance { v_spp = None });
+      single deck_c (Sp.Contrib { c_f = Some 2e3; c_spp = None });
+      single deck_a transfer_op;
+      single integrator transfer_op;
+      single integrator (psd_op ~points:5 ());
+      single deck_warn (psd_op ~points:5 ());
+      single deck_warn Sp.Check;
+      Sp.Batch
+        ( Some "b",
+          [
+            psd_req ~id:"1" ~deck:deck_a_psd ();
+            psd_req ~id:"2" ~deck:twin ~points:7 ();
+            psd_req ~id:"3" ~deck:deck_a ();
+          ] );
+    ]
+    @ List.concat_map
+        (fun d -> [ single d (psd_op ~points:5 ()); single d (Sp.Variance { v_spp = None }) ])
+        variants
+    @ [
+        single deck_a_psd (psd_op ());
+        single deck_a (psd_op ());
+        single integrator transfer_op;
+        single twin (psd_op ());
+        single deck_c (Sp.Contrib { c_f = Some 2e3; c_spp = None });
+      ]
+  in
+  let exec = Sx.create ~cache_entries:4 () in
+  List.iteri
+    (fun i env ->
+      let served = Json.to_string (strip (Sx.handle exec env)) in
+      let fresh = Json.to_string (strip (Sx.handle (Sx.create ()) env)) in
+      Alcotest.(check string) (Printf.sprintf "request %d" i) fresh served)
+    script;
+  let decks = tier exec "decks" in
+  Alcotest.(check bool) "memo hits" true (decks "hits" > 0);
+  Alcotest.(check bool) "memo evictions" true (decks "evictions" > 0);
+  Alcotest.(check bool) "memo bounded" true (decks "entries" <= 4);
+  Alcotest.(check bool) "prepared evictions" true
+    (tier exec "prepared" "evictions" > 0)
+
+(* A text enters the memo on its second answer and hits from its third
+   request on; a text that answered once is forgotten after as many
+   other texts as the memo holds. *)
+let test_memo_admission () =
+  let exec = Sx.create ~cache_entries:2 () in
+  let send deck = ignore (result_of "psd" (Sx.handle exec (single deck (psd_op ~points:3 ())))) in
+  let counts () =
+    let decks = tier exec "decks" in
+    [ decks "entries"; decks "hits"; decks "misses" ]
+  in
+  let check what want = Alcotest.(check (list int)) what want (counts ()) in
+  send deck_a;
+  check "first answer: not recorded" [ 0; 0; 1 ];
+  send deck_a;
+  check "second answer: recorded" [ 1; 0; 2 ];
+  send deck_a;
+  check "third request: a hit" [ 1; 1; 2 ];
+  send deck_b;
+  send deck_c;
+  send ("* a layout twin\n" ^ deck_c);
+  send deck_b;
+  check "two texts pushed out deck_b's first answer" [ 1; 1; 6 ];
+  send deck_b;
+  check "deck_b recorded on its next answer" [ 2; 1; 7 ]
+
+(* A text that fails (parse, ERC, stability) answers the same error on
+   every request and never enters the memo. *)
+let test_memo_refuses_failures () =
+  let erc = read_file (Filename.concat "decks" "bad/floating_node.scn") in
+  let exec = Sx.create () in
+  List.iter
+    (fun (what, deck, code) ->
+      let reply () = Sx.handle exec (single deck (psd_op ~points:3 ())) in
+      let first = reply () in
+      expect_error what code first;
+      Alcotest.(check string) (what ^ ": same reply")
+        (Json.to_string (strip first))
+        (Json.to_string (strip (reply ()))))
+    [
+      ("parse error", "Z1 what\n.end\n", "deck");
+      ("erc error", erc, "erc");
+      ("unstable", unstable_deck ~noiseless:false, "unstable");
+    ];
+  let decks = tier exec "decks" in
+  Alcotest.(check int) "no memo entry" 0 (decks "entries");
+  Alcotest.(check int) "no memo hit" 0 (decks "hits");
+  Alcotest.(check int) "every request missed" 6 (decks "misses")
+
 let test_shutdown_request_drains () =
   with_server (fun addr mark_stopped ->
       let conn = connect addr in
@@ -710,10 +891,15 @@ let () =
           Alcotest.test_case "unstable deck" `Quick test_unstable_deck;
           Alcotest.test_case "stability not shown" `Quick
             test_stability_not_shown;
+          Alcotest.test_case "deck memo parity" `Quick test_memo_parity;
+          Alcotest.test_case "deck memo admission" `Quick test_memo_admission;
+          Alcotest.test_case "deck memo refuses failures" `Quick
+            test_memo_refuses_failures;
         ] );
       ( "lifecycle",
         [
           Alcotest.test_case "eviction" `Quick test_eviction_under_small_cache;
+          Alcotest.test_case "cache is LRU" `Quick test_cache_lru;
           Alcotest.test_case "shutdown drains" `Quick
             test_shutdown_request_drains;
         ] );
